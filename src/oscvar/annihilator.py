@@ -8,15 +8,26 @@ the residue modulo the lower level is ordering-independent, which is
 asserted by test rather than assumed.
 
 The degree-1 kernel is computed as an honest stacked linear system.  For
-p >= 2 the computation splits: monomials containing a symbol of the
-computed degree-1 kernel are verified member by member (their residues
-must vanish), and the exact kernel is solved on the remaining "pure"
-monomials only.  The split is validated at run time, so the result always
-equals the full kernel; it just avoids eliminating thousands of redundant
-columns.
+p >= 2 the computation splits off the claimed level preservers (Cartan and
+off-L root symbols) by a lemma whose hypotheses are checked at run time
+once per tower, by a :class:`SplitCertificate`:
+
+  * each certified preserver s maps M_j into M_j for every j <= top;
+  * every generator maps M_j into M_{j+1} for every j < top (g-stability).
+
+By induction on p, any composition of p generators containing a certified
+s then maps M_k into M_{k+p-1} whenever k + p - 1 <= top, in any factor
+order.  Monomials containing such an s ("coordinate members") therefore
+annihilate without being applied, and the exact kernel is solved on the
+remaining "pure" monomials only.  A claimed preserver that fails its check
+is not split off, and without g-stability nothing is, so the result always
+equals the full kernel.
 
 Certificates are bounded: a kernel is certified up to the checked level
-kmax, with a stabilization flag comparing against the kmax-1 system.
+kmax, with a stabilization flag comparing against the kmax-1 system.  A
+system too shallow to decide anything (no level carries an equation, or
+a degree-1 system with no kmax-1 system to compare against) raises
+:class:`ShallowSystemError` instead of returning a vacuous kernel.
 """
 
 from __future__ import annotations
@@ -24,13 +35,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
-from .osc import Config, apply_generator_terms, generator_name, generators
+from .osc import Config, apply_generator_terms, generators
 from .poly import Poly
 
 SymTerms = dict  # {ascending tuple of generator indices: coefficient}
+
+
+class ShallowSystemError(ValueError):
+    """The checked depth is too small for a system to say anything."""
+
+
+class OutOfTheoremError(ValueError):
+    """The configuration lies outside the presentation theorem."""
 
 
 def in_L(cfg: Config, row: int, col: int) -> bool:
@@ -62,12 +82,6 @@ def predicted_level_preservers(cfg: Config) -> list[int]:
 
 def sym_from_generator(idx: int) -> SymTerms:
     return {(idx,): 1}
-
-
-def sym_scale(a: SymTerms, c) -> SymTerms:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
 
 
 def sym_add(a: SymTerms, b: SymTerms) -> SymTerms:
@@ -103,17 +117,6 @@ def sym_power(a: SymTerms, e: int) -> SymTerms:
 
 def sym_degree(a: SymTerms) -> int:
     return max((len(k) for k in a), default=0)
-
-
-def sym_render(a: SymTerms, gens) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for k in sorted(a):
-        c = a[k]
-        mono = "*".join(generator_name(gens[i]) for i in k) or "1"
-        parts.append(f"({c})*{mono}")
-    return " + ".join(parts)
 
 
 def apply_sym_monomial(cfg: Config, key: tuple, terms: dict, gens) -> dict:
@@ -185,11 +188,12 @@ def _level_rows(tower: FiltrationTower, k: int) -> list:
 class AnnihilatorPiece:
     """Exact kernel of the degree-p graded action, certified up to kmax.
 
-    ``coordinate_members`` are monomials that annihilate individually
-    (each contains a degree-1 kernel symbol); ``kernel_vectors`` span the
-    rest of the kernel over the remaining monomials.  Certification is an
-    over-approximation statement: membership is verified only for levels
-    up to ``kmax_checked``.
+    ``coordinate_members`` are the monomials containing a preserver in
+    ``split_symbols``; each annihilates by the split lemma, whose
+    hypotheses the tower's :class:`SplitCertificate` checked.
+    ``kernel_vectors`` span the rest of the kernel over the remaining
+    monomials.  Certification is an over-approximation statement:
+    membership is verified only for levels up to ``kmax_checked``.
     """
 
     degree: int
@@ -217,34 +221,117 @@ class AnnihilatorPiece:
         return basis
 
 
-def _stacked_columns(tower, monos, levels, gens):
-    """One sparse column per symbol monomial, stacking all residue
-    coordinates; plus the set of equation ids contributed by the last
-    level (for the stabilization comparison)."""
+@dataclass
+class SplitCertificate:
+    """The two run-time facts behind the coordinate/pure split.
+
+    For one tower and one set of claimed level preservers it records the
+    first level j at which a claimed s fails s(M_j) <= M_j, and the first
+    level j at which some generator fails g(M_j) <= M_{j+1}, over the
+    levels 0..``checked`` examined so far.  Each level is checked on its
+    new-pivot rows only; with the facts at level j-1 they cover all of M_j.
+    Obtain instances through :func:`split_certificate`, which caches them
+    on the tower.
+    """
+
+    claimed: frozenset
+    checked: int = -1
+    failed_at: dict = field(default_factory=dict)  # claimed symbol -> level
+    unstable_at: int | None = None
+
+    def preservers(self, top: int) -> list[int]:
+        """Claimed symbols preserving M_0..M_top, or none at all when
+        g-stability fails below top."""
+        if top > self.checked:
+            raise ValueError(f"certificate checked only through level {self.checked}")
+        if self.unstable_at is not None and self.unstable_at < top:
+            return []
+        return sorted(s for s in self.claimed if self.failed_at.get(s, top + 1) > top)
+
+
+def _certify_level(tower: FiltrationTower, cert: SplitCertificate, j: int) -> None:
+    """Record the facts of level j that are still undecided in ``cert``."""
     cfg = tower.cfg
-    eq_ids: dict = {}
-    last_level_eqs: set = set()
-    columns = []
-    if not monos:
-        return columns, last_level_eqs
-    p = len(monos[0])
-    row_lists = {k: _level_rows(tower, k) for k in levels}
-    for key in monos:
-        col: dict = {}
-        for k in levels:
-            target = tower.levels[k + p - 1]
-            for vi, row in enumerate(row_lists[k]):
-                img = apply_sym_monomial(cfg, key, row, gens)
-                if not img:
-                    continue
-                res, scale = target.reduce_scaled(img)
-                for m, v in res.items():
-                    eq = eq_ids.setdefault((k, vi, m), len(eq_ids))
-                    if k == levels[-1]:
-                        last_level_eqs.add(eq)
-                    col[(eq,)] = Fraction(v, scale) if scale != 1 else v
-        columns.append(col)
-    return columns, last_level_eqs
+    here = tower.levels[j]
+    above = None
+    if cert.unstable_at is None and j < tower.depth:
+        above = tower.levels[j + 1]
+    live = set(cert.claimed - cert.failed_at.keys())
+    if above is None and not live:
+        return
+    gens = generators(cfg.n)
+    for row in _level_rows(tower, j):
+        for idx, g in enumerate(gens):
+            claimed = idx in live
+            if not claimed and above is None:
+                continue
+            img = apply_generator_terms(cfg, g, row)
+            if not img:
+                continue
+            if claimed:
+                if here.contains(img):
+                    continue  # then it lies in M_{j+1} as well
+                cert.failed_at[idx] = j
+                live.discard(idx)
+            if above is not None and not above.contains(img):
+                cert.unstable_at = j
+                above = None
+
+
+def split_certificate(tower: FiltrationTower, claimed, top: int) -> SplitCertificate:
+    """The tower's certificate for ``claimed``, checked through level ``top``.
+
+    Levels already checked for the same claim are not checked again.
+    """
+    claimed = frozenset(claimed)
+    cert = tower.derived.setdefault(("split-certificate", claimed), SplitCertificate(claimed))
+    while cert.checked < top:
+        cert.checked += 1
+        _certify_level(tower, cert, cert.checked)
+    return cert
+
+
+def _stacked_columns(tower, alphabet, p, levels, gens):
+    """The stacked degree-p system over the monomials on ``alphabet``.
+
+    Returns the ascending monomial keys, one sparse column per key stacking
+    every residue coordinate, and the first equation id contributed by the
+    last level (equations below it form the kmax-1 system, for the
+    stabilization comparison).  The keys form a trie, walked once per row:
+    each edge applies one generator to its parent's image, and a zero image
+    prunes the whole subtree.  Equation ids are numbered as residues
+    appear; the kernel does not depend on the numbering, because
+    ``kernel_of_columns`` picks its pivot columns greedily in column order.
+    """
+    cfg = tower.cfg
+    monos = list(itertools.combinations_with_replacement(alphabet, p))
+    columns: dict = {key: {} for key in monos}
+    n_eqs = last_start = 0
+    for k in levels:
+        last_start = n_eqs
+        target = tower.levels[k + p - 1]
+        for row in _level_rows(tower, k):
+            eqs: dict = {}
+            stack = [((), row, 0)]
+            while stack:
+                prefix, img, start = stack.pop()
+                for pos in range(start, len(alphabet)):
+                    out = apply_generator_terms(cfg, gens[alphabet[pos]], img)
+                    if not out:
+                        continue
+                    key = prefix + (alphabet[pos],)
+                    if len(key) < p:
+                        stack.append((key, out, pos))
+                        continue
+                    res, scale = target.reduce_scaled(out)
+                    col = columns[key]
+                    for m, v in res.items():
+                        eq = eqs.get(m)
+                        if eq is None:
+                            eq = eqs[m] = n_eqs
+                            n_eqs += 1
+                        col[(eq,)] = Fraction(v, scale) if scale != 1 else v
+    return monos, list(columns.values()), last_start
 
 
 def compute_annihilator_piece(
@@ -255,75 +342,54 @@ def compute_annihilator_piece(
 ) -> AnnihilatorPiece:
     """Exact kernel of {eta of degree p : eta(M_k) in M_{k+p-1}, k <= kmax-p}.
 
-    ``known_level_preservers`` (the verified degree-1 kernel symbols)
-    activates the coordinate/pure split; every claimed coordinate member
-    is still verified by an explicit residue check, with a fallback to the
-    full solve if any check fails.
+    For p >= 2, ``known_level_preservers`` (the claimed degree-1 kernel
+    symbols) are split off as far as the tower's certificate through level
+    kmax-1 allows: a claimed symbol that fails its own check is kept in
+    the solve, and without g-stability every symbol is.  Monomials
+    containing a split symbol are listed in ``coordinate_members`` without
+    being applied; the exact kernel is solved on the remaining "pure"
+    monomials, which with an empty split are all of them.
     """
     cfg = tower.cfg
-    if kmax - p + p - 1 > tower.depth:
+    if kmax - 1 > tower.depth:
         raise ValueError("tower too shallow: need levels up to kmax-1")
+    if kmax < p:
+        raise ShallowSystemError(
+            f"kmax={kmax} leaves no level k <= kmax-{p} for the degree-{p} system"
+        )
     gens = generators(cfg.n)
-    ngens = len(gens)
-    monos = list(itertools.combinations_with_replacement(range(ngens), p))
-    levels = list(range(max(kmax - p, -1) + 1))
-    piece = AnnihilatorPiece(degree=p, kmax_checked=kmax, unknown_count=len(monos))
-
-    split = set(known_level_preservers or ())
-    if split and p >= 2:
-        coord = [key for key in monos if any(i in split for i in key)]
-        pure = [key for key in monos if not any(i in split for i in key)]
-        ok = True
-        row_lists = {k: _level_rows(tower, k) for k in levels}
-        for key in coord:
-            for k in levels:
-                target = tower.levels[k + p - 1]
-                for row in row_lists[k]:
-                    img = apply_sym_monomial(cfg, key, row, gens)
-                    if img and not target.contains(img):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            piece.split_symbols = sorted(split)
-            piece.coordinate_members = coord
-            columns, last_eqs = _stacked_columns(tower, pure, levels, gens)
-            vectors = kernel_of_columns(columns)
-            piece.kernel_vectors = [
-                {pure[i]: c for i, c in vec.items()} for vec in vectors
-            ]
-            if len(levels) > 1:
-                trimmed = [
-                    {m: v for m, v in col.items() if m[0] not in last_eqs}
-                    for col in columns
-                ]
-                piece.stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
-            else:
-                piece.stabilized = False
-            return piece
-        # a claimed coordinate member failed: fall through to the full solve
-
-    columns, last_eqs = _stacked_columns(tower, monos, levels, gens)
+    split: set = set()
+    if known_level_preservers and p >= 2:
+        cert = split_certificate(tower, known_level_preservers, kmax - 1)
+        split = set(cert.preservers(kmax - 1))
+    alphabet = [i for i in range(len(gens)) if i not in split]
+    levels = list(range(kmax - p + 1))
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
     vectors = kernel_of_columns(columns)
-    piece.kernel_vectors = [
-        {monos[i]: c for i, c in vec.items()} for vec in vectors
-    ]
+    all_monos = itertools.combinations_with_replacement(range(len(gens)), p)
+    piece = AnnihilatorPiece(
+        degree=p,
+        coordinate_members=[key for key in all_monos if not split.isdisjoint(key)],
+        kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
+        kmax_checked=kmax,
+        unknown_count=comb(len(gens) + p - 1, p),
+        split_symbols=sorted(split),
+    )
     if len(levels) > 1:
         trimmed = [
-            {m: v for m, v in col.items() if m[0] not in last_eqs}
-            for col in columns
+            {m: v for m, v in col.items() if m[0] < last_start} for col in columns
         ]
         piece.stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
-    else:
-        piece.stabilized = False
     return piece
 
 
 def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
     """Computed degree-1 kernel versus Cartan + off-L root coordinates."""
+    if kmax < 2:
+        raise ShallowSystemError(
+            f"kmax={kmax}: the degree-1 kernel needs kmax >= 2 to compare "
+            "against the kmax-1 system for stabilization"
+        )
     cfg = tower.cfg
     piece = compute_annihilator_piece(tower, 1, kmax)
     predicted = predicted_level_preservers(cfg)
@@ -440,7 +506,10 @@ def sym_membership(sym: SymTerms, tower: FiltrationTower):
     """eta(M_k) in M_{k + deg - 1} on every level the tower affords.
 
     Levels run over k <= depth - deg + 1 (the deepest level whose target
-    exists).  Returns None when the tower affords no level at all.
+    exists).  Terms containing a Cartan or off-L root symbol that the
+    tower's certificate confirms as a preserver through its full depth
+    annihilate by the split lemma, so they are dropped before the rest is
+    applied.  Returns None when the tower affords no level at all.
     """
     p = sym_degree(sym)
     cfg = tower.cfg
@@ -448,6 +517,8 @@ def sym_membership(sym: SymTerms, tower: FiltrationTower):
     top = tower.depth - p + 1
     if top < 0:
         return None
+    cert = split_certificate(tower, predicted_level_preservers(cfg), tower.depth)
+    sym = project_pure(sym, set(cert.preservers(tower.depth)))
     for k in range(top + 1):
         target = tower.levels[k + p - 1]
         for row in _level_rows(tower, k):
@@ -691,7 +762,7 @@ def _theorem_regime(cfg: Config) -> str:
         return "negative"
     if cfg.n2 == cfg.n:
         return "positive-full"
-    raise ValueError(f"{cfg.short()} is outside the presentation theorem")
+    raise OutOfTheoremError(f"{cfg.short()} is outside the presentation theorem")
 
 
 def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
@@ -749,7 +820,7 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         substituted = [(op.label(), op.terms) for op in minor3]
     else:  # positive-full
         if cfg.n1 + 1 < cfg.n2:
-            raise ValueError(
+            raise OutOfTheoremError(
                 "positive regime with a middle block wider than one is "
                 "certified only through minor powers; not implemented as a "
                 "two-sided degree check"

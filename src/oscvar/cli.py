@@ -2,8 +2,10 @@
 
 Every command echoes its run parameters, appends one record per check and
 exits 0 when nothing failed (skipped regimes count as non-failures), 1 on
-any failed check, 2 on invalid usage.  JSON output is deterministic
-byte-for-byte for a fixed command line and seed.
+any failed check, 2 on invalid usage, including a --kmax too small for a
+check to decide (that check is recorded as skipped, with the reason).
+JSON output is deterministic byte-for-byte for a fixed command line and
+seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import sys
 import time
 
 from . import suite as suite_mod
-from .annihilator import degree1_report, expected_gkdim, gkdim_estimate, verify_degree2
+from .annihilator import (
+    OutOfTheoremError,
+    ShallowSystemError,
+    degree1_report,
+    expected_gkdim,
+    gkdim_estimate,
+    verify_degree2,
+)
 from .detvar import has_3chain, verify_gset_independence, verify_minor2_kernel, \
     verify_minor3_kernel
 from .filtration import (
@@ -328,7 +337,16 @@ def cmd_annihilator(args) -> Report:
             )
         )
         return report
-    i1 = degree1_report(tower, args.kmax)
+    try:
+        i1 = degree1_report(tower, args.kmax)
+    except ShallowSystemError as exc:
+        for name, anchor in (
+            ("degree1-kernel", "level-preserver-span"),
+            ("degree2-kernel", "minor2-family-exactness"),
+        ):
+            report.add(CheckRecord(name, anchor, "skipped", {}, 0.0, str(exc)))
+        report.params_too_small = True
+        return report
     report.add(
         CheckRecord(
             "degree1-kernel",
@@ -344,7 +362,7 @@ def cmd_annihilator(args) -> Report:
         )
     )
     t0 = time.time()
-    d2 = verify_degree2(tower, tower.depth, i1)
+    d2 = verify_degree2(tower, args.kmax, i1)
     report.add(
         CheckRecord(
             "degree2-kernel",
@@ -371,7 +389,7 @@ def cmd_verify_main_theorem(args) -> Report:
     cfg = _config(args)
     try:
         rep = verify_variety_presentation(cfg, args.kmax)
-    except (UnsupportedRegimeError, ValueError) as exc:
+    except (UnsupportedRegimeError, OutOfTheoremError, ShallowSystemError) as exc:
         report.add(
             CheckRecord(
                 "variety-presentation",
@@ -382,6 +400,7 @@ def cmd_verify_main_theorem(args) -> Report:
                 str(exc),
             )
         )
+        report.params_too_small = isinstance(exc, ShallowSystemError)
         return report
     for c in rep["checks"]:
         report.add(

@@ -48,6 +48,10 @@ class FiltrationTower:
     cfg: Config
     method: str  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
     levels: list[EchelonBasis] = field(default_factory=list)
+    # Facts other modules derive from the levels, such as the annihilator's
+    # split certificates; never serialized or compared.  They assume the
+    # levels do not change after they are derived.
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dims(self) -> list[int]:

@@ -120,10 +120,6 @@ def order_key(m: Monomial):
     return (sum(m), m)
 
 
-def leading_monomial(terms: Mapping) -> Monomial:
-    return max(terms, key=order_key)
-
-
 class Poly:
     """A sparse polynomial with exact rational coefficients.
 

@@ -30,6 +30,9 @@ class Report:
     command: str
     params: dict
     checks: list = field(default_factory=list)
+    # Set when the run parameters were too small for a check to decide
+    # (its skipped record says why); makes the exit code 2.
+    params_too_small: bool = False
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)
@@ -41,7 +44,9 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.overall == "fail" else 0
+        if self.overall == "fail":
+            return 1
+        return 2 if self.params_too_small else 0
 
 
 class FormatError(ValueError):

@@ -1,11 +1,17 @@
 """Graded annihilator kernels, minor operators, growth estimates."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oscvar.annihilator import (
+    ShallowSystemError,
+    _level_rows,
+    _stacked_columns,
     apply_sym,
     apply_sym_monomial,
     cartan_combination,
@@ -21,11 +27,14 @@ from oscvar.annihilator import (
     act,
     operator_identically_zero,
     predicted_level_preservers,
+    split_certificate,
+    sym_add,
     sym_membership,
     sym_mul,
+    verify_variety_presentation,
 )
-from oscvar.filtration import build_tower
-from oscvar.linalg import echelon_from, span_equal
+from oscvar.filtration import UnsupportedRegimeError, build_tower
+from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import Config, apply_generator_terms, diagonal_value, generators
 from oscvar.poly import Poly
 
@@ -200,3 +209,169 @@ def test_gk_estimates():
     assert expected_gkdim(Config(3, 1, 3, 2, 1)) == 2
     with pytest.raises(ValueError):
         gkdim_estimate(build_tower(CFG, 3, "explicit"))
+
+
+# ---------------------------------------------------------------------------
+# the certified split and the shared-prefix columns
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def supported_towers(draw, max_n=5, max_kmax=4):
+    """(tower, kmax) for a random configuration with an explicit tower."""
+    n = draw(st.integers(3, max_n))
+    n1 = draw(st.integers(1, n - 1))
+    n2 = draw(st.integers(n1, n))
+    cfg = Config(n, n1, n2, draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    kmax = draw(st.integers(2, max_kmax))
+    try:
+        tower = build_tower(cfg, kmax - 1, "explicit")
+    except UnsupportedRegimeError:
+        assume(False)
+    return tower, kmax
+
+
+# Derandomized, so every run checks the same examples in the same time.
+_PROPERTY = dict(
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _span_of(piece):
+    return echelon_from(None, [dict(v) for v in piece.basis_sym()])
+
+
+@settings(max_examples=20, **_PROPERTY)
+@given(supported_towers(), st.integers(2, 3))
+def test_split_piece_equals_full_solve(tower_kmax, p):
+    tower, kmax = tower_kmax
+    assume(p <= kmax)
+    cfg = tower.cfg
+    claimed = predicted_level_preservers(cfg)
+    fast = compute_annihilator_piece(tower, p, kmax, known_level_preservers=claimed)
+    full = compute_annihilator_piece(tower, p, kmax)
+    assert set(fast.split_symbols) <= set(claimed)
+    assert fast.dim == full.dim
+    assert fast.stabilized == full.stabilized
+    assert span_equal(_span_of(fast), _span_of(full))
+
+
+def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
+    """Reference for ``_stacked_columns``: each monomial applied on its own,
+    equations numbered key-major.  Also returns the columns without the
+    equations of the last level."""
+    cfg = tower.cfg
+    p = len(monos[0])
+    eq_ids: dict = {}
+    columns = []
+    for key in monos:
+        col: dict = {}
+        for k in levels:
+            target = tower.levels[k + p - 1]
+            for vi, row in enumerate(_level_rows(tower, k)):
+                img = apply_sym_monomial(cfg, key, row, gens)
+                if not img:
+                    continue
+                res, scale = target.reduce_scaled(img)
+                for m, v in res.items():
+                    eq = eq_ids.setdefault((k, vi, m), len(eq_ids))
+                    col[(eq,)] = Fraction(v, scale)
+        columns.append(col)
+    last = {eq for (k, _, _), eq in eq_ids.items() if k == levels[-1]}
+    trimmed = [{m: v for m, v in col.items() if m[0] not in last} for col in columns]
+    return columns, trimmed
+
+
+@settings(max_examples=15, **_PROPERTY)
+@given(supported_towers(max_n=4), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
+    tower, kmax = tower_kmax
+    assume(p <= kmax)
+    gens = generators(tower.cfg.n)
+    alphabet = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
+    levels = list(range(kmax - p + 1))
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
+    assert monos == list(itertools.combinations_with_replacement(alphabet, p))
+    reference, reference_trimmed = _columns_one_monomial_at_a_time(
+        tower, monos, levels, gens
+    )
+    assert kernel_of_columns(columns) == kernel_of_columns(reference)
+    trimmed = [{m: v for m, v in col.items() if m[0] < last_start} for col in columns]
+    assert kernel_of_columns(trimmed) == kernel_of_columns(reference_trimmed)
+
+
+def test_g_stability_failure_disables_split():
+    cfg = Config(4, 1, 3, -1, -1)
+    tower = build_tower(cfg, 3, "explicit")
+    claimed = predicted_level_preservers(cfg)
+    # a row with a new pivot at the top level: M_2 no longer maps into it
+    new_pivots = [m for m in tower.levels[3].rows if m not in tower.levels[2].rows]
+    del tower.levels[3].rows[new_pivots[0]]
+    cert = split_certificate(tower, claimed, 3)
+    assert cert.unstable_at == 2
+    assert cert.preservers(3) == []
+    assert cert.preservers(2) != []  # the lower range is still certified
+    fast = compute_annihilator_piece(tower, 2, 4, known_level_preservers=claimed)
+    full = compute_annihilator_piece(tower, 2, 4)
+    assert fast.split_symbols == [] and fast.coordinate_members == []
+    assert fast.kernel_vectors == full.kernel_vectors
+
+
+def test_failed_claim_is_dropped_from_the_split():
+    cfg = Config(5, 1, 3, -1, 1)
+    tower = build_tower(cfg, 3, "explicit")
+    claimed = predicted_level_preservers(cfg)
+    lowering = [i for i in range(len(generators(cfg.n))) if i not in claimed]
+    cert = split_certificate(tower, claimed + lowering[:2], 2)
+    assert cert.preservers(2) == claimed
+    assert set(cert.failed_at) == set(lowering[:2])
+
+
+def _membership_without_dropping(sym, tower):
+    """Reference for ``sym_membership``: every term is applied."""
+    cfg = tower.cfg
+    gens = generators(cfg.n)
+    p = max(len(k) for k in sym)
+    for k in range(tower.depth - p + 2):
+        target = tower.levels[k + p - 1]
+        for row in _level_rows(tower, k):
+            img = apply_sym(cfg, sym, row, gens)
+            if img and not target.contains(img):
+                return False
+    return True
+
+
+def test_sym_membership_dropping_preserver_terms_agrees():
+    cfg = Config(5, 1, 3, 1, -1)
+    tower = build_tower(cfg, 3, "explicit")
+    (op,) = delta_ops(cfg, "minor2-L2")
+    gmap = gen_index_map(cfg)
+    preserver = {(gmap[("e", 1, 2)],): 3}  # off-L, so dropped before applying
+    cases = [
+        (sym_mul(op.terms, op.terms), True),
+        (op.terms, False),
+        (sym_add(op.terms, preserver), False),
+        (sym_mul(op.terms, preserver), True),
+    ]
+    cfg6 = Config(6, 2, 4, -1, -1)
+    tower6 = build_tower(cfg6, 3, "explicit")
+    for op6 in delta_ops(cfg6, "minor3")[:4] + delta_ops(cfg6, "minor2-L1"):
+        assert sym_membership(op6.terms, tower6) is True
+        assert _membership_without_dropping(op6.terms, tower6) is True
+    for sym, want in cases:
+        assert sym_membership(sym, tower) is want
+        assert _membership_without_dropping(sym, tower) is want
+
+
+def test_shallow_systems_raise():
+    tower = build_tower(Config(4, 2, 2, -1, -1), 2, "explicit")
+    with pytest.raises(ShallowSystemError):
+        compute_annihilator_piece(tower, 3, 2)
+    with pytest.raises(ShallowSystemError):
+        degree1_report(tower, 1)
+    for kmax in (0, 1):
+        with pytest.raises(ShallowSystemError):
+            verify_variety_presentation(Config(4, 2, 2, -1, -1), kmax)

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, determinism, formats, command dispatch."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oscvar
 from oscvar.cli import main
 from oscvar.reports import CheckRecord, Report, serialize, FormatError
 
@@ -132,6 +135,44 @@ def test_verify_main_theorem_command(capsys):
     assert doc["overall"] == "pass"
 
 
+SHALLOW = ["--n", "4", "--n1", "2", "--n2", "2", "--l1", "-1", "--l2", "-1"]
+
+
+@pytest.mark.parametrize(
+    "command, kmax",
+    [("verify-main-theorem", 0), ("verify-main-theorem", 1),
+     ("annihilator", 0), ("annihilator", 1)],
+)
+def test_shallow_kmax_is_skipped_with_exit_two(capsys, command, kmax):
+    code, out, _ = run_cli(capsys, command, *SHALLOW, "--kmax", str(kmax))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["checks"]
+    assert all(c["status"] == "skipped" and c["reason"] for c in doc["checks"])
+
+
+def test_annihilator_certifies_degree2_at_kmax(capsys):
+    # the tower is one level shallower than kmax; degree 2 is still
+    # certified at kmax, like degree 1
+    code, out, _ = run_cli(capsys, "annihilator", *SHALLOW, "--kmax", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert [c["status"] for c in doc["checks"]] == ["pass", "pass"]
+
+
+def test_internal_error_is_not_reported_as_skipped(capsys, monkeypatch):
+    import oscvar.annihilator
+
+    def broken(cfg, kmax):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(oscvar.annihilator, "verify_variety_presentation", broken)
+    code, out, err = run_cli(capsys, "verify-main-theorem", *SHALLOW)
+    assert code != 0
+    assert out == ""
+    assert "internal failure" in err
+
+
 def test_gkdim_command(capsys):
     code, out, _ = run_cli(
         capsys, "gkdim", "--n", "3", "--n1", "1", "--n2", "2",
@@ -164,10 +205,14 @@ def test_empty_report_serializes():
 
 
 def test_console_entry_point():
+    # the child imports the same oscvar as this process, installed or not
+    src = str(Path(oscvar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "oscvar.cli", "classify", "--n", "3",
          "--n1", "1", "--n2", "3", "--l1", "2", "--l2", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["checks"][0]["payload"]["irreducible"] is True
