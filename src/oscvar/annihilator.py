@@ -40,7 +40,7 @@ from math import comb
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
-from .poly import Poly
+from .poly import Poly, monomials
 
 SymTerms = dict  # {ascending tuple of generator indices: coefficient}
 
@@ -656,20 +656,10 @@ def classify_minor3(cfg: Config, rows, cols) -> int:
     return 5
 
 
-def _all_monomials(cfg: Config, maxdeg: int):
-    nv = 2 * cfg.n
-    for d in range(maxdeg + 1):
-        for combo in itertools.combinations_with_replacement(range(nv), d):
-            m = [0] * nv
-            for pos in combo:
-                m[pos] += 1
-            yield tuple(m)
-
-
 def operator_identically_zero(cfg: Config, sym: SymTerms, maxdeg: int) -> bool:
     """Check an operator identity: zero on every monomial up to maxdeg."""
     gens = generators(cfg.n)
-    for m in _all_monomials(cfg, maxdeg):
+    for m in monomials(2 * cfg.n, range(maxdeg + 1)):
         if apply_sym(cfg, sym, {m: 1}, gens):
             return False
     return True

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .linalg import EchelonBasis, kernel_of_map, span_equal
 from .osc import Config
-from .poly import Poly, Space, xy_space, z_space
+from .poly import Poly, Space, monomials, xy_space, z_space
 
 
 def restricted_ring(cfg: Config) -> Space:
@@ -277,13 +277,7 @@ def enumerate_gset(
 
 
 def _degree_monomials(space: Space, r: int) -> list[Poly]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(space.nvars), r):
-        m = [0] * space.nvars
-        for pos in combo:
-            m[pos] += 1
-        out.append(Poly.monomial(space, m))
-    return out
+    return [Poly.monomial(space, m) for m in monomials(space.nvars, (r,))]
 
 
 def _ideal_piece(space: Space, gens: list[Poly], degree: int) -> EchelonBasis:

@@ -21,6 +21,7 @@ format used in JSON reports and golden tests.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -118,6 +119,17 @@ def z_space(rows: tuple, cols: tuple, excluded: frozenset = frozenset()) -> Spac
 def order_key(m: Monomial):
     """Graded-lex sort key; bigger key = bigger monomial."""
     return (sum(m), m)
+
+
+def monomials(nvars: int, degrees: Iterable[int]):
+    """Exponent tuples in ``nvars`` variables for each degree in ``degrees``
+    in turn, each degree in ``combinations_with_replacement`` order."""
+    for d in degrees:
+        for combo in itertools.combinations_with_replacement(range(nvars), d):
+            m = [0] * nvars
+            for pos in combo:
+                m[pos] += 1
+            yield tuple(m)
 
 
 class Poly:

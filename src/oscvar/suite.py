@@ -1,15 +1,20 @@
 """The standing verification matrix.
 
-One function per claim family, each producing check records consumed by
-both the CLI ``suite`` command and the acceptance test module.  Every
-check is exact: a pass means an identity or a two-sided span equality held
-with rational arithmetic, never approximately.
+One function per claim family, each producing check records.  ``CRITERIA``
+declares the thirteen standing criteria once, with the configurations each
+runs on; the CLI ``suite`` command and the acceptance tests both iterate
+it.  ``VERDICTS`` holds, per claim anchor, the pass/fail rule that the suite
+and the CLI both apply to a computation's report.  Every check is exact: a
+pass means an identity or a two-sided span equality held with rational
+arithmetic, never approximately.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass
+from functools import partial
 
 from .annihilator import (
     classify_minor3,
@@ -45,29 +50,45 @@ from .osc import (
     project_T_monomial,
     weight,
 )
-from .poly import Poly
+from .poly import Poly, monomials
 from .reports import CheckRecord
 
+# Pass/fail of a claim, by anchor, from the report of its computation.
+VERDICTS = {
+    "projection-kills-laplacian": lambda rep: rep["failures"] == 0,
+    "filtration-span-equality": lambda rep: rep["all_equal"] and rep["nested"],
+    "two-minor-ideal-equals-kernel": lambda rep: rep["all_equal"],
+    "three-minor-ideal-equals-kernel": lambda rep: rep["all_equal"],
+    "chain-free-images-independent": lambda rep: rep["all_independent"],
+    "level-preserver-span": lambda rep: rep["equal"] and rep["stabilized"],
+    "minor2-family-exactness": lambda rep: (
+        rep["exact_mod_degree1"] and rep["all_member"] and rep["i1_equal"]
+    ),
+    "hilbert-growth-degree": lambda rep: (
+        rep["estimate"] == rep["expected"] and rep["confident"]
+    ),
+    "determinantal-intersection": lambda rep: rep["overall"],
+}
 
-def _record(name, anchor, passed, payload, t0, reason=""):
+
+def _record(name, anchor, passed, payload, t0):
     status = "pass" if passed else "fail"
-    return CheckRecord(name, anchor, status, payload, time.time() - t0, reason)
+    return CheckRecord(name, anchor, status, payload, time.time() - t0)
 
 
-def _all_monomials(n, maxdeg):
-    nv = 2 * n
-    for d in range(maxdeg + 1):
-        for combo in itertools.combinations_with_replacement(range(nv), d):
-            m = [0] * nv
-            for pos in combo:
-                m[pos] += 1
-            yield tuple(m)
+def _per_config(name, anchor, matrix, run) -> list[CheckRecord]:
+    """One record per ``(params, kmax)`` entry of ``matrix``: ``run(cfg,
+    kmax)`` gives the report the anchor's verdict reads and the payload."""
+    out = []
+    for params, kmax in matrix:
+        t0 = time.time()
+        rep, payload = run(Config(*params), kmax)
+        passed = VERDICTS[anchor](rep)
+        out.append(_record(f"{name}{params}", anchor, passed, {"kmax": kmax, **payload}, t0))
+    return out
 
 
-# -- 1: commutator fidelity --------------------------------------------------
-
-
-def check_bracket_fidelity(params_list, maxdeg=4) -> CheckRecord:
+def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
     t0 = time.time()
     counts = {}
     violations = 0
@@ -80,7 +101,7 @@ def check_bracket_fidelity(params_list, maxdeg=4) -> CheckRecord:
             for b in range(a + 1, len(gens))
         }
         nmon = 0
-        for m in _all_monomials(cfg.n, maxdeg):
+        for m in monomials(2 * cfg.n, range(maxdeg + 1)):
             nmon += 1
             base = {m: 1}
             first = [apply_generator_terms(cfg, g, base) for g in gens]
@@ -111,65 +132,64 @@ def check_bracket_fidelity(params_list, maxdeg=4) -> CheckRecord:
     )
 
 
-# -- 2: harmonicity of projections -------------------------------------------
+def projection_report(cfg: Config, dmax: int, keep: int = 0) -> dict:
+    """Project every constrained monomial up to degree ``dmax`` and count
+    the images the Laplacian does not kill; the first ``keep`` images are
+    rendered."""
+    sizes = []
+    failures = 0
+    images = []
+    for k in range(dmax + 1):
+        mons = enumerate_TN_level(cfg, k)
+        sizes.append(len(mons))
+        for m in mons:
+            img = project_T_monomial(cfg, m)
+            if laplace(cfg, img):
+                failures += 1
+            if len(images) < keep:
+                images.append(img.render())
+    return {"level_sizes": sizes, "failures": failures, "projections": images}
 
 
-def check_harmonicity(params_list, dmax=6) -> CheckRecord:
+def check_harmonicity(params_list, dmax) -> CheckRecord:
     t0 = time.time()
     payload = {}
     bad = 0
+    ok = True
     for params in params_list:
         cfg = Config(*params)
-        per_level = []
-        for k in range(dmax + 1):
-            mons = enumerate_TN_level(cfg, k)
-            per_level.append(len(mons))
-            for m in mons:
-                if laplace(cfg, project_T_monomial(cfg, m)):
-                    bad += 1
-        payload[cfg.short()] = {"level_sizes": per_level}
+        rep = projection_report(cfg, dmax)
+        payload[cfg.short()] = {"level_sizes": rep["level_sizes"]}
+        bad += rep["failures"]
+        ok = ok and VERDICTS["projection-kills-laplacian"](rep)
     return _record(
         "harmonicity",
         "projection-kills-laplacian",
-        bad == 0,
+        ok,
         {**payload, "failures": bad, "dmax": dmax},
         t0,
     )
 
 
-# -- 3: ladder identities -----------------------------------------------------
-
-
 def _ladder_v0_choices(cfg):
+    """The distinct monomials of degree at most 2 in the x-side ring, then
+    in the y-side ring (J2 without its first index, beside J1 and J3)."""
     sp = cfg.space
     mid = cfg.n1 + 1
-    xs = [sp.x(i) for i in cfg.J1] + [sp.x(r) for r in cfg.J2 if r != mid]
-    ys = [sp.y(i) for i in cfg.J1] + [sp.y(r) for r in cfg.J2 if r != mid]
-    x_ring = [sp.x(i) for i in cfg.J1] + [sp.x(r) for r in cfg.J2 if r != mid] + [
-        sp.y(j) for j in cfg.J3
-    ]
-    y_ring = [sp.x(i) for i in cfg.J1] + [sp.y(r) for r in cfg.J2 if r != mid] + [
-        sp.y(j) for j in cfg.J3
-    ]
-    out = []
-    for ring in (x_ring, y_ring):
-        for d in range(3):
-            for combo in itertools.combinations_with_replacement(ring, d):
-                m = [0] * sp.nvars
-                for pos in combo:
-                    m[pos] += 1
-                out.append(Poly.monomial(sp, m))
-    seen = set()
-    uniq = []
-    for p in out:
-        key = next(iter(p.terms))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(p)
-    return uniq
+    j1 = [sp.x(i) for i in cfg.J1]
+    j2 = [r for r in cfg.J2 if r != mid]
+    j3 = [sp.y(j) for j in cfg.J3]
+    seen = {}
+    for ring in (j1 + [sp.x(r) for r in j2] + j3, j1 + [sp.y(r) for r in j2] + j3):
+        for exps in monomials(len(ring), range(3)):
+            m = [0] * sp.nvars
+            for pos, e in zip(ring, exps):
+                m[pos] += e
+            seen.setdefault(tuple(m), None)
+    return [Poly.monomial(sp, m) for m in seen]
 
 
-def check_ladder_identities(params=(4, 1, 3), kmax=3) -> CheckRecord:
+def check_ladder_identities(params, kmax) -> CheckRecord:
     t0 = time.time()
     cfg = Config(*params)
     v0s = _ladder_v0_choices(cfg)
@@ -202,32 +222,16 @@ def check_ladder_identities(params=(4, 1, 3), kmax=3) -> CheckRecord:
     )
 
 
-# -- 4: dual-method tower agreement -------------------------------------------
-
-
 def check_tower_agreement(matrix) -> list[CheckRecord]:
-    out = []
-    for params, kmax in matrix:
-        t0 = time.time()
-        rep = compare_towers(Config(*params), kmax)
-        out.append(
-            _record(
-                f"tower-agreement{params}",
-                "filtration-span-equality",
-                rep["all_equal"] and rep["nested"],
-                {
-                    "kmax": kmax,
-                    "dims": [r["dim_bruteforce"] for r in rep["levels"]],
-                    "method": rep["explicit_method"],
-                    "nested": rep["nested"],
-                },
-                t0,
-            )
-        )
-    return out
+    def run(cfg, kmax):
+        rep = compare_towers(cfg, kmax)
+        return rep, {
+            "dims": [r["dim_bruteforce"] for r in rep["levels"]],
+            "method": rep["explicit_method"],
+            "nested": rep["nested"],
+        }
 
-
-# -- 5/6/7: determinantal kernels and independence ----------------------------
+    return _per_config("tower-agreement", "filtration-span-equality", matrix, run)
 
 
 def _zcfg(a: int, b: int) -> Config:
@@ -235,14 +239,14 @@ def _zcfg(a: int, b: int) -> Config:
     return Config(a + b + 1, a, a + 1)
 
 
-def check_minor2_kernels(sizes=(1, 2, 3), rmax=4) -> CheckRecord:
+def check_minor2_kernels(sizes, rmax) -> CheckRecord:
     t0 = time.time()
     results = {}
     ok = True
     for a in sizes:
         for b in sizes:
             rep = verify_minor2_kernel(_zcfg(a, b), rmax)
-            ok = ok and rep["all_equal"]
+            ok = ok and VERDICTS["two-minor-ideal-equals-kernel"](rep)
             results[f"|J1|={a},|J3|={b}"] = [
                 (d["degree"], d["dim_kernel_x"], d["dim_ideal"])
                 for d in rep["levels"]
@@ -256,30 +260,33 @@ def check_minor2_kernels(sizes=(1, 2, 3), rmax=4) -> CheckRecord:
     )
 
 
-def check_gset_independence(bound=4) -> CheckRecord:
+def gset_payload(rep) -> dict:
+    return {
+        "tuples_checked": rep["tuples_checked"],
+        "tuples_nonempty": rep["tuples_nonempty"],
+        "failures": rep["failures"][:5],
+    }
+
+
+def check_gset_independence(bound) -> CheckRecord:
     t0 = time.time()
     rep = verify_gset_independence(_zcfg(3, 3), bound)
     return _record(
         "gset-independence",
         "chain-free-images-independent",
-        rep["all_independent"],
-        {
-            "bound": bound,
-            "tuples_checked": rep["tuples_checked"],
-            "tuples_nonempty": rep["tuples_nonempty"],
-            "failures": rep["failures"][:5],
-        },
+        VERDICTS["chain-free-images-independent"](rep),
+        {"bound": bound, **gset_payload(rep)},
         t0,
     )
 
 
-def check_minor3_kernels(sizes=((1, 1), (2, 2), (2, 3), (3, 3)), kmax=3) -> CheckRecord:
+def check_minor3_kernels(sizes, kmax) -> CheckRecord:
     t0 = time.time()
     results = {}
     ok = True
     for a, b in sizes:
         rep = verify_minor3_kernel(_zcfg(a, b), kmax)
-        ok = ok and rep["all_equal"]
+        ok = ok and VERDICTS["three-minor-ideal-equals-kernel"](rep)
         results[f"|J1'|={a + 1},|J3'|={b + 1}"] = [
             (d["degree"], d["dim_kernel"], d["dim_ideal"]) for d in rep["levels"]
         ]
@@ -292,68 +299,43 @@ def check_minor3_kernels(sizes=((1, 1), (2, 2), (2, 3), (3, 3)), kmax=3) -> Chec
     )
 
 
-# -- 8: degree-1 annihilator --------------------------------------------------
+def degree1_payload(rep) -> dict:
+    return {
+        "dim": rep["dim_computed"],
+        "cartan": rep["cartan_part"],
+        "off_L_roots": rep["root_part"],
+        "stabilized": rep["stabilized"],
+    }
 
 
 def check_degree1_kernels(matrix) -> list[CheckRecord]:
-    out = []
-    for params, kmax in matrix:
-        t0 = time.time()
-        cfg = Config(*params)
-        tower = build_tower(cfg, kmax - 1, "explicit")
-        rep = degree1_report(tower, kmax)
-        out.append(
-            _record(
-                f"degree1-kernel{params}",
-                "level-preserver-span",
-                rep["equal"] and rep["stabilized"],
-                {
-                    "kmax": kmax,
-                    "dim": rep["dim_computed"],
-                    "cartan": rep["cartan_part"],
-                    "off_L_roots": rep["root_part"],
-                    "stabilized": rep["stabilized"],
-                },
-                t0,
-            )
-        )
-    return out
+    def run(cfg, kmax):
+        rep = degree1_report(build_tower(cfg, kmax - 1, "explicit"), kmax)
+        return rep, degree1_payload(rep)
+
+    return _per_config("degree1-kernel", "level-preserver-span", matrix, run)
 
 
-# -- 9: degree-2 annihilator --------------------------------------------------
+def degree2_payload(rep) -> dict:
+    return {
+        "pure_computed": rep["dim_pure_computed"],
+        "pure_predicted": rep["dim_pure_predicted"],
+        "membership": rep["membership"],
+        "power_membership": rep["power_membership"],
+        "stabilized": rep["piece"].stabilized,
+    }
 
 
 def check_degree2_kernels(matrix) -> list[CheckRecord]:
-    out = []
-    for params, kmax in matrix:
-        t0 = time.time()
-        cfg = Config(*params)
+    def run(cfg, kmax):
         tower = build_tower(cfg, kmax, "explicit")
-        i1 = degree1_report(tower, kmax)
-        rep = verify_degree2(tower, kmax, i1)
-        out.append(
-            _record(
-                f"degree2-kernel{params}",
-                "minor2-family-exactness",
-                rep["exact_mod_degree1"] and rep["all_member"] and rep["i1_equal"],
-                {
-                    "kmax": kmax,
-                    "pure_computed": rep["dim_pure_computed"],
-                    "pure_predicted": rep["dim_pure_predicted"],
-                    "membership": rep["membership"],
-                    "power_membership": rep["power_membership"],
-                    "stabilized": rep["piece"].stabilized,
-                },
-                t0,
-            )
-        )
-    return out
+        rep = verify_degree2(tower, kmax, degree1_report(tower, kmax))
+        return rep, degree2_payload(rep)
+
+    return _per_config("degree2-kernel", "minor2-family-exactness", matrix, run)
 
 
-# -- 10: degree-3 annihilator -------------------------------------------------
-
-
-def check_degree3_cases(params=(6, 2, 4, -1, -1), kmax=3, identity_maxdeg=4) -> CheckRecord:
+def check_degree3_cases(params, kmax, identity_maxdeg) -> CheckRecord:
     t0 = time.time()
     cfg = Config(*params)
     tower = build_tower(cfg, kmax, "explicit")
@@ -368,7 +350,7 @@ def check_degree3_cases(params=(6, 2, 4, -1, -1), kmax=3, identity_maxdeg=4) -> 
     )
 
 
-def check_degree3_exactness(params=(5, 2, 3, -1, -1), kmax=3) -> CheckRecord:
+def check_degree3_exactness(params, kmax) -> CheckRecord:
     t0 = time.time()
     cfg = Config(*params)
     tower = build_tower(cfg, kmax, "explicit")
@@ -388,7 +370,7 @@ def check_degree3_exactness(params=(5, 2, 3, -1, -1), kmax=3) -> CheckRecord:
     )
 
 
-def check_degree3_identity_supplement(params=(6, 2, 3), maxdeg=4) -> CheckRecord:
+def check_degree3_identity_supplement(params, maxdeg) -> CheckRecord:
     """The vanishing-case identity on a block layout where it is non-vacuous."""
     t0 = time.time()
     cfg = Config(*params)
@@ -409,7 +391,7 @@ def check_degree3_identity_supplement(params=(6, 2, 3), maxdeg=4) -> CheckRecord
     )
 
 
-def check_degree3_case6_supplement(params=(5, 1, 4, -1, -1), kmax=3) -> CheckRecord:
+def check_degree3_case6_supplement(params, kmax) -> CheckRecord:
     """Residue membership for the all-middle-block case, non-vacuous here."""
     t0 = time.time()
     cfg = Config(*params)
@@ -429,64 +411,30 @@ def check_degree3_case6_supplement(params=(5, 1, 4, -1, -1), kmax=3) -> CheckRec
     )
 
 
-# -- 11: the associated-variety presentation ----------------------------------
-
-
 def check_presentations(matrix) -> list[CheckRecord]:
-    out = []
-    for params, kmax in matrix:
-        t0 = time.time()
-        rep = verify_variety_presentation(Config(*params), kmax)
-        out.append(
-            _record(
-                f"variety-presentation{params}",
-                "determinantal-intersection",
-                rep["overall"],
-                {
-                    "kmax": kmax,
-                    "regime": rep["regime"],
-                    "checks": [
-                        {k: v for k, v in c.items() if k != "dims"}
-                        for c in rep["checks"]
-                    ],
-                    "generators_checked": len(rep["member_results"]),
-                },
-                t0,
-            )
-        )
-    return out
+    def run(cfg, kmax):
+        rep = verify_variety_presentation(cfg, kmax)
+        return rep, {
+            "regime": rep["regime"],
+            "checks": [{k: v for k, v in c.items() if k != "dims"} for c in rep["checks"]],
+            "generators_checked": len(rep["member_results"]),
+        }
+
+    return _per_config("variety-presentation", "determinantal-intersection", matrix, run)
 
 
-# -- 12: growth degree ---------------------------------------------------------
+def growth_report(tower) -> dict:
+    est, confident = gkdim_estimate(tower)
+    return {"estimate": est, "expected": expected_gkdim(tower.cfg), "confident": confident}
 
 
 def check_gk_growth(matrix) -> list[CheckRecord]:
-    out = []
-    for params, kmax in matrix:
-        t0 = time.time()
-        cfg = Config(*params)
+    def run(cfg, kmax):
         tower = build_tower(cfg, kmax, "explicit")
-        est, confident = gkdim_estimate(tower)
-        want = expected_gkdim(cfg)
-        out.append(
-            _record(
-                f"gk-growth{params}",
-                "hilbert-growth-degree",
-                est == want and confident,
-                {
-                    "kmax": kmax,
-                    "dims": tower.dims,
-                    "estimate": est,
-                    "expected": want,
-                    "confident": confident,
-                },
-                t0,
-            )
-        )
-    return out
+        rep = growth_report(tower)
+        return rep, {"dims": tower.dims, **rep}
 
-
-# -- 13: highest weight ---------------------------------------------------------
+    return _per_config("gk-growth", "hilbert-growth-degree", matrix, run)
 
 
 def check_highest_weight(params=(5, 1, 3), m1=1, m2=1) -> CheckRecord:
@@ -521,80 +469,93 @@ def check_highest_weight(params=(5, 1, 3), m1=1, m2=1) -> CheckRecord:
 # -- the full matrix -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Criterion:
+    """A standing criterion: the checks that certify it, run in order, and
+    the wall-clock budget in seconds the acceptance gate holds it to."""
+
+    num: int
+    name: str
+    label: str
+    budget_s: int
+    checks: tuple  # zero-argument callables, each giving a record or a list
+
+    def run(self) -> list[CheckRecord]:
+        records = []
+        for check in self.checks:
+            out = check()
+            records.extend(out if isinstance(out, list) else [out])
+        return records
+
+
+CRITERIA = (
+    Criterion(1, "bracket_fidelity", "commutator identity", 60, (
+        partial(check_bracket_fidelity, [(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 3)], 4),
+    )),
+    Criterion(2, "harmonicity", "projections are harmonic", 120, (
+        partial(check_harmonicity, [(3, 1, 2, -1, -1), (4, 1, 3, -1, -1), (4, 1, 3, -1, 1)], 6),
+    )),
+    Criterion(3, "ladder_identities", "ladder identities", 60, (
+        partial(check_ladder_identities, (4, 1, 3), 3),
+    )),
+    Criterion(4, "tower_agreement", "dual-route filtration equality", 600, (
+        partial(check_tower_agreement, [
+            ((3, 1, 2, -1, -1), 5), ((3, 1, 2, -1, 0), 5), ((4, 1, 3, -1, -1), 4),
+            ((4, 1, 3, -1, 1), 4), ((3, 2, 3, 2, 1), 4), ((4, 3, 4, 1, 1), 4),
+        ]),
+    )),
+    Criterion(5, "quadratic_kernels", "two-minor kernel equality", 120, (
+        partial(check_minor2_kernels, (1, 2, 3), 4),
+    )),
+    Criterion(6, "gset_independence", "chain-free independence", 300, (
+        partial(check_gset_independence, 4),
+    )),
+    Criterion(7, "cubic_kernels", "three-minor kernel equality", 300, (
+        partial(check_minor3_kernels, ((1, 1), (2, 2), (2, 3), (3, 3)), 3),
+    )),
+    Criterion(8, "degree1_kernels", "degree-1 annihilator", 600, (
+        partial(check_degree1_kernels, [
+            ((3, 1, 2, -1, -1), 4), ((4, 1, 3, -1, 1), 4),
+            ((3, 2, 3, 2, 1), 4), ((6, 2, 4, -1, -1), 4),
+        ]),
+    )),
+    Criterion(9, "degree2_kernels", "degree-2 annihilator", 1800, (
+        partial(check_degree2_kernels, [
+            ((6, 2, 4, -1, -1), 3), ((5, 1, 3, -1, 1), 3),
+            ((5, 1, 3, 1, -1), 3), ((4, 1, 3, -1, 1), 3),
+        ]),
+    )),
+    Criterion(10, "degree3", "degree-3 annihilator", 1800, (
+        partial(check_degree3_cases, (6, 2, 4, -1, -1), 3, 4),
+        partial(check_degree3_exactness, (5, 2, 3, -1, -1), 3),
+        partial(check_degree3_identity_supplement, (6, 2, 3), 4),
+        partial(check_degree3_case6_supplement, (5, 1, 4, -1, -1), 3),
+    )),
+    Criterion(11, "variety_presentations", "associated-variety presentation", 2700, (
+        partial(check_presentations, [
+            ((4, 2, 2, -1, -1), 4), ((5, 2, 2, -1, -2), 4), ((3, 2, 3, 2, 1), 4),
+            ((4, 3, 4, 1, 1), 4), ((6, 2, 4, -1, -1), 3),
+        ]),
+    )),
+    Criterion(12, "gk_growth", "growth degree of the Hilbert sequence", 1200, (
+        partial(check_gk_growth, [((3, 1, 2, -1, -1), 8), ((4, 2, 2, -1, -1), 8), ((3, 1, 3, 2, 1), 8)]),
+    )),
+    # the defaults of check_highest_weight are this criterion's configuration
+    Criterion(13, "highest_weight", "highest-weight vector", 10, (check_highest_weight,)),
+)
+
+
 def run_suite(budget_seconds: float | None = None, progress=None) -> list[CheckRecord]:
-    """The complete verification matrix.
+    """The complete verification matrix, criterion by criterion.
 
-    A finite time budget below ten minutes swaps the n = 6 configurations
-    for n = 5 ones that keep one nonempty minor family on each of the two
-    mixed blocks; everything else is unchanged.
+    A budget is checked between criteria: the first always runs, and no
+    later one starts once ``budget_seconds`` have passed.  A skipped
+    ``suite-budget`` record marks the cut.
     """
-    small = budget_seconds is not None and budget_seconds < 600
-    deg2_matrix = (
-        [((5, 2, 4, -1, -1), 3), ((5, 1, 3, -1, 1), 3), ((5, 1, 3, 1, -1), 3),
-         ((4, 1, 3, -1, 1), 3)]
-        if small
-        else [((6, 2, 4, -1, -1), 3), ((5, 1, 3, -1, 1), 3), ((5, 1, 3, 1, -1), 3),
-              ((4, 1, 3, -1, 1), 3)]
-    )
-    deg3_cases_cfg = ((5, 2, 3, -1, -1), 3) if small else ((6, 2, 4, -1, -1), 3)
-    present_matrix = [
-        ((4, 2, 2, -1, -1), 4),
-        ((5, 2, 2, -1, -2), 4),
-        ((3, 2, 3, 2, 1), 4),
-        ((4, 3, 4, 1, 1), 4),
-    ] + ([] if small else [((6, 2, 4, -1, -1), 3)])
-
-    stages = [
-        lambda: [check_bracket_fidelity([(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 3)])],
-        lambda: [
-            check_harmonicity([(3, 1, 2, -1, -1), (4, 1, 3, -1, -1), (4, 1, 3, -1, 1)])
-        ],
-        lambda: [check_ladder_identities((4, 1, 3), 3)],
-        lambda: check_tower_agreement(
-            [
-                ((3, 1, 2, -1, -1), 5),
-                ((3, 1, 2, -1, 0), 5),
-                ((4, 1, 3, -1, -1), 4),
-                ((4, 1, 3, -1, 1), 4),
-                ((3, 2, 3, 2, 1), 4),
-                ((4, 3, 4, 1, 1), 4),
-            ]
-        ),
-        lambda: [check_minor2_kernels()],
-        lambda: [check_gset_independence()],
-        lambda: [check_minor3_kernels()],
-        lambda: check_degree1_kernels(
-            [
-                ((3, 1, 2, -1, -1), 4),
-                ((4, 1, 3, -1, 1), 4),
-                ((3, 2, 3, 2, 1), 4),
-                ((6, 2, 4, -1, -1), 4),
-            ]
-            if not small
-            else [
-                ((3, 1, 2, -1, -1), 4),
-                ((4, 1, 3, -1, 1), 4),
-                ((3, 2, 3, 2, 1), 4),
-                ((5, 2, 4, -1, -1), 4),
-            ]
-        ),
-        lambda: check_degree2_kernels(deg2_matrix),
-        lambda: [
-            check_degree3_cases(deg3_cases_cfg[0], deg3_cases_cfg[1]),
-            check_degree3_exactness((5, 2, 3, -1, -1), 3),
-            check_degree3_identity_supplement(),
-            check_degree3_case6_supplement(),
-        ],
-        lambda: check_presentations(present_matrix),
-        lambda: check_gk_growth(
-            [((3, 1, 2, -1, -1), 8), ((4, 2, 2, -1, -1), 8), ((3, 1, 3, 2, 1), 8)]
-        ),
-        lambda: [check_highest_weight()],
-    ]
     records: list[CheckRecord] = []
     start = time.time()
-    for stage in stages:
-        if budget_seconds is not None and time.time() - start > budget_seconds:
+    for criterion in CRITERIA:
+        if records and budget_seconds is not None and time.time() - start > budget_seconds:
             records.append(
                 CheckRecord(
                     "suite-budget",
@@ -606,7 +567,7 @@ def run_suite(budget_seconds: float | None = None, progress=None) -> list[CheckR
                 )
             )
             break
-        for rec in stage():
+        for rec in criterion.run():
             records.append(rec)
             if progress is not None:
                 progress(rec)

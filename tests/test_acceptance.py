@@ -1,5 +1,7 @@
-"""Acceptance gate: the thirteen standing criteria, one test each.
+"""Acceptance gate: the thirteen standing criteria of ``suite.CRITERIA``.
 
+One test body runs each criterion, bound once per table row under the name
+``test_criterion_NN_<name>`` so every criterion keeps its own test id.
 Every check is exact (rational arithmetic, zero tolerance).  Each test
 prints one pass/fail line; run with ``pytest -s tests/test_acceptance.py``
 to see them live.  Stated wall-clock budgets are asserted as well; actual
@@ -11,133 +13,26 @@ import time
 from oscvar import suite
 
 
-def _report(num, label, records, budget, t0):
-    elapsed = time.time() - t0
-    ok = all(r.status == "pass" for r in records)
-    print(f"criterion {num:2d} [{label}]: {'PASS' if ok else 'FAIL'} "
-          f"({elapsed:.1f}s / budget {budget}s)", flush=True)
-    for r in records:
-        if r.status != "pass":
-            print(f"    failing record: {r.name}: {r.payload}", flush=True)
-    assert ok, f"criterion {num} failed"
-    assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
+def _criterion_test(crit):
+    def test():
+        t0 = time.time()
+        records = crit.run()
+        elapsed = time.time() - t0
+        if crit.num == 12:  # growth degrees of its three towers, in table order
+            assert [r.payload["estimate"] for r in records] == [3, 4, 2]
+        ok = all(r.status == "pass" for r in records)
+        print(f"criterion {crit.num:2d} [{crit.label}]: {'PASS' if ok else 'FAIL'} "
+              f"({elapsed:.1f}s / budget {crit.budget_s}s)", flush=True)
+        for r in records:
+            if r.status != "pass":
+                print(f"    failing record: {r.name}: {r.payload}", flush=True)
+        assert ok, f"criterion {crit.num} failed"
+        assert elapsed < crit.budget_s, f"criterion {crit.num} exceeded its {crit.budget_s}s budget"
+
+    test.__name__ = f"test_criterion_{crit.num:02d}_{crit.name}"
+    return test
 
 
-def test_criterion_01_bracket_fidelity():
-    t0 = time.time()
-    rec = suite.check_bracket_fidelity([(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 3)], 4)
-    _report(1, "commutator identity", [rec], 60, t0)
-
-
-def test_criterion_02_harmonicity():
-    t0 = time.time()
-    rec = suite.check_harmonicity(
-        [(3, 1, 2, -1, -1), (4, 1, 3, -1, -1), (4, 1, 3, -1, 1)], 6
-    )
-    _report(2, "projections are harmonic", [rec], 120, t0)
-
-
-def test_criterion_03_ladder_identities():
-    t0 = time.time()
-    rec = suite.check_ladder_identities((4, 1, 3), 3)
-    _report(3, "ladder identities", [rec], 60, t0)
-
-
-def test_criterion_04_tower_agreement():
-    t0 = time.time()
-    recs = suite.check_tower_agreement(
-        [
-            ((3, 1, 2, -1, -1), 5),
-            ((3, 1, 2, -1, 0), 5),
-            ((4, 1, 3, -1, -1), 4),
-            ((4, 1, 3, -1, 1), 4),
-            ((3, 2, 3, 2, 1), 4),
-            ((4, 3, 4, 1, 1), 4),
-        ]
-    )
-    _report(4, "dual-route filtration equality", recs, 600, t0)
-
-
-def test_criterion_05_quadratic_kernels():
-    t0 = time.time()
-    rec = suite.check_minor2_kernels(sizes=(1, 2, 3), rmax=4)
-    _report(5, "two-minor kernel equality", [rec], 120, t0)
-
-
-def test_criterion_06_gset_independence():
-    t0 = time.time()
-    rec = suite.check_gset_independence(4)
-    _report(6, "chain-free independence", [rec], 300, t0)
-
-
-def test_criterion_07_cubic_kernels():
-    t0 = time.time()
-    rec = suite.check_minor3_kernels(((1, 1), (2, 2), (2, 3), (3, 3)), 3)
-    _report(7, "three-minor kernel equality", [rec], 300, t0)
-
-
-def test_criterion_08_degree1_kernels():
-    t0 = time.time()
-    recs = suite.check_degree1_kernels(
-        [
-            ((3, 1, 2, -1, -1), 4),
-            ((4, 1, 3, -1, 1), 4),
-            ((3, 2, 3, 2, 1), 4),
-            ((6, 2, 4, -1, -1), 4),
-        ]
-    )
-    _report(8, "degree-1 annihilator", recs, 600, t0)
-
-
-def test_criterion_09_degree2_kernels():
-    t0 = time.time()
-    recs = suite.check_degree2_kernels(
-        [
-            ((6, 2, 4, -1, -1), 3),
-            ((5, 1, 3, -1, 1), 3),
-            ((5, 1, 3, 1, -1), 3),
-            ((4, 1, 3, -1, 1), 3),
-        ]
-    )
-    _report(9, "degree-2 annihilator", recs, 1800, t0)
-
-
-def test_criterion_10_degree3():
-    t0 = time.time()
-    recs = [
-        suite.check_degree3_cases((6, 2, 4, -1, -1), 3, identity_maxdeg=4),
-        suite.check_degree3_exactness((5, 2, 3, -1, -1), 3),
-        suite.check_degree3_identity_supplement((6, 2, 3), 4),
-        suite.check_degree3_case6_supplement((5, 1, 4, -1, -1), 3),
-    ]
-    _report(10, "degree-3 annihilator", recs, 1800, t0)
-
-
-def test_criterion_11_variety_presentations():
-    t0 = time.time()
-    recs = suite.check_presentations(
-        [
-            ((4, 2, 2, -1, -1), 4),
-            ((5, 2, 2, -1, -2), 4),
-            ((6, 2, 4, -1, -1), 3),
-            ((3, 2, 3, 2, 1), 4),
-            ((4, 3, 4, 1, 1), 4),
-        ]
-    )
-    _report(11, "associated-variety presentation", recs, 2700, t0)
-
-
-def test_criterion_12_gk_growth():
-    t0 = time.time()
-    recs = suite.check_gk_growth(
-        [((3, 1, 2, -1, -1), 8), ((4, 2, 2, -1, -1), 8), ((3, 1, 3, 2, 1), 8)]
-    )
-    for rec, want in zip(recs, (3, 4, 2)):
-        assert rec.payload["estimate"] == want
-    _report(12, "growth degree of the Hilbert sequence", recs, 1200, t0)
-
-
-def test_criterion_13_highest_weight():
-    t0 = time.time()
-    rec = suite.check_highest_weight((5, 1, 3), 1, 1)
-    _report(13, "highest-weight vector", [rec], 10, t0)
+for _crit in suite.CRITERIA:
+    _test = _criterion_test(_crit)
+    globals()[_test.__name__] = _test

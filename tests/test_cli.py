@@ -55,14 +55,19 @@ def test_invalid_config_is_usage_error(capsys):
 
 
 def test_unsupported_regime_skips_with_exit_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "basis", "--n", "4", "--n1", "1", "--n2", "3",
-        "--l1", "1", "--l2", "1",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["checks"][0]["status"] == "skipped"
-    assert doc["checks"][0]["reason"]
+    # every check the command would run is listed as skipped, with the reason
+    unsupported = ["--n", "4", "--n1", "1", "--n2", "3", "--l1", "1", "--l2", "1"]
+    for argv, names in (
+        (["basis", *unsupported], ["base-space"]),
+        (["annihilator", *unsupported], ["degree1-kernel", "degree2-kernel"]),
+        (["kernel-phi", "--n", "3", "--n1", "2", "--n2", "3"],
+         ["quadratic-kernel", "cubic-kernel"]),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == names
+        assert all(c["status"] == "skipped" and c["reason"] for c in checks)
 
 
 def test_json_determinism(capsys):
@@ -151,6 +156,27 @@ def test_shallow_kmax_is_skipped_with_exit_two(capsys, command, kmax):
     assert all(c["status"] == "skipped" and c["reason"] for c in doc["checks"])
 
 
+def test_vacuous_independence_is_skipped_with_exit_two(capsys):
+    code, out, _ = run_cli(
+        capsys, "independence", "--n", "5", "--n1", "2", "--n2", "3",
+        "--max-degree", "0",
+    )
+    assert code == 2
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "skipped" and check["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--budget-seconds", "-5"], ["suite", "--budget-seconds", "-1"]],
+)
+def test_budget_seconds_is_a_nonnegative_suite_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--budget-seconds" in capsys.readouterr().err
+
+
 def test_annihilator_certifies_degree2_at_kmax(capsys):
     # the tower is one level shallower than kmax; degree 2 is still
     # certified at kmax, like degree 1
@@ -158,6 +184,19 @@ def test_annihilator_certifies_degree2_at_kmax(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [c["status"] for c in doc["checks"]] == ["pass", "pass"]
+
+
+def test_annihilator_degree2_verdict_matches_the_suite(capsys, monkeypatch):
+    # minor2-family-exactness also needs the degree-1 kernel to be the predicted one
+    import oscvar.cli
+
+    real = oscvar.cli.verify_degree2
+    monkeypatch.setattr(
+        oscvar.cli, "verify_degree2", lambda *a: {**real(*a), "i1_equal": False}
+    )
+    code, out, _ = run_cli(capsys, "annihilator", *SHALLOW, "--kmax", "2")
+    assert code == 1
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "fail"]
 
 
 def test_internal_error_is_not_reported_as_skipped(capsys, monkeypatch):

@@ -4,7 +4,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from oscvar.linalg import EchelonBasis, echelon_from, kernel_of_map, span_equal
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oscvar.linalg import (
+    EchelonBasis,
+    echelon_from,
+    kernel_of_columns,
+    kernel_of_map,
+    span_equal,
+)
 from oscvar.poly import Poly, parse_poly, xy_space, z_space
 
 SP = xy_space(3)
@@ -154,3 +164,58 @@ def test_span_equal_two_sided():
     c = echelon_from(SP, [P("x1"), P("y1")])
     assert span_equal(a, b)
     assert not span_equal(a, c)
+
+
+# -- sympy as an independent oracle ----------------------------------------------
+
+# Mostly zeros, so the matrices are sparse and often rank-deficient.
+_ENTRY = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two small matrices with the same number of columns."""
+    ncols = draw(st.integers(1, 5))
+
+    def matrix():
+        return [[draw(_ENTRY) for _ in range(ncols)] for _ in range(draw(st.integers(1, 5)))]
+
+    return matrix(), matrix()
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+
+
+def _span(rows):
+    return echelon_from(None, [{(j,): v for j, v in enumerate(r) if v} for r in rows])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_matrix_pairs())
+def test_rank_kernel_and_span_equality_agree_with_sympy(pair):
+    a, b = pair
+    A, B = _sym(a), _sym(b)
+    rank_a = A.rank()
+    assert _span(a).dim == rank_a
+    columns = [{(i,): r[j] for i, r in enumerate(a) if r[j]} for j in range(A.cols)]
+    kernel = kernel_of_columns(columns)
+    assert len(kernel) == len(A.nullspace())
+    vectors = [[vec.get(j, 0) for j in range(A.cols)] for vec in kernel]
+    for v in vectors:
+        assert A * _sym([v]).T == sympy.zeros(A.rows, 1)
+    if vectors:
+        assert _sym(vectors).rank() == len(vectors)
+    same_span = rank_a == B.rank() == A.col_join(B).rank()
+    assert span_equal(_span(a), _span(b)) == same_span
