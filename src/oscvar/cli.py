@@ -223,9 +223,11 @@ def _presentation_records(rep, elapsed: float) -> list[CheckRecord]:
 
 
 def _gkdim(ctx) -> dict:
+    # the growth fit needs at least six levels above M_0
     tower = build_tower(ctx.cfg, max(ctx.args.kmax, 6), "explicit")
     return {
         **suite.growth_report(tower),
+        "depth": tower.depth,
         "dims": tower.dims,
         "hilbert_table": _hilbert_table(tower),
     }

@@ -15,6 +15,29 @@ independent ways: brute-force closure under all generators, and the
 explicit spanning sets (T-images of bounded weighted degree together with
 products by the alternating quadratics P).  Their exact agreement is the
 central span oracle of this package.
+
+Both routes build level k on top of level k-1, and each reuse rests on a
+fact of linear algebra or of set inclusion, never on the agreement the
+towers are built to check:
+
+  * ``EchelonBasis.copy`` shares the row dicts and ``insert`` never
+    rewrites a row, so inserting a vector that already lies in the span
+    changes nothing.  Level k may therefore start from a copy of level k-1
+    whenever the vectors that built level k-1 are part of level k's own
+    insertion sequence; the rows, pivots and row order are exactly those a
+    build from scratch gives.
+  * Explicit route: the spanning sets nest as sets in the product regimes
+    (M_0 * P^{<=k-1} is part of M_0 * P^{<=k}) and in the dprime regime
+    (T-images of the dprime levels t <= k-1).  In the T-cell regime only
+    the T-image part T(TN levels 0..k) nests; the products
+    T(TN level k-i) * P^i do not, so they are inserted afresh at each level
+    and ``check_nested`` stays a real check there.
+  * Brute-force route (semi-naive closure): when level k-1 is the closure
+    of level k-2, the images of the rows it copied from level k-2 already
+    lie in level k-1, so only its new rows are sent through the generators.
+  * T-images are kept as primitive integer multiples: a span does not
+    change under scaling, and the products with them then run in integer
+    arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .linalg import EchelonBasis, echelon_from, span_equal
+from .linalg import EchelonBasis, echelon_from, primitive_multiple, span_equal
 from .osc import (
     Config,
     apply_generator,
@@ -110,7 +133,12 @@ def _regime(cfg: Config) -> str:
 
 
 class _TCache:
-    """Per-configuration cache of harmonic projections of monomials."""
+    """Per-configuration cache of harmonic projections of monomials.
+
+    Each image is stored as its primitive integer multiple: the images only
+    ever span subspaces, which scaling does not change, and products with
+    integer images stay out of Fraction arithmetic.
+    """
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
@@ -119,7 +147,8 @@ class _TCache:
     def __call__(self, m: tuple) -> Poly:
         img = self.images.get(m)
         if img is None:
-            img = project_T_monomial(self.cfg, m)
+            terms = project_T_monomial(self.cfg, m).terms
+            img = Poly(self.cfg.space, primitive_multiple(terms))
             self.images[m] = img
         return img
 
@@ -244,11 +273,22 @@ def build_M0(cfg: Config, warn=None) -> EchelonBasis:
     return echelon_from(cfg.space, base_space_vectors(cfg))
 
 
-def bruteforce_level(cfg: Config, prev: EchelonBasis) -> EchelonBasis:
-    """span(prev) + images of its rows under all n^2 - 1 generators."""
+def bruteforce_level(
+    cfg: Config, prev: EchelonBasis, below: EchelonBasis | None = None
+) -> EchelonBasis:
+    """span(prev) + images of its rows under all n^2 - 1 generators.
+
+    ``below`` is the level ``prev`` was closed from, if any: when
+    prev = bruteforce_level(cfg, below), the images of every row prev shares
+    with below (the very same row dict) already lie in prev, and inserting
+    them again would change nothing.  Only the other rows are applied.
+    """
     nxt = prev.copy()
     gens = generators(cfg.n)
-    for row in prev.rows.values():
+    old = below.rows if below is not None else {}
+    for piv, row in prev.rows.items():
+        if old.get(piv) is row:
+            continue
         for g in gens:
             img = apply_generator_terms(cfg, g, row)
             if img:
@@ -282,53 +322,81 @@ def _pset_products(cfg: Config, size: int, cache: dict) -> list[Poly]:
     return out
 
 
-def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBasis:
-    """Level k of the explicit tower, built from its own spanning set.
+def _tspan(cfg: Config, k: int, cache: dict) -> EchelonBasis:
+    """Span of the T-images of the monomial levels 0..k (TN levels in the
+    T-cell regime, dprime levels in the dprime regime).
 
-    Passing the same ``cache`` across calls shares projection images and
-    quadratic products between levels.
+    Level k is a copy of level k-1 plus the T-images of monomial level k,
+    kept in ``cache`` for the levels above.
+    """
+    spans = cache["tspans"]
+    levels = cache["tn"]
+    tproj = cache["tproj"]
+    enumerate_level = _dprime_level if cache["regime"] == "dprime" else enumerate_TN_level
+    while len(spans) <= k:
+        j = len(spans)
+        if len(levels) <= j:
+            levels.append(enumerate_level(cfg, j))
+        span = spans[-1].copy() if spans else EchelonBasis(cfg.space)
+        for m in levels[j]:
+            span.insert(tproj(m))
+        spans.append(span)
+    return spans[k]
+
+
+def _insert_tproducts(cfg: Config, basis: EchelonBasis, k: int, i: int, cache: dict):
+    """Insert T(TN level k-i) * P^i, the part of S_k with i quadratic factors."""
+    tproj = cache["tproj"]
+    prods = _pset_products(cfg, i, cache)
+    for m in cache["tn"][k - i]:
+        tm = tproj(m)
+        for p in prods:
+            basis.insert(tm * p)
+
+
+def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBasis:
+    """Level k of the explicit tower: the span of its spanning set S_k.
+
+    The levels held in ``cache`` are extended up to k, each from the one
+    below (see the module docstring for why each reuse is exact), and
+    level k is returned; passing the same ``cache`` across calls also
+    shares projection images and quadratic products.  The returned basis
+    belongs to the cache and must not be modified.
     """
     if cache is None:
         cache = _explicit_cache(cfg)
+    built = cache["levels"]
     regime = cache["regime"]
-    basis = EchelonBasis(cfg.space)
-    if regime == "T-cell":
-        tproj = cache["tproj"]
-        levels = cache["tn"]
-        while len(levels) <= k:
-            levels.append(enumerate_TN_level(cfg, len(levels)))
-        for j in range(k + 1):
-            for m in levels[j]:
-                basis.insert(tproj(m))
-        for i in range(1, k + 1):
-            prods = _pset_products(cfg, i, cache)
-            for m in levels[k - i]:
-                tm = tproj(m)
+    while len(built) <= k:
+        j = len(built)
+        if regime == "dprime":
+            # S_j = T(dprime levels 0..j)
+            basis = _tspan(cfg, j, cache)
+        elif regime == "T-cell":
+            # S_j = T(TN levels 0..j) + sum_i T(TN level j-i) * P^i
+            basis = _tspan(cfg, j, cache).copy()
+            for i in range(1, j + 1):
+                _insert_tproducts(cfg, basis, j, i, cache)
+        else:
+            # n1 = n2 product spans: S_j = S_{j-1} + M_0 * P^j
+            basis = built[-1].copy() if built else EchelonBasis(cfg.space)
+            prods = _pset_products(cfg, j, cache)
+            for b in cache["base"]:
                 for p in prods:
-                    basis.insert(tm * p)
-        return basis
-    if regime == "dprime":
-        tproj = cache["tproj"]
-        levels = cache["tn"]
-        while len(levels) <= k:
-            levels.append(_dprime_level(cfg, len(levels)))
-        for t in range(k + 1):
-            for m in levels[t]:
-                basis.insert(tproj(m))
-        return basis
-    # n1 = n2 product spans: M_k = M_0 * P^{<=k}
-    base = cache["base"]
-    for i in range(k + 1):
-        prods = _pset_products(cfg, i, cache)
-        for b in base:
-            for p in prods:
-                basis.insert(b * p)
-    return basis
+                    basis.insert(b * p)
+        built.append(basis)
+    return built[k]
 
 
 def _explicit_cache(cfg: Config) -> dict:
     regime = _regime(cfg)
-    cache: dict = {"regime": regime, "pset": alternating_set(cfg), "tn": []}
+    cache: dict = {
+        "regime": regime,
+        "pset": alternating_set(cfg),
+        "tn": [],
+        "tspans": [],
+        "levels": [],
+    }
     if regime in ("T-cell", "dprime"):
         cache["tproj"] = _TCache(cfg)
     else:
@@ -337,13 +405,19 @@ def _explicit_cache(cfg: Config) -> dict:
 
 
 def build_tower(cfg: Config, kmax: int, method: str = "explicit") -> FiltrationTower:
-    """Construct M_0 .. M_kmax by the requested method."""
+    """Construct M_0 .. M_kmax by the requested method.
+
+    Each level is built on top of the one below: the explicit route extends
+    the levels of one cache, the brute-force route closes only the rows new
+    since the level below (see the module docstring).
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if method == "bruteforce":
         levels = [build_M0(cfg)]
-        for _ in range(kmax):
-            levels.append(bruteforce_level(cfg, levels[-1]))
+        for k in range(kmax):
+            below = levels[k - 1] if k else None
+            levels.append(bruteforce_level(cfg, levels[k], below))
         return FiltrationTower(cfg, "bruteforce", levels)
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
@@ -399,22 +473,11 @@ def p_order(cfg: Config, k: int, f: Poly, cache: dict | None = None) -> int:
         raise UnsupportedRegimeError("P-order is defined in the T-image regime")
     if cache is None:
         cache = _explicit_cache(cfg)
-    levels = cache["tn"]
-    while len(levels) <= k:
-        levels.append(enumerate_TN_level(cfg, len(levels)))
-    tproj = cache["tproj"]
-    span = EchelonBasis(cfg.space)
-    for j in range(k + 1):
-        for m in levels[j]:
-            span.insert(tproj(m))
+    span = _tspan(cfg, k, cache).copy()
     if span.contains(f):
         return 0
     for s in range(1, k + 1):
-        prods = _pset_products(cfg, s, cache)
-        for m in levels[k - s]:
-            tm = tproj(m)
-            for p in prods:
-                span.insert(tm * p)
+        _insert_tproducts(cfg, span, k, s, cache)
         if span.contains(f):
             return s
     raise ValueError("polynomial does not lie in the requested level")

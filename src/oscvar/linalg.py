@@ -47,15 +47,30 @@ def _primitive(row: dict, lead) -> dict:
 
 
 def _int_terms(terms: dict) -> tuple[dict, int]:
-    """Clear denominators; returns (integer row, multiplier used)."""
+    """Clear denominators; returns (a new integer row, multiplier used)."""
     lcm = 1
+    integral = True
     for c in terms.values():
-        if isinstance(c, Fraction) and c.denominator != 1:
+        if type(c) is not int:
+            integral = False
             d = c.denominator
-            lcm = lcm * d // gcd(lcm, d)
+            if d != 1:
+                lcm = lcm * d // gcd(lcm, d)
+    if integral:
+        return dict(terms), 1
     if lcm == 1:
         return {m: int(c) for m, c in terms.items()}, 1
     return {m: int(c * lcm) for m, c in terms.items()}, lcm
+
+
+def primitive_multiple(terms: dict) -> dict:
+    """The positive multiple of a nonzero coefficient dict whose
+    coefficients are coprime integers."""
+    row, _ = _int_terms(terms)
+    g = _content(row)
+    if g != 1:
+        row = {m: v // g for m, v in row.items()}
+    return row
 
 
 def _eliminate(row: dict, pivot_row: dict, mon) -> dict:

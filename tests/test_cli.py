@@ -222,6 +222,21 @@ def test_gkdim_command(capsys):
     payload = doc["checks"][0]["payload"]
     assert payload["estimate"] == payload["expected"] == 3
     assert payload["confident"] is True
+    assert payload["depth"] == 8
+
+
+def test_gkdim_reports_the_depth_it_built(capsys):
+    # the growth fit needs depth 6, so a shallower --kmax is raised to 6
+    code, out, _ = run_cli(
+        capsys, "gkdim", "--n", "3", "--n1", "1", "--n2", "2",
+        "--l1", "-1", "--l2", "-1", "--kmax", "4",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["kmax"] == 4
+    payload = doc["checks"][0]["payload"]
+    assert payload["depth"] == 6
+    assert len(payload["dims"]) == len(payload["hilbert_table"]) == 7
 
 
 def test_failed_check_gives_exit_one():

@@ -1,16 +1,24 @@
 """Filtration towers: base spaces, dual-route equality, orders, ladders."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from oscvar.filtration import (
     FiltrationTower,
     UnsupportedRegimeError,
+    _dprime_level,
     _explicit_cache,
+    _regime,
     alternating_set,
+    base_space_vectors,
     build_M0,
     build_tower,
     bruteforce_level,
@@ -263,3 +271,133 @@ def test_alternating_set_matches_generator_action():
     assert len(quads) == 1
     one = Poly.constant(SP, 1)
     assert quads[0] == -apply_generator(CFG, ("e", 3, 1), one)
+
+
+# ---------------------------------------------------------------------------
+# levels built on the level below equal levels built from scratch
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_products(cfg, i):
+    pset = alternating_set(cfg)
+    out = []
+    for combo in itertools.combinations_with_replacement(range(len(pset)), i):
+        p = Poly.constant(cfg.space, 1)
+        for idx in combo:
+            p = p * pset[idx]
+        out.append(p)
+    return out
+
+
+def _spanning_set(cfg, k):
+    """The explicit spanning set S_k, in the explicit route's insertion
+    order, with the exact (Fraction) T-images."""
+
+    def T(m):
+        return project_T_monomial(cfg, m)
+
+    regime = _regime(cfg)
+    if regime == "dprime":
+        return [T(m) for t in range(k + 1) for m in _dprime_level(cfg, t)]
+    if regime == "T-cell":
+        tn = [enumerate_TN_level(cfg, j) for j in range(k + 1)]
+        out = [T(m) for j in range(k + 1) for m in tn[j]]
+        for i in range(1, k + 1):
+            prods = _quadratic_products(cfg, i)
+            out += [T(m) * p for m in tn[k - i] for p in prods]
+        return out
+    base = base_space_vectors(cfg)
+    return [
+        b * p for i in range(k + 1) for b in base for p in _quadratic_products(cfg, i)
+    ]
+
+
+def _closure(cfg, prev):
+    """prev plus every generator applied to every row of prev."""
+    nxt = prev.copy()
+    for row in list(prev.rows.values()):
+        for g in generators(cfg.n):
+            nxt.insert(apply_generator(cfg, g, Poly(cfg.space, row)))
+    return nxt
+
+
+@st.composite
+def supported_configs(draw):
+    """(cfg, kmax) for a random configuration with an explicit tower."""
+    n = draw(st.integers(2, 5))
+    n1 = draw(st.integers(1, n - 1))
+    n2 = draw(st.integers(n1, n))
+    cfg = Config(n, n1, n2, draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    try:
+        base_space_vectors(cfg)
+    except UnsupportedRegimeError:
+        assume(False)
+    return cfg, draw(st.integers(0, 3 if n <= 4 else 2))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(supported_configs())
+@example((Config(3, 1, 2, -1, -1), 3))  # T-cell
+@example((Config(4, 1, 3, -1, 1), 3))  # T-cell, mixed signs
+@example((Config(3, 2, 3, 1, 1), 3))  # dprime
+@example((Config(4, 2, 2, -1, -1), 3))  # product
+@example((Config(4, 2, 2, -1, 1), 3))  # product-skew
+@example((Config(4, 1, 1, 1, -1), 3))  # product-skew-mirror
+def test_tower_levels_match_from_scratch_oracles(cfg_kmax):
+    # same pivots, same row dicts, same insertion order at every level
+    cfg, kmax = cfg_kmax
+    explicit = build_tower(cfg, kmax, "explicit")
+    brute = build_tower(cfg, kmax, "bruteforce")
+    oracle = build_M0(cfg)
+    for k in range(kmax + 1):
+        fresh = echelon_from(cfg.space, _spanning_set(cfg, k))
+        assert list(explicit.levels[k].rows.items()) == list(fresh.rows.items())
+        if k:
+            oracle = _closure(cfg, oracle)
+        assert list(brute.levels[k].rows.items()) == list(oracle.rows.items())
+
+
+def test_explicit_level_extends_its_cache():
+    cache = _explicit_cache(CFG)
+    top = explicit_level(CFG, 3, cache)
+    assert len(cache["levels"]) == 4
+    assert explicit_level(CFG, 3, cache) is top
+    fresh = explicit_level(CFG, 2)
+    assert list(fresh.rows.items()) == list(cache["levels"][2].rows.items())
+
+
+def test_bruteforce_level_skips_only_rows_shared_with_below():
+    cfg = Config(4, 1, 3, -1, 1)
+    m0 = build_M0(cfg)
+    lvl1 = bruteforce_level(cfg, m0)
+    assert list(bruteforce_level(cfg, lvl1, m0).rows.items()) == list(
+        _closure(cfg, lvl1).rows.items()
+    )
+    # equal rows that are not the very row dicts of ``below`` prove nothing
+    # about their images, so they are applied as well
+    rebuilt = echelon_from(cfg.space, [Poly(cfg.space, r) for r in m0.rows.values()])
+    assert rebuilt.rows == m0.rows
+    assert list(bruteforce_level(cfg, rebuilt, m0).rows.items()) == list(
+        lvl1.rows.items()
+    )
+
+
+def test_tcache_images_are_primitive_integer_multiples():
+    for cfg in (CFG, Config(4, 1, 3, -1, 1), Config(3, 2, 3, 2, 1)):
+        cache = _explicit_cache(cfg)
+        explicit_level(cfg, 2, cache)
+        images = cache["tproj"].images
+        assert images
+        for m, img in images.items():
+            exact = project_T_monomial(cfg, m).terms
+            assert img.terms.keys() == exact.keys()
+            assert all(type(c) is int for c in img.terms.values())
+            assert reduce(gcd, img.terms.values(), 0) == 1
+            ratios = {Fraction(c) / exact[mm] for mm, c in img.terms.items()}
+            assert len(ratios) == 1 and 0 not in ratios

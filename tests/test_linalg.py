@@ -3,6 +3,8 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import sympy
 from hypothesis import HealthCheck, given, settings
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 from oscvar.linalg import (
     EchelonBasis,
+    _int_terms,
     echelon_from,
     kernel_of_columns,
     kernel_of_map,
+    primitive_multiple,
     span_equal,
 )
 from oscvar.poly import Poly, parse_poly, xy_space, z_space
@@ -219,3 +223,30 @@ def test_rank_kernel_and_span_equality_agree_with_sympy(pair):
         assert _sym(vectors).rank() == len(vectors)
     same_span = rank_a == B.rank() == A.col_join(B).rank()
     assert span_equal(_span(a), _span(b)) == same_span
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-9, 9).filter(bool),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(2, 6),
+)
+def test_int_terms_agree_on_int_and_fraction_coefficients(terms, d):
+    as_int = _int_terms(terms)
+    assert as_int == (terms, 1)
+    assert as_int[0] is not terms  # callers reduce the row in place
+    whole = _int_terms({m: Fraction(c) for m, c in terms.items()})
+    assert whole == as_int
+    fractional = {m: Fraction(c, d) for m, c in terms.items()}
+    row, mult = _int_terms(fractional)
+    assert row.keys() == terms.keys()
+    assert all(row[m] == c * mult for m, c in fractional.items())
+    for result in (as_int, whole, (row, mult)):
+        assert all(type(v) is int for v in result[0].values())
+    content = reduce(gcd, terms.values(), 0)
+    prim = {m: c // content for m, c in terms.items()}
+    assert primitive_multiple(terms) == primitive_multiple(fractional) == prim
