@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from .detvar import _perm_sign
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
-from .poly import Poly, monomials
+from .poly import Poly, add_term, axpy, monomials
 
 SymTerms = dict  # {ascending tuple of generator indices: coefficient}
 
@@ -80,31 +81,11 @@ def predicted_level_preservers(cfg: Config) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def sym_from_generator(idx: int) -> SymTerms:
-    return {(idx,): 1}
-
-
-def sym_add(a: SymTerms, b: SymTerms) -> SymTerms:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
 def sym_mul(a: SymTerms, b: SymTerms) -> SymTerms:
     out: SymTerms = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(sorted(ka + kb))
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            add_term(out, tuple(sorted(ka + kb)), va * vb)
     return out
 
 
@@ -133,13 +114,7 @@ def apply_sym_monomial(cfg: Config, key: tuple, terms: dict, gens) -> dict:
 def apply_sym(cfg: Config, sym: SymTerms, terms: dict, gens) -> dict:
     acc: dict = {}
     for key, c in sym.items():
-        img = apply_sym_monomial(cfg, key, terms, gens)
-        for m, v in img.items():
-            s = acc.get(m, 0) + c * v
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
+        axpy(acc, c, apply_sym_monomial(cfg, key, terms, gens))
     return acc
 
 
@@ -444,15 +419,10 @@ def minor_symbol(cfg: Config, rows, cols) -> SymTerms:
     t = len(rows)
     out: SymTerms = {}
     for perm in itertools.permutations(range(t)):
-        sign = 1
-        for a in range(t):
-            for b in range(a + 1, t):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        term: SymTerms = {(): sign}
+        term: SymTerms = {(): _perm_sign(perm)}
         for a in range(t):
             term = sym_mul(term, entry_symbol(cfg, rows[a], cols[perm[a]], gmap))
-        out = sym_add(out, term)
+        axpy(out, 1, term)
     return out
 
 
@@ -553,7 +523,7 @@ def _sym_mul_family(family: list[SymTerms], cfg: Config, preservers: set):
         for idx in range(ngens):
             if idx in preservers:
                 continue
-            out.append(sym_mul(s, sym_from_generator(idx)))
+            out.append(sym_mul(s, {(idx,): 1}))
     return out
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .linalg import EchelonBasis, kernel_of_map, span_equal
 from .osc import Config
-from .poly import Poly, Space, monomials, xy_space, z_space
+from .poly import Poly, Space, add_term, axpy, monomials, xy_space, z_space
 
 
 def restricted_ring(cfg: Config) -> Space:
@@ -122,17 +122,16 @@ def minor_generators(space: Space, t: int, rows=None, cols=None) -> list[Poly]:
     out = []
     for rsub in itertools.combinations(rows, t):
         for csub in itertools.combinations(cols, t):
-            det = Poly.zero(space)
+            det: dict = {}
             for perm in itertools.permutations(range(t)):
                 if any((rsub[a], csub[perm[a]]) in space.excluded for a in range(t)):
                     continue
-                sign = _perm_sign(perm)
                 m = [0] * space.nvars
                 for a in range(t):
                     m[space.z(rsub[a], csub[perm[a]])] += 1
-                det = det + Poly.monomial(space, m, sign)
+                add_term(det, tuple(m), _perm_sign(perm))
             if det:
-                out.append(det)
+                out.append(Poly(space, det))
     return out
 
 
@@ -299,12 +298,7 @@ def _kernel_basis(space: Space, domain: list[Poly], image_of) -> EchelonBasis:
     for vec in vectors:
         acc: dict = {}
         for idx, c in vec.items():
-            for m, v in domain[idx].terms.items():
-                s = acc.get(m, 0) + c * v
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
+            axpy(acc, c, domain[idx].terms)
         basis.insert(acc)
     return basis
 

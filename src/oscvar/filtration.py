@@ -297,27 +297,19 @@ def bruteforce_level(
 
 
 def _pset_products(cfg: Config, size: int, cache: dict) -> list[Poly]:
-    """All products of ``size`` alternating quadratics (with repetition)."""
+    """All products of ``size`` alternating quadratics (with repetition), in
+    ``combinations_with_replacement`` order; each is the cached product of
+    its first ``size - 1`` factors times the last one."""
     if size == 0:
         return [Poly.constant(cfg.space, 1)]
     got = cache.get(size)
     if got is not None:
         return got
     pset = cache["pset"]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(pset)), size):
-        key = ("prod", combo)
-        p = cache.get(key)
-        if p is None:
-            p = cache.get(("prod", combo[:-1]))
-            if p is None:
-                p = Poly.constant(cfg.space, 1)
-                for idx in combo[:-1]:
-                    p = p * pset[idx]
-                cache[("prod", combo[:-1])] = p
-            p = p * pset[combo[-1]]
-            cache[key] = p
-        out.append(p)
+    combos = itertools.combinations_with_replacement
+    indices = range(len(pset))
+    below = dict(zip(combos(indices, size - 1), _pset_products(cfg, size - 1, cache)))
+    out = [below[combo[:-1]] * pset[combo[-1]] for combo in combos(indices, size)]
     cache[size] = out
     return out
 

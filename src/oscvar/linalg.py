@@ -13,6 +13,18 @@ which are independent of insertion order, are computed on demand by
 image matrix with combination tracking, emitting a basis of the kernel in
 coefficient space.
 
+``_eliminate`` is the one elimination step, shared by ``insert``,
+``contains``, ``reduce_scaled``, ``canonical_rows`` and
+``kernel_of_columns``: it replaces a row r by mr*r - mp*p, which kills
+r's coefficient at the pivot monomial of the pivot row p, and returns the
+two multipliers.  It works in place, so it only ever runs on a row its
+caller owns: a fresh copy of the input, never a stored row.  Stored rows
+are shared, not copied, by ``EchelonBasis.copy`` (filtration towers hand
+them from level to level), so mutating one would corrupt every basis
+holding it.  Every pivot row is stored with a positive leading
+coefficient (``_primitive``), so mr is always positive and a scale factor
+accumulated from it stays positive.
+
 Keys of the coefficient dictionaries are exponent tuples ordered by
 graded lex; any equal-length int tuples work, which the annihilator module
 uses to run the same machinery over symbol monomials.
@@ -24,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .poly import Poly, Space, SpaceMismatchError, order_key
+from .poly import Poly, Space, SpaceMismatchError, axpy, order_key
 
 
 def _content(row: dict) -> int:
@@ -73,24 +85,23 @@ def primitive_multiple(terms: dict) -> dict:
     return row
 
 
-def _eliminate(row: dict, pivot_row: dict, mon) -> dict:
-    """Return lead*row - c*pivot_row scaled to kill ``mon`` (integer rows)."""
+def _eliminate(row: dict, pivot_row: dict, mon) -> tuple[int, int]:
+    """Kill ``mon`` in the integer ``row`` in place: row = mr*row - mp*pivot_row.
+
+    ``pivot_row`` leads at ``mon`` with a positive coefficient, so the
+    returned multipliers (mr, mp) have mr > 0.  ``row`` must belong to
+    the caller.
+    """
     c = row[mon]
     lead = pivot_row[mon]
     g = gcd(c, lead)
     mr = lead // g
     mp = c // g
-    if mr == 1:
-        out = dict(row)
-    else:
-        out = {m: mr * v for m, v in row.items()}
-    for m, v in pivot_row.items():
-        s = out.get(m, 0) - mp * v
-        if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
-    return out
+    if mr != 1:
+        for m, v in row.items():
+            row[m] = mr * v
+    axpy(row, -mp, pivot_row)
+    return mr, mp
 
 
 class EchelonBasis:
@@ -123,7 +134,7 @@ class EchelonBasis:
             prow = rows.get(lead)
             if prow is None:
                 return row
-            row = _eliminate(row, prow, lead)
+            _eliminate(row, prow, lead)
         return row
 
     def insert(self, p) -> bool:
@@ -178,22 +189,8 @@ class EchelonBasis:
             if not hits:
                 break
             mon = max(hits, key=order_key)
-            c = row[mon]
-            prow = rows[mon]
-            lead = prow[mon]
-            g = gcd(c, lead)
-            mr, mp = lead // g, c // g
-            if mr < 0:
-                mr, mp = -mr, -mp
-            if mr != 1:
-                row = {m: mr * v for m, v in row.items()}
-                scale *= mr
-            for m, v in prow.items():
-                s = row.get(m, 0) - mp * v
-                if s:
-                    row[m] = s
-                elif m in row:
-                    del row[m]
+            mr, _ = _eliminate(row, rows[mon], mon)
+            scale *= mr
             if row:
                 g = gcd(_content(row), scale)
                 if g > 1:
@@ -219,14 +216,14 @@ class EchelonBasis:
         pivots = sorted(self.rows, key=order_key)  # ascending
         reduced: dict = {}
         for piv in pivots:
-            row = self.rows[piv]
+            row = dict(self.rows[piv])
             while True:
                 hits = [m for m in row if m != piv and m in reduced]
                 if not hits:
                     break
                 for mon in sorted(hits, key=order_key, reverse=True):
                     if mon in row:
-                        row = _eliminate(row, reduced[mon], mon)
+                        _eliminate(row, reduced[mon], mon)
             reduced[piv] = _primitive(row, piv)
         return [reduced[piv] for piv in reversed(pivots)]
 
@@ -274,25 +271,11 @@ def kernel_of_columns(columns: Sequence[dict]) -> list[dict]:
             if hit is None:
                 break
             prow, ptrack = hit
-            c = row[lead]
-            plead = prow[lead]
-            g = gcd(c, plead)
-            mr, mp = plead // g, c // g
+            mr, mp = _eliminate(row, prow, lead)
             if mr != 1:
-                row = {m: mr * v for m, v in row.items()}
-                track = {m: mr * v for m, v in track.items()}
-            for m, v in prow.items():
-                s = row.get(m, 0) - mp * v
-                if s:
-                    row[m] = s
-                elif m in row:
-                    del row[m]
-            for m, v in ptrack.items():
-                s = track.get(m, 0) - mp * v
-                if s:
-                    track[m] = s
-                elif m in track:
-                    del track[m]
+                for m, v in track.items():
+                    track[m] = mr * v
+            axpy(track, -mp, ptrack)
         if row:
             lead = max(row, key=order_key)
             g = gcd(_content(row), _content(track))
@@ -303,12 +286,7 @@ def kernel_of_columns(columns: Sequence[dict]) -> list[dict]:
                 track = {m: v // g for m, v in track.items()}
             pivots[lead] = (row, track)
         else:
-            g = _content(track)
-            if track[max(track)] < 0:
-                g = -g
-            if g != 1:
-                track = {m: v // g for m, v in track.items()}
-            kernel.append(track)
+            kernel.append(_primitive(track, max(track)))
     return kernel
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, Space, xy_space
+from .poly import Poly, Space, add_term, axpy, xy_space
 
 # Generators are small tagged tuples:
 #   ("e", i, j)  root vector E_ij, i != j
@@ -104,23 +104,9 @@ def generators(n: int) -> list[Generator]:
     return gens
 
 
-def generator_name(g: Generator) -> str:
-    if g[0] == "h":
-        return f"h{g[1]}"
-    return f"E{g[1]}_{g[2]}"
-
-
 # ---------------------------------------------------------------------------
 # generator actions on raw term dicts (hot path)
 # ---------------------------------------------------------------------------
-
-
-def _add_term(out: dict, m: tuple, c) -> None:
-    s = out.get(m, 0) + c
-    if s:
-        out[m] = s
-    elif m in out:
-        del out[m]
 
 
 def _root_terms(cfg: Config, i: int, j: int, terms: dict) -> dict:
@@ -138,27 +124,27 @@ def _root_terms(cfg: Config, i: int, j: int, terms: dict) -> dict:
                     t = list(m)
                     t[xi] -= 1
                     t[xj] += 1
-                    _add_term(out, tuple(t), -e * c)
+                    add_term(out, tuple(t), -e * c)
             else:  # d_{x_i} d_{x_j}
                 e = m[xi] * m[xj]
                 if e:
                     t = list(m)
                     t[xi] -= 1
                     t[xj] -= 1
-                    _add_term(out, tuple(t), e * c)
+                    add_term(out, tuple(t), e * c)
         else:
             if j <= n1:  # -x_i x_j
                 t = list(m)
                 t[xi] += 1
                 t[xj] += 1
-                _add_term(out, tuple(t), -c)
+                add_term(out, tuple(t), -c)
             else:  # x_i d_{x_j}
                 e = m[xj]
                 if e:
                     t = list(m)
                     t[xj] -= 1
                     t[xi] += 1
-                    _add_term(out, tuple(t), e * c)
+                    add_term(out, tuple(t), e * c)
         # y side, row j, column i, subtracted
         if j <= n2:
             if i <= n2:  # y_j d_{y_i}
@@ -167,12 +153,12 @@ def _root_terms(cfg: Config, i: int, j: int, terms: dict) -> dict:
                     t = list(m)
                     t[yi] -= 1
                     t[yj] += 1
-                    _add_term(out, tuple(t), -e * c)
+                    add_term(out, tuple(t), -e * c)
             else:  # -y_j y_i
                 t = list(m)
                 t[yj] += 1
                 t[yi] += 1
-                _add_term(out, tuple(t), c)
+                add_term(out, tuple(t), c)
         else:
             if i <= n2:  # d_{y_j} d_{y_i}
                 e = m[yj] * m[yi]
@@ -180,14 +166,14 @@ def _root_terms(cfg: Config, i: int, j: int, terms: dict) -> dict:
                     t = list(m)
                     t[yj] -= 1
                     t[yi] -= 1
-                    _add_term(out, tuple(t), -e * c)
+                    add_term(out, tuple(t), -e * c)
             else:  # -y_i d_{y_j}
                 e = m[yj]
                 if e:
                     t = list(m)
                     t[yj] -= 1
                     t[yi] += 1
-                    _add_term(out, tuple(t), e * c)
+                    add_term(out, tuple(t), e * c)
     return out
 
 
@@ -255,7 +241,7 @@ def _laplace_like_terms(cfg: Config, terms: dict, skip_mid: int | None) -> dict:
                 t = list(m)
                 t[n + i - 1] -= 1
                 t[i - 1] += 1
-                _add_term(out, tuple(t), e * c)
+                add_term(out, tuple(t), e * c)
         for r in range(n1 + 1, n2 + 1):
             if r == skip_mid:
                 continue
@@ -264,14 +250,14 @@ def _laplace_like_terms(cfg: Config, terms: dict, skip_mid: int | None) -> dict:
                 t = list(m)
                 t[r - 1] -= 1
                 t[n + r - 1] -= 1
-                _add_term(out, tuple(t), -e * c)
+                add_term(out, tuple(t), -e * c)
         for s in range(n2 + 1, n + 1):
             e = m[s - 1]
             if e:
                 t = list(m)
                 t[s - 1] -= 1
                 t[n + s - 1] += 1
-                _add_term(out, tuple(t), e * c)
+                add_term(out, tuple(t), e * c)
     return out
 
 
@@ -306,16 +292,16 @@ def project_T_monomial(cfg: Config, m: tuple) -> Poly:
             t = list(mm)
             t[xpos] += i
             t[ypos] += i
-            _add_term(out, tuple(t), Fraction(cc, denom))
+            add_term(out, tuple(t), Fraction(cc, denom))
     return Poly(cfg.space, out)
 
 
 def project_T(cfg: Config, f: Poly) -> Poly:
     """Linear extension of the monomial projection."""
-    out = Poly.zero(cfg.space)
+    out: dict = {}
     for m, c in f.terms.items():
-        out = out + project_T_monomial(cfg, m).scale(c)
-    return out
+        axpy(out, c, project_T_monomial(cfg, m).terms)
+    return Poly(cfg.space, out)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +514,9 @@ def matrix_commutator(a: dict, b: dict) -> dict:
     for (i, j), c1 in a.items():
         for (k, l), c2 in b.items():
             if j == k:
-                _add_term(out, (i, l), c1 * c2)
+                add_term(out, (i, l), c1 * c2)
             if l == i:
-                _add_term(out, (k, j), -c1 * c2)
+                add_term(out, (k, j), -c1 * c2)
     return out
 
 

@@ -3,8 +3,8 @@
 A polynomial is a dictionary mapping monomial exponent tuples to nonzero
 exact rational coefficients (int or Fraction; plain ints are kept as ints
 for speed and promote automatically when a Fraction enters).  The zero
-polynomial is the empty dict.  All operations are pure: they return new
-values and never mutate their inputs.
+polynomial is the empty dict.  All ``Poly`` operations are pure: they
+return new values and never mutate their inputs.
 
 Two kinds of variable spaces occur:
 
@@ -17,6 +17,12 @@ The monomial order is graded lexicographic on the exponent tuple in the
 variable order above.  Canonical text rendering emits terms in decreasing
 monomial order, e.g. ``-3/2*x1^2*x2*y3 + y1``; this is the interchange
 format used in JSON reports and golden tests.
+
+``add_term`` and ``axpy`` are the one sparse accumulate of the package:
+every sum of term dicts, in this module and the others, goes through
+them, so no zero coefficient is ever stored.  Unlike the ``Poly``
+arithmetic they update their ``out`` dict in place; keys keep their
+insertion order, so results are reproducible term for term.
 """
 
 from __future__ import annotations
@@ -121,6 +127,27 @@ def order_key(m: Monomial):
     return (sum(m), m)
 
 
+def add_term(out: dict, m, c) -> None:
+    """``out[m] += c`` in place, dropping ``m`` when the sum is zero."""
+    s = out.get(m, 0) + c
+    if s:
+        out[m] = s
+    elif m in out:
+        del out[m]
+
+
+def axpy(out: dict, c, terms: Mapping) -> dict:
+    """``out += c * terms`` in place, dropping keys whose sum is zero;
+    returns ``out``."""
+    for m, v in terms.items():
+        s = out.get(m, 0) + c * v
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return out
+
+
 def monomials(nvars: int, degrees: Iterable[int]):
     """Exponent tuples in ``nvars`` variables for each degree in ``degrees``
     in turn, each degree in ``combinations_with_replacement`` order."""
@@ -211,28 +238,14 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Poly(self.space, out)
+        return Poly(self.space, axpy(dict(self.terms), 1, other.terms))
 
     def __neg__(self) -> "Poly":
         return Poly(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Poly(self.space, out)
+        return Poly(self.space, axpy(dict(self.terms), -1, other.terms))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -242,12 +255,7 @@ class Poly:
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                add_term(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
         return Poly(self.space, out)
 
     def __pow__(self, k: int) -> "Poly":
@@ -297,7 +305,7 @@ class Poly:
                         f"variable {name} unassigned and absent from target"
                     )
                 passthrough[pos] = tpos
-        out = Poly.zero(target)
+        out: dict = {}
         pow_cache: dict = {}
         for m, c in self.terms.items():
             factor = Poly.constant(target, c)
@@ -315,16 +323,11 @@ class Poly:
                         pow_cache[key] = p
                     factor = factor * p
             shift = tuple(base)
+            terms = factor.terms
             if any(shift):
-                factor = Poly(
-                    target,
-                    {
-                        tuple(a + b for a, b in zip(mm, shift)): cc
-                        for mm, cc in factor.terms.items()
-                    },
-                )
-            out = out + factor
-        return out
+                terms = {tuple(a + b for a, b in zip(mm, shift)): cc for mm, cc in terms.items()}
+            axpy(out, 1, terms)
+        return Poly(target, out)
 
     # -- rendering -------------------------------------------------------
 
@@ -407,10 +410,5 @@ def parse_poly(space: Space, text: str) -> Poly:
             if pos is None:
                 raise SpaceMismatchError(f"unknown variable {name!r}")
             exps[pos] += power
-        m = tuple(exps)
-        c = out.get(m, 0) + (int(coeff) if coeff.denominator == 1 else coeff)
-        if c:
-            out[m] = c
-        elif m in out:
-            del out[m]
+        add_term(out, tuple(exps), int(coeff) if coeff.denominator == 1 else coeff)
     return Poly(space, out)

@@ -50,7 +50,7 @@ from .osc import (
     project_T_monomial,
     weight,
 )
-from .poly import Poly, monomials
+from .poly import Poly, axpy, monomials
 from .reports import CheckRecord
 
 # Pass/fail of a claim, by anchor, from the report of its computation.
@@ -106,20 +106,10 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
             base = {m: 1}
             first = [apply_generator_terms(cfg, g, base) for g in gens]
             for (a, b), cb in comm.items():
-                acc = dict(apply_generator_terms(cfg, gens[a], first[b]))
-                for mm, cc in apply_generator_terms(cfg, gens[b], first[a]).items():
-                    s = acc.get(mm, 0) - cc
-                    if s:
-                        acc[mm] = s
-                    elif mm in acc:
-                        del acc[mm]
+                acc = apply_generator_terms(cfg, gens[a], first[b])
+                axpy(acc, -1, apply_generator_terms(cfg, gens[b], first[a]))
                 for coeff, g in cb:
-                    for mm, cc in apply_generator_terms(cfg, g, base).items():
-                        s = acc.get(mm, 0) - coeff * cc
-                        if s:
-                            acc[mm] = s
-                        elif mm in acc:
-                            del acc[mm]
+                    axpy(acc, -coeff, apply_generator_terms(cfg, g, base))
                 if acc:
                     violations += 1
         counts[str(params)] = {"monomials": nmon, "pairs": len(comm)}

@@ -28,7 +28,6 @@ from oscvar.annihilator import (
     operator_identically_zero,
     predicted_level_preservers,
     split_certificate,
-    sym_add,
     sym_membership,
     sym_mul,
     verify_variety_presentation,
@@ -36,7 +35,7 @@ from oscvar.annihilator import (
 from oscvar.filtration import UnsupportedRegimeError, build_tower
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import Config, apply_generator_terms, diagonal_value, generators
-from oscvar.poly import Poly
+from oscvar.poly import Poly, axpy
 
 CFG = Config(3, 1, 2, -1, -1)
 
@@ -353,7 +352,7 @@ def test_sym_membership_dropping_preserver_terms_agrees():
     cases = [
         (sym_mul(op.terms, op.terms), True),
         (op.terms, False),
-        (sym_add(op.terms, preserver), False),
+        (axpy(dict(op.terms), 1, preserver), False),
         (sym_mul(op.terms, preserver), True),
     ]
     cfg6 = Config(6, 2, 4, -1, -1)

@@ -250,3 +250,42 @@ def test_int_terms_agree_on_int_and_fraction_coefficients(terms, d):
     content = reduce(gcd, terms.values(), 0)
     prim = {m: c // content for m, c in terms.items()}
     assert primitive_multiple(terms) == primitive_multiple(fractional) == prim
+
+
+_ROW = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _items(dicts):
+    """A deep snapshot, key order included, of a list or a dict of rows."""
+    if isinstance(dicts, dict):
+        return [(piv, list(row.items())) for piv, row in dicts.items()]
+    return [list(d.items()) for d in dicts]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=6), st.lists(_ROW, min_size=1, max_size=4))
+def test_stored_rows_and_inputs_are_never_mutated(stored, queries):
+    inputs = _items(stored + queries)
+    basis = echelon_from(None, stored)
+    before = _items(basis.rows)
+    for q in queries:
+        basis.contains(q)
+        basis.reduce_scaled(q)
+    basis.canonical_rows()
+    copied = basis.copy()  # shares the row dicts with basis
+    for q in queries:
+        copied.insert(q)
+    kernel_of_columns(list(basis.rows.values()) + queries)
+    assert _items(basis.rows) == before
+    for q in queries:
+        basis.insert(q)
+    assert _items(basis.rows)[: len(before)] == before
+    assert _items(stored + queries) == inputs

@@ -4,8 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscvar.poly import Poly, SpaceMismatchError, parse_poly, xy_space, z_space
+from oscvar.poly import (
+    Poly,
+    SpaceMismatchError,
+    add_term,
+    axpy,
+    parse_poly,
+    xy_space,
+    z_space,
+)
 
 
 SP = xy_space(3)
@@ -121,3 +132,51 @@ def test_zero_coefficients_never_stored():
 def test_power_and_scale():
     assert P("x1 + y1") ** 2 == P("x1^2 + 2*x1*y1 + y1^2")
     assert P("x1").scale(Fraction(1, 2)) == P("1/2*x1")
+
+
+SP2 = xy_space(2)
+SYMS = sympy.symbols(SP2.names)
+_MONO = st.tuples(*[st.integers(0, 2)] * SP2.nvars)
+_COEFF = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+_POLY = st.dictionaries(_MONO, _COEFF, max_size=5).map(lambda t: Poly(SP2, t))
+
+
+def _rat(c):
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sym(terms):
+    """The sympy expression of a term dict, an oracle independent of poly."""
+    return sympy.Add(
+        *[_rat(c) * sympy.Mul(*[v**e for v, e in zip(SYMS, m)]) for m, c in terms.items()]
+    )
+
+
+def _agrees(terms, expr):
+    assert all(terms.values()), "a zero coefficient is stored"
+    return sympy.expand(_sym(terms) - expr) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_POLY, _POLY, _POLY, _MONO, _COEFF)
+def test_arithmetic_agrees_with_sympy(a, b, c, m, k):
+    A, B, C = _sym(a.terms), _sym(b.terms), _sym(c.terms)
+    assert _agrees((a + b).terms, A + B)
+    assert _agrees((a - b).terms, A - B)
+    assert _agrees((a * b).terms, A * B)
+    assert _agrees((a - a).terms, 0)
+    images = {SP2.x(1): b, SP2.y(2): c}  # x2 and y1 pass through
+    want = A.xreplace({SYMS[SP2.x(1)]: B, SYMS[SP2.y(2)]: C})
+    assert _agrees(a.substitute(images, SP2).terms, want)
+    out = dict(a.terms)
+    add_term(out, m, k)
+    assert _agrees(out, A + _sym({m: k}))
+    out = dict(a.terms)
+    assert axpy(out, k, b.terms) is out
+    assert _agrees(out, A + _rat(k) * B)
+    assert _agrees(axpy(dict(a.terms), -1, a.terms), 0)
+    assert parse_poly(SP2, a.render()) == a
