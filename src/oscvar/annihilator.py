@@ -23,6 +23,16 @@ remaining "pure" monomials only.  A claimed preserver that fails its check
 is not split off, and without g-stability nothing is, so the result always
 equals the full kernel.
 
+Every check of a computed kernel against a predicted family goes through
+one comparison, :func:`_compare_with_prediction`.  It quotients both sides
+by the split the certificate granted (``piece.split_symbols``), not by the
+claimed preservers: the monomials containing a granted symbol are kernel
+members, so the quotients are equal exactly when the full spans are.  The
+degree-2 prediction of each sign case comes from one table,
+:func:`degree2_families`; a configuration where a 2x2 minor annihilates
+only through its power has no two-sided degree check and is reported as
+outside the presentation theorem.
+
 Certificates are bounded: a kernel is certified up to the checked level
 kmax, with a stabilization flag comparing against the kmax-1 system.  A
 system too shallow to decide anything (no level carries an equation, or
@@ -39,7 +49,7 @@ from math import comb
 
 from .detvar import _perm_sign
 from .filtration import FiltrationTower, build_tower
-from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
+from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
 from .poly import Poly, add_term, axpy, monomials
 
@@ -187,13 +197,6 @@ class AnnihilatorPiece:
         out = [{key: 1} for key in self.coordinate_members]
         out.extend(dict(v) for v in self.kernel_vectors)
         return out
-
-    def pure_basis(self) -> EchelonBasis:
-        """Echelon span of the kernel vectors over pure monomials."""
-        basis = EchelonBasis(None)
-        for v in self.kernel_vectors:
-            basis.insert(v)
-        return basis
 
 
 @dataclass
@@ -358,6 +361,45 @@ def compute_annihilator_piece(
     return piece
 
 
+def project_pure(sym: SymTerms, split: set) -> dict:
+    """Drop monomials containing a split symbol (the quotient modulo the
+    ideal those symbols generate, in coordinates)."""
+    return {k: v for k, v in sym.items() if split.isdisjoint(k)}
+
+
+def _pure_span(syms, split: set) -> EchelonBasis:
+    basis = EchelonBasis(None)
+    for s in syms:
+        proj = project_pure(s, split)
+        if proj:
+            basis.insert(proj)
+    return basis
+
+
+def _compare_with_prediction(
+    tower: FiltrationTower, p: int, kmax: int, predicted, lower=()
+):
+    """The degree-p kernel at kmax against a predicted family, modulo ``lower``.
+
+    The kernel is solved with the Cartan and off-L root symbols claimed as
+    preservers, and both sides are projected by ``piece.split_symbols``,
+    the split its certificate granted: whatever the certificate decided,
+    the monomials containing a split symbol are kernel members, so the
+    projected spans are equal exactly when the full ones are.  Returns the
+    piece, the dimension of its pure kernel, the dimension of the projected
+    prediction plus ``lower``, and whether that span equals the pure kernel
+    plus ``lower``.
+    """
+    piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
+    split = set(piece.split_symbols)
+    computed = _pure_span(lower, split)
+    for v in piece.kernel_vectors:
+        computed.insert(v)
+    expected = _pure_span(itertools.chain(predicted, lower), split)
+    # kernel vectors are independent, so their count is the pure dimension
+    return piece, len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+
+
 def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
     """Computed degree-1 kernel versus Cartan + off-L root coordinates."""
     if kmax < 2:
@@ -365,20 +407,19 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
             f"kmax={kmax}: the degree-1 kernel needs kmax >= 2 to compare "
             "against the kmax-1 system for stabilization"
         )
-    cfg = tower.cfg
-    piece = compute_annihilator_piece(tower, 1, kmax)
-    predicted = predicted_level_preservers(cfg)
-    pred_basis = echelon_from(None, [{(i,): 1} for i in predicted])
-    comp_basis = echelon_from(None, [dict(v) for v in piece.basis_sym()])
-    gens = generators(cfg.n)
+    predicted = predicted_level_preservers(tower.cfg)
+    piece, dim_computed, dim_predicted, equal = _compare_with_prediction(
+        tower, 1, kmax, [{(i,): 1} for i in predicted]
+    )
+    gens = generators(tower.cfg.n)
     cartan = sum(1 for i in predicted if gens[i][0] == "h")
     return {
         "piece": piece,
-        "dim_computed": comp_basis.dim,
-        "dim_predicted": pred_basis.dim,
+        "dim_computed": dim_computed,
+        "dim_predicted": dim_predicted,
         "cartan_part": cartan,
         "root_part": len(predicted) - cartan,
-        "equal": span_equal(pred_basis, comp_basis),
+        "equal": equal,
         "stabilized": piece.stabilized,
     }
 
@@ -498,33 +539,10 @@ def sym_membership(sym: SymTerms, tower: FiltrationTower):
     return True
 
 
-def project_pure(sym: SymTerms, preserver_set: set) -> dict:
-    """Drop monomials containing a degree-1 kernel symbol (the quotient
-    modulo that ideal, in coordinates)."""
-    return {
-        k: v for k, v in sym.items() if not any(i in preserver_set for i in k)
-    }
-
-
-def _pure_span(syms, preservers: set) -> EchelonBasis:
-    basis = EchelonBasis(None)
-    for s in syms:
-        proj = project_pure(s, preservers)
-        if proj:
-            basis.insert(proj)
-    return basis
-
-
-def _sym_mul_family(family: list[SymTerms], cfg: Config, preservers: set):
-    """Degree+1 multiples of a family by all non-preserver symbols."""
+def _sym_mul_family(family: list[SymTerms], cfg: Config) -> list[SymTerms]:
+    """Degree+1 multiples of a family by every generator symbol."""
     ngens = len(generators(cfg.n))
-    out = []
-    for s in family:
-        for idx in range(ngens):
-            if idx in preservers:
-                continue
-            out.append(sym_mul(s, {(idx,): 1}))
-    return out
+    return [sym_mul(s, {(idx,): 1}) for s in family for idx in range(ngens)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +577,6 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
     cfg = tower.cfg
     if i1 is None:
         i1 = degree1_report(tower, kmax)
-    preservers = set(i1["piece"].split_symbols or predicted_level_preservers(cfg))
-    if not i1["equal"]:
-        preservers = set()
     fam = degree2_families(cfg)
     membership = []
     for op in fam["direct"]:
@@ -584,18 +599,15 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
             else:
                 entry["in_kernel"] = got
         power_membership.append(entry)
-    piece = compute_annihilator_piece(
-        tower, 2, kmax, known_level_preservers=sorted(preservers)
+    piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
+        tower, 2, kmax, [op.terms for op in fam["direct"]]
     )
-    computed_pure = piece.pure_basis()
-    predicted_pure = _pure_span([op.terms for op in fam["direct"]], preservers)
-    exact = span_equal(computed_pure, predicted_pure)
     return {
         "piece": piece,
         "membership": membership,
         "power_membership": power_membership,
-        "dim_pure_computed": computed_pure.dim,
-        "dim_pure_predicted": predicted_pure.dim,
+        "dim_pure_computed": dim_computed,
+        "dim_pure_predicted": dim_predicted,
         "exact_mod_degree1": exact,
         "all_member": all(m["in_kernel"] for m in membership)
         and all(m["in_kernel"] is not False for m in power_membership),
@@ -636,20 +648,14 @@ def operator_identically_zero(cfg: Config, sym: SymTerms, maxdeg: int) -> bool:
 
 
 def verify_degree3(
-    tower: FiltrationTower,
-    kmax: int,
-    identity_maxdeg: int = 4,
-    representatives_only: bool = True,
-    i1=None,
+    tower: FiltrationTower, kmax: int, identity_maxdeg: int = 4, i1=None
 ) -> dict:
-    """Case-by-case checks of the 3x3 minor family plus degree-3 exactness
-    modulo the lower ideal (degree-1 ideal and minor2 multiples)."""
+    """Case-by-case checks of the 3x3 minor family, one representative per
+    nonvanishing case, plus degree-3 exactness modulo the lower ideal
+    (degree-1 ideal and minor2 multiples)."""
     cfg = tower.cfg
     if i1 is None:
         i1 = degree1_report(tower, kmax)
-    preservers = set(i1["piece"].split_symbols or predicted_level_preservers(cfg))
-    if not i1["equal"]:
-        preservers = set()
     ops = delta_ops(cfg, "minor3")
     by_case: dict = {c: [] for c in range(1, 7)}
     for op in ops:
@@ -674,36 +680,25 @@ def verify_degree3(
                 }
             )
         else:
-            chosen = sel[:1] if representatives_only else sel
-            ok = all(sym_membership(op.terms, tower) for op in chosen)
+            ok = sym_membership(sel[0].terms, tower)
             case_results.append(
                 {
                     "case": c,
                     "count": len(sel),
-                    "checked": len(chosen),
+                    "checked": 1,
                     "status": "pass" if ok else "fail",
                 }
             )
-    piece = compute_annihilator_piece(
-        tower, 3, kmax, known_level_preservers=sorted(preservers)
+    minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
+    piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
+        tower, 3, kmax, [op.terms for op in ops],
+        lower=_sym_mul_family([op.terms for op in minor2], cfg),
     )
-    computed_pure = piece.pure_basis()
-    lower = _sym_mul_family(
-        [op.terms for op in delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")],
-        cfg,
-        preservers,
-    )
-    predicted = [op.terms for op in ops] + lower
-    predicted_pure = _pure_span(predicted, preservers)
-    computed_plus_lower = _pure_span(lower, preservers)
-    for v in piece.kernel_vectors:
-        computed_plus_lower.insert(dict(v))
-    exact = span_equal(computed_plus_lower, predicted_pure)
     return {
         "piece": piece,
         "cases": case_results,
-        "dim_pure_computed": computed_pure.dim,
-        "dim_pure_predicted": predicted_pure.dim,
+        "dim_pure_computed": dim_computed,
+        "dim_pure_predicted": dim_predicted,
         "exact_mod_lower": exact,
         "all_cases_pass": all(r["status"] in ("pass", "vacuous") for r in case_results),
         "i1_equal": i1["equal"],
@@ -719,6 +714,12 @@ def _theorem_regime(cfg: Config) -> str:
     if cfg.n1 == cfg.n2:
         return "equal-blocks"
     if cfg.l1 <= 0 or cfg.l2 <= 0:
+        if degree2_families(cfg)["powers"]:
+            raise OutOfTheoremError(
+                f"{cfg.short()}: a 2x2 minor of the positive-sign block is "
+                "certified only through its power; not implemented as a "
+                "two-sided degree check"
+            )
         return "negative"
     if cfg.n2 == cfg.n:
         return "positive-full"
@@ -741,7 +742,6 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     regime = _theorem_regime(cfg)
     tower = build_tower(cfg, kmax, "explicit")
     i1 = degree1_report(tower, kmax)
-    preservers = set(i1["piece"].split_symbols or predicted_level_preservers(cfg))
     checks: list[dict] = []
     checks.append(
         {
@@ -755,39 +755,27 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         }
     )
 
+    minor2 = degree2_families(cfg)["direct"]  # empty outside the negative regime
+    minor3, coords = [], []
     if regime == "negative":
         minor3 = delta_ops(cfg, "minor3")
-        minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
+        gmap = gen_index_map(cfg)
         coords = [
-            {(gen_index_map(cfg)[("e", j, i)],): 1}
-            for j in cfg.J2
-            for i in cfg.J2
-            if j != i
+            {(gmap[("e", j, i)],): 1} for j in cfg.J2 for i in cfg.J2 if j != i
         ]
-        direct = [op.terms for op in minor2]
-        lower3 = _sym_mul_family(direct, cfg, preservers)
-        predicted2 = direct
-        predicted3 = [op.terms for op in minor3] + lower3
-        substituted = (
-            [(op.label(), op.terms) for op in minor3]
-            + [(op.label(), op.terms) for op in minor2]
-            + [(f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)]
-        )
     elif regime == "equal-blocks":
         minor3 = delta_ops(cfg, "minor3-J3J1")
-        predicted2 = []
-        predicted3 = [op.terms for op in minor3]
-        substituted = [(op.label(), op.terms) for op in minor3]
-    else:  # positive-full
-        if cfg.n1 + 1 < cfg.n2:
-            raise OutOfTheoremError(
-                "positive regime with a middle block wider than one is "
-                "certified only through minor powers; not implemented as a "
-                "two-sided degree check"
-            )
-        predicted2 = []
-        predicted3 = []
-        substituted = []
+    elif cfg.n1 + 1 < cfg.n2:  # positive-full
+        raise OutOfTheoremError(
+            "positive regime with a middle block wider than one is "
+            "certified only through minor powers; not implemented as a "
+            "two-sided degree check"
+        )
+    predicted2 = [op.terms for op in minor2]
+    predicted3 = [op.terms for op in minor3] + _sym_mul_family(predicted2, cfg)
+    substituted = [(op.label(), op.terms) for op in minor3 + minor2] + [
+        (f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)
+    ]
 
     member_results = []
     for label, sym in substituted:
@@ -796,38 +784,34 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     checks.append(
         {
             "name": "substituted-generators-annihilate",
-            "pass": all(m["in_kernel"] for m in member_results)
-            if member_results
-            else True,
+            "pass": all(m["in_kernel"] for m in member_results),
             "count": len(member_results),
         }
     )
 
-    d2 = compute_annihilator_piece(tower, 2, kmax, sorted(preservers))
-    pure2 = d2.pure_basis()
-    pred2 = _pure_span(predicted2, preservers)
+    d2, dim_computed, dim_predicted, equal = _compare_with_prediction(
+        tower, 2, kmax, predicted2
+    )
     checks.append(
         {
             "name": "degree2-kernel-inside-ideal",
-            "pass": span_equal(pure2, pred2),
-            "dims": {"computed_pure": pure2.dim, "predicted_pure": pred2.dim},
+            "pass": equal,
+            "dims": {"computed_pure": dim_computed, "predicted_pure": dim_predicted},
         }
     )
-
+    stab = {"degree2": d2.stabilized}
     if kmax >= 3:
-        d3 = compute_annihilator_piece(tower, 3, kmax, sorted(preservers))
-        pure3 = d3.pure_basis()
-        pred3 = _pure_span(predicted3, preservers)
+        d3, dim_computed, dim_predicted, equal = _compare_with_prediction(
+            tower, 3, kmax, predicted3
+        )
         checks.append(
             {
                 "name": "degree3-kernel-matches-ideal",
-                "pass": span_equal(pure3, pred3),
-                "dims": {"computed_pure": pure3.dim, "predicted_pure": pred3.dim},
+                "pass": equal,
+                "dims": {"computed_pure": dim_computed, "predicted_pure": dim_predicted},
             }
         )
-        stab = {"degree2": d2.stabilized, "degree3": d3.stabilized}
-    else:
-        stab = {"degree2": d2.stabilized}
+        stab["degree3"] = d3.stabilized
 
     return {
         "cfg": cfg.short(),

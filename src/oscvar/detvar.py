@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import EchelonBasis, kernel_of_map, span_equal
 from .osc import Config
@@ -53,31 +54,19 @@ def _is_extended(space: Space) -> bool:
 
 def phi_x(cfg: Config, p: Poly) -> Poly:
     """Evaluation z_{j,i} -> x_i x_j on the restricted ring."""
-    return _phi_pair(cfg, p, use_x=True)
+    return _phi_pair(cfg, p, "x")
 
 
 def phi_y(cfg: Config, p: Poly) -> Poly:
     """Evaluation z_{j,i} -> y_i y_j on the restricted ring."""
-    return _phi_pair(cfg, p, use_x=False)
+    return _phi_pair(cfg, p, "y")
 
 
-def _phi_pair(cfg: Config, p: Poly, use_x: bool) -> Poly:
+def _phi_pair(cfg: Config, p: Poly, evaluation: str) -> Poly:
     sp = p.space
     if sp.kind != "z" or _is_extended(sp):
         raise ValueError("phi_x/phi_y expect the restricted z ring")
-    target = xy_space(cfg.n)
-    images = {}
-    for j in sp.rows:
-        for i in sp.cols:
-            m = [0] * target.nvars
-            if use_x:
-                m[target.x(i)] = 1
-                m[target.x(j)] = 1
-            else:
-                m[target.y(i)] = 1
-                m[target.y(j)] = 1
-            images[sp.z(j, i)] = Poly.monomial(target, m)
-    return p.substitute(images, target)
+    return p.substitute(_z_images(cfg.n, sp, evaluation), xy_space(cfg.n))
 
 
 def phi(cfg: Config, p: Poly) -> Poly:
@@ -85,27 +74,38 @@ def phi(cfg: Config, p: Poly) -> Poly:
     sp = p.space
     if sp.kind != "z":
         raise ValueError("phi expects a z ring")
-    target = xy_space(cfg.n)
+    return p.substitute(_z_images(cfg.n, sp, "phi"), xy_space(cfg.n))
+
+
+@lru_cache(maxsize=None)
+def _z_images(n: int, ring: Space, evaluation: str) -> dict:
+    """Images in xy_space(n) of the z variables of ``ring``, by position,
+    under ``evaluation``: "x" or "y" (phi_x, phi_y) or "phi".  The images
+    depend only on these three, so each table is built once and shared;
+    ``Poly.substitute`` only reads it."""
+    target = xy_space(n)
+
+    def mono(*positions) -> tuple:
+        m = [0] * target.nvars
+        for pos in positions:
+            m[pos] = 1
+        return tuple(m)
+
     images = {}
-    for j in sp.rows:
-        for i in sp.cols:
-            if (j, i) in sp.excluded:
+    for j in ring.rows:
+        for i in ring.cols:
+            if (j, i) in ring.excluded:
                 continue
-            if j == cfg.n + 1:
-                images[sp.z(j, i)] = Poly.variable(target, target.x(i))
-            elif i == 0:
-                images[sp.z(j, i)] = Poly.variable(target, target.y(j))
+            if evaluation == "phi" and j == n + 1:
+                terms = {mono(target.x(i)): 1}
+            elif evaluation == "phi" and i == 0:
+                terms = {mono(target.y(j)): 1}
             else:
-                m1 = [0] * target.nvars
-                m1[target.x(i)] = 1
-                m1[target.x(j)] = 1
-                m2 = [0] * target.nvars
-                m2[target.y(i)] = 1
-                m2[target.y(j)] = 1
-                images[sp.z(j, i)] = Poly(
-                    target, {tuple(m1): 1, tuple(m2): -1}
-                )
-    return p.substitute(images, target)
+                xx = mono(target.x(i), target.x(j))
+                yy = mono(target.y(i), target.y(j))
+                terms = {"x": {xx: 1}, "y": {yy: 1}, "phi": {xx: 1, yy: -1}}[evaluation]
+            images[ring.z(j, i)] = Poly(target, terms)
+    return images
 
 
 def minor_generators(space: Space, t: int, rows=None, cols=None) -> list[Poly]:

@@ -239,10 +239,9 @@ class EchelonBasis:
 
 
 def span_equal(a: EchelonBasis, b: EchelonBasis) -> bool:
-    """Exact two-sided span equality."""
-    if a.dim != b.dim:
-        return False
-    return b.contains_span(a) and a.contains_span(b)
+    """Exact span equality.  Stored rows have distinct pivots, so ``dim``
+    is the rank, and equal ranks plus one containment suffice."""
+    return a.dim == b.dim and b.contains_span(a)
 
 
 def echelon_from(space: Space | None, polys: Iterable) -> EchelonBasis:

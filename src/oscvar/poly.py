@@ -231,7 +231,8 @@ class Poly:
         return hash((self.space, frozenset(self.terms.items())))
 
     def _check(self, other: "Poly"):
-        if self.space != other.space:
+        # spaces come from cached constructors: identity is the common case
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("polynomials live in different spaces")
 
     # -- arithmetic ----------------------------------------------------
@@ -295,7 +296,8 @@ class Poly:
         passthrough = {}
         for pos in range(n_src):
             if pos in images:
-                if images[pos].space != target:
+                space = images[pos].space
+                if space is not target and space != target:
                     raise SpaceMismatchError("image not in target space")
             else:
                 name = self.space.names[pos]

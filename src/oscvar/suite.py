@@ -64,6 +64,10 @@ VERDICTS = {
     "minor2-family-exactness": lambda rep: (
         rep["exact_mod_degree1"] and rep["all_member"] and rep["i1_equal"]
     ),
+    "minor3-case-membership": lambda rep: rep["all_cases_pass"] and rep["i1_equal"],
+    "minor3-family-exactness": lambda rep: (
+        rep["exact_mod_lower"] and rep["all_cases_pass"] and rep["i1_equal"]
+    ),
     "hilbert-growth-degree": lambda rep: (
         rep["estimate"] == rep["expected"] and rep["confident"]
     ),
@@ -325,39 +329,22 @@ def check_degree2_kernels(matrix) -> list[CheckRecord]:
     return _per_config("degree2-kernel", "minor2-family-exactness", matrix, run)
 
 
-def check_degree3_cases(params, kmax, identity_maxdeg) -> CheckRecord:
-    t0 = time.time()
-    cfg = Config(*params)
-    tower = build_tower(cfg, kmax, "explicit")
-    i1 = degree1_report(tower, kmax)
-    rep = verify_degree3(tower, kmax, identity_maxdeg=identity_maxdeg, i1=i1)
-    return _record(
-        f"degree3-cases{params}",
-        "minor3-case-membership",
-        rep["all_cases_pass"] and rep["i1_equal"],
-        {"kmax": kmax, "cases": rep["cases"]},
-        t0,
-    )
+def check_degree3(name, anchor, matrix, identity_maxdeg) -> list[CheckRecord]:
+    """The 3x3 minor cases (``minor3-case-membership``) or, in addition,
+    degree-3 exactness modulo the lower ideal (``minor3-family-exactness``)."""
+    def run(cfg, kmax):
+        tower = build_tower(cfg, kmax, "explicit")
+        rep = verify_degree3(tower, kmax, identity_maxdeg, degree1_report(tower, kmax))
+        payload = {"cases": rep["cases"]}
+        if anchor == "minor3-family-exactness":
+            payload = {
+                "pure_computed": rep["dim_pure_computed"],
+                "pure_predicted": rep["dim_pure_predicted"],
+                **payload,
+            }
+        return rep, payload
 
-
-def check_degree3_exactness(params, kmax) -> CheckRecord:
-    t0 = time.time()
-    cfg = Config(*params)
-    tower = build_tower(cfg, kmax, "explicit")
-    i1 = degree1_report(tower, kmax)
-    rep = verify_degree3(tower, kmax, identity_maxdeg=3, i1=i1)
-    return _record(
-        f"degree3-exactness{params}",
-        "minor3-family-exactness",
-        rep["exact_mod_lower"] and rep["all_cases_pass"] and rep["i1_equal"],
-        {
-            "kmax": kmax,
-            "pure_computed": rep["dim_pure_computed"],
-            "pure_predicted": rep["dim_pure_predicted"],
-            "cases": rep["cases"],
-        },
-        t0,
-    )
+    return _per_config(name, anchor, matrix, run)
 
 
 def check_degree3_identity_supplement(params, maxdeg) -> CheckRecord:
@@ -516,8 +503,10 @@ CRITERIA = (
         ]),
     )),
     Criterion(10, "degree3", "degree-3 annihilator", 1800, (
-        partial(check_degree3_cases, (6, 2, 4, -1, -1), 3, 4),
-        partial(check_degree3_exactness, (5, 2, 3, -1, -1), 3),
+        partial(check_degree3, "degree3-cases", "minor3-case-membership",
+                [((6, 2, 4, -1, -1), 3)], 4),
+        partial(check_degree3, "degree3-exactness", "minor3-family-exactness",
+                [((5, 2, 3, -1, -1), 3)], 3),
         partial(check_degree3_identity_supplement, (6, 2, 3), 4),
         partial(check_degree3_case6_supplement, (5, 1, 4, -1, -1), 3),
     )),

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from oscvar.annihilator import (
     ShallowSystemError,
+    _compare_with_prediction,
     _level_rows,
     _stacked_columns,
+    _sym_mul_family,
     apply_sym,
     apply_sym_monomial,
     cartan_combination,
     classify_minor3,
     compute_annihilator_piece,
     degree1_report,
+    degree2_families,
     delta_ops,
     expected_gkdim,
     gen_index_map,
@@ -256,6 +259,74 @@ def test_split_piece_equals_full_solve(tower_kmax, p):
     assert fast.dim == full.dim
     assert fast.stabilized == full.stabilized
     assert span_equal(_span_of(fast), _span_of(full))
+
+
+def _rank(syms) -> int:
+    return echelon_from(None, [dict(s) for s in syms]).dim
+
+
+def _real_family(cfg, p):
+    """The predicted degree-p family and its lower part, as the checks use them."""
+    if p == 2:
+        return [op.terms for op in degree2_families(cfg)["direct"]], []
+    minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
+    lower = _sym_mul_family([op.terms for op in minor2], cfg)
+    return [op.terms for op in delta_ops(cfg, "minor3")], lower
+
+
+@settings(max_examples=40, **_PROPERTY)
+@given(
+    supported_towers(max_n=4), st.integers(2, 3), st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
+    # oracle: the kernel solved with no preserver claimed, compared with the
+    # prediction plus every monomial containing a granted split symbol;
+    # spans are compared by ranks alone, not through span_equal
+    tower, kmax = tower_kmax
+    assume(p <= kmax)
+    cfg = tower.cfg
+    if cut:
+        # a new row dropped from the top level: the certificate then grants
+        # less than the claim, and the comparison must quotient by less
+        top, below = tower.levels[kmax - 1].rows, tower.levels[kmax - 2].rows
+        new = [m for m in top if m not in below]
+        assume(new)
+        del top[rng.choice(new)]
+    kernel = compute_annihilator_piece(tower, p, kmax).basis_sym()
+    claimed = set(predicted_level_preservers(cfg))
+    monos = list(itertools.combinations_with_replacement(range(len(generators(cfg.n))), p))
+    strays = [{m: 1} for m in monos if claimed.isdisjoint(m)]  # never split off
+
+    def combos(count, stray):
+        out = []
+        for _ in range(count):
+            sym: dict = {}
+            for v in rng.sample(kernel, min(len(kernel), rng.randint(1, 3))):
+                axpy(sym, rng.randint(-2, 2), v)
+            if strays and rng.random() < stray:
+                axpy(sym, rng.randint(1, 2), rng.choice(strays))
+            if sym:
+                out.append(sym)
+        return out
+
+    mode = rng.randrange(4)
+    if mode == 0:
+        predicted, lower = _real_family(cfg, p)
+    else:
+        # the whole kernel, the kernel without its last vector, or strays
+        predicted = kernel if mode == 1 else kernel[:-1] if mode == 2 else combos(4, 0.5)
+        lower = combos(rng.randint(0, 2), 0.5)
+    piece, dim_computed, dim_predicted, equal = _compare_with_prediction(
+        tower, p, kmax, predicted, lower
+    )
+    split = set(piece.split_symbols)
+    members = [{m: 1} for m in monos if not split.isdisjoint(m)]
+    assert dim_computed == _rank(kernel) - len(members)
+    assert dim_predicted == _rank(predicted + lower + members) - len(members)
+    full = _rank(kernel + lower)
+    want = _rank(predicted + lower + members)
+    assert equal == (full == want == _rank(kernel + lower + predicted + members))
 
 
 def _columns_one_monomial_at_a_time(tower, monos, levels, gens):

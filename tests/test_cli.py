@@ -199,6 +199,27 @@ def test_annihilator_degree2_verdict_matches_the_suite(capsys, monkeypatch):
     assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "fail"]
 
 
+@pytest.mark.parametrize(
+    "n1, n2, l1, l2, statuses",
+    [
+        # the J3 x J2 minor annihilates only squared: no two-sided check exists
+        (1, 3, 1, -1, ["skipped"]),
+        # the other sign, and a layout whose power family is empty
+        (1, 3, -1, 1, ["pass"] * 4),
+        (2, 4, 1, -1, ["pass"] * 4),
+    ],
+)
+def test_minor_annihilating_only_as_a_power_is_skipped(capsys, n1, n2, l1, l2, statuses):
+    code, out, _ = run_cli(
+        capsys, "verify-main-theorem", "--n", "5", "--n1", str(n1), "--n2", str(n2),
+        "--l1", str(l1), "--l2", str(l2), "--kmax", "3",
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == statuses
+    assert all("power" in c["reason"] for c in checks if c["status"] == "skipped")
+
+
 def test_internal_error_is_not_reported_as_skipped(capsys, monkeypatch):
     import oscvar.annihilator
 
