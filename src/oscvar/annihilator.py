@@ -721,9 +721,15 @@ def _theorem_regime(cfg: Config) -> str:
                 "two-sided degree check"
             )
         return "negative"
-    if cfg.n2 == cfg.n:
-        return "positive-full"
-    raise OutOfTheoremError(f"{cfg.short()} is outside the presentation theorem")
+    if cfg.n2 != cfg.n:
+        raise OutOfTheoremError(f"{cfg.short()} is outside the presentation theorem")
+    if cfg.n1 + 1 < cfg.n2:
+        raise OutOfTheoremError(
+            "positive regime with a middle block wider than one is "
+            "certified only through minor powers; not implemented as a "
+            "two-sided degree check"
+        )
+    return "positive-full"
 
 
 def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
@@ -765,12 +771,6 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         ]
     elif regime == "equal-blocks":
         minor3 = delta_ops(cfg, "minor3-J3J1")
-    elif cfg.n1 + 1 < cfg.n2:  # positive-full
-        raise OutOfTheoremError(
-            "positive regime with a middle block wider than one is "
-            "certified only through minor powers; not implemented as a "
-            "two-sided degree check"
-        )
     predicted2 = [op.terms for op in minor2]
     predicted3 = [op.terms for op in minor3] + _sym_mul_family(predicted2, cfg)
     substituted = [(op.label(), op.terms) for op in minor3 + minor2] + [

@@ -17,6 +17,17 @@ restricted matrix; the kernel of phi is the ideal of 3x3 minors of the
 extended matrix.  Both statements are verified degree by degree by exact
 rank computations.
 
+The evaluations are ring homomorphisms, so an ``Evaluation`` computes the
+image of a monomial m as image(m - e_v) * image(z_v), with v the last
+nonzero position of m, one term-by-term product per call.  It memoizes
+the heads m - e_v it computes along the way, never the images callers
+ask for: a degree-k check then holds images of degree < k only, and the
+G-set check only the proper prefixes of its G-monomials, which bounds the
+memo without a size knob.  Each verification builds its evaluations once
+and drops them when it returns; ``phi``, ``phi_x`` and ``phi_y`` build a
+fresh one per call.  The kernels read the images through a sized lazy
+view (``_Images``), so each is built when elimination reaches it.
+
 A multiset of index pairs contains a 3-chain when some triple is strictly
 increasing in both coordinates; monomials whose full pair multiset is
 3-chain-free (the G-sets below) map to linearly independent polynomials
@@ -30,8 +41,9 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
-from .linalg import EchelonBasis, kernel_of_map, span_equal
+from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config
 from .poly import Poly, Space, add_term, axpy, monomials, xy_space, z_space
 
@@ -52,29 +64,68 @@ def _is_extended(space: Space) -> bool:
     return 0 in space.cols
 
 
+class Evaluation:
+    """phi, phi_x or phi_y on one z ring, as a homomorphism on monomials.
+
+    ``evaluation`` is "x" or "y" (phi_x, phi_y; restricted ring only) or
+    "phi".  ``self(m)`` is the term dict, in xy_space(n), of the image of
+    the exponent tuple ``m``: image(m - e_v) times image(z_v), with v the
+    last nonzero position of m.  The images of those heads are memoized;
+    the images callers ask for are not (see the module docstring), so each
+    call returns a fresh dict.
+    """
+
+    __slots__ = ("target", "_var", "_memo")
+
+    def __init__(self, n: int, ring: Space, evaluation: str):
+        if ring.kind != "z":
+            raise ValueError("evaluations expect a z ring")
+        if evaluation != "phi" and _is_extended(ring):
+            raise ValueError("phi_x/phi_y expect the restricted z ring")
+        self.target = xy_space(n)
+        images = _z_images(n, ring, evaluation)
+        self._var = [list(images[pos].terms.items()) for pos in range(ring.nvars)]
+        self._memo: dict = {}
+
+    def __call__(self, m: tuple) -> dict:
+        v = len(m) - 1
+        while v >= 0 and not m[v]:
+            v -= 1
+        if v < 0:
+            return {(0,) * self.target.nvars: 1}
+        head = m[:v] + (m[v] - 1,) + m[v + 1 :]
+        if not any(head):
+            return dict(self._var[v])
+        image = self._memo.get(head)
+        if image is None:
+            image = self._memo[head] = self(head)
+        out: dict = {}
+        for m2, c2 in self._var[v]:
+            for m1, c1 in image.items():
+                add_term(out, tuple(map(add, m1, m2)), c1 * c2)
+        return out
+
+    def apply(self, p: Poly) -> Poly:
+        """The image of a polynomial of the ring."""
+        out: dict = {}
+        for m, c in p.terms.items():
+            axpy(out, c, self(m))
+        return Poly(self.target, out)
+
+
 def phi_x(cfg: Config, p: Poly) -> Poly:
     """Evaluation z_{j,i} -> x_i x_j on the restricted ring."""
-    return _phi_pair(cfg, p, "x")
+    return Evaluation(cfg.n, p.space, "x").apply(p)
 
 
 def phi_y(cfg: Config, p: Poly) -> Poly:
     """Evaluation z_{j,i} -> y_i y_j on the restricted ring."""
-    return _phi_pair(cfg, p, "y")
-
-
-def _phi_pair(cfg: Config, p: Poly, evaluation: str) -> Poly:
-    sp = p.space
-    if sp.kind != "z" or _is_extended(sp):
-        raise ValueError("phi_x/phi_y expect the restricted z ring")
-    return p.substitute(_z_images(cfg.n, sp, evaluation), xy_space(cfg.n))
+    return Evaluation(cfg.n, p.space, "y").apply(p)
 
 
 def phi(cfg: Config, p: Poly) -> Poly:
     """Combined evaluation on the extended ring."""
-    sp = p.space
-    if sp.kind != "z":
-        raise ValueError("phi expects a z ring")
-    return p.substitute(_z_images(cfg.n, sp, "phi"), xy_space(cfg.n))
+    return Evaluation(cfg.n, p.space, "phi").apply(p)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +133,7 @@ def _z_images(n: int, ring: Space, evaluation: str) -> dict:
     """Images in xy_space(n) of the z variables of ``ring``, by position,
     under ``evaluation``: "x" or "y" (phi_x, phi_y) or "phi".  The images
     depend only on these three, so each table is built once and shared;
-    ``Poly.substitute`` only reads it."""
+    ``Evaluation`` reads its term dicts and never modifies them."""
     target = xy_space(n)
 
     def mono(*positions) -> tuple:
@@ -202,7 +253,8 @@ class GMonomial:
             + tuple((j, 0) for j in self.y_part)
         )
 
-    def to_poly(self, space: Space) -> Poly:
+    def exponents(self, space: Space) -> tuple:
+        """The exponent tuple of this monomial in the extended ring."""
         n_plus = max(space.rows)
         m = [0] * space.nvars
         for i in self.x_part:
@@ -211,7 +263,7 @@ class GMonomial:
             m[space.z(j, 0)] += 1
         for j, i in self.z_part:
             m[space.z(j, i)] += 1
-        return Poly.monomial(space, m)
+        return tuple(m)
 
 
 def _sub_multisets(ms: tuple, k: int):
@@ -275,10 +327,6 @@ def enumerate_gset(
 # ---------------------------------------------------------------------------
 
 
-def _degree_monomials(space: Space, r: int) -> list[Poly]:
-    return [Poly.monomial(space, m) for m in monomials(space.nvars, (r,))]
-
-
 def _ideal_piece(space: Space, gens: list[Poly], degree: int) -> EchelonBasis:
     """Echelon basis of the degree-``degree`` piece of the ideal generated
     by homogeneous ``gens`` (generator times complementary monomial)."""
@@ -287,19 +335,35 @@ def _ideal_piece(space: Space, gens: list[Poly], degree: int) -> EchelonBasis:
         d = g.total_degree()
         if d > degree:
             continue
-        for m in _degree_monomials(space, degree - d):
-            basis.insert(g * m)
+        for m in monomials(space.nvars, (degree - d,)):
+            basis.insert(g * Poly.monomial(space, m))
     return basis
 
 
-def _kernel_basis(space: Space, domain: list[Poly], image_of) -> EchelonBasis:
-    vectors = kernel_of_map(domain, image_of)
+class _Images:
+    """The images of ``domain`` under ``evaluate``, each built when
+    elimination reaches it, so no list of all images is ever held.  Sized,
+    like the list it stands for."""
+
+    __slots__ = ("domain", "evaluate")
+
+    def __init__(self, domain: list, evaluate):
+        self.domain = domain
+        self.evaluate = evaluate
+
+    def __len__(self):
+        return len(self.domain)
+
+    def __iter__(self):
+        return map(self.evaluate, self.domain)
+
+
+def _kernel_basis(space: Space, domain: list, evaluate: Evaluation) -> EchelonBasis:
+    """Echelon basis of the kernel of ``evaluate`` on the span of the
+    exponent tuples ``domain``."""
     basis = EchelonBasis(space)
-    for vec in vectors:
-        acc: dict = {}
-        for idx, c in vec.items():
-            axpy(acc, c, domain[idx].terms)
-        basis.insert(acc)
+    for vec in kernel_of_columns(_Images(domain, evaluate)):
+        basis.insert({domain[idx]: c for idx, c in vec.items()})
     return basis
 
 
@@ -307,12 +371,14 @@ def verify_minor2_kernel(cfg: Config, rmax: int) -> dict:
     """Degreewise check that ker phi_x = ker phi_y = the 2-minor ideal."""
     sp = restricted_ring(cfg)
     minors = minor_generators(sp, 2)
+    ev_x = Evaluation(cfg.n, sp, "x")
+    ev_y = Evaluation(cfg.n, sp, "y")
     per_degree = []
     for r in range(rmax + 1):
-        domain = _degree_monomials(sp, r)
+        domain = list(monomials(sp.nvars, (r,)))
         ideal = _ideal_piece(sp, minors, r)
-        kx = _kernel_basis(sp, domain, lambda p: phi_x(cfg, p))
-        ky = _kernel_basis(sp, domain, lambda p: phi_y(cfg, p))
+        kx = _kernel_basis(sp, domain, ev_x)
+        ky = _kernel_basis(sp, domain, ev_y)
         per_degree.append(
             {
                 "degree": r,
@@ -336,11 +402,12 @@ def verify_minor3_kernel(cfg: Config, kmax: int) -> dict:
     matrix."""
     sp = extended_ring(cfg)
     minors = minor_generators(sp, 3)
+    ev = Evaluation(cfg.n, sp, "phi")
     per_degree = []
     for k in range(kmax + 1):
-        domain = _degree_monomials(sp, k)
+        domain = list(monomials(sp.nvars, (k,)))
         ideal = _ideal_piece(sp, minors, k)
-        kern = _kernel_basis(sp, domain, lambda p: phi(cfg, p))
+        kern = _kernel_basis(sp, domain, ev)
         per_degree.append(
             {
                 "degree": k,
@@ -362,6 +429,7 @@ def verify_gset_independence(cfg: Config, total_bound: int) -> dict:
     """rank(phi(G-set)) = |G-set| for every factor-count split and every
     index multiset pair within the bound."""
     sp = extended_ring(cfg)
+    ev = Evaluation(cfg.n, sp, "phi")
     checked = 0
     nonempty = 0
     failures = []
@@ -382,7 +450,7 @@ def verify_gset_independence(cfg: Config, total_bound: int) -> dict:
                         nonempty += 1
                         basis = EchelonBasis(xy_space(cfg.n))
                         rank = sum(
-                            basis.insert(phi(cfg, g.to_poly(sp))) for g in gset
+                            basis.insert(ev(g.exponents(sp))) for g in gset
                         )
                         if rank != len(gset):
                             failures.append(

@@ -373,6 +373,8 @@ def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBas
             # n1 = n2 product spans: S_j = S_{j-1} + M_0 * P^j
             basis = built[-1].copy() if built else EchelonBasis(cfg.space)
             prods = _pset_products(cfg, j, cache)
+            # size j-1 served level j-1 and size j; no level reads it again
+            cache.pop(j - 1, None)
             for b in cache["base"]:
                 for p in prods:
                     basis.insert(b * p)

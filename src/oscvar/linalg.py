@@ -9,9 +9,9 @@ on insertion (that keeps them sparse); the fully reduced canonical rows,
 which are independent of insertion order, are computed on demand by
 ``canonical_rows``.
 
-``kernel_of_map`` performs the dual computation: exact row reduction of an
-image matrix with combination tracking, emitting a basis of the kernel in
-coefficient space.
+``kernel_of_columns`` performs the dual computation: exact row reduction
+of an image matrix with combination tracking, emitting a basis of the
+kernel in coefficient space.
 
 ``_eliminate`` is the one elimination step, shared by ``insert``,
 ``contains``, ``reduce_scaled``, ``canonical_rows`` and
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .poly import Poly, Space, SpaceMismatchError, axpy, order_key
 
@@ -250,11 +250,13 @@ def echelon_from(space: Space | None, polys: Iterable) -> EchelonBasis:
     return basis
 
 
-def kernel_of_columns(columns: Sequence[dict]) -> list[dict]:
-    """Kernel of the matrix whose j-th column is ``columns[j]``.
+def kernel_of_columns(columns: Iterable[dict]) -> list[dict]:
+    """Kernel of the matrix whose j-th column is the j-th of ``columns``.
 
     Columns are sparse dicts over equal-length tuple (or comparable) keys
-    with int or Fraction values.  Returns primitive integer vectors c (as
+    with int or Fraction values.  They are read once, in order, and never
+    modified, so ``columns`` may be a lazy view that builds each column
+    when elimination reaches it.  Returns primitive integer vectors c (as
     sparse dicts {column index: coeff}) with sum_j c_j col_j = 0, in a
     deterministic order, computed by exact row reduction with combination
     tracking.
@@ -287,15 +289,3 @@ def kernel_of_columns(columns: Sequence[dict]) -> list[dict]:
         else:
             kernel.append(_primitive(track, max(track)))
     return kernel
-
-
-def kernel_of_map(
-    domain: Sequence[Poly], image_of: Callable[[Poly], Poly]
-) -> list[dict]:
-    """Kernel of a linear map given by images of a finite domain basis.
-
-    Returns primitive integer coefficient vectors c (as sparse dicts
-    {domain index: coeff}) with image_of(sum c_i domain[i]) = 0.  The
-    caller asserts linearity of ``image_of`` on the span.
-    """
-    return kernel_of_columns([image_of(b).terms for b in domain])

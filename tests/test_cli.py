@@ -220,6 +220,24 @@ def test_minor_annihilating_only_as_a_power_is_skipped(capsys, n1, n2, l1, l2, s
     assert all("power" in c["reason"] for c in checks if c["status"] == "skipped")
 
 
+def test_wide_middle_positive_regime_is_skipped_before_any_tower(capsys, monkeypatch):
+    # outside the theorem at every depth, so this skip wins over a shallow kmax
+    import oscvar.annihilator
+
+    def no_tower(*args):
+        raise AssertionError("tower built for a configuration outside the theorem")
+
+    monkeypatch.setattr(oscvar.annihilator, "build_tower", no_tower)
+    code, out, _ = run_cli(
+        capsys, "verify-main-theorem", "--n", "5", "--n1", "1", "--n2", "5",
+        "--l1", "1", "--l2", "1", "--kmax", "1",
+    )
+    assert code == 0
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "skipped"
+    assert "middle block wider than one" in check["reason"]
+
+
 def test_internal_error_is_not_reported_as_skipped(capsys, monkeypatch):
     import oscvar.annihilator
 

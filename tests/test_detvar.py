@@ -2,11 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscvar.detvar import (
+    Evaluation,
     GMonomial,
+    _Images,
     enumerate_gset,
     extended_ring,
     has_3chain,
@@ -19,8 +25,9 @@ from oscvar.detvar import (
     verify_minor2_kernel,
     verify_minor3_kernel,
 )
+from oscvar.linalg import kernel_of_columns
 from oscvar.osc import Config
-from oscvar.poly import Poly, parse_poly
+from oscvar.poly import Poly, monomials, parse_poly, xy_space
 
 CFG = Config(5, 2, 3)  # J1 = {1,2}, J3 = {4,5}
 ZR = restricted_ring(CFG)
@@ -167,3 +174,117 @@ def test_gset_independence_small():
     rep = verify_gset_independence(CFG, 3)
     assert rep["all_independent"]
     assert rep["tuples_nonempty"] > 0
+
+
+# -- the memoized evaluation against sympy -------------------------------------
+
+_PROPERTY = dict(deadline=None, derandomize=True, database=None)
+_XY = {name: sympy.Symbol(name) for name in xy_space(CFG.n).names}
+# (evaluation, ring) pairs: phi_x and phi_y live on the restricted ring only
+_CASES = [("x", ZR), ("y", ZR), ("phi", EXT)]
+_PUBLIC = {"x": phi_x, "y": phi_y, "phi": phi}
+
+
+def _z_image(evaluation, name):
+    """The image of one z variable, written from the definitions alone."""
+    j, i = map(int, name[1:].split("_"))
+    x, y = (lambda a: _XY[f"x{a}"]), (lambda a: _XY[f"y{a}"])
+    if evaluation == "x":
+        return x(i) * x(j)
+    if evaluation == "y":
+        return y(i) * y(j)
+    if j == CFG.n + 1:
+        return x(i)
+    if i == 0:
+        return y(j)
+    return x(i) * x(j) - y(i) * y(j)
+
+
+def _sym(terms, images):
+    """sum of c * prod(images[v] ** m[v]) over the terms, in sympy."""
+    return sympy.Add(
+        *[
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.Mul(*[img**e for img, e in zip(images, m)])
+            for m, c in terms.items()
+        ]
+    )
+
+
+def _matches(evaluation, ring, got: Poly, terms) -> bool:
+    assert got.space is xy_space(CFG.n)
+    assert all(got.terms.values()), "a zero coefficient is stored"
+    want = _sym(terms, [_z_image(evaluation, name) for name in ring.names])
+    return sympy.expand(_sym(got.terms, list(_XY.values())) - want) == 0
+
+
+_COEFF = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+
+
+def _zpolys(ring):
+    """Term dicts of z-polynomials of degree <= 4 in ``ring``."""
+
+    def exponents(positions):
+        m = [0] * ring.nvars
+        for pos in positions:
+            m[pos] += 1
+        return tuple(m)
+
+    mono = st.lists(st.integers(0, ring.nvars - 1), max_size=4).map(exponents)
+    return st.dictionaries(mono, _COEFF, min_size=1, max_size=4)
+
+
+@settings(max_examples=40, **_PROPERTY)
+@given(st.sampled_from(_CASES).flatmap(lambda c: st.tuples(st.just(c), _zpolys(c[1]))))
+def test_evaluations_agree_with_sympy(case):
+    (evaluation, ring), terms = case
+    got = _PUBLIC[evaluation](CFG, Poly(ring, terms))
+    assert _matches(evaluation, ring, got, terms)
+
+
+@settings(max_examples=15, **_PROPERTY)
+@given(
+    st.sampled_from(_CASES).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(_zpolys(c[1]), min_size=1, max_size=4))
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_shared_evaluation_agrees_in_any_order(case, rng):
+    # one evaluator across calls, so later calls hit what earlier ones memoized
+    (evaluation, ring), polys = case
+    ev = Evaluation(CFG.n, ring, evaluation)
+    calls = polys * 2
+    rng.shuffle(calls)
+    for terms in calls:
+        assert _matches(evaluation, ring, ev.apply(Poly(ring, terms)), terms)
+
+
+@pytest.mark.parametrize("evaluation, ring", _CASES, ids=["phi_x", "phi_y", "phi"])
+def test_memo_holds_only_proper_prefixes(evaluation, ring):
+    ev = Evaluation(CFG.n, ring, evaluation)
+    for k in range(1, 5):
+        for m in monomials(ring.nvars, (k,)):
+            ev(m)
+        assert all(sum(key) < k for key in ev._memo)
+        if k >= 2:
+            assert any(sum(key) == k - 1 for key in ev._memo)
+
+
+@settings(max_examples=30, **_PROPERTY)
+@given(
+    st.sampled_from(_CASES),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_over_the_sized_view_equals_the_list(case, degree, rng):
+    evaluation, ring = case
+    domain = list(monomials(ring.nvars, (degree,)))
+    domain = rng.sample(domain, rng.randint(1, len(domain)))
+    view = _Images(domain, Evaluation(CFG.n, ring, evaluation))
+    images = [Evaluation(CFG.n, ring, evaluation)(m) for m in domain]
+    assert len(view) == len(images)
+    assert list(view) == images  # re-iterable, same columns in the same order
+    assert kernel_of_columns(view) == kernel_of_columns(images)
