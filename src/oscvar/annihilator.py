@@ -51,7 +51,7 @@ from .detvar import _perm_sign
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
-from .poly import Poly, add_term, axpy, monomials
+from .poly import Poly, add_term, axpy, monomials, order_key
 
 SymTerms = dict  # {ascending tuple of generator indices: coefficient}
 
@@ -141,7 +141,7 @@ def act(sym: SymTerms, tower: FiltrationTower, k: int) -> list[Poly]:
     gens = generators(cfg.n)
     target = tower.levels[k + p - 1]
     out = []
-    for piv in sorted(tower.levels[k].rows, key=lambda m: (sum(m), m), reverse=True):
+    for piv in sorted(tower.levels[k].rows, key=order_key, reverse=True):
         img = apply_sym(cfg, sym, tower.levels[k].rows[piv], gens)
         out.append(target.reduce(Poly(cfg.space, img)))
     return out
@@ -160,7 +160,7 @@ def _level_rows(tower: FiltrationTower, k: int) -> list:
     else:
         prev = tower.levels[k - 1].rows
         keys = [m for m in rows if m not in prev]
-    keys.sort(key=lambda m: (sum(m), m), reverse=True)
+    keys.sort(key=order_key, reverse=True)
     return [rows[m] for m in keys]
 
 

@@ -281,21 +281,22 @@ def _sub_multisets(ms: tuple, k: int):
         yield sub, tuple(rest)
 
 
-def _pairings(rows: tuple, cols: tuple):
-    """Distinct multisets of (row, col) pairs matching the two multisets."""
+def _pairings(rows: tuple, cols: tuple, low=None):
+    """Distinct multisets of (row, col) pairs matching the two sorted
+    multisets, each once and as a sorted tuple.  A row equal to the one
+    before it takes only columns >= ``low``, that row's column."""
     if not rows:
         yield ()
         return
     r = rows[0]
     rest_rows = rows[1:]
-    used = set()
+    repeat = rest_rows[:1] == (r,)
     for pos, c in enumerate(cols):
-        if c in used:
+        if (low is not None and c < low) or (pos and c == cols[pos - 1]):
             continue
-        used.add(c)
         rest_cols = cols[:pos] + cols[pos + 1 :]
-        for tail in _pairings(rest_rows, rest_cols):
-            yield tuple(sorted(((r, c),) + tail))
+        for tail in _pairings(rest_rows, rest_cols, c if repeat else None):
+            yield ((r, c),) + tail
 
 
 def enumerate_gset(
@@ -308,14 +309,10 @@ def enumerate_gset(
     if len(I1) != k1 + k3 or len(I3) != k2 + k3:
         raise ValueError("index multiset sizes must be (k1+k3, k2+k3)")
     out = []
-    seen = set()
     for x_part, z_cols in _sub_multisets(I1, k1):
         for y_part, z_rows in _sub_multisets(I3, k2):
             for z_part in _pairings(z_rows, z_cols):
                 g = GMonomial(x_part, y_part, z_part)
-                if g in seen:
-                    continue
-                seen.add(g)
                 if not has_3chain(g.index_pairs(cfg.n)):
                     out.append(g)
     out.sort(key=lambda g: (g.x_part, g.y_part, g.z_part))

@@ -426,8 +426,10 @@ def build_tower(cfg: Config, kmax: int, method: str = "explicit") -> FiltrationT
 def compare_towers(cfg: Config, kmax: int) -> dict:
     """Brute-force vs explicit towers: exact two-sided equality per level.
 
-    This is the dual-route oracle for the filtration description; the two
-    constructions share no code beyond the base space.
+    This is the dual-route oracle for the filtration description.  The two
+    constructions share the base space, ``poly``, ``linalg`` and the Weyl-term
+    applier of ``osc`` (the generators on one side, T on the other); the
+    operators themselves are checked against sympy in the tests.
     """
     brute = build_tower(cfg, kmax, "bruteforce")
     explicit = build_tower(cfg, kmax, "explicit")

@@ -20,6 +20,11 @@ and on the y side symmetrically with the split at n2:
     Y_ij = d_{y_i} d_{y_j}           (i in J3, j in J1 u J2)
     Y_ij = -y_j d_{y_i} - delta_ij   (i, j in J3).
 
+These two tables are the code's single source (``_BLOCK``; the first block
+is J1 for X, J3 for Y).  Each side of pi(E_ij), i != j, and each summand of
+the Laplacian below is one Weyl term (c, p, dp, q, dq): c times v_p or d_p
+(dp = +1 or -1) times v_q or d_q, p != q, derivatives acting first.
+
 The Cartan generators h_r = E_rr - E_{r+1,r+1} act diagonally on monomials
 (the constant shifts included), so weights are computed directly from
 exponents.
@@ -50,8 +55,10 @@ the all-positive regime with n2 = n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .poly import Poly, Space, add_term, axpy, xy_space
 
@@ -93,6 +100,11 @@ class Config:
     def J3(self) -> range:
         return range(self.n2 + 1, self.n + 1)
 
+    @cached_property
+    def weyl_tables(self) -> tuple[dict, dict]:
+        """``_weyl_tables`` of this layout, looked up once per instance."""
+        return _weyl_tables(self.n, self.n1, self.n2)
+
     def short(self) -> str:
         return f"(n={self.n},n1={self.n1},n2={self.n2},l1={self.l1},l2={self.l2})"
 
@@ -105,75 +117,69 @@ def generators(n: int) -> list[Generator]:
 
 
 # ---------------------------------------------------------------------------
-# generator actions on raw term dicts (hot path)
+# operators as Weyl terms (hot path)
 # ---------------------------------------------------------------------------
 
+# The X/Y table cell of (a, b) by whether a and b lie in the first block:
+# the coefficient and the shifts of v_a and v_b (-1 differentiates).
+_BLOCK = {
+    (True, True): (-1, -1, 1),  # -v_b d_{v_a}
+    (True, False): (1, -1, -1),  # d_{v_a} d_{v_b}
+    (False, True): (-1, 1, 1),  # -v_a v_b
+    (False, False): (1, 1, -1),  # v_a d_{v_b}
+}
 
-def _root_terms(cfg: Config, i: int, j: int, terms: dict) -> dict:
-    """Terms of pi(E_ij) applied to a term dict (i != j)."""
-    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    xi, xj = i - 1, j - 1
-    yi, yj = n + i - 1, n + j - 1
+
+def _block_term(first_a: bool, first_b: bool, pa: int, pb: int, sign=1) -> tuple:
+    """The Weyl term of one side's (a, b) entry at positions pa, pb."""
+    c, da, db = _BLOCK[first_a, first_b]
+    return (sign * c, pa, da, pb, db)
+
+
+@cache
+def _weyl_tables(n: int, n1: int, n2: int) -> tuple[dict, dict]:
+    """Weyl terms of pi(E_ij) by generator, and of the Laplacian by the
+    middle index its T-series omits (None for the full Laplacian)."""
+    sp = xy_space(n)
+    roots = {
+        ("e", i, j): (
+            _block_term(i <= n1, j <= n1, sp.x(i), sp.x(j)),
+            _block_term(j > n2, i > n2, sp.y(j), sp.y(i), -1),
+        )
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
+    x_dy = [(1, sp.x(i), 1, sp.y(i), -1) for i in range(1, n1 + 1)]
+    dx_dy = {r: (-1, sp.x(r), -1, sp.y(r), -1) for r in range(n1 + 1, n2 + 1)}
+    y_dx = [(1, sp.y(s), 1, sp.x(s), -1) for s in range(n2 + 1, n + 1)]
+    laplacians = {
+        skip: (*x_dy, *(op for r, op in dx_dy.items() if r != skip), *y_dx)
+        for skip in (None, n1 + 1)
+    }
+    return roots, laplacians
+
+
+def _apply_ops(ops: tuple, terms: dict) -> dict:
+    """Apply the sum of the Weyl terms ``ops`` to a term dict."""
     out: dict = {}
-    for m, c in terms.items():
-        # x side, row i, column j
-        if i <= n1:
-            if j <= n1:  # -x_j d_{x_i}
-                e = m[xi]
-                if e:
-                    t = list(m)
-                    t[xi] -= 1
-                    t[xj] += 1
-                    add_term(out, tuple(t), -e * c)
-            else:  # d_{x_i} d_{x_j}
-                e = m[xi] * m[xj]
-                if e:
-                    t = list(m)
-                    t[xi] -= 1
-                    t[xj] -= 1
-                    add_term(out, tuple(t), e * c)
-        else:
-            if j <= n1:  # -x_i x_j
+    for m, coeff in terms.items():
+        for c, p, dp, q, dq in ops:
+            if dp < 0:
+                c *= m[p]
+            if dq < 0:
+                c *= m[q]
+            if c:
                 t = list(m)
-                t[xi] += 1
-                t[xj] += 1
-                add_term(out, tuple(t), -c)
-            else:  # x_i d_{x_j}
-                e = m[xj]
-                if e:
-                    t = list(m)
-                    t[xj] -= 1
-                    t[xi] += 1
-                    add_term(out, tuple(t), e * c)
-        # y side, row j, column i, subtracted
-        if j <= n2:
-            if i <= n2:  # y_j d_{y_i}
-                e = m[yi]
-                if e:
-                    t = list(m)
-                    t[yi] -= 1
-                    t[yj] += 1
-                    add_term(out, tuple(t), -e * c)
-            else:  # -y_j y_i
-                t = list(m)
-                t[yj] += 1
-                t[yi] += 1
-                add_term(out, tuple(t), c)
-        else:
-            if i <= n2:  # d_{y_j} d_{y_i}
-                e = m[yj] * m[yi]
-                if e:
-                    t = list(m)
-                    t[yj] -= 1
-                    t[yi] -= 1
-                    add_term(out, tuple(t), -e * c)
-            else:  # -y_i d_{y_j}
-                e = m[yj]
-                if e:
-                    t = list(m)
-                    t[yj] -= 1
-                    t[yi] += 1
-                    add_term(out, tuple(t), e * c)
+                t[p] += dp
+                t[q] += dq
+                # add_term inlined, as in axpy: this is the hottest loop of osc
+                t = tuple(t)
+                s = out.get(t, 0) + c * coeff
+                if s:
+                    out[t] = s
+                elif t in out:
+                    del out[t]
     return out
 
 
@@ -210,16 +216,16 @@ def apply_generator(cfg: Config, g: Generator, f: Poly) -> Poly:
         if not 1 <= r <= cfg.n - 1:
             raise ValueError(f"Cartan index {r} out of range")
         return Poly(f.space, _cartan_terms(cfg, r, f.terms))
-    _, i, j = g
-    if i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n):
-        raise ValueError(f"root index pair ({i},{j}) out of range")
-    return Poly(f.space, _root_terms(cfg, i, j, f.terms))
+    ops = cfg.weyl_tables[0].get(g)
+    if ops is None:
+        raise ValueError(f"root index pair {g[1:]} out of range")
+    return Poly(f.space, _apply_ops(ops, f.terms))
 
 
 def apply_generator_terms(cfg: Config, g: Generator, terms: dict) -> dict:
     if g[0] == "h":
         return _cartan_terms(cfg, g[1], terms)
-    return _root_terms(cfg, g[1], g[2], terms)
+    return _apply_ops(cfg.weyl_tables[0][g], terms)
 
 
 # ---------------------------------------------------------------------------
@@ -227,43 +233,9 @@ def apply_generator_terms(cfg: Config, g: Generator, terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _laplace_like_terms(cfg: Config, terms: dict, skip_mid: int | None) -> dict:
-    """Apply sum_{J1} x_i d_{y_i} - sum_{J2} d_{x_r} d_{y_r} + sum_{J3} y_s d_{x_s},
-
-    omitting the middle summand at index ``skip_mid`` when given.
-    """
-    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    out: dict = {}
-    for m, c in terms.items():
-        for i in range(1, n1 + 1):
-            e = m[n + i - 1]
-            if e:
-                t = list(m)
-                t[n + i - 1] -= 1
-                t[i - 1] += 1
-                add_term(out, tuple(t), e * c)
-        for r in range(n1 + 1, n2 + 1):
-            if r == skip_mid:
-                continue
-            e = m[r - 1] * m[n + r - 1]
-            if e:
-                t = list(m)
-                t[r - 1] -= 1
-                t[n + r - 1] -= 1
-                add_term(out, tuple(t), -e * c)
-        for s in range(n2 + 1, n + 1):
-            e = m[s - 1]
-            if e:
-                t = list(m)
-                t[s - 1] -= 1
-                t[n + s - 1] += 1
-                add_term(out, tuple(t), e * c)
-    return out
-
-
 def laplace(cfg: Config, f: Poly) -> Poly:
     """The twisted Laplacian; its kernel is the harmonic subspace."""
-    return Poly(f.space, _laplace_like_terms(cfg, f.terms, None))
+    return Poly(f.space, _apply_ops(cfg.weyl_tables[1][None], f.terms))
 
 
 def project_T_monomial(cfg: Config, m: tuple) -> Poly:
@@ -275,25 +247,20 @@ def project_T_monomial(cfg: Config, m: tuple) -> Poly:
     """
     if cfg.n1 >= cfg.n2:
         raise ValueError("projection T is defined only for n1 < n2")
-    n, mid = cfg.n, cfg.n1 + 1
-    xpos, ypos = mid - 1, n + mid - 1
+    sp, mid = cfg.space, cfg.n1 + 1
+    xpos, ypos = sp.x(mid), sp.y(mid)
+    reduced, lift = cfg.weyl_tables[1][mid], ((1, xpos, 1, ypos, 1),)
     a, b = m[xpos], m[ypos]
     out = {m: Fraction(1)}
-    cur = {m: 1}
+    cur = {m: 1}  # (x_mid y_mid)^i D^i (m): D commutes with the lift
     denom = 1
-    i = 0
-    while cur:
-        i += 1
-        cur = _laplace_like_terms(cfg, cur, mid)
+    for i in itertools.count(1):
+        cur = _apply_ops(lift, _apply_ops(reduced, cur))
         if not cur:
-            break
+            return Poly(sp, out)
         denom *= (a + i) * (b + i)
         for mm, cc in cur.items():
-            t = list(mm)
-            t[xpos] += i
-            t[ypos] += i
-            add_term(out, tuple(t), Fraction(cc, denom))
-    return Poly(cfg.space, out)
+            add_term(out, mm, Fraction(cc, denom))
 
 
 def project_T(cfg: Config, f: Poly) -> Poly:

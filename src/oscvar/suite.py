@@ -99,6 +99,7 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
     for params in params_list:
         cfg = Config(*params)
         gens = generators(cfg.n)
+        index = {g: k for k, g in enumerate(gens)}
         comm = {
             (a, b): commutator_in_basis(gens[a], gens[b], cfg.n)
             for a in range(len(gens))
@@ -113,7 +114,7 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
                 acc = apply_generator_terms(cfg, gens[a], first[b])
                 axpy(acc, -1, apply_generator_terms(cfg, gens[b], first[a]))
                 for coeff, g in cb:
-                    axpy(acc, -coeff, apply_generator_terms(cfg, g, base))
+                    axpy(acc, -coeff, first[index[g]])
                 if acc:
                     violations += 1
         counts[str(params)] = {"monomials": nmon, "pairs": len(comm)}
@@ -381,7 +382,7 @@ def check_degree3_case6_supplement(params, kmax) -> CheckRecord:
     ok = bool(ops) and all(sym_membership(op.terms, tower) for op in ops[:2])
     return _record(
         "degree3-case6-supplement",
-        "minor3-case-membership",
+        "minor3-case6-membership",
         ok,
         {"cfg": cfg.short(), "count": len(ops), "checked": min(2, len(ops))},
         t0,

@@ -13,6 +13,7 @@ from oscvar.detvar import (
     Evaluation,
     GMonomial,
     _Images,
+    _pairings,
     enumerate_gset,
     extended_ring,
     has_3chain,
@@ -133,6 +134,14 @@ def test_gset_examples():
 
     with pytest.raises(ValueError):
         enumerate_gset(CFG, 1, 0, 1, (1,), (4,))
+
+
+def test_pairings_come_out_once_and_sorted():
+    for rows, cols in [((5, 5, 6), (1, 1, 2)), ((5, 5, 5), (1, 2, 2)), ((5, 6, 6, 7), (1, 1, 2, 3))]:
+        got = list(_pairings(rows, cols))
+        assert len(got) == len(set(got))
+        assert set(got) == {tuple(sorted(zip(rows, p))) for p in itertools.permutations(cols)}
+        assert all(z == tuple(sorted(z)) for z in got)
 
 
 def test_gset_revalidation():

@@ -4,6 +4,9 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscvar.osc import (
     Config,
@@ -23,7 +26,7 @@ from oscvar.osc import (
     project_T_monomial,
     weight,
 )
-from oscvar.poly import Poly, parse_poly
+from oscvar.poly import Poly, parse_poly, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -209,3 +212,114 @@ def test_projection_preserves_degree_and_commutes():
                     lhs = project_T(cfg, apply_generator(cfg, ("e", i, j), f))
                     rhs = apply_generator(cfg, ("e", i, j), tf)
                     assert lhs == rhs
+
+
+# -- the operators against sympy, written from the module docstring alone ------
+
+_PROPERTY = dict(deadline=None, derandomize=True, database=None)
+_LAYOUTS = [
+    (n, n1, n2) for n in (2, 3, 4) for n1 in range(1, n + 1) for n2 in range(n1, n + 1)
+]
+_COEFF = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+
+
+def _xypolys(n):
+    """Term dicts of xy polynomials of degree <= 4 in 2n variables."""
+
+    def exponents(positions):
+        m = [0] * (2 * n)
+        for pos in positions:
+            m[pos] += 1
+        return tuple(m)
+
+    mono = st.lists(st.integers(0, 2 * n - 1), max_size=4).map(exponents)
+    return st.dictionaries(mono, _COEFF, min_size=1, max_size=4)
+
+
+class _Sym:
+    """pi(E_ij), the Laplacian and T of one layout as sympy operators."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.syms = sympy.symbols(xy_space(cfg.n).names)
+        self.x = lambda a: self.syms[a - 1]
+        self.y = lambda a: self.syms[cfg.n + a - 1]
+
+    def X(self, i, j, f):
+        x, n1 = self.x, self.cfg.n1
+        if i <= n1 and j <= n1:
+            return -x(j) * sympy.diff(f, x(i))
+        if i <= n1:
+            return sympy.diff(f, x(i), x(j))
+        if j <= n1:
+            return -x(i) * x(j) * f
+        return x(i) * sympy.diff(f, x(j))
+
+    def Y(self, i, j, f):
+        y, n2 = self.y, self.cfg.n2
+        if i <= n2 and j <= n2:
+            return y(i) * sympy.diff(f, y(j))
+        if i <= n2:
+            return -y(i) * y(j) * f
+        if j <= n2:
+            return sympy.diff(f, y(i), y(j))
+        return -y(j) * sympy.diff(f, y(i))
+
+    def root(self, i, j, f):
+        return self.X(i, j, f) - self.Y(j, i, f)
+
+    def laplace(self, f):
+        cfg, x, y = self.cfg, self.x, self.y
+        return (
+            sum(x(i) * sympy.diff(f, y(i)) for i in cfg.J1)
+            - sum(sympy.diff(f, x(r), y(r)) for r in cfg.J2)
+            + sum(y(s) * sympy.diff(f, x(s)) for s in cfg.J3)
+        )
+
+    def project(self, m):
+        mid = self.cfg.n1 + 1
+        xm, ym = self.x(mid), self.y(mid)
+        a, b = m[mid - 1], m[self.cfg.n + mid - 1]
+        cur = self.poly({m: 1})
+        out, i = cur, 0
+        while True:
+            cur = sympy.expand(self.laplace(cur) + sympy.diff(cur, xm, ym))
+            if cur == 0:
+                return out
+            i += 1
+            out += (xm * ym) ** i * cur / sympy.prod((a + r) * (b + r) for r in range(1, i + 1))
+
+    def poly(self, terms):
+        return sympy.Add(
+            *[sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+                *[v**e for v, e in zip(self.syms, m)]) for m, c in terms.items()]
+        )
+
+    def terms(self, expr):
+        return sympy.Poly(expr, *self.syms).as_dict()
+
+
+def _as_sympy(f: Poly) -> dict:
+    assert all(f.terms.values()), "a zero coefficient is stored"
+    return {m: sympy.Rational(c.numerator, c.denominator) for m, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=str)
+@settings(max_examples=4, **_PROPERTY)
+@given(data=st.data())
+def test_operators_agree_with_sympy(layout, data):
+    cfg = Config(*layout)
+    terms = data.draw(_xypolys(cfg.n))
+    ref = _Sym(cfg)
+    f, sf = Poly(cfg.space, terms), ref.poly(terms)
+    for g in generators(cfg.n):
+        if g[0] == "e":
+            want = ref.terms(ref.root(g[1], g[2], sf))
+            assert _as_sympy(apply_generator(cfg, g, f)) == want, g
+    assert _as_sympy(laplace(cfg, f)) == ref.terms(ref.laplace(sf))
+    if cfg.n1 < cfg.n2:
+        for m in terms:
+            assert _as_sympy(project_T_monomial(cfg, m)) == ref.terms(ref.project(m)), m
