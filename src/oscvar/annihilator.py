@@ -51,7 +51,7 @@ from .detvar import _perm_sign
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
-from .poly import Poly, add_term, axpy, monomials, order_key
+from .poly import Poly, add_term, axpy, monomials
 
 SymTerms = dict  # {ascending tuple of generator indices: coefficient}
 
@@ -141,7 +141,7 @@ def act(sym: SymTerms, tower: FiltrationTower, k: int) -> list[Poly]:
     gens = generators(cfg.n)
     target = tower.levels[k + p - 1]
     out = []
-    for piv in sorted(tower.levels[k].rows, key=order_key, reverse=True):
+    for piv in sorted(tower.levels[k].rows, reverse=True):
         img = apply_sym(cfg, sym, tower.levels[k].rows[piv], gens)
         out.append(target.reduce(Poly(cfg.space, img)))
     return out
@@ -160,7 +160,7 @@ def _level_rows(tower: FiltrationTower, k: int) -> list:
     else:
         prev = tower.levels[k - 1].rows
         keys = [m for m in rows if m not in prev]
-    keys.sort(key=order_key, reverse=True)
+    keys.sort(reverse=True)
     return [rows[m] for m in keys]
 
 
@@ -308,7 +308,7 @@ def _stacked_columns(tower, alphabet, p, levels, gens):
                         if eq is None:
                             eq = eqs[m] = n_eqs
                             n_eqs += 1
-                        col[(eq,)] = Fraction(v, scale) if scale != 1 else v
+                        col[eq] = Fraction(v, scale) if scale != 1 else v
     return monos, list(columns.values()), last_start
 
 
@@ -355,7 +355,7 @@ def compute_annihilator_piece(
     )
     if len(levels) > 1:
         trimmed = [
-            {m: v for m, v in col.items() if m[0] < last_start} for col in columns
+            {eq: v for eq, v in col.items() if eq < last_start} for col in columns
         ]
         piece.stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
     return piece
@@ -641,7 +641,7 @@ def classify_minor3(cfg: Config, rows, cols) -> int:
 def operator_identically_zero(cfg: Config, sym: SymTerms, maxdeg: int) -> bool:
     """Check an operator identity: zero on every monomial up to maxdeg."""
     gens = generators(cfg.n)
-    for m in monomials(2 * cfg.n, range(maxdeg + 1)):
+    for m in monomials(cfg.space, range(maxdeg + 1)):
         if apply_sym(cfg, sym, {m: 1}, gens):
             return False
     return True

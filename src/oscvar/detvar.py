@@ -17,15 +17,17 @@ restricted matrix; the kernel of phi is the ideal of 3x3 minors of the
 extended matrix.  Both statements are verified degree by degree by exact
 rank computations.
 
-The evaluations are ring homomorphisms, so an ``Evaluation`` computes the
+z monomials, like xy ones, are packed ints (see ``poly``).  The
+evaluations are ring homomorphisms, so an ``Evaluation`` computes the
 image of a monomial m as image(m - e_v) * image(z_v), with v the last
-nonzero position of m, one term-by-term product per call.  It memoizes
-the heads m - e_v it computes along the way, never the images callers
-ask for: a degree-k check then holds images of degree < k only, and the
-G-set check only the proper prefixes of its G-monomials, which bounds the
-memo without a size knob.  Each verification builds its evaluations once
-and drops them when it returns; ``phi``, ``phi_x`` and ``phi_y`` build a
-fresh one per call.  The kernels read the images through a sized lazy
+nonzero position of m (its lowest nonzero field), one term-by-term
+product of packed ints per call, checked once against the degree limit.
+It memoizes the heads m - e_v it computes along the way, never the
+images callers ask for: a degree-k check then holds images of degree < k
+only, and the G-set check only the proper prefixes of its G-monomials,
+which bounds the memo without a size knob.  Each verification builds its
+evaluations once and drops them when it returns; ``phi``, ``phi_x`` and
+``phi_y`` build a fresh one per call.  The kernels read the images through a sized lazy
 view (``_Images``), so each is built when elimination reaches it.
 
 A multiset of index pairs contains a 3-chain when some triple is strictly
@@ -41,11 +43,10 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config
-from .poly import Poly, Space, add_term, axpy, monomials, xy_space, z_space
+from .poly import FIELD_BITS, Poly, Space, add_term, axpy, monomials, xy_space, z_space
 
 
 def restricted_ring(cfg: Config) -> Space:
@@ -69,13 +70,13 @@ class Evaluation:
 
     ``evaluation`` is "x" or "y" (phi_x, phi_y; restricted ring only) or
     "phi".  ``self(m)`` is the term dict, in xy_space(n), of the image of
-    the exponent tuple ``m``: image(m - e_v) times image(z_v), with v the
+    the packed monomial ``m``: image(m - e_v) times image(z_v), with v the
     last nonzero position of m.  The images of those heads are memoized;
     the images callers ask for are not (see the module docstring), so each
     call returns a fresh dict.
     """
 
-    __slots__ = ("target", "_var", "_memo")
+    __slots__ = ("target", "_unit", "_var", "_top", "_memo")
 
     def __init__(self, n: int, ring: Space, evaluation: str):
         if ring.kind != "z":
@@ -84,25 +85,27 @@ class Evaluation:
             raise ValueError("phi_x/phi_y expect the restricted z ring")
         self.target = xy_space(n)
         images = _z_images(n, ring, evaluation)
+        self._unit = ring.unit
         self._var = [list(images[pos].terms.items()) for pos in range(ring.nvars)]
+        self._top = [max(images[pos].terms) for pos in range(ring.nvars)]
         self._memo: dict = {}
 
-    def __call__(self, m: tuple) -> dict:
-        v = len(m) - 1
-        while v >= 0 and not m[v]:
-            v -= 1
-        if v < 0:
-            return {(0,) * self.target.nvars: 1}
-        head = m[:v] + (m[v] - 1,) + m[v + 1 :]
-        if not any(head):
+    def __call__(self, m: int) -> dict:
+        if not m:
+            return {0: 1}
+        low = m & -m  # the lowest set bit lies in the lowest nonzero field
+        v = -1 - (low.bit_length() - 1) // FIELD_BITS  # counted from the end
+        head = m - self._unit[v]
+        if not head:
             return dict(self._var[v])
         image = self._memo.get(head)
         if image is None:
             image = self._memo[head] = self(head)
+        self.target.check_degree(max(image) + self._top[v])
         out: dict = {}
         for m2, c2 in self._var[v]:
             for m1, c1 in image.items():
-                add_term(out, tuple(map(add, m1, m2)), c1 * c2)
+                add_term(out, m1 + m2, c1 * c2)
         return out
 
     def apply(self, p: Poly) -> Poly:
@@ -136,11 +139,8 @@ def _z_images(n: int, ring: Space, evaluation: str) -> dict:
     ``Evaluation`` reads its term dicts and never modifies them."""
     target = xy_space(n)
 
-    def mono(*positions) -> tuple:
-        m = [0] * target.nvars
-        for pos in positions:
-            m[pos] = 1
-        return tuple(m)
+    def mono(*positions) -> int:
+        return sum(target.unit[pos] for pos in positions)
 
     images = {}
     for j in ring.rows:
@@ -180,7 +180,7 @@ def minor_generators(space: Space, t: int, rows=None, cols=None) -> list[Poly]:
                 m = [0] * space.nvars
                 for a in range(t):
                     m[space.z(rsub[a], csub[perm[a]])] += 1
-                add_term(det, tuple(m), _perm_sign(perm))
+                add_term(det, space.pack(m), _perm_sign(perm))
             if det:
                 out.append(Poly(space, det))
     return out
@@ -253,8 +253,8 @@ class GMonomial:
             + tuple((j, 0) for j in self.y_part)
         )
 
-    def exponents(self, space: Space) -> tuple:
-        """The exponent tuple of this monomial in the extended ring."""
+    def exponents(self, space: Space) -> int:
+        """The packed monomial of this monomial in the extended ring."""
         n_plus = max(space.rows)
         m = [0] * space.nvars
         for i in self.x_part:
@@ -263,7 +263,7 @@ class GMonomial:
             m[space.z(j, 0)] += 1
         for j, i in self.z_part:
             m[space.z(j, i)] += 1
-        return tuple(m)
+        return space.pack(m)
 
 
 def _sub_multisets(ms: tuple, k: int):
@@ -332,7 +332,7 @@ def _ideal_piece(space: Space, gens: list[Poly], degree: int) -> EchelonBasis:
         d = g.total_degree()
         if d > degree:
             continue
-        for m in monomials(space.nvars, (degree - d,)):
+        for m in monomials(space, (degree - d,)):
             basis.insert(g * Poly.monomial(space, m))
     return basis
 
@@ -357,7 +357,7 @@ class _Images:
 
 def _kernel_basis(space: Space, domain: list, evaluate: Evaluation) -> EchelonBasis:
     """Echelon basis of the kernel of ``evaluate`` on the span of the
-    exponent tuples ``domain``."""
+    packed monomials ``domain``."""
     basis = EchelonBasis(space)
     for vec in kernel_of_columns(_Images(domain, evaluate)):
         basis.insert({domain[idx]: c for idx, c in vec.items()})
@@ -372,7 +372,7 @@ def verify_minor2_kernel(cfg: Config, rmax: int) -> dict:
     ev_y = Evaluation(cfg.n, sp, "y")
     per_degree = []
     for r in range(rmax + 1):
-        domain = list(monomials(sp.nvars, (r,)))
+        domain = list(monomials(sp, (r,)))
         ideal = _ideal_piece(sp, minors, r)
         kx = _kernel_basis(sp, domain, ev_x)
         ky = _kernel_basis(sp, domain, ev_y)
@@ -402,7 +402,7 @@ def verify_minor3_kernel(cfg: Config, kmax: int) -> dict:
     ev = Evaluation(cfg.n, sp, "phi")
     per_degree = []
     for k in range(kmax + 1):
-        domain = list(monomials(sp.nvars, (k,)))
+        domain = list(monomials(sp, (k,)))
         ideal = _ideal_piece(sp, minors, k)
         kern = _kernel_basis(sp, domain, ev)
         per_degree.append(

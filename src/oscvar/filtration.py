@@ -107,7 +107,7 @@ def alternating_set(cfg: Config) -> list[Poly]:
             m2 = [0] * sp.nvars
             m2[sp.y(i1)] = 1
             m2[sp.y(i3)] = 1
-            out.append(Poly(sp, {tuple(m1): 1, tuple(m2): -1}))
+            out.append(Poly(sp, {sp.pack(m1): 1, sp.pack(m2): -1}))
     return out
 
 
@@ -144,7 +144,7 @@ class _TCache:
         self.cfg = cfg
         self.images: dict = {}
 
-    def __call__(self, m: tuple) -> Poly:
+    def __call__(self, m: int) -> Poly:
         img = self.images.get(m)
         if img is None:
             terms = project_T_monomial(self.cfg, m).terms
@@ -153,7 +153,7 @@ class _TCache:
         return img
 
 
-def _dprime_level(cfg: Config, t: int) -> list[tuple]:
+def _dprime_level(cfg: Config, t: int) -> list[int]:
     """Monomials of the graded piece with J1 x-degree exactly t (n2 = n)."""
     out = []
     for b1 in range(cfg.l2 + 1):
@@ -170,11 +170,12 @@ def _mirror_poly(p: Poly, cfg: Config) -> Poly:
     sp = cfg.space
     out = {}
     for m, c in p.terms.items():
+        e = sp.unpack(m)
         t = [0] * (2 * n)
         for i in range(1, n + 1):
-            t[sp.y(n + 1 - i)] = m[sp.x(i)]
-            t[sp.x(n + 1 - i)] = m[sp.y(i)]
-        out[tuple(t)] = c
+            t[sp.y(n + 1 - i)] = e[sp.x(i)]
+            t[sp.x(n + 1 - i)] = e[sp.y(i)]
+        out[sp.pack(t)] = c
     return Poly(sp, out)
 
 
@@ -196,7 +197,7 @@ def _skew_base(cfg: Config) -> list[Poly]:
         t2 = [0] * sp.nvars
         t2[sp.x(q)] = 1
         t2[sp.y(p)] = 1
-        skews.append(Poly(sp, {tuple(t1): 1, tuple(t2): -1}))
+        skews.append(Poly(sp, {sp.pack(t1): 1, sp.pack(t2): -1}))
     out = []
     for combo in itertools.combinations_with_replacement(range(len(pairs)), m2):
         prod = Poly.constant(sp, 1)
@@ -206,7 +207,7 @@ def _skew_base(cfg: Config) -> list[Poly]:
             mono = [0] * sp.nvars
             for i, e in xm:
                 mono[sp.x(i)] = e
-            out.append(prod * Poly.monomial(sp, mono))
+            out.append(prod * Poly.monomial(sp, sp.pack(mono)))
     return out
 
 
@@ -230,7 +231,7 @@ def _product_base(cfg: Config) -> list[Poly]:
                 mono[sp.x(i)] = e
             for j, e in ym:
                 mono[sp.y(j)] = e
-            out.append(Poly.monomial(sp, mono))
+            out.append(Poly.monomial(sp, sp.pack(mono)))
     return out
 
 
@@ -500,6 +501,7 @@ def _subring_ok(cfg: Config, v0: Poly, allow_x_mid: bool) -> bool:
     mid = cfg.n1 + 1
     uses_x_mid = uses_y_mid = False
     for m in v0.terms:
+        m = sp.unpack(m)
         if m[sp.x(mid)] or m[sp.y(mid)]:
             return False
         for r in cfg.J2:
@@ -544,7 +546,7 @@ def operator_chain_identity(
         m = [0] * sp.nvars
         for pos in pairs:
             m[pos] += 1
-        return Poly.monomial(sp, m)
+        return Poly.monomial(sp, sp.pack(m))
 
     from .osc import project_T
 

@@ -25,9 +25,18 @@ holding it.  Every pivot row is stored with a positive leading
 coefficient (``_primitive``), so mr is always positive and a scale factor
 accumulated from it stays positive.
 
-Keys of the coefficient dictionaries are exponent tuples ordered by
-graded lex; any equal-length int tuples work, which the annihilator module
-uses to run the same machinery over symbol monomials.
+Keys of the coefficient dictionaries are compared natively: ``max(row)``
+is the leading key and ``sorted`` the pivot order, with no key function.
+For polynomials the keys are packed monomials, whose int order is the
+graded-lex order (see ``poly``); ``order_key``, the identity on them, is
+kept here as the name of that order.  Any mutually comparable keys work,
+which the annihilator module uses to run the same machinery over symbol
+monomials (sorted tuples of generator indices, in tuple order) and
+equation ids (ints).
+
+A basis belongs to one space (``None`` for keys that are not monomials),
+and every query that takes a polynomial or another basis checks it: a
+packed int means different monomials in different spaces.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .poly import Poly, Space, SpaceMismatchError, axpy, order_key
+from .poly import Poly, Space, axpy, check_space, order_key  # noqa: F401
 
 
 def _content(row: dict) -> int:
@@ -130,31 +139,35 @@ class EchelonBasis:
         """
         rows = self.rows
         while row:
-            lead = max(row, key=order_key)
+            lead = max(row)
             prow = rows.get(lead)
             if prow is None:
                 return row
             _eliminate(row, prow, lead)
         return row
 
+    def _terms(self, p) -> dict:
+        """The coefficient dict of ``p``, a Poly of this basis's space (when
+        it has one) or a raw dict."""
+        if isinstance(p, Poly):
+            if self.space is not None:
+                check_space(p.space, self.space, "polynomial and basis in different spaces")
+            return p.terms
+        return p
+
     def insert(self, p) -> bool:
         """Grow the span by ``p``; True iff the dimension increased.
 
         ``p`` may be a Poly or a raw coefficient dict.
         """
-        if isinstance(p, Poly):
-            if self.space is not None and p.space != self.space:
-                raise SpaceMismatchError("inserting into a basis over another space")
-            terms = p.terms
-        else:
-            terms = p
+        terms = self._terms(p)
         if not terms:
             return False
         row, _ = _int_terms(terms)
         row = self._reduce_leading(row)
         if not row:
             return False
-        lead = max(row, key=order_key)
+        lead = max(row)
         self.rows[lead] = _primitive(row, lead)
         return True
 
@@ -166,13 +179,14 @@ class EchelonBasis:
         return added
 
     def contains(self, p) -> bool:
-        terms = p.terms if isinstance(p, Poly) else p
+        terms = self._terms(p)
         if not terms:
             return True
         row, _ = _int_terms(terms)
         return not self._reduce_leading(row)
 
     def contains_span(self, other: "EchelonBasis") -> bool:
+        check_space(other.space, self.space, "bases over different spaces")
         return all(self.contains(row) for row in other.rows.values())
 
     def reduce_scaled(self, terms: dict) -> tuple[dict, int]:
@@ -188,7 +202,7 @@ class EchelonBasis:
             hits = [m for m in row if m in rows]
             if not hits:
                 break
-            mon = max(hits, key=order_key)
+            mon = max(hits)
             mr, _ = _eliminate(row, rows[mon], mon)
             scale *= mr
             if row:
@@ -200,9 +214,7 @@ class EchelonBasis:
 
     def reduce(self, p: Poly) -> Poly:
         """The unique normal form of ``p`` modulo the span (no rescaling)."""
-        if self.space is not None and p.space != self.space:
-            raise SpaceMismatchError("reducing against a basis over another space")
-        row, scale = self.reduce_scaled(p.terms)
+        row, scale = self.reduce_scaled(self._terms(p))
         if scale == 1:
             return Poly(self.space, row)
         return Poly(self.space, {m: Fraction(v, scale) for m, v in row.items()})
@@ -213,7 +225,7 @@ class EchelonBasis:
         This reduced form depends only on the span, not on insertion
         order, and is the form used in dumps and golden comparisons.
         """
-        pivots = sorted(self.rows, key=order_key)  # ascending
+        pivots = sorted(self.rows)  # ascending
         reduced: dict = {}
         for piv in pivots:
             row = dict(self.rows[piv])
@@ -221,7 +233,7 @@ class EchelonBasis:
                 hits = [m for m in row if m != piv and m in reduced]
                 if not hits:
                     break
-                for mon in sorted(hits, key=order_key, reverse=True):
+                for mon in sorted(hits, reverse=True):
                     if mon in row:
                         _eliminate(row, reduced[mon], mon)
             reduced[piv] = _primitive(row, piv)
@@ -241,6 +253,7 @@ class EchelonBasis:
 def span_equal(a: EchelonBasis, b: EchelonBasis) -> bool:
     """Exact span equality.  Stored rows have distinct pivots, so ``dim``
     is the rank, and equal ranks plus one containment suffice."""
+    check_space(a.space, b.space, "bases over different spaces")
     return a.dim == b.dim and b.contains_span(a)
 
 
@@ -253,13 +266,13 @@ def echelon_from(space: Space | None, polys: Iterable) -> EchelonBasis:
 def kernel_of_columns(columns: Iterable[dict]) -> list[dict]:
     """Kernel of the matrix whose j-th column is the j-th of ``columns``.
 
-    Columns are sparse dicts over equal-length tuple (or comparable) keys
-    with int or Fraction values.  They are read once, in order, and never
-    modified, so ``columns`` may be a lazy view that builds each column
-    when elimination reaches it.  Returns primitive integer vectors c (as
-    sparse dicts {column index: coeff}) with sum_j c_j col_j = 0, in a
-    deterministic order, computed by exact row reduction with combination
-    tracking.
+    Columns are sparse dicts over mutually comparable keys (packed
+    monomials of one space, say) with int or Fraction values.  They are
+    read once, in order, and never modified, so ``columns`` may be a lazy
+    view that builds each column when elimination reaches it.  Returns
+    primitive integer vectors c (as sparse dicts {column index: coeff})
+    with sum_j c_j col_j = 0, in a deterministic order, computed by exact
+    row reduction with combination tracking.
     """
     pivots: dict = {}  # key -> (reduced column, tracking vector)
     kernel: list[dict] = []
@@ -267,7 +280,7 @@ def kernel_of_columns(columns: Iterable[dict]) -> list[dict]:
         row, mult = _int_terms(col) if col else ({}, 1)
         track = {idx: mult}
         while row:
-            lead = max(row, key=order_key)
+            lead = max(row)
             hit = pivots.get(lead)
             if hit is None:
                 break
@@ -278,7 +291,7 @@ def kernel_of_columns(columns: Iterable[dict]) -> list[dict]:
                     track[m] = mr * v
             axpy(track, -mp, ptrack)
         if row:
-            lead = max(row, key=order_key)
+            lead = max(row)
             g = gcd(_content(row), _content(track))
             if row[lead] < 0:
                 g = -g

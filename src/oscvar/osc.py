@@ -25,6 +25,14 @@ is J1 for X, J3 for Y).  Each side of pi(E_ij), i != j, and each summand of
 the Laplacian below is one Weyl term (c, p, dp, q, dq): c times v_p or d_p
 (dp = +1 or -1) times v_q or d_q, p != q, derivatives acting first.
 
+Monomials are packed ints (see ``poly``), so a table stores each Weyl term
+as (c, shift of d_p or -1, shift of d_q or -1, packed delta): the applier
+reads a differentiated exponent as ``(m >> shift) & FIELD_MASK``, skips the
+term when that factor is zero (so no field ever borrows), and shifts the
+monomial by ``m + delta``.  A table with a raising term v_p v_q also holds
+the smallest key whose image would overflow the degree field, checked
+once per call against the largest key.
+
 The Cartan generators h_r = E_rr - E_{r+1,r+1} act diagonally on monomials
 (the constant shifts included), so weights are computed directly from
 exponents.
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .poly import Poly, Space, add_term, axpy, xy_space
+from .poly import DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, xy_space
 
 # Generators are small tagged tuples:
 #   ("e", i, j)  root vector E_ij, i != j
@@ -84,7 +92,7 @@ class Config:
         if not 1 <= self.n1 <= self.n2 <= self.n:
             raise ValueError("need 1 <= n1 <= n2 <= n")
 
-    @property
+    @cached_property
     def space(self) -> Space:
         return xy_space(self.n)
 
@@ -101,7 +109,7 @@ class Config:
         return range(self.n2 + 1, self.n + 1)
 
     @cached_property
-    def weyl_tables(self) -> tuple[dict, dict]:
+    def weyl_tables(self) -> tuple:
         """``_weyl_tables`` of this layout, looked up once per instance."""
         return _weyl_tables(self.n, self.n1, self.n2)
 
@@ -136,13 +144,36 @@ def _block_term(first_a: bool, first_b: bool, pa: int, pb: int, sign=1) -> tuple
     return (sign * c, pa, da, pb, db)
 
 
+def _packed_ops(sp: Space, *weyl_terms) -> tuple:
+    """(ceiling, packed terms) of a sum of Weyl terms (c, p, dp, q, dq).
+
+    The ceiling is the smallest packed key whose image would leave the
+    degree limit, or None when no term raises the degree.
+    """
+    packed = tuple(
+        (
+            c,
+            sp.shift[p] if dp < 0 else -1,
+            sp.shift[q] if dq < 0 else -1,
+            dp * sp.unit[p] + dq * sp.unit[q],
+        )
+        for c, p, dp, q, dq in weyl_terms
+    )
+    rise = max((dp + dq for _c, _p, dp, _q, dq in weyl_terms), default=0)
+    ceiling = (DEGREE_LIMIT - rise) << sp.dshift if rise > 0 else None
+    return ceiling, packed
+
+
 @cache
-def _weyl_tables(n: int, n1: int, n2: int) -> tuple[dict, dict]:
-    """Weyl terms of pi(E_ij) by generator, and of the Laplacian by the
-    middle index its T-series omits (None for the full Laplacian)."""
+def _weyl_tables(n: int, n1: int, n2: int) -> tuple:
+    """Weyl terms of pi(E_ij) by generator, of the Laplacian by the middle
+    index its T-series omits (None for the full Laplacian), and of the
+    T-series lift x_{n1+1} y_{n1+1} (None for n1 = n2), each packed by
+    ``_packed_ops``."""
     sp = xy_space(n)
     roots = {
-        ("e", i, j): (
+        ("e", i, j): _packed_ops(
+            sp,
             _block_term(i <= n1, j <= n1, sp.x(i), sp.x(j)),
             _block_term(j > n2, i > n2, sp.y(j), sp.y(i), -1),
         )
@@ -154,27 +185,31 @@ def _weyl_tables(n: int, n1: int, n2: int) -> tuple[dict, dict]:
     dx_dy = {r: (-1, sp.x(r), -1, sp.y(r), -1) for r in range(n1 + 1, n2 + 1)}
     y_dx = [(1, sp.y(s), 1, sp.x(s), -1) for s in range(n2 + 1, n + 1)]
     laplacians = {
-        skip: (*x_dy, *(op for r, op in dx_dy.items() if r != skip), *y_dx)
+        skip: _packed_ops(sp, *x_dy, *(op for r, op in dx_dy.items() if r != skip), *y_dx)
         for skip in (None, n1 + 1)
     }
-    return roots, laplacians
+    lift = None
+    if n1 < n2:
+        lift = _packed_ops(sp, (1, sp.x(n1 + 1), 1, sp.y(n1 + 1), 1))
+    return roots, laplacians, lift
 
 
 def _apply_ops(ops: tuple, terms: dict) -> dict:
-    """Apply the sum of the Weyl terms ``ops`` to a term dict."""
+    """Apply the sum of the packed Weyl terms ``ops`` to a term dict."""
+    ceiling, packed = ops
+    if ceiling is not None and terms and max(terms) >= ceiling:
+        raise OverflowError("the image leaves the packed monomial degree limit")
+    mask = FIELD_MASK
     out: dict = {}
     for m, coeff in terms.items():
-        for c, p, dp, q, dq in ops:
-            if dp < 0:
-                c *= m[p]
-            if dq < 0:
-                c *= m[q]
+        for c, fp, fq, delta in packed:
+            if fp >= 0:
+                c *= (m >> fp) & mask
+            if fq >= 0:
+                c *= (m >> fq) & mask
             if c:
-                t = list(m)
-                t[p] += dp
-                t[q] += dq
                 # add_term inlined, as in axpy: this is the hottest loop of osc
-                t = tuple(t)
+                t = m + delta
                 s = out.get(t, 0) + c * coeff
                 if s:
                     out[t] = s
@@ -183,10 +218,11 @@ def _apply_ops(ops: tuple, terms: dict) -> dict:
     return out
 
 
-def diagonal_value(cfg: Config, r: int, m: tuple) -> int:
+def diagonal_value(cfg: Config, r: int, m: int) -> int:
     """Eigenvalue of pi(E_rr) on the monomial m (constant shifts included)."""
-    n = cfg.n
-    a, b = m[r - 1], m[n + r - 1]
+    shift = cfg.space.shift
+    a = (m >> shift[r - 1]) & FIELD_MASK
+    b = (m >> shift[cfg.n + r - 1]) & FIELD_MASK
     if r <= cfg.n1:
         return -a - b - 1
     if r <= cfg.n2:
@@ -194,7 +230,7 @@ def diagonal_value(cfg: Config, r: int, m: tuple) -> int:
     return a + b + 1
 
 
-def cartan_eigenvalue(cfg: Config, r: int, m: tuple) -> int:
+def cartan_eigenvalue(cfg: Config, r: int, m: int) -> int:
     return diagonal_value(cfg, r, m) - diagonal_value(cfg, r + 1, m)
 
 
@@ -238,7 +274,7 @@ def laplace(cfg: Config, f: Poly) -> Poly:
     return Poly(f.space, _apply_ops(cfg.weyl_tables[1][None], f.terms))
 
 
-def project_T_monomial(cfg: Config, m: tuple) -> Poly:
+def project_T_monomial(cfg: Config, m: int) -> Poly:
     """Harmonic projection of a single monomial (requires n1 < n2).
 
     The defining series terminates because each application of the reduced
@@ -249,8 +285,9 @@ def project_T_monomial(cfg: Config, m: tuple) -> Poly:
         raise ValueError("projection T is defined only for n1 < n2")
     sp, mid = cfg.space, cfg.n1 + 1
     xpos, ypos = sp.x(mid), sp.y(mid)
-    reduced, lift = cfg.weyl_tables[1][mid], ((1, xpos, 1, ypos, 1),)
-    a, b = m[xpos], m[ypos]
+    _roots, laplacians, lift = cfg.weyl_tables
+    reduced = laplacians[mid]
+    a, b = sp.exp(m, xpos), sp.exp(m, ypos)
     out = {m: Fraction(1)}
     cur = {m: 1}  # (x_mid y_mid)^i D^i (m): D commutes with the lift
     denom = 1
@@ -276,9 +313,10 @@ def project_T(cfg: Config, f: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def grading(cfg: Config, m: tuple) -> tuple[int, int]:
+def grading(cfg: Config, m: int) -> tuple[int, int]:
     """Signed bidegree <l1, l2> of a monomial."""
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    m = cfg.space.unpack(m)
     l1 = sum(m[n1:n]) - sum(m[:n1])
     l2 = sum(m[n : n + n2]) - sum(m[n + n2 :])
     return (l1, l2)
@@ -289,8 +327,9 @@ def _dfun_offset(cfg: Config) -> int:
     return (l1 + abs(l1) + l2 + abs(l2)) // 2
 
 
-def dfun_monomial(cfg: Config, m: tuple) -> int:
+def dfun_monomial(cfg: Config, m: int) -> int:
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    m = cfg.space.unpack(m)
     val = (
         2 * sum(m[n2:n])
         + sum(m[n1:n2])
@@ -321,7 +360,7 @@ def dprime(cfg: Config, f: Poly) -> int:
     """Max over monomials of the x-degree over the first block."""
     if not f.terms:
         raise ValueError("degree of the zero polynomial is undefined")
-    return max(sum(m[: cfg.n1]) for m in f.terms)
+    return max(sum(f.space.unpack(m)[: cfg.n1]) for m in f.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +384,7 @@ def _compositions(total: int, k: int):
 
 def enumerate_block_sums(
     cfg: Config, a1: int, a2: int, a3: int, b1: int, b2: int, b3: int
-) -> list[tuple]:
+) -> list[int]:
     """Monomials with prescribed per-block degree sums and a*b = 0 at n1+1.
 
     Sums (a1, a2, a3) constrain the x exponents over J1, J2, J3 and
@@ -357,6 +396,7 @@ def enumerate_block_sums(
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     s1, s2, s3 = n1, n2 - n1, n - n2
     mid = 0  # position of x_{n1+1} within the J2 block
+    pack = cfg.space.pack
     out = []
     for xa in _compositions(a1, s1):
         for xb in _compositions(a2, s2):
@@ -366,11 +406,11 @@ def enumerate_block_sums(
                         if s2 and xb[mid] and yb[mid]:
                             continue
                         for yc in _compositions(b3, s3):
-                            out.append(xa + xb + xc + ya + yb + yc)
+                            out.append(pack(xa + xb + xc + ya + yb + yc))
     return out
 
 
-def enumerate_TN_level(cfg: Config, k: int) -> list[tuple]:
+def enumerate_TN_level(cfg: Config, k: int) -> list[int]:
     """All monomials of the <l1, l2> piece with dfun = k and a*b = 0 at n1+1.
 
     The four weighted budgets 2*a3 + a2 + 2*b1 + b2 = k + offset are

@@ -1,6 +1,6 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a dictionary mapping monomial exponent tuples to nonzero
+A polynomial is a dictionary mapping packed monomials (below) to nonzero
 exact rational coefficients (int or Fraction; plain ints are kept as ints
 for speed and promote automatically when a Fraction enters).  The zero
 polynomial is the empty dict.  All ``Poly`` operations are pure: they
@@ -13,10 +13,35 @@ Two kinds of variable spaces occur:
   * z spaces with one variable z_{j,i} per (row, column) pair, row-major,
     minus an optional excluded pair set.
 
-The monomial order is graded lexicographic on the exponent tuple in the
+The monomial order is graded lexicographic on the exponent vector in the
 variable order above.  Canonical text rendering emits terms in decreasing
 monomial order, e.g. ``-3/2*x1^2*x2*y3 + y1``; this is the interchange
 format used in JSON reports and golden tests.
+
+A monomial is packed into one int.  In a space of N variables the
+exponent of variable ``pos`` sits in the ``FIELD_BITS``-bit field at bit
+``Space.shift[pos] = FIELD_BITS * (N - 1 - pos)``, so x_1 is the most
+significant exponent, and the total degree sits above all of them, at
+bit ``Space.dshift = FIELD_BITS * N``.  Comparing two packed ints then
+compares the degrees first and the exponents in variable order after:
+plain int order is the graded-lex order, with no key function.  The
+product of monomials is the sum of their ints and a shift by one
+variable is the addition of its packed unit (``Space.unit[pos]``, the
+field bit plus one degree).
+
+Overflow raises, it never wraps.  Every exponent is at most the total
+degree, so while the degree stays below ``DEGREE_LIMIT`` (2^FIELD_BITS)
+no field can carry into the next one.  Whatever raises a degree checks
+that bound once per call, against its largest key (in a space, a key is
+at least ``Space.limit`` exactly when its degree is too large):
+``Space.pack``, ``Poly.__mul__``, ``Poly.substitute`` through it, the
+raising Weyl terms of ``osc`` and the evaluations of ``detvar``.  A
+derivative reads its exponent first and shifts only when that is
+nonzero, so no field ever borrows.
+
+``order_key`` is the named sort key of packed monomials: the int itself.
+The hot paths compare ints directly; the name stays for callers that
+want to spell the order out.
 
 ``add_term`` and ``axpy`` are the one sparse accumulate of the package:
 every sum of term dicts, in this module and the others, goes through
@@ -33,8 +58,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-Monomial = tuple  # exponent tuple, one entry per variable
+Monomial = int  # packed: degree field on top, one exponent field per variable
 Coeff = "int | Fraction"
+
+FIELD_BITS = 8
+FIELD_MASK = (1 << FIELD_BITS) - 1
+DEGREE_LIMIT = 1 << FIELD_BITS  # every packed degree is below this
 
 
 class SpaceMismatchError(ValueError):
@@ -48,7 +77,10 @@ class Space:
     variable per (row, col) pair, row-major, excluded pairs removed).
     """
 
-    __slots__ = ("kind", "n", "rows", "cols", "excluded", "names", "index")
+    __slots__ = (
+        "kind", "n", "rows", "cols", "excluded", "names", "index",
+        "shift", "dshift", "unit", "limit",
+    )
 
     def __init__(self, kind, names, *, n=0, rows=(), cols=(), excluded=frozenset()):
         self.kind = kind
@@ -58,6 +90,12 @@ class Space:
         self.excluded = excluded
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        # the packed layout (module docstring)
+        nv = len(names)
+        self.shift = tuple(FIELD_BITS * (nv - 1 - pos) for pos in range(nv))
+        self.dshift = FIELD_BITS * nv
+        self.unit = tuple((1 << s) | (1 << self.dshift) for s in self.shift)
+        self.limit = DEGREE_LIMIT << self.dshift
 
     def __eq__(self, other):
         return (
@@ -97,6 +135,39 @@ class Space:
             raise SpaceMismatchError(f"no variable {name} in {self!r}")
         return pos
 
+    # the packed codec
+    def pack(self, exps: Iterable[int]) -> Monomial:
+        """The packed monomial of an exponent sequence."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise SpaceMismatchError("exponent tuple length mismatch")
+        if min(exps) < 0:
+            raise ValueError("negative exponent")
+        deg = sum(exps)
+        if deg >= DEGREE_LIMIT:
+            raise OverflowError(f"degree {deg} does not fit the packed monomial")
+        return sum(e << s for e, s in zip(exps, self.shift)) | (deg << self.dshift)
+
+    def unpack(self, m: Monomial) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple((m >> s) & FIELD_MASK for s in self.shift)
+
+    def exp(self, m: Monomial, pos: int) -> int:
+        """The exponent of the variable at ``pos`` in a packed monomial."""
+        return (m >> self.shift[pos]) & FIELD_MASK
+
+    def degree(self, m: Monomial) -> int:
+        """The total degree of a packed monomial."""
+        return m >> self.dshift
+
+    def check_degree(self, top: Monomial) -> None:
+        """Raise OverflowError when the sum of packed monomials ``top`` has
+        a degree at or beyond the limit."""
+        if top >= self.limit:
+            raise OverflowError(
+                f"degree {top >> self.dshift} does not fit the packed monomial"
+            )
+
 
 @lru_cache(maxsize=None)
 def xy_space(n: int) -> Space:
@@ -122,9 +193,17 @@ def z_space(rows: tuple, cols: tuple, excluded: frozenset = frozenset()) -> Spac
     return Space("z", names, rows=rows, cols=cols, excluded=excluded)
 
 
-def order_key(m: Monomial):
-    """Graded-lex sort key; bigger key = bigger monomial."""
-    return (sum(m), m)
+def check_space(a: Space | None, b: Space | None, what: str) -> None:
+    """Raise SpaceMismatchError, saying ``what``, unless a and b are the same
+    space."""
+    # spaces come from cached constructors: identity is the common case
+    if a is not b and a != b:
+        raise SpaceMismatchError(what)
+
+
+def order_key(m: Monomial) -> int:
+    """Graded-lex sort key of a packed monomial: the monomial itself."""
+    return m
 
 
 def add_term(out: dict, m, c) -> None:
@@ -148,21 +227,21 @@ def axpy(out: dict, c, terms: Mapping) -> dict:
     return out
 
 
-def monomials(nvars: int, degrees: Iterable[int]):
-    """Exponent tuples in ``nvars`` variables for each degree in ``degrees``
-    in turn, each degree in ``combinations_with_replacement`` order."""
+def monomials(space: Space, degrees: Iterable[int]):
+    """Packed monomials of ``space`` for each degree in ``degrees`` in turn,
+    each degree in ``combinations_with_replacement`` order of positions."""
+    unit = space.unit
     for d in degrees:
-        for combo in itertools.combinations_with_replacement(range(nvars), d):
-            m = [0] * nvars
-            for pos in combo:
-                m[pos] += 1
-            yield tuple(m)
+        if d >= DEGREE_LIMIT:
+            raise OverflowError(f"degree {d} does not fit the packed monomial")
+        for combo in itertools.combinations_with_replacement(unit, d):
+            yield sum(combo)
 
 
 class Poly:
     """A sparse polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
+    ``terms`` maps packed monomials to nonzero coefficients.  Instances are
     treated as immutable; all arithmetic returns fresh objects.
     """
 
@@ -182,28 +261,33 @@ class Poly:
     def constant(cls, space: Space, c) -> "Poly":
         if not c:
             return cls(space, {})
-        return cls(space, {(0,) * space.nvars: c})
+        return cls(space, {0: c})
 
     @classmethod
-    def monomial(cls, space: Space, exps: Iterable[int], coeff=1) -> "Poly":
-        m = tuple(exps)
-        if len(m) != space.nvars:
-            raise SpaceMismatchError("exponent tuple length mismatch")
-        if any(e < 0 for e in m):
-            raise ValueError("negative exponent")
+    def monomial(cls, space: Space, m: Monomial, coeff=1) -> "Poly":
+        """``coeff`` times the packed monomial ``m``."""
+        space.check_degree(m)
+        if m < 0 or sum(space.unpack(m)) != space.degree(m):
+            raise ValueError(f"{m!r} is not a packed monomial of {space!r}")
         if not coeff:
             return cls(space, {})
         return cls(space, {m: coeff})
 
     @classmethod
     def variable(cls, space: Space, pos: int) -> "Poly":
-        m = [0] * space.nvars
-        m[pos] = 1
-        return cls(space, {tuple(m): 1})
+        if not 0 <= pos < space.nvars:
+            raise SpaceMismatchError(f"no variable at position {pos}")
+        return cls(space, {space.unit[pos]: 1})
 
     @classmethod
-    def from_terms(cls, space: Space, terms: Mapping) -> "Poly":
-        return cls(space, {m: c for m, c in terms.items() if c})
+    def from_exponents(cls, space: Space, terms: Mapping) -> "Poly":
+        """The polynomial with terms {exponent tuple: coefficient}, zero
+        coefficients dropped: the constructor for callers that hold
+        exponent tuples rather than packed monomials."""
+        out: dict = {}
+        for exps, c in terms.items():
+            add_term(out, space.pack(exps), c)
+        return cls(space, out)
 
     # -- basic queries -------------------------------------------------
 
@@ -220,7 +304,7 @@ class Poly:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return self.space.degree(max(self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -231,9 +315,7 @@ class Poly:
         return hash((self.space, frozenset(self.terms.items())))
 
     def _check(self, other: "Poly"):
-        # spaces come from cached constructors: identity is the common case
-        if self.space is not other.space and self.space != other.space:
-            raise SpaceMismatchError("polynomials live in different spaces")
+        check_space(self.space, other.space, "polynomials live in different spaces")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -252,11 +334,14 @@ class Poly:
         self._check(other)
         out: dict = {}
         a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly(self.space, out)
+        self.space.check_degree(max(a) + max(b))
         if len(a) > len(b):
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                add_term(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
+                add_term(out, m1 + m2, c1 * c2)
         return Poly(self.space, out)
 
     def __pow__(self, k: int) -> "Poly":
@@ -276,14 +361,16 @@ class Poly:
 
     def diff(self, pos: int) -> "Poly":
         """Exact partial derivative with respect to the variable at ``pos``."""
-        if not 0 <= pos < self.space.nvars:
+        sp = self.space
+        if not 0 <= pos < sp.nvars:
             raise SpaceMismatchError(f"no variable at position {pos}")
+        s, unit = sp.shift[pos], sp.unit[pos]
         out = {}
         for m, c in self.terms.items():
-            e = m[pos]
+            e = (m >> s) & FIELD_MASK
             if e:
-                out[m[:pos] + (e - 1,) + m[pos + 1 :]] = e * c
-        return Poly(self.space, out)
+                out[m - unit] = e * c
+        return Poly(sp, out)
 
     def substitute(self, images: Mapping[int, "Poly"], target: Space) -> "Poly":
         """Simultaneous substitution of variables by polynomials.
@@ -296,9 +383,7 @@ class Poly:
         passthrough = {}
         for pos in range(n_src):
             if pos in images:
-                space = images[pos].space
-                if space is not target and space != target:
-                    raise SpaceMismatchError("image not in target space")
+                check_space(images[pos].space, target, "image not in target space")
             else:
                 name = self.space.names[pos]
                 tpos = target.index.get(name)
@@ -310,9 +395,9 @@ class Poly:
         out: dict = {}
         pow_cache: dict = {}
         for m, c in self.terms.items():
-            factor = Poly.constant(target, c)
             base = [0] * target.nvars
-            for pos, e in enumerate(m):
+            factor = None
+            for pos, e in enumerate(self.space.unpack(m)):
                 if not e:
                     continue
                 if pos in passthrough:
@@ -323,19 +408,17 @@ class Poly:
                     if p is None:
                         p = images[pos] ** e
                         pow_cache[key] = p
-                    factor = factor * p
-            shift = tuple(base)
-            terms = factor.terms
-            if any(shift):
-                terms = {tuple(a + b for a, b in zip(mm, shift)): cc for mm, cc in terms.items()}
-            axpy(out, 1, terms)
+                    factor = p if factor is None else factor * p
+            # the passthrough monomial, then the checked product with it
+            rest = Poly(target, {target.pack(base): c})
+            axpy(out, 1, (rest if factor is None else factor * rest).terms)
         return Poly(target, out)
 
     # -- rendering -------------------------------------------------------
 
     def sorted_terms(self):
         """Terms in decreasing monomial order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: order_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def render(self) -> str:
         if not self.terms:
@@ -366,7 +449,7 @@ class Poly:
 
 def render_monomial(space: Space, m: Monomial) -> str:
     factors = []
-    for pos, e in enumerate(m):
+    for pos, e in enumerate(space.unpack(m)):
         if e == 1:
             factors.append(space.names[pos])
         elif e > 1:
@@ -412,5 +495,5 @@ def parse_poly(space: Space, text: str) -> Poly:
             if pos is None:
                 raise SpaceMismatchError(f"unknown variable {name!r}")
             exps[pos] += power
-        add_term(out, tuple(exps), int(coeff) if coeff.denominator == 1 else coeff)
+        add_term(out, space.pack(exps), int(coeff) if coeff.denominator == 1 else coeff)
     return Poly(space, out)

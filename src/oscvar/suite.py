@@ -106,7 +106,7 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
             for b in range(a + 1, len(gens))
         }
         nmon = 0
-        for m in monomials(2 * cfg.n, range(maxdeg + 1)):
+        for m in monomials(cfg.space, range(maxdeg + 1)):
             nmon += 1
             base = {m: 1}
             first = [apply_generator_terms(cfg, g, base) for g in gens]
@@ -176,11 +176,9 @@ def _ladder_v0_choices(cfg):
     j3 = [sp.y(j) for j in cfg.J3]
     seen = {}
     for ring in (j1 + [sp.x(r) for r in j2] + j3, j1 + [sp.y(r) for r in j2] + j3):
-        for exps in monomials(len(ring), range(3)):
-            m = [0] * sp.nvars
-            for pos, e in zip(ring, exps):
-                m[pos] += e
-            seen.setdefault(tuple(m), None)
+        for d in range(3):
+            for combo in itertools.combinations_with_replacement(ring, d):
+                seen.setdefault(sum(sp.unit[pos] for pos in combo), None)
     return [Poly.monomial(sp, m) for m in seen]
 
 
@@ -422,7 +420,7 @@ def check_highest_weight(params=(5, 1, 3), m1=1, m2=1) -> CheckRecord:
     mono = [0] * sp.nvars
     mono[sp.x(cfg.n1)] = m1
     mono[sp.y(cfg.n2 + 1)] = m2
-    vec = project_T_monomial(cfg, tuple(mono))
+    vec = project_T_monomial(cfg, sp.pack(mono))
     killed = all(
         apply_generator(cfg, ("e", r, r + 1), vec).is_zero()
         for r in range(1, cfg.n)

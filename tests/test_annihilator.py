@@ -97,7 +97,7 @@ def test_cartan_combination_eigenvalue():
     # monomial by d_j(m) - (sum_s d_s(m)) / n
     cfg = Config(4, 1, 3, -1, -1)
     gens = generators(cfg.n)
-    m = (1, 2, 0, 0, 0, 0, 1, 2)
+    m = cfg.space.pack((1, 2, 0, 0, 0, 0, 1, 2))
     total = sum(diagonal_value(cfg, s, m) for s in range(1, cfg.n + 1))
     for j in range(1, cfg.n + 1):
         sym = cartan_combination(cfg, j)
@@ -369,7 +369,7 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
         tower, monos, levels, gens
     )
     assert kernel_of_columns(columns) == kernel_of_columns(reference)
-    trimmed = [{m: v for m, v in col.items() if m[0] < last_start} for col in columns]
+    trimmed = [{eq: v for eq, v in col.items() if eq < last_start} for col in columns]
     assert kernel_of_columns(trimmed) == kernel_of_columns(reference_trimmed)
 
 

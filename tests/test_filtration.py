@@ -140,7 +140,7 @@ def test_hilbert_sequence():
 
 def test_p_order_examples():
     cache = _explicit_cache(CFG)
-    f = project_T_monomial(CFG, (1, 0, 0, 0, 0, 1))  # the base monomial
+    f = project_T_monomial(CFG, SP.pack((1, 0, 0, 0, 0, 1)))  # the base monomial
     assert p_order(CFG, 1, f, cache) == 0
     quad = P("x1*x3 - y1*y3")
     assert p_order(CFG, 1, P("x1*y3") * quad, cache) == 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from oscvar.linalg import (
     primitive_multiple,
     span_equal,
 )
-from oscvar.poly import Poly, parse_poly, xy_space, z_space
+from oscvar.poly import Poly, SpaceMismatchError, parse_poly, xy_space, z_space
 
 SP = xy_space(3)
 
@@ -49,7 +50,7 @@ def test_echelon_insertion_order_invariance():
             tuple(rng.randint(0, 2) for _ in range(SP.nvars)): rng.randint(-6, 6)
             for _ in range(3)
         }
-        polys.append(Poly.from_terms(SP, terms))
+        polys.append(Poly.from_exponents(SP, terms))
     canon = None
     for _ in range(10):
         rng.shuffle(polys)
@@ -96,13 +97,14 @@ def test_membership_matches_dense_rank():
         vectors = []
         for _ in range(rng.randint(2, 6)):
             terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, 3)}
-            vectors.append(Poly.from_terms(SP, terms))
+            vectors.append(Poly.from_exponents(SP, terms))
         probe_terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, 3)}
-        probe = Poly.from_terms(SP, probe_terms)
+        probe = Poly.from_exponents(SP, probe_terms)
         basis = echelon_from(SP, vectors)
         member = basis.contains(probe)
-        r1 = _dense_rank([v for v in vectors if v], mons)
-        r2 = _dense_rank([v for v in vectors if v] + ([probe] if probe else []), mons)
+        packed = [SP.pack(m) for m in mons]
+        r1 = _dense_rank([v for v in vectors if v], packed)
+        r2 = _dense_rank([v for v in vectors if v] + ([probe] if probe else []), packed)
         assert member == (r1 == r2)
         red = basis.reduce(probe)
         assert red.is_zero() == member
@@ -132,7 +134,7 @@ def test_kernel_examples():
         m = [0] * zs.nvars
         for pos in combo:
             m[pos] += 1
-        dom.append(Poly.monomial(zs, m))
+        dom.append(Poly.monomial(zs, zs.pack(m)))
     assert len(dom) == 10
     kern = kernel_of_columns([p.substitute(img, xy5).terms for p in dom])
     assert len(kern) == 1
@@ -163,6 +165,30 @@ def test_span_equal_two_sided():
     c = echelon_from(SP, [P("x1"), P("y1")])
     assert span_equal(a, b)
     assert not span_equal(a, c)
+
+
+def test_span_queries_across_spaces_raise():
+    # packed keys mean different monomials in different spaces: z4_3, the
+    # last of six z variables, packs to the same int as y3 in xy_space(3)
+    xy = echelon_from(SP, [P("y3")])
+    zs = z_space((3, 4), (1, 2, 3))
+    z = Poly.variable(zs, zs.z(4, 3))
+    assert z.terms.keys() == P("y3").terms.keys()
+    zb = echelon_from(zs, [z])
+    for query in (
+        lambda: xy.contains(z),
+        lambda: xy.contains_span(zb),
+        lambda: zb.contains_span(xy),
+        lambda: span_equal(xy, zb),
+        lambda: span_equal(echelon_from(SP, [P("y3"), P("x1")]), zb),  # unequal dims
+        lambda: xy.insert(z),
+        lambda: xy.reduce(z),
+    ):
+        with pytest.raises(SpaceMismatchError):
+            query()
+    # equal spaces built apart are the same space
+    twin = echelon_from(xy_space(3), [P("y3")])
+    assert span_equal(xy, twin) and xy.contains(P("2*y3"))
 
 
 # -- sympy as an independent oracle ----------------------------------------------
