@@ -43,6 +43,7 @@ a degree-1 system with no kmax-1 system to compare against) raises
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -169,20 +170,51 @@ def _level_rows(tower: FiltrationTower, k: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+class _SplitMonomials:
+    """The degree-p monomials on ``ngens`` generators that contain a symbol
+    of ``split``, in ascending order, each built when it is read, so no
+    list of them is ever held.  Sized, like the list it stands for, and
+    equal to that list."""
+
+    __slots__ = ("ngens", "degree", "split")
+
+    def __init__(self, ngens: int, degree: int, split: frozenset):
+        self.ngens = ngens
+        self.degree = degree
+        self.split = split
+
+    def __len__(self):
+        # all monomials less those on the generators outside the split
+        p = self.degree
+        return comb(self.ngens + p - 1, p) - comb(self.ngens - len(self.split) + p - 1, p)
+
+    def __iter__(self):
+        split = self.split
+        for key in itertools.combinations_with_replacement(range(self.ngens), self.degree):
+            if not split.isdisjoint(key):
+                yield key
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _SplitMonomials)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class AnnihilatorPiece:
     """Exact kernel of the degree-p graded action, certified up to kmax.
 
     ``coordinate_members`` are the monomials containing a preserver in
-    ``split_symbols``; each annihilates by the split lemma, whose
-    hypotheses the tower's :class:`SplitCertificate` checked.
+    ``split_symbols``, as a sized view that lists them when iterated; each
+    annihilates by the split lemma, whose hypotheses the tower's
+    :class:`SplitCertificate` checked.
     ``kernel_vectors`` span the rest of the kernel over the remaining
     monomials.  Certification is an over-approximation statement:
     membership is verified only for levels up to ``kmax_checked``.
     """
 
     degree: int
-    coordinate_members: list = field(default_factory=list)
+    coordinate_members: _SplitMonomials | list = field(default_factory=list)
     kernel_vectors: list = field(default_factory=list)
     kmax_checked: int = 0
     stabilized: bool = False
@@ -344,10 +376,9 @@ def compute_annihilator_piece(
     levels = list(range(kmax - p + 1))
     monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
     vectors = kernel_of_columns(columns)
-    all_monos = itertools.combinations_with_replacement(range(len(gens)), p)
     piece = AnnihilatorPiece(
         degree=p,
-        coordinate_members=[key for key in all_monos if not split.isdisjoint(key)],
+        coordinate_members=_SplitMonomials(len(gens), p, frozenset(split)),
         kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
         kmax_checked=kmax,
         unknown_count=comb(len(gens) + p - 1, p),
@@ -539,10 +570,11 @@ def sym_membership(sym: SymTerms, tower: FiltrationTower):
     return True
 
 
-def _sym_mul_family(family: list[SymTerms], cfg: Config) -> list[SymTerms]:
-    """Degree+1 multiples of a family by every generator symbol."""
+def _sym_mul_family(family: list[SymTerms], cfg: Config) -> Iterator[SymTerms]:
+    """Degree+1 multiples of a family by every generator symbol, each
+    built when it is read."""
     ngens = len(generators(cfg.n))
-    return [sym_mul(s, {(idx,): 1}) for s in family for idx in range(ngens)]
+    return (sym_mul(s, {(idx,): 1}) for s in family for idx in range(ngens))
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +724,7 @@ def verify_degree3(
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
     piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
         tower, 3, kmax, [op.terms for op in ops],
-        lower=_sym_mul_family([op.terms for op in minor2], cfg),
+        lower=list(_sym_mul_family([op.terms for op in minor2], cfg)),
     )
     return {
         "piece": piece,
@@ -771,11 +803,13 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         ]
     elif regime == "equal-blocks":
         minor3 = delta_ops(cfg, "minor3-J3J1")
+    # the symbol families are generated as they are read, so none is held
+    # while the kernels are solved
     predicted2 = [op.terms for op in minor2]
-    predicted3 = [op.terms for op in minor3] + _sym_mul_family(predicted2, cfg)
-    substituted = [(op.label(), op.terms) for op in minor3 + minor2] + [
-        (f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)
-    ]
+    substituted = itertools.chain(
+        ((op.label(), op.terms) for op in minor3 + minor2),
+        ((f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)),
+    )
 
     member_results = []
     for label, sym in substituted:
@@ -801,6 +835,9 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     )
     stab = {"degree2": d2.stabilized}
     if kmax >= 3:
+        predicted3 = itertools.chain(
+            (op.terms for op in minor3), _sym_mul_family(predicted2, cfg)
+        )
         d3, dim_computed, dim_predicted, equal = _compare_with_prediction(
             tower, 3, kmax, predicted3
         )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oscvar.annihilator import (
     ShallowSystemError,
+    _SplitMonomials,
     _compare_with_prediction,
     _level_rows,
     _stacked_columns,
@@ -270,7 +271,7 @@ def _real_family(cfg, p):
     if p == 2:
         return [op.terms for op in degree2_families(cfg)["direct"]], []
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
-    lower = _sym_mul_family([op.terms for op in minor2], cfg)
+    lower = list(_sym_mul_family([op.terms for op in minor2], cfg))
     return [op.terms for op in delta_ops(cfg, "minor3")], lower
 
 
@@ -388,6 +389,20 @@ def test_g_stability_failure_disables_split():
     full = compute_annihilator_piece(tower, 2, 4)
     assert fast.split_symbols == [] and fast.coordinate_members == []
     assert fast.kernel_vectors == full.kernel_vectors
+
+
+@pytest.mark.parametrize("ngens, p, split", [
+    (8, 1, {0, 3}), (8, 2, {0, 3}), (15, 3, {1, 2, 14}), (5, 2, set()), (4, 3, {0, 1, 2, 3}),
+])
+def test_coordinate_members_view_is_the_list(ngens, p, split):
+    view = _SplitMonomials(ngens, p, frozenset(split))
+    listed = [
+        key for key in itertools.combinations_with_replacement(range(ngens), p)
+        if not split.isdisjoint(key)
+    ]
+    assert len(view) == len(listed)
+    assert list(view) == listed and view == listed
+    assert view != listed[:-1] or not listed
 
 
 def test_failed_claim_is_dropped_from_the_split():
