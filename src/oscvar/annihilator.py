@@ -1,11 +1,13 @@
 """Degree-p annihilator kernels of the associated graded module.
 
-Working over the symmetric algebra on the n^2 - 1 generator symbols, a
-degree-p element annihilates the graded module when its action sends every
-filtration level M_k into M_{k+p-1}.  Monomials act through a fixed factor
-ordering (descending in the generator enumeration, rightmost factor first);
-the residue modulo the lower level is ordering-independent, which is
-asserted by test rather than assumed.
+Working over the symmetric algebra on the n^2 - 1 generator symbols,
+``poly.symbol_space(n)``, a degree-p element annihilates the graded module
+when its action sends every filtration level M_k into M_{k+p-1}.  Every
+symbol operator is a ``Poly`` of that space.  Monomials act through a fixed
+factor ordering (descending in the generator enumeration, rightmost factor
+first): the smallest generator index, the most significant packed field,
+acts first.  The residue modulo the lower level is ordering-independent,
+which is asserted by test rather than assumed.
 
 The degree-1 kernel is computed as an honest stacked linear system.  For
 p >= 2 the computation splits off the claimed level preservers (Cartan and
@@ -48,13 +50,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .detvar import _perm_sign
 from .filtration import FiltrationTower, build_tower
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
-from .poly import Poly, add_term, axpy, monomials
-
-SymTerms = dict  # {ascending tuple of generator indices: coefficient}
+from .poly import FIELD_MASK, Poly, Space, axpy, determinant, monomials, symbol_space
 
 
 class ShallowSystemError(ValueError):
@@ -92,25 +91,6 @@ def predicted_level_preservers(cfg: Config) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def sym_mul(a: SymTerms, b: SymTerms) -> SymTerms:
-    out: SymTerms = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            add_term(out, tuple(sorted(ka + kb)), va * vb)
-    return out
-
-
-def sym_power(a: SymTerms, e: int) -> SymTerms:
-    out: SymTerms = {(): 1}
-    for _ in range(e):
-        out = sym_mul(out, a)
-    return out
-
-
-def sym_degree(a: SymTerms) -> int:
-    return max((len(k) for k in a), default=0)
-
-
 def apply_sym_monomial(cfg: Config, key: tuple, terms: dict, gens) -> dict:
     """Apply the composition with the smallest enumeration index acting
     first; ``key`` is ascending, so iterate it directly."""
@@ -122,28 +102,37 @@ def apply_sym_monomial(cfg: Config, key: tuple, terms: dict, gens) -> dict:
     return out
 
 
-def apply_sym(cfg: Config, sym: SymTerms, terms: dict, gens) -> dict:
+def sym_words(sym: Poly) -> list:
+    """The terms of a symbol operator as (ascending generator indices,
+    coefficient) pairs, decoded once for every row it is applied to."""
+    positions = sym.space.positions
+    return [(positions(m), c) for m, c in sym.terms.items()]
+
+
+def apply_sym(cfg: Config, words: list, terms: dict, gens) -> dict:
+    """The image of ``terms`` under the symbol operator with ``words``."""
     acc: dict = {}
-    for key, c in sym.items():
+    for key, c in words:
         axpy(acc, c, apply_sym_monomial(cfg, key, terms, gens))
     return acc
 
 
-def act(sym: SymTerms, tower: FiltrationTower, k: int) -> list[Poly]:
+def act(sym: Poly, tower: FiltrationTower, k: int) -> list[Poly]:
     """Residues of the action on level k rows, modulo level k + deg - 1.
 
     Rows are taken in decreasing pivot order; residues are exact normal
     forms (empty residue = the row is annihilated in the graded module).
     """
-    p = sym_degree(sym)
+    p = sym.total_degree()
     if k + p - 1 > tower.depth:
         raise ValueError("tower too shallow for this action")
     cfg = tower.cfg
     gens = generators(cfg.n)
+    words = sym_words(sym)
     target = tower.levels[k + p - 1]
     out = []
     for piv in sorted(tower.levels[k].rows, reverse=True):
-        img = apply_sym(cfg, sym, tower.levels[k].rows[piv], gens)
+        img = apply_sym(cfg, words, tower.levels[k].rows[piv], gens)
         out.append(target.reduce(Poly(cfg.space, img)))
     return out
 
@@ -170,29 +159,33 @@ def _level_rows(tower: FiltrationTower, k: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _split_mask(space: Space, split) -> int:
+    """The packed fields of the symbols in ``split``: a monomial contains
+    one of them exactly when it shares a bit with this mask."""
+    return sum(FIELD_MASK << space.shift[s] for s in split)
+
+
 class _SplitMonomials:
-    """The degree-p monomials on ``ngens`` generators that contain a symbol
-    of ``split``, in ascending order, each built when it is read, so no
-    list of them is ever held.  Sized, like the list it stands for, and
+    """The packed degree-p monomials of ``space`` that contain a symbol of
+    ``split``, in ``poly.monomials`` order, each built when it is read, so
+    no list of them is ever held.  Sized, like the list it stands for, and
     equal to that list."""
 
-    __slots__ = ("ngens", "degree", "split")
+    __slots__ = ("space", "degree", "split")
 
-    def __init__(self, ngens: int, degree: int, split: frozenset):
-        self.ngens = ngens
+    def __init__(self, space: Space, degree: int, split: frozenset):
+        self.space = space
         self.degree = degree
         self.split = split
 
     def __len__(self):
         # all monomials less those on the generators outside the split
-        p = self.degree
-        return comb(self.ngens + p - 1, p) - comb(self.ngens - len(self.split) + p - 1, p)
+        p, ngens = self.degree, self.space.nvars
+        return comb(ngens + p - 1, p) - comb(ngens - len(self.split) + p - 1, p)
 
     def __iter__(self):
-        split = self.split
-        for key in itertools.combinations_with_replacement(range(self.ngens), self.degree):
-            if not split.isdisjoint(key):
-                yield key
+        mask = _split_mask(self.space, self.split)
+        return (m for m in monomials(self.space, (self.degree,)) if m & mask)
 
     def __eq__(self, other):
         if isinstance(other, (list, _SplitMonomials)):
@@ -225,7 +218,7 @@ class AnnihilatorPiece:
     def dim(self) -> int:
         return len(self.coordinate_members) + len(self.kernel_vectors)
 
-    def basis_sym(self) -> list[SymTerms]:
+    def basis_sym(self) -> list[dict]:
         out = [{key: 1} for key in self.coordinate_members]
         out.extend(dict(v) for v in self.kernel_vectors)
         return out
@@ -304,33 +297,41 @@ def split_certificate(tower: FiltrationTower, claimed, top: int) -> SplitCertifi
 def _stacked_columns(tower, alphabet, p, levels, gens):
     """The stacked degree-p system over the monomials on ``alphabet``.
 
-    Returns the ascending monomial keys, one sparse column per key stacking
-    every residue coordinate, and the first equation id contributed by the
-    last level (equations below it form the kmax-1 system, for the
-    stabilization comparison).  The keys form a trie, walked once per row:
-    each edge applies one generator to its parent's image, and a zero image
-    prunes the whole subtree.  Equation ids are numbered as residues
-    appear; the kernel does not depend on the numbering, because
-    ``kernel_of_columns`` picks its pivot columns greedily in column order.
+    Returns the packed monomial keys in ``combinations_with_replacement``
+    order of ``alphabet``, one sparse column per key stacking every residue
+    coordinate, and the first equation id contributed by the last level
+    (equations below it form the kmax-1 system, for the stabilization
+    comparison).  The keys form a trie, walked once per row: each edge
+    applies one generator to its parent's image and adds its packed unit
+    to the key, and a zero image prunes the whole subtree.  Equation ids
+    are numbered as residues appear; the kernel does not depend on the
+    numbering, because ``kernel_of_columns`` picks its pivot columns
+    greedily in column order.
     """
     cfg = tower.cfg
-    monos = list(itertools.combinations_with_replacement(alphabet, p))
+    sp = symbol_space(cfg.n)
+    unit = sp.unit
+    monos = [
+        sum(unit[g] for g in combo)
+        for combo in itertools.combinations_with_replacement(alphabet, p)
+    ]
     columns: dict = {key: {} for key in monos}
+    full = p << sp.dshift  # the keys below it have degree < p
     n_eqs = last_start = 0
     for k in levels:
         last_start = n_eqs
         target = tower.levels[k + p - 1]
         for row in _level_rows(tower, k):
             eqs: dict = {}
-            stack = [((), row, 0)]
+            stack = [(0, row, 0)]
             while stack:
                 prefix, img, start = stack.pop()
                 for pos in range(start, len(alphabet)):
                     out = apply_generator_terms(cfg, gens[alphabet[pos]], img)
                     if not out:
                         continue
-                    key = prefix + (alphabet[pos],)
-                    if len(key) < p:
+                    key = prefix + unit[alphabet[pos]]
+                    if key < full:
                         stack.append((key, out, pos))
                         continue
                     res, scale = target.reduce_scaled(out)
@@ -378,7 +379,7 @@ def compute_annihilator_piece(
     vectors = kernel_of_columns(columns)
     piece = AnnihilatorPiece(
         degree=p,
-        coordinate_members=_SplitMonomials(len(gens), p, frozenset(split)),
+        coordinate_members=_SplitMonomials(symbol_space(cfg.n), p, frozenset(split)),
         kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
         kmax_checked=kmax,
         unknown_count=comb(len(gens) + p - 1, p),
@@ -392,14 +393,15 @@ def compute_annihilator_piece(
     return piece
 
 
-def project_pure(sym: SymTerms, split: set) -> dict:
+def project_pure(sym: Poly, split) -> Poly:
     """Drop monomials containing a split symbol (the quotient modulo the
     ideal those symbols generate, in coordinates)."""
-    return {k: v for k, v in sym.items() if split.isdisjoint(k)}
+    mask = _split_mask(sym.space, split)
+    return Poly(sym.space, {m: c for m, c in sym.terms.items() if not m & mask})
 
 
-def _pure_span(syms, split: set) -> EchelonBasis:
-    basis = EchelonBasis(None)
+def _pure_span(space: Space, syms, split) -> EchelonBasis:
+    basis = EchelonBasis(space)
     for s in syms:
         proj = project_pure(s, split)
         if proj:
@@ -422,11 +424,12 @@ def _compare_with_prediction(
     plus ``lower``.
     """
     piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
-    split = set(piece.split_symbols)
-    computed = _pure_span(lower, split)
+    sp = symbol_space(tower.cfg.n)
+    split = piece.split_symbols
+    computed = _pure_span(sp, lower, split)
     for v in piece.kernel_vectors:
         computed.insert(v)
-    expected = _pure_span(itertools.chain(predicted, lower), split)
+    expected = _pure_span(sp, itertools.chain(predicted, lower), split)
     # kernel vectors are independent, so their count is the pure dimension
     return piece, len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
 
@@ -439,8 +442,9 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
             "against the kmax-1 system for stabilization"
         )
     predicted = predicted_level_preservers(tower.cfg)
+    sp = symbol_space(tower.cfg.n)
     piece, dim_computed, dim_predicted, equal = _compare_with_prediction(
-        tower, 1, kmax, [{(i,): 1} for i in predicted]
+        tower, 1, kmax, [Poly.variable(sp, i) for i in predicted]
     )
     gens = generators(tower.cfg.n)
     cartan = sum(1 for i in predicted if gens[i][0] == "h")
@@ -460,7 +464,7 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cartan_combination(cfg: Config, j: int) -> SymTerms:
+def cartan_combination(cfg: Config, j: int) -> Poly:
     """Symbol of the traceless part of the diagonal matrix unit at (j, j).
 
     The scalar remainder acts by a constant on the whole module, hence
@@ -468,34 +472,29 @@ def cartan_combination(cfg: Config, j: int) -> SymTerms:
     kills; dropping it keeps the operator inside the symmetric algebra on
     the trace-zero generators.
     """
+    sp = symbol_space(cfg.n)
     gmap = gen_index_map(cfg)
-    out: SymTerms = {}
+    out: dict = {}
     for r in range(1, cfg.n):
         c = Fraction((1 if r >= j else 0) * cfg.n - r, cfg.n)
         if c:
-            out[(gmap[("h", r)],)] = c
-    return out
+            out[sp.unit[gmap[("h", r)]]] = c
+    return Poly(sp, out)
 
 
-def entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> SymTerms:
+def entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> Poly:
     if j == i:
         return cartan_combination(cfg, j)
-    return {(gmap[("e", j, i)],): 1}
+    return Poly.variable(symbol_space(cfg.n), gmap[("e", j, i)])
 
 
-def minor_symbol(cfg: Config, rows, cols) -> SymTerms:
+def minor_symbol(cfg: Config, rows, cols) -> Poly:
     """The t-minor of the generator matrix with the given rows/columns,
     expanded into the symbol algebra (diagonal entries become Cartan
     combinations)."""
     gmap = gen_index_map(cfg)
-    t = len(rows)
-    out: SymTerms = {}
-    for perm in itertools.permutations(range(t)):
-        term: SymTerms = {(): _perm_sign(perm)}
-        for a in range(t):
-            term = sym_mul(term, entry_symbol(cfg, rows[a], cols[perm[a]], gmap))
-        axpy(out, 1, term)
-    return out
+    entries = [[entry_symbol(cfg, j, i, gmap) for i in cols] for j in rows]
+    return determinant(symbol_space(cfg.n), entries)
 
 
 @dataclass(frozen=True)
@@ -504,19 +503,10 @@ class DeltaOp:
 
     rows: tuple
     cols: tuple
-    sym: tuple  # frozen items of the SymTerms dict
-
-    @property
-    def terms(self) -> SymTerms:
-        return dict(self.sym)
+    sym: Poly
 
     def label(self) -> str:
         return f"D[{','.join(map(str, self.rows))};{','.join(map(str, self.cols))}]"
-
-
-def _make_delta(cfg: Config, rows, cols) -> DeltaOp:
-    sym = minor_symbol(cfg, rows, cols)
-    return DeltaOp(tuple(rows), tuple(cols), tuple(sorted(sym.items())))
 
 
 def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
@@ -540,11 +530,11 @@ def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
     out = []
     for rsub in itertools.combinations(sorted(rows), t):
         for csub in itertools.combinations(sorted(cols), t):
-            out.append(_make_delta(cfg, rsub, csub))
+            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub)))
     return out
 
 
-def sym_membership(sym: SymTerms, tower: FiltrationTower):
+def sym_membership(sym: Poly, tower: FiltrationTower):
     """eta(M_k) in M_{k + deg - 1} on every level the tower affords.
 
     Levels run over k <= depth - deg + 1 (the deepest level whose target
@@ -553,28 +543,29 @@ def sym_membership(sym: SymTerms, tower: FiltrationTower):
     annihilate by the split lemma, so they are dropped before the rest is
     applied.  Returns None when the tower affords no level at all.
     """
-    p = sym_degree(sym)
+    p = sym.total_degree()
     cfg = tower.cfg
     gens = generators(cfg.n)
     top = tower.depth - p + 1
     if top < 0:
         return None
     cert = split_certificate(tower, predicted_level_preservers(cfg), tower.depth)
-    sym = project_pure(sym, set(cert.preservers(tower.depth)))
+    words = sym_words(project_pure(sym, cert.preservers(tower.depth)))
     for k in range(top + 1):
         target = tower.levels[k + p - 1]
         for row in _level_rows(tower, k):
-            img = apply_sym(cfg, sym, row, gens)
+            img = apply_sym(cfg, words, row, gens)
             if img and not target.contains(img):
                 return False
     return True
 
 
-def _sym_mul_family(family: list[SymTerms], cfg: Config) -> Iterator[SymTerms]:
+def _generator_multiples(family: list[Poly], cfg: Config) -> Iterator[Poly]:
     """Degree+1 multiples of a family by every generator symbol, each
     built when it is read."""
-    ngens = len(generators(cfg.n))
-    return (sym_mul(s, {(idx,): 1}) for s in family for idx in range(ngens))
+    sp = symbol_space(cfg.n)
+    symbols = [Poly.variable(sp, idx) for idx in range(sp.nvars)]
+    return (s * g for s in family for g in symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +604,11 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
     membership = []
     for op in fam["direct"]:
         membership.append(
-            {"op": op.label(), "in_kernel": sym_membership(op.terms, tower)}
+            {"op": op.label(), "in_kernel": sym_membership(op.sym, tower)}
         )
     power_membership = []
     for op, e in fam["powers"]:
-        powered = sym_power(op.terms, e)
+        powered = op.sym ** e
         deg = 2 * e
         entry = {"op": f"{op.label()}^{e}", "degree": deg}
         if not powered:
@@ -632,7 +623,7 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
                 entry["in_kernel"] = got
         power_membership.append(entry)
     piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
-        tower, 2, kmax, [op.terms for op in fam["direct"]]
+        tower, 2, kmax, [op.sym for op in fam["direct"]]
     )
     return {
         "piece": piece,
@@ -670,11 +661,12 @@ def classify_minor3(cfg: Config, rows, cols) -> int:
     return 5
 
 
-def operator_identically_zero(cfg: Config, sym: SymTerms, maxdeg: int) -> bool:
+def operator_identically_zero(cfg: Config, sym: Poly, maxdeg: int) -> bool:
     """Check an operator identity: zero on every monomial up to maxdeg."""
     gens = generators(cfg.n)
+    words = sym_words(sym)
     for m in monomials(cfg.space, range(maxdeg + 1)):
-        if apply_sym(cfg, sym, {m: 1}, gens):
+        if apply_sym(cfg, words, {m: 1}, gens):
             return False
     return True
 
@@ -700,7 +692,7 @@ def verify_degree3(
             continue
         if c == 1:
             ok = all(
-                operator_identically_zero(cfg, op.terms, identity_maxdeg)
+                operator_identically_zero(cfg, op.sym, identity_maxdeg)
                 for op in sel
             )
             case_results.append(
@@ -712,7 +704,7 @@ def verify_degree3(
                 }
             )
         else:
-            ok = sym_membership(sel[0].terms, tower)
+            ok = sym_membership(sel[0].sym, tower)
             case_results.append(
                 {
                     "case": c,
@@ -723,8 +715,8 @@ def verify_degree3(
             )
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
     piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
-        tower, 3, kmax, [op.terms for op in ops],
-        lower=list(_sym_mul_family([op.terms for op in minor2], cfg)),
+        tower, 3, kmax, [op.sym for op in ops],
+        lower=list(_generator_multiples([op.sym for op in minor2], cfg)),
     )
     return {
         "piece": piece,
@@ -798,16 +790,17 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     if regime == "negative":
         minor3 = delta_ops(cfg, "minor3")
         gmap = gen_index_map(cfg)
+        sp = symbol_space(cfg.n)
         coords = [
-            {(gmap[("e", j, i)],): 1} for j in cfg.J2 for i in cfg.J2 if j != i
+            Poly.variable(sp, gmap[("e", j, i)]) for j in cfg.J2 for i in cfg.J2 if j != i
         ]
     elif regime == "equal-blocks":
         minor3 = delta_ops(cfg, "minor3-J3J1")
     # the symbol families are generated as they are read, so none is held
     # while the kernels are solved
-    predicted2 = [op.terms for op in minor2]
+    predicted2 = [op.sym for op in minor2]
     substituted = itertools.chain(
-        ((op.label(), op.terms) for op in minor3 + minor2),
+        ((op.label(), op.sym) for op in minor3 + minor2),
         ((f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)),
     )
 
@@ -836,7 +829,7 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     stab = {"degree2": d2.stabilized}
     if kmax >= 3:
         predicted3 = itertools.chain(
-            (op.terms for op in minor3), _sym_mul_family(predicted2, cfg)
+            (op.sym for op in minor3), _generator_multiples(predicted2, cfg)
         )
         d3, dim_computed, dim_predicted, equal = _compare_with_prediction(
             tower, 3, kmax, predicted3

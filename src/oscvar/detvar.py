@@ -46,7 +46,9 @@ from functools import lru_cache
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config
-from .poly import FIELD_BITS, Poly, Space, add_term, axpy, monomials, xy_space, z_space
+from .poly import (
+    FIELD_BITS, Poly, Space, add_term, axpy, determinant, monomials, xy_space, z_space,
+)
 
 
 def restricted_ring(cfg: Config) -> Space:
@@ -170,29 +172,19 @@ def minor_generators(space: Space, t: int, rows=None, cols=None) -> list[Poly]:
     cols = tuple(space.cols) if cols is None else tuple(sorted(cols))
     if t > len(rows) or t > len(cols) or t < 1:
         return []
+    entry = {
+        (j, i): Poly.zero(space) if (j, i) in space.excluded
+        else Poly.variable(space, space.z(j, i))
+        for j in rows
+        for i in cols
+    }
     out = []
     for rsub in itertools.combinations(rows, t):
         for csub in itertools.combinations(cols, t):
-            det: dict = {}
-            for perm in itertools.permutations(range(t)):
-                if any((rsub[a], csub[perm[a]]) in space.excluded for a in range(t)):
-                    continue
-                m = [0] * space.nvars
-                for a in range(t):
-                    m[space.z(rsub[a], csub[perm[a]])] += 1
-                add_term(det, space.pack(m), _perm_sign(perm))
+            det = determinant(space, [[entry[j, i] for i in csub] for j in rsub])
             if det:
-                out.append(Poly(space, det))
+                out.append(det)
     return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

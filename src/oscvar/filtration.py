@@ -50,11 +50,14 @@ from math import factorial
 from .linalg import EchelonBasis, echelon_from, primitive_multiple, span_equal
 from .osc import (
     Config,
+    _compositions,
     apply_generator,
     apply_generator_terms,
+    classify_irreducible,
     enumerate_block_sums,
     enumerate_TN_level,
     generators,
+    project_T,
     project_T_monomial,
 )
 from .poly import Poly, parse_poly
@@ -213,8 +216,6 @@ def _skew_base(cfg: Config) -> list[Poly]:
 
 def _compositions_over(indices, total):
     idx = list(indices)
-    from .osc import _compositions
-
     for comp in _compositions(total, len(idx)):
         yield list(zip(idx, comp))
 
@@ -267,8 +268,6 @@ def build_M0(cfg: Config, warn=None) -> EchelonBasis:
     configuration fails the irreducibility classification; the tower is
     still built.
     """
-    from .osc import classify_irreducible
-
     if warn is not None and not classify_irreducible(cfg):
         warn(f"{cfg.short()} fails the irreducibility classification")
     return echelon_from(cfg.space, base_space_vectors(cfg))
@@ -494,7 +493,7 @@ def _apply_chain(cfg: Config, ops: list[tuple], v: Poly) -> Poly:
     return out
 
 
-def _subring_ok(cfg: Config, v0: Poly, allow_x_mid: bool) -> bool:
+def _subring_ok(cfg: Config, v0: Poly) -> bool:
     """v0 must avoid x_{n1+1}, y_{n1+1} and use only one of x/y over the rest
     of the middle block."""
     sp = cfg.space
@@ -514,6 +513,21 @@ def _subring_ok(cfg: Config, v0: Poly, allow_x_mid: bool) -> bool:
     return not (uses_x_mid and uses_y_mid)
 
 
+# Each ladder variant as (side, |i1|, |i3|, c, s) in terms of (k, aux): the
+# E-chain acts on v0 * v_{n1+1}^s and yields
+# (-1)^{|i1|} k!/c! T(v0 * prod v_i * prod v_j * v_{n1+1}^c), v = x or y by
+# side.  "x" and "y" are the two mixed ladders (aux = number of J3 resp. J1
+# indices consumed); "cx" and "cy" the one-sided corollary forms (aux = the
+# leftover exponent at n1+1).  The sign counts the lowering factors: the
+# printed y form carries (-1)^k, which fails already at aux = 0.
+LADDER_VARIANTS = {
+    "x": lambda k, aux: ("x", k, aux, k - aux, 0),
+    "y": lambda k, aux: ("y", aux, k, k - aux, 0),
+    "cx": lambda k, aux: ("x", 0, k - aux, aux, k),
+    "cy": lambda k, aux: ("y", k - aux, 0, aux, k),
+}
+
+
 def operator_chain_identity(
     cfg: Config,
     variant: str,
@@ -524,86 +538,41 @@ def operator_chain_identity(
     v0: Poly,
 ) -> bool:
     """Check one ladder identity relating an ordered product of E-operators
-    to a scaled projection of a decorated monomial.
+    to a scaled projection of a decorated monomial (``LADDER_VARIANTS``).
 
-    Variants: "x" and "y" are the two mixed ladders (aux = number of J3
-    resp. J1 indices consumed); "cx" and "cy" are the one-sided corollary
-    forms (aux = leftover exponent at n1+1).  Index and regime
+    The chain has one lowering factor E_{n1+1,i} per J1 index, each
+    contributing a sign, and one raising factor E_{j,n1+1} per J3 index.
+    On the x side it lists the raisings reversed, then the lowerings; on
+    the y side the lowerings, then the raisings.  Index and regime
     preconditions are enforced.
     """
     if cfg.n1 >= cfg.n2:
         raise UnsupportedRegimeError("ladder identities require n1 < n2")
-    if not _subring_ok(cfg, v0, True):
+    if not _subring_ok(cfg, v0):
         raise ValueError("v0 lies outside the admissible subring")
     if aux < 0 or aux > k:
         raise ValueError("need 0 <= aux <= k")
-    sp = cfg.space
-    mid = cfg.n1 + 1
+    if variant not in LADDER_VARIANTS:
+        raise ValueError(f"unknown ladder variant {variant!r}")
+    side, n_i1, n_i3, c, s = LADDER_VARIANTS[variant](k, aux)
+    if len(i1_idx) != n_i1 or len(i3_idx) != n_i3:
+        raise ValueError(f"variant {variant!r} takes {n_i1} J1 and {n_i3} J3 indices")
     if any(i not in cfg.J1 for i in i1_idx) or any(j not in cfg.J3 for j in i3_idx):
         raise ValueError("ladder indices outside J1/J3")
+    sp = cfg.space
+    mid = cfg.n1 + 1
+    var = sp.x if side == "x" else sp.y
 
-    def mono(pairs) -> Poly:
-        m = [0] * sp.nvars
-        for pos in pairs:
-            m[pos] += 1
-        return Poly.monomial(sp, sp.pack(m))
+    def mono(indices) -> Poly:
+        return Poly.monomial(sp, sum(sp.unit[var(i)] for i in indices))
 
-    from .osc import project_T
-
-    if variant == "x":
-        k13 = aux
-        if len(i1_idx) != k or len(i3_idx) != k13:
-            raise ValueError("index list lengths must be (k, k13)")
-        deco = mono(
-            [sp.x(i) for i in i1_idx]
-            + [sp.x(j) for j in i3_idx]
-            + [sp.x(mid)] * (k - k13)
-        )
-        lhs = project_T(cfg, v0 * deco).scale(
-            Fraction((-1) ** k * factorial(k), factorial(k - k13))
-        )
-        ops = [(j, mid) for j in reversed(i3_idx)] + [(mid, i) for i in i1_idx]
-        return lhs == _apply_chain(cfg, ops, v0)
-    if variant == "y":
-        # sign: one -1 per lowering factor, of which there are k21 here
-        # (the printed form carries (-1)^k, which fails already at k21 = 0)
-        k21 = aux
-        if len(i1_idx) != k21 or len(i3_idx) != k:
-            raise ValueError("index list lengths must be (k21, k)")
-        deco = mono(
-            [sp.y(i) for i in i1_idx]
-            + [sp.y(j) for j in i3_idx]
-            + [sp.y(mid)] * (k - k21)
-        )
-        lhs = project_T(cfg, v0 * deco).scale(
-            Fraction((-1) ** k21 * factorial(k), factorial(k - k21))
-        )
-        ops = [(mid, i) for i in i1_idx] + [(j, mid) for j in i3_idx]
-        return lhs == _apply_chain(cfg, ops, v0)
-    if variant == "cx":
-        alpha = aux
-        if len(i3_idx) != k - alpha:
-            raise ValueError("need k - alpha J3 indices")
-        deco = mono([sp.x(j) for j in i3_idx] + [sp.x(mid)] * alpha)
-        lhs = project_T(cfg, v0 * deco).scale(
-            Fraction(factorial(k), factorial(alpha))
-        )
-        ops = [(j, mid) for j in reversed(i3_idx)]
-        seed = v0 * mono([sp.x(mid)] * k)
-        return lhs == _apply_chain(cfg, ops, seed)
-    if variant == "cy":
-        # k - beta lowering factors, hence the (-1)^{k-beta} sign
-        beta = aux
-        if len(i1_idx) != k - beta:
-            raise ValueError("need k - beta J1 indices")
-        deco = mono([sp.y(i) for i in i1_idx] + [sp.y(mid)] * beta)
-        lhs = project_T(cfg, v0 * deco).scale(
-            Fraction((-1) ** (k - beta) * factorial(k), factorial(beta))
-        )
-        ops = [(mid, i) for i in i1_idx]
-        seed = v0 * mono([sp.y(mid)] * k)
-        return lhs == _apply_chain(cfg, ops, seed)
-    raise ValueError(f"unknown ladder variant {variant!r}")
+    lhs = project_T(cfg, v0 * mono([*i1_idx, *i3_idx] + [mid] * c)).scale(
+        Fraction((-1) ** n_i1 * factorial(k), factorial(c))
+    )
+    lowerings = [(mid, i) for i in i1_idx]
+    raisings = [(j, mid) for j in i3_idx]
+    ops = raisings[::-1] + lowerings if side == "x" else lowerings + raisings
+    return lhs == _apply_chain(cfg, ops, v0 * mono([mid] * s))
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +580,9 @@ def operator_chain_identity(
 # ---------------------------------------------------------------------------
 
 
-def tower_to_dict(tower: FiltrationTower, include_rows: bool = True) -> dict:
+def tower_to_dict(tower: FiltrationTower) -> dict:
     cfg = tower.cfg
-    out = {
+    return {
         "config": {
             "n": cfg.n,
             "n1": cfg.n1,
@@ -623,12 +592,10 @@ def tower_to_dict(tower: FiltrationTower, include_rows: bool = True) -> dict:
         },
         "method": tower.method,
         "dims": tower.dims,
-    }
-    if include_rows:
-        out["levels"] = [
+        "levels": [
             [row.render() for row in basis.sorted_rows()] for basis in tower.levels
-        ]
-    return out
+        ],
+    }
 
 
 def tower_from_dict(data: dict) -> FiltrationTower:
@@ -638,7 +605,7 @@ def tower_from_dict(data: dict) -> FiltrationTower:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tower dump: {exc}") from exc
     if "levels" not in data:
-        raise ValueError("tower dump has no basis rows (dumped without rows?)")
+        raise ValueError("tower dump has no basis rows")
     levels = []
     for rows in data["levels"]:
         basis = EchelonBasis(cfg.space)

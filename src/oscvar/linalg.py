@@ -27,16 +27,14 @@ accumulated from it stays positive.
 
 Keys of the coefficient dictionaries are compared natively: ``max(row)``
 is the leading key and ``sorted`` the pivot order, with no key function.
-For polynomials the keys are packed monomials, whose int order is the
-graded-lex order (see ``poly``); ``order_key``, the identity on them, is
-kept here as the name of that order.  Any mutually comparable keys work,
-which the annihilator module uses to run the same machinery over symbol
-monomials (sorted tuples of generator indices, in tuple order) and
-equation ids (ints).
+The keys are packed monomials of one space (xy, z or symbol space), whose
+int order is the graded-lex order (see ``poly``); ``order_key``, the
+identity on them, is kept here as the name of that order.
+``kernel_of_columns`` also takes columns keyed by equation ids (ints).
 
-A basis belongs to one space (``None`` for keys that are not monomials),
-and every query that takes a polynomial or another basis checks it: a
-packed int means different monomials in different spaces.
+A basis belongs to one space, and every query that takes a polynomial or
+another basis checks it: a packed int means different monomials in
+different spaces.  A basis built with ``None`` checks nothing.
 """
 
 from __future__ import annotations
@@ -266,8 +264,8 @@ def echelon_from(space: Space | None, polys: Iterable) -> EchelonBasis:
 def kernel_of_columns(columns: Iterable[dict]) -> list[dict]:
     """Kernel of the matrix whose j-th column is the j-th of ``columns``.
 
-    Columns are sparse dicts over mutually comparable keys (packed
-    monomials of one space, say) with int or Fraction values.  They are
+    Columns are sparse dicts keyed by packed monomials of one space or by
+    equation ids, with int or Fraction values.  They are
     read once, in order, and never modified, so ``columns`` may be a lazy
     view that builds each column when elimination reaches it.  Returns
     primitive integer vectors c (as sparse dicts {column index: coeff})

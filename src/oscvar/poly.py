@@ -6,12 +6,15 @@ for speed and promote automatically when a Fraction enters).  The zero
 polynomial is the empty dict.  All ``Poly`` operations are pure: they
 return new values and never mutate their inputs.
 
-Two kinds of variable spaces occur:
+Three kinds of variable spaces occur:
 
   * the xy space in 2n variables x_1..x_n, y_1..y_n, ordered
     x_1 > ... > x_n > y_1 > ... > y_n;
   * z spaces with one variable z_{j,i} per (row, column) pair, row-major,
-    minus an optional excluded pair set.
+    minus an optional excluded pair set;
+  * the symbol space of sl(n), the symmetric algebra on its n^2 - 1
+    generators h_1..h_{n-1}, then e_{i,j} (i != j) row-major, the order of
+    ``osc.generators``.
 
 The monomial order is graded lexicographic on the exponent vector in the
 variable order above.  Canonical text rendering emits terms in decreasing
@@ -73,8 +76,9 @@ class SpaceMismatchError(ValueError):
 class Space:
     """An ordered set of named variables.
 
-    ``kind`` is ``"xy"`` (2n variables over index 1..n) or ``"z"`` (one
-    variable per (row, col) pair, row-major, excluded pairs removed).
+    ``kind`` is ``"xy"`` (2n variables over index 1..n), ``"z"`` (one
+    variable per (row, col) pair, row-major, excluded pairs removed) or
+    ``"sym"`` (one variable per generator of sl(n)).
     """
 
     __slots__ = (
@@ -156,6 +160,11 @@ class Space:
         """The exponent of the variable at ``pos`` in a packed monomial."""
         return (m >> self.shift[pos]) & FIELD_MASK
 
+    def positions(self, m: Monomial) -> tuple:
+        """The variable positions of a packed monomial in ascending order,
+        each repeated as often as its exponent."""
+        return tuple(pos for pos, e in enumerate(self.unpack(m)) for _ in range(e))
+
     def degree(self, m: Monomial) -> int:
         """The total degree of a packed monomial."""
         return m >> self.dshift
@@ -191,6 +200,18 @@ def z_space(rows: tuple, cols: tuple, excluded: frozenset = frozenset()) -> Spac
     if not names:
         raise ValueError("empty z space")
     return Space("z", names, rows=rows, cols=cols, excluded=excluded)
+
+
+@lru_cache(maxsize=None)
+def symbol_space(n: int) -> Space:
+    """The symmetric algebra on the generators of sl(n) (n >= 2), one
+    variable per generator: h1..h{n-1}, then e{i}_{j} for i != j."""
+    if n < 2:
+        raise ValueError("symbol space needs n >= 2")
+    names = tuple(f"h{r}" for r in range(1, n)) + tuple(
+        f"e{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+    )
+    return Space("sym", names, n=n)
 
 
 def check_space(a: Space | None, b: Space | None, what: str) -> None:
@@ -236,6 +257,21 @@ def monomials(space: Space, degrees: Iterable[int]):
             raise OverflowError(f"degree {d} does not fit the packed monomial")
         for combo in itertools.combinations_with_replacement(unit, d):
             yield sum(combo)
+
+
+def determinant(space: Space, entries) -> "Poly":
+    """The determinant of a square matrix (a list of rows) of polynomials
+    of ``space``, expanded along the first row; zero entries are
+    skipped."""
+    if len(entries) == 1:
+        return entries[0][0]
+    out = Poly.zero(space)
+    for col, entry in enumerate(entries[0]):
+        if entry:
+            minor = [row[:col] + row[col + 1:] for row in entries[1:]]
+            term = entry * determinant(space, minor)
+            out = out - term if col % 2 else out + term
+    return out
 
 
 class Poly:

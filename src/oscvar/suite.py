@@ -34,6 +34,7 @@ from .detvar import (
     verify_minor3_kernel,
 )
 from .filtration import (
+    LADDER_VARIANTS,
     build_tower,
     compare_towers,
     operator_chain_identity,
@@ -193,12 +194,8 @@ def check_ladder_identities(params, kmax) -> CheckRecord:
     for k in range(kmax + 1):
         for aux in range(k + 1):
             for v0 in v0s:
-                for variant, n1len, n3len in (
-                    ("x", k, aux),
-                    ("y", aux, k),
-                    ("cx", 0, k - aux),
-                    ("cy", k - aux, 0),
-                ):
+                for variant, shape in LADDER_VARIANTS.items():
+                    _, n1len, n3len, _, _ = shape(k, aux)
                     for i1s in itertools.product(i1_choices, repeat=n1len):
                         for i3s in itertools.product(i3_choices, repeat=n3len):
                             checked += 1
@@ -356,7 +353,7 @@ def check_degree3_identity_supplement(params, maxdeg) -> CheckRecord:
         if classify_minor3(cfg, op.rows, op.cols) == 1
     ]
     ok = bool(ops) and all(
-        operator_identically_zero(cfg, op.terms, maxdeg) for op in ops
+        operator_identically_zero(cfg, op.sym, maxdeg) for op in ops
     )
     return _record(
         "degree3-identity-supplement",
@@ -377,7 +374,7 @@ def check_degree3_case6_supplement(params, kmax) -> CheckRecord:
         for op in delta_ops(cfg, "minor3")
         if classify_minor3(cfg, op.rows, op.cols) == 6
     ]
-    ok = bool(ops) and all(sym_membership(op.terms, tower) for op in ops[:2])
+    ok = bool(ops) and all(sym_membership(op.sym, tower) for op in ops[:2])
     return _record(
         "degree3-case6-supplement",
         "minor3-case6-membership",

@@ -14,7 +14,7 @@ from oscvar.annihilator import (
     _compare_with_prediction,
     _level_rows,
     _stacked_columns,
-    _sym_mul_family,
+    _generator_multiples,
     apply_sym,
     apply_sym_monomial,
     cartan_combination,
@@ -33,15 +33,20 @@ from oscvar.annihilator import (
     predicted_level_preservers,
     split_certificate,
     sym_membership,
-    sym_mul,
+    sym_words,
     verify_variety_presentation,
 )
 from oscvar.filtration import UnsupportedRegimeError, build_tower
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import Config, apply_generator_terms, diagonal_value, generators
-from oscvar.poly import Poly, axpy
+from oscvar.poly import Poly, Space, axpy, symbol_space
 
 CFG = Config(3, 1, 2, -1, -1)
+
+
+def _pack(sp, key):
+    """The packed symbol monomial of an ascending tuple of generator indices."""
+    return sum(sp.unit[g] for g in key)
 
 
 def test_L_membership():
@@ -60,13 +65,14 @@ def test_degree1_kernel_small():
 def test_act_examples():
     tower = build_tower(CFG, 2, "explicit")
     gmap = gen_index_map(CFG)
-    assert all(r.is_zero() for r in act({(gmap[("e", 1, 2)],): 1}, tower, 0))
-    assert all(r.is_zero() for r in act({(gmap[("h", 1)],): 1}, tower, 0))
-    res = act({(gmap[("e", 2, 1)],): 1}, tower, 0)
+    sp = symbol_space(CFG.n)
+    assert all(r.is_zero() for r in act(Poly.variable(sp, gmap[("e", 1, 2)]), tower, 0))
+    assert all(r.is_zero() for r in act(Poly.variable(sp, gmap[("h", 1)]), tower, 0))
+    res = act(Poly.variable(sp, gmap[("e", 2, 1)]), tower, 0)
     assert [str(r) for r in res] == ["-x1^2*x2*y3"]
     shallow = build_tower(CFG, 1, "explicit")
     with pytest.raises(ValueError):
-        act({(gmap[("e", 2, 1)],) * 3: 1}, shallow, 0)
+        act(Poly.variable(sp, gmap[("e", 2, 1)]) ** 3, shallow, 0)
 
 
 def test_residue_is_ordering_independent():
@@ -102,7 +108,7 @@ def test_cartan_combination_eigenvalue():
     total = sum(diagonal_value(cfg, s, m) for s in range(1, cfg.n + 1))
     for j in range(1, cfg.n + 1):
         sym = cartan_combination(cfg, j)
-        img = apply_sym(cfg, sym, {m: 1}, gens)
+        img = apply_sym(cfg, sym_words(sym), {m: 1}, gens)
         want = Fraction(diagonal_value(cfg, j, m) * cfg.n - total, cfg.n)
         if want:
             assert img == {m: want}
@@ -122,7 +128,7 @@ def test_minor_symbol_antisymmetry():
     cfg = Config(6, 2, 4)
     a = minor_symbol(cfg, (3, 4), (1, 2))
     b = minor_symbol(cfg, (4, 3), (1, 2))
-    assert a == {k: -v for k, v in b.items()}
+    assert a == -b
 
 
 def test_classify_minor3_grid():
@@ -141,7 +147,7 @@ def test_vanishing_case_identity():
     op = [
         o for o in delta_ops(cfg, "minor3") if classify_minor3(cfg, o.rows, o.cols) == 1
     ][0]
-    assert operator_identically_zero(cfg, op.terms, 3)
+    assert operator_identically_zero(cfg, op.sym, 3)
 
 
 def test_degree2_piece_and_fallback_agree():
@@ -152,12 +158,13 @@ def test_degree2_piece_and_fallback_agree():
     )
     full = compute_annihilator_piece(tower, 2, 3)
     assert fast.dim == full.dim
-    fast_span = echelon_from(None, [dict(v) for v in fast.basis_sym()])
-    full_span = echelon_from(None, [dict(v) for v in full.basis_sym()])
+    sp = symbol_space(cfg.n)
+    fast_span = echelon_from(sp, [dict(v) for v in fast.basis_sym()])
+    full_span = echelon_from(sp, [dict(v) for v in full.basis_sym()])
     assert span_equal(fast_span, full_span)
     # a wrong preserver list must not corrupt the result (fallback path)
     wrong = compute_annihilator_piece(tower, 2, 3, known_level_preservers=[0, 1, 2, 3])
-    wrong_span = echelon_from(None, [dict(v) for v in wrong.basis_sym()])
+    wrong_span = echelon_from(sp, [dict(v) for v in wrong.basis_sym()])
     assert span_equal(wrong_span, full_span)
 
 
@@ -165,9 +172,9 @@ def test_squared_minor_membership_positive_low():
     cfg = Config(5, 1, 3, 1, -1)
     tower = build_tower(cfg, 3, "explicit")
     (op,) = delta_ops(cfg, "minor2-L2")
-    sq = sym_mul(op.terms, op.terms)
+    sq = op.sym * op.sym
     assert sym_membership(sq, tower) is True
-    assert sym_membership(op.terms, tower) is False  # the unsquared one is not inside
+    assert sym_membership(op.sym, tower) is False  # the unsquared one is not inside
 
 
 def test_new_pivot_row_reduction_is_lossless():
@@ -196,8 +203,9 @@ def test_new_pivot_row_reduction_is_lossless():
                     col[(eq,)] = Fraction(v, scale)
         columns.append(col)
     naive = kernel_of_columns(columns)
-    fast_span = echelon_from(None, [dict(v) for v in piece.basis_sym()])
-    naive_span = echelon_from(None, [{(i,): c for i, c in vec.items()} for vec in naive])
+    sp = symbol_space(cfg.n)
+    fast_span = echelon_from(sp, [dict(v) for v in piece.basis_sym()])
+    naive_span = echelon_from(sp, [{sp.unit[i]: c for i, c in vec.items()} for vec in naive])
     assert span_equal(fast_span, naive_span)
 
 
@@ -243,8 +251,8 @@ _PROPERTY = dict(
 )
 
 
-def _span_of(piece):
-    return echelon_from(None, [dict(v) for v in piece.basis_sym()])
+def _span_of(cfg, piece):
+    return echelon_from(symbol_space(cfg.n), [dict(v) for v in piece.basis_sym()])
 
 
 @settings(max_examples=20, **_PROPERTY)
@@ -259,20 +267,20 @@ def test_split_piece_equals_full_solve(tower_kmax, p):
     assert set(fast.split_symbols) <= set(claimed)
     assert fast.dim == full.dim
     assert fast.stabilized == full.stabilized
-    assert span_equal(_span_of(fast), _span_of(full))
+    assert span_equal(_span_of(cfg, fast), _span_of(cfg, full))
 
 
-def _rank(syms) -> int:
-    return echelon_from(None, [dict(s) for s in syms]).dim
+def _rank(cfg, syms) -> int:
+    return echelon_from(symbol_space(cfg.n), syms).dim
 
 
 def _real_family(cfg, p):
     """The predicted degree-p family and its lower part, as the checks use them."""
     if p == 2:
-        return [op.terms for op in degree2_families(cfg)["direct"]], []
+        return [op.sym for op in degree2_families(cfg)["direct"]], []
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
-    lower = list(_sym_mul_family([op.terms for op in minor2], cfg))
-    return [op.terms for op in delta_ops(cfg, "minor3")], lower
+    lower = list(_generator_multiples([op.sym for op in minor2], cfg))
+    return [op.sym for op in delta_ops(cfg, "minor3")], lower
 
 
 @settings(max_examples=40, **_PROPERTY)
@@ -294,21 +302,22 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
         new = [m for m in top if m not in below]
         assume(new)
         del top[rng.choice(new)]
-    kernel = compute_annihilator_piece(tower, p, kmax).basis_sym()
+    sp = symbol_space(cfg.n)
+    kernel = [Poly(sp, v) for v in compute_annihilator_piece(tower, p, kmax).basis_sym()]
     claimed = set(predicted_level_preservers(cfg))
     monos = list(itertools.combinations_with_replacement(range(len(generators(cfg.n))), p))
-    strays = [{m: 1} for m in monos if claimed.isdisjoint(m)]  # never split off
+    strays = [Poly(sp, {_pack(sp, m): 1}) for m in monos if claimed.isdisjoint(m)]  # never split off
 
     def combos(count, stray):
         out = []
         for _ in range(count):
             sym: dict = {}
             for v in rng.sample(kernel, min(len(kernel), rng.randint(1, 3))):
-                axpy(sym, rng.randint(-2, 2), v)
+                axpy(sym, rng.randint(-2, 2), v.terms)
             if strays and rng.random() < stray:
-                axpy(sym, rng.randint(1, 2), rng.choice(strays))
+                axpy(sym, rng.randint(1, 2), rng.choice(strays).terms)
             if sym:
-                out.append(sym)
+                out.append(Poly(sp, sym))
         return out
 
     mode = rng.randrange(4)
@@ -322,12 +331,12 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
         tower, p, kmax, predicted, lower
     )
     split = set(piece.split_symbols)
-    members = [{m: 1} for m in monos if not split.isdisjoint(m)]
-    assert dim_computed == _rank(kernel) - len(members)
-    assert dim_predicted == _rank(predicted + lower + members) - len(members)
-    full = _rank(kernel + lower)
-    want = _rank(predicted + lower + members)
-    assert equal == (full == want == _rank(kernel + lower + predicted + members))
+    members = [{_pack(sp, m): 1} for m in monos if not split.isdisjoint(m)]
+    assert dim_computed == _rank(cfg, kernel) - len(members)
+    assert dim_predicted == _rank(cfg, predicted + lower + members) - len(members)
+    full = _rank(cfg, kernel + lower)
+    want = _rank(cfg, predicted + lower + members)
+    assert equal == (full == want == _rank(cfg, kernel + lower + predicted + members))
 
 
 def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
@@ -335,7 +344,8 @@ def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
     equations numbered key-major.  Also returns the columns without the
     equations of the last level."""
     cfg = tower.cfg
-    p = len(monos[0])
+    sp = symbol_space(cfg.n)
+    p = sp.degree(monos[0])
     eq_ids: dict = {}
     columns = []
     for key in monos:
@@ -343,7 +353,7 @@ def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
         for k in levels:
             target = tower.levels[k + p - 1]
             for vi, row in enumerate(_level_rows(tower, k)):
-                img = apply_sym_monomial(cfg, key, row, gens)
+                img = apply_sym_monomial(cfg, sp.positions(key), row, gens)
                 if not img:
                     continue
                 res, scale = target.reduce_scaled(img)
@@ -365,7 +375,10 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     alphabet = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
     levels = list(range(kmax - p + 1))
     monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
-    assert monos == list(itertools.combinations_with_replacement(alphabet, p))
+    sp = symbol_space(tower.cfg.n)
+    assert monos == [
+        _pack(sp, key) for key in itertools.combinations_with_replacement(alphabet, p)
+    ]
     reference, reference_trimmed = _columns_one_monomial_at_a_time(
         tower, monos, levels, gens
     )
@@ -395,9 +408,10 @@ def test_g_stability_failure_disables_split():
     (8, 1, {0, 3}), (8, 2, {0, 3}), (15, 3, {1, 2, 14}), (5, 2, set()), (4, 3, {0, 1, 2, 3}),
 ])
 def test_coordinate_members_view_is_the_list(ngens, p, split):
-    view = _SplitMonomials(ngens, p, frozenset(split))
+    sp = Space("sym", tuple(f"s{g}" for g in range(ngens)))
+    view = _SplitMonomials(sp, p, frozenset(split))
     listed = [
-        key for key in itertools.combinations_with_replacement(range(ngens), p)
+        _pack(sp, key) for key in itertools.combinations_with_replacement(range(ngens), p)
         if not split.isdisjoint(key)
     ]
     assert len(view) == len(listed)
@@ -419,11 +433,11 @@ def _membership_without_dropping(sym, tower):
     """Reference for ``sym_membership``: every term is applied."""
     cfg = tower.cfg
     gens = generators(cfg.n)
-    p = max(len(k) for k in sym)
+    p = sym.total_degree()
     for k in range(tower.depth - p + 2):
         target = tower.levels[k + p - 1]
         for row in _level_rows(tower, k):
-            img = apply_sym(cfg, sym, row, gens)
+            img = apply_sym(cfg, sym_words(sym), row, gens)
             if img and not target.contains(img):
                 return False
     return True
@@ -434,18 +448,19 @@ def test_sym_membership_dropping_preserver_terms_agrees():
     tower = build_tower(cfg, 3, "explicit")
     (op,) = delta_ops(cfg, "minor2-L2")
     gmap = gen_index_map(cfg)
-    preserver = {(gmap[("e", 1, 2)],): 3}  # off-L, so dropped before applying
+    # off-L, so dropped before applying
+    preserver = Poly.variable(symbol_space(cfg.n), gmap[("e", 1, 2)]).scale(3)
     cases = [
-        (sym_mul(op.terms, op.terms), True),
-        (op.terms, False),
-        (axpy(dict(op.terms), 1, preserver), False),
-        (sym_mul(op.terms, preserver), True),
+        (op.sym * op.sym, True),
+        (op.sym, False),
+        (op.sym + preserver, False),
+        (op.sym * preserver, True),
     ]
     cfg6 = Config(6, 2, 4, -1, -1)
     tower6 = build_tower(cfg6, 3, "explicit")
     for op6 in delta_ops(cfg6, "minor3")[:4] + delta_ops(cfg6, "minor2-L1"):
-        assert sym_membership(op6.terms, tower6) is True
-        assert _membership_without_dropping(op6.terms, tower6) is True
+        assert sym_membership(op6.sym, tower6) is True
+        assert _membership_without_dropping(op6.sym, tower6) is True
     for sym, want in cases:
         assert sym_membership(sym, tower) is want
         assert _membership_without_dropping(sym, tower) is want

@@ -90,8 +90,11 @@ def test_minor_generators_annihilated_by_phi():
 def test_excluded_corner_is_zero_in_minors():
     # minors through the (n+1, 0) corner drop the corner term
     ms = minor_generators(EXT, 3, rows=[4, 5, 6], cols=[0, 1, 2])
-    corner = [m for m in ms if all(len(EXT.unpack(k)) for k in m.terms)]
     assert ms  # nonempty family
+    # the one minor: the two permutations through the corner (6, 0) drop out
+    assert ms == [
+        parse_poly(EXT, "z4_0*z5_1*z6_2 - z4_0*z5_2*z6_1 - z4_1*z5_0*z6_2 + z4_2*z5_0*z6_1")
+    ]
     for m in ms:
         assert phi(CFG, m).is_zero()
 

@@ -209,6 +209,9 @@ def test_ladder_identity_rejects_bad_input():
         operator_chain_identity(
             cfg, "x", 1, 0, [1], [], Poly.variable(sp, sp.x(2))
         )  # v0 touches the n1+1 pair
+    with pytest.raises(ValueError):
+        # the one-sided x form takes no J1 indices
+        operator_chain_identity(cfg, "cx", 1, 0, [1], [4], Poly.constant(sp, 1))
     with pytest.raises(UnsupportedRegimeError):
         operator_chain_identity(
             Config(3, 2, 2), "x", 1, 0, [1], [], Poly.constant(xy := Config(3, 2, 2).space, 1)

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscvar.detvar import Evaluation
-from oscvar.osc import Config, apply_generator, laplace
+from oscvar.osc import Config, apply_generator, generators, laplace
 from oscvar.poly import (
     DEGREE_LIMIT,
     Poly,
     SpaceMismatchError,
     add_term,
     axpy,
+    determinant,
     parse_poly,
+    symbol_space,
     xy_space,
     z_space,
 )
@@ -194,6 +196,25 @@ def test_arithmetic_agrees_with_sympy(a, b, c, m, k):
     assert parse_poly(SP2, a.render()) == a
 
 
+_MATRIX = st.integers(1, 3).flatmap(
+    lambda t: st.lists(st.lists(_POLY, min_size=t, max_size=t), min_size=t, max_size=t)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_MATRIX)
+def test_determinant_agrees_with_sympy(entries):
+    # zero entries included: _POLY draws the zero polynomial too
+    want = sympy.Matrix([[_sym(e.terms) for e in row] for row in entries]).det(method="berkowitz")
+    assert _agrees(determinant(SP2, entries).terms, want)
+
+
+def test_symbol_space_follows_the_generators():
+    for n in (2, 3, 5):
+        want = [f"h{g[1]}" if g[0] == "h" else f"e{g[1]}_{g[2]}" for g in generators(n)]
+        assert list(symbol_space(n).names) == want
+
+
 # -- the packed monomial codec ------------------------------------------------
 
 _CODEC_SPACES = [xy_space(2), xy_space(4), z_space((4, 5), (0, 1, 2), frozenset({(5, 0)}))]
@@ -221,6 +242,18 @@ def test_unpack_inverts_pack(case):
     assert [space.exp(m, pos) for pos in range(space.nvars)] == list(t)
     assert space.degree(m) == sum(t)
     assert Poly.monomial(space, m).total_degree() == sum(t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_CODEC_SPACES + [symbol_space(3)]).flatmap(
+        lambda sp: st.tuples(st.just(sp), _exponents(sp))
+    )
+)
+def test_positions_repeat_each_variable_by_its_exponent(case):
+    space, t = case
+    want = tuple(pos for pos, e in enumerate(t) for _ in range(e))
+    assert space.positions(space.pack(t)) == want
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
