@@ -9,25 +9,30 @@ first): the smallest generator index, the most significant packed field,
 acts first.  The residue modulo the lower level is ordering-independent,
 which is asserted by test rather than assumed.
 
-The degree-1 kernel is computed as an honest stacked linear system.  For
-p >= 2 the computation splits off the claimed level preservers (Cartan and
-off-L root symbols) by a lemma whose hypotheses are checked at run time
-once per tower, by a :class:`SplitCertificate`:
+Every system rests on one lemma.  Call the tower g-stable when every
+generator maps each M_j into M_{j+1}.  Then M_{j+1} is spanned by M_j,
+g M_j and a complement N_{j+1} of their span (N_0 = M_0), and the graded
+module is generated by the N_j over the commutative ring S(g) = gr U(g).
+A degree-p symbol eta therefore sends every M_k into M_{k+p-1} exactly
+when it sends each N_j into M_{j+p-1}: for x_i in g and v in N_j,
+eta x_1...x_i v differs from x_1...x_i eta v by an element of
+U_{i+p-1}(g) applied to v, which lies in M_{i+j+p-1}.  Likewise a
+generator s that maps each N_j into M_j maps every level into itself, and
+every monomial containing such an s annihilates without being applied.
 
-  * each certified preserver s maps M_j into M_j for every j <= top;
-  * every generator maps M_j into M_{j+1} for every j < top (g-stability).
-
-By induction on p, any composition of p generators containing a certified
-s then maps M_k into M_{k+p-1} whenever k + p - 1 <= top, in any factor
-order.  Monomials containing such an s ("coordinate members") therefore
-annihilate without being applied, and the exact kernel is solved on the
-remaining "pure" monomials only.  A claimed preserver that fails its check
-is not split off, and without g-stability nothing is, so the result always
-equals the full kernel.
+Both facts are checked at run time, once per tower, by
+:func:`system_rows`, which closes each level under the generators
+(``filtration.bruteforce_level``) and compares the closure with the next
+level.  On a tower that is U_k(g) M_0 the N_j above M_0 are empty, so
+every system is solved on the rows of M_0 alone, and the claimed
+preservers (Cartan and off-L root symbols) that map M_0 into itself are
+split off as "coordinate members".  On a tower that is not g-stable, as
+on a tampered dump, each system falls back to the stacked solve over
+every level with nothing split off, which is the exact full kernel.
 
 Every check of a computed kernel against a predicted family goes through
 one comparison, :func:`_compare_with_prediction`.  It quotients both sides
-by the split the certificate granted (``piece.split_symbols``), not by the
+by the split the lemma granted (``piece.split_symbols``), not by the
 claimed preservers: the monomials containing a granted symbol are kernel
 members, so the quotients are equal exactly when the full spans are.  The
 degree-2 prediction of each sign case comes from one table,
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .filtration import FiltrationTower, build_tower
+from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators
 from .poly import FIELD_MASK, Poly, Space, axpy, determinant, monomials, symbol_space
@@ -117,26 +122,6 @@ def apply_sym(cfg: Config, words: list, terms: dict, gens) -> dict:
     return acc
 
 
-def act(sym: Poly, tower: FiltrationTower, k: int) -> list[Poly]:
-    """Residues of the action on level k rows, modulo level k + deg - 1.
-
-    Rows are taken in decreasing pivot order; residues are exact normal
-    forms (empty residue = the row is annihilated in the graded module).
-    """
-    p = sym.total_degree()
-    if k + p - 1 > tower.depth:
-        raise ValueError("tower too shallow for this action")
-    cfg = tower.cfg
-    gens = generators(cfg.n)
-    words = sym_words(sym)
-    target = tower.levels[k + p - 1]
-    out = []
-    for piv in sorted(tower.levels[k].rows, reverse=True):
-        img = apply_sym(cfg, words, tower.levels[k].rows[piv], gens)
-        out.append(target.reduce(Poly(cfg.space, img)))
-    return out
-
-
 def _level_rows(tower: FiltrationTower, k: int) -> list:
     """Rows of level k whose pivot is new at level k (deterministic order).
 
@@ -197,10 +182,10 @@ class _SplitMonomials:
 class AnnihilatorPiece:
     """Exact kernel of the degree-p graded action, certified up to kmax.
 
-    ``coordinate_members`` are the monomials containing a preserver in
+    ``coordinate_members`` are the monomials containing a symbol of
     ``split_symbols``, as a sized view that lists them when iterated; each
-    annihilates by the split lemma, whose hypotheses the tower's
-    :class:`SplitCertificate` checked.
+    annihilates by the module lemma, because its split symbol was checked
+    to preserve every level of a g-stable tower.
     ``kernel_vectors`` span the rest of the kernel over the remaining
     monomials.  Certification is an over-approximation statement:
     membership is verified only for levels up to ``kmax_checked``.
@@ -224,86 +209,61 @@ class AnnihilatorPiece:
         return out
 
 
-@dataclass
-class SplitCertificate:
-    """The two run-time facts behind the coordinate/pure split.
+def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
+    """The rows each level contributes to an annihilator system, and the
+    generators that map every level into itself.
 
-    For one tower and one set of claimed level preservers it records the
-    first level j at which a claimed s fails s(M_j) <= M_j, and the first
-    level j at which some generator fails g(M_j) <= M_{j+1}, over the
-    levels 0..``checked`` examined so far.  Each level is checked on its
-    new-pivot rows only; with the facts at level j-1 they cover all of M_j.
-    Obtain instances through :func:`split_certificate`, which caches them
-    on the tower.
+    On a g-stable tower these are the rows of each N_j of the module lemma
+    and the generators s with s(N_j) <= M_j for every j; on any other tower
+    they are the rows with a pivot new at each level, and no generator.
+    Checked once per tower, from the bottom up, and cached in
+    ``tower.derived``.  Each closure is ``bruteforce_level`` passed the
+    level below as its ``below`` shortcut, which is sound here: the rows
+    M_j shares with M_{j-1} have their images in M_j by the check at j-1,
+    made first.  N_{j+1} is picked from the rows of M_{j+1} with a pivot
+    new at that level (with M_j they span it), in pivot order.
     """
-
-    claimed: frozenset
-    checked: int = -1
-    failed_at: dict = field(default_factory=dict)  # claimed symbol -> level
-    unstable_at: int | None = None
-
-    def preservers(self, top: int) -> list[int]:
-        """Claimed symbols preserving M_0..M_top, or none at all when
-        g-stability fails below top."""
-        if top > self.checked:
-            raise ValueError(f"certificate checked only through level {self.checked}")
-        if self.unstable_at is not None and self.unstable_at < top:
-            return []
-        return sorted(s for s in self.claimed if self.failed_at.get(s, top + 1) > top)
+    derived = tower.derived
+    if "system-rows" not in derived:
+        derived["system-rows"] = _system_rows(tower)
+    return derived["system-rows"]
 
 
-def _certify_level(tower: FiltrationTower, cert: SplitCertificate, j: int) -> None:
-    """Record the facts of level j that are still undecided in ``cert``."""
-    cfg = tower.cfg
-    here = tower.levels[j]
-    above = None
-    if cert.unstable_at is None and j < tower.depth:
-        above = tower.levels[j + 1]
-    live = set(cert.claimed - cert.failed_at.keys())
-    if above is None and not live:
-        return
-    gens = generators(cfg.n)
-    for row in _level_rows(tower, j):
-        for idx, g in enumerate(gens):
-            claimed = idx in live
-            if not claimed and above is None:
-                continue
-            img = apply_generator_terms(cfg, g, row)
-            if not img:
-                continue
-            if claimed:
-                if here.contains(img):
-                    continue  # then it lies in M_{j+1} as well
-                cert.failed_at[idx] = j
-                live.discard(idx)
-            if above is not None and not above.contains(img):
-                cert.unstable_at = j
-                above = None
+def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
+    cfg, levels = tower.cfg, tower.levels
+    fresh = [_level_rows(tower, 0)]
+    for j in range(tower.depth):
+        closure = bruteforce_level(cfg, levels[j], levels[j - 1] if j else None)
+        if not levels[j + 1].contains_span(closure):
+            return [_level_rows(tower, k) for k in range(tower.depth + 1)], frozenset()
+        extra = []
+        if closure.dim < levels[j + 1].dim:
+            extra = [row for row in _level_rows(tower, j + 1) if closure.insert(row)]
+        fresh.append(extra)
+    preservers = frozenset(
+        idx
+        for idx, g in enumerate(generators(cfg.n))
+        if all(
+            levels[j].contains(apply_generator_terms(cfg, g, row))
+            for j, rows in enumerate(fresh)
+            for row in rows
+        )
+    )
+    return fresh, preservers
 
 
-def split_certificate(tower: FiltrationTower, claimed, top: int) -> SplitCertificate:
-    """The tower's certificate for ``claimed``, checked through level ``top``.
-
-    Levels already checked for the same claim are not checked again.
-    """
-    claimed = frozenset(claimed)
-    cert = tower.derived.setdefault(("split-certificate", claimed), SplitCertificate(claimed))
-    while cert.checked < top:
-        cert.checked += 1
-        _certify_level(tower, cert, cert.checked)
-    return cert
-
-
-def _stacked_columns(tower, alphabet, p, levels, gens):
+def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
     """The stacked degree-p system over the monomials on ``alphabet``.
 
-    Returns the packed monomial keys in ``combinations_with_replacement``
-    order of ``alphabet``, one sparse column per key stacking every residue
-    coordinate, and the first equation id contributed by the last level
-    (equations below it form the kmax-1 system, for the stabilization
-    comparison).  The keys form a trie, walked once per row: each edge
-    applies one generator to its parent's image and adds its packed unit
-    to the key, and a zero image prunes the whole subtree.  Equation ids
+    ``rows_by_level[k]`` are the rows of level k whose residues modulo
+    M_{k+p-1} are constrained.  Returns the packed monomial keys in
+    ``combinations_with_replacement`` order of ``alphabet``, one sparse
+    column per key stacking every residue coordinate, and the first
+    equation id contributed by the last level (equations below it form the
+    kmax-1 system, for the stabilization comparison).  The keys form a
+    trie, walked once per row: each edge applies one generator to its
+    parent's image and adds its packed unit to the key, and a zero image
+    prunes the whole subtree.  Equation ids
     are numbered as residues appear; the kernel does not depend on the
     numbering, because ``kernel_of_columns`` picks its pivot columns
     greedily in column order.
@@ -318,10 +278,10 @@ def _stacked_columns(tower, alphabet, p, levels, gens):
     columns: dict = {key: {} for key in monos}
     full = p << sp.dshift  # the keys below it have degree < p
     n_eqs = last_start = 0
-    for k in levels:
+    for k, rows in enumerate(rows_by_level):
         last_start = n_eqs
         target = tower.levels[k + p - 1]
-        for row in _level_rows(tower, k):
+        for row in rows:
             eqs: dict = {}
             stack = [(0, row, 0)]
             while stack:
@@ -353,13 +313,20 @@ def compute_annihilator_piece(
 ) -> AnnihilatorPiece:
     """Exact kernel of {eta of degree p : eta(M_k) in M_{k+p-1}, k <= kmax-p}.
 
-    For p >= 2, ``known_level_preservers`` (the claimed degree-1 kernel
-    symbols) are split off as far as the tower's certificate through level
-    kmax-1 allows: a claimed symbol that fails its own check is kept in
-    the solve, and without g-stability every symbol is.  Monomials
-    containing a split symbol are listed in ``coordinate_members`` without
-    being applied; the exact kernel is solved on the remaining "pure"
-    monomials, which with an empty split are all of them.
+    The system constrains the rows :func:`system_rows` gives for each
+    level k <= kmax-p.  On a g-stable tower these are the rows of each N_k
+    of the module lemma, and on a tower that is U_k(g) M_0 that is one
+    system: the rows of M_0 against the target M_{p-1}.  For p >= 2, the
+    symbols of ``known_level_preservers`` (the claimed degree-1 kernel)
+    that preserve every level are split off: monomials containing one are
+    listed in ``coordinate_members`` without being applied, and the exact
+    kernel is solved on the remaining "pure" monomials.  On a tower that is
+    not g-stable the system stacks the rows new at every level, and
+    nothing is split off.
+
+    The piece is stabilized when a kmax-1 system exists (kmax - p >= 1) and
+    has a kernel of the same dimension.  On a tower that is U_k(g) M_0 the
+    lemma gives both systems the kernel of M_0, so that is kmax - p >= 1.
     """
     cfg = tower.cfg
     if kmax - 1 > tower.depth:
@@ -369,27 +336,24 @@ def compute_annihilator_piece(
             f"kmax={kmax} leaves no level k <= kmax-{p} for the degree-{p} system"
         )
     gens = generators(cfg.n)
-    split: set = set()
-    if known_level_preservers and p >= 2:
-        cert = split_certificate(tower, known_level_preservers, kmax - 1)
-        split = set(cert.preservers(kmax - 1))
+    rows, preservers = system_rows(tower)
+    split = preservers.intersection(known_level_preservers or ()) if p >= 2 else frozenset()
     alphabet = [i for i in range(len(gens)) if i not in split]
-    levels = list(range(kmax - p + 1))
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows[: kmax - p + 1], gens)
     vectors = kernel_of_columns(columns)
     piece = AnnihilatorPiece(
         degree=p,
-        coordinate_members=_SplitMonomials(symbol_space(cfg.n), p, frozenset(split)),
+        coordinate_members=_SplitMonomials(symbol_space(cfg.n), p, split),
         kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
         kmax_checked=kmax,
         unknown_count=comb(len(gens) + p - 1, p),
         split_symbols=sorted(split),
     )
-    if len(levels) > 1:
+    if kmax > p:
         trimmed = [
             {eq: v for eq, v in col.items() if eq < last_start} for col in columns
         ]
-        piece.stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
+        piece.stabilized = trimmed == columns or len(kernel_of_columns(trimmed)) == len(vectors)
     return piece
 
 
@@ -416,8 +380,8 @@ def _compare_with_prediction(
 
     The kernel is solved with the Cartan and off-L root symbols claimed as
     preservers, and both sides are projected by ``piece.split_symbols``,
-    the split its certificate granted: whatever the certificate decided,
-    the monomials containing a split symbol are kernel members, so the
+    the split the module lemma granted: whatever was granted, the
+    monomials containing a split symbol are kernel members, so the
     projected spans are equal exactly when the full ones are.  Returns the
     piece, the dimension of its pure kernel, the dimension of the projected
     prediction plus ``lower``, and whether that span equals the pure kernel
@@ -538,22 +502,27 @@ def sym_membership(sym: Poly, tower: FiltrationTower):
     """eta(M_k) in M_{k + deg - 1} on every level the tower affords.
 
     Levels run over k <= depth - deg + 1 (the deepest level whose target
-    exists).  Terms containing a Cartan or off-L root symbol that the
-    tower's certificate confirms as a preserver through its full depth
-    annihilate by the split lemma, so they are dropped before the rest is
-    applied.  Returns None when the tower affords no level at all.
+    exists), on the rows :func:`system_rows` gives: on a g-stable tower
+    the rows of each N_k of the module lemma, the rows of M_0 alone on a
+    tower that is U_k(g) M_0, and on any other tower the rows new at every
+    level.  Terms containing a generator that preserves every level
+    annihilate, so only the rest, the pure part, is applied.  The zero
+    operator annihilates everything.  Returns None when the tower affords
+    no level at all.
     """
+    if not sym:
+        return True
     p = sym.total_degree()
     cfg = tower.cfg
     gens = generators(cfg.n)
     top = tower.depth - p + 1
     if top < 0:
         return None
-    cert = split_certificate(tower, predicted_level_preservers(cfg), tower.depth)
-    words = sym_words(project_pure(sym, cert.preservers(tower.depth)))
-    for k in range(top + 1):
+    rows_by_level, preservers = system_rows(tower)
+    words = sym_words(project_pure(sym, preservers))
+    for k, rows in enumerate(rows_by_level[: top + 1]):
         target = tower.levels[k + p - 1]
-        for row in _level_rows(tower, k):
+        for row in rows:
             img = apply_sym(cfg, words, row, gens)
             if img and not target.contains(img):
                 return False

@@ -75,7 +75,7 @@ class FiltrationTower:
     method: str  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
     levels: list[EchelonBasis] = field(default_factory=list)
     # Facts other modules derive from the levels, such as the annihilator's
-    # split certificates; never serialized or compared.  They assume the
+    # system rows; never serialized or compared.  They assume the
     # levels do not change after they are derived.
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 

@@ -39,7 +39,6 @@ different spaces.  A basis built with ``None`` checks nothing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
@@ -209,13 +208,6 @@ class EchelonBasis:
                     row = {m: v // g for m, v in row.items()}
                     scale //= g
         return row, scale
-
-    def reduce(self, p: Poly) -> Poly:
-        """The unique normal form of ``p`` modulo the span (no rescaling)."""
-        row, scale = self.reduce_scaled(self._terms(p))
-        if scale == 1:
-            return Poly(self.space, row)
-        return Poly(self.space, {m: Fraction(v, scale) for m, v in row.items()})
 
     def canonical_rows(self) -> list[dict]:
         """Fully inter-reduced primitive rows in decreasing pivot order.

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscvar.annihilator import (
@@ -28,18 +28,17 @@ from oscvar.annihilator import (
     gkdim_estimate,
     in_L,
     minor_symbol,
-    act,
     operator_identically_zero,
     predicted_level_preservers,
-    split_certificate,
     sym_membership,
     sym_words,
+    system_rows,
     verify_variety_presentation,
 )
 from oscvar.filtration import UnsupportedRegimeError, build_tower
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import Config, apply_generator_terms, diagonal_value, generators
-from oscvar.poly import Poly, Space, axpy, symbol_space
+from oscvar.poly import Poly, Space, axpy, parse_poly, symbol_space
 
 CFG = Config(3, 1, 2, -1, -1)
 
@@ -47,6 +46,29 @@ CFG = Config(3, 1, 2, -1, -1)
 def _pack(sp, key):
     """The packed symbol monomial of an ascending tuple of generator indices."""
     return sum(sp.unit[g] for g in key)
+
+
+def _residue(basis, terms) -> Poly:
+    """The normal form of ``terms`` modulo the span of ``basis``."""
+    row, scale = basis.reduce_scaled(terms)
+    return Poly(basis.space, {m: Fraction(v, scale) for m, v in row.items()})
+
+
+def act(sym: Poly, tower, k: int) -> list[Poly]:
+    """Residues of the action on level k rows, modulo level k + deg - 1,
+    rows in decreasing pivot order (an empty residue means the row is
+    annihilated in the graded module)."""
+    p = sym.total_degree()
+    if k + p - 1 > tower.depth:
+        raise ValueError("tower too shallow for this action")
+    cfg = tower.cfg
+    gens = generators(cfg.n)
+    target = tower.levels[k + p - 1]
+    rows = tower.levels[k].rows
+    return [
+        _residue(target, apply_sym(cfg, sym_words(sym), rows[piv], gens))
+        for piv in sorted(rows, reverse=True)
+    ]
 
 
 def test_L_membership():
@@ -94,9 +116,7 @@ def test_residue_is_ordering_independent():
             img2 = row
             for idx in other:
                 img2 = apply_generator_terms(cfg, gens[idx], img2)
-            r1 = target.reduce(Poly(cfg.space, img1))
-            r2 = target.reduce(Poly(cfg.space, img2))
-            assert r1 == r2
+            assert _residue(target, img1) == _residue(target, img2)
 
 
 def test_cartan_combination_eigenvalue():
@@ -296,8 +316,8 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
     assume(p <= kmax)
     cfg = tower.cfg
     if cut:
-        # a new row dropped from the top level: the certificate then grants
-        # less than the claim, and the comparison must quotient by less
+        # a new row dropped from the top level: the tower is then not
+        # g-stable, nothing is split off, and the comparison quotients by less
         top, below = tower.levels[kmax - 1].rows, tower.levels[kmax - 2].rows
         new = [m for m in top if m not in below]
         assume(new)
@@ -374,7 +394,8 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     gens = generators(tower.cfg.n)
     alphabet = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
     levels = list(range(kmax - p + 1))
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, levels, gens)
+    rows = [_level_rows(tower, k) for k in levels]
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
     sp = symbol_space(tower.cfg.n)
     assert monos == [
         _pack(sp, key) for key in itertools.combinations_with_replacement(alphabet, p)
@@ -387,21 +408,72 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     assert kernel_of_columns(trimmed) == kernel_of_columns(reference_trimmed)
 
 
+def _stacked_oracle(tower, p, kmax, split=()):
+    """The degree-p system stacked over every level k <= kmax-p, solved on
+    the monomials off ``split``: its kernel vectors, and whether the
+    kmax-1 system has as many (False when there is no such system)."""
+    gens = generators(tower.cfg.n)
+    alphabet = [i for i in range(len(gens)) if i not in split]
+    levels = list(range(kmax - p + 1))
+    rows = [_level_rows(tower, k) for k in levels]
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
+    vectors = kernel_of_columns(columns)
+    stabilized = False
+    if len(levels) > 1:
+        trimmed = [{eq: v for eq, v in col.items() if eq < last_start} for col in columns]
+        stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
+    return [{monos[i]: c for i, c in vec.items()} for vec in vectors], stabilized
+
+
+@settings(max_examples=20, **_PROPERTY)
+@given(supported_towers(), st.integers(1, 3))
+@example((build_tower(Config(3, 2, 3, 0, 1), 2, "explicit"), 3), 2)  # not U_k(g) M_0
+@example((build_tower(Config(5, 1, 3, -1, 1), 2, "explicit"), 3), 3)
+def test_piece_equals_stacked_solve(tower_kmax, p):
+    tower, kmax = tower_kmax
+    assume(p <= kmax)
+    cfg = tower.cfg
+    _, preservers = system_rows(tower)
+    for claimed in (None, predicted_level_preservers(cfg)):
+        piece = compute_annihilator_piece(tower, p, kmax, claimed)
+        assert preservers.issuperset(piece.split_symbols)
+        vectors, stabilized = _stacked_oracle(tower, p, kmax, piece.split_symbols)
+        assert piece.kernel_vectors == vectors
+        assert piece.stabilized == stabilized
+    full, _ = _stacked_oracle(tower, p, kmax)
+    assert piece.dim == len(full)
+    assert span_equal(_span_of(cfg, piece), echelon_from(symbol_space(cfg.n), full))
+
+
+def _is_unstable(tower) -> bool:
+    """Whether the tower's systems fall back to every new row, unsplit."""
+    every = [_level_rows(tower, k) for k in range(tower.depth + 1)]
+    return system_rows(tower) == (every, frozenset())
+
+
+def _drop_new_row(tower, j):
+    """Delete one row whose pivot is new at level j > 0: M_j is then no
+    longer the closure of M_{j-1}."""
+    rows, below = tower.levels[j].rows, tower.levels[j - 1].rows
+    del rows[max(m for m in rows if m not in below)]
+
+
 def test_g_stability_failure_disables_split():
     cfg = Config(4, 1, 3, -1, -1)
-    tower = build_tower(cfg, 3, "explicit")
-    claimed = predicted_level_preservers(cfg)
-    # a row with a new pivot at the top level: M_2 no longer maps into it
-    new_pivots = [m for m in tower.levels[3].rows if m not in tower.levels[2].rows]
-    del tower.levels[3].rows[new_pivots[0]]
-    cert = split_certificate(tower, claimed, 3)
-    assert cert.unstable_at == 2
-    assert cert.preservers(3) == []
-    assert cert.preservers(2) != []  # the lower range is still certified
-    fast = compute_annihilator_piece(tower, 2, 4, known_level_preservers=claimed)
-    full = compute_annihilator_piece(tower, 2, 4)
-    assert fast.split_symbols == [] and fast.coordinate_members == []
-    assert fast.kernel_vectors == full.kernel_vectors
+    sp = symbol_space(cfg.n)
+    syms = [Poly(sp, {_pack(sp, key): 1}) for key in [(0,), (5,), (11,), (0, 5), (3, 9), (11, 11)]]
+    for j in (1, 2, 3):
+        tower = build_tower(cfg, 3, "explicit")
+        _drop_new_row(tower, j)
+        assert _is_unstable(tower)
+        for p in (1, 2, 3):
+            piece = compute_annihilator_piece(tower, p, 4, predicted_level_preservers(cfg))
+            vectors, stabilized = _stacked_oracle(tower, p, 4)
+            assert piece.split_symbols == [] and piece.coordinate_members == []
+            assert piece.kernel_vectors == vectors
+            assert piece.stabilized == stabilized
+        for sym in syms:
+            assert sym_membership(sym, tower) is _membership_without_dropping(sym, tower)
 
 
 @pytest.mark.parametrize("ngens, p, split", [
@@ -424,9 +496,13 @@ def test_failed_claim_is_dropped_from_the_split():
     tower = build_tower(cfg, 3, "explicit")
     claimed = predicted_level_preservers(cfg)
     lowering = [i for i in range(len(generators(cfg.n))) if i not in claimed]
-    cert = split_certificate(tower, claimed + lowering[:2], 2)
-    assert cert.preservers(2) == claimed
-    assert set(cert.failed_at) == set(lowering[:2])
+    fresh, preservers = system_rows(tower)
+    assert fresh[1:] == [[], [], []]  # the tower is U_k(g) M_0
+    assert preservers >= set(claimed) and preservers.isdisjoint(lowering[:2])
+    piece = compute_annihilator_piece(tower, 2, 3, claimed + lowering[:2])
+    assert piece.split_symbols == claimed
+    vectors, stabilized = _stacked_oracle(tower, 2, 3, claimed)
+    assert piece.kernel_vectors == vectors and piece.stabilized == stabilized
 
 
 def _membership_without_dropping(sym, tower):
@@ -464,6 +540,75 @@ def test_sym_membership_dropping_preserver_terms_agrees():
     for sym, want in cases:
         assert sym_membership(sym, tower) is want
         assert _membership_without_dropping(sym, tower) is want
+
+
+@settings(max_examples=15, **_PROPERTY)
+@given(supported_towers(), st.randoms(use_true_random=False))
+def test_sym_membership_agrees_on_minors_and_powers(tower_kmax, rng):
+    tower, _ = tower_kmax
+    cfg = tower.cfg
+    minors = [
+        op.sym for kind in ("minor2-L1", "minor2-L2", "minor3") for op in delta_ops(cfg, kind)
+    ]
+    assume(minors)
+    syms = rng.sample(minors, min(3, len(minors)))
+    syms += [s * s for s in syms if s.total_degree() == 2][:1]
+    for sym in syms:
+        if sym.total_degree() - 1 > tower.depth:
+            assert sym_membership(sym, tower) is None
+        else:
+            assert sym_membership(sym, tower) is _membership_without_dropping(sym, tower)
+
+
+def test_zero_symbol_annihilates():
+    zero = Poly.zero(symbol_space(CFG.n))
+    tower = build_tower(CFG, 2, "explicit")
+    assert sym_membership(zero, tower) is True
+    assert system_rows(tower)[0][1:] == [[], []]
+    tampered = build_tower(CFG, 2, "explicit")
+    _drop_new_row(tampered, 2)
+    assert sym_membership(zero, tampered) is True
+    assert _is_unstable(tampered)
+
+
+def test_tower_larger_than_the_closure_of_its_base():
+    # a reducible configuration: the explicit tower is g-stable but has a
+    # generator above M_0, which the systems keep; nothing claimed is lost
+    cfg = Config(3, 2, 3, 0, 1)
+    tower = build_tower(cfg, 3, "explicit")
+    fresh, preservers = system_rows(tower)
+    assert [len(rows) for rows in fresh] == [1, 0, 1, 0]
+    claimed = predicted_level_preservers(cfg)
+    assert preservers >= set(claimed)
+    for p in (1, 2, 3):
+        piece = compute_annihilator_piece(tower, p, 4, claimed)
+        assert piece.split_symbols == (claimed if p >= 2 else [])
+        vectors, stabilized = _stacked_oracle(tower, p, 4, piece.split_symbols)
+        assert piece.kernel_vectors == vectors and piece.stabilized == stabilized
+
+
+def test_preservers_are_checked_on_every_generating_row():
+    # a row added to the top level is a generator above M_0, and a symbol
+    # preserving M_0 but not that row must not be split off
+    cfg = CFG
+    tower = build_tower(cfg, 3, "explicit")
+    tower.levels[3].insert(parse_poly(cfg.space, "x2^4*y1^3"))
+    fresh, preservers = system_rows(tower)
+    assert [len(rows) for rows in fresh] == [1, 0, 0, 1]
+    gens = generators(cfg.n)
+
+    def preserved(idx, levels):
+        return all(
+            tower.levels[j].contains(apply_generator_terms(cfg, gens[idx], row))
+            for j in levels for row in tower.levels[j].rows.values()
+        )
+
+    assert preservers == {i for i in range(len(gens)) if preserved(i, range(4))}
+    assert preservers < {i for i in range(len(gens)) if preserved(i, [0])}
+    piece = compute_annihilator_piece(tower, 2, 4, predicted_level_preservers(cfg))
+    assert set(piece.split_symbols) == preservers & set(predicted_level_preservers(cfg))
+    vectors, stabilized = _stacked_oracle(tower, 2, 4, piece.split_symbols)
+    assert piece.kernel_vectors == vectors and piece.stabilized == stabilized
 
 
 def test_shallow_systems_raise():

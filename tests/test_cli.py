@@ -130,6 +130,41 @@ def test_annihilator_with_tower_file(capsys, tmp_path):
     assert doc["checks"][0]["payload"]["dim"] == 5
 
 
+def test_annihilator_with_tampered_tower_files(capsys, tmp_path):
+    cfg = ["--n", "3", "--n1", "1", "--n2", "2", "--l1", "-1", "--l2", "-1"]
+    dump = tmp_path / "tower.json"
+    run_cli(capsys, "filtration", *cfg, "--kmax", "3", "--dump-tower", str(dump))
+    clean = json.loads(dump.read_text())
+    cases = [
+        (None, None, ["pass", "pass"]),
+        (0, 0, ["pass", "pass"]),  # a smaller base, still a g-stable tower
+        (1, 0, ["fail", "fail"]),  # a row with a new pivot dropped
+        (3, 0, ["fail", "fail"]),
+        # the row with the least pivot at the top: M_2 is no longer inside
+        # M_3, so no split is granted on what is no filtration
+        (3, -1, ["pass", "fail"]),
+    ]
+    for level, row, want in cases:
+        doc = json.loads(json.dumps(clean))
+        if level is not None:
+            del doc["levels"][level][row]
+            doc["dims"][level] -= 1
+        dump.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
+        assert [c["status"] for c in json.loads(out)["checks"]] == want
+        assert code == (0 if want == ["pass", "pass"] else 1)
+
+
+@pytest.mark.parametrize("command", ["annihilator", "verify-main-theorem"])
+def test_tower_above_the_closure_of_its_base_passes(capsys, command):
+    # (3,2,3,0,1) is reducible: its explicit tower holds a generator above M_0
+    code, out, _ = run_cli(
+        capsys, command, "--n", "3", "--n1", "2", "--n2", "3",
+        "--l1", "0", "--l2", "1", "--kmax", "3",
+    )
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+
+
 def test_verify_main_theorem_command(capsys):
     code, out, _ = run_cli(
         capsys, "verify-main-theorem", "--n", "4", "--n1", "2", "--n2", "2",
