@@ -221,21 +221,36 @@ def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     level below as its ``below`` shortcut, which is sound here: the rows
     M_j shares with M_{j-1} have their images in M_j by the check at j-1,
     made first.  N_{j+1} is picked from the rows of M_{j+1} with a pivot
-    new at that level (with M_j they span it), in pivot order.
+    new at that level (with M_j they span it), in pivot order.  Whether
+    the tower passed is cached too, as ``tower.derived["g-stable"]``.
     """
     derived = tower.derived
     if "system-rows" not in derived:
-        derived["system-rows"] = _system_rows(tower)
+        rows, preservers, derived["g-stable"] = _system_rows(tower)
+        derived["system-rows"] = rows, preservers
     return derived["system-rows"]
 
 
-def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
+def _g_stability_note(tower: FiltrationTower) -> dict:
+    """Nothing on a g-stable tower; on any other, the ``g_stability`` entry
+    a report carries to say that its systems fell back to the stacked
+    solve, so a failed comparison there does not test the theorem."""
+    system_rows(tower)
+    if tower.derived["g-stable"]:
+        return {}
+    return {
+        "g_stability": "failed: a level is not mapped into the next by the "
+        "generators; the kernels are the stacked solve over every level"
+    }
+
+
+def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset, bool]:
     cfg, levels = tower.cfg, tower.levels
     fresh = [_level_rows(tower, 0)]
     for j in range(tower.depth):
         closure = bruteforce_level(cfg, levels[j], levels[j - 1] if j else None)
         if not levels[j + 1].contains_span(closure):
-            return [_level_rows(tower, k) for k in range(tower.depth + 1)], frozenset()
+            return [_level_rows(tower, k) for k in range(tower.depth + 1)], frozenset(), False
         extra = []
         if closure.dim < levels[j + 1].dim:
             extra = [row for row in _level_rows(tower, j + 1) if closure.insert(row)]
@@ -249,7 +264,7 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
             for row in rows
         )
     )
-    return fresh, preservers
+    return fresh, preservers, True
 
 
 def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
@@ -420,6 +435,7 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
         "root_part": len(predicted) - cartan,
         "equal": equal,
         "stabilized": piece.stabilized,
+        **_g_stability_note(tower),
     }
 
 
@@ -604,6 +620,7 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
         "all_member": all(m["in_kernel"] for m in membership)
         and all(m["in_kernel"] is not False for m in power_membership),
         "i1_equal": i1["equal"],
+        **_g_stability_note(tower),
     }
 
 
@@ -695,6 +712,7 @@ def verify_degree3(
         "exact_mod_lower": exact,
         "all_cases_pass": all(r["status"] in ("pass", "vacuous") for r in case_results),
         "i1_equal": i1["equal"],
+        **_g_stability_note(tower),
     }
 
 

@@ -34,7 +34,7 @@ identity on them, is kept here as the name of that order.
 
 A basis belongs to one space, and every query that takes a polynomial or
 another basis checks it: a packed int means different monomials in
-different spaces.  A basis built with ``None`` checks nothing.
+different spaces.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class EchelonBasis:
 
     __slots__ = ("space", "rows")
 
-    def __init__(self, space: Space | None):
+    def __init__(self, space: Space):
         self.space = space
         self.rows: dict = {}  # pivot monomial -> primitive integer row
 
@@ -144,11 +144,10 @@ class EchelonBasis:
         return row
 
     def _terms(self, p) -> dict:
-        """The coefficient dict of ``p``, a Poly of this basis's space (when
-        it has one) or a raw dict."""
+        """The coefficient dict of ``p``, a Poly of this basis's space or a
+        raw dict."""
         if isinstance(p, Poly):
-            if self.space is not None:
-                check_space(p.space, self.space, "polynomial and basis in different spaces")
+            check_space(p.space, self.space, "polynomial and basis in different spaces")
             return p.terms
         return p
 
@@ -247,7 +246,7 @@ def span_equal(a: EchelonBasis, b: EchelonBasis) -> bool:
     return a.dim == b.dim and b.contains_span(a)
 
 
-def echelon_from(space: Space | None, polys: Iterable) -> EchelonBasis:
+def echelon_from(space: Space, polys: Iterable) -> EchelonBasis:
     basis = EchelonBasis(space)
     basis.extend(polys)
     return basis

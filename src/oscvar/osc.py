@@ -37,6 +37,21 @@ The Cartan generators h_r = E_rr - E_{r+1,r+1} act diagonally on monomials
 (the constant shifts included), so weights are computed directly from
 exponents.
 
+The same tables also give every pi(g) as an element of the Weyl algebra
+(``weyl_forms``), in normal order: a dict mapping (v, d), the packed
+monomials of the multiplication and the derivative factors, to the
+coefficient of v d (derivatives acting first).  Normal-ordered products
+follow from
+
+    (v^a d^b)(v^c d^e) = sum_k prod_i C(b_i, k_i) C(c_i, k_i) k_i!
+                                 v^{a+c-k} d^{b+e-k},
+
+summed over 0 <= k <= min(b, c) componentwise (``weyl_mul``).  The Weyl
+algebra acts faithfully on the polynomial ring in characteristic 0, so a
+zero normal-ordered form is the zero operator at every degree; this is
+how the bracket relations and the invariance of the Laplacian are checked
+as identities rather than on finitely many monomials.
+
 The twisted Laplacian is
 
     L = sum_{i in J1} x_i d_{y_i} - sum_{r in J2} d_{x_r} d_{y_r}
@@ -67,6 +82,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import comb, factorial, perm, prod
 
 from .poly import DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, xy_space
 
@@ -138,10 +154,33 @@ _BLOCK = {
 }
 
 
+# The constant of a diagonal (a, a) entry by whether a lies in the first
+# block: the -delta_ab of X_ab over J1 and of Y_ab over J3.
+_DIAGONAL = {True: -1, False: 0}
+
+
 def _block_term(first_a: bool, first_b: bool, pa: int, pb: int, sign=1) -> tuple:
     """The Weyl term of one side's (a, b) entry at positions pa, pb."""
     c, da, db = _BLOCK[first_a, first_b]
     return (sign * c, pa, da, pb, db)
+
+
+def _pi_terms(sp: Space, n1: int, n2: int, i: int, j: int) -> tuple:
+    """The Weyl terms of X_ij and -Y_ji, the two sides of pi(E_ij)."""
+    return (
+        _block_term(i <= n1, j <= n1, sp.x(i), sp.x(j)),
+        _block_term(j > n2, i > n2, sp.y(j), sp.y(i), -1),
+    )
+
+
+def _laplacian_terms(sp: Space, n1: int, n2: int, skip=None) -> list:
+    """The Weyl terms of the Laplacian, without the d_x d_y summand of the
+    middle index ``skip`` (the reduced operator of the T-series)."""
+    return (
+        [(1, sp.x(i), 1, sp.y(i), -1) for i in range(1, n1 + 1)]
+        + [(-1, sp.x(r), -1, sp.y(r), -1) for r in range(n1 + 1, n2 + 1) if r != skip]
+        + [(1, sp.y(s), 1, sp.x(s), -1) for s in range(n2 + 1, sp.n + 1)]
+    )
 
 
 def _packed_ops(sp: Space, *weyl_terms) -> tuple:
@@ -172,20 +211,13 @@ def _weyl_tables(n: int, n1: int, n2: int) -> tuple:
     ``_packed_ops``."""
     sp = xy_space(n)
     roots = {
-        ("e", i, j): _packed_ops(
-            sp,
-            _block_term(i <= n1, j <= n1, sp.x(i), sp.x(j)),
-            _block_term(j > n2, i > n2, sp.y(j), sp.y(i), -1),
-        )
+        ("e", i, j): _packed_ops(sp, *_pi_terms(sp, n1, n2, i, j))
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         if i != j
     }
-    x_dy = [(1, sp.x(i), 1, sp.y(i), -1) for i in range(1, n1 + 1)]
-    dx_dy = {r: (-1, sp.x(r), -1, sp.y(r), -1) for r in range(n1 + 1, n2 + 1)}
-    y_dx = [(1, sp.y(s), 1, sp.x(s), -1) for s in range(n2 + 1, n + 1)]
     laplacians = {
-        skip: _packed_ops(sp, *x_dy, *(op for r, op in dx_dy.items() if r != skip), *y_dx)
+        skip: _packed_ops(sp, *_laplacian_terms(sp, n1, n2, skip))
         for skip in (None, n1 + 1)
     }
     lift = None
@@ -215,6 +247,121 @@ def _apply_ops(ops: tuple, terms: dict) -> dict:
                     out[t] = s
                 elif t in out:
                     del out[t]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operators as normal-ordered Weyl-algebra elements
+# ---------------------------------------------------------------------------
+
+
+def _weyl_form(sp: Space, weyl_terms, constant: int = 0) -> dict:
+    """The normal-ordered form of a constant plus a sum of Weyl terms
+    (c, p, dp, q, dq), whose derivatives act first."""
+    out: dict = {}
+    add_term(out, (0, 0), constant)
+    for c, p, dp, q, dq in weyl_terms:
+        v = d = 0
+        for pos, step in ((p, dp), (q, dq)):
+            if step > 0:
+                v += sp.unit[pos]
+            else:
+                d += sp.unit[pos]
+        add_term(out, (v, d), c)
+    return out
+
+
+def weyl_forms(cfg: Config) -> dict:
+    """The Weyl form of pi(g) for every generator g, read off ``_BLOCK``.
+
+    A root vector takes the two cells ``_weyl_tables`` packs for its
+    applier; h_r is pi(E_rr) - pi(E_{r+1,r+1}), each from the diagonal
+    cells plus the ``_DIAGONAL`` constants, independently of
+    ``diagonal_value``.
+    """
+    sp, n1, n2 = cfg.space, cfg.n1, cfg.n2
+
+    def pi(i, j):
+        const = _DIAGONAL[i <= n1] - _DIAGONAL[i > n2] if i == j else 0
+        return _weyl_form(sp, _pi_terms(sp, n1, n2, i, j), const)
+
+    forms = {}
+    for g in generators(cfg.n):
+        if g[0] == "e":
+            forms[g] = pi(g[1], g[2])
+        else:
+            r = g[1]
+            forms[g] = axpy(pi(r, r), -1, pi(r + 1, r + 1))
+    return forms
+
+
+def laplacian_form(cfg: Config) -> dict:
+    """The Weyl form of the twisted Laplacian."""
+    return _weyl_form(cfg.space, _laplacian_terms(cfg.space, cfg.n1, cfg.n2))
+
+
+def weyl_mul(sp: Space, f: dict, g: dict) -> dict:
+    """The normal-ordered product fg of two Weyl forms of the space sp
+    (the formula in the module docstring)."""
+    unit = sp.unit
+    right = [(c, e, cg, sp.unpack(c)) for (c, e), cg in g.items()]
+    out: dict = {}
+    for (a, b), cf in f.items():
+        bexp = sp.unpack(b)
+        for c, e, cg, cexp in right:
+            sp.check_degree(a + c)
+            sp.check_degree(b + e)
+            # one list of (packed k_i, weight) choices per position where
+            # a derivative of f meets a variable of g
+            choices = [
+                [
+                    (k * unit[pos], comb(bi, k) * comb(ci, k) * factorial(k))
+                    for k in range(min(bi, ci) + 1)
+                ]
+                for pos, (bi, ci) in enumerate(zip(bexp, cexp))
+                if bi and ci
+            ]
+            for combo in itertools.product(*choices):
+                k = sum(u for u, _w in combo)
+                add_term(out, (a + c - k, b + e - k), cf * cg * prod(w for _u, w in combo))
+    return out
+
+
+def weyl_bracket(sp: Space, f: dict, g: dict) -> dict:
+    """The commutator fg - gf of two Weyl forms."""
+    return axpy(weyl_mul(sp, f, g), -1, weyl_mul(sp, g, f))
+
+
+def weyl_action(sp: Space, form: dict) -> tuple:
+    """(ceiling, packed terms) of a Weyl form, for ``apply_weyl``.
+
+    A packed term is (c, the (shift, order) of each derivative factor,
+    packed delta v - d); the ceiling is as in ``_packed_ops``.
+    """
+    packed = tuple(
+        (c, tuple((sp.shift[pos], k) for pos, k in enumerate(sp.unpack(d)) if k), v - d)
+        for (v, d), c in form.items()
+    )
+    rise = max(((v >> sp.dshift) - (d >> sp.dshift) for v, d in form), default=0)
+    ceiling = (DEGREE_LIMIT - rise) << sp.dshift if rise > 0 else None
+    return ceiling, packed
+
+
+def apply_weyl(action: tuple, terms: dict) -> dict:
+    """Apply a Weyl form, packed by ``weyl_action``, to a term dict: each
+    derivative factor d^k reads its exponent e by shift and contributes the
+    falling factorial e!/(e-k)!, zero when k > e (so no field borrows)."""
+    ceiling, packed = action
+    if ceiling is not None and terms and max(terms) >= ceiling:
+        raise OverflowError("the image leaves the packed monomial degree limit")
+    mask = FIELD_MASK
+    out: dict = {}
+    for m, coeff in terms.items():
+        for c, lowers, delta in packed:
+            for s, k in lowers:
+                c *= perm((m >> s) & mask, k)
+            if c:
+                add_term(out, m + delta, c * coeff)
     return out
 
 

@@ -214,7 +214,7 @@ def symbol_space(n: int) -> Space:
     return Space("sym", names, n=n)
 
 
-def check_space(a: Space | None, b: Space | None, what: str) -> None:
+def check_space(a: Space, b: Space, what: str) -> None:
     """Raise SpaceMismatchError, saying ``what``, unless a and b are the same
     space."""
     # spaces come from cached constructors: identity is the common case

@@ -43,6 +43,7 @@ from .osc import (
     Config,
     apply_generator,
     apply_generator_terms,
+    apply_weyl,
     commutator_in_basis,
     enumerate_TN_level,
     generators,
@@ -50,6 +51,9 @@ from .osc import (
     laplace,
     project_T_monomial,
     weight,
+    weyl_action,
+    weyl_bracket,
+    weyl_forms,
 )
 from .poly import Poly, axpy, monomials
 from .reports import CheckRecord
@@ -93,39 +97,92 @@ def _per_config(name, anchor, matrix, run) -> list[CheckRecord]:
     return out
 
 
+def _bracket_defect(sp, forms, gens, a, b, bracket) -> dict:
+    """D_ab = pi(a) pi(b) - pi(b) pi(a) - pi([a, b]) as a Weyl form."""
+    out = weyl_bracket(sp, forms[gens[a]], forms[gens[b]])
+    for coeff, g in bracket:
+        axpy(out, -coeff, forms[g])
+    return out
+
+
 def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
+    """[pi(a), pi(b)] = pi([a, b]) for every pair of generators.
+
+    Each pair is one identity of normal-ordered Weyl forms (``osc``), so a
+    zero defect proves it at every degree.  Each generator's Weyl form is
+    then checked to act as ``apply_generator_terms`` does on every monomial
+    of degree <= ``maxdeg``.  The pairs whose identity fails, or that
+    involve a generator whose form disagrees with the applier, are swept
+    with the applier monomial by monomial, and every (pair, monomial)
+    that fails there is a violation.
+    """
     t0 = time.time()
     counts = {}
-    violations = 0
+    violations = nonzero = mismatched = 0
     for params in params_list:
         cfg = Config(*params)
+        sp = cfg.space
         gens = generators(cfg.n)
-        index = {g: k for k, g in enumerate(gens)}
+        forms = weyl_forms(cfg)
         comm = {
             (a, b): commutator_in_basis(gens[a], gens[b], cfg.n)
             for a in range(len(gens))
             for b in range(a + 1, len(gens))
         }
+        suspect = {
+            pair for pair, cb in comm.items() if _bracket_defect(sp, forms, gens, *pair, cb)
+        }
+        nonzero += len(suspect)
+        actions = [(g, weyl_action(sp, forms[g])) for g in gens]
+        disagree = set()
         nmon = 0
-        for m in monomials(cfg.space, range(maxdeg + 1)):
+        for m in monomials(sp, range(maxdeg + 1)):
             nmon += 1
             base = {m: 1}
-            first = [apply_generator_terms(cfg, g, base) for g in gens]
-            for (a, b), cb in comm.items():
-                acc = apply_generator_terms(cfg, gens[a], first[b])
-                axpy(acc, -1, apply_generator_terms(cfg, gens[b], first[a]))
-                for coeff, g in cb:
-                    axpy(acc, -coeff, first[index[g]])
-                if acc:
-                    violations += 1
+            for g, action in actions:
+                if apply_generator_terms(cfg, g, base) != apply_weyl(action, base):
+                    disagree.add(g)
+        mismatched += len(disagree)
+        # a form that disagrees leaves unproven every relation it enters
+        suspect.update(
+            (a, b)
+            for (a, b), cb in comm.items()
+            if disagree.intersection([gens[a], gens[b], *(g for _c, g in cb)])
+        )
+        if suspect:
+            swept = {pair: cb for pair, cb in comm.items() if pair in suspect}
+            violations += _sweep_pairs(cfg, gens, swept, maxdeg)
         counts[str(params)] = {"monomials": nmon, "pairs": len(comm)}
+    payload = {"configs": counts, "violations": violations, "max_degree": maxdeg}
+    if nonzero:
+        payload["nonzero_identities"] = nonzero
+    if mismatched:
+        payload["forms_disagreeing_with_applier"] = mismatched
     return _record(
         "bracket-fidelity",
         "commutator-identity",
-        violations == 0,
-        {"configs": counts, "violations": violations, "max_degree": maxdeg},
+        violations == nonzero == mismatched == 0,
+        payload,
         t0,
     )
+
+
+def _sweep_pairs(cfg, gens, comm, maxdeg) -> int:
+    """The number of (pair, monomial) failures of the bracket relation of
+    the pairs of ``comm`` on the monomials of degree <= ``maxdeg``."""
+    index = {g: k for k, g in enumerate(gens)}
+    failures = 0
+    for m in monomials(cfg.space, range(maxdeg + 1)):
+        base = {m: 1}
+        first = [apply_generator_terms(cfg, g, base) for g in gens]
+        for (a, b), cb in comm.items():
+            acc = apply_generator_terms(cfg, gens[a], first[b])
+            axpy(acc, -1, apply_generator_terms(cfg, gens[b], first[a]))
+            for coeff, g in cb:
+                axpy(acc, -coeff, first[index[g]])
+            if acc:
+                failures += 1
+    return failures
 
 
 def projection_report(cfg: Config, dmax: int, keep: int = 0) -> dict:
@@ -289,12 +346,19 @@ def check_minor3_kernels(sizes, kmax) -> CheckRecord:
     )
 
 
+def _g_stability(rep) -> dict:
+    """The report's ``g_stability`` entry, present only on a tower that
+    failed the module lemma's check."""
+    return {"g_stability": rep["g_stability"]} if "g_stability" in rep else {}
+
+
 def degree1_payload(rep) -> dict:
     return {
         "dim": rep["dim_computed"],
         "cartan": rep["cartan_part"],
         "off_L_roots": rep["root_part"],
         "stabilized": rep["stabilized"],
+        **_g_stability(rep),
     }
 
 
@@ -313,6 +377,7 @@ def degree2_payload(rep) -> dict:
         "membership": rep["membership"],
         "power_membership": rep["power_membership"],
         "stabilized": rep["piece"].stabilized,
+        **_g_stability(rep),
     }
 
 
@@ -331,7 +396,7 @@ def check_degree3(name, anchor, matrix, identity_maxdeg) -> list[CheckRecord]:
     def run(cfg, kmax):
         tower = build_tower(cfg, kmax, "explicit")
         rep = verify_degree3(tower, kmax, identity_maxdeg, degree1_report(tower, kmax))
-        payload = {"cases": rep["cases"]}
+        payload = {"cases": rep["cases"], **_g_stability(rep)}
         if anchor == "minor3-family-exactness":
             payload = {
                 "pure_computed": rep["dim_pure_computed"],

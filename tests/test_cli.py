@@ -135,24 +135,31 @@ def test_annihilator_with_tampered_tower_files(capsys, tmp_path):
     dump = tmp_path / "tower.json"
     run_cli(capsys, "filtration", *cfg, "--kmax", "3", "--dump-tower", str(dump))
     clean = json.loads(dump.read_text())
+    # (level, row dropped, statuses, whether the tower fails the g-stability
+    # check, so that the reports say the kernels are the stacked solve)
     cases = [
-        (None, None, ["pass", "pass"]),
-        (0, 0, ["pass", "pass"]),  # a smaller base, still a g-stable tower
-        (1, 0, ["fail", "fail"]),  # a row with a new pivot dropped
-        (3, 0, ["fail", "fail"]),
+        (None, None, ["pass", "pass"], False),
+        (0, 0, ["pass", "pass"], False),  # a smaller base, still a g-stable tower
+        (1, 0, ["fail", "fail"], True),  # a row with a new pivot dropped
+        (3, 0, ["fail", "fail"], True),
         # the row with the least pivot at the top: M_2 is no longer inside
         # M_3, so no split is granted on what is no filtration
-        (3, -1, ["pass", "fail"]),
+        (3, -1, ["pass", "fail"], True),
     ]
-    for level, row, want in cases:
+    for level, row, want, unstable in cases:
         doc = json.loads(json.dumps(clean))
         if level is not None:
             del doc["levels"][level][row]
             doc["dims"][level] -= 1
         dump.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
-        assert [c["status"] for c in json.loads(out)["checks"]] == want
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks] == want
         assert code == (0 if want == ["pass", "pass"] else 1)
+        for c in checks:
+            assert ("g_stability" in c["payload"]) == unstable
+            if unstable:
+                assert c["payload"]["g_stability"].startswith("failed")
 
 
 @pytest.mark.parametrize("command", ["annihilator", "verify-main-theorem"])

@@ -218,7 +218,9 @@ def _sym(rows):
 
 
 def _span(rows):
-    return echelon_from(None, [{(j,): v for j, v in enumerate(r) if v} for r in rows])
+    """The span of the rows of a matrix, column j keyed by the variable at
+    position j of ``SP``."""
+    return echelon_from(SP, [{SP.unit[j]: v for j, v in enumerate(r) if v} for r in rows])
 
 
 @settings(
@@ -273,8 +275,9 @@ def test_int_terms_agree_on_int_and_fraction_coefficients(terms, d):
     assert primitive_multiple(terms) == primitive_multiple(fractional) == prim
 
 
+# x_i y_j, packed in SP, for i, j in 1..3
 _ROW = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(lambda i, j: SP.unit[i] + SP.unit[3 + j], st.integers(0, 2), st.integers(0, 2)),
     st.one_of(
         st.integers(-5, 5).filter(bool),
         st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
@@ -295,7 +298,7 @@ def _items(dicts):
 @given(st.lists(_ROW, min_size=1, max_size=6), st.lists(_ROW, min_size=1, max_size=4))
 def test_stored_rows_and_inputs_are_never_mutated(stored, queries):
     inputs = _items(stored + queries)
-    basis = echelon_from(None, stored)
+    basis = echelon_from(SP, stored)
     before = _items(basis.rows)
     for q in queries:
         basis.contains(q)

@@ -12,6 +12,7 @@ from oscvar.osc import (
     Config,
     apply_generator,
     apply_generator_terms,
+    apply_weyl,
     classify_irreducible,
     commutator_in_basis,
     dfun,
@@ -22,11 +23,16 @@ from oscvar.osc import (
     grading,
     highest_weight_formula,
     laplace,
+    laplacian_form,
     project_T,
     project_T_monomial,
     weight,
+    weyl_action,
+    weyl_bracket,
+    weyl_forms,
+    weyl_mul,
 )
-from oscvar.poly import Poly, parse_poly, xy_space
+from oscvar.poly import Poly, axpy, monomials, parse_poly, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -127,36 +133,15 @@ def test_classify_examples():
 def test_bracket_fidelity_small():
     cfg = Config(3, 1, 2)
     gens = generators(3)
-    mons = []
-    for d in range(3):
-        for combo in itertools.combinations_with_replacement(range(6), d):
-            m = [0] * 6
-            for pos in combo:
-                m[pos] += 1
-            mons.append(cfg.space.pack(m))
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            cb = commutator_in_basis(gens[a], gens[b], 3)
-            for m in mons:
-                base = {m: 1}
-                lhs = apply_generator_terms(cfg, gens[a], apply_generator_terms(cfg, gens[b], base))
-                for mm, cc in apply_generator_terms(
-                    cfg, gens[b], apply_generator_terms(cfg, gens[a], base)
-                ).items():
-                    s = lhs.get(mm, 0) - cc
-                    if s:
-                        lhs[mm] = s
-                    elif mm in lhs:
-                        del lhs[mm]
-                rhs = {}
-                for coeff, g in cb:
-                    for mm, cc in apply_generator_terms(cfg, g, base).items():
-                        s = rhs.get(mm, 0) + coeff * cc
-                        if s:
-                            rhs[mm] = s
-                        elif mm in rhs:
-                            del rhs[mm]
-                assert lhs == rhs
+    for m in monomials(cfg.space, range(3)):
+        base = {m: 1}
+        for a, b in itertools.combinations(gens, 2):
+            lhs = apply_generator_terms(cfg, a, apply_generator_terms(cfg, b, base))
+            axpy(lhs, -1, apply_generator_terms(cfg, b, apply_generator_terms(cfg, a, base)))
+            rhs = {}
+            for coeff, g in commutator_in_basis(a, b, 3):
+                axpy(rhs, coeff, apply_generator_terms(cfg, g, base))
+            assert lhs == rhs
 
 
 def test_action_preserves_bidegree():
@@ -327,3 +312,65 @@ def test_operators_agree_with_sympy(layout, data):
         for m in terms:
             got = project_T_monomial(cfg, cfg.space.pack(m))
             assert _as_sympy(got) == ref.terms(ref.project(m)), m
+
+
+# -- the normal-ordered Weyl product ---------------------------------------------
+
+
+def test_weyl_product_normal_orders():
+    sp = xy_space(2)
+    x1, d1 = (sp.unit[0], 0), (0, sp.unit[0])
+    # d x = x d + 1 and d^2 x^2 = x^2 d^2 + 4 x d + 2
+    assert weyl_mul(sp, {d1: 1}, {x1: 1}) == {(sp.unit[0], sp.unit[0]): 1, (0, 0): 1}
+    assert weyl_bracket(sp, {d1: 1}, {x1: 1}) == {(0, 0): 1}
+    two = 2 * sp.unit[0]
+    assert weyl_mul(sp, {(0, two): 1}, {(two, 0): 1}) == {
+        (two, two): 1, (sp.unit[0], sp.unit[0]): 4, (0, 0): 2,
+    }
+    # distinct variables commute
+    y1 = (sp.unit[2], 0)
+    assert weyl_bracket(sp, {d1: 1}, {y1: 1}) == {}
+
+
+@settings(max_examples=60, **_PROPERTY)
+@given(data=st.data())
+def test_weyl_product_acts_as_its_factors_in_turn(data):
+    n = data.draw(st.integers(2, 5))
+    n1 = data.draw(st.integers(1, n))
+    cfg = Config(n, n1, data.draw(st.integers(n1, n)))
+    sp = cfg.space
+    forms = weyl_forms(cfg)
+    factors = data.draw(st.lists(st.sampled_from(generators(n)), min_size=1, max_size=3))
+    positions = data.draw(st.lists(st.integers(0, 2 * n - 1), max_size=4))
+    base = {sum(sp.unit[pos] for pos in positions): 1}
+    product = forms[factors[0]]
+    for g in factors[1:]:
+        product = weyl_mul(sp, product, forms[g])
+    want = base
+    for g in reversed(factors):  # the rightmost factor acts first
+        want = apply_generator_terms(cfg, g, want)
+    assert apply_weyl(weyl_action(sp, product), base) == want
+
+
+@pytest.mark.parametrize("layout", [(3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 2, 4)], ids=str)
+def test_laplacian_commutes_with_every_generator(layout):
+    # [L, pi(g)] = 0 as Weyl forms, so ker L is a submodule at every degree
+    cfg = Config(*layout)
+    lap = laplacian_form(cfg)
+    for g, form in weyl_forms(cfg).items():
+        assert weyl_bracket(cfg.space, lap, form) == {}, g
+    # the form is the applier's Laplacian
+    for m in monomials(cfg.space, range(3)):
+        got = apply_weyl(weyl_action(cfg.space, lap), {m: 1})
+        assert got == laplace(cfg, Poly.monomial(cfg.space, m)).terms
+
+
+def test_weyl_products_and_images_past_the_degree_limit_raise():
+    sp = xy_space(2)
+    big = 200 * sp.unit[0]
+    with pytest.raises(OverflowError):
+        weyl_mul(sp, {(big, 0): 1}, {(big, 0): 1})
+    with pytest.raises(OverflowError):
+        apply_weyl(weyl_action(sp, {(big, 0): 1}), {big: 1})
+    # a derivative lowers the degree, so the same key is in range
+    assert apply_weyl(weyl_action(sp, {(0, sp.unit[0]): 1}), {big: 1}) == {big - sp.unit[0]: 200}
