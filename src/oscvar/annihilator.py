@@ -7,7 +7,10 @@ symbol operator is a ``Poly`` of that space.  Monomials act through a fixed
 factor ordering (descending in the generator enumeration, rightmost factor
 first): the smallest generator index, the most significant packed field,
 acts first.  The residue modulo the lower level is ordering-independent,
-which is asserted by test rather than assumed.
+which is asserted by test rather than assumed.  An operator identity is
+decided on the normal-ordered Weyl form of the operator, built in the same
+factor order (:func:`sym_form`): the Weyl algebra acts faithfully on the
+polynomials in characteristic 0, so a zero form holds at every degree.
 
 Every system rests on one lemma.  Call the tower g-stable when every
 generator maps each M_j into M_{j+1}.  Then M_{j+1} is spanned by M_j,
@@ -57,7 +60,7 @@ from math import comb
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
-from .osc import Config, apply_generator_terms, generators
+from .osc import Config, apply_generator_terms, generators, weyl_forms, weyl_mul
 from .poly import FIELD_MASK, Poly, Space, axpy, determinant, monomials, symbol_space
 
 
@@ -647,22 +650,35 @@ def classify_minor3(cfg: Config, rows, cols) -> int:
     return 5
 
 
-def operator_identically_zero(cfg: Config, sym: Poly, maxdeg: int) -> bool:
-    """Check an operator identity: zero on every monomial up to maxdeg."""
+def sym_form(cfg: Config, sym: Poly) -> dict:
+    """The normal-ordered Weyl form of a symbol operator, in the factor
+    order of :func:`apply_sym_monomial`: the word i_1 <= ... <= i_p is the
+    product F_{i_p} ... F_{i_1} of the generators' forms."""
+    sp = cfg.space
     gens = generators(cfg.n)
-    words = sym_words(sym)
-    for m in monomials(cfg.space, range(maxdeg + 1)):
-        if apply_sym(cfg, words, {m: 1}, gens):
-            return False
-    return True
+    forms = weyl_forms(cfg)
+    out: dict = {}
+    for key, c in sym_words(sym):
+        word = {(0, 0): 1}
+        for idx in key:
+            word = weyl_mul(sp, forms[gens[idx]], word)
+        axpy(out, c, word)
+    return out
 
 
-def verify_degree3(
-    tower: FiltrationTower, kmax: int, identity_maxdeg: int = 4, i1=None
-) -> dict:
-    """Case-by-case checks of the 3x3 minor family, one representative per
-    nonvanishing case, plus degree-3 exactness modulo the lower ideal
-    (degree-1 ideal and minor2 multiples)."""
+def operator_identically_zero(cfg: Config, sym: Poly) -> bool:
+    """Whether the symbol operator is zero as a Weyl-algebra element, which
+    is exactly when it kills every polynomial."""
+    return not sym_form(cfg, sym)
+
+
+def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
+    """Case-by-case checks of the 3x3 minor family, plus degree-3
+    exactness modulo the lower ideal (degree-1 ideal and minor2 multiples).
+
+    Every case-1 minor must be zero as a Weyl-algebra element
+    (:func:`operator_identically_zero`), an identity at every degree; each
+    other case is checked by residue membership of one representative."""
     cfg = tower.cfg
     if i1 is None:
         i1 = degree1_report(tower, kmax)
@@ -677,16 +693,13 @@ def verify_degree3(
             case_results.append({"case": c, "count": 0, "status": "vacuous"})
             continue
         if c == 1:
-            ok = all(
-                operator_identically_zero(cfg, op.sym, identity_maxdeg)
-                for op in sel
-            )
+            ok = all(operator_identically_zero(cfg, op.sym) for op in sel)
             case_results.append(
                 {
                     "case": 1,
                     "count": len(sel),
                     "status": "pass" if ok else "fail",
-                    "check": f"identically zero on monomials of degree <= {identity_maxdeg}",
+                    "check": "identically zero as a Weyl-algebra element",
                 }
             )
         else:

@@ -26,9 +26,9 @@ It memoizes the heads m - e_v it computes along the way, never the
 images callers ask for: a degree-k check then holds images of degree < k
 only, and the G-set check only the proper prefixes of its G-monomials,
 which bounds the memo without a size knob.  Each verification builds its
-evaluations once and drops them when it returns; ``phi``, ``phi_x`` and
-``phi_y`` build a fresh one per call.  The kernels read the images through a sized lazy
-view (``_Images``), so each is built when elimination reaches it.
+evaluations once and drops them when it returns; ``phi`` builds a fresh
+one per call.  The kernels read the images through a sized lazy view
+(``_Images``), so each is built when elimination reaches it.
 
 A multiset of index pairs contains a 3-chain when some triple is strictly
 increasing in both coordinates; monomials whose full pair multiset is
@@ -118,16 +118,6 @@ class Evaluation:
         return Poly(self.target, out)
 
 
-def phi_x(cfg: Config, p: Poly) -> Poly:
-    """Evaluation z_{j,i} -> x_i x_j on the restricted ring."""
-    return Evaluation(cfg.n, p.space, "x").apply(p)
-
-
-def phi_y(cfg: Config, p: Poly) -> Poly:
-    """Evaluation z_{j,i} -> y_i y_j on the restricted ring."""
-    return Evaluation(cfg.n, p.space, "y").apply(p)
-
-
 def phi(cfg: Config, p: Poly) -> Poly:
     """Combined evaluation on the extended ring."""
     return Evaluation(cfg.n, p.space, "phi").apply(p)
@@ -161,15 +151,14 @@ def _z_images(n: int, ring: Space, evaluation: str) -> dict:
     return images
 
 
-def minor_generators(space: Space, t: int, rows=None, cols=None) -> list[Poly]:
-    """All t x t minors of the z matrix over the given row and column sets.
+def minor_generators(space: Space, t: int) -> list[Poly]:
+    """All t x t minors of the z matrix of ``space``.
 
     Excluded matrix entries count as literal zero.  Row/column subsets are
     enumerated in lexicographic order, so the generator list is
     deterministic.  Empty when t exceeds either set size.
     """
-    rows = tuple(space.rows) if rows is None else tuple(sorted(rows))
-    cols = tuple(space.cols) if cols is None else tuple(sorted(cols))
+    rows, cols = space.rows, space.cols
     if t > len(rows) or t > len(cols) or t < 1:
         return []
     entry = {

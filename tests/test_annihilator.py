@@ -30,6 +30,7 @@ from oscvar.annihilator import (
     minor_symbol,
     operator_identically_zero,
     predicted_level_preservers,
+    sym_form,
     sym_membership,
     sym_words,
     system_rows,
@@ -37,7 +38,14 @@ from oscvar.annihilator import (
 )
 from oscvar.filtration import UnsupportedRegimeError, build_tower
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
-from oscvar.osc import Config, apply_generator_terms, diagonal_value, generators
+from oscvar.osc import (
+    Config,
+    apply_generator_terms,
+    apply_weyl,
+    diagonal_value,
+    generators,
+    weyl_action,
+)
 from oscvar.poly import Poly, Space, axpy, parse_poly, symbol_space
 
 CFG = Config(3, 1, 2, -1, -1)
@@ -162,12 +170,42 @@ def test_classify_minor3_grid():
     assert classify_minor3(cfg3, (2, 3, 4), (1, 2, 3)) == 6
 
 
+def _minor3_case(cfg, case) -> list:
+    return [o for o in delta_ops(cfg, "minor3") if classify_minor3(cfg, o.rows, o.cols) == case]
+
+
 def test_vanishing_case_identity():
-    cfg = Config(6, 2, 3)
-    op = [
-        o for o in delta_ops(cfg, "minor3") if classify_minor3(cfg, o.rows, o.cols) == 1
-    ][0]
-    assert operator_identically_zero(cfg, op.sym, 3)
+    # every case-1 minor is zero as a Weyl-algebra element; one term fewer is not
+    for layout, count in (((6, 2, 3), 1), ((7, 2, 4), 4)):
+        cfg = Config(*layout)
+        ops = _minor3_case(cfg, 1)
+        assert len(ops) == count
+        for op in ops:
+            assert operator_identically_zero(cfg, op.sym)
+            m, c = next(iter(op.sym.terms.items()))
+            assert not operator_identically_zero(cfg, op.sym - Poly(op.sym.space, {m: c}))
+
+
+# (layout, case, representatives) as the suite's degree-3 checks read them:
+# the first operator of each case in verify_degree3, the first two of case 6
+# in the case-6 supplement
+_SUITE_REPRESENTATIVES = [
+    *(((6, 2, 4, -1, -1), case, 1) for case in (2, 3, 4, 5)),
+    ((5, 2, 3, -1, -1), 2, 1),
+    ((5, 1, 4, -1, -1), 6, 2),
+]
+
+
+def test_suite_case_representatives_are_not_identities():
+    # a representative that vanished identically would make its membership
+    # PASS vacuous
+    checked = 0
+    for layout, case, count in _SUITE_REPRESENTATIVES:
+        cfg = Config(*layout)
+        for op in _minor3_case(cfg, case)[:count]:
+            assert not operator_identically_zero(cfg, op.sym), (layout, op.label())
+            checked += 1
+    assert checked == 7
 
 
 def test_degree2_piece_and_fallback_agree():
@@ -269,6 +307,43 @@ _PROPERTY = dict(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@st.composite
+def symbol_operators(draw, max_n=5):
+    """A layout with n <= max_n and a symbol polynomial of degree 1-3 with
+    int and Fraction coefficients."""
+    n = draw(st.integers(2, max_n))
+    n1 = draw(st.integers(1, n))
+    cfg = Config(n, n1, draw(st.integers(n1, n)))
+    sp = symbol_space(n)
+
+    def exponents(positions):
+        m = [0] * sp.nvars
+        for pos in positions:
+            m[pos] += 1
+        return tuple(m)
+
+    word = st.lists(st.integers(0, sp.nvars - 1), min_size=1, max_size=3).map(exponents)
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    )
+    terms = draw(st.dictionaries(word, coeff, min_size=1, max_size=3))
+    return cfg, Poly.from_exponents(sp, terms)
+
+
+@settings(max_examples=60, **_PROPERTY)
+@given(symbol_operators(), st.data())
+def test_symbol_form_acts_as_the_applier(cfg_sym, data):
+    cfg, sym = cfg_sym
+    sp = cfg.space
+    action = weyl_action(sp, sym_form(cfg, sym))
+    gens = generators(cfg.n)
+    for _ in range(3):
+        positions = data.draw(st.lists(st.integers(0, sp.nvars - 1), max_size=4))
+        base = {sum(sp.unit[pos] for pos in positions): 1}
+        assert apply_weyl(action, base) == apply_sym(cfg, sym_words(sym), base, gens)
 
 
 def _span_of(cfg, piece):

@@ -19,8 +19,6 @@ from oscvar.detvar import (
     has_3chain,
     minor_generators,
     phi,
-    phi_x,
-    phi_y,
     restricted_ring,
     verify_gset_independence,
     verify_minor2_kernel,
@@ -28,7 +26,7 @@ from oscvar.detvar import (
 )
 from oscvar.linalg import kernel_of_columns
 from oscvar.osc import Config
-from oscvar.poly import Poly, monomials, parse_poly, xy_space
+from oscvar.poly import Poly, monomials, parse_poly, xy_space, z_space
 
 CFG = Config(5, 2, 3)  # J1 = {1,2}, J3 = {4,5}
 ZR = restricted_ring(CFG)
@@ -39,10 +37,15 @@ def Z(text):
     return parse_poly(ZR, text)
 
 
+def _evaluate(evaluation, p):
+    """The image of p under a fresh evaluation of CFG on p's ring."""
+    return Evaluation(CFG.n, p.space, evaluation).apply(p)
+
+
 def test_phi_examples():
-    assert str(phi_x(CFG, Z("z4_1"))) == "x1*x4"
-    assert phi_x(CFG, Z("z4_1*z5_2 - z4_2*z5_1")).is_zero()
-    assert str(phi_y(CFG, Z("z4_1^2"))) == "y1^2*y4^2"
+    assert str(_evaluate("x", Z("z4_1"))) == "x1*x4"
+    assert _evaluate("x", Z("z4_1*z5_2 - z4_2*z5_1")).is_zero()
+    assert str(_evaluate("y", Z("z4_1^2"))) == "y1^2*y4^2"
     assert str(phi(CFG, Poly.variable(EXT, EXT.z(6, 1)))) == "x1"
     assert str(phi(CFG, Poly.variable(EXT, EXT.z(4, 0)))) == "y4"
     assert str(phi(CFG, Poly.variable(EXT, EXT.z(4, 1)))) == "x1*x4 - y1*y4"
@@ -50,7 +53,7 @@ def test_phi_examples():
 
 def test_phi_rejects_extended_input():
     with pytest.raises(ValueError):
-        phi_x(CFG, Poly.variable(EXT, EXT.z(6, 1)))
+        _evaluate("x", Poly.variable(EXT, EXT.z(6, 1)))
 
 
 def test_phi_multiplicative_random():
@@ -65,8 +68,8 @@ def test_phi_multiplicative_random():
 
     for _ in range(15):
         a, b = rand_zpoly(ZR), rand_zpoly(ZR)
-        assert phi_x(CFG, a * b) == phi_x(CFG, a) * phi_x(CFG, b)
-        assert phi_y(CFG, a * b) == phi_y(CFG, a) * phi_y(CFG, b)
+        for ev in "xy":
+            assert _evaluate(ev, a * b) == _evaluate(ev, a) * _evaluate(ev, b)
         c, d = rand_zpoly(EXT), rand_zpoly(EXT)
         assert phi(CFG, c * d) == phi(CFG, c) * phi(CFG, d)
 
@@ -75,28 +78,25 @@ def test_minor_generator_counts_and_conventions():
     assert len(minor_generators(ZR, 2)) == 1
     assert minor_generators(ZR, 2)[0] == Z("z4_1*z5_2 - z4_2*z5_1")
     assert minor_generators(ZR, 3) == []  # t exceeds both set sizes
-    big = extended_ring(Config(9, 4, 5))
-    assert len(minor_generators(big, 3, rows=[6, 7, 8, 9], cols=[1, 2, 3, 4])) == 16
+    assert len(minor_generators(z_space((6, 7, 8, 9), (1, 2, 3, 4)), 3)) == 16
 
 
 def test_minor_generators_annihilated_by_phi():
     for g in minor_generators(ZR, 2):
-        assert phi_x(CFG, g).is_zero()
-        assert phi_y(CFG, g).is_zero()
+        assert _evaluate("x", g).is_zero()
+        assert _evaluate("y", g).is_zero()
     for g in minor_generators(EXT, 3):
         assert phi(CFG, g).is_zero()
 
 
 def test_excluded_corner_is_zero_in_minors():
-    # minors through the (n+1, 0) corner drop the corner term
-    ms = minor_generators(EXT, 3, rows=[4, 5, 6], cols=[0, 1, 2])
-    assert ms  # nonempty family
-    # the one minor: the two permutations through the corner (6, 0) drop out
-    assert ms == [
-        parse_poly(EXT, "z4_0*z5_1*z6_2 - z4_0*z5_2*z6_1 - z4_1*z5_0*z6_2 + z4_2*z5_0*z6_1")
-    ]
-    for m in ms:
-        assert phi(CFG, m).is_zero()
+    # minors through the (n+1, 0) corner drop the corner term: on rows
+    # {4, 5, 6} and columns {0, 1, 2} the two permutations through (6, 0)
+    corner = parse_poly(
+        EXT, "z4_0*z5_1*z6_2 - z4_0*z5_2*z6_1 - z4_1*z5_0*z6_2 + z4_2*z5_0*z6_1"
+    )
+    assert corner in minor_generators(EXT, 3)
+    assert phi(CFG, corner).is_zero()
 
 
 def test_chain_examples():
@@ -194,7 +194,6 @@ _PROPERTY = dict(deadline=None, derandomize=True, database=None)
 _XY = {name: sympy.Symbol(name) for name in xy_space(CFG.n).names}
 # (evaluation, ring) pairs: phi_x and phi_y live on the restricted ring only
 _CASES = [("x", ZR), ("y", ZR), ("phi", EXT)]
-_PUBLIC = {"x": phi_x, "y": phi_y, "phi": phi}
 
 
 def _z_image(evaluation, name):
@@ -254,7 +253,7 @@ def _zpolys(ring):
 @given(st.sampled_from(_CASES).flatmap(lambda c: st.tuples(st.just(c), _zpolys(c[1]))))
 def test_evaluations_agree_with_sympy(case):
     (evaluation, ring), terms = case
-    got = _PUBLIC[evaluation](CFG, Poly.from_exponents(ring, terms))
+    got = _evaluate(evaluation, Poly.from_exponents(ring, terms))
     assert _matches(evaluation, ring, got, terms)
 
 

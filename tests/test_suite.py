@@ -84,8 +84,9 @@ def test_bracket_fidelity_fails_on_a_wrong_cartan_constant(monkeypatch, block):
 def test_bracket_fidelity_fails_on_forms_the_applier_does_not_follow(monkeypatch):
     # a wrong diagonal constant in the Weyl forms alone: the applier still
     # satisfies every relation, but the identities certify other operators
+    # and the ones with h_1 on their right side fail
     monkeypatch.setitem(osc._DIAGONAL, True, 0)
     rec = check_bracket_fidelity([(4, 1, 3)], 4)
     assert rec.status == "fail"
-    assert rec.payload["violations"] == 0
+    assert rec.payload["nonzero_identities"] > 0
     assert rec.payload["forms_disagreeing_with_applier"] > 0
