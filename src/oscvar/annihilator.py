@@ -220,12 +220,17 @@ def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     and the generators s with s(N_j) <= M_j for every j; on any other tower
     they are the rows with a pivot new at each level, and no generator.
     Checked once per tower, from the bottom up, and cached in
-    ``tower.derived``.  Each closure is ``bruteforce_level`` passed the
-    level below as its ``below`` shortcut, which is sound here: the rows
-    M_j shares with M_{j-1} have their images in M_j by the check at j-1,
-    made first.  N_{j+1} is picked from the rows of M_{j+1} with a pivot
-    new at that level (with M_j they span it), in pivot order.  Whether
-    the tower passed is cached too, as ``tower.derived["g-stable"]``.
+    ``tower.derived``.  The closures form their own tower C_j, a basis of
+    M_j once the checks below j passed: C_{j+1} is ``bruteforce_level`` of
+    C_j, given the rows new in C_j with their tags, plus N_{j+1}.  N_{j+1}
+    is picked from the rows of M_{j+1} with a pivot new at that level (with
+    the closure they span it), in pivot order, and enters C_{j+1} untagged,
+    so every generator is applied to it.  That keeps the induction of
+    ``bruteforce_level`` exact: C_j is spanned by the ordered words on
+    N_0, ..., N_j, and the closure of C_j is M_j + g M_j whenever the
+    layout's bracket certificate holds (the plain semi-naive closure
+    where it does not).  Whether the tower passed is cached too, as
+    ``tower.derived["g-stable"]``.
     """
     derived = tower.derived
     if "system-rows" not in derived:
@@ -250,14 +255,20 @@ def _g_stability_note(tower: FiltrationTower) -> dict:
 def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset, bool]:
     cfg, levels = tower.cfg, tower.levels
     fresh = [_level_rows(tower, 0)]
+    closure, new = levels[0], None
     for j in range(tower.depth):
-        closure = bruteforce_level(cfg, levels[j], levels[j - 1] if j else None)
+        tags: dict = {}
+        closure = bruteforce_level(cfg, closure, new, tags)
         if not levels[j + 1].contains_span(closure):
             return [_level_rows(tower, k) for k in range(tower.depth + 1)], frozenset(), False
         extra = []
         if closure.dim < levels[j + 1].dim:
-            extra = [row for row in _level_rows(tower, j + 1) if closure.insert(row)]
+            for row in _level_rows(tower, j + 1):
+                if closure.insert(row):
+                    extra.append(row)
+                    tags[next(reversed(closure.rows))] = None
         fresh.append(extra)
+        new = tags
     preservers = frozenset(
         idx
         for idx, g in enumerate(generators(cfg.n))

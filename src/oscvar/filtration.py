@@ -32,9 +32,16 @@ towers are built to check:
     the T-image part T(TN levels 0..k) nests; the products
     T(TN level k-i) * P^i do not, so they are inserted afresh at each level
     and ``check_nested`` stays a real check there.
-  * Brute-force route (semi-naive closure): when level k-1 is the closure
-    of level k-2, the images of the rows it copied from level k-2 already
-    lie in level k-1, so only its new rows are sent through the generators.
+  * Brute-force route (ordered closure): level k-1 is the closure of level
+    k-2, so the images of the rows it copied from level k-2 already lie in
+    it, and only its new rows are sent through the generators.  Each new
+    row is tagged with the generator whose image produced it, and g_b is
+    applied only to new rows tagged <= b (rows of M_0 carry no tag): by
+    Poincare-Birkhoff-Witt the ordered words span U_k(g) M_0
+    (``bruteforce_level``).  That rests on the bracket relations of the
+    applier, certified once per layout
+    (``osc.applier_is_representation``); where they fail, no row is
+    tagged and every new row meets every generator.
   * T-images are kept as primitive integer multiples: a span does not
     change under scaling, and the products with them then run in integer
     arithmetic.
@@ -53,6 +60,7 @@ from .osc import (
     _compositions,
     apply_generator,
     apply_generator_terms,
+    applier_is_representation,
     classify_irreducible,
     enumerate_block_sums,
     enumerate_TN_level,
@@ -274,25 +282,52 @@ def build_M0(cfg: Config, warn=None) -> EchelonBasis:
 
 
 def bruteforce_level(
-    cfg: Config, prev: EchelonBasis, below: EchelonBasis | None = None
+    cfg: Config,
+    prev: EchelonBasis,
+    fresh: dict | None = None,
+    tags: dict | None = None,
 ) -> EchelonBasis:
-    """span(prev) + images of its rows under all n^2 - 1 generators.
+    """span(prev) + the images of its rows under all n^2 - 1 generators.
 
-    ``below`` is the level ``prev`` was closed from, if any: when
-    prev = bruteforce_level(cfg, below), the images of every row prev shares
-    with below (the very same row dict) already lie in prev, and inserting
-    them again would change nothing.  Only the other rows are applied.
+    ``fresh`` maps the pivot of each row new at prev's level to the row's
+    tag: the index, in ``generators`` order, of the generator whose image
+    produced it, or None for a row with no tag (a row of M_0, or a generator
+    the caller added).  None in place of the dict means every row of prev,
+    untagged.  Generator g_b is applied to the fresh rows tagged <= b and
+    to the untagged ones, in generator order; the pivot of each row this
+    call accepts is entered in ``tags`` with b (None where the certificate
+    below fails), ready to be the next call's ``fresh``.
+
+    Why the span is exact (Poincare-Birkhoff-Witt): U_k(g) V is spanned by
+    the words g_a1 ... g_ai v with i <= k, a1 >= ... >= ai and v an
+    untagged row.  By induction on k, such a word with i = k lies in level
+    k-1 plus the rows new at level k tagged <= a1: its tail lies in level
+    k-2 plus the rows new at level k-1 tagged <= a2 <= a1; g_a1 maps level
+    k-2 into level k-1 and was applied to each of those rows, and each
+    image was either accepted with tag a1 or lay in the span of the rows
+    present then, all tagged <= a1, as the generators run in order.  This
+    needs only [pi(a), pi(b)] in span pi(g), which
+    ``osc.applier_is_representation`` certifies per layout.  Where it does
+    not hold, no accepted row is tagged, and the call is the plain
+    semi-naive closure: every generator on every row new at prev's level
+    (prev's other rows have their images in prev already).
     """
     nxt = prev.copy()
-    gens = generators(cfg.n)
-    old = below.rows if below is not None else {}
-    for piv, row in prev.rows.items():
-        if old.get(piv) is row:
-            continue
-        for g in gens:
+    ordered = applier_is_representation(cfg.n, cfg.n1, cfg.n2)
+    if fresh is None:
+        fresh = dict.fromkeys(prev.rows)
+    todo = sorted(
+        ((-1 if tag is None else tag, prev.rows[piv]) for piv, tag in fresh.items()),
+        key=lambda item: item[0],
+    )
+    for b, g in enumerate(generators(cfg.n)):
+        for tag, row in todo:
+            if tag > b:
+                break
             img = apply_generator_terms(cfg, g, row)
-            if img:
-                nxt.insert(img)
+            # an accepted row's pivot is the last key of nxt.rows
+            if img and nxt.insert(img) and tags is not None:
+                tags[next(reversed(nxt.rows))] = b if ordered else None
     return nxt
 
 
@@ -403,15 +438,18 @@ def build_tower(cfg: Config, kmax: int, method: str = "explicit") -> FiltrationT
 
     Each level is built on top of the one below: the explicit route extends
     the levels of one cache, the brute-force route closes only the rows new
-    since the level below (see the module docstring).
+    since the level below, each under the generators its tag allows (see
+    the module docstring).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if method == "bruteforce":
         levels = [build_M0(cfg)]
+        fresh = None
         for k in range(kmax):
-            below = levels[k - 1] if k else None
-            levels.append(bruteforce_level(cfg, levels[k], below))
+            tags: dict = {}
+            levels.append(bruteforce_level(cfg, levels[k], fresh, tags))
+            fresh = tags
         return FiltrationTower(cfg, "bruteforce", levels)
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
@@ -457,26 +495,6 @@ def hilbert_sequence(tower: FiltrationTower) -> list[int]:
     """Graded dimensions dim M_0, dim M_1 - dim M_0, ..."""
     dims = tower.dims
     return [dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))]
-
-
-def p_order(cfg: Config, k: int, f: Poly, cache: dict | None = None) -> int:
-    """Minimal number of alternating-quadratic factors needed to express f
-    inside level k; 0 iff f lies in the span of the T-images alone.
-
-    Raises ValueError when f is not in M_k at all.
-    """
-    if _regime(cfg) != "T-cell":
-        raise UnsupportedRegimeError("P-order is defined in the T-image regime")
-    if cache is None:
-        cache = _explicit_cache(cfg)
-    span = _tspan(cfg, k, cache).copy()
-    if span.contains(f):
-        return 0
-    for s in range(1, k + 1):
-        _insert_tproducts(cfg, span, k, s, cache)
-        if span.contains(f):
-            return s
-    raise ValueError("polynomial does not lie in the requested level")
 
 
 # ---------------------------------------------------------------------------

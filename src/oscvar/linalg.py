@@ -117,7 +117,8 @@ class EchelonBasis:
 
     def __init__(self, space: Space):
         self.space = space
-        self.rows: dict = {}  # pivot monomial -> primitive integer row
+        # pivot monomial -> primitive integer row, in insertion order
+        self.rows: dict = {}
 
     @property
     def dim(self) -> int:

@@ -69,8 +69,8 @@ m.  T(m) is harmonic (killed by L) whenever a*b = 0.
 Monomials carry a signed bidegree <l1, l2>: the x-variables over J1 and the
 y-variables over J3 count -1, all others +1.  The weighted degree
 
-    dfun(m) = 2*sum_{J3} alpha + sum_{J2} alpha + 2*sum_{J1} beta
-              + sum_{J2} beta - (l1 + |l1| + l2 + |l2|)/2
+    dfun_monomial(m) = 2*sum_{J3} alpha + sum_{J2} alpha + 2*sum_{J1} beta
+                       + sum_{J2} beta - (l1 + |l1| + l2 + |l2|)/2
 
 measures filtration level; dprime(m) = sum_{J1} alpha is its analogue for
 the all-positive regime with n2 = n.
@@ -84,7 +84,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, perm, prod
 
-from .poly import DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, xy_space
+from .poly import DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, monomials, xy_space
 
 # Generators are small tagged tuples:
 #   ("e", i, j)  root vector E_ij, i != j
@@ -300,36 +300,83 @@ def laplacian_form(cfg: Config) -> dict:
     return _weyl_form(cfg.space, _laplacian_terms(cfg.space, cfg.n1, cfg.n2))
 
 
+def _support(m: int, ones: int) -> int:
+    """The packed monomial with exponent 1 wherever m has a nonzero one,
+    without its degree field; ``ones`` has exponent 1 at every position."""
+    # bit j of s ORs bits j..j+7 of m (FIELD_BITS = 8): a whole field at
+    # its lowest bit
+    s = m | m >> 1
+    s |= s >> 2
+    s |= s >> 4
+    return s & ones
+
+
+def _add_product(sp: Space, out: dict, sign: int, f: dict, g: dict, contracted: bool):
+    """Add sign * fg to ``out`` (the formula in the module docstring); with
+    ``contracted``, only the terms with k != 0.
+
+    The degree limit is checked on the factors v^{a+c} and d^{b+e} of each
+    pair of terms that forms a term.
+    """
+    dunit = 1 << sp.dshift
+    ones = (dunit - 1) // FIELD_MASK
+    right = [(c, e, cg, _support(c, ones)) for (c, e), cg in g.items()]
+    for (a, b), cf in f.items():
+        bsup = _support(b, ones)
+        for c, e, cg, csup in right:
+            # the positions where a derivative of f meets a variable of g
+            shared = bsup & csup
+            if contracted and not shared:
+                continue
+            sp.check_degree(a + c)
+            sp.check_degree(b + e)
+            # one list of (packed k_i, weight) choices per shared position,
+            # by position; the first combination is k = 0
+            choices = []
+            while shared:
+                s = shared.bit_length() - 1  # the shift of the next position
+                shared ^= 1 << s
+                bi, ci = (b >> s) & FIELD_MASK, (c >> s) & FIELD_MASK
+                unit = (1 << s) | dunit
+                choices.append([
+                    (k * unit, comb(bi, k) * comb(ci, k) * factorial(k))
+                    for k in range(min(bi, ci) + 1)
+                ])
+            combos = itertools.product(*choices)
+            if contracted:
+                next(combos)
+            for combo in combos:
+                k = sum(u for u, _w in combo)
+                add_term(
+                    out, (a + c - k, b + e - k), sign * cf * cg * prod(w for _u, w in combo)
+                )
+
+
 def weyl_mul(sp: Space, f: dict, g: dict) -> dict:
     """The normal-ordered product fg of two Weyl forms of the space sp
     (the formula in the module docstring)."""
-    unit = sp.unit
-    right = [(c, e, cg, sp.unpack(c)) for (c, e), cg in g.items()]
     out: dict = {}
-    for (a, b), cf in f.items():
-        bexp = sp.unpack(b)
-        for c, e, cg, cexp in right:
-            sp.check_degree(a + c)
-            sp.check_degree(b + e)
-            # one list of (packed k_i, weight) choices per position where
-            # a derivative of f meets a variable of g
-            choices = [
-                [
-                    (k * unit[pos], comb(bi, k) * comb(ci, k) * factorial(k))
-                    for k in range(min(bi, ci) + 1)
-                ]
-                for pos, (bi, ci) in enumerate(zip(bexp, cexp))
-                if bi and ci
-            ]
-            for combo in itertools.product(*choices):
-                k = sum(u for u, _w in combo)
-                add_term(out, (a + c - k, b + e - k), cf * cg * prod(w for _u, w in combo))
+    _add_product(sp, out, 1, f, g, False)
     return out
 
 
 def weyl_bracket(sp: Space, f: dict, g: dict) -> dict:
-    """The commutator fg - gf of two Weyl forms."""
-    return axpy(weyl_mul(sp, f, g), -1, weyl_mul(sp, g, f))
+    """The commutator fg - gf of two Weyl forms, from the contracted terms
+    (k != 0) of both products alone: their k = 0 terms are equal."""
+    out: dict = {}
+    _add_product(sp, out, 1, f, g, True)
+    _add_product(sp, out, -1, g, f, True)
+    return out
+
+
+def bracket_defect(sp: Space, forms: dict, a: Generator, b: Generator, bracket) -> dict:
+    """[pi(a), pi(b)] - pi([a, b]) as a Weyl form, where ``forms`` maps each
+    generator to the Weyl form of pi and ``bracket`` is [a, b] as
+    ``commutator_in_basis`` gives it."""
+    out = weyl_bracket(sp, forms[a], forms[b])
+    for coeff, g in bracket:
+        axpy(out, -coeff, forms[g])
+    return out
 
 
 def weyl_action(sp: Space, form: dict) -> tuple:
@@ -484,23 +531,6 @@ def dfun_monomial(cfg: Config, m: int) -> int:
         + sum(m[n + n1 : n + n2])
     )
     return val - _dfun_offset(cfg)
-
-
-def dfun(cfg: Config, f: Poly) -> int:
-    """Weighted filtration degree: max over monomials, all in one bidegree."""
-    if not f.terms:
-        raise ValueError("degree of the zero polynomial is undefined")
-    want = (cfg.l1, cfg.l2)
-    best = None
-    for m in f.terms:
-        if grading(cfg, m) != want:
-            raise ValueError(
-                f"monomial outside the <{cfg.l1},{cfg.l2}> graded piece"
-            )
-        v = dfun_monomial(cfg, m)
-        if best is None or v > best:
-            best = v
-    return best
 
 
 def dprime(cfg: Config, f: Poly) -> int:
@@ -696,4 +726,36 @@ def matrix_to_generators(mat: dict, n: int) -> list[tuple]:
 def commutator_in_basis(g: Generator, h: Generator, n: int) -> list[tuple]:
     return matrix_to_generators(
         matrix_commutator(generator_matrix(g, n), generator_matrix(h, n)), n
+    )
+
+
+@cache
+def applier_is_representation(n: int, n1: int, n2: int) -> bool:
+    """Whether the applier is a representation of sl(n) on this layout:
+    [pi(a), pi(b)] = pi([a, b]) for every pair of generators, with pi as
+    ``apply_generator_terms`` computes it.
+
+    Each pair is one identity of Weyl forms (``bracket_defect``), and each
+    generator's form must act as the applier on every monomial of degree
+    <= 2.  That agreement is a proof, not a sample: both are Weyl elements
+    of derivative order <= 2, and a nonzero difference shows on x^b for a
+    minimal derivative d^b among its terms.  Checked once per layout; it calls the appliers
+    below ``apply_generator_terms`` directly, so it adds nothing to the
+    counts of that entry point.
+    """
+    cfg = Config(n, n1, n2)
+    sp = cfg.space
+    gens = generators(n)
+    forms = weyl_forms(cfg)
+    roots = cfg.weyl_tables[0]
+    for g in gens:
+        action = weyl_action(sp, forms[g])
+        for m in monomials(sp, range(3)):
+            base = {m: 1}
+            img = _cartan_terms(cfg, g[1], base) if g[0] == "h" else _apply_ops(roots[g], base)
+            if img != apply_weyl(action, base):
+                return False
+    return not any(
+        bracket_defect(sp, forms, a, b, commutator_in_basis(a, b, n))
+        for a, b in itertools.combinations(gens, 2)
     )

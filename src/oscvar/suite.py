@@ -44,6 +44,7 @@ from .osc import (
     apply_generator,
     apply_generator_terms,
     apply_weyl,
+    bracket_defect,
     commutator_in_basis,
     enumerate_TN_level,
     generators,
@@ -52,10 +53,9 @@ from .osc import (
     project_T_monomial,
     weight,
     weyl_action,
-    weyl_bracket,
     weyl_forms,
 )
-from .poly import Poly, axpy, monomials
+from .poly import Poly, monomials
 from .reports import CheckRecord
 
 # Pass/fail of a claim, by anchor, from the report of its computation.
@@ -97,14 +97,6 @@ def _per_config(name, anchor, matrix, run) -> list[CheckRecord]:
     return out
 
 
-def _bracket_defect(sp, forms, gens, a, b, bracket) -> dict:
-    """D_ab = pi(a) pi(b) - pi(b) pi(a) - pi([a, b]) as a Weyl form."""
-    out = weyl_bracket(sp, forms[gens[a]], forms[gens[b]])
-    for coeff, g in bracket:
-        axpy(out, -coeff, forms[g])
-    return out
-
-
 def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
     """[pi(a), pi(b)] = pi([a, b]) for every pair of generators.
 
@@ -129,7 +121,9 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
             for b in range(a + 1, len(gens))
         }
         failing = {
-            pair for pair, cb in comm.items() if _bracket_defect(sp, forms, gens, *pair, cb)
+            (a, b)
+            for (a, b), cb in comm.items()
+            if bracket_defect(sp, forms, gens[a], gens[b], cb)
         }
         nonzero += len(failing)
         actions = [(g, weyl_action(sp, forms[g])) for g in gens]

