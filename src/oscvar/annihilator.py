@@ -458,37 +458,49 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cartan_combination(cfg: Config, j: int) -> Poly:
-    """Symbol of the traceless part of the diagonal matrix unit at (j, j).
+def scaled_entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> Poly:
+    """n times the (j, i) entry of the generator matrix, in the symbol
+    algebra, with integer coefficients: n e_{j,i} off the diagonal, and on
+    it n times the traceless part of the diagonal matrix unit at (j, j).
 
-    The scalar remainder acts by a constant on the whole module, hence
-    contributes only lower filtration terms, which every residue quotient
-    kills; dropping it keeps the operator inside the symmetric algebra on
-    the trace-zero generators.
+    The scalar remainder of that unit acts by a constant on the whole
+    module, hence contributes only lower filtration terms, which every
+    residue quotient kills; dropping it keeps the operator inside the
+    symmetric algebra on the trace-zero generators.
     """
     sp = symbol_space(cfg.n)
-    gmap = gen_index_map(cfg)
+    if j != i:
+        return Poly(sp, {sp.unit[gmap[("e", j, i)]]: cfg.n})
     out: dict = {}
     for r in range(1, cfg.n):
-        c = Fraction((1 if r >= j else 0) * cfg.n - r, cfg.n)
+        c = (1 if r >= j else 0) * cfg.n - r
         if c:
             out[sp.unit[gmap[("h", r)]]] = c
     return Poly(sp, out)
 
 
-def entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> Poly:
-    if j == i:
-        return cartan_combination(cfg, j)
-    return Poly.variable(symbol_space(cfg.n), gmap[("e", j, i)])
+def _divided(p: Poly, d: int) -> Poly:
+    """p / d, keeping an int coefficient wherever the quotient is one."""
+    out = {}
+    for m, c in p.terms.items():
+        q, r = divmod(c, d)
+        out[m] = Fraction(c, d) if r else q
+    return Poly(p.space, out)
 
 
-def minor_symbol(cfg: Config, rows, cols) -> Poly:
+def cartan_combination(cfg: Config, j: int) -> Poly:
+    """Symbol of the traceless part of the diagonal matrix unit at (j, j)."""
+    return _divided(scaled_entry_symbol(cfg, j, j, gen_index_map(cfg)), cfg.n)
+
+
+def minor_symbol(cfg: Config, rows, cols, gmap: dict | None = None) -> Poly:
     """The t-minor of the generator matrix with the given rows/columns,
     expanded into the symbol algebra (diagonal entries become Cartan
-    combinations)."""
-    gmap = gen_index_map(cfg)
-    entries = [[entry_symbol(cfg, j, i, gmap) for i in cols] for j in rows]
-    return determinant(symbol_space(cfg.n), entries)
+    combinations).  The determinant of the integer matrix n * entries is
+    expanded, and each of its terms divided by n^t once at the end."""
+    gmap = gmap or gen_index_map(cfg)
+    entries = [[scaled_entry_symbol(cfg, j, i, gmap) for i in cols] for j in rows]
+    return _divided(determinant(symbol_space(cfg.n), entries), cfg.n ** len(rows))
 
 
 @dataclass(frozen=True)
@@ -521,10 +533,11 @@ def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
         rows, cols, t = list(cfg.J3), list(cfg.J1), 3
     else:
         raise ValueError(f"unknown minor family {kind!r}")
+    gmap = gen_index_map(cfg)
     out = []
     for rsub in itertools.combinations(sorted(rows), t):
         for csub in itertools.combinations(sorted(cols), t):
-            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub)))
+            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub, gmap)))
     return out
 
 

@@ -24,25 +24,34 @@ nonzero position of m (its lowest nonzero field), one term-by-term
 product of packed ints per call, checked once against the degree limit.
 It memoizes the heads m - e_v it computes along the way, never the
 images callers ask for: a degree-k check then holds images of degree < k
-only, and the G-set check only the proper prefixes of its G-monomials,
-which bounds the memo without a size knob.  Each verification builds its
-evaluations once and drops them when it returns; ``phi`` builds a fresh
-one per call.  The kernels read the images through a sized lazy view
-(``_Images``), so each is built when elimination reaches it.
+only, and the G-set check only proper prefixes of the chain-free
+monomials it evaluates (chain-free themselves, a prefix being a
+sub-multiset), which bounds the memo without a size knob.  Each
+verification builds its evaluations once and drops them when it returns;
+``phi`` builds a fresh one per call.  The kernels read the images
+through a sized lazy view (``_Images``), so each is built when
+elimination reaches it.
 
 A multiset of index pairs contains a 3-chain when some triple is strictly
 increasing in both coordinates; monomials whose full pair multiset is
 3-chain-free (the G-sets below) map to linearly independent polynomials
 under phi, which is the combinatorial engine behind the annihilator
-computations.
+computations.  A G-set is the set of chain-free monomials with given x/y/z
+factor counts (k1, k2, k3) and given column and row multisets (I1, I3);
+each chain-free monomial of the extended ring lies in exactly one of
+them.  So ``verify_gset_independence`` enumerates each total degree once,
+walking its monomials in the order the chain test reads them, and
+buckets the chain-free ones under their (k1, k2, I1, I3);
+``enumerate_gset``, which builds one G-set from its index multisets, is
+the reference the buckets are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config
@@ -181,25 +190,30 @@ def minor_generators(space: Space, t: int) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
+def _has_increasing_triple(values) -> bool:
+    """True iff ``values`` has a strictly increasing subsequence of length
+    3: patience sorting that keeps only the two smallest pile tops."""
+    first = second = inf
+    for v in values:
+        if v <= first:
+            first = v
+        elif v <= second:
+            second = v
+        else:
+            return True
+    return False
+
+
 def has_3chain(pairs) -> bool:
     """True iff some triple of pairs is strictly increasing in both
     coordinates.
 
     Sorting by (first asc, second desc) reduces the question to a strictly
-    increasing subsequence of length 3 in the second coordinate, found by
-    patience sorting.
+    increasing subsequence of length 3 in the second coordinate.
     """
-    seq = [p[1] for p in sorted(pairs, key=lambda p: (p[0], -p[1]))]
-    tails: list = []
-    for v in seq:
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-            if len(tails) >= 3:
-                return True
-        else:
-            tails[pos] = v
-    return False
+    return _has_increasing_triple(
+        p[1] for p in sorted(pairs, key=lambda p: (p[0], -p[1]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,43 +417,87 @@ def verify_minor3_kernel(cfg: Config, kmax: int) -> dict:
     }
 
 
+def _gset_buckets(cfg: Config, space: Space, total: int) -> dict:
+    """The G-sets of one total degree at once: every 3-chain-free monomial
+    of degree ``total`` of the extended ring ``space``, packed, bucketed
+    under its (k1, k2, I1, I3) as ``enumerate_gset`` would return it.
+
+    The variables are walked in (row asc, col desc) order, the order in
+    which ``has_3chain`` reads a pair multiset, so each candidate is tested
+    without a sort.  Row n+1 factors are the x part, column 0 factors the
+    y part.
+    """
+    top = cfg.n + 1
+    factors = sorted(
+        ((j, i, space.unit[space.z(j, i)]) for j in space.rows for i in space.cols
+         if (j, i) not in space.excluded),
+        key=lambda f: (f[0], -f[1]),
+    )
+    buckets: dict = {}
+    for combo in itertools.combinations_with_replacement(factors, total):
+        if _has_increasing_triple([i for _, i, _ in combo]):
+            continue
+        k1 = k2 = 0
+        I1, I3 = [], []
+        for j, i, _ in combo:
+            if j == top:
+                k1 += 1
+            else:
+                I3.append(j)
+            if i == 0:
+                k2 += 1
+            else:
+                I1.append(i)
+        I1.sort()
+        key = (k1, k2, tuple(I1), tuple(I3))
+        buckets.setdefault(key, []).append(sum(u for _, _, u in combo))
+    return buckets
+
+
+def _gset_tuples(cfg: Config, total: int):
+    """The (k1, k2, k3, I1, I3) tuples of one total degree, in report
+    order."""
+    for k1 in range(total + 1):
+        for k2 in range(total - k1 + 1):
+            k3 = total - k1 - k2
+            for I1 in itertools.combinations_with_replacement(cfg.J1, k1 + k3):
+                for I3 in itertools.combinations_with_replacement(cfg.J3, k2 + k3):
+                    yield k1, k2, k3, I1, I3
+
+
 def verify_gset_independence(cfg: Config, total_bound: int) -> dict:
     """rank(phi(G-set)) = |G-set| for every factor-count split and every
-    index multiset pair within the bound."""
+    index multiset pair within the bound.
+
+    Each total degree is enumerated once (``_gset_buckets``) and its
+    buckets are read in tuple order, so the report is the one a per-tuple
+    ``enumerate_gset`` loop gives.
+    """
     sp = extended_ring(cfg)
     ev = Evaluation(cfg.n, sp, "phi")
     checked = 0
     nonempty = 0
     failures = []
     for total in range(1, total_bound + 1):
-        for k1 in range(total + 1):
-            for k2 in range(total - k1 + 1):
-                k3 = total - k1 - k2
-                for I1 in itertools.combinations_with_replacement(
-                    cfg.J1, k1 + k3
-                ):
-                    for I3 in itertools.combinations_with_replacement(
-                        cfg.J3, k2 + k3
-                    ):
-                        gset = enumerate_gset(cfg, k1, k2, k3, I1, I3)
-                        checked += 1
-                        if not gset:
-                            continue
-                        nonempty += 1
-                        basis = EchelonBasis(xy_space(cfg.n))
-                        rank = sum(
-                            basis.insert(ev(g.exponents(sp))) for g in gset
-                        )
-                        if rank != len(gset):
-                            failures.append(
-                                {
-                                    "k": [k1, k2, k3],
-                                    "I1": list(I1),
-                                    "I3": list(I3),
-                                    "rank": rank,
-                                    "size": len(gset),
-                                }
-                            )
+        buckets = _gset_buckets(cfg, sp, total)
+        for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
+            checked += 1
+            gset = buckets.get((k1, k2, I1, I3))
+            if not gset:
+                continue
+            nonempty += 1
+            basis = EchelonBasis(xy_space(cfg.n))
+            rank = sum(basis.insert(ev(m)) for m in gset)
+            if rank != len(gset):
+                failures.append(
+                    {
+                        "k": [k1, k2, k3],
+                        "I1": list(I1),
+                        "I3": list(I3),
+                        "rank": rank,
+                        "size": len(gset),
+                    }
+                )
     return {
         "bound": total_bound,
         "tuples_checked": checked,

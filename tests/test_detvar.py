@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from oscvar.detvar import (
     Evaluation,
     GMonomial,
+    _gset_buckets,
+    _gset_tuples,
     _Images,
     _pairings,
     enumerate_gset,
@@ -24,7 +26,7 @@ from oscvar.detvar import (
     verify_minor2_kernel,
     verify_minor3_kernel,
 )
-from oscvar.linalg import kernel_of_columns
+from oscvar.linalg import EchelonBasis, kernel_of_columns
 from oscvar.osc import Config
 from oscvar.poly import Poly, monomials, parse_poly, xy_space, z_space
 
@@ -186,6 +188,64 @@ def test_gset_independence_small():
     rep = verify_gset_independence(CFG, 3)
     assert rep["all_independent"]
     assert rep["tuples_nonempty"] > 0
+
+
+@pytest.mark.parametrize(
+    "params, bound",
+    [((5, 2, 5), 3), ((5, 2, 2), 3), ((5, 2, 3), 0), ((7, 3, 4), 4)],
+    ids=["J3-empty", "J2-empty", "bound-0", "7-3-4"],
+)
+def test_gset_buckets_match_enumerate_gset(params, bound):
+    cfg = Config(*params)
+    sp = extended_ring(cfg)
+    for total in range(bound + 1):
+        buckets = _gset_buckets(cfg, sp, total)
+        nonempty = 0
+        for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
+            got = buckets.get((k1, k2, I1, I3), [])
+            want = {g.exponents(sp) for g in enumerate_gset(cfg, k1, k2, k3, I1, I3)}
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            nonempty += bool(got)
+        assert nonempty == len(buckets)  # no bucket outside the tuples
+
+
+def _reference_failures(cfg, bound):
+    """The failures of a per-tuple loop over ``enumerate_gset``."""
+    sp = extended_ring(cfg)
+    ev = Evaluation(cfg.n, sp, "phi")
+    failures = []
+    for total in range(1, bound + 1):
+        for k1 in range(total + 1):
+            for k2 in range(total - k1 + 1):
+                k3 = total - k1 - k2
+                for I1 in itertools.combinations_with_replacement(cfg.J1, k1 + k3):
+                    for I3 in itertools.combinations_with_replacement(cfg.J3, k2 + k3):
+                        gset = enumerate_gset(cfg, k1, k2, k3, I1, I3)
+                        basis = EchelonBasis(xy_space(cfg.n))
+                        rank = sum(basis.insert(ev(g.exponents(sp))) for g in gset)
+                        if rank != len(gset):
+                            failures.append(
+                                {"k": [k1, k2, k3], "I1": list(I1), "I3": list(I3),
+                                 "rank": rank, "size": len(gset)}
+                            )
+    return failures
+
+
+@pytest.mark.parametrize(
+    "image",
+    # every image equal, or the monomials collapsed into seven classes
+    [lambda m: {0: 1}, lambda m: {1 + m % 7: 1}],
+    ids=["constant", "seven-classes"],
+)
+def test_gset_failures_match_the_per_tuple_reference(monkeypatch, image):
+    monkeypatch.setattr(Evaluation, "__call__", lambda self, m: image(m))
+    cfg = Config(6, 2, 4)
+    want = _reference_failures(cfg, 3)
+    assert want
+    rep = verify_gset_independence(cfg, 3)
+    assert rep["failures"] == want
+    assert not rep["all_independent"]
 
 
 # -- the memoized evaluation against sympy -------------------------------------
