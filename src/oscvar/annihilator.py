@@ -56,6 +56,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
@@ -82,7 +83,14 @@ def in_L(cfg: Config, row: int, col: int) -> bool:
 
 
 def gen_index_map(cfg: Config) -> dict:
-    return {g: idx for idx, g in enumerate(generators(cfg.n))}
+    """Generator -> its index in ``generators(cfg.n)``; one shared dict per
+    n, so callers must not mutate it."""
+    return _gen_index_map(cfg.n)
+
+
+@lru_cache(maxsize=None)
+def _gen_index_map(n: int) -> dict:
+    return {g: idx for idx, g in enumerate(generators(n))}
 
 
 def predicted_level_preservers(cfg: Config) -> list[int]:
@@ -458,7 +466,7 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def scaled_entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> Poly:
+def scaled_entry_symbol(cfg: Config, j: int, i: int) -> Poly:
     """n times the (j, i) entry of the generator matrix, in the symbol
     algebra, with integer coefficients: n e_{j,i} off the diagonal, and on
     it n times the traceless part of the diagonal matrix unit at (j, j).
@@ -469,6 +477,7 @@ def scaled_entry_symbol(cfg: Config, j: int, i: int, gmap: dict) -> Poly:
     symmetric algebra on the trace-zero generators.
     """
     sp = symbol_space(cfg.n)
+    gmap = gen_index_map(cfg)
     if j != i:
         return Poly(sp, {sp.unit[gmap[("e", j, i)]]: cfg.n})
     out: dict = {}
@@ -488,18 +497,12 @@ def _divided(p: Poly, d: int) -> Poly:
     return Poly(p.space, out)
 
 
-def cartan_combination(cfg: Config, j: int) -> Poly:
-    """Symbol of the traceless part of the diagonal matrix unit at (j, j)."""
-    return _divided(scaled_entry_symbol(cfg, j, j, gen_index_map(cfg)), cfg.n)
-
-
-def minor_symbol(cfg: Config, rows, cols, gmap: dict | None = None) -> Poly:
+def minor_symbol(cfg: Config, rows, cols) -> Poly:
     """The t-minor of the generator matrix with the given rows/columns,
     expanded into the symbol algebra (diagonal entries become Cartan
     combinations).  The determinant of the integer matrix n * entries is
     expanded, and each of its terms divided by n^t once at the end."""
-    gmap = gmap or gen_index_map(cfg)
-    entries = [[scaled_entry_symbol(cfg, j, i, gmap) for i in cols] for j in rows]
+    entries = [[scaled_entry_symbol(cfg, j, i) for i in cols] for j in rows]
     return _divided(determinant(symbol_space(cfg.n), entries), cfg.n ** len(rows))
 
 
@@ -533,11 +536,10 @@ def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
         rows, cols, t = list(cfg.J3), list(cfg.J1), 3
     else:
         raise ValueError(f"unknown minor family {kind!r}")
-    gmap = gen_index_map(cfg)
     out = []
     for rsub in itertools.combinations(sorted(rows), t):
         for csub in itertools.combinations(sorted(cols), t):
-            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub, gmap)))
+            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub)))
     return out
 
 

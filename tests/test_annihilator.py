@@ -17,7 +17,6 @@ from oscvar.annihilator import (
     _generator_multiples,
     apply_sym,
     apply_sym_monomial,
-    cartan_combination,
     classify_minor3,
     compute_annihilator_piece,
     degree1_report,
@@ -30,6 +29,7 @@ from oscvar.annihilator import (
     minor_symbol,
     operator_identically_zero,
     predicted_level_preservers,
+    scaled_entry_symbol,
     sym_form,
     sym_membership,
     sym_words,
@@ -128,16 +128,16 @@ def test_residue_is_ordering_independent():
 
 
 def test_cartan_combination_eigenvalue():
-    # acting by the traceless projection of a diagonal unit multiplies a
-    # monomial by d_j(m) - (sum_s d_s(m)) / n
+    # acting by n times the traceless projection of a diagonal unit
+    # multiplies a monomial by n d_j(m) - sum_s d_s(m)
     cfg = Config(4, 1, 3, -1, -1)
     gens = generators(cfg.n)
     m = cfg.space.pack((1, 2, 0, 0, 0, 0, 1, 2))
     total = sum(diagonal_value(cfg, s, m) for s in range(1, cfg.n + 1))
     for j in range(1, cfg.n + 1):
-        sym = cartan_combination(cfg, j)
+        sym = scaled_entry_symbol(cfg, j, j)
         img = apply_sym(cfg, sym_words(sym), {m: 1}, gens)
-        want = Fraction(diagonal_value(cfg, j, m) * cfg.n - total, cfg.n)
+        want = diagonal_value(cfg, j, m) * cfg.n - total
         if want:
             assert img == {m: want}
         else:
