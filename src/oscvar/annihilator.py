@@ -43,11 +43,23 @@ degree-2 prediction of each sign case comes from one table,
 only through its power has no two-sided degree check and is reported as
 outside the presentation theorem.
 
-Certificates are bounded: a kernel is certified up to the checked level
-kmax, with a stabilization flag comparing against the kmax-1 system.  A
-system too shallow to decide anything (no level carries an equation, or
-a degree-1 system with no kmax-1 system to compare against) raises
-:class:`ShallowSystemError` instead of returning a vacuous kernel.
+Certificates are bounded by degree, not by depth.  On a tower that is
+U_k(g) M_0 through its depth, the levels above it are taken to be
+U_k(g) M_0 as well, so they contribute no rows: the degree-p system at
+any kmax is M_0 against M_{p-1}, and the tower need only reach depth
+p - 1.  This is the annihilator of the graded module of the good
+filtration U_k(g) M_0, which is the module's own when M_0 generates it
+(as when the module is irreducible); the associated variety does not
+depend on the good filtration used (Vogan 1991).  So
+:func:`presentation_tower` builds the explicit tower only to depth 2, all
+the degree <= 3 systems read, and to depth kmax - 1 only where that
+tower is not U_k(g) M_0.  On any other tower, the depth must reach
+kmax - 1, the highest target of a system at kmax.  The stabilization
+flag compares the kernel with that of the kmax-1 system; on a tower
+that is U_k(g) M_0 both are the kernel of M_0, so it holds exactly when
+kmax > p.  A system too shallow to decide anything (no level carries an
+equation, or a degree-1 system with no kmax-1 system to compare against)
+raises :class:`ShallowSystemError` instead of returning a vacuous kernel.
 """
 
 from __future__ import annotations
@@ -238,13 +250,37 @@ def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     N_0, ..., N_j, and the closure of C_j is M_j + g M_j whenever the
     layout's bracket certificate holds (the plain semi-naive closure
     where it does not).  Whether the tower passed is cached too, as
-    ``tower.derived["g-stable"]``.
+    ``tower.derived["g-stable"]``, and the :func:`_split_mask` of the
+    generators, as ``tower.derived["preserver-mask"]``.
     """
     derived = tower.derived
     if "system-rows" not in derived:
         rows, preservers, derived["g-stable"] = _system_rows(tower)
         derived["system-rows"] = rows, preservers
+        derived["preserver-mask"] = _split_mask(symbol_space(tower.cfg.n), preservers)
     return derived["system-rows"]
+
+
+def _generated_by_base(tower: FiltrationTower) -> bool:
+    """Whether the tower is U_k(g) M_0 through its depth: g-stable, with
+    no N_j above M_0."""
+    rows, _ = system_rows(tower)
+    return tower.derived["g-stable"] and not any(rows[1:])
+
+
+def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
+    """The explicit tower the degree <= 3 systems at kmax read.
+
+    Built to depth min(kmax, 2): every target M_{p-1} of a degree p <= 3
+    system on a tower that is U_k(g) M_0, and at kmax <= 2 the same tower
+    as to depth kmax.  Where :func:`system_rows` finds rows above M_0 (or
+    no g-stability), it is rebuilt to depth kmax - 1, the highest target
+    of a system at kmax.
+    """
+    tower = build_tower(cfg, min(kmax, 2), "explicit")
+    if tower.depth < kmax - 1 and not _generated_by_base(tower):
+        tower = build_tower(cfg, kmax - 1, "explicit")
+    return tower
 
 
 def _g_stability_note(tower: FiltrationTower) -> dict:
@@ -317,6 +353,8 @@ def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
     n_eqs = last_start = 0
     for k, rows in enumerate(rows_by_level):
         last_start = n_eqs
+        if not rows:
+            continue
         target = tower.levels[k + p - 1]
         for row in rows:
             eqs: dict = {}
@@ -361,22 +399,35 @@ def compute_annihilator_piece(
     not g-stable the system stacks the rows new at every level, and
     nothing is split off.
 
+    A tower that is U_k(g) M_0 through its depth is taken to be so above
+    it too, so its levels above the depth contribute no rows and it need
+    only reach the target M_{p-1}; any other tower must reach M_{kmax-1}.
+
     The piece is stabilized when a kmax-1 system exists (kmax - p >= 1) and
     has a kernel of the same dimension.  On a tower that is U_k(g) M_0 the
     lemma gives both systems the kernel of M_0, so that is kmax - p >= 1.
     """
     cfg = tower.cfg
-    if kmax - 1 > tower.depth:
-        raise ValueError("tower too shallow: need levels up to kmax-1")
+    need = kmax - 1
+    if need > tower.depth and tower.levels and _generated_by_base(tower):
+        need = min(p, kmax) - 1
+    if need > tower.depth:
+        raise ValueError(
+            f"tower too shallow: the degree-{p} system at kmax={kmax} needs "
+            f"levels up to {need}, the tower has {tower.depth}"
+        )
     if kmax < p:
         raise ShallowSystemError(
             f"kmax={kmax} leaves no level k <= kmax-{p} for the degree-{p} system"
         )
     gens = generators(cfg.n)
     rows, preservers = system_rows(tower)
+    # levels above the depth contribute no rows (checked just above)
+    rows = rows[: kmax - p + 1]
+    rows += [[]] * (kmax - p + 1 - len(rows))
     split = preservers.intersection(known_level_preservers or ()) if p >= 2 else frozenset()
     alphabet = [i for i in range(len(gens)) if i not in split]
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows[: kmax - p + 1], gens)
+    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
     vectors = kernel_of_columns(columns)
     piece = AnnihilatorPiece(
         degree=p,
@@ -394,17 +445,17 @@ def compute_annihilator_piece(
     return piece
 
 
-def project_pure(sym: Poly, split) -> Poly:
-    """Drop monomials containing a split symbol (the quotient modulo the
-    ideal those symbols generate, in coordinates)."""
-    mask = _split_mask(sym.space, split)
+def project_pure(sym: Poly, mask: int) -> Poly:
+    """Drop monomials containing a split symbol, given the split's
+    :func:`_split_mask` (the quotient modulo the ideal those symbols
+    generate, in coordinates)."""
     return Poly(sym.space, {m: c for m, c in sym.terms.items() if not m & mask})
 
 
-def _pure_span(space: Space, syms, split) -> EchelonBasis:
+def _pure_span(space: Space, syms, mask: int) -> EchelonBasis:
     basis = EchelonBasis(space)
     for s in syms:
-        proj = project_pure(s, split)
+        proj = project_pure(s, mask)
         if proj:
             basis.insert(proj)
     return basis
@@ -426,11 +477,11 @@ def _compare_with_prediction(
     """
     piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
     sp = symbol_space(tower.cfg.n)
-    split = piece.split_symbols
-    computed = _pure_span(sp, lower, split)
+    mask = _split_mask(sp, piece.split_symbols)
+    computed = _pure_span(sp, lower, mask)
     for v in piece.kernel_vectors:
         computed.insert(v)
-    expected = _pure_span(sp, itertools.chain(predicted, lower), split)
+    expected = _pure_span(sp, itertools.chain(predicted, lower), mask)
     # kernel vectors are independent, so their count is the pure dimension
     return piece, len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
 
@@ -563,8 +614,8 @@ def sym_membership(sym: Poly, tower: FiltrationTower):
     top = tower.depth - p + 1
     if top < 0:
         return None
-    rows_by_level, preservers = system_rows(tower)
-    words = sym_words(project_pure(sym, preservers))
+    rows_by_level, _ = system_rows(tower)
+    words = sym_words(project_pure(sym, tower.derived["preserver-mask"]))
     for k, rows in enumerate(rows_by_level[: top + 1]):
         target = tower.levels[k + p - 1]
         for row in rows:
@@ -791,12 +842,17 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     (iii) conversely the computed degree-2/3 kernels lie in the predicted
          ideal at those degrees.
 
+    Degree 1 needs kmax >= 2 and the degree-3 kernel kmax >= 3.  Every
+    check runs on :func:`presentation_tower`: where the explicit tower is
+    U_k(g) M_0, each degree-p system is M_0 against M_{p-1} and a deeper
+    kmax reads no further level; elsewhere the tower reaches kmax - 1.
+
     Diagonal matrix entries inside the J2 x J2 block have no root-vector
     counterpart; they substitute to Cartan combinations, which the
     degree-1 comparison already constrains to zero.
     """
     regime = _theorem_regime(cfg)
-    tower = build_tower(cfg, kmax, "explicit")
+    tower = presentation_tower(cfg, kmax)
     i1 = degree1_report(tower, kmax)
     checks: list[dict] = []
     checks.append(

@@ -203,6 +203,10 @@ def _degree1(ctx) -> dict:
             ctx.tower = tower_from_dict(json.load(fh))
         if ctx.tower.cfg != ctx.cfg:
             raise ValueError("tower file was built for a different configuration")
+        # a dump is certified only through the levels it holds, even where
+        # they are U_k(g) M_0; a kmax below 2 is the degree-1 shallow skip
+        if args.kmax >= 2 and args.kmax - 1 > ctx.tower.depth:
+            raise ValueError("tower too shallow: need levels up to kmax-1")
     else:
         ctx.tower = build_tower(ctx.cfg, max(args.kmax - 1, 1), "explicit")
     ctx.i1 = degree1_report(ctx.tower, args.kmax)

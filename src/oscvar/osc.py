@@ -72,8 +72,9 @@ y-variables over J3 count -1, all others +1.  The weighted degree
     dfun_monomial(m) = 2*sum_{J3} alpha + sum_{J2} alpha + 2*sum_{J1} beta
                        + sum_{J2} beta - (l1 + |l1| + l2 + |l2|)/2
 
-measures filtration level; dprime(m) = sum_{J1} alpha is its analogue for
-the all-positive regime with n2 = n.
+measures filtration level; the x-degree over J1, sum_{J1} alpha, is its
+analogue for the all-positive regime with n2 = n (the "dprime" levels of
+``filtration``).
 """
 
 from __future__ import annotations
@@ -503,17 +504,8 @@ def project_T(cfg: Config, f: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# gradings and degree functions
+# the weighted degree function
 # ---------------------------------------------------------------------------
-
-
-def grading(cfg: Config, m: int) -> tuple[int, int]:
-    """Signed bidegree <l1, l2> of a monomial."""
-    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    m = cfg.space.unpack(m)
-    l1 = sum(m[n1:n]) - sum(m[:n1])
-    l2 = sum(m[n : n + n2]) - sum(m[n + n2 :])
-    return (l1, l2)
 
 
 def _dfun_offset(cfg: Config) -> int:
@@ -531,13 +523,6 @@ def dfun_monomial(cfg: Config, m: int) -> int:
         + sum(m[n + n1 : n + n2])
     )
     return val - _dfun_offset(cfg)
-
-
-def dprime(cfg: Config, f: Poly) -> int:
-    """Max over monomials of the x-degree over the first block."""
-    if not f.terms:
-        raise ValueError("degree of the zero polynomial is undefined")
-    return max(sum(f.space.unpack(m)[: cfg.n1]) for m in f.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .annihilator import (
     expected_gkdim,
     gkdim_estimate,
     operator_identically_zero,
+    presentation_tower,
     sym_membership,
     verify_degree2,
     verify_degree3,
@@ -360,7 +361,7 @@ def check_degree3(name, anchor, matrix) -> list[CheckRecord]:
     """The 3x3 minor cases (``minor3-case-membership``) or, in addition,
     degree-3 exactness modulo the lower ideal (``minor3-family-exactness``)."""
     def run(cfg, kmax):
-        tower = build_tower(cfg, kmax, "explicit")
+        tower = presentation_tower(cfg, kmax)
         rep = verify_degree3(tower, kmax, degree1_report(tower, kmax))
         payload = {"cases": rep["cases"], **_g_stability(rep)}
         if anchor == "minor3-family-exactness":
@@ -398,7 +399,7 @@ def check_degree3_case6_supplement(params, kmax) -> CheckRecord:
     """Residue membership for the all-middle-block case, non-vacuous here."""
     t0 = time.time()
     cfg = Config(*params)
-    tower = build_tower(cfg, kmax, "explicit")
+    tower = presentation_tower(cfg, kmax)
     ops = [
         op
         for op in delta_ops(cfg, "minor3")

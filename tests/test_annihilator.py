@@ -1,17 +1,21 @@
 """Graded annihilator kernels, minor operators, growth estimates."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from oscvar import annihilator
 from oscvar.annihilator import (
     ShallowSystemError,
     _SplitMonomials,
     _compare_with_prediction,
+    _generated_by_base,
     _level_rows,
     _stacked_columns,
     _generator_multiples,
@@ -29,6 +33,7 @@ from oscvar.annihilator import (
     minor_symbol,
     operator_identically_zero,
     predicted_level_preservers,
+    presentation_tower,
     scaled_entry_symbol,
     sym_form,
     sym_membership,
@@ -695,3 +700,97 @@ def test_shallow_systems_raise():
     for kmax in (0, 1):
         with pytest.raises(ShallowSystemError):
             verify_variety_presentation(Config(4, 2, 2, -1, -1), kmax)
+
+
+def _full_depth(kmax):
+    """A patch under which every tower the annihilator builds reaches depth
+    kmax, as before the depth bound."""
+    real = build_tower
+    return mock.patch.object(
+        annihilator, "build_tower", lambda cfg, depth, method: real(cfg, kmax, method)
+    )
+
+
+def _presentation_outcome(cfg, kmax, full_depth=False):
+    """The fields of ``verify_variety_presentation`` that a tower depth
+    could change, or the exception it raised."""
+    try:
+        with _full_depth(kmax) if full_depth else contextlib.nullcontext():
+            rep = verify_variety_presentation(cfg, kmax)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return {k: rep[k] for k in ("regime", "checks", "member_results", "stabilized", "overall")}
+
+
+@pytest.mark.parametrize(
+    "params, kmax, depth",
+    [
+        ((6, 2, 4, -1, -1), 5, 2),
+        ((5, 2, 2, -1, -2), 4, 2),
+        # reducible layouts whose explicit tower has rows above M_0: the
+        # tower is rebuilt to depth kmax - 1
+        ((3, 2, 3, 0, 1), 4, 3),
+        ((5, 2, 3, 1, 0), 4, 3),
+    ],
+)
+def test_depth_bounded_presentation_equals_full_depth(params, kmax, depth):
+    cfg = Config(*params)
+    assert presentation_tower(cfg, kmax).depth == depth
+    with _full_depth(kmax):
+        assert presentation_tower(cfg, kmax).depth == kmax
+    bounded = _presentation_outcome(cfg, kmax)
+    assert bounded["overall"] is True
+    assert bounded == _presentation_outcome(cfg, kmax, full_depth=True)
+
+
+@settings(max_examples=25, **_PROPERTY)
+@given(
+    st.integers(3, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(1, n), st.integers(1, n),
+            st.integers(-2, 2), st.integers(-2, 2),
+        )
+    ),
+    st.integers(3, 4),
+)
+def test_depth_bounded_presentation_equals_full_depth_on_random_layouts(params, kmax):
+    n, a, b, l1, l2 = params
+    cfg = Config(n, min(a, b), max(a, b), l1, l2)
+    assert _presentation_outcome(cfg, kmax) == _presentation_outcome(cfg, kmax, full_depth=True)
+
+
+@settings(max_examples=20, **_PROPERTY)
+@given(supported_towers(), st.integers(1, 3))
+def test_piece_reads_the_tower_only_to_its_target(tower_kmax, p):
+    # on a tower that is U_k(g) M_0 the degree-p piece needs only M_0..M_{p-1};
+    # on any other, a shorter tower is refused
+    tower, kmax = tower_kmax
+    assume(p <= kmax)
+    cfg = tower.cfg
+    claimed = predicted_level_preservers(cfg)
+    short = build_tower(cfg, p - 1, "explicit")
+    if _generated_by_base(tower):
+        full = compute_annihilator_piece(tower, p, kmax, claimed)
+        piece = compute_annihilator_piece(short, p, kmax, claimed)
+        assert piece.kernel_vectors == full.kernel_vectors
+        assert piece.split_symbols == full.split_symbols
+        assert piece.stabilized == full.stabilized == (kmax > p)
+    elif not _generated_by_base(short) and short.depth < kmax - 1:
+        with pytest.raises(ValueError):
+            compute_annihilator_piece(short, p, kmax, claimed)
+
+
+def test_piece_without_a_target_level_raises_value_error():
+    # (3,2,3,0,1) has a generating row at level 2: the degree-2 system at
+    # kmax 4 must send it into M_3, which a depth-2 tower does not have
+    cfg = Config(3, 2, 3, 0, 1)
+    tower = build_tower(cfg, 2, "explicit")
+    assert [len(rows) for rows in system_rows(tower)[0]] == [1, 0, 1]
+    with pytest.raises(ValueError, match="too shallow"):
+        compute_annihilator_piece(tower, 2, 4)
+    # a tower that is U_k(g) M_0 still needs the target M_{p-1} itself
+    closed = build_tower(Config(4, 2, 2, -1, -1), 1, "explicit")
+    assert _generated_by_base(closed)
+    with pytest.raises(ValueError, match="too shallow"):
+        compute_annihilator_piece(closed, 3, 3)
+    assert compute_annihilator_piece(closed, 2, 5).stabilized

@@ -130,6 +130,17 @@ def test_annihilator_with_tower_file(capsys, tmp_path):
     assert doc["checks"][0]["payload"]["dim"] == 5
 
 
+def test_annihilator_refuses_a_tower_file_below_kmax_minus_one(capsys, tmp_path):
+    # the dump is U_k(g) M_0, but it is certified only through its own levels
+    cfg = ["--n", "3", "--n1", "1", "--n2", "2", "--l1", "-1", "--l2", "-1"]
+    dump = tmp_path / "tower.json"
+    run_cli(capsys, "filtration", *cfg, "--kmax", "2", "--dump-tower", str(dump))
+    code, _, err = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
+    assert code == 2 and "too shallow" in err
+    code, _, _ = run_cli(capsys, "annihilator", *cfg, "--kmax", "3", "--tower-file", str(dump))
+    assert code == 0
+
+
 def test_annihilator_with_tampered_tower_files(capsys, tmp_path):
     cfg = ["--n", "3", "--n1", "1", "--n2", "2", "--l1", "-1", "--l2", "-1"]
     dump = tmp_path / "tower.json"

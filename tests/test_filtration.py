@@ -40,7 +40,6 @@ from oscvar.osc import (
     applier_is_representation,
     apply_generator,
     dfun_monomial,
-    dprime,
     enumerate_TN_level,
     generators,
     project_T_monomial,
@@ -264,6 +263,11 @@ def test_widest_annihilator_config_tower_agreement():
     rep = compare_towers(Config(6, 2, 4, -1, -1), 3)
     assert rep["all_equal"]
     assert [r["dim_bruteforce"] for r in rep["levels"]] == [4, 43, 251, 1055]
+
+
+def dprime(cfg, f):
+    """The largest x-degree over the first block among the monomials of f."""
+    return max(sum(f.space.unpack(m)[: cfg.n1]) for m in f.terms)
 
 
 def test_dprime_increments_on_positive_tower_rows():

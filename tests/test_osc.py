@@ -16,10 +16,8 @@ from oscvar.osc import (
     classify_irreducible,
     commutator_in_basis,
     dfun_monomial,
-    dprime,
     enumerate_TN_level,
     generators,
-    grading,
     highest_weight_formula,
     laplace,
     laplacian_form,
@@ -39,6 +37,19 @@ SP = CFG.space
 
 def P(text):
     return parse_poly(SP, text)
+
+
+def grading(cfg, m):
+    """Signed bidegree <l1, l2> of a packed monomial: the x-variables over
+    J1 and the y-variables over J3 count -1, all others +1."""
+    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    m = cfg.space.unpack(m)
+    return sum(m[n1:n]) - sum(m[:n1]), sum(m[n : n + n2]) - sum(m[n + n2 :])
+
+
+def dprime(cfg, f):
+    """The largest x-degree over the first block among the monomials of f."""
+    return max(sum(f.space.unpack(m)[: cfg.n1]) for m in f.terms)
 
 
 def dfun(cfg, f):
