@@ -26,12 +26,12 @@ every monomial containing such an s annihilates without being applied.
 Both facts are checked at run time, once per tower, by
 :func:`system_rows`, which closes each level under the generators
 (``filtration.bruteforce_level``) and compares the closure with the next
-level.  On a tower that is U_k(g) M_0 the N_j above M_0 are empty, so
-every system is solved on the rows of M_0 alone, and the claimed
-preservers (Cartan and off-L root symbols) that map M_0 into itself are
-split off as "coordinate members".  On a tower that is not g-stable, as
-on a tampered dump, each system falls back to the stacked solve over
-every level with nothing split off, which is the exact full kernel.
+level.  A tower that fails, such as a hand-edited dump, is not a g-stable
+filtration: the lemma does not apply, and every system refuses it with a
+``ValueError`` that names the level.  On a tower that is U_k(g) M_0 the
+N_j above M_0 are empty, so every system is solved on the rows of M_0
+alone, and the claimed preservers (Cartan and off-L root symbols) that map
+M_0 into itself are split off as "coordinate members".
 
 Every check of a computed kernel against a predicted family goes through
 one comparison, :func:`_compare_with_prediction`.  It quotients both sides
@@ -53,13 +53,17 @@ filtration U_k(g) M_0, which is the module's own when M_0 generates it
 depend on the good filtration used (Vogan 1991).  So
 :func:`presentation_tower` builds the explicit tower only to depth 2, all
 the degree <= 3 systems read, and to depth kmax - 1 only where that
-tower is not U_k(g) M_0.  On any other tower, the depth must reach
-kmax - 1, the highest target of a system at kmax.  The stabilization
-flag compares the kernel with that of the kmax-1 system; on a tower
-that is U_k(g) M_0 both are the kernel of M_0, so it holds exactly when
-kmax > p.  A system too shallow to decide anything (no level carries an
-equation, or a degree-1 system with no kmax-1 system to compare against)
-raises :class:`ShallowSystemError` instead of returning a vacuous kernel.
+tower has generating rows above M_0, as on some reducible layouts.  Such
+a tower, and a tower dump, must reach kmax - 1, the highest target of a
+system at kmax.
+
+The stabilization flag compares the kernel with that of the kmax-1
+system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
+holds exactly when kmax > p; it tests something only where generating
+rows sit above M_0.  A system too shallow to decide anything (no level
+carries an equation, or a degree-1 system with no kmax-1 system to
+compare against) raises :class:`ShallowSystemError` instead of returning
+a vacuous kernel.
 """
 
 from __future__ import annotations
@@ -148,9 +152,8 @@ def apply_sym(cfg: Config, words: list, terms: dict, gens) -> dict:
 def _level_rows(tower: FiltrationTower, k: int) -> list:
     """Rows of level k whose pivot is new at level k (deterministic order).
 
-    Together with level k-1 these span level k, and constraints on the
-    lower level are already implied, so they are the only rows a stacked
-    annihilator system needs.
+    Together with level k-1 these span level k; :func:`system_rows` picks
+    each N_k of the module lemma from them.
     """
     rows = tower.levels[k].rows
     if k == 0:
@@ -208,16 +211,13 @@ class AnnihilatorPiece:
     ``coordinate_members`` are the monomials containing a symbol of
     ``split_symbols``, as a sized view that lists them when iterated; each
     annihilates by the module lemma, because its split symbol was checked
-    to preserve every level of a g-stable tower.
-    ``kernel_vectors`` span the rest of the kernel over the remaining
-    monomials.  Certification is an over-approximation statement:
-    membership is verified only for levels up to ``kmax_checked``.
+    to preserve every level.  ``kernel_vectors`` span the rest of the
+    kernel over the remaining monomials.
     """
 
     degree: int
-    coordinate_members: _SplitMonomials | list = field(default_factory=list)
+    coordinate_members: _SplitMonomials
     kernel_vectors: list = field(default_factory=list)
-    kmax_checked: int = 0
     stabilized: bool = False
     unknown_count: int = 0
     split_symbols: list = field(default_factory=list)
@@ -233,12 +233,9 @@ class AnnihilatorPiece:
 
 
 def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
-    """The rows each level contributes to an annihilator system, and the
-    generators that map every level into itself.
+    """The rows of each N_j of the module lemma, and the generators s with
+    s(N_j) <= M_j for every j, which map every level into itself.
 
-    On a g-stable tower these are the rows of each N_j of the module lemma
-    and the generators s with s(N_j) <= M_j for every j; on any other tower
-    they are the rows with a pivot new at each level, and no generator.
     Checked once per tower, from the bottom up, and cached in
     ``tower.derived``.  The closures form their own tower C_j, a basis of
     M_j once the checks below j passed: C_{j+1} is ``bruteforce_level`` of
@@ -249,23 +246,22 @@ def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     ``bruteforce_level`` exact: C_j is spanned by the ordered words on
     N_0, ..., N_j, and the closure of C_j is M_j + g M_j whenever the
     layout's bracket certificate holds (the plain semi-naive closure
-    where it does not).  Whether the tower passed is cached too, as
-    ``tower.derived["g-stable"]``, and the :func:`_split_mask` of the
-    generators, as ``tower.derived["preserver-mask"]``.
+    where it does not).  The :func:`_split_mask` of the generators is
+    cached too, as ``tower.derived["preserver-mask"]``.  Raises
+    ``ValueError`` at the first level that does not contain the closure of
+    the one below: the tower is then not a g-stable filtration.
     """
     derived = tower.derived
     if "system-rows" not in derived:
-        rows, preservers, derived["g-stable"] = _system_rows(tower)
+        rows, preservers = _system_rows(tower)
         derived["system-rows"] = rows, preservers
         derived["preserver-mask"] = _split_mask(symbol_space(tower.cfg.n), preservers)
     return derived["system-rows"]
 
 
 def _generated_by_base(tower: FiltrationTower) -> bool:
-    """Whether the tower is U_k(g) M_0 through its depth: g-stable, with
-    no N_j above M_0."""
-    rows, _ = system_rows(tower)
-    return tower.derived["g-stable"] and not any(rows[1:])
+    """Whether the tower is U_k(g) M_0 through its depth: no N_j above M_0."""
+    return not any(system_rows(tower)[0][1:])
 
 
 def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
@@ -273,9 +269,8 @@ def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
 
     Built to depth min(kmax, 2): every target M_{p-1} of a degree p <= 3
     system on a tower that is U_k(g) M_0, and at kmax <= 2 the same tower
-    as to depth kmax.  Where :func:`system_rows` finds rows above M_0 (or
-    no g-stability), it is rebuilt to depth kmax - 1, the highest target
-    of a system at kmax.
+    as to depth kmax.  Where :func:`system_rows` finds rows above M_0, it
+    is rebuilt to depth kmax - 1, the highest target of a system at kmax.
     """
     tower = build_tower(cfg, min(kmax, 2), "explicit")
     if tower.depth < kmax - 1 and not _generated_by_base(tower):
@@ -283,20 +278,7 @@ def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
     return tower
 
 
-def _g_stability_note(tower: FiltrationTower) -> dict:
-    """Nothing on a g-stable tower; on any other, the ``g_stability`` entry
-    a report carries to say that its systems fell back to the stacked
-    solve, so a failed comparison there does not test the theorem."""
-    system_rows(tower)
-    if tower.derived["g-stable"]:
-        return {}
-    return {
-        "g_stability": "failed: a level is not mapped into the next by the "
-        "generators; the kernels are the stacked solve over every level"
-    }
-
-
-def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset, bool]:
+def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     cfg, levels = tower.cfg, tower.levels
     fresh = [_level_rows(tower, 0)]
     closure, new = levels[0], None
@@ -304,7 +286,10 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset, bool]:
         tags: dict = {}
         closure = bruteforce_level(cfg, closure, new, tags)
         if not levels[j + 1].contains_span(closure):
-            return [_level_rows(tower, k) for k in range(tower.depth + 1)], frozenset(), False
+            raise ValueError(
+                f"level {j + 1} does not contain the generators' images of level "
+                f"{j}: the tower is not a g-stable filtration"
+            )
         extra = []
         if closure.dim < levels[j + 1].dim:
             for row in _level_rows(tower, j + 1):
@@ -322,7 +307,7 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset, bool]:
             for row in rows
         )
     )
-    return fresh, preservers, True
+    return fresh, preservers
 
 
 def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
@@ -388,20 +373,18 @@ def compute_annihilator_piece(
 ) -> AnnihilatorPiece:
     """Exact kernel of {eta of degree p : eta(M_k) in M_{k+p-1}, k <= kmax-p}.
 
-    The system constrains the rows :func:`system_rows` gives for each
-    level k <= kmax-p.  On a g-stable tower these are the rows of each N_k
-    of the module lemma, and on a tower that is U_k(g) M_0 that is one
-    system: the rows of M_0 against the target M_{p-1}.  For p >= 2, the
-    symbols of ``known_level_preservers`` (the claimed degree-1 kernel)
-    that preserve every level are split off: monomials containing one are
-    listed in ``coordinate_members`` without being applied, and the exact
-    kernel is solved on the remaining "pure" monomials.  On a tower that is
-    not g-stable the system stacks the rows new at every level, and
-    nothing is split off.
+    The system constrains the rows of each N_k of the module lemma
+    (:func:`system_rows`) for k <= kmax-p; on a tower that is U_k(g) M_0
+    that is one system: the rows of M_0 against the target M_{p-1}.  For
+    p >= 2, the symbols of ``known_level_preservers`` (the claimed degree-1
+    kernel) that preserve every level are split off: monomials containing
+    one are listed in ``coordinate_members`` without being applied, and the
+    exact kernel is solved on the remaining "pure" monomials.
 
     A tower that is U_k(g) M_0 through its depth is taken to be so above
     it too, so its levels above the depth contribute no rows and it need
-    only reach the target M_{p-1}; any other tower must reach M_{kmax-1}.
+    only reach the target M_{p-1}; a tower with generating rows above M_0
+    must reach M_{kmax-1}.
 
     The piece is stabilized when a kmax-1 system exists (kmax - p >= 1) and
     has a kernel of the same dimension.  On a tower that is U_k(g) M_0 the
@@ -433,7 +416,6 @@ def compute_annihilator_piece(
         degree=p,
         coordinate_members=_SplitMonomials(symbol_space(cfg.n), p, split),
         kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
-        kmax_checked=kmax,
         unknown_count=comb(len(gens) + p - 1, p),
         split_symbols=sorted(split),
     )
@@ -508,7 +490,6 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
         "root_part": len(predicted) - cartan,
         "equal": equal,
         "stabilized": piece.stabilized,
-        **_g_stability_note(tower),
     }
 
 
@@ -598,14 +579,15 @@ def sym_membership(sym: Poly, tower: FiltrationTower):
     """eta(M_k) in M_{k + deg - 1} on every level the tower affords.
 
     Levels run over k <= depth - deg + 1 (the deepest level whose target
-    exists), on the rows :func:`system_rows` gives: on a g-stable tower
-    the rows of each N_k of the module lemma, the rows of M_0 alone on a
-    tower that is U_k(g) M_0, and on any other tower the rows new at every
-    level.  Terms containing a generator that preserves every level
+    exists), on the rows of each N_k of the module lemma
+    (:func:`system_rows`): the rows of M_0 alone on a tower that is
+    U_k(g) M_0.  Terms containing a generator that preserves every level
     annihilate, so only the rest, the pure part, is applied.  The zero
     operator annihilates everything.  Returns None when the tower affords
-    no level at all.
+    no level at all, and raises ``ValueError`` on a tower that is not
+    g-stable, whatever the symbol.
     """
+    rows_by_level, _ = system_rows(tower)
     if not sym:
         return True
     p = sym.total_degree()
@@ -614,7 +596,6 @@ def sym_membership(sym: Poly, tower: FiltrationTower):
     top = tower.depth - p + 1
     if top < 0:
         return None
-    rows_by_level, _ = system_rows(tower)
     words = sym_words(project_pure(sym, tower.derived["preserver-mask"]))
     for k, rows in enumerate(rows_by_level[: top + 1]):
         target = tower.levels[k + p - 1]
@@ -700,7 +681,6 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
         "all_member": all(m["in_kernel"] for m in membership)
         and all(m["in_kernel"] is not False for m in power_membership),
         "i1_equal": i1["equal"],
-        **_g_stability_note(tower),
     }
 
 
@@ -802,7 +782,6 @@ def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
         "exact_mod_lower": exact,
         "all_cases_pass": all(r["status"] in ("pass", "vacuous") for r in case_results),
         "i1_equal": i1["equal"],
-        **_g_stability_note(tower),
     }
 
 

@@ -313,25 +313,18 @@ def check_minor3_kernels(sizes, kmax) -> CheckRecord:
     )
 
 
-def _g_stability(rep) -> dict:
-    """The report's ``g_stability`` entry, present only on a tower that
-    failed the module lemma's check."""
-    return {"g_stability": rep["g_stability"]} if "g_stability" in rep else {}
-
-
 def degree1_payload(rep) -> dict:
     return {
         "dim": rep["dim_computed"],
         "cartan": rep["cartan_part"],
         "off_L_roots": rep["root_part"],
         "stabilized": rep["stabilized"],
-        **_g_stability(rep),
     }
 
 
 def check_degree1_kernels(matrix) -> list[CheckRecord]:
     def run(cfg, kmax):
-        rep = degree1_report(build_tower(cfg, kmax - 1, "explicit"), kmax)
+        rep = degree1_report(presentation_tower(cfg, kmax), kmax)
         return rep, degree1_payload(rep)
 
     return _per_config("degree1-kernel", "level-preserver-span", matrix, run)
@@ -344,12 +337,12 @@ def degree2_payload(rep) -> dict:
         "membership": rep["membership"],
         "power_membership": rep["power_membership"],
         "stabilized": rep["piece"].stabilized,
-        **_g_stability(rep),
     }
 
 
 def check_degree2_kernels(matrix) -> list[CheckRecord]:
     def run(cfg, kmax):
+        # depth kmax, not kmax - 1: the power memberships read M_{2e-1}
         tower = build_tower(cfg, kmax, "explicit")
         rep = verify_degree2(tower, kmax, degree1_report(tower, kmax))
         return rep, degree2_payload(rep)
@@ -363,7 +356,7 @@ def check_degree3(name, anchor, matrix) -> list[CheckRecord]:
     def run(cfg, kmax):
         tower = presentation_tower(cfg, kmax)
         rep = verify_degree3(tower, kmax, degree1_report(tower, kmax))
-        payload = {"cases": rep["cases"], **_g_stability(rep)}
+        payload = {"cases": rep["cases"]}
         if anchor == "minor3-family-exactness":
             payload = {
                 "pure_computed": rep["dim_pure_computed"],

@@ -39,6 +39,8 @@ from oscvar.annihilator import (
     sym_membership,
     sym_words,
     system_rows,
+    verify_degree2,
+    verify_degree3,
     verify_variety_presentation,
 )
 from oscvar.filtration import UnsupportedRegimeError, build_tower
@@ -396,12 +398,18 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
     assume(p <= kmax)
     cfg = tower.cfg
     if cut:
-        # a new row dropped from the top level: the tower is then not
-        # g-stable, nothing is split off, and the comparison quotients by less
+        # a new row dropped from the top level of a tower that is U_k(g) M_0:
+        # that level no longer holds the closure of the one below, so the
+        # tower is not a g-stable filtration and the comparison refuses it
+        assume(_generated_by_base(tower))
         top, below = tower.levels[kmax - 1].rows, tower.levels[kmax - 2].rows
         new = [m for m in top if m not in below]
         assume(new)
         del top[rng.choice(new)]
+        tower.derived.clear()  # derived from the levels before the cut
+        with pytest.raises(ValueError, match=f"^level {kmax - 1} does not contain"):
+            _compare_with_prediction(tower, p, kmax, *_real_family(cfg, p))
+        return
     sp = symbol_space(cfg.n)
     kernel = [Poly(sp, v) for v in compute_annihilator_piece(tower, p, kmax).basis_sym()]
     claimed = set(predicted_level_preservers(cfg))
@@ -525,12 +533,6 @@ def test_piece_equals_stacked_solve(tower_kmax, p):
     assert span_equal(_span_of(cfg, piece), echelon_from(symbol_space(cfg.n), full))
 
 
-def _is_unstable(tower) -> bool:
-    """Whether the tower's systems fall back to every new row, unsplit."""
-    every = [_level_rows(tower, k) for k in range(tower.depth + 1)]
-    return system_rows(tower) == (every, frozenset())
-
-
 def _drop_new_row(tower, j):
     """Delete one row whose pivot is new at level j > 0: M_j is then no
     longer the closure of M_{j-1}."""
@@ -538,22 +540,27 @@ def _drop_new_row(tower, j):
     del rows[max(m for m in rows if m not in below)]
 
 
-def test_g_stability_failure_disables_split():
+def test_tower_that_is_not_g_stable_is_refused():
+    # the module lemma holds only on a g-stable tower, so every system, and
+    # every report built on one, raises at the first level that fails
     cfg = Config(4, 1, 3, -1, -1)
     sp = symbol_space(cfg.n)
-    syms = [Poly(sp, {_pack(sp, key): 1}) for key in [(0,), (5,), (11,), (0, 5), (3, 9), (11, 11)]]
+    keys = [(0,), (5,), (11,), (0, 5), (3, 9), (11, 11)]
+    syms = [Poly(sp, {_pack(sp, key): 1}) for key in keys] + [Poly.zero(sp)]
+    claimed = predicted_level_preservers(cfg)
     for j in (1, 2, 3):
         tower = build_tower(cfg, 3, "explicit")
         _drop_new_row(tower, j)
-        assert _is_unstable(tower)
-        for p in (1, 2, 3):
-            piece = compute_annihilator_piece(tower, p, 4, predicted_level_preservers(cfg))
-            vectors, stabilized = _stacked_oracle(tower, p, 4)
-            assert piece.split_symbols == [] and piece.coordinate_members == []
-            assert piece.kernel_vectors == vectors
-            assert piece.stabilized == stabilized
-        for sym in syms:
-            assert sym_membership(sym, tower) is _membership_without_dropping(sym, tower)
+        calls = [lambda p=p: compute_annihilator_piece(tower, p, 4, claimed) for p in (1, 2, 3)]
+        calls += [lambda sym=sym: sym_membership(sym, tower) for sym in syms]
+        calls += [lambda: degree1_report(tower, 4), lambda: verify_degree2(tower, 4)]
+        calls.append(lambda: verify_degree3(tower, 4))
+        for call in calls:
+            with pytest.raises(
+                ValueError, match=f"^level {j} does not contain .* not a g-stable filtration$"
+            ):
+                call()
+        assert "system-rows" not in tower.derived
 
 
 @pytest.mark.parametrize("ngens, p, split", [
@@ -645,10 +652,11 @@ def test_zero_symbol_annihilates():
     tower = build_tower(CFG, 2, "explicit")
     assert sym_membership(zero, tower) is True
     assert system_rows(tower)[0][1:] == [[], []]
+    # even the zero operator is refused on a tower that is not g-stable
     tampered = build_tower(CFG, 2, "explicit")
     _drop_new_row(tampered, 2)
-    assert sym_membership(zero, tampered) is True
-    assert _is_unstable(tampered)
+    with pytest.raises(ValueError, match="^level 2 does not contain"):
+        sym_membership(zero, tampered)
 
 
 def test_tower_larger_than_the_closure_of_its_base():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oscvar
+from oscvar import suite
 from oscvar.cli import main
 from oscvar.reports import CheckRecord, Report, serialize, FormatError
 
@@ -146,31 +147,29 @@ def test_annihilator_with_tampered_tower_files(capsys, tmp_path):
     dump = tmp_path / "tower.json"
     run_cli(capsys, "filtration", *cfg, "--kmax", "3", "--dump-tower", str(dump))
     clean = json.loads(dump.read_text())
-    # (level, row dropped, statuses, whether the tower fails the g-stability
-    # check, so that the reports say the kernels are the stacked solve)
+    # (level, row dropped, the level the g-stability check fails at or None)
     cases = [
-        (None, None, ["pass", "pass"], False),
-        (0, 0, ["pass", "pass"], False),  # a smaller base, still a g-stable tower
-        (1, 0, ["fail", "fail"], True),  # a row with a new pivot dropped
-        (3, 0, ["fail", "fail"], True),
-        # the row with the least pivot at the top: M_2 is no longer inside
-        # M_3, so no split is granted on what is no filtration
-        (3, -1, ["pass", "fail"], True),
+        (None, None, None),
+        (0, 0, None),  # a smaller base, still a g-stable tower
+        (1, 0, 1),  # a row with a new pivot dropped
+        (3, 0, 3),
+        (3, -1, 3),  # the row with the least pivot at the top: M_2 is not inside M_3
     ]
-    for level, row, want, unstable in cases:
+    for level, row, failed in cases:
         doc = json.loads(json.dumps(clean))
         if level is not None:
             del doc["levels"][level][row]
             doc["dims"][level] -= 1
         dump.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
-        checks = json.loads(out)["checks"]
-        assert [c["status"] for c in checks] == want
-        assert code == (0 if want == ["pass", "pass"] else 1)
-        for c in checks:
-            assert ("g_stability" in c["payload"]) == unstable
-            if unstable:
-                assert c["payload"]["g_stability"].startswith("failed")
+        code, out, err = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
+        if failed is None:
+            assert code == 0
+            assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
+        else:
+            # what is no filtration is refused as invalid input, naming the level
+            assert code == 2 and out == ""
+            assert f"invalid input: level {failed} does not contain" in err
+            assert "not a g-stable filtration" in err
 
 
 @pytest.mark.parametrize("command", ["annihilator", "verify-main-theorem"])
@@ -250,6 +249,21 @@ def test_annihilator_degree2_verdict_matches_the_suite(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "annihilator", *SHALLOW, "--kmax", "2")
     assert code == 1
     assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "fail"]
+
+
+def test_annihilator_degree2_payload_matches_the_suite_record(capsys):
+    # the command builds the suite's degree-2 tower, so the power D^2, of
+    # degree 4, is checked from M_0 into M_3 at kmax 3 as the suite checks it
+    params, kmax = (5, 1, 3, 1, -1), 3
+    (record,) = suite.check_degree2_kernels([(params, kmax)])
+    argv = [f"--{k}={v}" for k, v in zip(("n", "n1", "n2", "l1", "l2", "kmax"), (*params, kmax))]
+    code, out, _ = run_cli(capsys, "annihilator", *argv)
+    check = json.loads(out)["checks"][1]
+    assert check["name"] == "degree2-kernel" and code == 0
+    assert (check["status"], {"kmax": kmax, **check["payload"]}) == (record.status, record.payload)
+    assert check["payload"]["power_membership"] == [
+        {"op": "D[4,5;2,3]^2", "degree": 4, "in_kernel": True}
+    ]
 
 
 @pytest.mark.parametrize(
