@@ -55,7 +55,9 @@ depend on the good filtration used (Vogan 1991).  So
 the degree <= 3 systems read, and to depth kmax - 1 only where that
 tower has generating rows above M_0, as on some reducible layouts.  Such
 a tower, and a tower dump, must reach kmax - 1, the highest target of a
-system at kmax.
+system at kmax.  :func:`degree2_tower` goes to depth kmax instead, on
+those layouts and where a power of degree 2e of ``degree2_families``
+reads M_{2e-1}.
 
 The stabilization flag compares the kernel with that of the kmax-1
 system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
@@ -275,6 +277,23 @@ def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
     tower = build_tower(cfg, min(kmax, 2), "explicit")
     if tower.depth < kmax - 1 and not _generated_by_base(tower):
         tower = build_tower(cfg, kmax - 1, "explicit")
+    return tower
+
+
+def degree2_tower(cfg: Config, kmax: int) -> FiltrationTower:
+    """The explicit tower the degree-1 and degree-2 systems at kmax and the
+    power memberships of :func:`degree2_families` read.
+
+    Built to depth kmax where a power of degree 2e reads M_{2e-1}
+    (2e - 1 <= kmax); elsewhere to depth min(kmax, 2), as
+    :func:`presentation_tower`, and rebuilt to depth kmax where
+    :func:`system_rows` finds rows above M_0.
+    """
+    powers = degree2_families(cfg)["powers"]
+    depth = kmax if any(2 * e - 1 <= kmax for _op, e in powers) else min(kmax, 2)
+    tower = build_tower(cfg, depth, "explicit")
+    if depth < kmax and not _generated_by_base(tower):
+        tower = build_tower(cfg, kmax, "explicit")
     return tower
 
 

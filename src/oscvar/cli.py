@@ -208,8 +208,7 @@ def _degree1(ctx) -> dict:
         if args.kmax >= 2 and args.kmax - 1 > ctx.tower.depth:
             raise ValueError("tower too shallow: need levels up to kmax-1")
     else:
-        # the suite's degree-2 tower: the power memberships read M_{2e-1}
-        ctx.tower = build_tower(ctx.cfg, args.kmax, "explicit")
+        ctx.tower = annihilator.degree2_tower(ctx.cfg, args.kmax)
     ctx.i1 = degree1_report(ctx.tower, args.kmax)
     return ctx.i1
 

@@ -40,8 +40,10 @@ towers are built to check:
     Poincare-Birkhoff-Witt the ordered words span U_k(g) M_0
     (``bruteforce_level``).  That rests on the bracket relations of the
     applier, certified once per layout
-    (``osc.applier_is_representation``); where they fail, no row is
-    tagged and every new row meets every generator.
+    (``osc.applier_is_representation``: the relations of the Chevalley
+    generators with every basis element, which imply the rest, and each
+    form against the applier on the variables it touches); where they
+    fail, no row is tagged and every new row meets every generator.
   * T-images are kept as primitive integer multiples: a span does not
     change under scaling, and the products with them then run in integer
     arithmetic.

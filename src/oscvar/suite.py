@@ -19,6 +19,7 @@ from functools import partial
 from .annihilator import (
     classify_minor3,
     degree1_report,
+    degree2_tower,
     delta_ops,
     expected_gkdim,
     gkdim_estimate,
@@ -342,8 +343,7 @@ def degree2_payload(rep) -> dict:
 
 def check_degree2_kernels(matrix) -> list[CheckRecord]:
     def run(cfg, kmax):
-        # depth kmax, not kmax - 1: the power memberships read M_{2e-1}
-        tower = build_tower(cfg, kmax, "explicit")
+        tower = degree2_tower(cfg, kmax)
         rep = verify_degree2(tower, kmax, degree1_report(tower, kmax))
         return rep, degree2_payload(rep)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscvar import annihilator
+from oscvar import annihilator, suite
 from oscvar.annihilator import (
     ShallowSystemError,
     _SplitMonomials,
@@ -25,6 +25,7 @@ from oscvar.annihilator import (
     compute_annihilator_piece,
     degree1_report,
     degree2_families,
+    degree2_tower,
     delta_ops,
     expected_gkdim,
     gen_index_map,
@@ -749,6 +750,35 @@ def test_depth_bounded_presentation_equals_full_depth(params, kmax, depth):
     bounded = _presentation_outcome(cfg, kmax)
     assert bounded["overall"] is True
     assert bounded == _presentation_outcome(cfg, kmax, full_depth=True)
+
+
+def _degree2_outcome(cfg, kmax, full_depth=False):
+    """The degree-1 and degree-2 payloads on ``degree2_tower``, or the
+    exception raised."""
+    try:
+        with _full_depth(kmax) if full_depth else contextlib.nullcontext():
+            tower = degree2_tower(cfg, kmax)
+            i1 = degree1_report(tower, kmax)
+            rep = verify_degree2(tower, kmax, i1)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return suite.degree1_payload(i1), suite.degree2_payload(rep)
+
+
+@pytest.mark.parametrize(
+    "params, kmax, depth",
+    [
+        ((6, 2, 4, -1, -1), 4, 2),  # no power family
+        ((5, 2, 4, -1, 2), 4, 2),  # D^3 reads M_5, beyond kmax
+        ((6, 2, 4, -1, 1), 4, 4),  # D^2 reads M_3
+        ((5, 1, 3, 1, -1), 3, 3),
+        ((3, 2, 3, 0, 1), 4, 4),  # rows above M_0
+    ],
+)
+def test_degree2_tower_reads_deeper_only_where_needed(params, kmax, depth):
+    cfg = Config(*params)
+    assert degree2_tower(cfg, kmax).depth == depth
+    assert _degree2_outcome(cfg, kmax) == _degree2_outcome(cfg, kmax, full_depth=True)
 
 
 @settings(max_examples=25, **_PROPERTY)

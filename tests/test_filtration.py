@@ -44,7 +44,7 @@ from oscvar.osc import (
     generators,
     project_T_monomial,
 )
-from oscvar.poly import Poly, parse_poly
+from oscvar.poly import Poly, monomials, parse_poly
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -513,6 +513,141 @@ def test_certificate_rejects_a_wrong_diagonal_constant(monkeypatch, fresh_caches
     monkeypatch.setitem(osc._DIAGONAL, first, wrong)
     assert not applier_is_representation(4, 1, 3)
     _assert_closures_match_oracles(Config(4, 1, 3, -1, -1), 2)
+
+
+def _all_pairs_certificate(n, n1, n2):
+    """The certificate without its reductions: every pair of generators,
+    and every generator's form against the applier on every monomial of
+    degree <= 2."""
+    cfg = Config(n, n1, n2)
+    sp = cfg.space
+    gens = generators(n)
+    forms = osc.weyl_forms(cfg)
+    for g in gens:
+        action = osc.weyl_action(sp, forms[g])
+        for m in monomials(sp, range(3)):
+            if osc.apply_generator_terms(cfg, g, {m: 1}) != osc.apply_weyl(action, {m: 1}):
+                return False
+    return not any(
+        osc.bracket_defect(sp, forms, a, b, osc.commutator_in_basis(a, b, n))
+        for a, b in itertools.combinations(gens, 2)
+    )
+
+
+def _layouts(nmax):
+    return [
+        (n, n1, n2)
+        for n in range(2, nmax + 1)
+        for n1 in range(1, n + 1)
+        for n2 in range(n1, n + 1)
+    ]
+
+
+def test_certificate_matches_the_all_pairs_oracle():
+    for layout in _layouts(6):
+        assert applier_is_representation(*layout) == _all_pairs_certificate(*layout), layout
+
+
+_CORRUPTIONS = [("_BLOCK", cell) for cell in sorted(osc._BLOCK)] + [
+    ("_DIAGONAL", True),
+    ("_DIAGONAL", False),
+]
+
+
+@pytest.mark.parametrize("table, key", _CORRUPTIONS, ids=str)
+def test_certificate_matches_the_oracle_on_corrupted_tables(monkeypatch, fresh_caches, table, key):
+    cells = getattr(osc, table)
+    if table == "_BLOCK":
+        c, da, db = cells[key]
+        monkeypatch.setitem(cells, key, (-c, da, db))
+    else:
+        monkeypatch.setitem(cells, key, 1 + cells[key])
+    verdicts = set()
+    for layout in _layouts(4):
+        _weyl_tables.cache_clear()
+        applier_is_representation.cache_clear()
+        verdict = applier_is_representation(*layout)
+        assert verdict == _all_pairs_certificate(*layout), layout
+        verdicts.add(verdict)
+    assert False in verdicts
+
+
+def _extra_root_term(cfg, g, term):
+    """Append a packed term to the applier of the root g."""
+    ceiling, packed = cfg.weyl_tables[0][g]
+    cfg.weyl_tables[0][g] = ceiling, packed + (term,)
+
+
+def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
+    # d_{x4} times x2 on E_13: zero on every monomial in x1, x3, y1, y3
+    cfg = Config(4, 2, 2)
+    sp, g = cfg.space, ("e", 1, 3)
+    forms = osc.weyl_forms(cfg)
+    full = list(monomials(sp, range(3)))
+    own = osc._agreement_monomials(cfg, g, forms[g], full)
+    assert len(own) == 15 and sp.unit[sp.x(4)] not in own
+    _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
+    assert sp.unit[sp.x(4)] in osc._agreement_monomials(cfg, g, forms[g], full)
+    assert not osc._forms_act_as_applier(cfg, forms)
+    assert not applier_is_representation(4, 2, 2)
+    assert not _all_pairs_certificate(4, 2, 2)
+
+
+def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_caches):
+    # E_13 negated in its table and its form alike: they agree, the
+    # relation [E_12, E_23] = E_13 does not
+    pi_terms = osc._pi_terms
+
+    def negated(sp, n1, n2, i, j):
+        terms = pi_terms(sp, n1, n2, i, j)
+        if (i, j) == (1, 3):
+            return tuple((-c, *rest) for c, *rest in terms)
+        return terms
+
+    monkeypatch.setattr(osc, "_pi_terms", negated)
+    cfg = Config(4, 1, 3)
+    forms = osc.weyl_forms(cfg)
+    assert osc._forms_act_as_applier(cfg, forms)
+    assert not osc._chevalley_brackets_hold(cfg, forms)
+    assert not applier_is_representation(4, 1, 3)
+    assert not _all_pairs_certificate(4, 1, 3)
+
+
+@pytest.mark.parametrize("layout", [(2, 1, 1), (3, 1, 2)], ids=str)
+def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_caches, layout):
+    # a constant added to pi(E_ij), in its table and its form alike,
+    # commutes with every operator: only the brackets whose result holds
+    # E_ij see it, such as [E_21, h_1] at n = 2, or [E_21, E_32] = -E_31
+    weyl_forms = osc.weyl_forms
+    for g in generators(layout[0]):
+        if g[0] == "h":
+            continue
+        _weyl_tables.cache_clear()
+        applier_is_representation.cache_clear()
+
+        def shifted(cfg, g=g):
+            forms = weyl_forms(cfg)
+            forms[g][0, 0] = forms[g].get((0, 0), 0) + 1
+            return forms
+
+        monkeypatch.setattr(osc, "weyl_forms", shifted)
+        _extra_root_term(Config(*layout), g, (1, -1, -1, 0))
+        assert not applier_is_representation(*layout), g
+        assert not _all_pairs_certificate(*layout), g
+
+
+@pytest.mark.parametrize("kind", ["repeated derivative", "borrowing shift"])
+def test_agreement_tests_every_monomial_past_a_non_weyl_term(fresh_caches, kind):
+    cfg = Config(4, 2, 2)
+    sp, g = cfg.space, ("e", 1, 3)
+    s, unit = sp.shift[sp.x(1)], sp.unit[sp.x(1)]
+    # e^2 x^{e-2} is no Weyl monomial, nor is a division by x_1 that
+    # does not differentiate
+    term = (1, s, s, -2 * unit) if kind == "repeated derivative" else (1, -1, -1, -unit)
+    _extra_root_term(cfg, g, term)
+    full = list(monomials(sp, range(3)))
+    assert osc._agreement_monomials(cfg, g, osc.weyl_forms(cfg)[g], full) is full
+    assert not applier_is_representation(4, 2, 2)
 
 
 def test_tcache_images_are_primitive_integer_multiples():
