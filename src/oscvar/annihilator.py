@@ -43,6 +43,21 @@ degree-2 prediction of each sign case comes from one table,
 only through its power has no two-sided degree check and is reported as
 outside the presentation theorem.
 
+Memberships of the predicted generators are read off the same solved
+pieces (:class:`_Memberships`): a degree-p symbol annihilates exactly when
+its pure part, :func:`project_pure` by the piece's split, lies in the span
+of the piece's kernel vectors.  That is exact by the lemma (the terms
+containing a split symbol annihilate) and because the kernel vectors span
+exactly the pure symbols that annihilate, wherever the piece constrains
+the rows :func:`sym_membership` reads: on a tower that is U_k(g) M_0, and
+on a tower of depth kmax - 1.  Setting the split symbols to zero is a ring
+homomorphism, so a minor's pure part is the minor of the projected
+entries, and the whole minor symbol is never expanded there.
+:func:`sym_membership`, which applies the whole symbol to the rows, is
+kept where no piece of the degree is solved or the rows differ: the 3x3
+minors at kmax 2, the powers of :func:`degree2_families`, levels above
+M_0 that only the membership reads, and the suite's case-6 supplement.
+
 Certificates are bounded by degree, not by depth.  On a tower that is
 U_k(g) M_0 through its depth, the levels above it are taken to be
 U_k(g) M_0 as well, so they contribute no rows: the degree-p system at
@@ -78,7 +93,7 @@ from functools import lru_cache
 from math import comb
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
-from .linalg import EchelonBasis, kernel_of_columns, span_equal
+from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
 from .osc import Config, apply_generator_terms, generators, weyl_forms, weyl_mul
 from .poly import FIELD_MASK, Poly, Space, axpy, determinant, monomials, symbol_space
 
@@ -462,29 +477,89 @@ def _pure_span(space: Space, syms, mask: int) -> EchelonBasis:
     return basis
 
 
-def _compare_with_prediction(
-    tower: FiltrationTower, p: int, kmax: int, predicted, lower=()
-):
-    """The degree-p kernel at kmax against a predicted family, modulo ``lower``.
+def _compare_with_prediction(piece: AnnihilatorPiece, predicted, lower=()):
+    """A solved kernel against a predicted family, modulo ``lower``.
 
-    The kernel is solved with the Cartan and off-L root symbols claimed as
-    preservers, and both sides are projected by ``piece.split_symbols``,
-    the split the module lemma granted: whatever was granted, the
-    monomials containing a split symbol are kernel members, so the
-    projected spans are equal exactly when the full ones are.  Returns the
-    piece, the dimension of its pure kernel, the dimension of the projected
-    prediction plus ``lower``, and whether that span equals the pure kernel
-    plus ``lower``.
+    ``piece`` is solved with the Cartan and off-L root symbols claimed as
+    preservers (:func:`_solve`), and both sides are projected by
+    ``piece.split_symbols``, the split the module lemma granted: whatever
+    was granted, the monomials containing a split symbol are kernel
+    members, so the projected spans are equal exactly when the full ones
+    are.  A member of ``predicted`` or ``lower`` may come projected
+    already, by any split inside that one.  Returns the dimension of the
+    pure kernel, the dimension of the projected prediction plus ``lower``,
+    and whether that span equals the pure kernel plus ``lower``.
     """
-    piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
-    sp = symbol_space(tower.cfg.n)
+    sp = piece.coordinate_members.space
     mask = _split_mask(sp, piece.split_symbols)
     computed = _pure_span(sp, lower, mask)
     for v in piece.kernel_vectors:
         computed.insert(v)
     expected = _pure_span(sp, itertools.chain(predicted, lower), mask)
     # kernel vectors are independent, so their count is the pure dimension
-    return piece, len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+    return len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+
+
+def _solve(tower: FiltrationTower, p: int, kmax: int) -> AnnihilatorPiece:
+    """The degree-p piece at kmax, with the Cartan and off-L root symbols
+    claimed as preservers."""
+    return compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
+
+
+def _reads_same_rows(tower: FiltrationTower, p: int, kmax: int) -> bool:
+    """Whether :func:`sym_membership` of a degree-p symbol on ``tower`` and
+    the degree-p piece at kmax constrain the same rows.
+
+    Both send the rows of N_k into M_{k+p-1}: the membership for
+    k <= depth - p + 1, the piece for k <= kmax - p.  They agree when both
+    bounds admit M_0 and no N_k between them has a row: always on a tower
+    that is U_k(g) M_0, and on a tower of depth kmax - 1.
+    """
+    top = tower.depth - p + 1
+    if top < 0 or kmax < p:
+        return False
+    lo, hi = sorted((top, kmax - p))
+    return not any(system_rows(tower)[0][lo + 1 : hi + 1])
+
+
+class _Memberships:
+    """:func:`sym_membership` of minors and symbols, read off solved pieces.
+
+    Where the degree-p piece reads the same rows as the membership
+    (:func:`_reads_same_rows`), a degree-p symbol annihilates exactly when
+    its pure part (:func:`project_pure` by the piece's split) lies in the
+    span of ``kernel_vectors``: its terms that contain a split symbol
+    annihilate by the module lemma, and the kernel vectors span exactly
+    the pure symbols that annihilate.  A minor's pure part is expanded from
+    projected entries (:func:`minor_symbol`), so its whole symbol is never
+    built.  Every other degree goes to :func:`sym_membership` with the
+    whole symbol.
+    """
+
+    def __init__(self, tower: FiltrationTower, kmax: int, pieces):
+        self.tower = tower
+        sp = symbol_space(tower.cfg.n)
+        self.spans = {
+            piece.degree: (
+                _split_mask(sp, piece.split_symbols), echelon_from(sp, piece.kernel_vectors)
+            )
+            for piece in pieces
+            if _reads_same_rows(tower, piece.degree, kmax)
+        }
+
+    def minor(self, op: DeltaOp):
+        found = self.spans.get(len(op.rows))
+        if found is None:
+            return sym_membership(op.sym, self.tower)
+        mask, span = found
+        return span.contains(op.projected(mask))
+
+    def symbol(self, sym: Poly):
+        found = self.spans.get(sym.total_degree())
+        if found is None:
+            return sym_membership(sym, self.tower)
+        mask, span = found
+        return span.contains(project_pure(sym, mask))
 
 
 def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
@@ -496,8 +571,9 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
         )
     predicted = predicted_level_preservers(tower.cfg)
     sp = symbol_space(tower.cfg.n)
-    piece, dim_computed, dim_predicted, equal = _compare_with_prediction(
-        tower, 1, kmax, [Poly.variable(sp, i) for i in predicted]
+    piece = _solve(tower, 1, kmax)
+    dim_computed, dim_predicted, equal = _compare_with_prediction(
+        piece, [Poly.variable(sp, i) for i in predicted]
     )
     gens = generators(tower.cfg.n)
     cartan = sum(1 for i in predicted if gens[i][0] == "h")
@@ -517,26 +593,35 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def scaled_entry_symbol(cfg: Config, j: int, i: int) -> Poly:
-    """n times the (j, i) entry of the generator matrix, in the symbol
-    algebra, with integer coefficients: n e_{j,i} off the diagonal, and on
-    it n times the traceless part of the diagonal matrix unit at (j, j).
+@lru_cache(maxsize=None)
+def scaled_entries(n: int, mask: int) -> dict:
+    """n times each entry of the generator matrix of sl(n), in the symbol
+    algebra, by (row, column), each projected by ``mask``
+    (:func:`project_pure`; 0 keeps every term).  Integer coefficients: n
+    e_{j,i} off the diagonal, and on it n times the traceless part of the
+    diagonal matrix unit at (j, j).  One shared dict per (n, mask), so
+    callers must not mutate it.
 
     The scalar remainder of that unit acts by a constant on the whole
     module, hence contributes only lower filtration terms, which every
     residue quotient kills; dropping it keeps the operator inside the
     symmetric algebra on the trace-zero generators.
     """
-    sp = symbol_space(cfg.n)
-    gmap = gen_index_map(cfg)
-    if j != i:
-        return Poly(sp, {sp.unit[gmap[("e", j, i)]]: cfg.n})
-    out: dict = {}
-    for r in range(1, cfg.n):
-        c = (1 if r >= j else 0) * cfg.n - r
-        if c:
-            out[sp.unit[gmap[("h", r)]]] = c
-    return Poly(sp, out)
+    sp = symbol_space(n)
+    gmap = _gen_index_map(n)
+    out = {}
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            if j != i:
+                terms = {sp.unit[gmap[("e", j, i)]]: n}
+            else:
+                terms = {}
+                for r in range(1, n):
+                    c = (1 if r >= j else 0) * n - r
+                    if c:
+                        terms[sp.unit[gmap[("h", r)]]] = c
+            out[j, i] = project_pure(Poly(sp, terms), mask)
+    return out
 
 
 def _divided(p: Poly, d: int) -> Poly:
@@ -548,22 +633,44 @@ def _divided(p: Poly, d: int) -> Poly:
     return Poly(p.space, out)
 
 
-def minor_symbol(cfg: Config, rows, cols) -> Poly:
+def minor_symbol(cfg: Config, rows, cols, mask: int = 0) -> Poly:
     """The t-minor of the generator matrix with the given rows/columns,
     expanded into the symbol algebra (diagonal entries become Cartan
-    combinations).  The determinant of the integer matrix n * entries is
-    expanded, and each of its terms divided by n^t once at the end."""
-    entries = [[scaled_entry_symbol(cfg, j, i) for i in cols] for j in rows]
-    return _divided(determinant(symbol_space(cfg.n), entries), cfg.n ** len(rows))
+    combinations) and projected by ``mask`` (:func:`project_pure`; 0, the
+    default, keeps every term).
+
+    Setting the split symbols to zero is a ring homomorphism, so the
+    projection of the minor is the minor of the projected entries, and
+    that is what is expanded: with the Cartan symbols split, the diagonal
+    entries drop out and every entry left is one symbol or zero.  The
+    determinant of the integer matrix n * entries is expanded, and each of
+    its terms divided by n^t once at the end."""
+    entries = scaled_entries(cfg.n, mask)
+    sub = [[entries[j, i] for i in cols] for j in rows]
+    return _divided(determinant(symbol_space(cfg.n), sub), cfg.n ** len(rows))
 
 
 @dataclass(frozen=True)
 class DeltaOp:
-    """A 2x2 or 3x3 minor operator, realized as a symbol polynomial."""
+    """A 2x2 or 3x3 minor operator; its symbol polynomial, whole or
+    projected, is expanded when first read."""
 
+    cfg: Config
     rows: tuple
     cols: tuple
-    sym: Poly
+    _projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def sym(self) -> Poly:
+        """The whole minor symbol."""
+        return self.projected(0)
+
+    def projected(self, mask: int) -> Poly:
+        """The minor symbol projected by ``mask`` (:func:`minor_symbol`)."""
+        out = self._projected.get(mask)
+        if out is None:
+            out = self._projected[mask] = minor_symbol(self.cfg, self.rows, self.cols, mask)
+        return out
 
     def label(self) -> str:
         return f"D[{','.join(map(str, self.rows))};{','.join(map(str, self.cols))}]"
@@ -575,7 +682,8 @@ def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
     Kinds: "minor2-L1" (rows J2, cols J1), "minor2-L2" (rows J3, cols J2),
     "minor3" (rows J2 u J3, cols J1 u J2), "minor3-J3J1" (rows J3, cols
     J1).  Identically-zero operators (repeated rows/cols cannot happen;
-    single-column blocks give empty lists) are simply absent.
+    single-column blocks give empty lists) are simply absent.  No symbol
+    is expanded here (see :class:`DeltaOp`).
     """
     if kind == "minor2-L1":
         rows, cols, t = list(cfg.J2), list(cfg.J1), 2
@@ -590,7 +698,7 @@ def delta_ops(cfg: Config, kind: str) -> list[DeltaOp]:
     out = []
     for rsub in itertools.combinations(sorted(rows), t):
         for csub in itertools.combinations(sorted(cols), t):
-            out.append(DeltaOp(rsub, csub, minor_symbol(cfg, rsub, csub)))
+            out.append(DeltaOp(cfg, rsub, csub))
     return out
 
 
@@ -661,16 +769,21 @@ def degree2_families(cfg: Config) -> dict:
 def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
     """Membership of the predicted minor family (and its powers), plus
     two-sided exactness of the computed degree-2 kernel modulo the
-    degree-1 ideal."""
+    degree-1 ideal.
+
+    The direct minors' memberships are read off the solved degree-2 piece
+    where it reads the membership's rows (:class:`_Memberships`); each
+    power, of a degree no piece is solved at, is applied by
+    :func:`sym_membership`."""
     cfg = tower.cfg
     if i1 is None:
         i1 = degree1_report(tower, kmax)
     fam = degree2_families(cfg)
-    membership = []
-    for op in fam["direct"]:
-        membership.append(
-            {"op": op.label(), "in_kernel": sym_membership(op.sym, tower)}
-        )
+    piece = _solve(tower, 2, kmax)
+    members = _Memberships(tower, kmax, [piece])
+    membership = [
+        {"op": op.label(), "in_kernel": members.minor(op)} for op in fam["direct"]
+    ]
     power_membership = []
     for op, e in fam["powers"]:
         powered = op.sym ** e
@@ -687,8 +800,9 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
             else:
                 entry["in_kernel"] = got
         power_membership.append(entry)
-    piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
-        tower, 2, kmax, [op.sym for op in fam["direct"]]
+    mask = _split_mask(symbol_space(cfg.n), piece.split_symbols)
+    dim_computed, dim_predicted, exact = _compare_with_prediction(
+        piece, [op.projected(mask) for op in fam["direct"]]
     )
     return {
         "piece": piece,
@@ -753,11 +867,15 @@ def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
     exactness modulo the lower ideal (degree-1 ideal and minor2 multiples).
 
     Every case-1 minor must be zero as a Weyl-algebra element
-    (:func:`operator_identically_zero`), an identity at every degree; each
-    other case is checked by residue membership of one representative."""
+    (:func:`operator_identically_zero`, on the whole symbol), an identity
+    at every degree; each other case is checked by the membership of one
+    representative, read off the solved degree-3 piece where it reads the
+    membership's rows (:class:`_Memberships`)."""
     cfg = tower.cfg
     if i1 is None:
         i1 = degree1_report(tower, kmax)
+    piece = _solve(tower, 3, kmax)
+    members = _Memberships(tower, kmax, [piece])
     ops = delta_ops(cfg, "minor3")
     by_case: dict = {c: [] for c in range(1, 7)}
     for op in ops:
@@ -779,7 +897,7 @@ def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
                 }
             )
         else:
-            ok = sym_membership(sel[0].sym, tower)
+            ok = members.minor(sel[0])
             case_results.append(
                 {
                     "case": c,
@@ -788,10 +906,11 @@ def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
                     "status": "pass" if ok else "fail",
                 }
             )
+    mask = _split_mask(symbol_space(cfg.n), piece.split_symbols)
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
-    piece, dim_computed, dim_predicted, exact = _compare_with_prediction(
-        tower, 3, kmax, [op.sym for op in ops],
-        lower=list(_generator_multiples([op.sym for op in minor2], cfg)),
+    dim_computed, dim_predicted, exact = _compare_with_prediction(
+        piece, [op.projected(mask) for op in ops],
+        lower=list(_generator_multiples([op.projected(mask) for op in minor2], cfg)),
     )
     return {
         "piece": piece,
@@ -844,6 +963,9 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     check runs on :func:`presentation_tower`: where the explicit tower is
     U_k(g) M_0, each degree-p system is M_0 against M_{p-1} and a deeper
     kmax reads no further level; elsewhere the tower reaches kmax - 1.
+    Each piece is solved once, and (ii) is read off the piece of the
+    generator's degree (:class:`_Memberships`): the 3x3 minors at kmax 2,
+    with no degree-3 piece, are applied by :func:`sym_membership`.
 
     Diagonal matrix entries inside the J2 x J2 block have no root-vector
     counterpart; they substitute to Cartan combinations, which the
@@ -865,6 +987,10 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         }
     )
 
+    d2 = _solve(tower, 2, kmax)
+    d3 = _solve(tower, 3, kmax) if kmax >= 3 else None
+    members = _Memberships(tower, kmax, [p for p in (i1["piece"], d2, d3) if p is not None])
+
     minor2 = degree2_families(cfg)["direct"]  # empty outside the negative regime
     minor3, coords = [], []
     if regime == "negative":
@@ -876,18 +1002,14 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         ]
     elif regime == "equal-blocks":
         minor3 = delta_ops(cfg, "minor3-J3J1")
-    # the symbol families are generated as they are read, so none is held
-    # while the kernels are solved
-    predicted2 = [op.sym for op in minor2]
-    substituted = itertools.chain(
-        ((op.label(), op.sym) for op in minor3 + minor2),
-        ((f"coord-J2xJ2-{idx}", c) for idx, c in enumerate(coords)),
-    )
 
-    member_results = []
-    for label, sym in substituted:
-        ok = sym_membership(sym, tower)
-        member_results.append({"generator": label, "in_kernel": ok})
+    member_results = [
+        {"generator": op.label(), "in_kernel": members.minor(op)} for op in minor3 + minor2
+    ]
+    member_results += [
+        {"generator": f"coord-J2xJ2-{idx}", "in_kernel": members.symbol(c)}
+        for idx, c in enumerate(coords)
+    ]
     checks.append(
         {
             "name": "substituted-generators-annihilate",
@@ -896,9 +1018,11 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         }
     )
 
-    d2, dim_computed, dim_predicted, equal = _compare_with_prediction(
-        tower, 2, kmax, predicted2
-    )
+    # the pieces of degree >= 2 split the same symbols, so one mask projects
+    # the predictions of both
+    mask = _split_mask(symbol_space(cfg.n), d2.split_symbols)
+    predicted2 = [op.projected(mask) for op in minor2]
+    dim_computed, dim_predicted, equal = _compare_with_prediction(d2, predicted2)
     checks.append(
         {
             "name": "degree2-kernel-inside-ideal",
@@ -907,13 +1031,11 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         }
     )
     stab = {"degree2": d2.stabilized}
-    if kmax >= 3:
+    if d3 is not None:
         predicted3 = itertools.chain(
-            (op.sym for op in minor3), _generator_multiples(predicted2, cfg)
+            (op.projected(mask) for op in minor3), _generator_multiples(predicted2, cfg)
         )
-        d3, dim_computed, dim_predicted, equal = _compare_with_prediction(
-            tower, 3, kmax, predicted3
-        )
+        dim_computed, dim_predicted, equal = _compare_with_prediction(d3, predicted3)
         checks.append(
             {
                 "name": "degree3-kernel-matches-ideal",

@@ -34,8 +34,9 @@ the smallest key whose image would overflow the degree field, checked
 once per call against the largest key.
 
 The Cartan generators h_r = E_rr - E_{r+1,r+1} act diagonally on monomials
-(the constant shifts included), so weights are computed directly from
-exponents.
+(the constant shifts included), by an eigenvalue affine in the exponents
+of x_r, y_r, x_{r+1}, y_{r+1}: a per-position table (``_cartan_table``)
+that the applier and the weights read.
 
 The same tables also give every pi(g) as an element of the Weyl algebra
 (``weyl_forms``), in normal order: a dict mapping (v, d), the packed
@@ -55,8 +56,8 @@ as identities rather than on finitely many monomials.
 ``applier_is_representation`` certifies a layout for the ordered closure
 of ``filtration`` with O(n^3) work: the relations of the pairs of a
 Chevalley generator and a basis element, which imply all the others, and
-each root's form against its applier on the monomials of degree <= 2 in
-the variables the two touch.
+each generator's form against its applier on the monomials of degree <= 2
+in the variables the two touch.
 
 The twisted Laplacian is
 
@@ -135,6 +136,11 @@ class Config:
     def weyl_tables(self) -> tuple:
         """``_weyl_tables`` of this layout, looked up once per instance."""
         return _weyl_tables(self.n, self.n1, self.n2)
+
+    @cached_property
+    def cartan_tables(self) -> dict:
+        """``_cartan_table`` of every h_r by r, built once per instance."""
+        return {r: _cartan_table(self, r) for r in range(1, self.n)}
 
     def short(self) -> str:
         return f"(n={self.n},n1={self.n1},n2={self.n2},l1={self.l1},l2={self.l2})"
@@ -431,14 +437,40 @@ def diagonal_value(cfg: Config, r: int, m: int) -> int:
     return a + b + 1
 
 
+def _cartan_table(cfg: Config, r: int) -> tuple:
+    """The eigenvalue of h_r as per-position data: (constant, ((shift,
+    coefficient), ...)), the eigenvalue on a monomial being the constant
+    plus each coefficient times the exponent read at its shift.  Read off
+    ``diagonal_value`` at the monomial 1 and at each variable, so h_r acts
+    as the Weyl element constant + sum coefficient * v_p d_p, supported on
+    the positions it reads (x_r, y_r, x_{r+1}, y_{r+1})."""
+    sp = cfg.space
+
+    def value(m):
+        return diagonal_value(cfg, r, m) - diagonal_value(cfg, r + 1, m)
+
+    const = value(0)
+    reads = []
+    for unit, shift in zip(sp.unit, sp.shift):
+        k = value(unit) - const
+        if k:
+            reads.append((shift, k))
+    return const, tuple(reads)
+
+
 def cartan_eigenvalue(cfg: Config, r: int, m: int) -> int:
-    return diagonal_value(cfg, r, m) - diagonal_value(cfg, r + 1, m)
+    const, reads = cfg.cartan_tables[r]
+    return const + sum(k * ((m >> s) & FIELD_MASK) for s, k in reads)
 
 
 def _cartan_terms(cfg: Config, r: int, terms: dict) -> dict:
+    const, reads = cfg.cartan_tables[r]
+    mask = FIELD_MASK
     out = {}
     for m, c in terms.items():
-        e = cartan_eigenvalue(cfg, r, m)
+        e = const
+        for s, k in reads:
+            e += k * ((m >> s) & mask)
         if e:
             out[m] = e * c
     return out
@@ -736,29 +768,32 @@ def _chevalley_pairs(n: int):
 def _agreement_monomials(cfg: Config, g: Generator, form: dict, full: list) -> list:
     """The monomials on which the applier of g is compared with its Weyl
     form ``form``: those of degree <= 2 on the positions P that the form's
-    terms and g's packed terms touch.  A Cartan generator acts through code,
-    not a table, and gets ``full``, every monomial of degree <= 2; so does a
-    root with a packed term that is no Weyl monomial.
+    terms and g's packed terms touch.  A root with a packed term that is
+    no Weyl monomial gets ``full``, every monomial of degree <= 2.
 
     A packed term (c, fp, fq, delta) acts as c v d, with d the product of
     its differentiated positions and v = delta + d, exactly when no
     position is differentiated twice (the term reads e^2 where d^2 reads
-    e(e - 1)) and v has no negative exponent (the shift would borrow).
+    e(e - 1)) and v has no negative exponent (the shift would borrow).  A
+    Cartan generator h_r acts by its ``_cartan_table``, each read position
+    p a term v_p d_p.
     """
-    if g[0] == "h":
-        return full
     sp = cfg.space
     dunit = 1 << sp.dshift
     keys = list(form)
-    for _c, fp, fq, delta in cfg.weyl_tables[0][g][1]:
-        if fp >= 0 and fp == fq:
-            return full
-        d = sum((1 << s) | dunit for s in (fp, fq) if s >= 0)
-        v = delta + d
-        # a borrowed field leaves the degree field short of the exponents' sum
-        if v < 0 or sum(sp.unpack(v)) != v >> sp.dshift:
-            return full
-        keys.append((v, d))
+    if g[0] == "h":
+        for s, _k in cfg.cartan_tables[g[1]][1]:
+            keys.append(((1 << s) | dunit,) * 2)
+    else:
+        for _c, fp, fq, delta in cfg.weyl_tables[0][g][1]:
+            if fp >= 0 and fp == fq:
+                return full
+            d = sum((1 << s) | dunit for s in (fp, fq) if s >= 0)
+            v = delta + d
+            # a borrowed field leaves the degree field short of the exponents' sum
+            if v < 0 or sum(sp.unpack(v)) != v >> sp.dshift:
+                return full
+            keys.append((v, d))
     ones = (dunit - 1) // FIELD_MASK
     touched = 0
     for v, d in keys:
@@ -819,10 +854,11 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
     positions P that either touches, read from the data.  If it is
     nonzero, it is nonzero on x^b for a minimal derivative d^b among its
     terms, a monomial of degree <= 2 on P.  So a root is compared on those
-    monomials only (15 where P is its four variables).  A Cartan
-    generator, which acts through code, and a root with any other packed
-    term are compared on every monomial of degree <= 2.  Either way the
-    verdict is that of all pairs and all monomials of degree <= 2.
+    monomials only (15 where P is its four variables).  A Cartan generator
+    acts by its ``_cartan_table``, a Weyl element of derivative order 1 on
+    the positions it reads, and gets the same cut.  A root with any other
+    packed term is compared on every monomial of degree <= 2.  Either way
+    the verdict is that of all pairs and all monomials of degree <= 2.
 
     Checked once per layout; it calls the appliers below
     ``apply_generator_terms`` directly, so it adds nothing to the counts of

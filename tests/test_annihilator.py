@@ -35,7 +35,7 @@ from oscvar.annihilator import (
     operator_identically_zero,
     predicted_level_preservers,
     presentation_tower,
-    scaled_entry_symbol,
+    scaled_entries,
     sym_form,
     sym_membership,
     sym_words,
@@ -143,7 +143,7 @@ def test_cartan_combination_eigenvalue():
     m = cfg.space.pack((1, 2, 0, 0, 0, 0, 1, 2))
     total = sum(diagonal_value(cfg, s, m) for s in range(1, cfg.n + 1))
     for j in range(1, cfg.n + 1):
-        sym = scaled_entry_symbol(cfg, j, j)
+        sym = scaled_entries(cfg.n, 0)[j, j]
         img = apply_sym(cfg, sym_words(sym), {m: 1}, gens)
         want = diagonal_value(cfg, j, m) * cfg.n - total
         if want:
@@ -409,7 +409,7 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
         del top[rng.choice(new)]
         tower.derived.clear()  # derived from the levels before the cut
         with pytest.raises(ValueError, match=f"^level {kmax - 1} does not contain"):
-            _compare_with_prediction(tower, p, kmax, *_real_family(cfg, p))
+            _compare_with_prediction(annihilator._solve(tower, p, kmax), *_real_family(cfg, p))
         return
     sp = symbol_space(cfg.n)
     kernel = [Poly(sp, v) for v in compute_annihilator_piece(tower, p, kmax).basis_sym()]
@@ -436,9 +436,8 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
         # the whole kernel, the kernel without its last vector, or strays
         predicted = kernel if mode == 1 else kernel[:-1] if mode == 2 else combos(4, 0.5)
         lower = combos(rng.randint(0, 2), 0.5)
-    piece, dim_computed, dim_predicted, equal = _compare_with_prediction(
-        tower, p, kmax, predicted, lower
-    )
+    piece = annihilator._solve(tower, p, kmax)
+    dim_computed, dim_predicted, equal = _compare_with_prediction(piece, predicted, lower)
     split = set(piece.split_symbols)
     members = [{_pack(sp, m): 1} for m in monos if not split.isdisjoint(m)]
     assert dim_computed == _rank(cfg, kernel) - len(members)
@@ -646,6 +645,85 @@ def test_sym_membership_agrees_on_minors_and_powers(tower_kmax, rng):
             assert sym_membership(sym, tower) is None
         else:
             assert sym_membership(sym, tower) is _membership_without_dropping(sym, tower)
+
+
+@st.composite
+def _membership_towers(draw):
+    """(tower, kmax) with n <= 5 and kmax 3-4, the tower of depth kmax - 1
+    or kmax: on the deeper one a layout with rows above M_0 makes the
+    membership read a level the piece does not."""
+    n = draw(st.integers(3, 5))
+    n1 = draw(st.integers(1, n - 1))
+    cfg = Config(n, n1, draw(st.integers(n1, n)), draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    kmax = draw(st.integers(3, 4))
+    try:
+        tower = build_tower(cfg, kmax - draw(st.integers(0, 1)), "explicit")
+    except UnsupportedRegimeError:
+        assume(False)
+    return tower, kmax
+
+
+def test_span_membership_agrees_with_applied_membership():
+    # the memberships read off the solved pieces against sym_membership on
+    # the whole symbol: minors, a minor plus a pure monomial outside the
+    # kernel, and the unsquared minor of a power family
+    verdicts = []
+
+    @settings(max_examples=40, **_PROPERTY)
+    @given(_membership_towers(), st.randoms(use_true_random=False))
+    def check(tower_kmax, rng):
+        tower, kmax = tower_kmax
+        cfg = tower.cfg
+        pieces = [annihilator._solve(tower, p, kmax) for p in (1, 2, 3)]
+        members = annihilator._Memberships(tower, kmax, pieces)
+        ops = [op for kind in ("minor2-L1", "minor2-L2", "minor3") for op in delta_ops(cfg, kind)]
+        ops = rng.sample(ops, min(4, len(ops)))
+        ops += [op for op, _e in degree2_families(cfg)["powers"]][:1]
+        for op in ops:
+            got = members.minor(op)
+            assert got is sym_membership(op.sym, tower), op.label()
+            verdicts.append((len(op.rows) in members.spans, got))
+        sp = symbol_space(cfg.n)
+        for op in ops:
+            piece = pieces[len(op.rows) - 1]
+            mask = annihilator._split_mask(sp, piece.split_symbols)
+            kernel = echelon_from(sp, piece.kernel_vectors)
+            outside = [
+                m for m in annihilator.monomials(sp, (piece.degree,))
+                if not m & mask and not kernel.contains({m: 1})
+            ]
+            if outside:
+                sym = op.sym + Poly(sp, {rng.choice(outside): rng.choice([-2, 1, 3])})
+                got = members.symbol(sym)
+                assert got is sym_membership(sym, tower), op.label()
+                verdicts.append((piece.degree in members.spans, got))
+
+    check()
+    assert {(True, True), (True, False)} <= set(verdicts)
+    # where the piece and the membership read different rows, the symbol is applied
+    tower = build_tower(Config(3, 2, 3, 0, 1), 3, "explicit")
+    assert [len(rows) for rows in system_rows(tower)[0]] == [1, 0, 1, 0]
+    assert not annihilator._reads_same_rows(tower, 2, 3)
+    assert annihilator._reads_same_rows(tower, 2, 4) and annihilator._reads_same_rows(tower, 1, 3)
+
+
+def test_minors_from_projected_entries():
+    # projecting is a ring homomorphism: the minor of the projected entries
+    # is the projection of the whole minor, for every family and layout
+    rng = random.Random(7)
+    for n in range(3, 7):
+        ngens = len(generators(n))
+        for n1 in range(1, n + 1):
+            for n2 in range(n1, n + 1):
+                cfg = Config(n, n1, n2, -1, -1)
+                sp = symbol_space(n)
+                splits = [predicted_level_preservers(cfg), rng.sample(range(ngens), rng.randint(1, ngens))]
+                for kind in ("minor2-L1", "minor2-L2", "minor3", "minor3-J3J1"):
+                    for op in delta_ops(cfg, kind):
+                        for split in splits:
+                            mask = annihilator._split_mask(sp, split)
+                            whole = annihilator.project_pure(minor_symbol(cfg, op.rows, op.cols), mask)
+                            assert op.projected(mask) == whole, (cfg, op.label(), split)
 
 
 def test_zero_symbol_annihilates():

@@ -593,6 +593,33 @@ def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
     assert not _all_pairs_certificate(4, 2, 2)
 
 
+def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_caches):
+    # h_2 reads x2, y2, x3, y3 off its table, and its form touches no other
+    cfg = Config(4, 2, 2)
+    sp, g = cfg.space, ("h", 2)
+    forms = osc.weyl_forms(cfg)
+    full = list(monomials(sp, range(3)))
+    const, reads = cfg.cartan_tables[2]
+    assert sorted(s for s, _k in reads) == sorted(
+        sp.shift[p] for p in (sp.x(2), sp.y(2), sp.x(3), sp.y(3))
+    )
+    own = osc._agreement_monomials(cfg, g, forms[g], full)
+    assert len(own) == 15 and sp.unit[sp.x(1)] not in own
+    # a read of x1 in the table, which the form lacks, brings x1 into the cut
+    table = osc._cartan_table
+
+    def misread(cfg, r):
+        const, reads = table(cfg, r)
+        return (const, reads + ((sp.shift[sp.x(1)], 1),)) if r == 2 else (const, reads)
+
+    monkeypatch.setattr(osc, "_cartan_table", misread)
+    wrong = Config(4, 2, 2)
+    assert sp.unit[sp.x(1)] in osc._agreement_monomials(wrong, g, forms[g], full)
+    assert not osc._forms_act_as_applier(wrong, forms)
+    assert not applier_is_representation(4, 2, 2)
+    assert not _all_pairs_certificate(4, 2, 2)
+
+
 def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_caches):
     # E_13 negated in its table and its form alike: they agree, the
     # relation [E_12, E_23] = E_13 does not
