@@ -74,6 +74,24 @@ system at kmax.  :func:`degree2_tower` goes to depth kmax instead, on
 those layouts and where a power of degree 2e of ``degree2_families``
 reads M_{2e-1}.
 
+On such a tower each system of degree p >= 2 is walked once per orbit of
+the rows of M_0, not once per row (:func:`_row_orbits`).  pi is built from
+block templates, so a permutation sigma of the indices inside J1, J2 and
+J3, relabelling x_i and y_i, conjugates pi(E_ab) to
+pi(E_{sigma(a), sigma(b)}) (``osc.block_permutations_commute``, used with
+``osc.applier_is_representation``).  Where sigma also maps the rows of M_0
+to plus or minus rows of M_0, it maps each M_k = U_k(g) M_0 onto itself,
+and the residue of a symbol t on sigma(r) modulo M_{p-1} is that of
+sigma^-1(t) on r, relabelled.  So the walk of r fills the columns of every
+row of its orbit, each under its own equations, and the stacked system
+has the same null space, hence the same kernel vectors, as walking each
+row (:func:`_stacked_columns`).  Every row is its own orbit, walked with
+the identity, when the alphabet is not closed under the permutations (at
+p = 1 the Cartan symbols, which a permutation does not map to symbols,
+are in it), when the tower has rows above M_0, when either certificate
+fails, or when some transposition maps a row of M_0 to anything but plus
+or minus a row of M_0.
+
 The stabilization flag compares the kernel with that of the kmax-1
 system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
 holds exactly when kmax > p; it tests something only where generating
@@ -94,7 +112,17 @@ from math import comb
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
-from .osc import Config, apply_generator_terms, generators, weyl_forms, weyl_mul
+from .osc import (
+    Config,
+    applier_is_representation,
+    apply_generator_terms,
+    block_permutations_commute,
+    block_transpositions,
+    generators,
+    transposer,
+    weyl_forms,
+    weyl_mul,
+)
 from .poly import FIELD_MASK, Poly, Space, axpy, determinant, monomials, symbol_space
 
 
@@ -344,21 +372,134 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     return fresh, preservers
 
 
-def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
+def _row_orbits(tower: FiltrationTower) -> list[tuple[dict, list]]:
+    """The rows of N_0 by orbit of the permutations inside the blocks.
+
+    Each orbit is (representative, images): the representative is its
+    first row in :func:`system_rows` order, and ``images`` maps, for each
+    row of the orbit, every generator index to that of sigma(g), for a
+    sigma that takes the representative to plus or minus that row.  The
+    representative's map is the identity; any other sigma maps a Cartan
+    symbol to -1, as sigma(h_r) need not be a generator.  Computed once per
+    tower and cached in ``tower.derived``.
+
+    Every row is its own orbit unless the tower is U_k(g) M_0 through its
+    depth (no N_j above M_0), both certificates of the layout hold
+    (``osc.applier_is_representation``, ``osc.block_permutations_commute``)
+    and each ``osc.block_transpositions`` maps each row of N_0 to plus or
+    minus a row of N_0.  Then sigma M_0 = M_0, and sigma conjugates
+    pi(U_k(g)) onto itself, so sigma M_k = M_k for every level.
+    """
+    derived = tower.derived
+    if "row-orbits" not in derived:
+        derived["row-orbits"] = _orbits_of(tower)
+    return derived["row-orbits"]
+
+
+def _orbits_of(tower: FiltrationTower) -> list[tuple[dict, list]]:
+    cfg = tower.cfg
+    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    rows = system_rows(tower)[0][0]
+    gens = generators(n)
+    trivial = [(row, [range(len(gens))]) for row in rows]
+    if not (
+        _generated_by_base(tower)
+        and applier_is_representation(n, n1, n2)
+        and block_permutations_commute(n, n1, n2)
+    ):
+        return trivial
+    where = {max(row): k for k, row in enumerate(rows)}  # stored rows lead positive
+    swaps = [(i, transposer(cfg.space, i)) for i in block_transpositions(n, n1, n2)]
+    gmap = _gen_index_map(n)
+    seen: set = set()
+    orbits = []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        seen.add(start)
+        # (row index, sigma as index images 0..n) with sigma(rep) = +-row
+        members = [(start, tuple(range(n + 1)))]
+        for k, sigma in members:  # grows while it is read
+            for i, swap in swaps:
+                image = {swap(m): c for m, c in rows[k].items()}
+                lead = max(image)
+                j = where.get(lead)
+                if j is None:
+                    return trivial
+                want = rows[j] if image[lead] > 0 else {m: -c for m, c in rows[j].items()}
+                if image != want:
+                    return trivial
+                if j not in seen:
+                    seen.add(j)
+                    relabel = {i: i + 1, i + 1: i}
+                    members.append((j, tuple(relabel.get(a, a) for a in sigma)))
+        images = [range(len(gens))]
+        for _k, sigma in members[1:]:
+            images.append([
+                gmap["e", sigma[g[1]], sigma[g[2]]] if g[0] == "e" else -1 for g in gens
+            ])
+        orbits.append((rows[start], images))
+    return orbits
+
+
+def _walks(tower: FiltrationTower, alphabet, rows_by_level) -> list:
+    """The rows :func:`_stacked_columns` walks at each level, with their
+    orbit maps: (row, for each orbit element sigma the generator index of
+    sigma(alphabet[pos]) at each pos).  ``rows_by_level`` are the
+    :func:`system_rows` of :func:`compute_annihilator_piece`, whose rows of
+    N_0 the orbits cover.
+
+    One walk per orbit of :func:`_row_orbits` (whose orbits are single
+    rows wherever N_j above N_0 has rows) when every sigma maps the
+    alphabet into itself, so onto it, and the degree-p monomials on it onto
+    themselves; at p = 1 the Cartan symbols are in the alphabet and it is
+    not closed.  Otherwise every row is walked on its own with the identity
+    map, ``alphabet`` itself.
+    """
+    trivial = [[(row, [alphabet]) for row in rows] for rows in rows_by_level]
+    closed = set(alphabet)
+    walks = []
+    for row, images in _row_orbits(tower):
+        maps = [[image[a] for a in alphabet] for image in images]
+        if not all(closed.issuperset(m) for m in maps):
+            return trivial
+        walks.append((row, maps))
+    return [walks] + trivial[1:]
+
+
+def _stacked_columns(tower, alphabet, p, walks_by_level, gens):
     """The stacked degree-p system over the monomials on ``alphabet``.
 
-    ``rows_by_level[k]`` are the rows of level k whose residues modulo
-    M_{k+p-1} are constrained.  Returns the packed monomial keys in
-    ``combinations_with_replacement`` order of ``alphabet``, one sparse
-    column per key stacking every residue coordinate, and the first
-    equation id contributed by the last level (equations below it form the
-    kmax-1 system, for the stabilization comparison).  The keys form a
-    trie, walked once per row: each edge applies one generator to its
-    parent's image and adds its packed unit to the key, and a zero image
-    prunes the whole subtree.  Equation ids
-    are numbered as residues appear; the kernel does not depend on the
-    numbering, because ``kernel_of_columns`` picks its pivot columns
-    greedily in column order.
+    ``walks_by_level[k]`` are the rows of level k whose residues modulo
+    M_{k+p-1} are constrained, each with its orbit maps (:func:`_walks`).
+    Returns the packed monomial keys in ``combinations_with_replacement``
+    order of ``alphabet``, one sparse column per key stacking every residue
+    coordinate, and the first equation id contributed by the last level
+    (equations below it form the kmax-1 system, for the stabilization
+    comparison).  The keys form a trie, walked once per walk: each edge
+    applies one generator to its parent's image and adds its packed unit
+    to the key, and a zero image prunes the whole subtree.  A leaf whose
+    image has no pivot monomial of the target is its own normal form.
+    Equation ids are numbered as residues appear; the kernel does not
+    depend on the numbering, because ``kernel_of_columns`` picks its pivot
+    columns greedily in column order, so it depends on the null space
+    alone.
+
+    A walk of a representative r carries one key per orbit element sigma:
+    the key of the leaf monomial s is written as sigma(s), into sigma's own
+    equation numbering.  The block of sigma(r) is then the residue of s r,
+    read as coordinates of t sigma(r), t = sigma(s), by x -> NF(sigma^-1 x),
+    a map whose kernel is sigma^-1 M_{p-1} = M_{p-1}: t sigma(r) =
+    sigma (s r) up to factor order, and the residue modulo M_{p-1} does not
+    depend on factor order (:func:`_row_orbits` for both facts).  So the
+    orbit's rows stack the same null space as walking each row.  Every
+    orbit element meets the same residue monomials, so the equations of
+    an orbit are numbered by monomial and then by element; a walk of one
+    row numbers its equations as residues appear.  :func:`_walks` falls
+    back to one walk per row, with the identity, at p = 1 (or on any
+    alphabet the permutations do not keep), on a tower with rows above
+    M_0, where a certificate fails, and where a transposition does not map
+    the rows of M_0 to plus or minus rows of M_0.
     """
     cfg = tower.cfg
     sp = symbol_space(cfg.n)
@@ -370,32 +511,46 @@ def _stacked_columns(tower, alphabet, p, rows_by_level, gens):
     columns: dict = {key: {} for key in monos}
     full = p << sp.dshift  # the keys below it have degree < p
     n_eqs = last_start = 0
-    for k, rows in enumerate(rows_by_level):
+    for k, walks in enumerate(walks_by_level):
         last_start = n_eqs
-        if not rows:
+        if not walks:
             continue
         target = tower.levels[k + p - 1]
-        for row in rows:
-            eqs: dict = {}
-            stack = [(0, row, 0)]
+        pivots = target.rows.keys()
+        for row, maps in walks:
+            # the packed unit each orbit element adds at each position
+            units = [tuple(unit[m[pos]] for m in maps) for pos in range(len(alphabet))]
+            # every orbit element meets the same residue monomials: the j-th
+            # to appear is equation n_eqs + j * width + (the element's index)
+            width = len(maps)
+            ids: dict = {}
+            stack = [((0,) * width, row, 0)]
             while stack:
-                prefix, img, start = stack.pop()
+                prefixes, img, start = stack.pop()
                 for pos in range(start, len(alphabet)):
                     out = apply_generator_terms(cfg, gens[alphabet[pos]], img)
                     if not out:
                         continue
-                    key = prefix + unit[alphabet[pos]]
-                    if key < full:
-                        stack.append((key, out, pos))
+                    keys = [key + u for key, u in zip(prefixes, units[pos])]
+                    if keys[0] < full:
+                        stack.append((keys, out, pos))
                         continue
-                    res, scale = target.reduce_scaled(out)
-                    col = columns[key]
+                    if pivots.isdisjoint(out):
+                        res, scale = out, 1
+                    else:
+                        res, scale = target.reduce_scaled(out)
+                    cols = [columns[key] for key in keys]
                     for m, v in res.items():
-                        eq = eqs.get(m)
-                        if eq is None:
-                            eq = eqs[m] = n_eqs
-                            n_eqs += 1
-                        col[eq] = Fraction(v, scale) if scale != 1 else v
+                        j = ids.get(m)
+                        if j is None:
+                            j = ids[m] = len(ids)
+                        eq = n_eqs + j * width
+                        if scale != 1:
+                            v = Fraction(v, scale)
+                        for col in cols:
+                            col[eq] = v
+                            eq += 1
+            n_eqs += len(ids) * width
     return monos, list(columns.values()), last_start
 
 
@@ -444,7 +599,9 @@ def compute_annihilator_piece(
     rows += [[]] * (kmax - p + 1 - len(rows))
     split = preservers.intersection(known_level_preservers or ()) if p >= 2 else frozenset()
     alphabet = [i for i in range(len(gens)) if i not in split]
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
+    monos, columns, last_start = _stacked_columns(
+        tower, alphabet, p, _walks(tower, alphabet, rows), gens
+    )
     vectors = kernel_of_columns(columns)
     piece = AnnihilatorPiece(
         degree=p,

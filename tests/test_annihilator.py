@@ -4,19 +4,21 @@ import contextlib
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscvar import annihilator, suite
+from oscvar import annihilator, osc, suite
 from oscvar.annihilator import (
     ShallowSystemError,
     _SplitMonomials,
     _compare_with_prediction,
     _generated_by_base,
     _level_rows,
+    _row_orbits,
     _stacked_columns,
     _generator_multiples,
     apply_sym,
@@ -44,7 +46,7 @@ from oscvar.annihilator import (
     verify_degree3,
     verify_variety_presentation,
 )
-from oscvar.filtration import UnsupportedRegimeError, build_tower
+from oscvar.filtration import FiltrationTower, UnsupportedRegimeError, build_tower
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import (
     Config,
@@ -447,6 +449,12 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
     assert equal == (full == want == _rank(cfg, kernel + lower + predicted + members))
 
 
+def _one_walk_per_row(rows_by_level, alphabet):
+    """``_stacked_columns`` walks of every row on its own, with the
+    identity map: the stacked system before the orbit reduction."""
+    return [[(row, [alphabet]) for row in rows] for rows in rows_by_level]
+
+
 def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
     """Reference for ``_stacked_columns``: each monomial applied on its own,
     equations numbered key-major.  Also returns the columns without the
@@ -483,7 +491,9 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     alphabet = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
     levels = list(range(kmax - p + 1))
     rows = [_level_rows(tower, k) for k in levels]
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
+    monos, columns, last_start = _stacked_columns(
+        tower, alphabet, p, _one_walk_per_row(rows, alphabet), gens
+    )
     sp = symbol_space(tower.cfg.n)
     assert monos == [
         _pack(sp, key) for key in itertools.combinations_with_replacement(alphabet, p)
@@ -504,7 +514,9 @@ def _stacked_oracle(tower, p, kmax, split=()):
     alphabet = [i for i in range(len(gens)) if i not in split]
     levels = list(range(kmax - p + 1))
     rows = [_level_rows(tower, k) for k in levels]
-    monos, columns, last_start = _stacked_columns(tower, alphabet, p, rows, gens)
+    monos, columns, last_start = _stacked_columns(
+        tower, alphabet, p, _one_walk_per_row(rows, alphabet), gens
+    )
     vectors = kernel_of_columns(columns)
     stabilized = False
     if len(levels) > 1:
@@ -910,3 +922,177 @@ def test_piece_without_a_target_level_raises_value_error():
     with pytest.raises(ValueError, match="too shallow"):
         compute_annihilator_piece(closed, 3, 3)
     assert compute_annihilator_piece(closed, 2, 5).stabilized
+
+
+# ---------------------------------------------------------------------------
+# one walk per orbit of the rows of M_0
+# ---------------------------------------------------------------------------
+
+
+def _no_permutation_certificate():
+    """The permutation certificate patched to fail: every row is walked."""
+    return mock.patch.object(annihilator, "block_permutations_commute", lambda *layout: False)
+
+
+def _pieces(tower, kmax):
+    """The degree 1 to min(kmax, 3) pieces, with the Cartan and off-L root
+    symbols claimed, as comparable tuples."""
+    out = []
+    for p in range(1, min(kmax, 3) + 1):
+        piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
+        out.append((
+            piece.kernel_vectors,
+            piece.stabilized,
+            piece.unknown_count,
+            list(piece.coordinate_members),
+        ))
+    return out
+
+
+def _pieces_of_every_row(cfg, kmax):
+    with _no_permutation_certificate():
+        tower = presentation_tower(cfg, kmax)
+        assert all(len(images) == 1 for _row, images in _row_orbits(tower))
+        return _pieces(tower, kmax)
+
+
+@st.composite
+def presentation_layouts(draw, max_n=6):
+    """(configuration, kmax) with n <= max_n and kmax 3 or 4."""
+    n = draw(st.integers(3, max_n))
+    n1 = draw(st.integers(1, n - 1))
+    n2 = draw(st.integers(n1, n))
+    cfg = Config(n, n1, n2, draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    return cfg, draw(st.integers(3, 4))
+
+
+@settings(max_examples=25, **_PROPERTY)
+@given(presentation_layouts())
+@example((Config(6, 2, 4, -1, -1), 4))
+@example((Config(5, 2, 2, -1, -2), 4))
+@example((Config(6, 3, 3, -1, -2), 3))
+# one row's kernel is not its orbit's here: a walk that wrote every orbit
+# element to the representative's columns would solve too little
+@example((Config(5, 2, 5, -1, 1), 3))
+@example((Config(6, 1, 4, 1, -1), 4))
+def test_orbit_walk_equals_walking_every_row(cfg_kmax):
+    cfg, kmax = cfg_kmax
+    try:
+        want = _pieces_of_every_row(cfg, kmax)
+    except UnsupportedRegimeError:
+        assume(False)
+    assert _pieces(presentation_tower(cfg, kmax), kmax) == want
+
+
+def _relabelled(sp, terms, sigma):
+    """``terms`` with x_a, y_a renamed x_sigma(a), y_sigma(a), through the
+    exponent vectors (sigma maps 1..n, index 0 unused)."""
+    out = {}
+    for m, c in terms.items():
+        exps = sp.unpack(m)
+        new = [0] * sp.nvars
+        for a in range(1, sp.n + 1):
+            new[sp.x(sigma[a])] = exps[sp.x(a)]
+            new[sp.y(sigma[a])] = exps[sp.y(a)]
+        out[sp.pack(new)] = c
+    return out
+
+
+@pytest.mark.parametrize("params, kmax, orbits", [
+    ((6, 2, 4, -1, -1), 4, [4]),
+    ((5, 2, 2, -1, -2), 4, [6, 6]),
+    ((8, 2, 6, -1, -1), 3, [4]),
+    ((8, 3, 3, -1, -2), 4, [15, 30]),
+], ids=str)
+def test_rows_fall_into_orbits_of_the_block_permutations(params, kmax, orbits):
+    cfg = Config(*params)
+    tower = presentation_tower(cfg, kmax)
+    rows = system_rows(tower)[0][0]
+    found = _row_orbits(tower)
+    assert [len(images) for _row, images in found] == orbits
+    gens = generators(cfg.n)
+    covered = []
+    for rep, images in found:
+        assert list(images[0]) == list(range(len(gens)))
+        for image in images:
+            # sigma on the indices, read off its root images
+            roots = [(idx, g) for idx, g in enumerate(gens) if g[0] == "e"]
+            sigma = [0] * (cfg.n + 1)
+            for idx, g in roots:
+                sigma[g[1]] = gens[image[idx]][1]
+            assert all(gens[image[idx]] == ("e", sigma[g[1]], sigma[g[2]]) for idx, g in roots)
+            image_row = _relabelled(cfg.space, rep, sigma)
+            match = [
+                k for k, row in enumerate(rows)
+                if image_row in (row, {m: -c for m, c in row.items()})
+            ]
+            assert len(match) == 1
+            covered += match
+    assert sorted(covered) == list(range(len(rows)))
+    # degree 1: the Cartan symbols are in the alphabet, so every row is walked
+    alphabet = list(range(len(gens)))
+    walks = annihilator._walks(tower, alphabet, [rows])
+    assert walks == _one_walk_per_row([rows], alphabet)
+
+
+def test_rows_not_closed_under_the_transpositions_fall_back():
+    # (4,4,4,-2,1): both certificates hold and the tower is U_k(g) M_0,
+    # but a transposition inside J1 takes a row of M_0 off the rows
+    cfg = Config(4, 4, 4, -2, 1)
+    tower = presentation_tower(cfg, 3)
+    assert _generated_by_base(tower)
+    assert osc.applier_is_representation(4, 4, 4) and osc.block_permutations_commute(4, 4, 4)
+    rows = system_rows(tower)[0][0]
+    assert [len(images) for _row, images in _row_orbits(tower)] == [1] * len(rows) == [1] * 20
+    signed = [r for row in rows for r in (row, {m: -c for m, c in row.items()})]
+    assert any(
+        {swap(m): c for m, c in row.items()} not in signed
+        for swap in map(partial(osc.transposer, cfg.space), osc.block_transpositions(4, 4, 4))
+        for row in rows
+    )
+    assert _pieces(tower, 3) == _pieces_of_every_row(cfg, 3)
+
+
+def test_tower_with_rows_above_its_base_walks_every_row():
+    # (6,2,4,-1,-1) without level 1: M_2 has rows beyond the closure of M_0
+    cfg = Config(6, 2, 4, -1, -1)
+    full = build_tower(cfg, 3, "explicit")
+    skipped = FiltrationTower(cfg, "explicit", [full.levels[0], full.levels[2], full.levels[3]])
+    assert not _generated_by_base(skipped)
+    assert len(_row_orbits(full)) == 1
+    assert [len(images) for _row, images in _row_orbits(skipped)] == [1] * 4
+    with _no_permutation_certificate():
+        unpatched = FiltrationTower(cfg, "explicit", list(skipped.levels))
+        want = _pieces(unpatched, 3)
+    assert _pieces(skipped, 3) == want
+
+
+@pytest.fixture
+def fresh_certificates():
+    osc.applier_is_representation.cache_clear()
+    osc.block_permutations_commute.cache_clear()
+    yield
+    osc.applier_is_representation.cache_clear()
+    osc.block_permutations_commute.cache_clear()
+
+
+def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certificates):
+    cfg = Config(6, 2, 4, -1, -1)
+    want = _pieces_of_every_row(cfg, 4)
+    assert osc.block_permutations_commute(6, 2, 4)
+    osc.block_permutations_commute.cache_clear()
+    weyl_forms = osc.weyl_forms
+
+    def perturbed(cfg):
+        # E_13 doubled: the transposition (1 2) takes it to twice E_23
+        forms = weyl_forms(cfg)
+        forms["e", 1, 3] = {key: 2 * c for key, c in forms["e", 1, 3].items()}
+        return forms
+
+    with mock.patch.object(osc, "weyl_forms", perturbed):
+        assert not osc.block_permutations_commute(6, 2, 4)
+    # the cached verdict stands; the applier certificate reads the true forms
+    assert osc.applier_is_representation(6, 2, 4)
+    tower = presentation_tower(cfg, 4)
+    assert [len(images) for _row, images in _row_orbits(tower)] == [1] * 4
+    assert _pieces(tower, 4) == want

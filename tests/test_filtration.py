@@ -492,9 +492,11 @@ def fresh_caches():
     that patches the tables they are read from."""
     _weyl_tables.cache_clear()
     applier_is_representation.cache_clear()
+    osc.block_permutations_commute.cache_clear()
     yield
     _weyl_tables.cache_clear()
     applier_is_representation.cache_clear()
+    osc.block_permutations_commute.cache_clear()
 
 
 @pytest.mark.parametrize("cell", sorted(osc._BLOCK), ids=str)
@@ -570,6 +572,35 @@ def test_certificate_matches_the_oracle_on_corrupted_tables(monkeypatch, fresh_c
         assert verdict == _all_pairs_certificate(*layout), layout
         verdicts.add(verdict)
     assert False in verdicts
+
+
+@pytest.mark.parametrize("cell", [None] + sorted(osc._BLOCK), ids=str)
+def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
+    # a pair that commutes in sl(n) and whose forms touch disjoint positions
+    # is skipped; every skipped defect is zero and the verdict is that of
+    # every pair, n <= 8, and n <= 6 with a flipped cell
+    if cell is not None:
+        c, da, db = osc._BLOCK[cell]
+        monkeypatch.setitem(osc._BLOCK, cell, (-c, da, db))
+    verdicts = set()
+    for layout in _layouts(8 if cell is None else 6):
+        cfg = Config(*layout)
+        forms = osc.weyl_forms(cfg)
+        checked = {(a, b) for a, b, _bracket in osc._checked_pairs(cfg, forms)}
+        every_pair_holds = True  # the loop without the skip
+        for a, b in osc._chevalley_pairs(cfg.n):
+            defect = osc.bracket_defect(cfg.space, forms, a, b, osc.commutator_in_basis(a, b, cfg.n))
+            assert not defect or (a, b) in checked, (layout, a, b)
+            every_pair_holds = every_pair_holds and not defect
+        verdict = osc._chevalley_brackets_hold(cfg, forms)
+        assert verdict == every_pair_holds, layout
+        verdicts.add(verdict)
+    assert False in verdicts if cell is not None else verdicts == {True}
+    if cell is None:
+        # the counts the certificate's docstring quotes, at n = 8
+        cfg = Config(8, 2, 6)
+        assert sum(1 for _ in osc._chevalley_pairs(8)) == 777
+        assert sum(1 for _ in osc._checked_pairs(cfg, osc.weyl_forms(cfg))) == 357
 
 
 def _extra_root_term(cfg, g, term):

@@ -13,6 +13,7 @@ from oscvar.osc import (
     apply_generator,
     apply_generator_terms,
     apply_weyl,
+    block_transpositions,
     classify_irreducible,
     commutator_in_basis,
     dfun_monomial,
@@ -23,6 +24,7 @@ from oscvar.osc import (
     laplacian_form,
     project_T,
     project_T_monomial,
+    transposer,
     weight,
     weyl_action,
     weyl_bracket,
@@ -421,3 +423,26 @@ def test_weyl_products_and_images_past_the_degree_limit_raise():
         apply_weyl(weyl_action(sp, {(big, 0): 1}), {big: 1})
     # a derivative lowers the degree, so the same key is in range
     assert apply_weyl(weyl_action(sp, {(0, sp.unit[0]): 1}), {big: 1}) == {big - sp.unit[0]: 200}
+
+
+def test_transposer_swaps_both_index_fields():
+    rng = random.Random(7)
+    for n in range(2, 7):
+        sp = xy_space(n)
+        for i in range(1, n):
+            swap = transposer(sp, i)
+            for _ in range(20):
+                exps = [rng.choice((0, 0, 1, 2, 5, 17)) for _ in range(2 * n)]
+                want = list(exps)
+                for pos in (sp.x(i), sp.y(i)):
+                    want[pos], want[pos + 1] = exps[pos + 1], exps[pos]
+                assert swap(sp.pack(exps)) == sp.pack(want)
+
+
+def test_block_transpositions_stay_inside_the_blocks():
+    for n, n1, n2 in [(6, 2, 4), (5, 2, 2), (4, 4, 4), (3, 1, 3), (8, 3, 3)]:
+        cfg = Config(n, n1, n2)
+        blocks = (cfg.J1, cfg.J2, cfg.J3)
+        assert block_transpositions(n, n1, n2) == [
+            i for i in range(1, n) if any(i in b and i + 1 in b for b in blocks)
+        ]
