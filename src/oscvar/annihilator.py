@@ -72,25 +72,39 @@ tower has generating rows above M_0, as on some reducible layouts.  Such
 a tower, and a tower dump, must reach kmax - 1, the highest target of a
 system at kmax.  :func:`degree2_tower` goes to depth kmax instead, on
 those layouts and where a power of degree 2e of ``degree2_families``
-reads M_{2e-1}.
+reads M_{2e-1}.  Both are :func:`explicit_tower` at their levels.
 
-On such a tower each system of degree p >= 2 is walked once per orbit of
-the rows of M_0, not once per row (:func:`_row_orbits`).  pi is built from
-block templates, so a permutation sigma of the indices inside J1, J2 and
-J3, relabelling x_i and y_i, conjugates pi(E_ab) to
-pi(E_{sigma(a), sigma(b)}) (``osc.block_permutations_commute``, used with
+Each kernel is solved as a direct sum of weight blocks (:class:`_Weights`).
+The weight of a symbol monomial is the sum of its symbols': e_ab adds
+eps_a - eps_b, a Cartan symbol adds 0.  Where the applier is a
+representation (``osc.applier_is_representation``) and every Cartan
+symbol preserves every level, the kernel is the annihilator of h-stable
+levels, so it is stable under ad(h): for an ordered monomial t and v in a
+level, h(t v) - t(h v) = wt(t)(h) t v.  It is then the sum of its weight
+components, and the kernel of any set of columns that is a union of
+weights is the sum of its blocks: solving those columns at once gives
+each kernel vector inside one block, the vector one solve of every
+column gives.  Otherwise the system is one block, keyed None.
+
+On a tower that is U_k(g) M_0 only one weight per orbit is solved.  pi is
+built from block templates, so a permutation sigma of the indices inside
+J1, J2 and J3, relabelling x_i and y_i, conjugates pi(E_ab) to
+pi(E_{sigma(a), sigma(b)}) (``osc.block_permutations_commute``, with
 ``osc.applier_is_representation``).  Where sigma also maps the rows of M_0
-to plus or minus rows of M_0, it maps each M_k = U_k(g) M_0 onto itself,
-and the residue of a symbol t on sigma(r) modulo M_{p-1} is that of
-sigma^-1(t) on r, relabelled.  So the walk of r fills the columns of every
-row of its orbit, each under its own equations, and the stacked system
-has the same null space, hence the same kernel vectors, as walking each
-row (:func:`_stacked_columns`).  Every row is its own orbit, walked with
-the identity, when the alphabet is not closed under the permutations (at
-p = 1 the Cartan symbols, which a permutation does not map to symbols,
-are in it), when the tower has rows above M_0, when either certificate
-fails, or when some transposition maps a row of M_0 to anything but plus
-or minus a row of M_0.
+to plus or minus rows of M_0 (:func:`_permutes_base`), it maps each
+M_k = U_k(g) M_0 onto itself, and t annihilates exactly when sigma(t)
+does.  Where the unknowns are closed under sigma too, the kernel block of
+weight sigma(mu) is sigma of the block of weight mu: only the
+representative weights, their entries ascending inside each block, are
+walked, against every row of M_0 (:func:`_words_by_weight`), and each
+dimension is the sum over orbits of |orbit| times dim(block).  Weight
+blocks stay but orbits go at p = 1 (the Cartan symbols, which sigma does
+not map to symbols, are unknowns), on a tower with rows above M_0, where
+a certificate fails, and where a transposition maps a row of M_0 to
+anything but plus or minus a row.  The predicted families are compared one
+representative weight at a time (:class:`_Family`), and a membership is
+read from the block of its own weight, relabelled by the sigma that sorts
+it (:class:`_Memberships`), so no other block is ever built.
 
 The stabilization flag compares the kernel with that of the kmax-1
 system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
@@ -104,11 +118,12 @@ a vacuous kernel.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, factorial
+from typing import NamedTuple
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
@@ -249,6 +264,138 @@ class _SplitMonomials:
         return NotImplemented
 
 
+_WEIGHT_BITS = 8  # bits per index of a packed weight
+_WEIGHT_HALF = 1 << (_WEIGHT_BITS - 1)
+
+
+class _Weights:
+    """Weights of the symbol monomials of one layout, packed into ints, and
+    their orbits under the permutations inside J1, J2 and J3.
+
+    e_ab has weight eps_a - eps_b and a Cartan symbol 0, their eigenvalues
+    under ad(h); a monomial's weight is the sum of its symbols'.  A weight
+    mu of Z^n is packed as the int sum_a mu_a 2^(8(a-1)), so the weight of a
+    product is the sum of the packed weights; an entry of a weight of degree
+    p < 128 lies in [-p, p], so the packing is one to one.
+
+    With ``orbits`` a permutation sigma inside the blocks moves the entries,
+    sigma(mu)_{sigma(a)} = mu_a, and each orbit is represented by its weight
+    with ascending entries inside each block.  Without, every weight is its
+    own orbit.
+    """
+
+    def __init__(self, cfg: Config, orbits: bool):
+        n = cfg.n
+        self.n = n
+        self.orbits = orbits
+        cuts = ((0, cfg.n1), (cfg.n1, cfg.n2), (cfg.n2, n))
+        self.cuts = [(lo, hi) for lo, hi in cuts if lo < hi]
+        self.root = [
+            (1 << _WEIGHT_BITS * (g[1] - 1)) - (1 << _WEIGHT_BITS * (g[2] - 1))
+            if g[0] == "e" else 0
+            for g in generators(n)
+        ]
+        self._offset = sum(_WEIGHT_HALF << _WEIGHT_BITS * a for a in range(n))
+        self._sorted: dict = {}
+
+    def _bytes(self, w: int) -> bytes:
+        """mu_a + 128 for a = 1..n, one byte each."""
+        return (w + self._offset).to_bytes(self.n, "little")
+
+    def entries(self, w: int) -> list[int]:
+        """mu_1, ..., mu_n of a packed weight, as a 0-based list."""
+        return [b - _WEIGHT_HALF for b in self._bytes(w)]
+
+    def of(self, space: Space, m: int) -> int:
+        """The weight of a packed symbol monomial."""
+        return sum(self.root[g] for g in space.positions(m))
+
+    @staticmethod
+    def minor(rows, cols) -> int:
+        """The weight of the minor on ``rows`` and ``cols``: each of its
+        terms is a product of entries e_{j,i}, j in rows and i in cols, one
+        per row and per column (a diagonal entry, a Cartan combination, has
+        weight 0 = eps_j - eps_j)."""
+        return sum(1 << _WEIGHT_BITS * (j - 1) for j in rows) - sum(
+            1 << _WEIGHT_BITS * (i - 1) for i in cols
+        )
+
+    def representative(self, w: int) -> int:
+        """The representative of w's orbit."""
+        if not self.orbits:
+            return w
+        b = self._bytes(w)
+        parts = b"".join(bytes(sorted(b[lo:hi])) for lo, hi in self.cuts)
+        return int.from_bytes(parts, "little") - self._offset
+
+    def sorter(self, w: int) -> tuple:
+        """(rep, s): the representative of w's orbit, and a relabelling s of
+        the indices that takes w to it (index a to s[a]; s[0] is unused), or
+        None where w is its own representative."""
+        found = self._sorted.get(w)
+        if found is None:
+            rep, s = self.representative(w), None
+            if rep != w:
+                mu = self.entries(w)
+                s = list(range(self.n + 1))
+                for lo, hi in self.cuts:
+                    for k, a in enumerate(sorted(range(lo, hi), key=mu.__getitem__), lo):
+                        s[a + 1] = k + 1
+                s = tuple(s)
+            found = self._sorted[w] = rep, s
+        return found
+
+    def orbit_size(self, w: int) -> int:
+        """The number of weights in w's orbit: per block, the number of
+        distinct arrangements of its entries."""
+        if not self.orbits:
+            return 1
+        b = self._bytes(w)
+        size = 1
+        for lo, hi in self.cuts:
+            size *= factorial(hi - lo)
+            for count in Counter(b[lo:hi]).values():
+                size //= factorial(count)
+        return size
+
+    def others(self, rep: int):
+        """For each other weight of the orbit of the representative ``rep``,
+        a relabelling of the indices that takes rep to it."""
+        mu = self.entries(rep)
+        arrangements = [sorted(set(itertools.permutations(mu[lo:hi]))) for lo, hi in self.cuts]
+        for parts in itertools.product(*arrangements):
+            w = sum(v << _WEIGHT_BITS * a for a, v in enumerate(itertools.chain(*parts)))
+            _rep, s = self.sorter(w)
+            if s is not None:
+                back = [0] * (self.n + 1)
+                for a in range(1, self.n + 1):
+                    back[s[a]] = a
+                yield tuple(back)
+
+
+def _relabelled(space: Space, terms: dict, s) -> dict:
+    """``terms``, symbol monomials on root symbols, with each e_ab renamed
+    e_{s[a], s[b]}."""
+    gmap = _gen_index_map(space.n)
+    image = [
+        gmap["e", s[g[1]], s[g[2]]] if g[0] == "e" else None for g in generators(space.n)
+    ]
+    unit = space.unit
+    return {sum(unit[image[g]] for g in space.positions(m)): c for m, c in terms.items()}
+
+
+def _in_column_order(vectors) -> list[dict]:
+    """The basis ``kernel_of_columns`` gives the null space that ``vectors``
+    (dicts by packed monomial) span, with the columns in descending key
+    order: each vector primitive, positive at its last column, and zero at
+    the last column of every other.  That is the fully reduced echelon
+    form led by the smallest key, computed on negated keys."""
+    basis = EchelonBasis(None)
+    for v in vectors:
+        basis.insert({-m: c for m, c in v.items()})
+    return [{-m: c for m, c in row.items()} for row in basis.canonical_rows()]
+
+
 @dataclass
 class AnnihilatorPiece:
     """Exact kernel of the degree-p graded action, certified up to kmax.
@@ -256,20 +403,89 @@ class AnnihilatorPiece:
     ``coordinate_members`` are the monomials containing a symbol of
     ``split_symbols``, as a sized view that lists them when iterated; each
     annihilates by the module lemma, because its split symbol was checked
-    to preserve every level.  ``kernel_vectors`` span the rest of the
-    kernel over the remaining monomials.
+    to preserve every level.  The rest of the kernel, over the remaining
+    "pure" monomials, is the sum of its weight blocks (``weights``; None
+    when the system is not graded, and then one block keyed None).
+    ``blocks`` maps each representative weight to the kernel vectors of its
+    block; the block of another weight of its orbit is never built.
     """
 
     degree: int
     coordinate_members: _SplitMonomials
-    kernel_vectors: list = field(default_factory=list)
+    blocks: dict = field(default_factory=dict)
+    weights: _Weights | None = None
     stabilized: bool = False
     unknown_count: int = 0
     split_symbols: list = field(default_factory=list)
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def space(self) -> Space:
+        return self.coordinate_members.space
+
+    @cached_property
+    def mask(self) -> int:
+        """The :func:`_split_mask` of the split symbols."""
+        return _split_mask(self.space, self.split_symbols)
+
+    def orbit_size(self, w) -> int:
+        return 1 if self.weights is None else self.weights.orbit_size(w)
+
+    @property
+    def pure_dim(self) -> int:
+        """The dimension of the kernel over the pure monomials: the sum over
+        orbits of |orbit| times dim(block)."""
+        return sum(self.orbit_size(w) * len(vectors) for w, vectors in self.blocks.items())
 
     @property
     def dim(self) -> int:
-        return len(self.coordinate_members) + len(self.kernel_vectors)
+        return len(self.coordinate_members) + self.pure_dim
+
+    def span(self, w) -> EchelonBasis:
+        """The span of the kernel vectors of the block of representative
+        weight ``w``, built when first read."""
+        found = self._spans.get(w)
+        if found is None:
+            found = self._spans[w] = echelon_from(self.space, self.blocks.get(w, ()))
+        return found
+
+    def holds(self, sym: Poly) -> bool:
+        """Whether the degree-p symbol ``sym`` annihilates: whether the pure
+        part of each of its weight components, moved to its representative
+        weight by the relabelling that sorts it, lies in that block's span.
+        The kernel is the sum of its blocks, so a symbol lies in it exactly
+        when each weight component does."""
+        pure = project_pure(sym, self.mask).terms
+        if self.weights is None:
+            return self.span(None).contains(pure)
+        parts: dict = {}
+        for m, c in pure.items():
+            parts.setdefault(self.weights.of(self.space, m), {})[m] = c
+        for w, part in parts.items():
+            rep, s = self.weights.sorter(w)
+            if s is not None:
+                part = _relabelled(self.space, part, s)
+            if not self.span(rep).contains(part):
+                return False
+        return True
+
+    @cached_property
+    def kernel_vectors(self) -> list[dict]:
+        """Every kernel vector over the pure monomials, as one solve of all
+        their columns lists them.  The block of another weight of an orbit
+        is its representative's, relabelled and brought to the form
+        ``kernel_of_columns`` gives (:func:`_in_column_order`).  Vectors are
+        ordered by their last column, the columns in
+        ``combinations_with_replacement`` order, that is, by descending
+        smallest key."""
+        out = []
+        for w, vectors in self.blocks.items():
+            out += vectors
+            if vectors and self.weights is not None and self.weights.orbits:
+                for s in self.weights.others(w):
+                    out += _in_column_order([_relabelled(self.space, v, s) for v in vectors])
+        out.sort(key=min, reverse=True)
+        return out
 
     def basis_sym(self) -> list[dict]:
         out = [{key: 1} for key in self.coordinate_members]
@@ -309,35 +525,36 @@ def _generated_by_base(tower: FiltrationTower) -> bool:
     return not any(system_rows(tower)[0][1:])
 
 
-def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
-    """The explicit tower the degree <= 3 systems at kmax read.
+def explicit_tower(cfg: Config, top: int, base_top: int) -> FiltrationTower:
+    """The explicit tower through the highest level its checks read:
+    ``base_top`` where the tower is U_k(g) M_0, on which a degree-p system
+    reads only M_{p-1}, and ``top`` >= base_top on any other.
 
-    Built to depth min(kmax, 2): every target M_{p-1} of a degree p <= 3
-    system on a tower that is U_k(g) M_0, and at kmax <= 2 the same tower
-    as to depth kmax.  Where :func:`system_rows` finds rows above M_0, it
-    is rebuilt to depth kmax - 1, the highest target of a system at kmax.
+    Built to depth base_top, and rebuilt to depth top where
+    :func:`system_rows` finds rows above M_0.
     """
-    tower = build_tower(cfg, min(kmax, 2), "explicit")
-    if tower.depth < kmax - 1 and not _generated_by_base(tower):
-        tower = build_tower(cfg, kmax - 1, "explicit")
+    tower = build_tower(cfg, base_top, "explicit")
+    if base_top < top and not _generated_by_base(tower):
+        tower = build_tower(cfg, top, "explicit")
     return tower
+
+
+def presentation_tower(cfg: Config, kmax: int) -> FiltrationTower:
+    """The :func:`explicit_tower` the degree <= 3 checks at kmax read: M_2,
+    every target M_{p-1} of a degree p <= 3 system and the level the 3x3
+    minor memberships read, where it is U_k(g) M_0 (depth kmax below 2),
+    and otherwise M_{kmax-1}, the highest target of a system at kmax."""
+    return explicit_tower(cfg, max(kmax - 1, min(kmax, 2)), min(kmax, 2))
 
 
 def degree2_tower(cfg: Config, kmax: int) -> FiltrationTower:
-    """The explicit tower the degree-1 and degree-2 systems at kmax and the
-    power memberships of :func:`degree2_families` read.
-
-    Built to depth kmax where a power of degree 2e reads M_{2e-1}
-    (2e - 1 <= kmax); elsewhere to depth min(kmax, 2), as
-    :func:`presentation_tower`, and rebuilt to depth kmax where
-    :func:`system_rows` finds rows above M_0.
-    """
+    """The :func:`explicit_tower` the degree-1 and degree-2 checks at kmax
+    read: M_kmax where a power of degree 2e of :func:`degree2_families`
+    reads M_{2e-1} (2e - 1 <= kmax) or the tower has rows above M_0, and
+    elsewhere depth min(kmax, 2), as :func:`presentation_tower`."""
     powers = degree2_families(cfg)["powers"]
-    depth = kmax if any(2 * e - 1 <= kmax for _op, e in powers) else min(kmax, 2)
-    tower = build_tower(cfg, depth, "explicit")
-    if depth < kmax and not _generated_by_base(tower):
-        tower = build_tower(cfg, kmax, "explicit")
-    return tower
+    read = any(2 * e - 1 <= kmax for _op, e in powers)
+    return explicit_tower(cfg, kmax, kmax if read else min(kmax, 2))
 
 
 def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
@@ -372,186 +589,179 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     return fresh, preservers
 
 
-def _row_orbits(tower: FiltrationTower) -> list[tuple[dict, list]]:
-    """The rows of N_0 by orbit of the permutations inside the blocks.
+def _permutes_base(tower: FiltrationTower) -> bool:
+    """Whether every permutation inside J1, J2 and J3 maps each level of the
+    tower onto itself.  Checked once per tower and cached in
+    ``tower.derived``.
 
-    Each orbit is (representative, images): the representative is its
-    first row in :func:`system_rows` order, and ``images`` maps, for each
-    row of the orbit, every generator index to that of sigma(g), for a
-    sigma that takes the representative to plus or minus that row.  The
-    representative's map is the identity; any other sigma maps a Cartan
-    symbol to -1, as sigma(h_r) need not be a generator.  Computed once per
-    tower and cached in ``tower.derived``.
-
-    Every row is its own orbit unless the tower is U_k(g) M_0 through its
-    depth (no N_j above M_0), both certificates of the layout hold
+    That holds where the tower is U_k(g) M_0 through its depth (no N_j above
+    M_0), both certificates of the layout hold
     (``osc.applier_is_representation``, ``osc.block_permutations_commute``)
-    and each ``osc.block_transpositions`` maps each row of N_0 to plus or
-    minus a row of N_0.  Then sigma M_0 = M_0, and sigma conjugates
+    and each ``osc.block_transpositions`` maps each row of M_0 to plus or
+    minus a row of M_0.  Then sigma M_0 = M_0, and sigma conjugates
     pi(U_k(g)) onto itself, so sigma M_k = M_k for every level.
     """
     derived = tower.derived
-    if "row-orbits" not in derived:
-        derived["row-orbits"] = _orbits_of(tower)
-    return derived["row-orbits"]
+    if "permutes-base" not in derived:
+        cfg = tower.cfg
+        n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+        derived["permutes-base"] = (
+            _generated_by_base(tower)
+            and applier_is_representation(n, n1, n2)
+            and block_permutations_commute(n, n1, n2)
+            and _rows_permuted(cfg, system_rows(tower)[0][0])
+        )
+    return derived["permutes-base"]
 
 
-def _orbits_of(tower: FiltrationTower) -> list[tuple[dict, list]]:
+def _rows_permuted(cfg: Config, rows: list) -> bool:
+    """Whether each block transposition maps each of ``rows`` to plus or
+    minus one of them."""
+    where = {max(row): row for row in rows}  # stored rows lead positive
+    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
+        swap = transposer(cfg.space, i)
+        for row in rows:
+            image = {swap(m): c for m, c in row.items()}
+            lead = max(image)
+            match = where.get(lead)
+            if match is None:
+                return False
+            if image != (match if image[lead] > 0 else {m: -c for m, c in match.items()}):
+                return False
+    return True
+
+
+def _grading(tower: FiltrationTower, alphabet) -> _Weights | None:
+    """The :class:`_Weights` that split the systems of ``tower`` on the
+    unknowns ``alphabet``, or None where the system is one block.
+
+    Weights need the applier to be a representation and every Cartan symbol
+    among the preservers of :func:`system_rows`; orbits need, besides, that
+    the permutations inside the blocks map every level onto itself
+    (:func:`_permutes_base`) and the alphabet into itself.
+    """
     cfg = tower.cfg
-    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    rows = system_rows(tower)[0][0]
-    gens = generators(n)
-    trivial = [(row, [range(len(gens))]) for row in rows]
+    cartan = range(cfg.n - 1)  # h_1..h_{n-1} lead the generator enumeration
     if not (
-        _generated_by_base(tower)
-        and applier_is_representation(n, n1, n2)
-        and block_permutations_commute(n, n1, n2)
+        applier_is_representation(cfg.n, cfg.n1, cfg.n2)
+        and system_rows(tower)[1].issuperset(cartan)
     ):
-        return trivial
-    where = {max(row): k for k, row in enumerate(rows)}  # stored rows lead positive
-    swaps = [(i, transposer(cfg.space, i)) for i in block_transpositions(n, n1, n2)]
-    gmap = _gen_index_map(n)
-    seen: set = set()
-    orbits = []
-    for start in range(len(rows)):
-        if start in seen:
-            continue
-        seen.add(start)
-        # (row index, sigma as index images 0..n) with sigma(rep) = +-row
-        members = [(start, tuple(range(n + 1)))]
-        for k, sigma in members:  # grows while it is read
-            for i, swap in swaps:
-                image = {swap(m): c for m, c in rows[k].items()}
-                lead = max(image)
-                j = where.get(lead)
-                if j is None:
-                    return trivial
-                want = rows[j] if image[lead] > 0 else {m: -c for m, c in rows[j].items()}
-                if image != want:
-                    return trivial
-                if j not in seen:
-                    seen.add(j)
-                    relabel = {i: i + 1, i + 1: i}
-                    members.append((j, tuple(relabel.get(a, a) for a in sigma)))
-        images = [range(len(gens))]
-        for _k, sigma in members[1:]:
-            images.append([
-                gmap["e", sigma[g[1]], sigma[g[2]]] if g[0] == "e" else -1 for g in gens
-            ])
-        orbits.append((rows[start], images))
-    return orbits
+        return None
+    return _Weights(cfg, _closed(cfg, alphabet) and _permutes_base(tower))
 
 
-def _walks(tower: FiltrationTower, alphabet, rows_by_level) -> list:
-    """The rows :func:`_stacked_columns` walks at each level, with their
-    orbit maps: (row, for each orbit element sigma the generator index of
-    sigma(alphabet[pos]) at each pos).  ``rows_by_level`` are the
-    :func:`system_rows` of :func:`compute_annihilator_piece`, whose rows of
-    N_0 the orbits cover.
+def _closed(cfg: Config, alphabet) -> bool:
+    """Whether each block transposition maps the symbols of ``alphabet``
+    into it (a Cartan symbol, which it does not map to a symbol, never)."""
+    gens = generators(cfg.n)
+    gmap = _gen_index_map(cfg.n)
+    letters = set(alphabet)
+    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
+        swap = {i: i + 1, i + 1: i}
+        for g in alphabet:
+            kind, *ends = gens[g]
+            if kind != "e" or gmap["e", *(swap.get(a, a) for a in ends)] not in letters:
+                return False
+    return True
 
-    One walk per orbit of :func:`_row_orbits` (whose orbits are single
-    rows wherever N_j above N_0 has rows) when every sigma maps the
-    alphabet into itself, so onto it, and the degree-p monomials on it onto
-    themselves; at p = 1 the Cartan symbols are in the alphabet and it is
-    not closed.  Otherwise every row is walked on its own with the identity
-    map, ``alphabet`` itself.
+
+def _words_by_weight(weights: _Weights | None, alphabet, p: int) -> dict:
+    """The degree-p words on ``alphabet`` (ascending generator indices, in
+    ``combinations_with_replacement`` order) by weight: all of them under
+    the key None where ``weights`` is None, and only the words of the
+    representative weights where it has orbits.
+
+    The representative weights of degree d are those of r + wt(g), for r a
+    representative of degree d - 1 and g in the alphabet: sigma(r) + wt(g)
+    is sigma(r + wt(sigma^-1 g)), and the alphabet is closed under sigma.
+    The words of one weight are their first p - 2 letters followed by a
+    word of degree min(p, 2) read off a table by weight.
     """
-    trivial = [[(row, [alphabet]) for row in rows] for rows in rows_by_level]
-    closed = set(alphabet)
-    walks = []
-    for row, images in _row_orbits(tower):
-        maps = [[image[a] for a in alphabet] for image in images]
-        if not all(closed.issuperset(m) for m in maps):
-            return trivial
-        walks.append((row, maps))
-    return [walks] + trivial[1:]
+    words = itertools.combinations_with_replacement(alphabet, p)
+    if weights is None:
+        return {None: list(words)}
+    root = weights.root
+    if not weights.orbits:
+        out: dict = {}
+        for word in words:
+            out.setdefault(sum(root[g] for g in word), []).append(word)
+        return out
+    reps = {0}
+    for _ in range(p):
+        reps = set(map(weights.representative, {r + root[g] for r in reps for g in alphabet}))
+    tails: dict = {}
+    for word in itertools.combinations_with_replacement(alphabet, min(p, 2)):
+        tails.setdefault(sum(root[g] for g in word), []).append(word)
+    heads = [
+        (head, sum(root[g] for g in head), head[-1] if head else -1)
+        for head in itertools.combinations_with_replacement(alphabet, max(p - 2, 0))
+    ]
+    return {
+        w: [
+            head + tail
+            for head, hw, last in heads
+            for tail in tails.get(w - hw, ())
+            if tail[0] >= last
+        ]
+        for w in sorted(reps)
+    }
 
 
-def _stacked_columns(tower, alphabet, p, walks_by_level, gens):
-    """The stacked degree-p system over the monomials on ``alphabet``.
+def _stacked_columns(tower, p: int, words: list, rows_by_level, gens):
+    """The stacked degree-p system on ``words`` (tuples of ascending
+    generator indices): one sparse column per word, in order, stacking
+    every residue coordinate, and the first equation id contributed by the
+    last level (equations below it form the kmax-1 system, for the
+    stabilization comparison).
 
-    ``walks_by_level[k]`` are the rows of level k whose residues modulo
-    M_{k+p-1} are constrained, each with its orbit maps (:func:`_walks`).
-    Returns the packed monomial keys in ``combinations_with_replacement``
-    order of ``alphabet``, one sparse column per key stacking every residue
-    coordinate, and the first equation id contributed by the last level
-    (equations below it form the kmax-1 system, for the stabilization
-    comparison).  The keys form a trie, walked once per walk: each edge
-    applies one generator to its parent's image and adds its packed unit
-    to the key, and a zero image prunes the whole subtree.  A leaf whose
-    image has no pivot monomial of the target is its own normal form.
-    Equation ids are numbered as residues appear; the kernel does not
-    depend on the numbering, because ``kernel_of_columns`` picks its pivot
-    columns greedily in column order, so it depends on the null space
-    alone.
-
-    A walk of a representative r carries one key per orbit element sigma:
-    the key of the leaf monomial s is written as sigma(s), into sigma's own
-    equation numbering.  The block of sigma(r) is then the residue of s r,
-    read as coordinates of t sigma(r), t = sigma(s), by x -> NF(sigma^-1 x),
-    a map whose kernel is sigma^-1 M_{p-1} = M_{p-1}: t sigma(r) =
-    sigma (s r) up to factor order, and the residue modulo M_{p-1} does not
-    depend on factor order (:func:`_row_orbits` for both facts).  So the
-    orbit's rows stack the same null space as walking each row.  Every
-    orbit element meets the same residue monomials, so the equations of
-    an orbit are numbered by monomial and then by element; a walk of one
-    row numbers its equations as residues appear.  :func:`_walks` falls
-    back to one walk per row, with the identity, at p = 1 (or on any
-    alphabet the permutations do not keep), on a tower with rows above
-    M_0, where a certificate fails, and where a transposition does not map
-    the rows of M_0 to plus or minus rows of M_0.
+    ``rows_by_level[k]`` are the rows of level k whose residues modulo
+    M_{k+p-1} are constrained.  The words form a trie, walked once per row:
+    each edge applies one generator to its parent's image, and a zero image
+    prunes the whole subtree.  A leaf whose image has no pivot monomial of
+    the target is its own normal form.  Equation ids are numbered as
+    residues appear; the kernel does not depend on the numbering, because
+    ``kernel_of_columns`` picks its pivot columns greedily in column order,
+    so it depends on the null space alone.
     """
     cfg = tower.cfg
-    sp = symbol_space(cfg.n)
-    unit = sp.unit
-    monos = [
-        sum(unit[g] for g in combo)
-        for combo in itertools.combinations_with_replacement(alphabet, p)
-    ]
-    columns: dict = {key: {} for key in monos}
-    full = p << sp.dshift  # the keys below it have degree < p
+    trie: dict = {}  # inner nodes are dicts, a leaf is its column index
+    for idx, word in enumerate(words):
+        node = trie
+        for g in word[:-1]:
+            node = node.setdefault(g, {})
+        node[word[-1]] = idx
+    columns: list = [{} for _ in words]
     n_eqs = last_start = 0
-    for k, walks in enumerate(walks_by_level):
+    for k, rows in enumerate(rows_by_level):
         last_start = n_eqs
-        if not walks:
+        if not rows:
             continue
         target = tower.levels[k + p - 1]
         pivots = target.rows.keys()
-        for row, maps in walks:
-            # the packed unit each orbit element adds at each position
-            units = [tuple(unit[m[pos]] for m in maps) for pos in range(len(alphabet))]
-            # every orbit element meets the same residue monomials: the j-th
-            # to appear is equation n_eqs + j * width + (the element's index)
-            width = len(maps)
+        for row in rows:
             ids: dict = {}
-            stack = [((0,) * width, row, 0)]
+            stack = [(trie, row)]
             while stack:
-                prefixes, img, start = stack.pop()
-                for pos in range(start, len(alphabet)):
-                    out = apply_generator_terms(cfg, gens[alphabet[pos]], img)
+                node, img = stack.pop()
+                for g, child in node.items():
+                    out = apply_generator_terms(cfg, gens[g], img)
                     if not out:
                         continue
-                    keys = [key + u for key, u in zip(prefixes, units[pos])]
-                    if keys[0] < full:
-                        stack.append((keys, out, pos))
+                    if type(child) is dict:
+                        stack.append((child, out))
                         continue
                     if pivots.isdisjoint(out):
                         res, scale = out, 1
                     else:
                         res, scale = target.reduce_scaled(out)
-                    cols = [columns[key] for key in keys]
+                    col = columns[child]
                     for m, v in res.items():
                         j = ids.get(m)
                         if j is None:
                             j = ids[m] = len(ids)
-                        eq = n_eqs + j * width
-                        if scale != 1:
-                            v = Fraction(v, scale)
-                        for col in cols:
-                            col[eq] = v
-                            eq += 1
-            n_eqs += len(ids) * width
-    return monos, list(columns.values()), last_start
+                        col[n_eqs + j] = v if scale == 1 else Fraction(v, scale)
+            n_eqs += len(ids)
+    return columns, last_start
 
 
 def compute_annihilator_piece(
@@ -568,7 +778,10 @@ def compute_annihilator_piece(
     p >= 2, the symbols of ``known_level_preservers`` (the claimed degree-1
     kernel) that preserve every level are split off: monomials containing
     one are listed in ``coordinate_members`` without being applied, and the
-    exact kernel is solved on the remaining "pure" monomials.
+    exact kernel is solved on the remaining "pure" monomials, by weight
+    block (:func:`_grading`, :func:`_words_by_weight`).  The columns walked
+    are solved at once, and each kernel vector, which lies in one block, is
+    filed under the weight of its block.
 
     A tower that is U_k(g) M_0 through its depth is taken to be so above
     it too, so its levels above the depth contribute no rows and it need
@@ -599,14 +812,22 @@ def compute_annihilator_piece(
     rows += [[]] * (kmax - p + 1 - len(rows))
     split = preservers.intersection(known_level_preservers or ()) if p >= 2 else frozenset()
     alphabet = [i for i in range(len(gens)) if i not in split]
-    monos, columns, last_start = _stacked_columns(
-        tower, alphabet, p, _walks(tower, alphabet, rows), gens
-    )
+    weights = _grading(tower, alphabet)
+    by_weight = _words_by_weight(weights, alphabet, p)
+    words = [word for block in by_weight.values() for word in block]
+    columns, last_start = _stacked_columns(tower, p, words, rows, gens)
     vectors = kernel_of_columns(columns)
+    unit = symbol_space(cfg.n).unit
+    keys = [sum(unit[g] for g in word) for word in words]
+    owner = [w for w, block in by_weight.items() for _word in block]
+    blocks: dict = {w: [] for w in by_weight}
+    for vec in vectors:
+        blocks[owner[max(vec)]].append({keys[i]: c for i, c in vec.items()})
     piece = AnnihilatorPiece(
         degree=p,
         coordinate_members=_SplitMonomials(symbol_space(cfg.n), p, split),
-        kernel_vectors=[{monos[i]: c for i, c in vec.items()} for vec in vectors],
+        blocks=blocks,
+        weights=weights,
         unknown_count=comb(len(gens) + p - 1, p),
         split_symbols=sorted(split),
     )
@@ -634,6 +855,44 @@ def _pure_span(space: Space, syms, mask: int) -> EchelonBasis:
     return basis
 
 
+class _Family(NamedTuple):
+    """A predicted family that every permutation inside the blocks maps onto
+    itself up to sign: the minors ``ops``, whole families of
+    :func:`delta_ops`, and the products of the minors ``multiplied`` with
+    each generator symbol.  A permutation relabels a minor's rows and
+    columns inside their blocks, so it maps a minor to plus or minus a
+    minor of the same family (the diagonal entries, Cartan combinations,
+    drop out wherever orbits are used: the Cartan symbols are split)."""
+
+    ops: list = ()
+    multiplied: list = ()
+
+    def members(self, piece: AnnihilatorPiece) -> dict:
+        """The members of the weights ``piece`` solves, projected by its
+        split, by weight: each weight is read off the indices before the
+        member is expanded.  The blocks are keyed by the representative
+        weights of the pure monomials, so a member of any other weight is
+        zero once projected or of a weight that represents no orbit."""
+        weights, mask, sp = piece.weights, piece.mask, piece.space
+        solved = piece.blocks
+        out: dict = {}
+        for op in self.ops:
+            w = None if weights is None else weights.minor(op.rows, op.cols)
+            if w in solved:
+                out.setdefault(w, []).append(op.projected(mask))
+        pure = [g for g in range(sp.nvars) if not sp.unit[g] & mask]
+        for op in self.multiplied:
+            w = None if weights is None else weights.minor(op.rows, op.cols)
+            proj = None
+            for g in pure:
+                wg = None if weights is None else w + weights.root[g]
+                if wg in solved:
+                    if proj is None:
+                        proj = op.projected(mask)
+                    out.setdefault(wg, []).append(proj * Poly.variable(sp, g))
+        return out
+
+
 def _compare_with_prediction(piece: AnnihilatorPiece, predicted, lower=()):
     """A solved kernel against a predicted family, modulo ``lower``.
 
@@ -646,15 +905,35 @@ def _compare_with_prediction(piece: AnnihilatorPiece, predicted, lower=()):
     already, by any split inside that one.  Returns the dimension of the
     pure kernel, the dimension of the projected prediction plus ``lower``,
     and whether that span equals the pure kernel plus ``lower``.
+
+    Given as a :class:`_Family` (and ``lower`` as one too, or empty), the
+    prediction is compared one representative weight at a time.  Both
+    sides are sums of weight components, and the permutations inside the
+    blocks map each of them onto itself, so they are equal exactly when
+    they are equal at every representative weight, and each dimension is
+    the sum over orbits of |orbit| times the dimension at the
+    representative.  Any other prediction is compared whole, with the
+    kernel vectors of every weight (``piece.kernel_vectors``).
     """
-    sp = piece.coordinate_members.space
-    mask = _split_mask(sp, piece.split_symbols)
-    computed = _pure_span(sp, lower, mask)
-    for v in piece.kernel_vectors:
-        computed.insert(v)
-    expected = _pure_span(sp, itertools.chain(predicted, lower), mask)
-    # kernel vectors are independent, so their count is the pure dimension
-    return len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+    sp, mask = piece.space, piece.mask
+    if not isinstance(predicted, _Family):
+        computed = _pure_span(sp, lower, mask)
+        for v in piece.kernel_vectors:
+            computed.insert(v)
+        expected = _pure_span(sp, itertools.chain(predicted, lower), mask)
+        # kernel vectors are independent, so their count is the pure dimension
+        return len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+    pred = predicted.members(piece)
+    low = lower.members(piece) if lower else {}
+    dim_predicted, equal = 0, True
+    for w, vectors in piece.blocks.items():  # the members' weights are among them
+        computed = _pure_span(sp, low.get(w, ()), mask)
+        for v in vectors:
+            computed.insert(v)
+        expected = _pure_span(sp, itertools.chain(pred.get(w, ()), low.get(w, ())), mask)
+        dim_predicted += piece.orbit_size(w) * expected.dim
+        equal = equal and span_equal(computed, expected)
+    return piece.pure_dim, dim_predicted, equal
 
 
 def _solve(tower: FiltrationTower, p: int, kmax: int) -> AnnihilatorPiece:
@@ -685,38 +964,48 @@ class _Memberships:
     Where the degree-p piece reads the same rows as the membership
     (:func:`_reads_same_rows`), a degree-p symbol annihilates exactly when
     its pure part (:func:`project_pure` by the piece's split) lies in the
-    span of ``kernel_vectors``: its terms that contain a split symbol
-    annihilate by the module lemma, and the kernel vectors span exactly
-    the pure symbols that annihilate.  A minor's pure part is expanded from
-    projected entries (:func:`minor_symbol`), so its whole symbol is never
-    built.  Every other degree goes to :func:`sym_membership` with the
-    whole symbol.
+    kernel: its terms that contain a split symbol annihilate by the module
+    lemma, and the kernel vectors span exactly the pure symbols that
+    annihilate.  Each weight component is read from the block of its
+    representative weight, relabelled by the permutation that sorts its
+    weight (``AnnihilatorPiece.holds``).  A minor is relabelled by its
+    rows and columns instead, to a minor of the representative weight,
+    and its pure part is expanded from projected entries
+    (:func:`minor_symbol`), so its whole symbol is never built; minors
+    that relabel to the same one share a verdict.  Every other degree goes
+    to :func:`sym_membership` with the whole symbol.
+
+    ``spans`` holds the pieces read, by degree.
     """
 
     def __init__(self, tower: FiltrationTower, kmax: int, pieces):
         self.tower = tower
-        sp = symbol_space(tower.cfg.n)
         self.spans = {
-            piece.degree: (
-                _split_mask(sp, piece.split_symbols), echelon_from(sp, piece.kernel_vectors)
-            )
-            for piece in pieces
-            if _reads_same_rows(tower, piece.degree, kmax)
+            piece.degree: piece for piece in pieces if _reads_same_rows(tower, piece.degree, kmax)
         }
+        self._minors: dict = {}
 
     def minor(self, op: DeltaOp):
-        found = self.spans.get(len(op.rows))
-        if found is None:
+        piece = self.spans.get(len(op.rows))
+        if piece is None:
             return sym_membership(op.sym, self.tower)
-        mask, span = found
-        return span.contains(op.projected(mask))
+        rows, cols, w = op.rows, op.cols, None
+        if piece.weights is not None:
+            w, s = piece.weights.sorter(piece.weights.minor(rows, cols))
+            if s is not None:
+                rows = tuple(sorted(s[j] for j in rows))
+                cols = tuple(sorted(s[i] for i in cols))
+        found = self._minors.get((rows, cols))
+        if found is None:
+            rep = op if (rows, cols) == (op.rows, op.cols) else DeltaOp(op.cfg, rows, cols)
+            found = self._minors[rows, cols] = piece.span(w).contains(rep.projected(piece.mask))
+        return found
 
     def symbol(self, sym: Poly):
-        found = self.spans.get(sym.total_degree())
-        if found is None:
+        piece = self.spans.get(sym.total_degree())
+        if piece is None:
             return sym_membership(sym, self.tower)
-        mask, span = found
-        return span.contains(project_pure(sym, mask))
+        return piece.holds(sym)
 
 
 def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
@@ -890,14 +1179,6 @@ def sym_membership(sym: Poly, tower: FiltrationTower):
     return True
 
 
-def _generator_multiples(family: list[Poly], cfg: Config) -> Iterator[Poly]:
-    """Degree+1 multiples of a family by every generator symbol, each
-    built when it is read."""
-    sp = symbol_space(cfg.n)
-    symbols = [Poly.variable(sp, idx) for idx in range(sp.nvars)]
-    return (s * g for s in family for g in symbols)
-
-
 # ---------------------------------------------------------------------------
 # degree-2 and degree-3 structure checks
 # ---------------------------------------------------------------------------
@@ -957,10 +1238,7 @@ def verify_degree2(tower: FiltrationTower, kmax: int, i1=None) -> dict:
             else:
                 entry["in_kernel"] = got
         power_membership.append(entry)
-    mask = _split_mask(symbol_space(cfg.n), piece.split_symbols)
-    dim_computed, dim_predicted, exact = _compare_with_prediction(
-        piece, [op.projected(mask) for op in fam["direct"]]
-    )
+    dim_computed, dim_predicted, exact = _compare_with_prediction(piece, _Family(fam["direct"]))
     return {
         "piece": piece,
         "membership": membership,
@@ -1063,11 +1341,9 @@ def verify_degree3(tower: FiltrationTower, kmax: int, i1=None) -> dict:
                     "status": "pass" if ok else "fail",
                 }
             )
-    mask = _split_mask(symbol_space(cfg.n), piece.split_symbols)
     minor2 = delta_ops(cfg, "minor2-L1") + delta_ops(cfg, "minor2-L2")
     dim_computed, dim_predicted, exact = _compare_with_prediction(
-        piece, [op.projected(mask) for op in ops],
-        lower=list(_generator_multiples([op.projected(mask) for op in minor2], cfg)),
+        piece, _Family(ops), lower=_Family(multiplied=minor2)
     )
     return {
         "piece": piece,
@@ -1175,11 +1451,7 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
         }
     )
 
-    # the pieces of degree >= 2 split the same symbols, so one mask projects
-    # the predictions of both
-    mask = _split_mask(symbol_space(cfg.n), d2.split_symbols)
-    predicted2 = [op.projected(mask) for op in minor2]
-    dim_computed, dim_predicted, equal = _compare_with_prediction(d2, predicted2)
+    dim_computed, dim_predicted, equal = _compare_with_prediction(d2, _Family(minor2))
     checks.append(
         {
             "name": "degree2-kernel-inside-ideal",
@@ -1189,10 +1461,9 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     )
     stab = {"degree2": d2.stabilized}
     if d3 is not None:
-        predicted3 = itertools.chain(
-            (op.projected(mask) for op in minor3), _generator_multiples(predicted2, cfg)
+        dim_computed, dim_predicted, equal = _compare_with_prediction(
+            d3, _Family(minor3, multiplied=minor2)
         )
-        dim_computed, dim_predicted, equal = _compare_with_prediction(d3, predicted3)
         checks.append(
             {
                 "name": "degree3-kernel-matches-ideal",

@@ -266,7 +266,13 @@ def base_space_vectors(cfg: Config) -> list[Poly]:
         return _product_base(cfg)
     if regime == "product-skew":
         return _skew_base(cfg)
-    # product-skew-mirror
+    # product-skew-mirror: the skew base of the mirrored layout, whose J1 is
+    # this J3; with J3 empty there is no mirrored layout (with one J3 index,
+    # _skew_base refuses the mirrored layout itself)
+    if cfg.n1 == cfg.n:
+        raise UnsupportedRegimeError(
+            f"{cfg.short()}: mirrored skew products need at least two J3 indices"
+        )
     mirrored = Config(cfg.n, cfg.n - cfg.n1, cfg.n - cfg.n1, cfg.l2, cfg.l1)
     return [_mirror_poly(p, cfg) for p in _skew_base(mirrored)]
 

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
+from math import comb
 from unittest import mock
 
 import pytest
@@ -18,9 +19,8 @@ from oscvar.annihilator import (
     _compare_with_prediction,
     _generated_by_base,
     _level_rows,
-    _row_orbits,
+    _permutes_base,
     _stacked_columns,
-    _generator_multiples,
     apply_sym,
     apply_sym_monomial,
     classify_minor3,
@@ -56,7 +56,7 @@ from oscvar.osc import (
     generators,
     weyl_action,
 )
-from oscvar.poly import Poly, Space, axpy, parse_poly, symbol_space
+from oscvar.poly import Poly, Space, axpy, monomials, parse_poly, symbol_space
 
 CFG = Config(3, 1, 2, -1, -1)
 
@@ -379,6 +379,12 @@ def _rank(cfg, syms) -> int:
     return echelon_from(symbol_space(cfg.n), syms).dim
 
 
+def _generator_multiples(family, cfg):
+    """Degree+1 multiples of a family by every generator symbol."""
+    sp = symbol_space(cfg.n)
+    return [s * Poly.variable(sp, idx) for s in family for idx in range(sp.nvars)]
+
+
 def _real_family(cfg, p):
     """The predicted degree-p family and its lower part, as the checks use them."""
     if p == 2:
@@ -449,12 +455,6 @@ def test_prediction_comparison_agrees_with_full_solve(tower_kmax, p, cut, rng):
     assert equal == (full == want == _rank(cfg, kernel + lower + predicted + members))
 
 
-def _one_walk_per_row(rows_by_level, alphabet):
-    """``_stacked_columns`` walks of every row on its own, with the
-    identity map: the stacked system before the orbit reduction."""
-    return [[(row, [alphabet]) for row in rows] for rows in rows_by_level]
-
-
 def _columns_one_monomial_at_a_time(tower, monos, levels, gens):
     """Reference for ``_stacked_columns``: each monomial applied on its own,
     equations numbered key-major.  Also returns the columns without the
@@ -491,13 +491,10 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     alphabet = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
     levels = list(range(kmax - p + 1))
     rows = [_level_rows(tower, k) for k in levels]
-    monos, columns, last_start = _stacked_columns(
-        tower, alphabet, p, _one_walk_per_row(rows, alphabet), gens
-    )
+    words = list(itertools.combinations_with_replacement(alphabet, p))
+    columns, last_start = _stacked_columns(tower, p, words, rows, gens)
     sp = symbol_space(tower.cfg.n)
-    assert monos == [
-        _pack(sp, key) for key in itertools.combinations_with_replacement(alphabet, p)
-    ]
+    monos = [_pack(sp, word) for word in words]
     reference, reference_trimmed = _columns_one_monomial_at_a_time(
         tower, monos, levels, gens
     )
@@ -506,23 +503,28 @@ def test_trie_columns_match_per_monomial_application(tower_kmax, p, rng):
     assert kernel_of_columns(trimmed) == kernel_of_columns(reference_trimmed)
 
 
-def _stacked_oracle(tower, p, kmax, split=()):
-    """The degree-p system stacked over every level k <= kmax-p, solved on
-    the monomials off ``split``: its kernel vectors, and whether the
-    kmax-1 system has as many (False when there is no such system)."""
+def _one_block(tower, p, rows_by_level, split):
+    """The degree-p system on ``rows_by_level``, solved on the monomials off
+    ``split`` with every column in one block: its kernel vectors, and
+    whether the system without its last level has as many (False when
+    there is one level)."""
     gens = generators(tower.cfg.n)
     alphabet = [i for i in range(len(gens)) if i not in split]
-    levels = list(range(kmax - p + 1))
-    rows = [_level_rows(tower, k) for k in levels]
-    monos, columns, last_start = _stacked_columns(
-        tower, alphabet, p, _one_walk_per_row(rows, alphabet), gens
-    )
+    words = list(itertools.combinations_with_replacement(alphabet, p))
+    columns, last_start = _stacked_columns(tower, p, words, rows_by_level, gens)
+    monos = [_pack(symbol_space(tower.cfg.n), word) for word in words]
     vectors = kernel_of_columns(columns)
     stabilized = False
-    if len(levels) > 1:
+    if len(rows_by_level) > 1:
         trimmed = [{eq: v for eq, v in col.items() if eq < last_start} for col in columns]
         stabilized = len(kernel_of_columns(trimmed)) == len(vectors)
     return [{monos[i]: c for i, c in vec.items()} for vec in vectors], stabilized
+
+
+def _stacked_oracle(tower, p, kmax, split=()):
+    """The degree-p system stacked over the new rows of every level
+    k <= kmax-p, every column in one block (:func:`_one_block`)."""
+    return _one_block(tower, p, [_level_rows(tower, k) for k in range(kmax - p + 1)], split)
 
 
 @settings(max_examples=20, **_PROPERTY)
@@ -925,12 +927,13 @@ def test_piece_without_a_target_level_raises_value_error():
 
 
 # ---------------------------------------------------------------------------
-# one walk per orbit of the rows of M_0
+# weight blocks, one solved per orbit of weights
 # ---------------------------------------------------------------------------
 
 
 def _no_permutation_certificate():
-    """The permutation certificate patched to fail: every row is walked."""
+    """The permutation certificate patched to fail: the systems keep their
+    weight blocks but solve every weight."""
     return mock.patch.object(annihilator, "block_permutations_commute", lambda *layout: False)
 
 
@@ -949,10 +952,10 @@ def _pieces(tower, kmax):
     return out
 
 
-def _pieces_of_every_row(cfg, kmax):
+def _pieces_of_every_weight(cfg, kmax):
     with _no_permutation_certificate():
         tower = presentation_tower(cfg, kmax)
-        assert all(len(images) == 1 for _row, images in _row_orbits(tower))
+        assert not _permutes_base(tower)
         return _pieces(tower, kmax)
 
 
@@ -971,17 +974,167 @@ def presentation_layouts(draw, max_n=6):
 @example((Config(6, 2, 4, -1, -1), 4))
 @example((Config(5, 2, 2, -1, -2), 4))
 @example((Config(6, 3, 3, -1, -2), 3))
-# one row's kernel is not its orbit's here: a walk that wrote every orbit
-# element to the representative's columns would solve too little
+# one row's kernel is not its orbit's here: a solve that took the kernel of
+# one row for that of its orbit would solve too little
 @example((Config(5, 2, 5, -1, 1), 3))
 @example((Config(6, 1, 4, 1, -1), 4))
 def test_orbit_walk_equals_walking_every_row(cfg_kmax):
+    # one weight per orbit solved against every row of M_0, against every
+    # weight solved: the same kernel vectors, listed the same way
     cfg, kmax = cfg_kmax
     try:
-        want = _pieces_of_every_row(cfg, kmax)
+        want = _pieces_of_every_weight(cfg, kmax)
     except UnsupportedRegimeError:
         assume(False)
     assert _pieces(presentation_tower(cfg, kmax), kmax) == want
+
+
+def _by_weight(sp, weights, vectors) -> dict:
+    """Homogeneous kernel vectors by weight."""
+    out: dict = {}
+    for v in vectors:
+        found = {weights.of(sp, m) for m in v}
+        assert len(found) == 1, "a kernel vector is not a weight vector"
+        out.setdefault(found.pop(), []).append(v)
+    return out
+
+
+def _full_solve(tower, p, kmax, split):
+    """The system the piece solves, on the rows of :func:`system_rows`,
+    every column in one block (:func:`_one_block`)."""
+    rows = system_rows(tower)[0][: kmax - p + 1]
+    return _one_block(tower, p, rows + [[]] * (kmax - p + 1 - len(rows)), split)
+
+
+@settings(max_examples=25, **_PROPERTY)
+@given(presentation_layouts())
+@example((Config(6, 2, 4, -1, -1), 4))
+@example((Config(6, 3, 3, -1, -2), 3))
+@example((Config(5, 2, 5, -1, 1), 3))
+def test_blockwise_piece_has_the_span_and_dimensions_of_the_full_solve(cfg_kmax):
+    # oracle: the whole stacked system, every column in one block
+    cfg, kmax = cfg_kmax
+    try:
+        tower = presentation_tower(cfg, kmax)
+    except UnsupportedRegimeError:
+        assume(False)
+    sp = symbol_space(cfg.n)
+    for p in range(1, min(kmax, 3) + 1):
+        piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(cfg))
+        full, stabilized = _full_solve(tower, p, kmax, piece.split_symbols)
+        assert piece.pure_dim == len(full)
+        assert piece.dim == len(piece.coordinate_members) + len(full)
+        assert piece.stabilized == stabilized
+        assert span_equal(echelon_from(sp, piece.kernel_vectors), echelon_from(sp, full))
+        weights = piece.weights
+        assert weights is not None
+        if p == 1 or not _permutes_base(tower):
+            # the Cartan symbols are unknowns at degree 1: no orbit but a point
+            assert all(piece.orbit_size(w) == 1 for w in piece.blocks)
+        # every weight's block has the dimension of its representative's,
+        # and every weight of an orbit is counted by its size
+        found = _by_weight(sp, weights, full)
+        for w, vectors in found.items():
+            assert len(vectors) == len(piece.blocks[weights.sorter(w)[0]])
+        sizes: dict = {}
+        for w in found:
+            rep = weights.sorter(w)[0]
+            sizes[rep] = sizes.get(rep, 0) + 1
+        assert all(weights.orbit_size(rep) == size for rep, size in sizes.items())
+        # each kernel vector, of any weight, is read as a member, and a
+        # vector of another weight than its own block's is not
+        assert all(piece.holds(Poly(sp, v)) for v in full)
+        moved = [
+            (w, v) for w, vectors in found.items() for v in vectors
+            if weights.sorter(w)[1] is not None
+        ]
+        for w, v in moved[:5]:
+            assert not piece.span(weights.sorter(w)[0]).contains(v)
+
+
+@pytest.mark.parametrize("params, p, kmax, weights, orbits, columns", [
+    ((8, 2, 6, -1, -1), 3, 3, 885, 52, 128),
+    ((8, 2, 6, -1, -1), 2, 3, 169, 18, 26),
+    ((6, 2, 4, -1, -1), 3, 4, 219, 44, 84),
+], ids=str)
+def test_weight_blocks_and_orbits_are_pinned(params, p, kmax, weights, orbits, columns):
+    cfg = Config(*params)
+    tower = presentation_tower(cfg, kmax)
+    piece = compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(cfg))
+    assert piece.weights.orbits
+    assert len(piece.blocks) == orbits
+    assert sum(piece.weights.orbit_size(w) for w in piece.blocks) == weights
+    alphabet = [i for i in range(len(generators(cfg.n))) if i not in piece.split_symbols]
+    words = annihilator._words_by_weight(piece.weights, alphabet, p)
+    assert list(words) == list(piece.blocks)
+    assert sum(map(len, words.values())) == columns
+    # every representative lists the words of its weight in
+    # combinations_with_replacement order, and no other weight is walked
+    every = annihilator._words_by_weight(annihilator._Weights(cfg, False), alphabet, p)
+    assert sum(map(len, every.values())) == comb(len(alphabet) + p - 1, p)
+    assert len(every) == weights
+    assert all(words[w] == every[w] for w in words)
+
+
+def test_symbol_weights_are_the_weight_shifts_of_the_applier():
+    # each generator moves the Cartan eigenvalues of a monomial by its
+    # symbol's weight: eps_a - eps_b for e_ab, and 0 for a Cartan symbol
+    for cfg in (Config(4, 1, 3), Config(5, 2, 2), Config(5, 2, 4), Config(3, 3, 3)):
+        weights = annihilator._Weights(cfg, False)
+        sp = cfg.space
+        for g, gen in enumerate(generators(cfg.n)):
+            mu = weights.entries(weights.root[g])
+            shift = tuple(mu[r - 1] - mu[r] for r in range(1, cfg.n))
+            if gen[0] == "h":
+                assert not any(mu)
+            for m in monomials(sp, range(3)):
+                img = apply_generator_terms(cfg, gen, {m: 1})
+                if img:
+                    before = osc.weight(cfg, Poly(sp, {m: 1}))
+                    after = osc.weight(cfg, Poly(sp, img))
+                    assert after == tuple(a + b for a, b in zip(before, shift)), (cfg, gen, m)
+
+
+def test_weight_orbits_and_their_relabellings():
+    cfg = Config(7, 2, 5)
+    weights = annihilator._Weights(cfg, True)
+    pack = lambda mu: sum(v << 8 * a for a, v in enumerate(mu))  # noqa: E731
+    w = pack([0, -2, 1, 0, 1, 3, -3])
+    rep, s = weights.sorter(w)
+    assert weights.entries(rep) == [-2, 0, 0, 1, 1, -3, 3]
+    assert weights.orbit_size(rep) == 2 * 3 * 2 == weights.orbit_size(w)
+    assert weights.sorter(rep) == (rep, None)
+    # s takes w to rep index by index, and the relabellings of rep reach
+    # every other weight of its orbit once
+    assert all(weights.entries(rep)[s[a] - 1] == weights.entries(w)[a - 1] for a in range(1, 8))
+    images = []
+    for t in weights.others(rep):
+        images.append(pack([weights.entries(rep)[t.index(a) - 1] for a in range(1, 8)]))
+    assert len(images) == len(set(images)) == 11 and w in images and rep not in images
+    assert weights.minor((3, 4), (1, 2)) == pack([-1, -1, 1, 1, 0, 0, 0])
+
+
+def test_base_that_is_not_h_stable_is_one_block():
+    # a tower whose M_0 is not h-stable keeps one block: its kernel is not a
+    # sum of weight components, and a vector split by weight is no member
+    cfg = Config(6, 2, 4, -1, -1)
+    tower = build_tower(cfg, 3, "explicit")
+    base = tower.levels[0]
+    rows = list(base.rows.values())
+    mixed = {}
+    axpy(mixed, 1, rows[0])
+    axpy(mixed, 1, rows[1])
+    assert osc.weight(cfg, Poly(cfg.space, mixed)) is None
+    skewed = FiltrationTower(cfg, "explicit", [echelon_from(cfg.space, [mixed])] + tower.levels[1:])
+    _, preservers = system_rows(skewed)
+    assert not preservers.issuperset(range(cfg.n - 1))
+    sp = symbol_space(cfg.n)
+    for p in (1, 2, 3):
+        piece = compute_annihilator_piece(skewed, p, 4, predicted_level_preservers(cfg))
+        assert piece.weights is None and list(piece.blocks) == [None]
+        full, _stabilized = _full_solve(skewed, p, 4, piece.split_symbols)
+        assert piece.kernel_vectors == full
+        assert all(piece.holds(Poly(sp, v)) for v in full)
 
 
 def _relabelled(sp, terms, sigma):
@@ -1005,34 +1158,40 @@ def _relabelled(sp, terms, sigma):
     ((8, 3, 3, -1, -2), 4, [15, 30]),
 ], ids=str)
 def test_rows_fall_into_orbits_of_the_block_permutations(params, kmax, orbits):
+    # the rows of M_0 by orbit of the transpositions inside the blocks, read
+    # through an unpack/pack oracle: each maps a row to plus or minus a row,
+    # which is what lets the systems solve one weight per orbit
     cfg = Config(*params)
     tower = presentation_tower(cfg, kmax)
     rows = system_rows(tower)[0][0]
-    found = _row_orbits(tower)
-    assert [len(images) for _row, images in found] == orbits
-    gens = generators(cfg.n)
-    covered = []
-    for rep, images in found:
-        assert list(images[0]) == list(range(len(gens)))
-        for image in images:
-            # sigma on the indices, read off its root images
-            roots = [(idx, g) for idx, g in enumerate(gens) if g[0] == "e"]
-            sigma = [0] * (cfg.n + 1)
-            for idx, g in roots:
-                sigma[g[1]] = gens[image[idx]][1]
-            assert all(gens[image[idx]] == ("e", sigma[g[1]], sigma[g[2]]) for idx, g in roots)
-            image_row = _relabelled(cfg.space, rep, sigma)
-            match = [
-                k for k, row in enumerate(rows)
-                if image_row in (row, {m: -c for m, c in row.items()})
-            ]
-            assert len(match) == 1
-            covered += match
-    assert sorted(covered) == list(range(len(rows)))
-    # degree 1: the Cartan symbols are in the alphabet, so every row is walked
-    alphabet = list(range(len(gens)))
-    walks = annihilator._walks(tower, alphabet, [rows])
-    assert walks == _one_walk_per_row([rows], alphabet)
+    index = {}
+    for k, row in enumerate(rows):
+        index[frozenset(row.items())] = k
+        index[frozenset((m, -c) for m, c in row.items())] = k
+    seen: set = set()
+    sizes = []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            k = todo.pop()
+            for i in osc.block_transpositions(cfg.n, cfg.n1, cfg.n2):
+                sigma = list(range(cfg.n + 1))
+                sigma[i], sigma[i + 1] = i + 1, i
+                j = index.get(frozenset(_relabelled(cfg.space, rows[k], sigma).items()))
+                assert j is not None
+                if j not in orbit:
+                    orbit.add(j)
+                    todo.append(j)
+        seen |= orbit
+        sizes.append(len(orbit))
+    assert sizes == orbits
+    assert _permutes_base(tower)
+    # degree 1: the Cartan symbols are unknowns, so every weight is solved
+    claimed = predicted_level_preservers(cfg)
+    assert not compute_annihilator_piece(tower, 1, kmax, claimed).weights.orbits
+    assert compute_annihilator_piece(tower, 2, kmax, claimed).weights.orbits
 
 
 def test_rows_not_closed_under_the_transpositions_fall_back():
@@ -1043,14 +1202,14 @@ def test_rows_not_closed_under_the_transpositions_fall_back():
     assert _generated_by_base(tower)
     assert osc.applier_is_representation(4, 4, 4) and osc.block_permutations_commute(4, 4, 4)
     rows = system_rows(tower)[0][0]
-    assert [len(images) for _row, images in _row_orbits(tower)] == [1] * len(rows) == [1] * 20
+    assert not _permutes_base(tower) and len(rows) == 20
     signed = [r for row in rows for r in (row, {m: -c for m, c in row.items()})]
     assert any(
         {swap(m): c for m, c in row.items()} not in signed
         for swap in map(partial(osc.transposer, cfg.space), osc.block_transpositions(4, 4, 4))
         for row in rows
     )
-    assert _pieces(tower, 3) == _pieces_of_every_row(cfg, 3)
+    assert _pieces(tower, 3) == _pieces_of_every_weight(cfg, 3)
 
 
 def test_tower_with_rows_above_its_base_walks_every_row():
@@ -1059,8 +1218,7 @@ def test_tower_with_rows_above_its_base_walks_every_row():
     full = build_tower(cfg, 3, "explicit")
     skipped = FiltrationTower(cfg, "explicit", [full.levels[0], full.levels[2], full.levels[3]])
     assert not _generated_by_base(skipped)
-    assert len(_row_orbits(full)) == 1
-    assert [len(images) for _row, images in _row_orbits(skipped)] == [1] * 4
+    assert _permutes_base(full) and not _permutes_base(skipped)
     with _no_permutation_certificate():
         unpatched = FiltrationTower(cfg, "explicit", list(skipped.levels))
         want = _pieces(unpatched, 3)
@@ -1078,7 +1236,7 @@ def fresh_certificates():
 
 def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certificates):
     cfg = Config(6, 2, 4, -1, -1)
-    want = _pieces_of_every_row(cfg, 4)
+    want = _pieces_of_every_weight(cfg, 4)
     assert osc.block_permutations_commute(6, 2, 4)
     osc.block_permutations_commute.cache_clear()
     weyl_forms = osc.weyl_forms
@@ -1094,5 +1252,5 @@ def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certifica
     # the cached verdict stands; the applier certificate reads the true forms
     assert osc.applier_is_representation(6, 2, 4)
     tower = presentation_tower(cfg, 4)
-    assert [len(images) for _row, images in _row_orbits(tower)] == [1] * 4
+    assert not _permutes_base(tower)
     assert _pieces(tower, 4) == want

@@ -71,6 +71,22 @@ def test_unsupported_regime_skips_with_exit_zero(capsys):
         assert all(c["status"] == "skipped" and c["reason"] for c in checks)
 
 
+def test_mirrored_skew_layout_without_j3_is_skipped_with_exit_zero(capsys):
+    # n1 = n2 = n with l1 > 0 >= l1 + l2 is a valid layout of the
+    # product-skew-mirror regime, whose mirrored layout would have no J1
+    for command in ("verify-main-theorem", "filtration"):
+        code, out, err = run_cli(
+            capsys, command, "--n", "3", "--n1", "3", "--n2", "3",
+            "--l1", "1", "--l2", "-1", "--kmax", "3",
+        )
+        assert code == 0 and not err
+        (check,) = json.loads(out)["checks"]
+        assert check["status"] == "skipped"
+        assert check["reason"] == (
+            "(n=3,n1=3,n2=3,l1=1,l2=-1): mirrored skew products need at least two J3 indices"
+        )
+
+
 def test_json_determinism(capsys):
     args = [
         "verify-filtration", "--n", "3", "--n1", "1", "--n2", "2",
