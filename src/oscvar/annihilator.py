@@ -74,7 +74,7 @@ system at kmax.  :func:`degree2_tower` goes to depth kmax instead, on
 those layouts and where a power of degree 2e of ``degree2_families``
 reads M_{2e-1}.  Both are :func:`explicit_tower` at their levels.
 
-Each kernel is solved as a direct sum of weight blocks (:class:`_Weights`).
+Each kernel is solved as a direct sum of weight blocks (``osc.Weights``).
 The weight of a symbol monomial is the sum of its symbols': e_ab adds
 eps_a - eps_b, a Cartan symbol adds 0.  Where the applier is a
 representation (``osc.applier_is_representation``) and every Cartan
@@ -118,22 +118,23 @@ a vacuous kernel.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
 from .osc import (
     Config,
+    Weights,
     applier_is_representation,
     apply_generator_terms,
     block_permutations_commute,
     block_transpositions,
     generators,
+    permutes_up_to_sign,
     transposer,
     weyl_forms,
     weyl_mul,
@@ -264,115 +265,6 @@ class _SplitMonomials:
         return NotImplemented
 
 
-_WEIGHT_BITS = 8  # bits per index of a packed weight
-_WEIGHT_HALF = 1 << (_WEIGHT_BITS - 1)
-
-
-class _Weights:
-    """Weights of the symbol monomials of one layout, packed into ints, and
-    their orbits under the permutations inside J1, J2 and J3.
-
-    e_ab has weight eps_a - eps_b and a Cartan symbol 0, their eigenvalues
-    under ad(h); a monomial's weight is the sum of its symbols'.  A weight
-    mu of Z^n is packed as the int sum_a mu_a 2^(8(a-1)), so the weight of a
-    product is the sum of the packed weights; an entry of a weight of degree
-    p < 128 lies in [-p, p], so the packing is one to one.
-
-    With ``orbits`` a permutation sigma inside the blocks moves the entries,
-    sigma(mu)_{sigma(a)} = mu_a, and each orbit is represented by its weight
-    with ascending entries inside each block.  Without, every weight is its
-    own orbit.
-    """
-
-    def __init__(self, cfg: Config, orbits: bool):
-        n = cfg.n
-        self.n = n
-        self.orbits = orbits
-        cuts = ((0, cfg.n1), (cfg.n1, cfg.n2), (cfg.n2, n))
-        self.cuts = [(lo, hi) for lo, hi in cuts if lo < hi]
-        self.root = [
-            (1 << _WEIGHT_BITS * (g[1] - 1)) - (1 << _WEIGHT_BITS * (g[2] - 1))
-            if g[0] == "e" else 0
-            for g in generators(n)
-        ]
-        self._offset = sum(_WEIGHT_HALF << _WEIGHT_BITS * a for a in range(n))
-        self._sorted: dict = {}
-
-    def _bytes(self, w: int) -> bytes:
-        """mu_a + 128 for a = 1..n, one byte each."""
-        return (w + self._offset).to_bytes(self.n, "little")
-
-    def entries(self, w: int) -> list[int]:
-        """mu_1, ..., mu_n of a packed weight, as a 0-based list."""
-        return [b - _WEIGHT_HALF for b in self._bytes(w)]
-
-    def of(self, space: Space, m: int) -> int:
-        """The weight of a packed symbol monomial."""
-        return sum(self.root[g] for g in space.positions(m))
-
-    @staticmethod
-    def minor(rows, cols) -> int:
-        """The weight of the minor on ``rows`` and ``cols``: each of its
-        terms is a product of entries e_{j,i}, j in rows and i in cols, one
-        per row and per column (a diagonal entry, a Cartan combination, has
-        weight 0 = eps_j - eps_j)."""
-        return sum(1 << _WEIGHT_BITS * (j - 1) for j in rows) - sum(
-            1 << _WEIGHT_BITS * (i - 1) for i in cols
-        )
-
-    def representative(self, w: int) -> int:
-        """The representative of w's orbit."""
-        if not self.orbits:
-            return w
-        b = self._bytes(w)
-        parts = b"".join(bytes(sorted(b[lo:hi])) for lo, hi in self.cuts)
-        return int.from_bytes(parts, "little") - self._offset
-
-    def sorter(self, w: int) -> tuple:
-        """(rep, s): the representative of w's orbit, and a relabelling s of
-        the indices that takes w to it (index a to s[a]; s[0] is unused), or
-        None where w is its own representative."""
-        found = self._sorted.get(w)
-        if found is None:
-            rep, s = self.representative(w), None
-            if rep != w:
-                mu = self.entries(w)
-                s = list(range(self.n + 1))
-                for lo, hi in self.cuts:
-                    for k, a in enumerate(sorted(range(lo, hi), key=mu.__getitem__), lo):
-                        s[a + 1] = k + 1
-                s = tuple(s)
-            found = self._sorted[w] = rep, s
-        return found
-
-    def orbit_size(self, w: int) -> int:
-        """The number of weights in w's orbit: per block, the number of
-        distinct arrangements of its entries."""
-        if not self.orbits:
-            return 1
-        b = self._bytes(w)
-        size = 1
-        for lo, hi in self.cuts:
-            size *= factorial(hi - lo)
-            for count in Counter(b[lo:hi]).values():
-                size //= factorial(count)
-        return size
-
-    def others(self, rep: int):
-        """For each other weight of the orbit of the representative ``rep``,
-        a relabelling of the indices that takes rep to it."""
-        mu = self.entries(rep)
-        arrangements = [sorted(set(itertools.permutations(mu[lo:hi]))) for lo, hi in self.cuts]
-        for parts in itertools.product(*arrangements):
-            w = sum(v << _WEIGHT_BITS * a for a, v in enumerate(itertools.chain(*parts)))
-            _rep, s = self.sorter(w)
-            if s is not None:
-                back = [0] * (self.n + 1)
-                for a in range(1, self.n + 1):
-                    back[s[a]] = a
-                yield tuple(back)
-
-
 def _relabelled(space: Space, terms: dict, s) -> dict:
     """``terms``, symbol monomials on root symbols, with each e_ab renamed
     e_{s[a], s[b]}."""
@@ -413,7 +305,7 @@ class AnnihilatorPiece:
     degree: int
     coordinate_members: _SplitMonomials
     blocks: dict = field(default_factory=dict)
-    weights: _Weights | None = None
+    weights: Weights | None = None
     stabilized: bool = False
     unknown_count: int = 0
     split_symbols: list = field(default_factory=list)
@@ -460,7 +352,7 @@ class AnnihilatorPiece:
             return self.span(None).contains(pure)
         parts: dict = {}
         for m, c in pure.items():
-            parts.setdefault(self.weights.of(self.space, m), {})[m] = c
+            parts.setdefault(self.weights.of(m), {})[m] = c
         for w, part in parts.items():
             rep, s = self.weights.sorter(w)
             if s is not None:
@@ -533,9 +425,9 @@ def explicit_tower(cfg: Config, top: int, base_top: int) -> FiltrationTower:
     Built to depth base_top, and rebuilt to depth top where
     :func:`system_rows` finds rows above M_0.
     """
-    tower = build_tower(cfg, base_top, "explicit")
+    tower = build_tower(cfg, base_top, whole=True)
     if base_top < top and not _generated_by_base(tower):
-        tower = build_tower(cfg, top, "explicit")
+        tower = build_tower(cfg, top, whole=True)
     return tower
 
 
@@ -609,30 +501,16 @@ def _permutes_base(tower: FiltrationTower) -> bool:
             _generated_by_base(tower)
             and applier_is_representation(n, n1, n2)
             and block_permutations_commute(n, n1, n2)
-            and _rows_permuted(cfg, system_rows(tower)[0][0])
+            and all(
+                permutes_up_to_sign(system_rows(tower)[0][0], transposer(cfg.space, i))
+                for i in block_transpositions(n, n1, n2)
+            )
         )
     return derived["permutes-base"]
 
 
-def _rows_permuted(cfg: Config, rows: list) -> bool:
-    """Whether each block transposition maps each of ``rows`` to plus or
-    minus one of them."""
-    where = {max(row): row for row in rows}  # stored rows lead positive
-    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
-        swap = transposer(cfg.space, i)
-        for row in rows:
-            image = {swap(m): c for m, c in row.items()}
-            lead = max(image)
-            match = where.get(lead)
-            if match is None:
-                return False
-            if image != (match if image[lead] > 0 else {m: -c for m, c in match.items()}):
-                return False
-    return True
-
-
-def _grading(tower: FiltrationTower, alphabet) -> _Weights | None:
-    """The :class:`_Weights` that split the systems of ``tower`` on the
+def _grading(tower: FiltrationTower, alphabet) -> Weights | None:
+    """The ``osc.Weights`` that split the systems of ``tower`` on the
     unknowns ``alphabet``, or None where the system is one block.
 
     Weights need the applier to be a representation and every Cartan symbol
@@ -647,7 +525,9 @@ def _grading(tower: FiltrationTower, alphabet) -> _Weights | None:
         and system_rows(tower)[1].issuperset(cartan)
     ):
         return None
-    return _Weights(cfg, _closed(cfg, alphabet) and _permutes_base(tower))
+    orbits = _closed(cfg, alphabet) and _permutes_base(tower)
+    transpositions = block_transpositions(cfg.n, cfg.n1, cfg.n2) if orbits else ()
+    return Weights(cfg, symbol_space(cfg.n), transpositions)
 
 
 def _closed(cfg: Config, alphabet) -> bool:
@@ -665,7 +545,7 @@ def _closed(cfg: Config, alphabet) -> bool:
     return True
 
 
-def _words_by_weight(weights: _Weights | None, alphabet, p: int) -> dict:
+def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
     """The degree-p words on ``alphabet`` (ascending generator indices, in
     ``combinations_with_replacement`` order) by weight: all of them under
     the key None where ``weights`` is None, and only the words of the
@@ -680,7 +560,7 @@ def _words_by_weight(weights: _Weights | None, alphabet, p: int) -> dict:
     words = itertools.combinations_with_replacement(alphabet, p)
     if weights is None:
         return {None: list(words)}
-    root = weights.root
+    root = weights.position
     if not weights.orbits:
         out: dict = {}
         for word in words:
@@ -885,7 +765,7 @@ class _Family(NamedTuple):
             w = None if weights is None else weights.minor(op.rows, op.cols)
             proj = None
             for g in pure:
-                wg = None if weights is None else w + weights.root[g]
+                wg = None if weights is None else w + weights.position[g]
                 if wg in solved:
                     if proj is None:
                         proj = op.projected(mask)

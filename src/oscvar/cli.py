@@ -229,8 +229,14 @@ def _presentation_records(rep, elapsed: float) -> list[CheckRecord]:
 def _gkdim(ctx) -> dict:
     # the growth fit needs at least six levels above M_0
     tower = build_tower(ctx.cfg, max(ctx.args.kmax, 6), "explicit")
+    growth = suite.growth_report(tower)
+    if not growth["confident"]:
+        raise ShallowSystemError(
+            f"depth {tower.depth} is too shallow to decide the growth degree: "
+            f"estimate {growth['estimate']} has fewer than two trailing zero differences"
+        )
     return {
-        **suite.growth_report(tower),
+        **growth,
         "depth": tower.depth,
         "dims": tower.dims,
         "hilbert_table": _hilbert_table(tower),

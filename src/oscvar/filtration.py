@@ -47,28 +47,58 @@ towers are built to check:
   * T-images are kept as primitive integer multiples: a span does not
     change under scaling, and the products with them then run in integer
     arithmetic.
+  * Explicit route by weight (``build_tower``): every xy monomial is a
+    weight vector (``osc.Weights``, read off the linear part of
+    ``osc.diagonal_value``) and wt(fg) = wt(f) + wt(g), so a product of
+    weight vectors is one.  Elimination combines only rows that share a
+    lead, so every stored row is homogeneous: the span of a spanning set
+    of weight vectors is the direct sum of its weight components, the
+    component of weight mu spanned by the generating products of weight
+    mu.  A permutation sigma of the indices inside a block that maps each
+    spanning set onto itself up to sign (the base vectors and the
+    alternating quadratics, and in the T-cell and dprime regimes each
+    monomial level, with T commuting with sigma) maps the component of
+    weight mu onto that of sigma(mu).  So each level is built only at one
+    representative weight per orbit, from the products of that weight,
+    and its dimension is the sum over orbits of |orbit| times the rows
+    at the representative; nesting at the representatives is nesting of
+    the whole levels.  The transpositions that generate these
+    permutations are certified per layout and depth
+    (``_admitted_transpositions``); the whole levels are the same build
+    with every weight kept.  ``compare_towers`` reads the representative
+    rows inside the brute-force level, which sigma maps onto itself too
+    (M_0 by the certificate, pi(U_k(g)) by
+    ``osc.applier_is_representation`` and
+    ``osc.block_permutations_commute``), so every relabelling of them lies
+    there; with equal dimensions the spans are equal.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
-from .linalg import EchelonBasis, echelon_from, primitive_multiple, span_equal
+from .linalg import EchelonBasis, echelon_from, primitive_multiple
 from .osc import (
     Config,
+    Weights,
     _compositions,
     apply_generator,
     apply_generator_terms,
     applier_is_representation,
+    block_permutations_commute,
+    block_transpositions,
     classify_irreducible,
     enumerate_block_sums,
     enumerate_TN_level,
     generators,
+    permutes_up_to_sign,
     project_T,
     project_T_monomial,
+    projection_forms,
+    transposer,
 )
 from .poly import Poly, parse_poly
 
@@ -77,31 +107,83 @@ class UnsupportedRegimeError(ValueError):
     """Raised for parameter regimes with no explicit base-space recipe."""
 
 
-@dataclass
 class FiltrationTower:
-    """Nested spans M_0 <= M_1 <= ... <= M_kmax with their dimensions."""
+    """Nested spans M_0 <= M_1 <= ... <= M_kmax with their dimensions.
 
-    cfg: Config
-    method: str  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
-    levels: list[EchelonBasis] = field(default_factory=list)
-    # Facts other modules derive from the levels, such as the annihilator's
-    # system rows; never serialized or compared.  They assume the
-    # levels do not change after they are derived.
-    derived: dict = field(default_factory=dict, repr=False, compare=False)
+    A tower holds its levels whole (``levels``), or, where ``build_tower``
+    finds orbits of weights on an explicit tower, only its rows at the
+    representative weights (``representatives``): ``dims`` and
+    ``check_nested`` are answered from those, and the whole levels are
+    built, at every weight, when ``levels`` is first read.
+    """
+
+    def __init__(self, cfg: Config, method: str, levels=None, representatives=None):
+        self.cfg = cfg
+        self.method = method  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
+        self._levels = levels
+        self.representatives = representatives
+        # Facts other modules derive from the levels, such as the
+        # annihilator's system rows.  They assume the levels do not change
+        # after they are derived.
+        self.derived: dict = {}
+
+    @property
+    def levels(self) -> list[EchelonBasis]:
+        if self._levels is None:
+            self._levels = build_tower(self.cfg, self.depth, whole=True).levels
+        return self._levels
+
+    @property
+    def _counted(self) -> list[EchelonBasis]:
+        """The levels ``dims`` and ``check_nested`` read."""
+        return self.levels if self.representatives is None else self.representatives.levels
 
     @property
     def dims(self) -> list[int]:
+        if self.representatives is not None:
+            return self.representatives.dims
         return [b.dim for b in self.levels]
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self._counted) - 1
 
     def check_nested(self) -> bool:
-        return all(
-            self.levels[k + 1].contains_span(self.levels[k])
-            for k in range(self.depth)
-        )
+        levels = self._counted
+        return all(_contains_rows(levels[k + 1], levels[k]) for k in range(self.depth))
+
+
+def _contains_rows(big: EchelonBasis, small: EchelonBasis) -> bool:
+    """Whether ``big`` contains every row of ``small``.  A row that ``big``
+    stores at the same pivot, the same dict (shared by ``copy``), is
+    counted without reducing it."""
+    rows = big.rows
+    return all(rows.get(piv) is row or big.contains(row) for piv, row in small.rows.items())
+
+
+class Representatives:
+    """The levels of an explicit tower at the representative weights of
+    ``weights``: each level's span at every representative weight, the sum
+    of its weight components there, in one basis.  Its dimension is the
+    sum over orbits of |orbit| times the rows of the representative weight
+    (every row is a weight vector, of the weight of its pivot)."""
+
+    def __init__(self, weights: Weights, levels: list[EchelonBasis]):
+        self.weights = weights
+        self.levels = levels
+
+    @cached_property
+    def dims(self) -> list[int]:
+        weights = self.weights
+        sizes: dict = {}  # pivot -> orbit size of its weight
+
+        def size(piv):
+            found = sizes.get(piv)
+            if found is None:
+                found = sizes[piv] = weights.orbit_size(weights.of(piv))
+            return found
+
+        return [sum(map(size, level.rows)) for level in self.levels]
 
 
 def alternating_set(cfg: Config) -> list[Poly]:
@@ -246,9 +328,12 @@ def _product_base(cfg: Config) -> list[Poly]:
     return out
 
 
-def base_space_vectors(cfg: Config) -> list[Poly]:
-    """Spanning vectors of M_0 for the applicable regime."""
+def base_space_vectors(cfg: Config, tproj=None) -> list[Poly]:
+    """Spanning vectors of M_0 for the applicable regime; ``tproj``, a
+    :class:`_TCache` of the layout, serves the T-images where given."""
     regime = _regime(cfg)
+    if regime in ("T-cell", "dprime") and tproj is None:
+        tproj = _TCache(cfg)
     if regime == "T-cell":
         l1, l2 = cfg.l1, cfg.l2
         if l1 <= 0 and l2 <= 0:
@@ -257,10 +342,8 @@ def base_space_vectors(cfg: Config) -> list[Poly]:
             cell = (-l1, 0, 0, 0, l2, 0)
         else:  # l1 >= 0 >= l2
             cell = (0, l1, 0, 0, 0, -l2)
-        tproj = _TCache(cfg)
         return [tproj(m) for m in enumerate_block_sums(cfg, *cell)]
     if regime == "dprime":
-        tproj = _TCache(cfg)
         return [tproj(m) for m in _dprime_level(cfg, 0)]
     if regime == "product":
         return _product_base(cfg)
@@ -357,40 +440,116 @@ def _pset_products(cfg: Config, size: int, cache: dict) -> list[Poly]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the explicit route at the weights a build keeps
+# ---------------------------------------------------------------------------
+
+
+def _by_weight(items: list, weights=None) -> list[tuple]:
+    """``items`` grouped by their ``weights`` (a parallel iterable), each
+    group in the order of ``items``: a list of (w, [item, ...]).  Without
+    weights, one group [(None, items)]: a build that keeps every weight."""
+    if weights is None:
+        return [(None, items)]
+    groups: dict = {}
+    for item, w in zip(items, weights):
+        groups.setdefault(w, []).append(item)
+    return list(groups.items())
+
+
+def _vector_weights(cache: dict, vectors: list[Poly]):
+    """The weights of generating vectors, each that of its leading monomial
+    (the certificate checked that each is a weight vector), or None where
+    the build keeps every weight."""
+    weights = cache["weights"]
+    return None if weights is None else [weights.of(max(v.terms)) for v in vectors]
+
+
+def _keeps(cache: dict, w) -> bool:
+    """Whether the build keeps the weight w: every weight (w is None) where
+    it has no orbits, else the representative ones."""
+    return w is None or cache["weights"].is_representative(w)
+
+
+def _kept_products(cache: dict, left: list, right: list):
+    """(a, b) for each group a of ``left`` and b of ``right``
+    (:func:`_by_weight`) whose products have a weight the build keeps."""
+    for wa, a in left:
+        for wb, b in right:
+            if _keeps(cache, None if wa is None else wa + wb):
+                yield a, b
+
+
+def _monomial_level(cfg: Config, j: int, cache: dict) -> list[int]:
+    """TN level j (dprime level j in the dprime regime), enumerated once.
+    A build with orbits reads only the levels its certificate enumerated."""
+    levels = cache["tn"]
+    while len(levels) <= j:
+        if cache["weights"] is not None:
+            raise ValueError(f"monomial level {len(levels)} lies above the certified depth")
+        enumerate_level = _dprime_level if cache["regime"] == "dprime" else enumerate_TN_level
+        levels.append(enumerate_level(cfg, len(levels)))
+    return levels[j]
+
+
+def _level_groups(cfg: Config, j: int, cache: dict) -> list[tuple]:
+    """:func:`_monomial_level` j by weight (:func:`_by_weight`), grouped once."""
+    groups = cache["tn-groups"]
+    if j not in groups:
+        weights = cache["weights"]
+        level = _monomial_level(cfg, j, cache)
+        groups[j] = _by_weight(level, None if weights is None else map(weights.of, level))
+    return groups[j]
+
+
+def _pset_groups(cfg: Config, size: int, cache: dict) -> list[tuple]:
+    """:func:`_pset_products` of ``size`` by weight, each the sum of its
+    factors' weights."""
+    prods = _pset_products(cfg, size, cache)
+    factor = _vector_weights(cache, cache["pset"])
+    if factor is None:
+        return _by_weight(prods)
+    combos = itertools.combinations_with_replacement(range(len(factor)), size)
+    return _by_weight(prods, (sum(factor[c] for c in combo) for combo in combos))
+
+
 def _tspan(cfg: Config, k: int, cache: dict) -> EchelonBasis:
     """Span of the T-images of the monomial levels 0..k (TN levels in the
-    T-cell regime, dprime levels in the dprime regime).
+    T-cell regime, dprime levels in the dprime regime), at the weights the
+    build keeps.
 
     Level k is a copy of level k-1 plus the T-images of monomial level k,
     kept in ``cache`` for the levels above.
     """
     spans = cache["tspans"]
-    levels = cache["tn"]
     tproj = cache["tproj"]
-    enumerate_level = _dprime_level if cache["regime"] == "dprime" else enumerate_TN_level
     while len(spans) <= k:
         j = len(spans)
-        if len(levels) <= j:
-            levels.append(enumerate_level(cfg, j))
         span = spans[-1].copy() if spans else EchelonBasis(cfg.space)
-        for m in levels[j]:
-            span.insert(tproj(m))
+        for w, level in _level_groups(cfg, j, cache):
+            if _keeps(cache, w):
+                for m in level:
+                    span.insert(tproj(m))
         spans.append(span)
     return spans[k]
 
 
 def _insert_tproducts(cfg: Config, basis: EchelonBasis, k: int, i: int, cache: dict):
-    """Insert T(TN level k-i) * P^i, the part of S_k with i quadratic factors."""
+    """Insert T(TN level k-i) * P^i, the part of S_k with i quadratic
+    factors, at the weights the build keeps."""
     tproj = cache["tproj"]
-    prods = _pset_products(cfg, i, cache)
-    for m in cache["tn"][k - i]:
-        tm = tproj(m)
-        for p in prods:
-            basis.insert(tm * p)
+    groups = _kept_products(cache, _level_groups(cfg, k - i, cache), _pset_groups(cfg, i, cache))
+    for level, prods in groups:
+        for m in level:
+            tm = tproj(m)
+            for p in prods:
+                basis.insert(tm * p)
 
 
 def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBasis:
-    """Level k of the explicit tower: the span of its spanning set S_k.
+    """Level k of the explicit tower: the span of its spanning set S_k, at
+    the weights the cache keeps (every weight unless ``cache["weights"]``
+    has orbits, see :func:`build_tower`).
 
     The levels held in ``cache`` are extended up to k, each from the one
     below (see the module docstring for why each reuse is exact), and
@@ -415,12 +574,16 @@ def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBas
         else:
             # n1 = n2 product spans: S_j = S_{j-1} + M_0 * P^j
             basis = built[-1].copy() if built else EchelonBasis(cfg.space)
-            prods = _pset_products(cfg, j, cache)
+            if "base-groups" not in cache:
+                base = cache["base"]
+                cache["base-groups"] = _by_weight(base, _vector_weights(cache, base))
+            groups = _kept_products(cache, cache["base-groups"], _pset_groups(cfg, j, cache))
             # size j-1 served level j-1 and size j; no level reads it again
             cache.pop(j - 1, None)
-            for b in cache["base"]:
-                for p in prods:
-                    basis.insert(b * p)
+            for vectors, prods in groups:
+                for b in vectors:
+                    for p in prods:
+                        basis.insert(b * p)
         built.append(basis)
     return built[k]
 
@@ -429,8 +592,10 @@ def _explicit_cache(cfg: Config) -> dict:
     regime = _regime(cfg)
     cache: dict = {
         "regime": regime,
+        "weights": None,  # every weight kept
         "pset": alternating_set(cfg),
         "tn": [],
+        "tn-groups": {},
         "tspans": [],
         "levels": [],
     }
@@ -441,13 +606,67 @@ def _explicit_cache(cfg: Config) -> dict:
     return cache
 
 
-def build_tower(cfg: Config, kmax: int, method: str = "explicit") -> FiltrationTower:
+def _admitted_transpositions(cfg: Config, kmax: int, cache: dict) -> list[int]:
+    """The block transpositions (i i+1) (``osc.block_transpositions``) that
+    map every explicit spanning set S_0..S_kmax onto itself up to sign,
+    where every generating vector is a weight vector; none where one is
+    not (see the module docstring).
+
+    Every base vector, alternating quadratic and, in the T-cell and dprime
+    regimes, every Weyl term of the reduced Laplacian and the lift of the
+    T-series must be a weight vector (the terms of weight 0, so T(m) has
+    the weight of m).  A transposition is then admitted where it maps the
+    base vectors and the alternating set each onto plus or minus
+    themselves, and, in those regimes, fixes the forms of the two T-series
+    operators (so no admitted transposition moves n1+1) and maps each
+    monomial level 0..kmax onto itself.  The monomial levels are
+    enumerated into ``cache``, and the base vectors read its T-images.
+    """
+    candidates = block_transpositions(cfg.n, cfg.n1, cfg.n2)
+    if not candidates:
+        return []
+    sp = cfg.space
+    weights = Weights(cfg, sp)
+    tcell = cache["regime"] in ("T-cell", "dprime")
+    forms = projection_forms(cfg) if tcell else ()
+    base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
+    pset = cache["pset"]
+    if any(weights.homogeneous(v.terms) is None for v in base + pset) or any(
+        weights.of(v) != weights.of(d) for form in forms for v, d in form
+    ):
+        return []
+    levels = None
+    admitted = []
+    for i in candidates:
+        swap = transposer(sp, i)
+        if not (
+            all({(swap(v), swap(d)): c for (v, d), c in form.items()} == form for form in forms)
+            and permutes_up_to_sign([v.terms for v in base], swap)
+            and permutes_up_to_sign([v.terms for v in pset], swap)
+        ):
+            continue
+        if levels is None:
+            levels = [set(_monomial_level(cfg, j, cache)) for j in range(kmax + 1)] if tcell else []
+        if all(set(map(swap, level)) == level for level in levels):
+            admitted.append(i)
+    return admitted
+
+
+def build_tower(
+    cfg: Config, kmax: int, method: str = "explicit", *, whole: bool = False
+) -> FiltrationTower:
     """Construct M_0 .. M_kmax by the requested method.
 
     Each level is built on top of the one below: the explicit route extends
     the levels of one cache, the brute-force route closes only the rows new
     since the level below, each under the generators its tag allows (see
-    the module docstring).
+    the module docstring).  The explicit route builds each level only at
+    the representative weights of the orbits of the transpositions its
+    certificate admits (:func:`_admitted_transpositions`), and whole where
+    it admits none; the whole levels of a tower with orbits are built when
+    its ``levels`` are first read.  ``whole`` builds them whole at once,
+    with no certificate, for a caller that reads the rows (the
+    annihilator).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -462,11 +681,16 @@ def build_tower(cfg: Config, kmax: int, method: str = "explicit") -> FiltrationT
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
     cache = _explicit_cache(cfg)
+    admitted = () if whole else _admitted_transpositions(cfg, kmax, cache)
+    if admitted:
+        cache["weights"] = Weights(cfg, cfg.space, admitted)
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"
     )
-    return FiltrationTower(cfg, name, levels)
+    if not admitted:
+        return FiltrationTower(cfg, name, levels)
+    return FiltrationTower(cfg, name, representatives=Representatives(cache["weights"], levels))
 
 
 def compare_towers(cfg: Config, kmax: int) -> dict:
@@ -476,17 +700,36 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     constructions share the base space, ``poly``, ``linalg`` and the Weyl-term
     applier of ``osc`` (the generators on one side, T on the other); the
     operators themselves are checked against sympy in the tests.
+
+    A level is equal when the dimensions agree and the explicit rows lie
+    in the brute-force level.  Where the explicit tower holds
+    representative levels and the brute-force tower is stable under the
+    same permutations (the applier is a representation,
+    ``osc.applier_is_representation``, that every block permutation
+    conjugates onto itself, ``osc.block_permutations_commute``, and the
+    certificate mapped the base vectors onto themselves up to sign), only
+    the rows at the representative weights are read: every relabelling
+    of them then lies in the brute-force level too.
     """
+    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     brute = build_tower(cfg, kmax, "bruteforce")
     explicit = build_tower(cfg, kmax, "explicit")
+    reps = explicit.representatives
+    if reps is not None and not (
+        applier_is_representation(n, n1, n2) and block_permutations_commute(n, n1, n2)
+    ):
+        reps = None
+    dims = explicit.dims
+    rows = explicit.levels if reps is None else reps.levels
     per_level = []
     for k in range(kmax + 1):
-        eq = span_equal(brute.levels[k], explicit.levels[k])
+        level = brute.levels[k]
+        eq = level.dim == dims[k] and all(map(level.contains, rows[k].rows.values()))
         per_level.append(
             {
                 "k": k,
-                "dim_bruteforce": brute.levels[k].dim,
-                "dim_explicit": explicit.levels[k].dim,
+                "dim_bruteforce": level.dim,
+                "dim_explicit": dims[k],
                 "equal": eq,
             }
         )

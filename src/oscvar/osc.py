@@ -87,6 +87,7 @@ analogue for the all-positive regime with n2 = n (the "dprime" levels of
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -237,8 +238,13 @@ def _weyl_tables(n: int, n1: int, n2: int) -> tuple:
     }
     lift = None
     if n1 < n2:
-        lift = _packed_ops(sp, (1, sp.x(n1 + 1), 1, sp.y(n1 + 1), 1))
+        lift = _packed_ops(sp, _lift_term(sp, n1))
     return roots, laplacians, lift
+
+
+def _lift_term(sp: Space, n1: int) -> tuple:
+    """The Weyl term of the T-series lift x_{n1+1} y_{n1+1}."""
+    return (1, sp.x(n1 + 1), 1, sp.y(n1 + 1), 1)
 
 
 def _apply_ops(ops: tuple, terms: dict) -> dict:
@@ -313,6 +319,18 @@ def weyl_forms(cfg: Config) -> dict:
 def laplacian_form(cfg: Config) -> dict:
     """The Weyl form of the twisted Laplacian."""
     return _weyl_form(cfg.space, _laplacian_terms(cfg.space, cfg.n1, cfg.n2))
+
+
+def projection_forms(cfg: Config) -> tuple[dict, dict]:
+    """The Weyl forms of the two operators of the T-series
+    (``project_T_monomial``, n1 < n2): the reduced Laplacian, without the
+    d_x d_y summand of the middle index n1+1, and the lift
+    x_{n1+1} y_{n1+1}, from the Weyl terms ``_weyl_tables`` packs."""
+    sp, n1 = cfg.space, cfg.n1
+    return (
+        _weyl_form(sp, _laplacian_terms(sp, n1, cfg.n2, n1 + 1)),
+        _weyl_form(sp, [_lift_term(sp, n1)]),
+    )
 
 
 def _support(m: int, ones: int) -> int:
@@ -931,6 +949,19 @@ def transposer(sp: Space, i: int):
     return swap
 
 
+def permutes_up_to_sign(vectors: list[dict], swap) -> bool:
+    """Whether relabelling by ``swap`` (a ``transposer``) maps each of
+    ``vectors``, term dicts, to plus or minus one of them."""
+    keys = {frozenset(v.items()) for v in vectors}
+    for v in vectors:
+        image = {swap(m): c for m, c in v.items()}
+        if frozenset(image.items()) not in keys and (
+            frozenset((m, -c) for m, c in image.items()) not in keys
+        ):
+            return False
+    return True
+
+
 @cache
 def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
     """Whether relabelling the variables by each ``block_transpositions``
@@ -957,3 +988,156 @@ def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
             if {(swap(v), swap(d)): c for (v, d), c in form.items()} != image:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# weights of monomials and their orbits under the block permutations
+# ---------------------------------------------------------------------------
+
+
+class Weights:
+    """Weights of the packed monomials of one space, packed into ints, and
+    their orbits under the index permutations that a list of adjacent
+    transpositions generates.
+
+    Each position of the space has a weight in Z^n, and a monomial's weight
+    is the sum of its variables':
+
+      * symbol space: e_ab has weight eps_a - eps_b and a Cartan symbol 0,
+        their eigenvalues under ad(h);
+      * xy space: x_a and y_a have the weight read off the linear part of
+        ``diagonal_value``, so a monomial's weight is the eigenvalues of the
+        pi(E_aa) on it less their constants.  Every Weyl term the
+        representation and the T-series apply moves it by a fixed amount,
+        and a permutation of the indices inside a block moves its entries,
+        as ``diagonal_value`` reads only the block of an index.
+
+    A weight mu is packed as the int sum_a mu_a 2^(B(a-1)), so the weight of
+    a product is the sum of the packed weights.  An entry lies in [-d, d]
+    for a monomial of degree d, so the packing is one to one with B = 8 for
+    the symbols (degree < 128) and B = 16 for the xy monomials (degree <
+    ``DEGREE_LIMIT``).
+
+    The ``transpositions`` (i i+1) join the indices into runs (``cuts``,
+    0-based ranges).  A permutation sigma inside the runs moves the entries,
+    sigma(mu)_{sigma(a)} = mu_a, and each orbit is represented by its weight
+    with ascending entries inside each run.  With no transposition every
+    weight is its own orbit.
+    """
+
+    def __init__(self, cfg: Config, space: Space, transpositions=()):
+        n = self.n = cfg.n
+        self.space = space
+        bits = self.bits = 8 if space.kind == "sym" else 16
+        if space.kind == "sym":
+            self.position = tuple(
+                (1 << bits * (g[1] - 1)) - (1 << bits * (g[2] - 1)) if g[0] == "e" else 0
+                for g in generators(n)
+            )
+        else:
+            self.position = tuple(
+                sum(
+                    (diagonal_value(cfg, a, unit) - diagonal_value(cfg, a, 0)) << bits * (a - 1)
+                    for a in range(1, n + 1)
+                )
+                for unit in space.unit
+            )
+        self.transpositions = tuple(transpositions)
+        self.orbits = bool(self.transpositions)
+        ends = [a for a in range(1, n) if a not in self.transpositions] + [n]
+        self.cuts = list(zip([0] + ends[:-1], ends))
+        self._half = 1 << (bits - 1)
+        self._offset = sum(self._half << bits * a for a in range(n))
+        self._sorted: dict = {}
+
+    def _fields(self, w: int):
+        """mu_a + 2^(B-1) for a = 1..n, a bytes object where B = 8."""
+        raw = (w + self._offset).to_bytes(self.n * self.bits // 8, "little")
+        if self.bits == 8:
+            return raw
+        return [int.from_bytes(raw[i : i + 2], "little") for i in range(0, len(raw), 2)]
+
+    def _packed(self, fields) -> int:
+        """The weight whose ``_fields`` are ``fields``."""
+        if self.bits == 8:
+            return int.from_bytes(bytes(fields), "little") - self._offset
+        return sum(v << self.bits * a for a, v in enumerate(fields)) - self._offset
+
+    def pack(self, mu) -> int:
+        """The packed weight of mu_1, ..., mu_n."""
+        return sum(v << self.bits * a for a, v in enumerate(mu))
+
+    def entries(self, w: int) -> list[int]:
+        """mu_1, ..., mu_n of a packed weight, as a 0-based list."""
+        return [v - self._half for v in self._fields(w)]
+
+    def of(self, m: int) -> int:
+        """The weight of a packed monomial."""
+        return sum(e * w for e, w in zip(self.space.unpack(m), self.position) if e)
+
+    def homogeneous(self, terms) -> int | None:
+        """The weight every monomial of ``terms`` has, or None where they
+        differ."""
+        found = {self.of(m) for m in terms}
+        return found.pop() if len(found) == 1 else None
+
+    def minor(self, rows, cols) -> int:
+        """The weight of the symbol minor on ``rows`` and ``cols``: each of
+        its terms is a product of entries e_{j,i}, j in rows and i in cols,
+        one per row and per column (a diagonal entry, a Cartan combination,
+        has weight 0 = eps_j - eps_j)."""
+        bits = self.bits
+        return sum(1 << bits * (j - 1) for j in rows) - sum(1 << bits * (i - 1) for i in cols)
+
+    def representative(self, w: int) -> int:
+        """The representative of w's orbit."""
+        if not self.orbits:
+            return w
+        f = self._fields(w)
+        return self._packed([v for lo, hi in self.cuts for v in sorted(f[lo:hi])])
+
+    def sorter(self, w: int) -> tuple:
+        """(rep, s): the representative of w's orbit, and a relabelling s of
+        the indices that takes w to it (index a to s[a]; s[0] is unused), or
+        None where w is its own representative."""
+        found = self._sorted.get(w)
+        if found is None:
+            rep, s = self.representative(w), None
+            if rep != w:
+                mu = self.entries(w)
+                s = list(range(self.n + 1))
+                for lo, hi in self.cuts:
+                    for k, a in enumerate(sorted(range(lo, hi), key=mu.__getitem__), lo):
+                        s[a + 1] = k + 1
+                s = tuple(s)
+            found = self._sorted[w] = rep, s
+        return found
+
+    def is_representative(self, w: int) -> bool:
+        return self.sorter(w)[1] is None
+
+    def orbit_size(self, w: int) -> int:
+        """The number of weights in w's orbit: per run, the number of
+        distinct arrangements of its entries."""
+        if not self.orbits:
+            return 1
+        f = self._fields(w)
+        size = 1
+        for lo, hi in self.cuts:
+            size *= factorial(hi - lo)
+            for count in Counter(f[lo:hi]).values():
+                size //= factorial(count)
+        return size
+
+    def others(self, rep: int):
+        """For each other weight of the orbit of the representative ``rep``,
+        a relabelling of the indices that takes rep to it."""
+        mu = self.entries(rep)
+        arrangements = [sorted(set(itertools.permutations(mu[lo:hi]))) for lo, hi in self.cuts]
+        for parts in itertools.product(*arrangements):
+            _rep, s = self.sorter(self.pack(itertools.chain(*parts)))
+            if s is not None:
+                back = [0] * (self.n + 1)
+                for a in range(1, self.n + 1):
+                    back[s[a]] = a
+                yield tuple(back)

@@ -50,6 +50,7 @@ from oscvar.filtration import FiltrationTower, UnsupportedRegimeError, build_tow
 from oscvar.linalg import echelon_from, kernel_of_columns, span_equal
 from oscvar.osc import (
     Config,
+    Weights,
     apply_generator_terms,
     apply_weyl,
     diagonal_value,
@@ -808,7 +809,7 @@ def _full_depth(kmax):
     kmax, as before the depth bound."""
     real = build_tower
     return mock.patch.object(
-        annihilator, "build_tower", lambda cfg, depth, method: real(cfg, kmax, method)
+        annihilator, "build_tower", lambda cfg, depth, **kw: real(cfg, kmax, **kw)
     )
 
 
@@ -993,7 +994,7 @@ def _by_weight(sp, weights, vectors) -> dict:
     """Homogeneous kernel vectors by weight."""
     out: dict = {}
     for v in vectors:
-        found = {weights.of(sp, m) for m in v}
+        found = {weights.of(m) for m in v}
         assert len(found) == 1, "a kernel vector is not a weight vector"
         out.setdefault(found.pop(), []).append(v)
     return out
@@ -1070,7 +1071,7 @@ def test_weight_blocks_and_orbits_are_pinned(params, p, kmax, weights, orbits, c
     assert sum(map(len, words.values())) == columns
     # every representative lists the words of its weight in
     # combinations_with_replacement order, and no other weight is walked
-    every = annihilator._words_by_weight(annihilator._Weights(cfg, False), alphabet, p)
+    every = annihilator._words_by_weight(Weights(cfg, symbol_space(cfg.n)), alphabet, p)
     assert sum(map(len, every.values())) == comb(len(alphabet) + p - 1, p)
     assert len(every) == weights
     assert all(words[w] == every[w] for w in words)
@@ -1080,10 +1081,10 @@ def test_symbol_weights_are_the_weight_shifts_of_the_applier():
     # each generator moves the Cartan eigenvalues of a monomial by its
     # symbol's weight: eps_a - eps_b for e_ab, and 0 for a Cartan symbol
     for cfg in (Config(4, 1, 3), Config(5, 2, 2), Config(5, 2, 4), Config(3, 3, 3)):
-        weights = annihilator._Weights(cfg, False)
+        weights = Weights(cfg, symbol_space(cfg.n))
         sp = cfg.space
         for g, gen in enumerate(generators(cfg.n)):
-            mu = weights.entries(weights.root[g])
+            mu = weights.entries(weights.position[g])
             shift = tuple(mu[r - 1] - mu[r] for r in range(1, cfg.n))
             if gen[0] == "h":
                 assert not any(mu)
@@ -1097,7 +1098,7 @@ def test_symbol_weights_are_the_weight_shifts_of_the_applier():
 
 def test_weight_orbits_and_their_relabellings():
     cfg = Config(7, 2, 5)
-    weights = annihilator._Weights(cfg, True)
+    weights = Weights(cfg, symbol_space(cfg.n), osc.block_transpositions(7, 2, 5))
     pack = lambda mu: sum(v << 8 * a for a, v in enumerate(mu))  # noqa: E731
     w = pack([0, -2, 1, 0, 1, 3, -3])
     rep, s = weights.sorter(w)

@@ -361,6 +361,19 @@ def test_gkdim_reports_the_depth_it_built(capsys):
     assert len(payload["dims"]) == len(payload["hilbert_table"]) == 7
 
 
+def test_gkdim_too_shallow_to_decide_is_a_skip(capsys):
+    # depth 6 gives estimate 6 against 8 with no zero difference at all:
+    # too shallow to decide, not a failed growth degree
+    code, out, _ = run_cli(
+        capsys, "gkdim", "--n", "6", "--n1", "3", "--n2", "3",
+        "--l1", "-1", "--l2", "-1", "--kmax", "6",
+    )
+    assert code == 2
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "skipped"
+    assert "too shallow" in check["reason"] and "estimate 6" in check["reason"]
+
+
 def test_failed_check_gives_exit_one():
     report = Report("x", {})
     report.add(CheckRecord("a", "b", "fail", {}))

@@ -16,6 +16,7 @@ from oscvar.annihilator import _level_rows, system_rows
 from oscvar.filtration import (
     FiltrationTower,
     UnsupportedRegimeError,
+    _admitted_transpositions,
     _dprime_level,
     _explicit_cache,
     _insert_tproducts,
@@ -36,13 +37,16 @@ from oscvar.filtration import (
 from oscvar.linalg import EchelonBasis, echelon_from, span_equal
 from oscvar.osc import (
     Config,
+    Weights,
     _weyl_tables,
     applier_is_representation,
     apply_generator,
     dfun_monomial,
+    diagonal_value,
     enumerate_TN_level,
     generators,
     project_T_monomial,
+    weight,
 )
 from oscvar.poly import Poly, monomials, parse_poly
 
@@ -721,3 +725,215 @@ def test_tcache_images_are_primitive_integer_multiples():
             assert reduce(gcd, img.terms.values(), 0) == 1
             ratios = {Fraction(c) / exact[mm] for mm, c in img.terms.items()}
             assert len(ratios) == 1 and 0 not in ratios
+
+
+# ---------------------------------------------------------------------------
+# explicit towers at representative weights, against the whole build
+# ---------------------------------------------------------------------------
+
+
+def test_check_nested_reads_a_row_missing_from_the_level_above():
+    # level 1 shares every row dict of level 0 but one, which it lacks
+    low = echelon_from(SP, [P("x1"), P("y3"), P("x1*y3")])
+    high = low.copy()
+    missing = max(P("y3").terms)
+    del high.rows[missing]
+    high.insert(P("x1^2"))
+    assert not FiltrationTower(CFG, "explicit", [low, high]).check_nested()
+    # the same row as a fresh dict is found by reduction
+    high.insert(P("y3"))
+    assert high.rows[missing] is not low.rows[missing]
+    assert FiltrationTower(CFG, "explicit", [low, high]).check_nested()
+
+
+def _whole_payload(cfg, kmax):
+    """``compare_towers`` from the whole levels, each pair by
+    ``span_equal`` and nesting by ``contains_span``: the oracle."""
+    brute = build_tower(cfg, kmax, "bruteforce")
+    whole = build_tower(cfg, kmax, whole=True)
+    levels = [
+        {"k": k, "dim_bruteforce": b.dim, "dim_explicit": e.dim, "equal": span_equal(b, e)}
+        for k, (b, e) in enumerate(zip(brute.levels, whole.levels))
+    ]
+
+    def nested(tower):
+        return all(
+            tower.levels[k + 1].contains_span(tower.levels[k]) for k in range(kmax)
+        )
+
+    return {
+        "cfg": cfg.short(),
+        "explicit_method": whole.method,
+        "levels": levels,
+        "all_equal": all(r["equal"] for r in levels),
+        "nested": nested(whole) and nested(brute),
+    }
+
+
+@st.composite
+def orbit_layouts(draw):
+    """(cfg, kmax) for a supported layout with n <= 6 and kmax <= 5."""
+    n = draw(st.integers(2, 6))
+    n1 = draw(st.integers(1, n))
+    n2 = draw(st.integers(n1, n))
+    cfg = Config(n, n1, n2, draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    try:
+        base_space_vectors(cfg)
+    except UnsupportedRegimeError:
+        assume(False)
+    return cfg, draw(st.integers(0, {5: 3, 6: 2}.get(n, 5)))
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(orbit_layouts())
+@example((Config(5, 2, 3, -1, -1), 4))  # T-cell, orbits in J1 and J3
+@example((Config(5, 1, 4, -1, -1), 4))  # T-cell, (3 4) only: (2 3) moves n1+1
+@example((Config(4, 2, 2, -1, -1), 5))  # product
+@example((Config(4, 3, 4, 1, 1), 5))  # dprime
+@example((Config(5, 3, 3, -1, 1), 3))  # product-skew
+@example((Config(5, 1, 1, 1, -1), 3))  # product-skew-mirror
+@example((Config(6, 3, 3, -1, -1), 3))
+def test_representative_weights_match_the_whole_build(cfg_kmax):
+    cfg, kmax = cfg_kmax
+    tower = build_tower(cfg, kmax, "explicit")
+    whole = build_tower(cfg, kmax, whole=True)
+    oracle = _whole_payload(cfg, kmax)
+    assert tower.dims == [b.dim for b in whole.levels]
+    assert tower.check_nested() == all(
+        whole.levels[k + 1].contains_span(whole.levels[k]) for k in range(kmax)
+    )
+    assert compare_towers(cfg, kmax) == oracle
+    # the levels read from a tower with orbits are the whole build's, row
+    # for row
+    assert [list(b.rows.items()) for b in tower.levels] == [
+        list(b.rows.items()) for b in whole.levels
+    ]
+    reps = tower.representatives
+    if reps is not None:
+        # every representative row is a weight vector of a representative
+        # weight, and no weight of another orbit is built
+        weights = reps.weights
+        for level in reps.levels:
+            for row in level.rows.values():
+                w = weights.homogeneous(row)
+                assert w is not None and weights.is_representative(w)
+
+
+@pytest.mark.parametrize("params, admitted", [
+    ((4, 1, 3, -1, 1), []),  # J1, J3 singletons; (2 3) moves n1+1
+    ((5, 1, 4, -1, -1), [3]),
+    ((5, 2, 3, -1, -1), [1, 4]),
+    ((4, 3, 4, 1, 1), [1, 2]),
+    ((4, 2, 2, -1, -1), [1, 3]),
+], ids=str)
+def test_admitted_transpositions_are_pinned(params, admitted):
+    cfg = Config(*params)
+    assert _admitted_transpositions(cfg, 6, _explicit_cache(cfg)) == admitted
+    tower = build_tower(cfg, 3, "explicit")
+    if admitted:
+        assert tower.representatives.weights.transpositions == tuple(admitted)
+    else:
+        assert tower.representatives is None
+
+
+def test_representative_rows_and_weights_are_pinned():
+    cfg = Config(4, 2, 2, -1, -1)
+    tower = build_tower(cfg, 11, "explicit")
+    reps = tower.representatives
+    weights = reps.weights
+    top = reps.levels[11]
+    found = {weights.of(piv) for piv in top.rows}
+    assert (top.dim, len(found)) == (1309, 230)
+    # the whole level: 4,459 rows in 818 weights
+    assert tower.dims[11] == 4459
+    assert sum(weights.orbit_size(w) for w in found) == 818
+
+
+def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
+    # dropping x2*y4 from M_0 of (4,2,2,-1,-1): both transpositions map a
+    # kept base vector onto it, so neither is admitted
+    cfg = Config(4, 2, 2, -1, -1)
+    real = filtration.base_space_vectors
+    monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: real(*a)[:-1])
+    assert _admitted_transpositions(cfg, 4, _explicit_cache(cfg)) == []
+    tower = build_tower(cfg, 4, "explicit")
+    assert tower.representatives is None
+    assert tower.dims == [b.dim for b in build_tower(cfg, 4, whole=True).levels]
+
+
+def test_a_generating_vector_of_no_weight_gets_no_orbits(monkeypatch):
+    # the sum of the alternating quadratics: every block permutation maps it
+    # onto itself, but it is no weight vector
+    cfg = Config(4, 2, 2, -1, -1)
+    real = filtration.alternating_set
+
+    def with_sum(c):
+        pset = real(c)
+        return pset + [sum(pset[1:], pset[0])]
+
+    monkeypatch.setattr(filtration, "alternating_set", with_sum)
+    assert _admitted_transpositions(cfg, 4, _explicit_cache(cfg)) == []
+    assert build_tower(cfg, 4, "explicit").dims == [
+        b.dim for b in build_tower(cfg, 4, whole=True).levels
+    ]
+
+
+def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
+    # dropping one monomial of TN level 2 of (5,2,3,-1,-1) that (1 2) moves
+    # off the level, and (4 5) too
+    cfg = Config(5, 2, 3, -1, -1)
+    real = filtration.enumerate_TN_level
+    sp = cfg.space
+
+    def dropped(c, k):
+        level = real(c, k)
+        if k == 2:
+            level = [m for m in level if not (sp.exp(m, sp.x(1)) and sp.exp(m, sp.y(4)))][:-1]
+        return level
+
+    monkeypatch.setattr(filtration, "enumerate_TN_level", dropped)
+    assert _admitted_transpositions(cfg, 1, _explicit_cache(cfg)) == [1, 4]
+    assert _admitted_transpositions(cfg, 2, _explicit_cache(cfg)) == []
+    assert build_tower(cfg, 3, "explicit").dims == [
+        b.dim for b in build_tower(cfg, 3, whole=True).levels
+    ]
+
+
+def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
+    cfg = Config(5, 2, 3, -1, -1)
+    real = filtration.explicit_level
+
+    def dropping(c, k, cache=None):
+        level = real(c, k, cache)
+        if k == 2 and cache is not None and cache["weights"] is not None:
+            level = level.copy()
+            level.rows.popitem()
+        return level
+
+    monkeypatch.setattr(filtration, "explicit_level", dropping)
+    rep = compare_towers(cfg, 3)
+    assert [r["equal"] for r in rep["levels"]] == [True, True, False, True]
+    assert not rep["all_equal"]
+
+
+def test_xy_weights_are_the_cartan_eigenvalues_less_their_constants():
+    for cfg in (Config(4, 1, 3), Config(5, 2, 2), Config(5, 2, 4), Config(3, 3, 3)):
+        sp = cfg.space
+        weights = Weights(cfg, sp)
+        one = weight(cfg, Poly.constant(sp, 1))
+        for m in monomials(sp, range(4)):
+            mu = weights.entries(weights.of(m))
+            assert mu == [diagonal_value(cfg, a, m) - diagonal_value(cfg, a, 0) for a in range(1, cfg.n + 1)]
+            shift = tuple(a - b for a, b in zip(weight(cfg, Poly(sp, {m: 1})), one))
+            assert shift == tuple(mu[r - 1] - mu[r] for r in range(1, cfg.n))
+    # entries up to the degree limit pack one to one
+    cfg = Config(3, 1, 2)
+    weights = Weights(cfg, cfg.space)
+    m = cfg.space.pack((200, 0, 0, 0, 55, 0))
+    assert weights.entries(weights.of(m)) == [-200, -55, 0]
