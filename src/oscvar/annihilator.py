@@ -101,18 +101,20 @@ dimension is the sum over orbits of |orbit| times dim(block).  Weight
 blocks stay but orbits go at p = 1 (the Cartan symbols, which sigma does
 not map to symbols, are unknowns), on a tower with rows above M_0, where
 a certificate fails, and where a transposition maps a row of M_0 to
-anything but plus or minus a row.  The predicted families are compared one
-representative weight at a time (:class:`_Family`), and a membership is
-read from the block of its own weight, relabelled by the sigma that sorts
-it (:class:`_Memberships`), so no other block is ever built.
+anything but plus or minus a row; every weight is then its own
+representative.  The predicted families of every degree, the degree-1
+symbols included, are compared one representative weight at a time
+(:class:`_Family`), and a membership is read from the block of its own
+weight, relabelled by the sigma that sorts it (:class:`_Memberships`), so
+no other block is ever built.
 
 The stabilization flag compares the kernel with that of the kmax-1
 system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
 holds exactly when kmax > p; it tests something only where generating
 rows sit above M_0.  A system too shallow to decide anything (no level
-carries an equation, or a degree-1 system with no kmax-1 system to
-compare against) raises :class:`ShallowSystemError` instead of returning
-a vacuous kernel.
+carries an equation: kmax < p, or M_0 zero with no generating row above
+it; or a degree-1 system with no kmax-1 system to compare against) raises
+:class:`ShallowSystemError` instead of returning a vacuous kernel.
 """
 
 from __future__ import annotations
@@ -159,14 +161,10 @@ def in_L(cfg: Config, row: int, col: int) -> bool:
     return (inJ2r and inJ1) or (inJ3 and inJ2c) or (inJ3 and inJ1)
 
 
-def gen_index_map(cfg: Config) -> dict:
-    """Generator -> its index in ``generators(cfg.n)``; one shared dict per
-    n, so callers must not mutate it."""
-    return _gen_index_map(cfg.n)
-
-
 @lru_cache(maxsize=None)
-def _gen_index_map(n: int) -> dict:
+def gen_index_map(n: int) -> dict:
+    """Generator -> its index in ``generators(n)``; one shared dict per n,
+    so callers must not mutate it."""
     return {g: idx for idx, g in enumerate(generators(n))}
 
 
@@ -268,24 +266,12 @@ class _SplitMonomials:
 def _relabelled(space: Space, terms: dict, s) -> dict:
     """``terms``, symbol monomials on root symbols, with each e_ab renamed
     e_{s[a], s[b]}."""
-    gmap = _gen_index_map(space.n)
+    gmap = gen_index_map(space.n)
     image = [
         gmap["e", s[g[1]], s[g[2]]] if g[0] == "e" else None for g in generators(space.n)
     ]
     unit = space.unit
     return {sum(unit[image[g]] for g in space.positions(m)): c for m, c in terms.items()}
-
-
-def _in_column_order(vectors) -> list[dict]:
-    """The basis ``kernel_of_columns`` gives the null space that ``vectors``
-    (dicts by packed monomial) span, with the columns in descending key
-    order: each vector primitive, positive at its last column, and zero at
-    the last column of every other.  That is the fully reduced echelon
-    form led by the smallest key, computed on negated keys."""
-    basis = EchelonBasis(None)
-    for v in vectors:
-        basis.insert({-m: c for m, c in v.items()})
-    return [{-m: c for m, c in row.items()} for row in basis.canonical_rows()]
 
 
 @dataclass
@@ -360,29 +346,6 @@ class AnnihilatorPiece:
             if not self.span(rep).contains(part):
                 return False
         return True
-
-    @cached_property
-    def kernel_vectors(self) -> list[dict]:
-        """Every kernel vector over the pure monomials, as one solve of all
-        their columns lists them.  The block of another weight of an orbit
-        is its representative's, relabelled and brought to the form
-        ``kernel_of_columns`` gives (:func:`_in_column_order`).  Vectors are
-        ordered by their last column, the columns in
-        ``combinations_with_replacement`` order, that is, by descending
-        smallest key."""
-        out = []
-        for w, vectors in self.blocks.items():
-            out += vectors
-            if vectors and self.weights is not None and self.weights.orbits:
-                for s in self.weights.others(w):
-                    out += _in_column_order([_relabelled(self.space, v, s) for v in vectors])
-        out.sort(key=min, reverse=True)
-        return out
-
-    def basis_sym(self) -> list[dict]:
-        out = [{key: 1} for key in self.coordinate_members]
-        out.extend(dict(v) for v in self.kernel_vectors)
-        return out
 
 
 def system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
@@ -534,7 +497,7 @@ def _closed(cfg: Config, alphabet) -> bool:
     """Whether each block transposition maps the symbols of ``alphabet``
     into it (a Cartan symbol, which it does not map to a symbol, never)."""
     gens = generators(cfg.n)
-    gmap = _gen_index_map(cfg.n)
+    gmap = gen_index_map(cfg.n)
     letters = set(alphabet)
     for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
         swap = {i: i + 1, i + 1: i}
@@ -548,8 +511,9 @@ def _closed(cfg: Config, alphabet) -> bool:
 def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
     """The degree-p words on ``alphabet`` (ascending generator indices, in
     ``combinations_with_replacement`` order) by weight: all of them under
-    the key None where ``weights`` is None, and only the words of the
-    representative weights where it has orbits.
+    the key None where ``weights`` is None, and otherwise the words of each
+    representative weight, in ascending weight order (with no orbits every
+    weight is its own representative).
 
     The representative weights of degree d are those of r + wt(g), for r a
     representative of degree d - 1 and g in the alphabet: sigma(r) + wt(g)
@@ -557,15 +521,9 @@ def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
     The words of one weight are their first p - 2 letters followed by a
     word of degree min(p, 2) read off a table by weight.
     """
-    words = itertools.combinations_with_replacement(alphabet, p)
     if weights is None:
-        return {None: list(words)}
+        return {None: list(itertools.combinations_with_replacement(alphabet, p))}
     root = weights.position
-    if not weights.orbits:
-        out: dict = {}
-        for word in words:
-            out.setdefault(sum(root[g] for g in word), []).append(word)
-        return out
     reps = {0}
     for _ in range(p):
         reps = set(map(weights.representative, {r + root[g] for r in reps for g in alphabet}))
@@ -689,6 +647,11 @@ def compute_annihilator_piece(
     rows, preservers = system_rows(tower)
     # levels above the depth contribute no rows (checked just above)
     rows = rows[: kmax - p + 1]
+    if not any(rows):
+        raise ShallowSystemError(
+            f"M_0 is zero and no level k <= kmax-{p} has a generating row: "
+            f"the degree-{p} system at kmax={kmax} has no equation"
+        )
     rows += [[]] * (kmax - p + 1 - len(rows))
     split = preservers.intersection(known_level_preservers or ()) if p >= 2 else frozenset()
     alphabet = [i for i in range(len(gens)) if i not in split]
@@ -726,26 +689,19 @@ def project_pure(sym: Poly, mask: int) -> Poly:
     return Poly(sym.space, {m: c for m, c in sym.terms.items() if not m & mask})
 
 
-def _pure_span(space: Space, syms, mask: int) -> EchelonBasis:
-    basis = EchelonBasis(space)
-    for s in syms:
-        proj = project_pure(s, mask)
-        if proj:
-            basis.insert(proj)
-    return basis
-
-
 class _Family(NamedTuple):
     """A predicted family that every permutation inside the blocks maps onto
     itself up to sign: the minors ``ops``, whole families of
-    :func:`delta_ops`, and the products of the minors ``multiplied`` with
-    each generator symbol.  A permutation relabels a minor's rows and
-    columns inside their blocks, so it maps a minor to plus or minus a
-    minor of the same family (the diagonal entries, Cartan combinations,
-    drop out wherever orbits are used: the Cartan symbols are split)."""
+    :func:`delta_ops`, the products of the minors ``multiplied`` with each
+    generator symbol, and the generator symbols ``symbols`` (indices), each
+    at its own weight.  A permutation relabels a minor's rows and columns
+    inside their blocks, so it maps a minor to plus or minus a minor of the
+    same family (the diagonal entries, Cartan combinations, drop out
+    wherever orbits are used: the Cartan symbols are split)."""
 
     ops: list = ()
     multiplied: list = ()
+    symbols: list = ()
 
     def members(self, piece: AnnihilatorPiece) -> dict:
         """The members of the weights ``piece`` solves, projected by its
@@ -756,6 +712,10 @@ class _Family(NamedTuple):
         weights, mask, sp = piece.weights, piece.mask, piece.space
         solved = piece.blocks
         out: dict = {}
+        for g in self.symbols:
+            w = None if weights is None else weights.position[g]
+            if w in solved:
+                out.setdefault(w, []).append(project_pure(Poly.variable(sp, g), mask))
         for op in self.ops:
             w = None if weights is None else weights.minor(op.rows, op.cols)
             if w in solved:
@@ -773,7 +733,9 @@ class _Family(NamedTuple):
         return out
 
 
-def _compare_with_prediction(piece: AnnihilatorPiece, predicted, lower=()):
+def _compare_with_prediction(
+    piece: AnnihilatorPiece, predicted: _Family, lower: _Family = _Family()
+):
     """A solved kernel against a predicted family, modulo ``lower``.
 
     ``piece`` is solved with the Cartan and off-L root symbols claimed as
@@ -781,36 +743,26 @@ def _compare_with_prediction(piece: AnnihilatorPiece, predicted, lower=()):
     ``piece.split_symbols``, the split the module lemma granted: whatever
     was granted, the monomials containing a split symbol are kernel
     members, so the projected spans are equal exactly when the full ones
-    are.  A member of ``predicted`` or ``lower`` may come projected
-    already, by any split inside that one.  Returns the dimension of the
-    pure kernel, the dimension of the projected prediction plus ``lower``,
-    and whether that span equals the pure kernel plus ``lower``.
+    are.  Returns the dimension of the pure kernel, the dimension of the
+    projected prediction plus ``lower``, and whether that span equals the
+    pure kernel plus ``lower``.
 
-    Given as a :class:`_Family` (and ``lower`` as one too, or empty), the
-    prediction is compared one representative weight at a time.  Both
-    sides are sums of weight components, and the permutations inside the
-    blocks map each of them onto itself, so they are equal exactly when
-    they are equal at every representative weight, and each dimension is
-    the sum over orbits of |orbit| times the dimension at the
-    representative.  Any other prediction is compared whole, with the
-    kernel vectors of every weight (``piece.kernel_vectors``).
+    Both :class:`_Family` arguments are compared one representative weight
+    at a time, at every degree.  Both sides are sums of weight components,
+    and the permutations inside the blocks map each of them onto itself, so
+    they are equal exactly when they are equal at every representative
+    weight, and each dimension is the sum over orbits of |orbit| times the
+    dimension at the representative.  At degree 1 there are no orbits, and
+    every predicted symbol is compared at its own weight, or in the one
+    block keyed None.
     """
-    sp, mask = piece.space, piece.mask
-    if not isinstance(predicted, _Family):
-        computed = _pure_span(sp, lower, mask)
-        for v in piece.kernel_vectors:
-            computed.insert(v)
-        expected = _pure_span(sp, itertools.chain(predicted, lower), mask)
-        # kernel vectors are independent, so their count is the pure dimension
-        return len(piece.kernel_vectors), expected.dim, span_equal(computed, expected)
+    sp = piece.space
     pred = predicted.members(piece)
-    low = lower.members(piece) if lower else {}
+    low = lower.members(piece)
     dim_predicted, equal = 0, True
     for w, vectors in piece.blocks.items():  # the members' weights are among them
-        computed = _pure_span(sp, low.get(w, ()), mask)
-        for v in vectors:
-            computed.insert(v)
-        expected = _pure_span(sp, itertools.chain(pred.get(w, ()), low.get(w, ())), mask)
+        computed = echelon_from(sp, itertools.chain(low.get(w, ()), vectors))
+        expected = echelon_from(sp, itertools.chain(pred.get(w, ()), low.get(w, ())))
         dim_predicted += piece.orbit_size(w) * expected.dim
         equal = equal and span_equal(computed, expected)
     return piece.pure_dim, dim_predicted, equal
@@ -896,11 +848,8 @@ def degree1_report(tower: FiltrationTower, kmax: int) -> dict:
             "against the kmax-1 system for stabilization"
         )
     predicted = predicted_level_preservers(tower.cfg)
-    sp = symbol_space(tower.cfg.n)
     piece = _solve(tower, 1, kmax)
-    dim_computed, dim_predicted, equal = _compare_with_prediction(
-        piece, [Poly.variable(sp, i) for i in predicted]
-    )
+    dim_computed, dim_predicted, equal = _compare_with_prediction(piece, _Family(symbols=predicted))
     gens = generators(tower.cfg.n)
     cartan = sum(1 for i in predicted if gens[i][0] == "h")
     return {
@@ -934,7 +883,7 @@ def scaled_entries(n: int, mask: int) -> dict:
     symmetric algebra on the trace-zero generators.
     """
     sp = symbol_space(n)
-    gmap = _gen_index_map(n)
+    gmap = gen_index_map(n)
     out = {}
     for j in range(1, n + 1):
         for i in range(1, n + 1):
@@ -1308,7 +1257,7 @@ def verify_variety_presentation(cfg: Config, kmax: int) -> dict:
     minor3, coords = [], []
     if regime == "negative":
         minor3 = delta_ops(cfg, "minor3")
-        gmap = gen_index_map(cfg)
+        gmap = gen_index_map(cfg.n)
         sp = symbol_space(cfg.n)
         coords = [
             Poly.variable(sp, gmap[("e", j, i)]) for j in cfg.J2 for i in cfg.J2 if j != i

@@ -1063,10 +1063,6 @@ class Weights:
             return int.from_bytes(bytes(fields), "little") - self._offset
         return sum(v << self.bits * a for a, v in enumerate(fields)) - self._offset
 
-    def pack(self, mu) -> int:
-        """The packed weight of mu_1, ..., mu_n."""
-        return sum(v << self.bits * a for a, v in enumerate(mu))
-
     def entries(self, w: int) -> list[int]:
         """mu_1, ..., mu_n of a packed weight, as a 0-based list."""
         return [v - self._half for v in self._fields(w)]
@@ -1128,16 +1124,3 @@ class Weights:
             for count in Counter(f[lo:hi]).values():
                 size //= factorial(count)
         return size
-
-    def others(self, rep: int):
-        """For each other weight of the orbit of the representative ``rep``,
-        a relabelling of the indices that takes rep to it."""
-        mu = self.entries(rep)
-        arrangements = [sorted(set(itertools.permutations(mu[lo:hi]))) for lo, hi in self.cuts]
-        for parts in itertools.product(*arrangements):
-            _rep, s = self.sorter(self.pack(itertools.chain(*parts)))
-            if s is not None:
-                back = [0] * (self.n + 1)
-                for a in range(1, self.n + 1):
-                    back[s[a]] = a
-                yield tuple(back)
