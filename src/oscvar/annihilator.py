@@ -761,6 +761,8 @@ def _compare_with_prediction(
     low = lower.members(piece)
     dim_predicted, equal = 0, True
     for w, vectors in piece.blocks.items():  # the members' weights are among them
+        if not (vectors or w in pred or w in low):
+            continue  # both spans are empty
         computed = echelon_from(sp, itertools.chain(low.get(w, ()), vectors))
         expected = echelon_from(sp, itertools.chain(pred.get(w, ()), low.get(w, ())))
         dim_predicted += piece.orbit_size(w) * expected.dim
@@ -1203,13 +1205,21 @@ def _theorem_regime(cfg: Config) -> str:
         return "negative"
     if cfg.n2 != cfg.n:
         raise OutOfTheoremError(f"{cfg.short()} is outside the presentation theorem")
-    if cfg.n1 + 1 < cfg.n2:
+    refuse_wide_positive_middle(cfg)
+    return "positive-full"
+
+
+def refuse_wide_positive_middle(cfg: Config) -> None:
+    """Raise :class:`OutOfTheoremError` on a positive layout (l1, l2 > 0)
+    with n2 = n and a middle block wider than one index, where the Cartan
+    plus off-L degree-1 prediction does not hold and the minors are
+    certified only through their powers."""
+    if cfg.l1 > 0 and cfg.l2 > 0 and cfg.n2 == cfg.n and cfg.n1 + 1 < cfg.n2:
         raise OutOfTheoremError(
             "positive regime with a middle block wider than one is "
             "certified only through minor powers; not implemented as a "
             "two-sided degree check"
         )
-    return "positive-full"
 
 
 def verify_variety_presentation(cfg: Config, kmax: int) -> dict:

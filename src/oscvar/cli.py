@@ -197,6 +197,7 @@ def _independence(ctx) -> dict:
 
 
 def _degree1(ctx) -> dict:
+    annihilator.refuse_wide_positive_middle(ctx.cfg)
     args = ctx.args
     if args.tower_file:
         with open(args.tower_file) as fh:

@@ -17,6 +17,27 @@ restricted matrix; the kernel of phi is the ideal of 3x3 minors of the
 extended matrix.  Both statements are verified degree by degree by exact
 rank computations.
 
+Each degree is graded by index content (``osc.Weights`` on the z ring):
+z_{j,i} has weight eps_i + eps_j, and column 0 and row n+1 add nothing.
+Every evaluation sends z_{j,i} to xy monomials of that index content
+(x_a and y_a each add eps_a): x_i x_j, y_i y_j, x_i or y_j.  So the images
+of monomials of different weights share no xy monomial, and each kernel
+is the direct sum of its weight blocks; every minor is homogeneous, so
+each ideal piece is graded the same way.  The permutations inside J1 and
+inside J3 commute with the evaluations and map the minors to plus or
+minus minors, so they map the block of weight mu onto that of sigma(mu):
+one block is solved per orbit, at the weight with ascending entries
+inside J1 and J3, and each dimension is the sum of |orbit| times the
+representative's.  ``_grading`` certifies this on every call: each
+variable's image and each minor is homogeneous of its weight, and each
+adjacent transposition inside J1 or J3 maps each variable's image to the
+image of the relabelled variable and the minor list onto itself up to
+sign.  Where the transpositions fail every weight is its own block; where
+homogeneity fails the degree is one block.  ``_monomials_by_weight``
+groups each degree's monomials by weight in one walk that carries both,
+and ``_ideal_piece`` multiplies a minor only by the monomials that
+complete it to a representative weight.
+
 z monomials, like xy ones, are packed ints (see ``poly``).  The
 evaluations are ring homomorphisms, so an ``Evaluation`` computes the
 image of a monomial m as image(m - e_v) * image(z_v), with v the last
@@ -51,12 +72,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
+from math import comb, inf
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
-from .osc import Config
+from .osc import Config, Weights, permutes_up_to_sign, transposer
 from .poly import (
-    FIELD_BITS, Poly, Space, add_term, axpy, determinant, monomials, xy_space, z_space,
+    DEGREE_LIMIT, FIELD_BITS, Poly, Space, add_term, axpy, determinant, xy_space, z_space,
 )
 
 
@@ -319,15 +340,77 @@ def enumerate_gset(
 # ---------------------------------------------------------------------------
 
 
-def _ideal_piece(space: Space, gens: list[Poly], degree: int) -> EchelonBasis:
-    """Echelon basis of the degree-``degree`` piece of the ideal generated
-    by homogeneous ``gens`` (generator times complementary monomial)."""
+def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weights | None:
+    """The ``osc.Weights`` that split the kernel checks of ``evaluations``
+    and ``minors`` on ``space`` into blocks, or None where the check is one
+    block.
+
+    Weights need every variable's image under each evaluation homogeneous
+    of the variable's weight (the index content of an xy monomial: x_a and
+    y_a each add eps_a), and every minor homogeneous.  Orbits need, besides,
+    that each adjacent transposition inside J1 or J3 maps each variable's
+    image (relabelled by ``osc.transposer`` on the xy side) to the image of
+    the relabelled variable, and the minor list onto itself up to sign.
+    """
+    weights = Weights(cfg, space)
+    n = cfg.n
+    target = xy_space(n)
+    content = [1 << weights.bits * (pos % n) for pos in range(2 * n)]
+    images = [_z_images(n, space, e) for e in evaluations]
+    if not all(
+        sum(e * c for e, c in zip(target.unpack(m), content)) == weights.position[pos]
+        for img in images
+        for pos in range(space.nvars)
+        for m in img[pos].terms
+    ) or any(weights.homogeneous(g.terms) is None for g in minors):
+        return None
+    at = {u: pos for pos, u in enumerate(space.unit)}
+    vectors = [g.terms for g in minors]
+    transpositions = [*range(1, cfg.n1), *range(cfg.n2 + 1, n)]  # inside J1, inside J3
+    for i in transpositions:
+        zswap, xyswap = transposer(space, i), transposer(target, i)
+        if not permutes_up_to_sign(vectors, zswap) or any(
+            {xyswap(m): c for m, c in img[pos].terms.items()} != img[at[zswap(u)]].terms
+            for img in images
+            for pos, u in enumerate(space.unit)
+        ):
+            return Weights(cfg, space)
+    return Weights(cfg, space, transpositions)
+
+
+def _monomials_by_weight(space: Space, position, top: int):
+    """For each degree d = 0..top in turn, the packed monomials of degree d
+    grouped by weight, {w: [m, ...]}, each list in ``monomials`` order.
+
+    One walk extends each monomial of degree d - 1 by the variables at or
+    after its last one, carrying its weight (the sum of ``position`` over
+    its variables), so no monomial is unpacked.
+    """
+    if top >= DEGREE_LIMIT:
+        raise OverflowError(f"degree {top} does not fit the packed monomial")
+    unit = space.unit
+    level = [(0, 0, 0)]  # (monomial, weight, last position)
+    for d in range(top + 1):
+        if d:
+            level = [
+                (m + unit[q], w + position[q], q)
+                for m, w, last in level
+                for q in range(last, len(unit))
+            ]
+        groups: dict = {}
+        for m, w, _ in level:
+            groups.setdefault(w, []).append(m)
+        yield groups
+
+
+def _ideal_piece(space: Space, gens, complements: dict, w: int) -> EchelonBasis:
+    """Echelon basis of the weight-w part of an ideal piece: each of
+    ``gens``, (generator, weight) pairs of homogeneous generators of one
+    degree, times the monomials of the complementary degree, grouped by
+    weight in ``complements``, that complete it to weight w."""
     basis = EchelonBasis(space)
-    for g in gens:
-        d = g.total_degree()
-        if d > degree:
-            continue
-        for m in monomials(space, (degree - d,)):
+    for g, wg in gens:
+        for m in complements.get(w - wg, ()):
             basis.insert(g * Poly.monomial(space, m))
     return basis
 
@@ -359,28 +442,56 @@ def _kernel_basis(space: Space, domain: list, evaluate: Evaluation) -> EchelonBa
     return basis
 
 
+def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
+    """For each degree d = 0..top: the number of monomials, the dimension
+    of the kernel of each of ``evaluations``, the dimension of the t x t
+    minor ideal, and whether each kernel equals the ideal.  Solved one
+    block per representative weight of ``_grading`` (module docstring):
+    the spans are equal exactly when they are equal at every
+    representative.
+    """
+    minors = minor_generators(space, t)
+    weights = _grading(cfg, space, evaluations, minors)
+    if weights is None:  # one block: every monomial at weight 0
+        position, kept, orbit_size = [0] * space.nvars, lambda w: True, lambda w: 1
+    else:
+        position, kept, orbit_size = (
+            weights.position, weights.is_representative, weights.orbit_size
+        )
+    evs = [Evaluation(cfg.n, space, e) for e in evaluations]
+    gens = [(g, weights.of(max(g.terms)) if weights else 0) for g in minors]
+    groups: list = []
+    for d, by_weight in enumerate(_monomials_by_weight(space, position, top)):
+        groups.append(by_weight)
+        dims, dim_ideal, equal = [0] * len(evs), 0, True
+        for w, domain in by_weight.items():
+            if not kept(w):
+                continue
+            size = orbit_size(w)
+            ideal = _ideal_piece(space, gens, groups[d - t] if d >= t else {}, w)
+            dim_ideal += size * ideal.dim
+            for k, ev in enumerate(evs):
+                kern = _kernel_basis(space, domain, ev)
+                dims[k] += size * kern.dim
+                equal = equal and span_equal(kern, ideal)
+        yield comb(space.nvars + d - 1, d), dims, dim_ideal, equal
+
+
 def verify_minor2_kernel(cfg: Config, rmax: int) -> dict:
     """Degreewise check that ker phi_x = ker phi_y = the 2-minor ideal."""
-    sp = restricted_ring(cfg)
-    minors = minor_generators(sp, 2)
-    ev_x = Evaluation(cfg.n, sp, "x")
-    ev_y = Evaluation(cfg.n, sp, "y")
-    per_degree = []
-    for r in range(rmax + 1):
-        domain = list(monomials(sp, (r,)))
-        ideal = _ideal_piece(sp, minors, r)
-        kx = _kernel_basis(sp, domain, ev_x)
-        ky = _kernel_basis(sp, domain, ev_y)
-        per_degree.append(
-            {
-                "degree": r,
-                "dim_domain": len(domain),
-                "dim_kernel_x": kx.dim,
-                "dim_kernel_y": ky.dim,
-                "dim_ideal": ideal.dim,
-                "equal": span_equal(kx, ideal) and span_equal(ky, ideal),
-            }
+    per_degree = [
+        {
+            "degree": r,
+            "dim_domain": dim_domain,
+            "dim_kernel_x": kx,
+            "dim_kernel_y": ky,
+            "dim_ideal": dim_ideal,
+            "equal": equal,
+        }
+        for r, (dim_domain, (kx, ky), dim_ideal, equal) in enumerate(
+            _graded_kernels(cfg, restricted_ring(cfg), 2, ("x", "y"), rmax)
         )
+    ]
     return {
         "J1": list(cfg.J1),
         "J3": list(cfg.J3),
@@ -392,23 +503,18 @@ def verify_minor2_kernel(cfg: Config, rmax: int) -> dict:
 def verify_minor3_kernel(cfg: Config, kmax: int) -> dict:
     """Degreewise check that ker phi = the 3-minor ideal of the extended
     matrix."""
-    sp = extended_ring(cfg)
-    minors = minor_generators(sp, 3)
-    ev = Evaluation(cfg.n, sp, "phi")
-    per_degree = []
-    for k in range(kmax + 1):
-        domain = list(monomials(sp, (k,)))
-        ideal = _ideal_piece(sp, minors, k)
-        kern = _kernel_basis(sp, domain, ev)
-        per_degree.append(
-            {
-                "degree": k,
-                "dim_domain": len(domain),
-                "dim_kernel": kern.dim,
-                "dim_ideal": ideal.dim,
-                "equal": span_equal(kern, ideal),
-            }
+    per_degree = [
+        {
+            "degree": k,
+            "dim_domain": dim_domain,
+            "dim_kernel": kern,
+            "dim_ideal": dim_ideal,
+            "equal": equal,
+        }
+        for k, (dim_domain, (kern,), dim_ideal, equal) in enumerate(
+            _graded_kernels(cfg, extended_ring(cfg), 3, ("phi",), kmax)
         )
+    ]
     return {
         "J1_ext": [0] + list(cfg.J1),
         "J3_ext": list(cfg.J3) + [cfg.n + 1],

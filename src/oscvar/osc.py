@@ -94,7 +94,7 @@ from functools import cache, cached_property
 from math import comb, factorial, perm, prod
 
 from .poly import (
-    DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, Space, add_term, axpy, monomials, xy_space,
+    DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, monomials, xy_space,
 )
 
 # Generators are small tagged tuples:
@@ -931,19 +931,25 @@ def block_transpositions(n: int, n1: int, n2: int) -> list[int]:
 
 
 def transposer(sp: Space, i: int):
-    """The relabelling of packed monomials of the xy space ``sp`` by the
-    transposition (i i+1) of indices: the exponents of x_i and x_{i+1}
-    swap, and those of y_i and y_{i+1}.  Each swap is one addition, as
-    v_i sits one field above v_{i+1}: adding (b - a) * (FIELD_MASK << lo)
-    adds b - a to the field at lo + FIELD_BITS and a - b to the one at lo,
+    """The relabelling of packed monomials of the xy or z space ``sp`` by
+    the transposition (i i+1) of indices: in the xy space the exponents of
+    x_i and x_{i+1} swap, and those of y_i and y_{i+1}; in a z space those
+    of z_{j,i} and z_{j,i+1} in every row j, or of z_{i,c} and z_{i+1,c} in
+    every column c.  Each swap is one addition: with the fields at hi and
+    lo holding a and b, adding (b - a) * (2^hi - 2^lo) makes them b and a,
     and the degree field is untouched."""
-    lows = (sp.shift[sp.x(i + 1)], sp.shift[sp.y(i + 1)])
+    if sp.kind == "xy":
+        pairs = [(sp.x(i), sp.x(i + 1)), (sp.y(i), sp.y(i + 1))]
+    else:
+        pairs = [(sp.z(j, i), sp.z(j, i + 1)) for j in sp.rows if i in sp.cols]
+        pairs += [(sp.z(i, c), sp.z(i + 1, c)) for c in sp.cols if i in sp.rows]
+    fields = [
+        (sp.shift[p], sp.shift[q], (1 << sp.shift[p]) - (1 << sp.shift[q])) for p, q in pairs
+    ]
 
     def swap(m: int) -> int:
-        for lo in lows:
-            a = (m >> (lo + FIELD_BITS)) & FIELD_MASK
-            b = (m >> lo) & FIELD_MASK
-            m += (b - a) * (FIELD_MASK << lo)
+        for hi, lo, step in fields:
+            m += (((m >> lo) & FIELD_MASK) - ((m >> hi) & FIELD_MASK)) * step
         return m
 
     return swap
@@ -1010,13 +1016,17 @@ class Weights:
         pi(E_aa) on it less their constants.  Every Weyl term the
         representation and the T-series apply moves it by a fixed amount,
         and a permutation of the indices inside a block moves its entries,
-        as ``diagonal_value`` reads only the block of an index.
+        as ``diagonal_value`` reads only the block of an index;
+      * z space: z_{j,i} has weight eps_i + eps_j, the index content of its
+        images x_i x_j and y_i y_j under ``detvar``'s evaluations; column 0
+        and row n+1 add nothing (z_{n+1,i} evaluates to x_i, z_{j,0} to
+        y_j).
 
     A weight mu is packed as the int sum_a mu_a 2^(B(a-1)), so the weight of
     a product is the sum of the packed weights.  An entry lies in [-d, d]
     for a monomial of degree d, so the packing is one to one with B = 8 for
-    the symbols (degree < 128) and B = 16 for the xy monomials (degree <
-    ``DEGREE_LIMIT``).
+    the symbols (degree < 128) and B = 16 for the xy and z monomials
+    (degree < ``DEGREE_LIMIT``).
 
     The ``transpositions`` (i i+1) join the indices into runs (``cuts``,
     0-based ranges).  A permutation sigma inside the runs moves the entries,
@@ -1034,6 +1044,13 @@ class Weights:
                 (1 << bits * (g[1] - 1)) - (1 << bits * (g[2] - 1)) if g[0] == "e" else 0
                 for g in generators(n)
             )
+        elif space.kind == "z":
+            self.position = tuple(
+                sum(1 << bits * (a - 1) for a in (j, i) if 1 <= a <= n)
+                for j in space.rows
+                for i in space.cols
+                if (j, i) not in space.excluded
+            )
         else:
             self.position = tuple(
                 sum(
@@ -1048,6 +1065,8 @@ class Weights:
         self.cuts = list(zip([0] + ends[:-1], ends))
         self._half = 1 << (bits - 1)
         self._offset = sum(self._half << bits * a for a in range(n))
+        # the bit offsets of the fields of mu_i and mu_{i+1}, per (i i+1)
+        self._adjacent = [(bits * (i - 1), bits * i) for i in self.transpositions]
         self._sorted: dict = {}
 
     def _fields(self, w: int):
@@ -1110,7 +1129,11 @@ class Weights:
         return found
 
     def is_representative(self, w: int) -> bool:
-        return self.sorter(w)[1] is None
+        """Whether w represents its orbit: mu_i <= mu_{i+1} for each of the
+        transpositions (i i+1), read off two fields each."""
+        t = w + self._offset
+        mask = (1 << self.bits) - 1
+        return all((t >> lo) & mask <= (t >> hi) & mask for lo, hi in self._adjacent)
 
     def orbit_size(self, w: int) -> int:
         """The number of weights in w's orbit: per run, the number of

@@ -1201,7 +1201,7 @@ def test_weight_orbits_and_their_relabellings():
     assert len(orbit) == weights.orbit_size(rep) and w in orbit
     for v in orbit:
         back, t = weights.sorter(v)
-        assert back == rep and (t is None) == (v == rep)
+        assert back == rep and (t is None) == (v == rep) == weights.is_representative(v)
         assert t is None or all(mu[t[a] - 1] == weights.entries(v)[a - 1] for a in range(1, 8))
     assert weights.minor((3, 4), (1, 2)) == pack([-1, -1, 1, 1, 0, 0, 0])
 

@@ -321,6 +321,29 @@ def test_wide_middle_positive_regime_is_skipped_before_any_tower(capsys, monkeyp
     assert "middle block wider than one" in check["reason"]
 
 
+@pytest.mark.parametrize(
+    "layout, statuses",
+    [
+        # outside the theorem: both commands skip, with the same reason
+        (("3", "1", "3", "1", "1"), ["skipped", "skipped"]),
+        (("5", "1", "5", "2", "1"), ["skipped", "skipped"]),
+        # a negative-sign layout whose minor annihilates only as a power
+        (("5", "1", "3", "1", "-1"), ["pass", "pass"]),
+    ],
+)
+def test_annihilator_skips_where_the_theorem_does_not_apply(capsys, layout, statuses):
+    argv = [f"--{k}={v}" for k, v in zip(("n", "n1", "n2", "l1", "l2"), layout)]
+    code, out, _ = run_cli(capsys, "annihilator", *argv, "--kmax", "3")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == statuses
+    if "skipped" in statuses:
+        _, out, _ = run_cli(capsys, "verify-main-theorem", *argv, "--kmax", "3")
+        [theorem] = json.loads(out)["checks"]
+        assert theorem["status"] == "skipped"
+        assert all(c["reason"] == theorem["reason"] for c in checks)
+
+
 def test_internal_error_is_not_reported_as_skipped(capsys, monkeypatch):
     import oscvar.annihilator
 

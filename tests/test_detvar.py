@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscvar import detvar
 from oscvar.detvar import (
     Evaluation,
     GMonomial,
@@ -27,12 +29,13 @@ from oscvar.detvar import (
     verify_minor3_kernel,
 )
 from oscvar.linalg import EchelonBasis, kernel_of_columns
-from oscvar.osc import Config
+from oscvar.osc import Config, Weights
 from oscvar.poly import Poly, monomials, parse_poly, xy_space, z_space
 
 CFG = Config(5, 2, 3)  # J1 = {1,2}, J3 = {4,5}
 ZR = restricted_ring(CFG)
 EXT = extended_ring(CFG)
+EXT7 = extended_ring(Config(7, 3, 4))  # J1 = {1,2,3}, J3 = {5,6,7}
 
 
 def Z(text):
@@ -360,3 +363,87 @@ def test_kernel_over_the_sized_view_equals_the_list(case, degree, rng):
     assert len(view) == len(images)
     assert list(view) == images  # re-iterable, same columns in the same order
     assert kernel_of_columns(view) == kernel_of_columns(images)
+
+
+# -- the graded kernel solve against the one-block solve -------------------------
+
+
+def _one_block(check, cfg, degree):
+    """The report of ``check`` with the grading certificate refused: every
+    monomial of a degree in one block, the solve of the whole degree."""
+    with mock.patch.object(detvar, "_grading", lambda *args: None):
+        return check(cfg, degree)
+
+
+@st.composite
+def _layouts(draw):
+    """Layouts with n <= 7 and three nonempty blocks."""
+    n = draw(st.integers(3, 7))
+    n1 = draw(st.integers(1, n - 2))
+    return Config(n, n1, draw(st.integers(n1 + 1, n - 1)))
+
+
+@settings(max_examples=40, **_PROPERTY)
+@given(_layouts())
+def test_graded_kernels_equal_the_one_block_solve(cfg):
+    # a report to degree 4 lists every degree <= 4
+    assert verify_minor2_kernel(cfg, 4) == _one_block(verify_minor2_kernel, cfg, 4)
+    assert verify_minor3_kernel(cfg, 4) == _one_block(verify_minor3_kernel, cfg, 4)
+
+
+def test_graded_solve_reads_the_representative_columns(monkeypatch):
+    # (7,3,4): orbits under (1 2), (2 3), (5 6), (6 7); of the 15,504
+    # monomials of degree <= 5 the solves read 1,353, and at degree 5 the
+    # 11,628 monomials leave 950 in 220 representative blocks
+    cfg = Config(7, 3, 4)
+    weights = detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3))
+    assert weights.transpositions == (1, 2, 5, 6)
+    *_, top = detvar._monomials_by_weight(EXT7, weights.position, 5)
+    blocks = [ms for w, ms in top.items() if weights.is_representative(w)]
+    assert (len(blocks), sum(map(len, blocks)), sum(map(len, top.values()))) == (220, 950, 11628)
+    columns = []
+
+    def counted(cols):
+        columns.append(len(cols))
+        return kernel_of_columns(cols)
+
+    monkeypatch.setattr(detvar, "kernel_of_columns", counted)
+    rep = verify_minor3_kernel(cfg, 5)
+    assert sum(columns) == 1353
+    assert sum(d["dim_domain"] for d in rep["levels"]) == 15504
+
+
+def test_a_wrong_orbit_size_changes_the_report(monkeypatch):
+    cfg = Config(7, 3, 4)
+    want = _one_block(verify_minor3_kernel, cfg, 3)
+    size = Weights.orbit_size
+    monkeypatch.setattr(Weights, "orbit_size", lambda self, w: size(self, w) + 1)
+    assert verify_minor3_kernel(cfg, 3) != want
+
+
+def test_a_dropped_minor_refuses_orbits_and_fails(monkeypatch):
+    cfg = Config(7, 3, 4)
+    minors = minor_generators(EXT7, 3)
+    assert detvar._grading(cfg, EXT7, ("phi",), minors).orbits
+    assert not detvar._grading(cfg, EXT7, ("phi",), minors[1:]).orbits
+    monkeypatch.setattr(detvar, "minor_generators", lambda sp, t: minor_generators(sp, t)[1:])
+    rep = verify_minor3_kernel(cfg, 4)
+    assert [d["equal"] for d in rep["levels"]] == [True, True, True, False, False]
+    assert rep["levels"][3]["dim_ideal"] == rep["levels"][3]["dim_kernel"] - 1
+    assert rep == _one_block(verify_minor3_kernel, cfg, 4)
+
+
+def test_a_weight_on_column_zero_is_refused(monkeypatch):
+    cfg = Config(7, 3, 4)
+    column0 = {EXT7.z(j, 0) for j in cfg.J3}
+
+    class ColumnZeroWeighted(Weights):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.position = tuple(
+                w + (pos in column0) for pos, w in enumerate(self.position)  # + eps_1
+            )
+
+    monkeypatch.setattr(detvar, "Weights", ColumnZeroWeighted)
+    assert detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3)) is None
+    assert verify_minor3_kernel(cfg, 4) == _one_block(verify_minor3_kernel, cfg, 4)

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscvar.detvar import extended_ring, restricted_ring
 from oscvar.osc import (
     Config,
     apply_generator,
@@ -437,6 +438,21 @@ def test_transposer_swaps_both_index_fields():
                 for pos in (sp.x(i), sp.y(i)):
                     want[pos], want[pos + 1] = exps[pos + 1], exps[pos]
                 assert swap(sp.pack(exps)) == sp.pack(want)
+    # z rings: (i i+1) relabels the row or the column of each variable
+    for cfg in (Config(5, 2, 3), Config(7, 3, 4), Config(6, 1, 3)):
+        for sp in (restricted_ring(cfg), extended_ring(cfg)):
+            for i in (*range(1, cfg.n1), *range(cfg.n2 + 1, cfg.n)):
+                swap = transposer(sp, i)
+                relabel = {i: i + 1, i + 1: i}
+                for _ in range(20):
+                    exps = [rng.choice((0, 0, 1, 2, 5, 17)) for _ in range(sp.nvars)]
+                    want = [0] * sp.nvars
+                    for j in sp.rows:
+                        for c in sp.cols:
+                            if (j, c) not in sp.excluded:
+                                to = sp.z(relabel.get(j, j), relabel.get(c, c))
+                                want[to] = exps[sp.z(j, c)]
+                    assert swap(sp.pack(exps)) == sp.pack(want)
 
 
 def test_block_transpositions_stay_inside_the_blocks():
