@@ -34,9 +34,12 @@ adjacent transposition inside J1 or J3 maps each variable's image to the
 image of the relabelled variable and the minor list onto itself up to
 sign.  Where the transpositions fail every weight is its own block; where
 homogeneity fails the degree is one block.  ``_monomials_by_weight``
-groups each degree's monomials by weight in one walk that carries both,
-and ``_ideal_piece`` multiplies a minor only by the monomials that
-complete it to a representative weight.
+groups each degree's monomials by weight in one walk that carries both;
+it keeps every weight only at the degrees <= top - t that complete the
+t x t minors, and the representative weights above them.
+``_ideal_piece`` multiplies a minor only by the monomials that complete it
+to a representative weight.  A degree whose images would not fit the
+packed monomial (above ``MAX_DEGREE``) is refused before any work.
 
 z monomials, like xy ones, are packed ints (see ``poly``).  The
 evaluations are ring homomorphisms, so an ``Evaluation`` computes the
@@ -60,11 +63,27 @@ under phi, which is the combinatorial engine behind the annihilator
 computations.  A G-set is the set of chain-free monomials with given x/y/z
 factor counts (k1, k2, k3) and given column and row multisets (I1, I3);
 each chain-free monomial of the extended ring lies in exactly one of
-them.  So ``verify_gset_independence`` enumerates each total degree once,
-walking its monomials in the order the chain test reads them, and
-buckets the chain-free ones under their (k1, k2, I1, I3);
-``enumerate_gset``, which builds one G-set from its index multisets, is
-the reference the buckets are tested against.
+them.  ``verify_gset_independence`` ranks one G-set per order type of
+(I1, I3).  A permutation of J1 or of J3 commutes with phi, and whether a
+monomial has a 3-chain depends only on the order of its indices inside
+J1 and inside J3 (column 0 and row n+1 stay fixed).  So the relabelling
+that moves the distinct values of I1 and of I3, in order, onto the first
+values of J1 and of J3 (``_canonical``) is a bijection between the two
+G-sets that keeps the rank of their images, and each tuple reads the rank
+of its canonical tuple.  The certificate is ``_grading`` on phi's image
+table, the one the ranks' ``Evaluation`` reads: each adjacent
+transposition inside J1 or J3 must map each variable's image to the image
+of the relabelled variable.  The certified transpositions join the
+indices into runs (``_run_starts``), and the relabelling moves values only
+inside a run; where the certificate refuses, each index is its own run,
+every tuple is its own canonical tuple, and the same walk ranks every
+G-set.  ``_gset_buckets`` builds the canonical G-sets of every degree in
+one depth-first walk, in the (row asc, col desc) order the chain test
+reads: it carries the patience state of the chain test and cuts a branch
+at a 3-chain or at a row that leaves a gap in its run, and keeps a node
+when its column multiset is canonical too.  ``enumerate_gset``, which
+builds one G-set from its index multisets, is the reference the buckets
+are tested against.
 """
 
 from __future__ import annotations
@@ -95,6 +114,21 @@ def extended_ring(cfg: Config) -> Space:
 
 def _is_extended(space: Space) -> bool:
     return 0 in space.cols
+
+
+# A z monomial of degree k has images of degree 2k in x and y, so the
+# checks run to this degree at most.
+MAX_DEGREE = (DEGREE_LIMIT - 1) // 2
+
+
+def _check_bound(bound: int) -> None:
+    """Refuse a degree bound whose images would not fit the packed
+    monomial, before any work."""
+    if bound > MAX_DEGREE:
+        raise ValueError(
+            f"degree {bound} exceeds {MAX_DEGREE}, the largest whose images "
+            "fit the packed monomial"
+        )
 
 
 class Evaluation:
@@ -378,29 +412,34 @@ def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weig
     return Weights(cfg, space, transpositions)
 
 
-def _monomials_by_weight(space: Space, position, top: int):
+def _monomials_by_weight(space: Space, position, top: int, kept):
     """For each degree d = 0..top in turn, the packed monomials of degree d
-    grouped by weight, {w: [m, ...]}, each list in ``monomials`` order.
+    grouped by weight, {w: [m, ...]}, each list in ``monomials`` order,
+    with only the weights w where ``kept(d, w)``.
 
     One walk extends each monomial of degree d - 1 by the variables at or
     after its last one, carrying its weight (the sum of ``position`` over
-    its variables), so no monomial is unpacked.
+    its variables), so no monomial is unpacked.  The top degree is grouped
+    as it is walked, never held as a list.
     """
-    if top >= DEGREE_LIMIT:
-        raise OverflowError(f"degree {top} does not fit the packed monomial")
     unit = space.unit
     level = [(0, 0, 0)]  # (monomial, weight, last position)
     for d in range(top + 1):
         if d:
-            level = [
+            step = (
                 (m + unit[q], w + position[q], q)
                 for m, w, last in level
                 for q in range(last, len(unit))
-            ]
-        groups: dict = {}
+            )
+            level = step if d == top else list(step)
+        groups: dict = {}  # a dropped weight maps to None
         for m, w, _ in level:
-            groups.setdefault(w, []).append(m)
-        yield groups
+            if w not in groups:
+                groups[w] = [] if kept(d, w) else None
+            ms = groups[w]
+            if ms is not None:
+                ms.append(m)
+        yield {w: ms for w, ms in groups.items() if ms is not None}
 
 
 def _ideal_piece(space: Space, gens, complements: dict, w: int) -> EchelonBasis:
@@ -450,25 +489,31 @@ def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
     the spans are equal exactly when they are equal at every
     representative.
     """
+    _check_bound(top)
     minors = minor_generators(space, t)
     weights = _grading(cfg, space, evaluations, minors)
     if weights is None:  # one block: every monomial at weight 0
-        position, kept, orbit_size = [0] * space.nvars, lambda w: True, lambda w: 1
+        position, is_rep, orbit_size = [0] * space.nvars, lambda w: True, lambda w: 1
     else:
-        position, kept, orbit_size = (
+        position, is_rep, orbit_size = (
             weights.position, weights.is_representative, weights.orbit_size
         )
     evs = [Evaluation(cfg.n, space, e) for e in evaluations]
     gens = [(g, weights.of(max(g.terms)) if weights else 0) for g in minors]
-    groups: list = []
-    for d, by_weight in enumerate(_monomials_by_weight(space, position, top)):
-        groups.append(by_weight)
+    # the complements of the ideal pieces: degrees <= top - t, every weight
+    complements: list = []
+    by_degree = _monomials_by_weight(
+        space, position, top, lambda d, w: d <= top - t or is_rep(w)
+    )
+    for d, by_weight in enumerate(by_degree):
+        if d <= top - t:
+            complements.append(by_weight)
         dims, dim_ideal, equal = [0] * len(evs), 0, True
         for w, domain in by_weight.items():
-            if not kept(w):
+            if d <= top - t and not is_rep(w):  # above, only representatives come
                 continue
             size = orbit_size(w)
-            ideal = _ideal_piece(space, gens, groups[d - t] if d >= t else {}, w)
+            ideal = _ideal_piece(space, gens, complements[d - t] if d >= t else {}, w)
             dim_ideal += size * ideal.dim
             for k, ev in enumerate(evs):
                 kern = _kernel_basis(space, domain, ev)
@@ -523,15 +568,45 @@ def verify_minor3_kernel(cfg: Config, kmax: int) -> dict:
     }
 
 
-def _gset_buckets(cfg: Config, space: Space, total: int) -> dict:
-    """The G-sets of one total degree at once: every 3-chain-free monomial
-    of degree ``total`` of the extended ring ``space``, packed, bucketed
+def _run_starts(cfg: Config, space: Space) -> list[int]:
+    """start[a] for a = 0..n+1: the first index of a's run.  The runs are
+    the indices joined by the transpositions inside J1 and inside J3 that
+    ``_grading`` certifies for phi on the extended ring ``space``; every
+    other index (column 0, row n+1, J2, and every index where the
+    certificate refuses) is its own run."""
+    weights = _grading(cfg, space, ("phi",), [])
+    start = list(range(cfg.n + 2))
+    for a in weights.transpositions if weights else ():
+        start[a + 1] = start[a]  # ascending, so a's start is already set
+    return start
+
+
+def _canonical(I: tuple, start) -> tuple:
+    """The order type of the sorted multiset I: in each run, its distinct
+    values relabelled in order onto the first values of the run."""
+    out, prev, c = [], None, None
+    for v in I:
+        if v != prev:
+            c = c + 1 if prev is not None and start[prev] == start[v] else start[v]
+            prev = v
+        out.append(c)
+    return tuple(out)
+
+
+def _gset_buckets(cfg: Config, space: Space, bound: int, start) -> dict:
+    """The canonical G-sets of degree <= ``bound`` at once: every
+    3-chain-free monomial of the extended ring ``space`` whose row and
+    column multisets are their own ``_canonical`` forms, packed, bucketed
     under its (k1, k2, I1, I3) as ``enumerate_gset`` would return it.
 
-    The variables are walked in (row asc, col desc) order, the order in
-    which ``has_3chain`` reads a pair multiset, so each candidate is tested
-    without a sort.  Row n+1 factors are the x part, column 0 factors the
-    y part.
+    A depth-first walk over the variables in (row asc, col desc) order, the
+    order in which ``has_3chain`` reads a pair multiset, with repetition.
+    Each step carries the patience state of ``_has_increasing_triple`` and
+    the last row, and a branch ends at a 3-chain or at a row whose
+    predecessor in its run is missing (rows come in ascending order, so
+    the row support stays a prefix of each run).  Columns come out of
+    order, so the column multiset is checked at each node.  Row n+1
+    factors are the x part, column 0 factors the y part.
     """
     top = cfg.n + 1
     factors = sorted(
@@ -540,23 +615,30 @@ def _gset_buckets(cfg: Config, space: Space, total: int) -> dict:
         key=lambda f: (f[0], -f[1]),
     )
     buckets: dict = {}
-    for combo in itertools.combinations_with_replacement(factors, total):
-        if _has_increasing_triple([i for _, i, _ in combo]):
-            continue
-        k1 = k2 = 0
-        I1, I3 = [], []
-        for j, i, _ in combo:
-            if j == top:
-                k1 += 1
+
+    def walk(q0, m, depth, first, second, last, k1, k2, I1, I3):
+        I1 = tuple(sorted(I1))
+        if _canonical(I1, start) == I1:
+            buckets.setdefault((k1, k2, I1, I3), []).append(m)
+        if depth == bound:
+            return
+        for q in range(q0, len(factors)):
+            j, i, u = factors[q]
+            if j != last and j != start[j] and j - 1 != last:
+                continue
+            if i <= first:
+                f, s = i, second
+            elif i <= second:
+                f, s = first, i
             else:
-                I3.append(j)
-            if i == 0:
-                k2 += 1
-            else:
-                I1.append(i)
-        I1.sort()
-        key = (k1, k2, tuple(I1), tuple(I3))
-        buckets.setdefault(key, []).append(sum(u for _, _, u in combo))
+                continue
+            walk(
+                q, m + u, depth + 1, f, s, j,
+                k1 + (j == top), k2 + (i == 0),
+                I1 + (i,) if i else I1, I3 if j == top else I3 + (j,),
+            )
+
+    walk(0, 0, 0, inf, inf, None, 0, 0, (), ())
     return buckets
 
 
@@ -575,33 +657,40 @@ def verify_gset_independence(cfg: Config, total_bound: int) -> dict:
     """rank(phi(G-set)) = |G-set| for every factor-count split and every
     index multiset pair within the bound.
 
-    Each total degree is enumerated once (``_gset_buckets``) and its
-    buckets are read in tuple order, so the report is the one a per-tuple
-    ``enumerate_gset`` loop gives.
+    Only the canonical G-sets are built and ranked (``_gset_buckets``):
+    each tuple reads the rank of the G-set of its ``_canonical`` tuple,
+    the one its relabelling by the runs of ``_run_starts`` maps it onto
+    (module docstring).  The tuples are read in ``_gset_tuples`` order, so
+    the report is the one a per-tuple ``enumerate_gset`` loop gives.
     """
+    _check_bound(total_bound)
     sp = extended_ring(cfg)
+    start = _run_starts(cfg, sp)
     ev = Evaluation(cfg.n, sp, "phi")
+    ranked = {}
+    for key, gset in _gset_buckets(cfg, sp, total_bound, start).items():
+        basis = EchelonBasis(xy_space(cfg.n))
+        ranked[key] = sum(basis.insert(ev(m)) for m in gset), len(gset)
+    canonical = lru_cache(maxsize=None)(lambda I: _canonical(I, start))
     checked = 0
     nonempty = 0
     failures = []
     for total in range(1, total_bound + 1):
-        buckets = _gset_buckets(cfg, sp, total)
         for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
             checked += 1
-            gset = buckets.get((k1, k2, I1, I3))
-            if not gset:
+            found = ranked.get((k1, k2, canonical(I1), canonical(I3)))
+            if found is None:
                 continue
             nonempty += 1
-            basis = EchelonBasis(xy_space(cfg.n))
-            rank = sum(basis.insert(ev(m)) for m in gset)
-            if rank != len(gset):
+            rank, size = found
+            if rank != size:
                 failures.append(
                     {
                         "k": [k1, k2, k3],
                         "I1": list(I1),
                         "I3": list(I3),
                         "rank": rank,
-                        "size": len(gset),
+                        "size": size,
                     }
                 )
     return {

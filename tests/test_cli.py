@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oscvar
-from oscvar import suite
+from oscvar import detvar, suite
 from oscvar.cli import main
 from oscvar.reports import CheckRecord, Report, serialize, FormatError
 
@@ -232,6 +232,22 @@ def test_vacuous_independence_is_skipped_with_exit_two(capsys):
     assert code == 2
     [check] = json.loads(out)["checks"]
     assert check["status"] == "skipped" and check["reason"]
+
+
+@pytest.mark.parametrize("command", ["independence", "kernel-phi"])
+@pytest.mark.parametrize("degree", [detvar.MAX_DEGREE + 1, 300])
+def test_oversized_max_degree_is_invalid_input(capsys, monkeypatch, command, degree):
+    # refused before any work: images of degree 2 * 128 would not fit
+    def started(*args):
+        raise AssertionError("the check started")
+
+    monkeypatch.setattr(detvar, "_grading", started)
+    code, out, err = run_cli(
+        capsys, command, "--n", "4", "--n1", "1", "--n2", "3", "--max-degree", str(degree),
+    )
+    assert code == 2 and not out
+    assert f"invalid input: degree {degree} exceeds 127" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

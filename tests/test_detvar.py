@@ -14,10 +14,12 @@ from oscvar import detvar
 from oscvar.detvar import (
     Evaluation,
     GMonomial,
+    _canonical,
     _gset_buckets,
     _gset_tuples,
     _Images,
     _pairings,
+    _z_images,
     enumerate_gset,
     extended_ring,
     has_3chain,
@@ -193,24 +195,64 @@ def test_gset_independence_small():
     assert rep["tuples_nonempty"] > 0
 
 
+def _relabelled(sp, g, start, I1, I3):
+    """The packed monomial of ``g``, a monomial with index multisets I1 and
+    I3, relabelled onto their ``_canonical`` forms."""
+    to = {**dict(zip(I1, _canonical(I1, start))), **dict(zip(I3, _canonical(I3, start)))}
+    return GMonomial(
+        tuple(to[i] for i in g.x_part),
+        tuple(to[j] for j in g.y_part),
+        tuple((to[j], to[i]) for j, i in g.z_part),
+    ).exponents(sp)
+
+
+def _assert_buckets_are_the_relabelled_gsets(cfg, bound):
+    sp = extended_ring(cfg)
+    start = detvar._run_starts(cfg, sp)
+    buckets = _gset_buckets(cfg, sp, bound, start)
+    canonical_keys = set()
+    for total in range(bound + 1):
+        for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
+            key = (k1, k2, _canonical(I1, start), _canonical(I3, start))
+            got = buckets.get(key, [])
+            gset = enumerate_gset(cfg, k1, k2, k3, I1, I3)
+            want = {_relabelled(sp, g, start, I1, I3) for g in gset}
+            assert len(got) == len(set(got)) == len(gset)
+            assert set(got) == want
+            if got:
+                canonical_keys.add(key)
+    assert canonical_keys == set(buckets)  # no bucket outside the tuples
+    return start
+
+
+def test_order_types_relabel_onto_the_first_values_of_each_run():
+    joined = [0, 1, 1, 1, 4, 5, 5, 5, 8]  # (7,3,4): runs {1,2,3} and {5,6,7}
+    assert _canonical((), joined) == ()
+    assert _canonical((3,), joined) == (1,)
+    assert _canonical((1, 3, 3), joined) == (1, 2, 2)
+    assert _canonical((2, 2, 3), joined) == (1, 1, 2)
+    assert _canonical((6, 7, 7), joined) == (5, 6, 6)
+    assert _canonical((1, 2, 3), joined) == (1, 2, 3)
+    # singleton runs: every multiset is its own order type
+    assert _canonical((2, 3, 3), list(range(9))) == (2, 3, 3)
+    # (7,3,4) to degree 5: 3,768 monomials in 908 canonical G-sets, the empty
+    # one included, of the 13,791 chain-free monomials of degrees 1-5
+    buckets = _gset_buckets(Config(7, 3, 4), EXT7, 5, joined)
+    assert (len(buckets), sum(map(len, buckets.values()))) == (908, 3768)
+    assert all(_canonical(I1, joined) == I1 for _, _, I1, _ in buckets)
+
+
 @pytest.mark.parametrize(
     "params, bound",
     [((5, 2, 5), 3), ((5, 2, 2), 3), ((5, 2, 3), 0), ((7, 3, 4), 4)],
     ids=["J3-empty", "J2-empty", "bound-0", "7-3-4"],
 )
 def test_gset_buckets_match_enumerate_gset(params, bound):
-    cfg = Config(*params)
-    sp = extended_ring(cfg)
-    for total in range(bound + 1):
-        buckets = _gset_buckets(cfg, sp, total)
-        nonempty = 0
-        for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
-            got = buckets.get((k1, k2, I1, I3), [])
-            want = {g.exponents(sp) for g in enumerate_gset(cfg, k1, k2, k3, I1, I3)}
-            assert len(got) == len(set(got))
-            assert set(got) == want
-            nonempty += bool(got)
-        assert nonempty == len(buckets)  # no bucket outside the tuples
+    # every nonempty tuple reads the bucket of its canonical tuple, which
+    # holds exactly its G-set relabelled
+    start = _assert_buckets_are_the_relabelled_gsets(Config(*params), bound)
+    if params == (7, 3, 4):  # runs {1,2,3} and {5,6,7}
+        assert start == [0, 1, 1, 1, 4, 5, 5, 5, 8]
 
 
 def _reference_failures(cfg, bound):
@@ -398,9 +440,14 @@ def test_graded_solve_reads_the_representative_columns(monkeypatch):
     cfg = Config(7, 3, 4)
     weights = detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3))
     assert weights.transpositions == (1, 2, 5, 6)
-    *_, top = detvar._monomials_by_weight(EXT7, weights.position, 5)
+    *_, top = detvar._monomials_by_weight(EXT7, weights.position, 5, lambda d, w: True)
     blocks = [ms for w, ms in top.items() if weights.is_representative(w)]
     assert (len(blocks), sum(map(len, blocks)), sum(map(len, top.values()))) == (220, 950, 11628)
+    # the solve groups only those at degree 5, the degree no complement reads
+    *_, kept = detvar._monomials_by_weight(
+        EXT7, weights.position, 5, lambda d, w: d <= 2 or weights.is_representative(w)
+    )
+    assert kept == dict(zip((w for w in top if weights.is_representative(w)), blocks))
     columns = []
 
     def counted(cols):
@@ -447,3 +494,117 @@ def test_a_weight_on_column_zero_is_refused(monkeypatch):
     monkeypatch.setattr(detvar, "Weights", ColumnZeroWeighted)
     assert detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3)) is None
     assert verify_minor3_kernel(cfg, 4) == _one_block(verify_minor3_kernel, cfg, 4)
+
+
+# -- G-sets by order type against the every-bucket walk ----------------------------
+
+
+def _every_bucket_report(cfg, bound):
+    """The G-set report of a walk that buckets every chain-free monomial
+    under its own tuple and ranks every nonempty tuple: the check without
+    relabelling, kept as the oracle."""
+    sp = extended_ring(cfg)
+    ev = Evaluation(cfg.n, sp, "phi")
+    top = cfg.n + 1
+    factors = [(j, i, sp.unit[sp.z(j, i)]) for j in sp.rows for i in sp.cols
+               if (j, i) not in sp.excluded]
+    checked, nonempty, failures = 0, 0, []
+    for total in range(1, bound + 1):
+        buckets = {}
+        for combo in itertools.combinations_with_replacement(factors, total):
+            if has_3chain([(j, i) for j, i, _ in combo]):
+                continue
+            k1 = sum(j == top for j, _, _ in combo)
+            k2 = sum(i == 0 for _, i, _ in combo)
+            I1 = tuple(sorted(i for _, i, _ in combo if i))
+            I3 = tuple(sorted(j for j, _, _ in combo if j != top))
+            buckets.setdefault((k1, k2, I1, I3), []).append(sum(u for *_, u in combo))
+        for k1, k2, k3, I1, I3 in _gset_tuples(cfg, total):
+            checked += 1
+            gset = buckets.get((k1, k2, I1, I3))
+            if not gset:
+                continue
+            nonempty += 1
+            basis = EchelonBasis(xy_space(cfg.n))
+            rank = sum(basis.insert(ev(m)) for m in gset)
+            if rank != len(gset):
+                failures.append(
+                    {"k": [k1, k2, k3], "I1": list(I1), "I3": list(I3),
+                     "rank": rank, "size": len(gset)}
+                )
+    return {
+        "bound": bound,
+        "tuples_checked": checked,
+        "tuples_nonempty": nonempty,
+        "failures": failures,
+        "all_independent": not failures,
+    }
+
+
+@st.composite
+def _gset_layouts(draw):
+    """Layouts with n <= 8 and nonempty J1 and J3 (J2 may be empty)."""
+    n = draw(st.integers(3, 8))
+    n1 = draw(st.integers(1, n - 1))
+    return Config(n, n1, draw(st.integers(n1, n - 1)))
+
+
+@settings(max_examples=20, **_PROPERTY)
+@given(_gset_layouts())
+def test_gset_report_equals_the_every_bucket_walk(cfg):
+    # a report to degree 4 lists every tuple of degree <= 4
+    assert verify_gset_independence(cfg, 4) == _every_bucket_report(cfg, 4)
+
+
+@settings(max_examples=15, **_PROPERTY)
+@given(_gset_layouts())
+def test_gset_buckets_are_the_relabelled_gsets(cfg):
+    _assert_buckets_are_the_relabelled_gsets(cfg, 3)
+
+
+def _patched_images(image):
+    """phi's image table with each J3 x J1 variable z_{j,i} sent to
+    ``image(target, i, j)`` instead."""
+
+    def images(n, ring, evaluation):
+        table = dict(_z_images(n, ring, evaluation))
+        target = xy_space(n)
+        for j in ring.rows:
+            for i in ring.cols:
+                if i and j <= n:
+                    table[ring.z(j, i)] = Poly(target, image(target, i, j))
+        return table
+
+    return images
+
+
+def _xx(target, i, j):
+    return {target.unit[target.x(i)] + target.unit[target.x(j)]: 1}
+
+
+def test_an_equivariant_table_with_failures_reads_them_per_order_type(monkeypatch):
+    # z_{j,i} -> x_i x_j: equivariant, so the runs are kept, but a G-set's
+    # images collide wherever two monomials share their x content
+    monkeypatch.setattr(detvar, "_z_images", _patched_images(_xx))
+    cfg = Config(7, 3, 4)
+    assert detvar._run_starts(cfg, EXT7) == [0, 1, 1, 1, 4, 5, 5, 5, 8]
+    rep = verify_gset_independence(cfg, 4)
+    assert len(rep["failures"]) == 803
+    assert rep["failures"] == _reference_failures(cfg, 4)
+
+
+def test_a_table_that_is_not_equivariant_is_refused(monkeypatch):
+    # z_{7,3} alone keeps phi's image and the others go to x_i x_j: (2 3)
+    # no longer commutes with the evaluation, so each index is its own run
+    def image(target, i, j):
+        terms = _xx(target, i, j)
+        if (j, i) == (7, 3):
+            terms[target.unit[target.y(i)] + target.unit[target.y(j)]] = -1
+        return terms
+
+    monkeypatch.setattr(detvar, "_z_images", _patched_images(image))
+    cfg = Config(7, 3, 4)
+    assert detvar._run_starts(cfg, EXT7) == list(range(9))
+    rep = verify_gset_independence(cfg, 4)
+    assert len(rep["failures"]) == 663
+    assert rep == _every_bucket_report(cfg, 4)
