@@ -805,9 +805,13 @@ class _Memberships:
     weight (``AnnihilatorPiece.holds``).  A minor is relabelled by its
     rows and columns instead, to a minor of the representative weight,
     and its pure part is expanded from projected entries
-    (:func:`minor_symbol`), so its whole symbol is never built; minors
-    that relabel to the same one share a verdict.  Every other degree goes
-    to :func:`sym_membership` with the whole symbol.
+    (:func:`minor_symbol`), so its whole symbol is never built.  The
+    permutations inside the blocks map the piece onto itself and a minor
+    to plus or minus the minor of the relabelled rows and columns, so
+    minors of one order type (``Weights.order_type``: per block, the
+    numbers of their indices in the rows only, the columns only and both)
+    share a verdict, and one is decided per order type.  Every other
+    degree goes to :func:`sym_membership` with the whole symbol.
 
     ``spans`` holds the pieces read, by degree.
     """
@@ -823,16 +827,18 @@ class _Memberships:
         piece = self.spans.get(len(op.rows))
         if piece is None:
             return sym_membership(op.sym, self.tower)
-        rows, cols, w = op.rows, op.cols, None
-        if piece.weights is not None:
-            w, s = piece.weights.sorter(piece.weights.minor(rows, cols))
-            if s is not None:
-                rows = tuple(sorted(s[j] for j in rows))
-                cols = tuple(sorted(s[i] for i in cols))
-        found = self._minors.get((rows, cols))
+        rows, cols, weights = op.rows, op.cols, piece.weights
+        key = (rows, cols) if weights is None else (len(rows), weights.order_type(rows, cols))
+        found = self._minors.get(key)
         if found is None:
+            w = None
+            if weights is not None:
+                w, s = weights.sorter(weights.minor(rows, cols))
+                if s is not None:
+                    rows = tuple(sorted(s[j] for j in rows))
+                    cols = tuple(sorted(s[i] for i in cols))
             rep = op if (rows, cols) == (op.rows, op.cols) else DeltaOp(op.cfg, rows, cols)
-            found = self._minors[rows, cols] = piece.span(w).contains(rep.projected(piece.mask))
+            found = self._minors[key] = piece.span(w).contains(rep.projected(piece.mask))
         return found
 
     def symbol(self, sym: Poly):

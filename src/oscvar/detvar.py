@@ -481,6 +481,28 @@ def _kernel_basis(space: Space, domain: list, evaluate: Evaluation) -> EchelonBa
     return basis
 
 
+def _mirrors(n: int, space: Space, a: str, b: str) -> bool:
+    """Whether each variable's image under the evaluation ``b`` is its image
+    under ``a`` with x_i and y_i swapped for every i.  That swap is a ring
+    automorphism of the xy ring, so the evaluation b is a followed by it,
+    and the two have one kernel: its dimension and its equality with any
+    span are read off a's."""
+    target = xy_space(n)
+    # the packed fields of x_1..x_n are followed by those of y_1..y_n
+    half = n * FIELD_BITS
+    low = (1 << half) - 1
+    degree = ~((1 << 2 * half) - 1)
+
+    def swap(m):
+        return (m & degree) | (m & low) << half | (m >> half) & low
+
+    images_a, images_b = _z_images(n, space, a), _z_images(n, space, b)
+    return all(
+        {swap(m): c for m, c in images_a[pos].terms.items()} == images_b[pos].terms
+        for pos in range(space.nvars)
+    )
+
+
 def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
     """For each degree d = 0..top: the number of monomials, the dimension
     of the kernel of each of ``evaluations``, the dimension of the t x t
@@ -499,6 +521,8 @@ def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
             weights.position, weights.is_representative, weights.orbit_size
         )
     evs = [Evaluation(cfg.n, space, e) for e in evaluations]
+    # the evaluations whose kernel is that of the first one (_mirrors)
+    mirrored = [k and _mirrors(cfg.n, space, evaluations[0], e) for k, e in enumerate(evaluations)]
     gens = [(g, weights.of(max(g.terms)) if weights else 0) for g in minors]
     # the complements of the ideal pieces: degrees <= top - t, every weight
     complements: list = []
@@ -515,10 +539,15 @@ def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
             size = orbit_size(w)
             ideal = _ideal_piece(space, gens, complements[d - t] if d >= t else {}, w)
             dim_ideal += size * ideal.dim
+            kernels = []
             for k, ev in enumerate(evs):
-                kern = _kernel_basis(space, domain, ev)
+                if mirrored[k]:
+                    kern = kernels[0]
+                else:
+                    kern = _kernel_basis(space, domain, ev)
+                    equal = equal and span_equal(kern, ideal)
+                kernels.append(kern)
                 dims[k] += size * kern.dim
-                equal = equal and span_equal(kern, ideal)
         yield comb(space.nvars + d - 1, d), dims, dim_ideal, equal
 
 

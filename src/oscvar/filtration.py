@@ -176,11 +176,16 @@ class Representatives:
     def dims(self) -> list[int]:
         weights = self.weights
         sizes: dict = {}  # pivot -> orbit size of its weight
+        orbits: dict = {}  # weight -> orbit size
 
         def size(piv):
             found = sizes.get(piv)
             if found is None:
-                found = sizes[piv] = weights.orbit_size(weights.of(piv))
+                w = weights.of(piv)
+                found = orbits.get(w)
+                if found is None:
+                    found = orbits[w] = weights.orbit_size(w)
+                sizes[piv] = found
             return found
 
         return [sum(map(size, level.rows)) for level in self.levels]
@@ -422,22 +427,19 @@ def bruteforce_level(
     return nxt
 
 
-def _pset_products(cfg: Config, size: int, cache: dict) -> list[Poly]:
-    """All products of ``size`` alternating quadratics (with repetition), in
-    ``combinations_with_replacement`` order; each is the cached product of
-    its first ``size - 1`` factors times the last one."""
-    if size == 0:
-        return [Poly.constant(cfg.space, 1)]
-    got = cache.get(size)
-    if got is not None:
-        return got
-    pset = cache["pset"]
-    combos = itertools.combinations_with_replacement
-    indices = range(len(pset))
-    below = dict(zip(combos(indices, size - 1), _pset_products(cfg, size - 1, cache)))
-    out = [below[combo[:-1]] * pset[combo[-1]] for combo in combos(indices, size)]
-    cache[size] = out
-    return out
+def _pset_product(cfg: Config, combo: tuple, cache: dict) -> Poly:
+    """The product of the alternating quadratics indexed by ``combo`` (a
+    ``combinations_with_replacement`` tuple): the product of its prefix
+    ``combo[:-1]`` times the last factor, memoized by size in
+    ``cache["products"]``.  A prefix no level read, or one of a size
+    evicted, is formed again from its own prefix."""
+    if not combo:
+        return Poly.constant(cfg.space, 1)
+    memo = cache["products"].setdefault(len(combo), {})
+    found = memo.get(combo)
+    if found is None:
+        found = memo[combo] = _pset_product(cfg, combo[:-1], cache) * cache["pset"][combo[-1]]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +505,19 @@ def _level_groups(cfg: Config, j: int, cache: dict) -> list[tuple]:
 
 
 def _pset_groups(cfg: Config, size: int, cache: dict) -> list[tuple]:
-    """:func:`_pset_products` of ``size`` by weight, each the sum of its
-    factors' weights."""
-    prods = _pset_products(cfg, size, cache)
-    factor = _vector_weights(cache, cache["pset"])
-    if factor is None:
-        return _by_weight(prods)
-    combos = itertools.combinations_with_replacement(range(len(factor)), size)
-    return _by_weight(prods, (sum(factor[c] for c in combo) for combo in combos))
+    """The products of ``size`` alternating quadratics (with repetition),
+    as their index tuples in ``combinations_with_replacement`` order, by
+    weight (:func:`_by_weight`), each the sum of its factors' weights;
+    grouped once per size.  No product is formed here
+    (:func:`_pset_product`)."""
+    groups = cache["pset-groups"]
+    if size not in groups:
+        combos = list(itertools.combinations_with_replacement(range(len(cache["pset"])), size))
+        factor = _vector_weights(cache, cache["pset"])
+        groups[size] = _by_weight(
+            combos, None if factor is None else (sum(factor[c] for c in combo) for combo in combos)
+        )
+    return groups[size]
 
 
 def _tspan(cfg: Config, k: int, cache: dict) -> EchelonBasis:
@@ -539,7 +546,8 @@ def _insert_tproducts(cfg: Config, basis: EchelonBasis, k: int, i: int, cache: d
     factors, at the weights the build keeps."""
     tproj = cache["tproj"]
     groups = _kept_products(cache, _level_groups(cfg, k - i, cache), _pset_groups(cfg, i, cache))
-    for level, prods in groups:
+    for level, combos in groups:
+        prods = [_pset_product(cfg, combo, cache) for combo in combos]
         for m in level:
             tm = tproj(m)
             for p in prods:
@@ -578,12 +586,13 @@ def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBas
                 base = cache["base"]
                 cache["base-groups"] = _by_weight(base, _vector_weights(cache, base))
             groups = _kept_products(cache, cache["base-groups"], _pset_groups(cfg, j, cache))
-            # size j-1 served level j-1 and size j; no level reads it again
-            cache.pop(j - 1, None)
-            for vectors, prods in groups:
+            for vectors, combos in groups:
+                prods = [_pset_product(cfg, combo, cache) for combo in combos]
                 for b in vectors:
                     for p in prods:
                         basis.insert(b * p)
+            # size j-1 served level j-1 and the prefixes of size j; no level reads it again
+            cache["products"].pop(j - 1, None)
         built.append(basis)
     return built[k]
 
@@ -594,6 +603,8 @@ def _explicit_cache(cfg: Config) -> dict:
         "regime": regime,
         "weights": None,  # every weight kept
         "pset": alternating_set(cfg),
+        "pset-groups": {},
+        "products": {},
         "tn": [],
         "tn-groups": {},
         "tspans": [],

@@ -375,6 +375,10 @@ class Poly:
         self.space.check_degree(max(a) + max(b))
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a shift: distinct monomials stay distinct, nonzero products stay nonzero
+            ((m1, c1),) = a.items()
+            return Poly(self.space, {m1 + m2: c1 * c2 for m2, c2 in b.items()})
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 add_term(out, m1 + m2, c1 * c2)

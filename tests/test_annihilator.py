@@ -774,6 +774,59 @@ def test_span_membership_agrees_with_applied_membership():
     assert annihilator._reads_same_rows(tower, 2, 4) and annihilator._reads_same_rows(tower, 1, 3)
 
 
+@st.composite
+def _presentation_layouts(draw):
+    """A negative or equal-blocks layout with n <= 7 whose presentation at
+    kmax 3 has a solvable system."""
+    n = draw(st.integers(3, 7))
+    n1 = draw(st.integers(1, n - 1))
+    signs = st.integers(-2, 0)
+    cfg = Config(n, n1, draw(st.integers(n1, n)), draw(signs), draw(signs))
+    try:
+        assume(annihilator._theorem_regime(cfg) in ("negative", "equal-blocks"))
+        tower = presentation_tower(cfg, 3)
+    except (OutOfTheoremError, UnsupportedRegimeError):
+        assume(False)
+    assume(tower.levels[0].dim)
+    return tower
+
+
+def test_order_type_memberships_agree_with_applied_membership():
+    # every minor of the four families, and a sample of minors on any rows
+    # and columns, read once per order type of its rows and columns,
+    # against sym_membership on its whole symbol
+    merged, verdicts = [], set()
+
+    @settings(max_examples=30, **_PROPERTY)
+    @given(_presentation_layouts(), st.randoms(use_true_random=False))
+    @example(presentation_tower(Config(7, 2, 5, -1, -1), 3), random.Random(0))
+    @example(presentation_tower(Config(7, 3, 3, -1, -1), 3), random.Random(0))
+    @example(presentation_tower(Config(7, 4, 4, -2, -1), 3), random.Random(0))
+    def check(tower, rng):
+        cfg = tower.cfg
+        pieces = [annihilator._solve(tower, p, 3) for p in (1, 2, 3)]
+        members = annihilator._Memberships(tower, 3, pieces)
+        kinds = ("minor2-L1", "minor2-L2", "minor3", "minor3-J3J1")
+        ops = [op for kind in kinds for op in delta_ops(cfg, kind)]
+        indices = range(1, cfg.n + 1)
+        for t in (2, 3):
+            subsets = list(itertools.combinations(indices, t))
+            ops += [
+                annihilator.DeltaOp(cfg, rng.choice(subsets), rng.choice(subsets))
+                for _ in range(40)
+            ]
+        for op in ops:
+            got = members.minor(op)
+            assert got is sym_membership(op.sym, tower), (cfg, op.label())
+            verdicts.add(got)
+        if len(members._minors) < len(set((op.rows, op.cols) for op in ops)):
+            merged.append(cfg)
+
+    check()
+    assert verdicts == {True, False}
+    assert {Config(7, 2, 5, -1, -1), Config(7, 3, 3, -1, -1)} <= set(merged)
+
+
 def test_minors_from_projected_entries():
     # projecting is a ring homomorphism: the minor of the projected entries
     # is the projection of the whole minor, for every family and layout

@@ -460,6 +460,61 @@ def test_graded_solve_reads_the_representative_columns(monkeypatch):
     assert sum(d["dim_domain"] for d in rep["levels"]) == 15504
 
 
+def test_phi_y_is_phi_x_with_x_and_y_swapped():
+    for n in range(3, 9):
+        for n1 in range(1, n - 1):
+            for n2 in range(n1, n):
+                ring = restricted_ring(Config(n, n1, n2))
+                assert detvar._mirrors(n, ring, "x", "y"), (n, n1, n2)
+                assert not detvar._mirrors(n, ring, "x", "x")
+
+
+def _solves(monkeypatch):
+    """Count the kernel solves of ``_kernel_basis``."""
+    calls = []
+    solve = detvar._kernel_basis
+
+    def counted(space, domain, evaluate):
+        calls.append(evaluate)
+        return solve(space, domain, evaluate)
+
+    monkeypatch.setattr(detvar, "_kernel_basis", counted)
+    return calls
+
+
+def test_the_y_kernel_is_read_off_the_x_solve(monkeypatch):
+    cfg = Config(7, 3, 4)
+    want = _one_block(verify_minor2_kernel, cfg, 4)
+    calls = _solves(monkeypatch)
+    rep = verify_minor2_kernel(cfg, 4)
+    assert rep == want  # the one-block solve still solves both
+    assert calls and all(ev is calls[0] for ev in calls)  # phi_x alone is solved
+    assert all(d["dim_kernel_y"] == d["dim_kernel_x"] for d in rep["levels"])
+
+
+def test_a_y_table_that_is_no_mirror_is_solved_again(monkeypatch):
+    # z_{5,1} -> -y_1 y_5 under phi_y: the kernel has the same dimension
+    # but no longer holds the minors through z_{5,1}, which only a second
+    # solve sees
+    cfg = Config(6, 2, 4)
+    ring = restricted_ring(cfg)
+
+    def images(n, space, evaluation, table=detvar._z_images):
+        out = table(n, space, evaluation)
+        if evaluation == "y":
+            out = dict(out)
+            out[space.z(5, 1)] = -out[space.z(5, 1)]
+        return out
+
+    monkeypatch.setattr(detvar, "_z_images", images)
+    assert not detvar._mirrors(cfg.n, ring, "x", "y")
+    calls = _solves(monkeypatch)
+    rep = verify_minor2_kernel(cfg, 3)
+    assert len({id(ev) for ev in calls}) == 2
+    assert [d["equal"] for d in rep["levels"]] == [True, True, False, False]
+    assert all(d["dim_kernel_y"] == d["dim_kernel_x"] for d in rep["levels"])
+
+
 def test_a_wrong_orbit_size_changes_the_report(monkeypatch):
     cfg = Config(7, 3, 4)
     want = _one_block(verify_minor3_kernel, cfg, 3)

@@ -568,14 +568,18 @@ def test_certificate_matches_the_oracle_on_corrupted_tables(monkeypatch, fresh_c
         monkeypatch.setitem(cells, key, (-c, da, db))
     else:
         monkeypatch.setitem(cells, key, 1 + cells[key])
-    verdicts = set()
+    verdicts, by_orbit = set(), set()
     for layout in _layouts(4):
         _weyl_tables.cache_clear()
         applier_is_representation.cache_clear()
+        osc.block_permutations_commute.cache_clear()  # read by the certificate
         verdict = applier_is_representation(*layout)
         assert verdict == _all_pairs_certificate(*layout), layout
         verdicts.add(verdict)
-    assert False in verdicts
+        cfg = Config(*layout)
+        if osc.block_transpositions(*layout) and osc._relabellings_hold(cfg, osc.weyl_forms(cfg)):
+            by_orbit.add(verdict)  # decided once per orbit
+    assert False in verdicts and False in by_orbit
 
 
 @pytest.mark.parametrize("cell", [None] + sorted(osc._BLOCK), ids=str)
@@ -590,13 +594,14 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
     for layout in _layouts(8 if cell is None else 6):
         cfg = Config(*layout)
         forms = osc.weyl_forms(cfg)
-        checked = {(a, b) for a, b, _bracket in osc._checked_pairs(cfg, forms)}
+        pairs = osc._chevalley_pairs(cfg.n)
+        checked = {(a, b) for a, b, _bracket in osc._checked_pairs(cfg, forms, pairs)}
         every_pair_holds = True  # the loop without the skip
         for a, b in osc._chevalley_pairs(cfg.n):
             defect = osc.bracket_defect(cfg.space, forms, a, b, osc.commutator_in_basis(a, b, cfg.n))
             assert not defect or (a, b) in checked, (layout, a, b)
             every_pair_holds = every_pair_holds and not defect
-        verdict = osc._chevalley_brackets_hold(cfg, forms)
+        verdict = osc._brackets_hold(cfg, forms, osc._chevalley_pairs(cfg.n))
         assert verdict == every_pair_holds, layout
         verdicts.add(verdict)
     assert False in verdicts if cell is not None else verdicts == {True}
@@ -604,7 +609,103 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
         # the counts the certificate's docstring quotes, at n = 8
         cfg = Config(8, 2, 6)
         assert sum(1 for _ in osc._chevalley_pairs(8)) == 777
-        assert sum(1 for _ in osc._checked_pairs(cfg, osc.weyl_forms(cfg))) == 357
+        forms = osc.weyl_forms(cfg)
+        assert sum(1 for _ in osc._checked_pairs(cfg, forms, osc._chevalley_pairs(8))) == 357
+
+
+def test_orbit_certificate_matches_the_full_path():
+    # every layout with n <= 8 passes the relabelling check, and the
+    # verdict once per orbit is that of every generator and pair
+    for layout in _layouts(8):
+        cfg = Config(*layout)
+        forms = osc.weyl_forms(cfg)
+        assert osc._relabellings_hold(cfg, forms), layout
+        assert osc._certified(cfg, forms, True) == osc._certified(cfg, forms, False), layout
+    # the counts the certificate's docstring quotes, at n = 8, and at n = 18
+    for layout, gens, formed in [((8, 2, 6), 16, 102), ((18, 6, 12), 26, 111)]:
+        cfg = Config(*layout)
+        forms = osc.weyl_forms(cfg)
+        assert len(osc._orbit_roots(osc._blocks(cfg))) + layout[0] - 1 == gens
+        pairs = osc._orbit_pairs(cfg)
+        assert sum(1 for _ in osc._checked_pairs(cfg, forms, pairs)) == formed
+    # at most seven Chevalley generators, one per orbit
+    assert len({x for x, _y in osc._orbit_pairs(Config(8, 2, 6))}) == 7
+
+
+def _symmetry_broken(layout):
+    """Assert that the relabelling check refuses ``layout`` and that the
+    certificate and the all-pairs oracle both reject it; return the verdict
+    the orbit path alone would give."""
+    cfg = Config(*layout)
+    forms = osc.weyl_forms(cfg)
+    assert not osc._relabellings_hold(cfg, forms)
+    assert not osc.block_permutations_commute(*layout)
+    assert not applier_is_representation(*layout)
+    assert not _all_pairs_certificate(*layout)
+    return osc._certified(cfg, forms, True)
+
+
+def test_relabelling_check_sees_an_extra_term_on_a_non_representative_root(fresh_caches):
+    # x2 d_{x4} added to E_21 only: no orbit representative reads it, so
+    # the orbit path alone would pass; the relabelling (1 2) refuses it
+    cfg = Config(4, 2, 2)
+    sp, g = cfg.space, ("e", 2, 1)
+    assert g not in osc._orbit_roots(osc._blocks(cfg))
+    _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
+    assert _symmetry_broken((4, 2, 2))
+
+
+def test_relabelling_check_sees_a_negated_non_representative_root(monkeypatch, fresh_caches):
+    # E_24 negated in its table and its form alike: they agree, the
+    # relabelling (1 2) takes E_14 to E_24 and the table and form to minus
+    # theirs
+    pi_terms = osc._pi_terms
+
+    def negated(sp, n1, n2, i, j):
+        terms = pi_terms(sp, n1, n2, i, j)
+        return tuple((-c, *rest) for c, *rest in terms) if (i, j) == (2, 4) else terms
+
+    monkeypatch.setattr(osc, "_pi_terms", negated)
+    assert ("e", 2, 4) not in osc._orbit_roots(osc._blocks(Config(5, 2, 3)))
+    _symmetry_broken((5, 2, 3))
+
+
+def test_relabelling_check_sees_a_perturbed_cartan_form(monkeypatch, fresh_caches):
+    # a constant added to h_1 in its form and its table alike: form and
+    # applier agree, but (1 2) takes h_1 to -h_1, and the constant to itself
+    weyl_forms, table = osc.weyl_forms, osc._cartan_table
+
+    def shifted_forms(cfg):
+        forms = weyl_forms(cfg)
+        forms["h", 1][0, 0] = forms["h", 1].get((0, 0), 0) + 1
+        return forms
+
+    def shifted_table(cfg, r):
+        const, reads = table(cfg, r)
+        return (const + 1, reads) if r == 1 else (const, reads)
+
+    monkeypatch.setattr(osc, "weyl_forms", shifted_forms)
+    monkeypatch.setattr(osc, "_cartan_table", shifted_table)
+    cfg = Config(5, 2, 3)
+    assert osc.weyl_forms(cfg)["h", 1][0, 0] == 1
+    assert osc._forms_act_as_applier(cfg, osc.weyl_forms(cfg), [("h", 1)])
+    _symmetry_broken((5, 2, 3))
+
+
+def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
+    # E_12 and E_21 negated in their tables alone: (1 2) maps one onto the
+    # other, so the relabelling holds, and so do the brackets of the forms;
+    # only the comparison of E_12, the representative inside J1, sees it
+    cfg = Config(5, 2, 3)
+    roots = cfg.weyl_tables[0]
+    for g in (("e", 1, 2), ("e", 2, 1)):
+        ceiling, packed = roots[g]
+        roots[g] = ceiling, tuple((-c, *rest) for c, *rest in packed)
+    forms = osc.weyl_forms(cfg)
+    assert osc._relabellings_hold(cfg, forms)
+    assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg))
+    assert not applier_is_representation(5, 2, 3)
+    assert not _all_pairs_certificate(5, 2, 3)
 
 
 def _extra_root_term(cfg, g, term):
@@ -623,7 +724,7 @@ def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
     assert len(own) == 15 and sp.unit[sp.x(4)] not in own
     _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
     assert sp.unit[sp.x(4)] in osc._agreement_monomials(cfg, g, forms[g], full)
-    assert not osc._forms_act_as_applier(cfg, forms)
+    assert not osc._forms_act_as_applier(cfg, forms, forms)
     assert not applier_is_representation(4, 2, 2)
     assert not _all_pairs_certificate(4, 2, 2)
 
@@ -650,7 +751,7 @@ def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_
     monkeypatch.setattr(osc, "_cartan_table", misread)
     wrong = Config(4, 2, 2)
     assert sp.unit[sp.x(1)] in osc._agreement_monomials(wrong, g, forms[g], full)
-    assert not osc._forms_act_as_applier(wrong, forms)
+    assert not osc._forms_act_as_applier(wrong, forms, forms)
     assert not applier_is_representation(4, 2, 2)
     assert not _all_pairs_certificate(4, 2, 2)
 
@@ -669,8 +770,8 @@ def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_ca
     monkeypatch.setattr(osc, "_pi_terms", negated)
     cfg = Config(4, 1, 3)
     forms = osc.weyl_forms(cfg)
-    assert osc._forms_act_as_applier(cfg, forms)
-    assert not osc._chevalley_brackets_hold(cfg, forms)
+    assert osc._forms_act_as_applier(cfg, forms, forms)
+    assert not osc._brackets_hold(cfg, forms, osc._chevalley_pairs(4))
     assert not applier_is_representation(4, 1, 3)
     assert not _all_pairs_certificate(4, 1, 3)
 
@@ -686,6 +787,7 @@ def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_cac
             continue
         _weyl_tables.cache_clear()
         applier_is_representation.cache_clear()
+        osc.block_permutations_commute.cache_clear()  # read by the certificate
 
         def shifted(cfg, g=g):
             forms = weyl_forms(cfg)

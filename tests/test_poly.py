@@ -42,6 +42,9 @@ def test_mul_examples():
     assert f * P("1") == f
     assert f * f == P("x1^2*x3^2 - 2*x1*x3*y1*y3 + y1^2*y3^2")
     assert P("x1") * P("y1") == P("x1*y1")
+    # a single-term factor, on either side, shifts the other's terms
+    g = P("-3/2*x2*y1")
+    assert g * f == f * g == P("-3/2*x1*x2*x3*y1 + 3/2*x2*y1^2*y3")
 
 
 def test_diff_examples():
