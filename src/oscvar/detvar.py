@@ -94,7 +94,7 @@ from functools import lru_cache
 from math import comb, inf
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
-from .osc import Config, Weights, permutes_up_to_sign, transposer
+from .osc import Config, Weights, permutes_up_to_sign, swapper, transposer
 from .poly import (
     DEGREE_LIMIT, FIELD_BITS, Poly, Space, add_term, axpy, determinant, xy_space, z_space,
 )
@@ -488,14 +488,7 @@ def _mirrors(n: int, space: Space, a: str, b: str) -> bool:
     and the two have one kernel: its dimension and its equality with any
     span are read off a's."""
     target = xy_space(n)
-    # the packed fields of x_1..x_n are followed by those of y_1..y_n
-    half = n * FIELD_BITS
-    low = (1 << half) - 1
-    degree = ~((1 << 2 * half) - 1)
-
-    def swap(m):
-        return (m & degree) | (m & low) << half | (m >> half) & low
-
+    swap = swapper(target, [(target.x(i), target.y(i)) for i in range(1, n + 1)])
     images_a, images_b = _z_images(n, space, a), _z_images(n, space, b)
     return all(
         {swap(m): c for m, c in images_a[pos].terms.items()} == images_b[pos].terms

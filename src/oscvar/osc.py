@@ -774,19 +774,6 @@ def commutator_in_basis(g: Generator, h: Generator, n: int) -> list[tuple]:
     )
 
 
-def _chevalley_pairs(n: int):
-    """Each unordered pair of a Chevalley generator E_{i,i+1} or E_{i+1,i}
-    and another basis element of sl(n), once."""
-    gens = generators(n)
-    done = set()
-    for i in range(1, n):
-        for s in (("e", i, i + 1), ("e", i + 1, i)):
-            done.add(s)
-            for y in gens:
-                if y not in done:
-                    yield s, y
-
-
 def _weyl_monomials(sp: Space, ops: tuple):
     """The packed terms of an applier table ``ops`` (``_packed_ops``) as
     sorted triples (c, v, d), each term acting as c v d, or None where a
@@ -940,10 +927,12 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
     sigma D(x, y) sigma^-1, and V is sigma-stable: a Chevalley generator
     lies in V when one of its orbit does, and x lies in V when D(x, y) = 0
     for every h_r and one root y per orbit of the permutations fixing x
-    (``_orbit_pairs``).  At n = 8 that is 16 generators compared instead
-    of 63, and 102 identities formed instead of 357 (of 777 Chevalley
-    pairs and all 1,953).  Where a relabelling fails, every generator is
-    compared and every ``_chevalley_pairs`` checked.
+    (``_orbit_pairs``).  Where a relabelling fails, the same code runs
+    with every index a block of its own: every generator is compared, and
+    every Chevalley generator is paired with every other basis element (a
+    pair of two Chevalley generators in both orders).  At n = 8 the orbits
+    compare 16 generators instead of 63 and form 102 identities instead of
+    388 (357 unordered pairs; of 777 Chevalley pairs and all 1,953).
 
     Checked once per layout; it calls the appliers below
     ``apply_generator_terms`` directly, so it adds nothing to the counts of
@@ -954,14 +943,14 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
 
 
 def _certified(cfg: Config, forms: dict, orbits: bool) -> bool:
-    """The verdict of ``applier_is_representation`` on ``forms``: once per
-    orbit (``orbits``, sound only where ``_relabellings_hold``), or on
-    every generator and every ``_chevalley_pairs``."""
-    if orbits:
-        gens = [("h", r) for r in range(1, cfg.n)] + _orbit_roots(_blocks(cfg))
-        pairs = _orbit_pairs(cfg)
-    else:
-        gens, pairs = list(forms), _chevalley_pairs(cfg.n)
+    """The verdict of ``applier_is_representation`` on ``forms``, once per
+    orbit of the permutations inside the blocks where ``orbits`` (sound
+    only where ``_relabellings_hold``), else with every index a block of
+    its own: every generator compared, every pair of a Chevalley generator
+    and another basis element checked."""
+    blocks = _blocks(cfg) if orbits else [(a,) for a in range(1, cfg.n + 1)]
+    gens = [("h", r) for r in range(1, cfg.n)] + _orbit_roots(blocks)
+    pairs = _orbit_pairs(cfg.n, blocks)
     return _forms_act_as_applier(cfg, forms, gens) and _brackets_hold(cfg, forms, pairs)
 
 
@@ -982,14 +971,21 @@ def transposer(sp: Space, i: int):
     the transposition (i i+1) of indices: in the xy space the exponents of
     x_i and x_{i+1} swap, and those of y_i and y_{i+1}; in a z space those
     of z_{j,i} and z_{j,i+1} in every row j, or of z_{i,c} and z_{i+1,c} in
-    every column c.  Each swap is one addition: with the fields at hi and
-    lo holding a and b, adding (b - a) * (2^hi - 2^lo) makes them b and a,
-    and the degree field is untouched."""
+    every column c (``swapper``)."""
     if sp.kind == "xy":
         pairs = [(sp.x(i), sp.x(i + 1)), (sp.y(i), sp.y(i + 1))]
     else:
         pairs = [(sp.z(j, i), sp.z(j, i + 1)) for j in sp.rows if i in sp.cols]
         pairs += [(sp.z(i, c), sp.z(i + 1, c)) for c in sp.cols if i in sp.rows]
+    return swapper(sp, pairs)
+
+
+def swapper(sp: Space, pairs):
+    """The map of packed monomials of ``sp`` that swaps the exponents of
+    the variable positions p and q for each (p, q) of ``pairs`` (disjoint).
+    Each swap is one addition: with the fields at hi and lo holding a and
+    b, adding (b - a) * (2^hi - 2^lo) makes them b and a, and the degree
+    field is untouched."""
     fields = [
         (sp.shift[p], sp.shift[q], (1 << sp.shift[p]) - (1 << sp.shift[q])) for p, q in pairs
     ]
@@ -1037,11 +1033,12 @@ def _orbit_roots(blocks, fixed=()) -> list[Generator]:
     return out
 
 
-def _orbit_pairs(cfg: Config):
+def _orbit_pairs(n: int, blocks):
     """(x, y) for one Chevalley generator x per orbit of the permutations
-    inside the blocks, with y every h_r and one root per orbit of the
-    permutations that fix x (``_orbit_roots``), y != x."""
-    n, blocks = cfg.n, _blocks(cfg)
+    inside ``blocks``, with y every h_r and one root per orbit of the
+    permutations that fix x (``_orbit_roots``), y != x.  With every index a
+    block of its own, that is every Chevalley generator x and every other
+    basis element y."""
     block = {a: k for k, J in enumerate(blocks) for a in J}
     seen = set()
     for i in range(1, n):

@@ -540,6 +540,26 @@ def _all_pairs_certificate(n, n1, n2):
     )
 
 
+def _chevalley_pairs(n):
+    """Each unordered pair of a Chevalley generator E_{i,i+1} or E_{i+1,i}
+    and another basis element of sl(n), once."""
+    gens = generators(n)
+    done = set()
+    for i in range(1, n):
+        for s in (("e", i, i + 1), ("e", i + 1, i)):
+            done.add(s)
+            for y in gens:
+                if y not in done:
+                    yield s, y
+
+
+def _chevalley_certificate(cfg, forms):
+    """The certificate on every generator and every ``_chevalley_pairs``."""
+    return osc._forms_act_as_applier(cfg, forms, forms) and osc._brackets_hold(
+        cfg, forms, _chevalley_pairs(cfg.n)
+    )
+
+
 def _layouts(nmax):
     return [
         (n, n1, n2)
@@ -594,42 +614,56 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
     for layout in _layouts(8 if cell is None else 6):
         cfg = Config(*layout)
         forms = osc.weyl_forms(cfg)
-        pairs = osc._chevalley_pairs(cfg.n)
+        pairs = _chevalley_pairs(cfg.n)
         checked = {(a, b) for a, b, _bracket in osc._checked_pairs(cfg, forms, pairs)}
         every_pair_holds = True  # the loop without the skip
-        for a, b in osc._chevalley_pairs(cfg.n):
+        for a, b in _chevalley_pairs(cfg.n):
             defect = osc.bracket_defect(cfg.space, forms, a, b, osc.commutator_in_basis(a, b, cfg.n))
             assert not defect or (a, b) in checked, (layout, a, b)
             every_pair_holds = every_pair_holds and not defect
-        verdict = osc._brackets_hold(cfg, forms, osc._chevalley_pairs(cfg.n))
+        verdict = osc._brackets_hold(cfg, forms, _chevalley_pairs(cfg.n))
         assert verdict == every_pair_holds, layout
         verdicts.add(verdict)
     assert False in verdicts if cell is not None else verdicts == {True}
     if cell is None:
         # the counts the certificate's docstring quotes, at n = 8
         cfg = Config(8, 2, 6)
-        assert sum(1 for _ in osc._chevalley_pairs(8)) == 777
+        assert sum(1 for _ in _chevalley_pairs(8)) == 777
         forms = osc.weyl_forms(cfg)
-        assert sum(1 for _ in osc._checked_pairs(cfg, forms, osc._chevalley_pairs(8))) == 357
+        assert sum(1 for _ in osc._checked_pairs(cfg, forms, _chevalley_pairs(8))) == 357
 
 
 def test_orbit_certificate_matches_the_full_path():
     # every layout with n <= 8 passes the relabelling check, and the
-    # verdict once per orbit is that of every generator and pair
+    # verdict once per orbit is that of every generator and Chevalley pair
     for layout in _layouts(8):
         cfg = Config(*layout)
         forms = osc.weyl_forms(cfg)
         assert osc._relabellings_hold(cfg, forms), layout
-        assert osc._certified(cfg, forms, True) == osc._certified(cfg, forms, False), layout
+        full = _chevalley_certificate(cfg, forms)
+        assert osc._certified(cfg, forms, True) == osc._certified(cfg, forms, False) == full, layout
+    # with every index a block of its own, the orbit pairs are the
+    # Chevalley pairs, each pair of two Chevalley generators in both orders
+    for n in range(2, 9):
+        single = [(a,) for a in range(1, n + 1)]
+        pairs = list(osc._orbit_pairs(n, single))
+        assert {frozenset(p) for p in pairs} == {frozenset(p) for p in _chevalley_pairs(n)}
+        assert len(pairs) == 2 * (n - 1) * (n * n - 2)
+        assert len(osc._orbit_roots(single)) == n * (n - 1)
     # the counts the certificate's docstring quotes, at n = 8, and at n = 18
-    for layout, gens, formed in [((8, 2, 6), 16, 102), ((18, 6, 12), 26, 111)]:
+    for layout, gens, formed, formed_single in [
+        ((8, 2, 6), 16, 102, 388),
+        ((18, 6, 12), 26, 111, 2308),
+    ]:
         cfg = Config(*layout)
         forms = osc.weyl_forms(cfg)
         assert len(osc._orbit_roots(osc._blocks(cfg))) + layout[0] - 1 == gens
-        pairs = osc._orbit_pairs(cfg)
+        pairs = osc._orbit_pairs(cfg.n, osc._blocks(cfg))
         assert sum(1 for _ in osc._checked_pairs(cfg, forms, pairs)) == formed
+        single = osc._orbit_pairs(cfg.n, [(a,) for a in range(1, cfg.n + 1)])
+        assert sum(1 for _ in osc._checked_pairs(cfg, forms, single)) == formed_single
     # at most seven Chevalley generators, one per orbit
-    assert len({x for x, _y in osc._orbit_pairs(Config(8, 2, 6))}) == 7
+    assert len({x for x, _y in osc._orbit_pairs(8, osc._blocks(Config(8, 2, 6)))}) == 7
 
 
 def _symmetry_broken(layout):
@@ -703,7 +737,7 @@ def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
         roots[g] = ceiling, tuple((-c, *rest) for c, *rest in packed)
     forms = osc.weyl_forms(cfg)
     assert osc._relabellings_hold(cfg, forms)
-    assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg))
+    assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg.n, osc._blocks(cfg)))
     assert not applier_is_representation(5, 2, 3)
     assert not _all_pairs_certificate(5, 2, 3)
 
@@ -771,7 +805,7 @@ def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_ca
     cfg = Config(4, 1, 3)
     forms = osc.weyl_forms(cfg)
     assert osc._forms_act_as_applier(cfg, forms, forms)
-    assert not osc._brackets_hold(cfg, forms, osc._chevalley_pairs(4))
+    assert not osc._brackets_hold(cfg, forms, _chevalley_pairs(4))
     assert not applier_is_representation(4, 1, 3)
     assert not _all_pairs_certificate(4, 1, 3)
 
