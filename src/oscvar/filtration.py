@@ -71,6 +71,28 @@ towers are built to check:
     ``osc.applier_is_representation`` and
     ``osc.block_permutations_commute``), so every relabelling of them lies
     there; with equal dimensions the spans are equal.
+  * The x/y mirror M: x_a <-> y_{n+1-a} (``osc.mirrorer``) is a second
+    orbit generator.  It is a relabelling of the variables, so an algebra
+    automorphism, and where it maps each variable's weight mu to
+    -reverse(mu) it maps the weight vectors of weight mu to those of
+    -reverse(mu).  Where it also maps every spanning set onto itself up to
+    sign, as the transpositions must, it maps the component of weight mu
+    onto that of -reverse(mu), and the dimensions of the two agree.  M
+    conjugates (i i+1) to (n-i n+1-i), so where the admitted
+    transpositions are closed under i -> n - i, M normalizes the group G
+    they generate: an orbit of G x| <M> is one orbit of G or two of one
+    size, and each is built at one representative weight
+    (``osc.Weights`` with ``mirror``).  On a self-mirror layout
+    (n1 + n2 = n, l1 = l2) that builds about half the rows the
+    transpositions alone build.  In the T-cell regime T must commute
+    with M, so M must fix the lift x_{n1+1} y_{n1+1} and the reduced
+    Laplacian, which omits the d_x d_y summand of n1+1; M takes n1+1 to
+    n2, so a T-cell with |J2| > 1 is refused (``_admits_mirror``), as is
+    every dprime layout.  ``compare_towers`` reads the mirror's
+    representatives only where M also conjugates every pi(E_ab) to
+    -pi(E_{n+1-b,n+1-a}) (``osc.mirror_commutes``), so that it maps
+    pi(U_k(g)) M_0, the brute-force level, onto itself; elsewhere it
+    reads those of the transpositions alone.
 """
 
 from __future__ import annotations
@@ -78,9 +100,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd
 
-from .linalg import EchelonBasis, echelon_from, primitive_multiple
+from .linalg import EchelonBasis, echelon_from
 from .osc import (
     Config,
     Weights,
@@ -94,9 +116,11 @@ from .osc import (
     enumerate_block_sums,
     enumerate_TN_level,
     generators,
+    mirror_commutes,
+    mirrorer,
     permutes_up_to_sign,
     project_T,
-    project_T_monomial,
+    project_T_numerator,
     projection_forms,
     transposer,
 )
@@ -235,9 +259,11 @@ def _regime(cfg: Config) -> str:
 class _TCache:
     """Per-configuration cache of harmonic projections of monomials.
 
-    Each image is stored as its primitive integer multiple: the images only
-    ever span subspaces, which scaling does not change, and products with
-    integer images stay out of Fraction arithmetic.
+    Each image is stored as its primitive integer multiple, the integer
+    numerator of the series (``osc.project_T_numerator``, a positive
+    multiple of T(m)) divided by its content: the images only ever span
+    subspaces, which scaling does not change, and products with integer
+    images stay out of Fraction arithmetic.
     """
 
     def __init__(self, cfg: Config):
@@ -247,9 +273,11 @@ class _TCache:
     def __call__(self, m: int) -> Poly:
         img = self.images.get(m)
         if img is None:
-            terms = project_T_monomial(self.cfg, m).terms
-            img = Poly(self.cfg.space, primitive_multiple(terms))
-            self.images[m] = img
+            terms, _denom = project_T_numerator(self.cfg, m)
+            g = gcd(*terms.values())
+            if g != 1:
+                terms = {mm: c // g for mm, c in terms.items()}
+            img = self.images[m] = Poly(self.cfg.space, terms)
         return img
 
 
@@ -266,17 +294,8 @@ def _dprime_level(cfg: Config, t: int) -> list[int]:
 def _mirror_poly(p: Poly, cfg: Config) -> Poly:
     """The x/y mirror x_i <-> y_{n+1-i}: an algebra isomorphism that maps the
     setup with (n1, l1, l2) to the one with (n - n1, l2, l1)."""
-    n = cfg.n
-    sp = cfg.space
-    out = {}
-    for m, c in p.terms.items():
-        e = sp.unpack(m)
-        t = [0] * (2 * n)
-        for i in range(1, n + 1):
-            t[sp.y(n + 1 - i)] = e[sp.x(i)]
-            t[sp.x(n + 1 - i)] = e[sp.y(i)]
-        out[sp.pack(t)] = c
-    return Poly(sp, out)
+    swap = mirrorer(cfg.space)
+    return Poly(cfg.space, {swap(m): c for m, c in p.terms.items()})
 
 
 def _skew_base(cfg: Config) -> list[Poly]:
@@ -617,50 +636,82 @@ def _explicit_cache(cfg: Config) -> dict:
     return cache
 
 
+def _spanning_sets(cfg: Config, cache: dict):
+    """(forms, base, pset), what a relabelling must map onto itself: the
+    Weyl forms of the two T-series operators in the T-cell and dprime
+    regimes (else none), and the term dicts of the base vectors and of the
+    alternating quadratics; or None where one of those vectors, or a term
+    of a form, is no weight vector (the terms of weight 0, so T(m) has the
+    weight of m).  Decided once per cache; the base vectors read its
+    T-images."""
+    if "spanning" not in cache:
+        weights = Weights(cfg, cfg.space)
+        forms = projection_forms(cfg) if cache["regime"] in ("T-cell", "dprime") else ()
+        base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
+        base = [v.terms for v in base]
+        pset = [v.terms for v in cache["pset"]]
+        if any(weights.homogeneous(v) is None for v in base + pset) or any(
+            weights.of(v) != weights.of(d) for form in forms for v, d in form
+        ):
+            cache["spanning"] = None
+        else:
+            cache["spanning"] = forms, base, pset
+    return cache["spanning"]
+
+
+def _maps_spanning_sets(cfg: Config, kmax: int, cache: dict, swap) -> bool:
+    """Whether relabelling by ``swap`` maps every explicit spanning set
+    S_0..S_kmax onto itself up to sign: it fixes the T-series forms, maps
+    the base vectors and the alternating set each onto plus or minus
+    themselves, and, in the T-cell and dprime regimes, maps each monomial
+    level 0..kmax onto itself (T then commutes with it).  Needs
+    ``_spanning_sets``; the level sets are built into ``cache`` once."""
+    forms, base, pset = cache["spanning"]
+    if not (
+        all({(swap(v), swap(d)): c for (v, d), c in form.items()} == form for form in forms)
+        and permutes_up_to_sign(base, swap)
+        and permutes_up_to_sign(pset, swap)
+    ):
+        return False
+    if not forms:  # the product regimes: no monomial levels
+        return True
+    if "level-sets" not in cache:
+        cache["level-sets"] = [set(_monomial_level(cfg, j, cache)) for j in range(kmax + 1)]
+    return all(set(map(swap, level)) == level for level in cache["level-sets"])
+
+
 def _admitted_transpositions(cfg: Config, kmax: int, cache: dict) -> list[int]:
     """The block transpositions (i i+1) (``osc.block_transpositions``) that
-    map every explicit spanning set S_0..S_kmax onto itself up to sign,
-    where every generating vector is a weight vector; none where one is
-    not (see the module docstring).
-
-    Every base vector, alternating quadratic and, in the T-cell and dprime
-    regimes, every Weyl term of the reduced Laplacian and the lift of the
-    T-series must be a weight vector (the terms of weight 0, so T(m) has
-    the weight of m).  A transposition is then admitted where it maps the
-    base vectors and the alternating set each onto plus or minus
-    themselves, and, in those regimes, fixes the forms of the two T-series
-    operators (so no admitted transposition moves n1+1) and maps each
-    monomial level 0..kmax onto itself.  The monomial levels are
-    enumerated into ``cache``, and the base vectors read its T-images.
+    map every explicit spanning set S_0..S_kmax onto itself up to sign
+    (``_maps_spanning_sets``), where every generating vector is a weight
+    vector (``_spanning_sets``); none where one is not (see the module
+    docstring).  A transposition that moves n1+1 moves the forms of the
+    T-series, so it is never admitted in the T-cell and dprime regimes.
+    The monomial levels are enumerated into ``cache``.
     """
     candidates = block_transpositions(cfg.n, cfg.n1, cfg.n2)
-    if not candidates:
+    if not candidates or _spanning_sets(cfg, cache) is None:
         return []
     sp = cfg.space
+    return [i for i in candidates if _maps_spanning_sets(cfg, kmax, cache, transposer(sp, i))]
+
+
+def _admits_mirror(cfg: Config, kmax: int, cache: dict, admitted) -> bool:
+    """Whether the x/y mirror M (``osc.mirrorer``) joins the ``admitted``
+    transpositions as an orbit generator of the explicit tower: they are
+    closed under i -> n - i (M conjugates (i i+1) to (n-i n+1-i), so the
+    group is G x| <M>), every generating vector is a weight vector, M maps
+    each variable's weight mu to -reverse(mu) (``Weights.mirrored``), and M
+    maps every spanning set S_0..S_kmax onto itself up to sign
+    (``_maps_spanning_sets``; see the module docstring)."""
+    n, sp = cfg.n, cfg.space
+    if {n - i for i in admitted} != set(admitted) or _spanning_sets(cfg, cache) is None:
+        return False
     weights = Weights(cfg, sp)
-    tcell = cache["regime"] in ("T-cell", "dprime")
-    forms = projection_forms(cfg) if tcell else ()
-    base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
-    pset = cache["pset"]
-    if any(weights.homogeneous(v.terms) is None for v in base + pset) or any(
-        weights.of(v) != weights.of(d) for form in forms for v, d in form
-    ):
-        return []
-    levels = None
-    admitted = []
-    for i in candidates:
-        swap = transposer(sp, i)
-        if not (
-            all({(swap(v), swap(d)): c for (v, d), c in form.items()} == form for form in forms)
-            and permutes_up_to_sign([v.terms for v in base], swap)
-            and permutes_up_to_sign([v.terms for v in pset], swap)
-        ):
-            continue
-        if levels is None:
-            levels = [set(_monomial_level(cfg, j, cache)) for j in range(kmax + 1)] if tcell else []
-        if all(set(map(swap, level)) == level for level in levels):
-            admitted.append(i)
-    return admitted
+    swap = mirrorer(sp)
+    if any(weights.of(swap(u)) != weights.mirrored(weights.of(u)) for u in sp.unit):
+        return False
+    return _maps_spanning_sets(cfg, kmax, cache, swap)
 
 
 def build_tower(
@@ -673,10 +724,11 @@ def build_tower(
     since the level below, each under the generators its tag allows (see
     the module docstring).  The explicit route builds each level only at
     the representative weights of the orbits of the transpositions its
-    certificate admits (:func:`_admitted_transpositions`), and whole where
-    it admits none; the whole levels of a tower with orbits are built when
-    its ``levels`` are first read.  ``whole`` builds them whole at once,
-    with no certificate, for a caller that reads the rows (the
+    certificate admits (:func:`_admitted_transpositions`) and of the x/y
+    mirror where it admits that too (:func:`_admits_mirror`), and whole
+    where it admits none; the whole levels of a tower with orbits are built
+    when its ``levels`` are first read.  ``whole`` builds them whole at
+    once, with no certificate, for a caller that reads the rows (the
     annihilator).
     """
     if kmax < 0:
@@ -691,15 +743,23 @@ def build_tower(
         return FiltrationTower(cfg, "bruteforce", levels)
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
+    return _explicit_tower(cfg, kmax, orbits=not whole)
+
+
+def _explicit_tower(cfg: Config, kmax: int, orbits: bool = True, mirror: bool = True):
+    """The explicit tower of :func:`build_tower`: with ``orbits``, by
+    representative weight where the certificate admits orbits, the x/y
+    mirror among their generators only with ``mirror``."""
     cache = _explicit_cache(cfg)
-    admitted = () if whole else _admitted_transpositions(cfg, kmax, cache)
-    if admitted:
-        cache["weights"] = Weights(cfg, cfg.space, admitted)
+    admitted = _admitted_transpositions(cfg, kmax, cache) if orbits else []
+    mirror = orbits and mirror and _admits_mirror(cfg, kmax, cache, admitted)
+    if admitted or mirror:
+        cache["weights"] = Weights(cfg, cfg.space, admitted, mirror)
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"
     )
-    if not admitted:
+    if cache["weights"] is None:
         return FiltrationTower(cfg, name, levels)
     return FiltrationTower(cfg, name, representatives=Representatives(cache["weights"], levels))
 
@@ -720,7 +780,15 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     conjugates onto itself, ``osc.block_permutations_commute``, and the
     certificate mapped the base vectors onto themselves up to sign), only
     the rows at the representative weights are read: every relabelling
-    of them then lies in the brute-force level too.
+    of them then lies in the brute-force level too.  Representatives of
+    the x/y mirror's orbits are read only where the mirror conjugates the
+    applier onto itself as well (``osc.mirror_commutes``); elsewhere those
+    of the transpositions alone are.
+
+    An explicit row that level k shares with level k-1 (the same dict,
+    shared by ``EchelonBasis.copy``) and that was found in brute-force
+    level k-1 is not looked up again: brute-force level k starts as a copy
+    of level k-1, so it holds the row too.
     """
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     brute = build_tower(cfg, kmax, "bruteforce")
@@ -730,12 +798,24 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         applier_is_representation(n, n1, n2) and block_permutations_commute(n, n1, n2)
     ):
         reps = None
+    elif reps is not None and reps.weights.mirror and not mirror_commutes(n, n1, n2):
+        explicit = _explicit_tower(cfg, kmax, mirror=False)
+        reps = explicit.representatives
     dims = explicit.dims
     rows = explicit.levels if reps is None else reps.levels
     per_level = []
+    found: dict = {}  # pivot -> an explicit row of the level below found in the brute level below
     for k in range(kmax + 1):
         level = brute.levels[k]
-        eq = level.dim == dims[k] and all(map(level.contains, rows[k].rows.values()))
+        eq = level.dim == dims[k]
+        held = {}
+        if eq:
+            for piv, row in rows[k].rows.items():
+                if found.get(piv) is not row and not level.contains(row):
+                    eq = False
+                    break
+                held[piv] = row
+        found = held
         per_level.append(
             {
                 "k": k,

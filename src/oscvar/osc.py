@@ -59,7 +59,9 @@ a basis element, which imply all the others, and each generator's form
 against its applier on the monomials of degree <= 2 in the variables the
 two touch.  Where every permutation inside the blocks relabels the forms
 and the applier tables onto those of the relabelled generators, both are
-checked once per orbit of those permutations.
+checked once per orbit of those permutations.  ``mirror_commutes`` checks
+the same way that conjugating by the x/y mirror x_a <-> y_{n+1-a} takes
+each pi(E_ab) to -pi(E_{n+1-b,n+1-a}).
 
 The twisted Laplacian is
 
@@ -529,8 +531,14 @@ def laplace(cfg: Config, f: Poly) -> Poly:
     return Poly(f.space, _apply_ops(cfg.weyl_tables[1][None], f.terms))
 
 
-def project_T_monomial(cfg: Config, m: int) -> Poly:
-    """Harmonic projection of a single monomial (requires n1 < n2).
+def project_T_numerator(cfg: Config, m: int) -> tuple[dict, int]:
+    """(N, d) with T(m) = N / d: the integer numerator of the series over
+    its common denominator d = prod_{r=1..s} (a+r)(b+r), s its last term
+    (requires n1 < n2).
+
+    Term i enters N times d / prod_{r=1..i} (a+r)(b+r), in the order the
+    series runs, so every running sum is d times that of the series in
+    Fractions: the same keys, in the same order, dropped at the same sums.
 
     The defining series terminates because each application of the reduced
     operator strictly decreases sum_{J1} beta + sum_{J2'} alpha
@@ -539,20 +547,28 @@ def project_T_monomial(cfg: Config, m: int) -> Poly:
     if cfg.n1 >= cfg.n2:
         raise ValueError("projection T is defined only for n1 < n2")
     sp, mid = cfg.space, cfg.n1 + 1
-    xpos, ypos = sp.x(mid), sp.y(mid)
     _roots, laplacians, lift = cfg.weyl_tables
     reduced = laplacians[mid]
-    a, b = sp.exp(m, xpos), sp.exp(m, ypos)
-    out = {m: Fraction(1)}
-    cur = {m: 1}  # (x_mid y_mid)^i D^i (m): D commutes with the lift
-    denom = 1
+    a, b = sp.exp(m, sp.x(mid)), sp.exp(m, sp.y(mid))
+    terms = []  # ((x_mid y_mid)^i D^i (m), prod_{r<=i} (a+r)(b+r)): D commutes with the lift
+    cur, denom = {m: 1}, 1
     for i in itertools.count(1):
         cur = _apply_ops(lift, _apply_ops(reduced, cur))
         if not cur:
-            return Poly(sp, out)
+            break
         denom *= (a + i) * (b + i)
-        for mm, cc in cur.items():
-            add_term(out, mm, Fraction(cc, denom))
+        terms.append((cur, denom))
+    out = {m: denom}
+    for cur, d in terms:
+        axpy(out, denom // d, cur)
+    return out, denom
+
+
+def project_T_monomial(cfg: Config, m: int) -> Poly:
+    """Harmonic projection of a single monomial (requires n1 < n2): the
+    numerator of ``project_T_numerator`` over its denominator."""
+    out, denom = project_T_numerator(cfg, m)
+    return Poly(cfg.space, {mm: Fraction(c, denom) for mm, c in out.items()})
 
 
 def project_T(cfg: Config, f: Poly) -> Poly:
@@ -998,6 +1014,13 @@ def swapper(sp: Space, pairs):
     return swap
 
 
+def mirrorer(sp: Space):
+    """The x/y mirror x_a <-> y_{n+1-a} on packed monomials of the xy
+    space ``sp`` (``swapper``)."""
+    n = sp.n
+    return swapper(sp, [(sp.x(a), sp.y(n + 1 - a)) for a in range(1, n + 1)])
+
+
 def permutes_up_to_sign(vectors: list[dict], swap) -> bool:
     """Whether relabelling by ``swap`` (a ``transposer``) maps each of
     ``vectors``, term dicts, to plus or minus one of them."""
@@ -1052,30 +1075,58 @@ def _orbit_pairs(n: int, blocks):
                     yield x, y
 
 
-def _relabelled(g: Generator, relabel: dict, n: int) -> list[tuple]:
+def _relabelled(g: Generator, relabel: dict, n: int, mirror: bool = False) -> list[tuple]:
     """sigma(g) in the basis, as (coeff, generator) pairs, where sigma
-    relabels the indices by ``relabel`` (a dict; other indices stay)."""
+    relabels the indices by ``relabel`` (a dict; other indices stay): E_ab
+    goes to E_{sigma(a), sigma(b)}, or with ``mirror`` to
+    -E_{sigma(b), sigma(a)}, the automorphism of sl(n) that conjugation by
+    the x/y mirror gives (sigma(a) = n+1-a)."""
     if g[0] == "e":
-        return [(1, ("e", relabel.get(g[1], g[1]), relabel.get(g[2], g[2])))]
+        a, b = (relabel.get(r, r) for r in g[1:])
+        return [(-1, ("e", b, a))] if mirror else [(1, ("e", a, b))]
     a, b = (relabel.get(r, r) for r in (g[1], g[1] + 1))
-    return matrix_to_generators({(a, a): 1, (b, b): -1}, n)
+    return matrix_to_generators({(a, a): -1, (b, b): 1} if mirror else {(a, a): 1, (b, b): -1}, n)
 
 
-def _relabellings_hold(cfg: Config, forms: dict) -> bool:
-    """Whether each ``block_transpositions`` sigma relabels the Weyl form of
-    every generator g to the form of sigma(g) (for h_r, sigma(h_r) written
-    in the h basis) and the applier table of every root, its terms as
-    ``_weyl_monomials`` with the ceiling, to the table of sigma(g).
+def _block_relabellings(cfg: Config) -> list[tuple]:
+    """The ``block_transpositions`` as relabellings for ``_relabellings_hold``:
+    (the ``transposer``, the index relabelling, False, the positions it
+    moves, as a mask of their shifts)."""
+    sp = cfg.space
+    out = []
+    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
+        moved = sum(1 << sp.shift[p] for p in (sp.x(i), sp.x(i + 1), sp.y(i), sp.y(i + 1)))
+        out.append((transposer(sp, i), {i: i + 1, i + 1: i}, False, moved))
+    return out
+
+
+def _mirror_relabelling(cfg: Config) -> tuple:
+    """The x/y mirror as a relabelling for ``_relabellings_hold``: it moves
+    every position."""
+    sp, n = cfg.space, cfg.n
+    moved = sum(1 << s for s in sp.shift)
+    return mirrorer(sp), {a: n + 1 - a for a in range(1, n + 1)}, True, moved
+
+
+def _relabellings_hold(cfg: Config, forms: dict, relabellings=None) -> bool:
+    """Whether each of ``relabellings`` (the ``block_transpositions`` by
+    default, ``_block_relabellings``), an index relabelling sigma with the
+    map of packed monomials that conjugates by it, relabels the Weyl form of
+    every generator g to the form of sigma(g) (``_relabelled``; for h_r,
+    sigma(h_r) written in the h basis) and the applier table of every root,
+    its terms as ``_weyl_monomials`` with the ceiling, to the table of
+    sigma(g).
 
     Conjugating v d by sigma relabels v and d, so each side is compared
-    with its keys relabelled (``transposer``).  A table with a term that is
-    no Weyl monomial fails wherever there is a transposition.  A generator
-    whose matrix has neither index of sigma, and whose form and table
-    touch none of the variables sigma moves, is fixed by sigma on both
-    sides, and is passed over."""
+    with its keys relabelled; a root whose image is -E_cd compares its
+    table negated.  A table with a term that is no Weyl monomial fails
+    wherever there is a relabelling.  A generator whose matrix has neither
+    index sigma moves, and whose form and table touch none of the variables
+    sigma moves, is fixed by sigma on both sides, and is passed over."""
     sp, n = cfg.space, cfg.n
-    transpositions = block_transpositions(n, cfg.n1, cfg.n2)
-    if not transpositions:
+    if relabellings is None:
+        relabellings = _block_relabellings(cfg)
+    if not relabellings:
         return True
     tables = {g: (ops[0], _weyl_monomials(sp, ops)) for g, ops in cfg.weyl_tables[0].items()}
     if any(terms is None for _ceiling, terms in tables.values()):
@@ -1086,15 +1137,12 @@ def _relabellings_hold(cfg: Config, forms: dict) -> bool:
         if g[0] == "e":
             touched |= _form_support(sp, [(v, d) for _c, v, d in tables[g][1]])
         reads[g] = ({a for key in generator_matrix(g, n) for a in key}, touched)
-    for i in transpositions:
-        swap = transposer(sp, i)
-        relabel = {i: i + 1, i + 1: i}
-        moved = sum(1 << sp.shift[p] for p in (sp.x(i), sp.x(i + 1), sp.y(i), sp.y(i + 1)))
+    for swap, relabel, mirror, moved in relabellings:
         for g, form in forms.items():
             indices, touched = reads[g]
-            if i not in indices and i + 1 not in indices and not touched & moved:
+            if indices.isdisjoint(relabel) and not touched & moved:
                 continue
-            image = _relabelled(g, relabel, n)
+            image = _relabelled(g, relabel, n, mirror)
             want: dict = {}
             for c, h in image:
                 axpy(want, c, forms[h])
@@ -1102,8 +1150,9 @@ def _relabellings_hold(cfg: Config, forms: dict) -> bool:
                 return False
             if g[0] == "e":
                 ceiling, terms = tables[g]
-                relabelled = sorted((c, swap(v), swap(d)) for c, v, d in terms)
-                if tables[image[0][1]] != (ceiling, relabelled):
+                (sign, h), = image
+                relabelled = sorted((sign * c, swap(v), swap(d)) for c, v, d in terms)
+                if tables[h] != (ceiling, relabelled):
                     return False
     return True
 
@@ -1123,6 +1172,22 @@ def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
     """
     cfg = Config(n, n1, n2)
     return _relabellings_hold(cfg, weyl_forms(cfg))
+
+
+@cache
+def mirror_commutes(n: int, n1: int, n2: int) -> bool:
+    """Whether conjugating by the x/y mirror M (``mirrorer``) maps every
+    generator's Weyl form, and every root's applier table, to those of its
+    image under E_ab -> -E_{n+1-b, n+1-a} (``_relabellings_hold``):
+    M pi(E_ab) M^-1 = -pi(E_{n+1-b, n+1-a}) and M pi(h_r) M^-1 = pi(h_{n-r}).
+
+    That map is an automorphism of sl(n) (minus the transpose, followed by
+    the index reversal), so with ``applier_is_representation`` M conjugates
+    pi(U_k(g)) onto itself.  Checked once per layout, apart from
+    ``block_permutations_commute``, which the annihilator reads alone.
+    """
+    cfg = Config(n, n1, n2)
+    return _relabellings_hold(cfg, weyl_forms(cfg), [_mirror_relabelling(cfg)])
 
 
 # ---------------------------------------------------------------------------
@@ -1162,9 +1227,21 @@ class Weights:
     sigma(mu)_{sigma(a)} = mu_a, and each orbit is represented by its weight
     with ascending entries inside each run.  With no transposition every
     weight is its own orbit.
+
+    With ``mirror``, the orbits are those of the group G x| <M> that the
+    transpositions' group G and the x/y mirror M generate, where M maps mu
+    to -reverse(mu) (``mirrored``), the weight of the mirror image of a
+    monomial.  That is sound only where a certificate has checked it (the
+    mirror maps each variable's weight so, and the transpositions are
+    closed under i -> n - i, so M normalizes G); only
+    ``filtration._admits_mirror`` grants it.  An orbit is then G mu
+    together with G M(mu), two orbits of G of one size, equal or disjoint:
+    it is represented by the smaller of the two ascending weights, and its
+    size doubles where they differ.  ``sorter`` and ``order_type``, which
+    relabel by permutations alone, refuse such an instance.
     """
 
-    def __init__(self, cfg: Config, space: Space, transpositions=()):
+    def __init__(self, cfg: Config, space: Space, transpositions=(), mirror: bool = False):
         n = self.n = cfg.n
         self.space = space
         bits = self.bits = 8 if space.kind == "sym" else 16
@@ -1189,7 +1266,8 @@ class Weights:
                 for unit in space.unit
             )
         self.transpositions = tuple(transpositions)
-        self.orbits = bool(self.transpositions)
+        self.mirror = mirror
+        self.orbits = bool(self.transpositions) or mirror
         ends = [a for a in range(1, n) if a not in self.transpositions] + [n]
         self.cuts = list(zip([0] + ends[:-1], ends))
         self._half = 1 << (bits - 1)
@@ -1201,6 +1279,7 @@ class Weights:
             1 << 8 * r for r, (lo, hi) in enumerate(self.cuts) for _a in range(lo, hi)
         ]
         self._sorted: dict = {}
+        self._kept: dict = {}  # w -> is_representative(w)
 
     def _fields(self, w: int):
         """mu_a + 2^(B-1) for a = 1..n, a bytes object where B = 8."""
@@ -1243,6 +1322,7 @@ class Weights:
         run, the numbers of its indices in the rows only, in the columns
         only and in both, packed into one int (8 bits per count, one count
         of each kind per run)."""
+        self._permutations_only()
         unit = self._run_unit
         cshift = 8 * len(self.cuts)
         key = 0
@@ -1253,17 +1333,33 @@ class Weights:
                 key += unit[a] << cshift
         return key
 
+    def _permutations_only(self):
+        if self.mirror:
+            raise ValueError("the mirror is no permutation of the indices")
+
+    def mirrored(self, w: int) -> int:
+        """-reverse(mu), the weight M maps mu to."""
+        top = 2 * self._half
+        return self._packed([top - v for v in reversed(self._fields(w))])
+
+    def _ascending(self, w: int) -> int:
+        """The weight of w's orbit under the transpositions alone whose
+        entries ascend inside each run."""
+        f = self._fields(w)
+        return self._packed([v for lo, hi in self.cuts for v in sorted(f[lo:hi])])
+
     def representative(self, w: int) -> int:
         """The representative of w's orbit."""
         if not self.orbits:
             return w
-        f = self._fields(w)
-        return self._packed([v for lo, hi in self.cuts for v in sorted(f[lo:hi])])
+        rep = self._ascending(w)
+        return min(rep, self._ascending(self.mirrored(w))) if self.mirror else rep
 
     def sorter(self, w: int) -> tuple:
         """(rep, s): the representative of w's orbit, and a relabelling s of
         the indices that takes w to it (index a to s[a]; s[0] is unused), or
         None where w is its own representative."""
+        self._permutations_only()
         found = self._sorted.get(w)
         if found is None:
             rep, s = self.representative(w), None
@@ -1279,14 +1375,23 @@ class Weights:
 
     def is_representative(self, w: int) -> bool:
         """Whether w represents its orbit: mu_i <= mu_{i+1} for each of the
-        transpositions (i i+1), read off two fields each."""
-        t = w + self._offset
-        mask = (1 << self.bits) - 1
-        return all((t >> lo) & mask <= (t >> hi) & mask for lo, hi in self._adjacent)
+        transpositions (i i+1), read off two fields each, and, with the
+        mirror, w no larger than the ascending mirror weight; memoized per
+        weight."""
+        found = self._kept.get(w)
+        if found is None:
+            t = w + self._offset
+            mask = (1 << self.bits) - 1
+            found = all((t >> lo) & mask <= (t >> hi) & mask for lo, hi in self._adjacent)
+            if found and self.mirror:
+                found = w <= self._ascending(self.mirrored(w))
+            self._kept[w] = found
+        return found
 
     def orbit_size(self, w: int) -> int:
         """The number of weights in w's orbit: per run, the number of
-        distinct arrangements of its entries."""
+        distinct arrangements of its entries; twice that where the mirror
+        takes w to another orbit of the transpositions."""
         if not self.orbits:
             return 1
         f = self._fields(w)
@@ -1295,4 +1400,6 @@ class Weights:
             size *= factorial(hi - lo)
             for count in Counter(f[lo:hi]).values():
                 size //= factorial(count)
+        if self.mirror and self._ascending(w) != self._ascending(self.mirrored(w)):
+            size *= 2
         return size

@@ -16,6 +16,7 @@ from oscvar.annihilator import _level_rows, system_rows
 from oscvar.filtration import (
     FiltrationTower,
     UnsupportedRegimeError,
+    _admits_mirror,
     _admitted_transpositions,
     _dprime_level,
     _explicit_cache,
@@ -48,7 +49,7 @@ from oscvar.osc import (
     project_T_monomial,
     weight,
 )
-from oscvar.poly import Poly, monomials, parse_poly
+from oscvar.poly import Poly, axpy, monomials, parse_poly
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -497,10 +498,12 @@ def fresh_caches():
     _weyl_tables.cache_clear()
     applier_is_representation.cache_clear()
     osc.block_permutations_commute.cache_clear()
+    osc.mirror_commutes.cache_clear()
     yield
     _weyl_tables.cache_clear()
     applier_is_representation.cache_clear()
     osc.block_permutations_commute.cache_clear()
+    osc.mirror_commutes.cache_clear()
 
 
 @pytest.mark.parametrize("cell", sorted(osc._BLOCK), ids=str)
@@ -742,6 +745,63 @@ def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
     assert not _all_pairs_certificate(5, 2, 3)
 
 
+def _mirror_conjugates_every_generator(n, n1, n2):
+    """The oracle for ``osc.mirror_commutes``: M pi(g) M = pi(theta(g))
+    for every generator g, applied to every monomial of degree <= 2, with
+    theta(g) read off g's matrix, E_ab -> -E_{n+1-b, n+1-a}."""
+    cfg = Config(n, n1, n2)
+    sp = cfg.space
+    swap = osc.mirrorer(sp)
+    for g in generators(n):
+        matrix = {(n + 1 - b, n + 1 - a): -c for (a, b), c in osc.generator_matrix(g, n).items()}
+        theta = osc.matrix_to_generators(matrix, n)
+        for m in monomials(sp, range(3)):
+            img = osc.apply_generator_terms(cfg, g, {swap(m): 1})
+            want: dict = {}
+            for c, h in theta:
+                axpy(want, c, osc.apply_generator_terms(cfg, h, {m: 1}))
+            if {swap(k): c for k, c in img.items()} != want:
+                return False
+    return True
+
+
+def test_mirror_conjugation_matches_the_every_generator_oracle():
+    verdicts = {layout: osc.mirror_commutes(*layout) for layout in _layouts(6)}
+    for layout, verdict in verdicts.items():
+        assert verdict == _mirror_conjugates_every_generator(*layout), layout
+    assert {layout for layout, v in verdicts.items() if v} == {
+        (n, n1, n2) for n, n1, n2 in verdicts if n1 + n2 == n
+    }
+
+
+@pytest.mark.parametrize("table, key", _CORRUPTIONS + [("root", ("e", 1, 4))], ids=str)
+def test_mirror_conjugation_matches_the_oracle_on_corrupted_tables(
+    monkeypatch, fresh_caches, table, key
+):
+    if table == "root":
+        # E_14 negated in its table and its form alike: M takes it to
+        # -E_25 (at n = 5), whose table and form are not negated
+        pi_terms = osc._pi_terms
+
+        def negated(sp, n1, n2, i, j):
+            terms = pi_terms(sp, n1, n2, i, j)
+            return tuple((-c, *rest) for c, *rest in terms) if (i, j) == key[1:] else terms
+
+        monkeypatch.setattr(osc, "_pi_terms", negated)
+    elif table == "_BLOCK":
+        c, da, db = osc._BLOCK[key]
+        monkeypatch.setitem(osc._BLOCK, key, (-c, da, db))
+    else:
+        monkeypatch.setitem(osc._DIAGONAL, key, 1 + osc._DIAGONAL[key])
+    layouts = [(n, n1, n - n1) for n in range(2, 6) for n1 in range(1, n // 2 + 1)]
+    for layout in layouts:
+        _weyl_tables.cache_clear()
+        osc.mirror_commutes.cache_clear()
+        assert osc.mirror_commutes(*layout) == _mirror_conjugates_every_generator(*layout), layout
+    if table == "root":
+        assert not osc.mirror_commutes(5, 2, 3)
+
+
 def _extra_root_term(cfg, g, term):
     """Append a packed term to the applier of the root g."""
     ceiling, packed = cfg.weyl_tables[0][g]
@@ -935,6 +995,8 @@ def orbit_layouts(draw):
 @example((Config(5, 3, 3, -1, 1), 3))  # product-skew
 @example((Config(5, 1, 1, 1, -1), 3))  # product-skew-mirror
 @example((Config(6, 3, 3, -1, -1), 3))
+@example((Config(7, 3, 4, -1, -1), 3))  # T-cell with the mirror
+@example((Config(4, 1, 3, -1, -1), 4))  # self-mirror, refused: |J2| = 2
 def test_representative_weights_match_the_whole_build(cfg_kmax):
     cfg, kmax = cfg_kmax
     tower = build_tower(cfg, kmax, "explicit")
@@ -978,6 +1040,107 @@ def test_admitted_transpositions_are_pinned(params, admitted):
         assert tower.representatives is None
 
 
+@pytest.mark.parametrize("params, admitted, mirror", [
+    ((4, 2, 2, -1, -1), [1, 3], True),  # product
+    ((6, 3, 3, -1, -1), [1, 2, 4, 5], True),
+    ((5, 2, 3, -1, -1), [1, 4], True),  # T-cell, |J2| = 1
+    ((7, 3, 4, -1, -1), [1, 2, 5, 6], True),
+    ((3, 1, 2, -1, -1), [], True),  # the mirror alone
+    ((4, 1, 3, -1, -1), [], False),  # |J2| = 2: the mirror moves n1+1 to n2
+    ((6, 2, 4, -1, -1), [1, 5], False),
+    ((4, 1, 3, -1, 1), [], False),  # l1 != l2: M_0 is not mirrored onto itself
+    ((4, 3, 4, 1, 1), [1, 2], False),  # dprime
+    ((5, 3, 3, -1, 1), [1, 2, 4], False),  # product-skew
+], ids=str)
+def test_mirror_verdict_is_pinned(params, admitted, mirror):
+    cfg = Config(*params)
+    cache = _explicit_cache(cfg)
+    assert _admitted_transpositions(cfg, 4, cache) == admitted
+    assert _admits_mirror(cfg, 4, cache, admitted) == mirror
+    reps = build_tower(cfg, 3, "explicit").representatives
+    assert (reps is not None and reps.weights.mirror) == mirror
+    # every layout with n1 + n2 = n conjugates the applier by the mirror
+    assert osc.mirror_commutes(*params[:3]) == (params[1] + params[2] == params[0])
+
+
+def test_mirror_needs_transpositions_closed_under_reflection():
+    # (5,2,3,-1,-1) with (1 2) alone: the mirror conjugates it to (4 5)
+    cfg = Config(5, 2, 3, -1, -1)
+    cache = _explicit_cache(cfg)
+    assert _admits_mirror(cfg, 4, cache, [1, 4])
+    assert not _admits_mirror(cfg, 4, cache, [1])
+    assert not _admits_mirror(cfg, 4, cache, [4])
+
+
+def test_a_t_series_form_the_mirror_moves_refuses_the_mirror(monkeypatch):
+    # sum_{J1} x_i d_{x_i} added to the reduced Laplacian's form: of weight
+    # 0 and fixed by (1 2) and (4 5), but the mirror takes it to
+    # sum_{J3} y_s d_{y_s}
+    cfg = Config(5, 2, 3, -1, -1)
+    sp = cfg.space
+    real = filtration.projection_forms
+
+    def perturbed(c):
+        reduced, lift = real(c)
+        reduced = dict(reduced)
+        for i in c.J1:
+            reduced[sp.unit[sp.x(i)], sp.unit[sp.x(i)]] = 1
+        return reduced, lift
+
+    monkeypatch.setattr(filtration, "projection_forms", perturbed)
+    cache = _explicit_cache(cfg)
+    assert _admitted_transpositions(cfg, 4, cache) == [1, 4]
+    assert not _admits_mirror(cfg, 4, cache, [1, 4])
+    assert not build_tower(cfg, 3, "explicit").representatives.weights.mirror
+
+
+def _orbit(weights, w, transpositions, mirror):
+    """The orbit of w under the transpositions and, with ``mirror``, the
+    map mu -> -reverse(mu), by search over the entries."""
+    n = weights.n
+    seen, todo = set(), [tuple(weights.entries(w))]
+    while todo:
+        mu = todo.pop()
+        if mu in seen:
+            continue
+        seen.add(mu)
+        for i in transpositions:
+            nu = list(mu)
+            nu[i - 1], nu[i] = nu[i], nu[i - 1]
+            todo.append(tuple(nu))
+        if mirror:
+            todo.append(tuple(-mu[n - 1 - a] for a in range(n)))
+    return seen
+
+
+def test_mirror_weights_match_their_orbits():
+    cfg = Config(6, 3, 3, -1, -1)
+    sp = cfg.space
+    plain = Weights(cfg, sp)
+    mirrored = Weights(cfg, sp, [1, 2, 4, 5], mirror=True)
+    alone = Weights(cfg, sp, (), mirror=True)
+    for weights in (mirrored, alone):
+        seen = set()
+        for m in monomials(sp, range(3)):
+            w = plain.of(m)
+            orbit = _orbit(plain, w, weights.transpositions, True)
+            assert weights.orbit_size(w) == len(orbit)
+            packed = {mirrored._packed([v + mirrored._half for v in mu]) for mu in orbit}
+            assert {weights.representative(v) for v in packed} == {weights.representative(w)}
+            assert [v for v in packed if weights.is_representative(v)] == [weights.representative(w)]
+            seen.add(weights.representative(w))
+        assert seen
+    # the mirror of a variable's weight is the weight of its mirror image
+    swap = osc.mirrorer(sp)
+    for u in sp.unit:
+        assert mirrored.mirrored(plain.of(u)) == plain.of(swap(u)) != plain.of(u)
+    # relabellings by permutations alone are refused
+    with pytest.raises(ValueError):
+        mirrored.sorter(plain.of(sp.unit[0]))
+    with pytest.raises(ValueError):
+        mirrored.order_type([1], [2])
+
+
 def test_representative_rows_and_weights_are_pinned():
     cfg = Config(4, 2, 2, -1, -1)
     tower = build_tower(cfg, 11, "explicit")
@@ -985,7 +1148,7 @@ def test_representative_rows_and_weights_are_pinned():
     weights = reps.weights
     top = reps.levels[11]
     found = {weights.of(piv) for piv in top.rows}
-    assert (top.dim, len(found)) == (1309, 230)
+    assert (top.dim, len(found)) == (812, 139)
     # the whole level: 4,459 rows in 818 weights
     assert tower.dims[11] == 4459
     assert sum(weights.orbit_size(w) for w in found) == 818
@@ -1041,6 +1204,25 @@ def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
     ]
 
 
+def test_comparison_without_the_mirror_conjugation_reads_the_transpositions(monkeypatch):
+    # where the mirror is not certified to conjugate the applier onto
+    # itself, the comparison reads the representatives of (1 2) and (4 5)
+    cfg = Config(5, 2, 3, -1, -1)
+    oracle = _whole_payload(cfg, 4)
+    read = []
+    real = filtration.Representatives
+
+    def recording(weights, levels):
+        read.append(weights.mirror)
+        return real(weights, levels)
+
+    monkeypatch.setattr(filtration, "Representatives", recording)
+    assert compare_towers(cfg, 4) == oracle and read == [True]
+    monkeypatch.setattr(filtration, "mirror_commutes", lambda *layout: False)
+    read.clear()
+    assert compare_towers(cfg, 4) == oracle and read == [True, False]
+
+
 def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
     cfg = Config(5, 2, 3, -1, -1)
     real = filtration.explicit_level
@@ -1056,6 +1238,36 @@ def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
     rep = compare_towers(cfg, 3)
     assert [r["equal"] for r in rep["levels"]] == [True, True, False, True]
     assert not rep["all_equal"]
+
+
+@pytest.mark.parametrize("params, kmax", [((4, 1, 3, -1, 1), 5), ((5, 2, 3, -1, -1), 4)], ids=str)
+def test_compare_towers_looks_up_each_explicit_row_once(monkeypatch, params, kmax):
+    # a row that level k shares with level k-1 was found in brute-force
+    # level k-1, which brute-force level k holds: it is not looked up again
+    cfg = Config(*params)
+    towers, lookups = {}, []
+    real_build, real_contains = filtration.build_tower, EchelonBasis.contains
+
+    def build(c, k, method="explicit", **kw):
+        towers[method] = real_build(c, k, method, **kw)
+        return towers[method]
+
+    def contains(self, row):
+        lookups.append((id(self), id(row)))
+        return real_contains(self, row)
+
+    monkeypatch.setattr(filtration, "build_tower", build)
+    monkeypatch.setattr(EchelonBasis, "contains", contains)
+    rep = compare_towers(cfg, kmax)
+    assert rep["all_equal"]
+    brute = {id(level) for level in towers["bruteforce"].levels}
+    explicit = towers["explicit"]
+    rows = explicit.levels if explicit.representatives is None else explicit.representatives.levels
+    looked_up = [row for level, row in lookups if level in brute]
+    distinct = {id(row) for level in rows for row in level.rows.values()}
+    assert sorted(looked_up) == sorted(distinct)
+    # each level shares rows with the one below
+    assert len(distinct) < sum(level.dim for level in rows)
 
 
 def test_xy_weights_are_the_cartan_eigenvalues_less_their_constants():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -25,6 +26,7 @@ from oscvar.osc import (
     laplacian_form,
     project_T,
     project_T_monomial,
+    project_T_numerator,
     transposer,
     weight,
     weyl_action,
@@ -197,6 +199,47 @@ def test_degree_increments_by_family():
                         continue
                     bound = {3: 2, 1: 1, 0: 0}[_L_class(CFG, i, j)]
                     assert dfun(CFG, img) <= d0 + bound
+
+
+def _series_in_fractions(cfg, m):
+    """T(m) summed term by term in Fractions, each term of the series over
+    its own denominator: the reference for ``project_T_numerator``."""
+    sp, mid = cfg.space, cfg.n1 + 1
+    a, b = sp.exp(m, sp.x(mid)), sp.exp(m, sp.y(mid))
+    out, cur, denom = {m: Fraction(1)}, Poly.monomial(sp, m), 1
+    lift = Poly.monomial(sp, sp.unit[sp.x(mid)] + sp.unit[sp.y(mid)])
+    for i in itertools.count(1):
+        reduced = laplace(cfg, cur)
+        # D = L + d_x d_y at mid: add back the summand L takes away
+        reduced = reduced + Poly(sp, {
+            k - sp.unit[sp.x(mid)] - sp.unit[sp.y(mid)]: c * sp.exp(k, sp.x(mid)) * sp.exp(k, sp.y(mid))
+            for k, c in cur.terms.items()
+            if sp.exp(k, sp.x(mid)) and sp.exp(k, sp.y(mid))
+        })
+        cur = reduced * lift
+        if cur.is_zero():
+            return out
+        denom *= (a + i) * (b + i)
+        for k, c in cur.terms.items():
+            s = out.get(k, 0) + Fraction(c, denom)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
+@pytest.mark.parametrize("params", [(5, 2, 3, -1, -1), (4, 1, 3, -1, 1), (6, 2, 4, -1, -1)], ids=str)
+def test_integer_series_is_the_fraction_series_times_its_denominator(params):
+    # the same keys in the same order, each value the Fraction one times
+    # the common denominator, and the public projection its quotient
+    cfg = Config(*params)
+    for k in range(4):
+        for m in enumerate_TN_level(cfg, k):
+            numerator, denom = project_T_numerator(cfg, m)
+            want = _series_in_fractions(cfg, m)
+            assert list(numerator) == list(want)
+            assert all(type(c) is int and c == denom * want[k] for k, c in numerator.items())
+            assert list(project_T_monomial(cfg, m).terms.items()) == list(want.items())
 
 
 def test_projection_preserves_degree_and_commutes():
