@@ -1081,11 +1081,12 @@ def _relabelled(g: Generator, relabel: dict, n: int, mirror: bool = False) -> li
     goes to E_{sigma(a), sigma(b)}, or with ``mirror`` to
     -E_{sigma(b), sigma(a)}, the automorphism of sl(n) that conjugation by
     the x/y mirror gives (sigma(a) = n+1-a)."""
+    sign = -1 if mirror else 1
     if g[0] == "e":
         a, b = (relabel.get(r, r) for r in g[1:])
-        return [(-1, ("e", b, a))] if mirror else [(1, ("e", a, b))]
+        return [(sign, ("e", b, a) if mirror else ("e", a, b))]
     a, b = (relabel.get(r, r) for r in (g[1], g[1] + 1))
-    return matrix_to_generators({(a, a): -1, (b, b): 1} if mirror else {(a, a): 1, (b, b): -1}, n)
+    return matrix_to_generators({(a, a): sign, (b, b): -sign}, n)
 
 
 def _block_relabellings(cfg: Config) -> list[tuple]:
