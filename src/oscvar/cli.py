@@ -4,7 +4,8 @@ Every command echoes its run parameters, appends one record per check and
 exits 0 when nothing failed (skipped regimes count as non-failures), 1 on
 any failed check, 2 on invalid usage, including a --kmax or --max-degree
 too small for a check to decide (that check is recorded as skipped, with
-the reason).  JSON output is deterministic byte-for-byte for a fixed
+the reason) and parameters whose monomials leave the packed degree limit
+(``OverflowError``, as for --l1 -300).  JSON output is deterministic byte-for-byte for a fixed
 command line and seed.
 """
 
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
         parser.error("kmax and max-degree must be nonnegative")
     try:
         report = run(args.command, args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"oscvar: invalid input: {exc}", file=sys.stderr)
         return 2
     try:

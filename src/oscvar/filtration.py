@@ -70,7 +70,8 @@ towers are built to check:
     (M_0 by the certificate, pi(U_k(g)) by
     ``osc.applier_is_representation`` and
     ``osc.block_permutations_commute``), so every relabelling of them lies
-    there; with equal dimensions the spans are equal.
+    there; with equal dimensions the spans are equal.  Where either
+    certificate refuses, it reads the whole levels.
   * The x/y mirror M: x_a <-> y_{n+1-a} (``osc.mirrorer``) is a second
     orbit generator.  It is a relabelling of the variables, so an algebra
     automorphism, and where it maps each variable's weight mu to
@@ -91,8 +92,8 @@ towers are built to check:
     every dprime layout.  ``compare_towers`` reads the mirror's
     representatives only where M also conjugates every pi(E_ab) to
     -pi(E_{n+1-b,n+1-a}) (``osc.mirror_commutes``), so that it maps
-    pi(U_k(g)) M_0, the brute-force level, onto itself; elsewhere it
-    reads those of the transpositions alone.
+    pi(U_k(g)) M_0, the brute-force level, onto itself; where that
+    refuses, it reads the whole levels.
 """
 
 from __future__ import annotations
@@ -134,18 +135,20 @@ class UnsupportedRegimeError(ValueError):
 class FiltrationTower:
     """Nested spans M_0 <= M_1 <= ... <= M_kmax with their dimensions.
 
-    A tower holds its levels whole (``levels``), or, where ``build_tower``
-    finds orbits of weights on an explicit tower, only its rows at the
-    representative weights (``representatives``): ``dims`` and
-    ``check_nested`` are answered from those, and the whole levels are
-    built, at every weight, when ``levels`` is first read.
+    ``built`` holds the levels as built: whole, or, where ``build_tower``
+    finds orbits of weights on an explicit tower, only at the representative
+    weights of ``weights`` (None for whole levels).  ``dims`` and
+    ``check_nested`` read ``built``; ``levels`` are the whole levels, built
+    at every weight when first read, as where a certificate refuses the
+    orbits (``compare_towers``).
     """
 
-    def __init__(self, cfg: Config, method: str, levels=None, representatives=None):
+    def __init__(self, cfg: Config, method: str, levels: list[EchelonBasis], weights=None):
         self.cfg = cfg
         self.method = method  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
-        self._levels = levels
-        self.representatives = representatives
+        self.built = levels
+        self.weights = weights
+        self._levels = levels if weights is None else None
         # Facts other modules derive from the levels, such as the
         # annihilator's system rows.  They assume the levels do not change
         # after they are derived.
@@ -154,50 +157,20 @@ class FiltrationTower:
     @property
     def levels(self) -> list[EchelonBasis]:
         if self._levels is None:
-            self._levels = build_tower(self.cfg, self.depth, whole=True).levels
+            self._levels = build_tower(self.cfg, self.depth, whole=True).built
         return self._levels
 
     @property
-    def _counted(self) -> list[EchelonBasis]:
-        """The levels ``dims`` and ``check_nested`` read."""
-        return self.levels if self.representatives is None else self.representatives.levels
-
-    @property
     def dims(self) -> list[int]:
-        if self.representatives is not None:
-            return self.representatives.dims
-        return [b.dim for b in self.levels]
-
-    @property
-    def depth(self) -> int:
-        return len(self._counted) - 1
-
-    def check_nested(self) -> bool:
-        levels = self._counted
-        return all(_contains_rows(levels[k + 1], levels[k]) for k in range(self.depth))
-
-
-def _contains_rows(big: EchelonBasis, small: EchelonBasis) -> bool:
-    """Whether ``big`` contains every row of ``small``.  A row that ``big``
-    stores at the same pivot, the same dict (shared by ``copy``), is
-    counted without reducing it."""
-    rows = big.rows
-    return all(rows.get(piv) is row or big.contains(row) for piv, row in small.rows.items())
-
-
-class Representatives:
-    """The levels of an explicit tower at the representative weights of
-    ``weights``: each level's span at every representative weight, the sum
-    of its weight components there, in one basis.  Its dimension is the
-    sum over orbits of |orbit| times the rows of the representative weight
-    (every row is a weight vector, of the weight of its pivot)."""
-
-    def __init__(self, weights: Weights, levels: list[EchelonBasis]):
-        self.weights = weights
-        self.levels = levels
+        if self.weights is None:
+            return [b.dim for b in self.built]
+        return self._orbit_dims
 
     @cached_property
-    def dims(self) -> list[int]:
+    def _orbit_dims(self) -> list[int]:
+        """The dimensions of levels built at representative weights: the
+        sum over orbits of |orbit| times the rows of the representative
+        weight (every row is a weight vector, of the weight of its pivot)."""
         weights = self.weights
         sizes: dict = {}  # pivot -> orbit size of its weight
         orbits: dict = {}  # weight -> orbit size
@@ -212,7 +185,23 @@ class Representatives:
                 sizes[piv] = found
             return found
 
-        return [sum(map(size, level.rows)) for level in self.levels]
+        return [sum(map(size, level.rows)) for level in self.built]
+
+    @property
+    def depth(self) -> int:
+        return len(self.built) - 1
+
+    def check_nested(self) -> bool:
+        levels = self.built
+        return all(_contains_rows(levels[k + 1], levels[k]) for k in range(self.depth))
+
+
+def _contains_rows(big: EchelonBasis, small: EchelonBasis) -> bool:
+    """Whether ``big`` contains every row of ``small``.  A row that ``big``
+    stores at the same pivot, the same dict (shared by ``copy``), is
+    counted without reducing it."""
+    rows = big.rows
+    return all(rows.get(piv) is row or big.contains(row) for piv, row in small.rows.items())
 
 
 def alternating_set(cfg: Config) -> list[Poly]:
@@ -726,10 +715,10 @@ def build_tower(
     the representative weights of the orbits of the transpositions its
     certificate admits (:func:`_admitted_transpositions`) and of the x/y
     mirror where it admits that too (:func:`_admits_mirror`), and whole
-    where it admits none; the whole levels of a tower with orbits are built
-    when its ``levels`` are first read.  ``whole`` builds them whole at
-    once, with no certificate, for a caller that reads the rows (the
-    annihilator).
+    where it admits none.  ``whole`` builds every weight at once, with no
+    certificate, for a caller that reads the rows: the annihilator, a tower
+    dump, and the ``levels`` of a tower with orbits, read where a
+    certificate of the applier refuses the orbits (``compare_towers``).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -743,25 +732,17 @@ def build_tower(
         return FiltrationTower(cfg, "bruteforce", levels)
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
-    return _explicit_tower(cfg, kmax, orbits=not whole)
-
-
-def _explicit_tower(cfg: Config, kmax: int, orbits: bool = True, mirror: bool = True):
-    """The explicit tower of :func:`build_tower`: with ``orbits``, by
-    representative weight where the certificate admits orbits, the x/y
-    mirror among their generators only with ``mirror``."""
     cache = _explicit_cache(cfg)
-    admitted = _admitted_transpositions(cfg, kmax, cache) if orbits else []
-    mirror = orbits and mirror and _admits_mirror(cfg, kmax, cache, admitted)
-    if admitted or mirror:
-        cache["weights"] = Weights(cfg, cfg.space, admitted, mirror)
+    if not whole:
+        admitted = _admitted_transpositions(cfg, kmax, cache)
+        mirror = _admits_mirror(cfg, kmax, cache, admitted)
+        if admitted or mirror:
+            cache["weights"] = Weights(cfg, cfg.space, admitted, mirror)
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"
     )
-    if cache["weights"] is None:
-        return FiltrationTower(cfg, name, levels)
-    return FiltrationTower(cfg, name, representatives=Representatives(cache["weights"], levels))
+    return FiltrationTower(cfg, name, levels, cache["weights"])
 
 
 def compare_towers(cfg: Config, kmax: int) -> dict:
@@ -773,17 +754,17 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     operators themselves are checked against sympy in the tests.
 
     A level is equal when the dimensions agree and the explicit rows lie
-    in the brute-force level.  Where the explicit tower holds
-    representative levels and the brute-force tower is stable under the
-    same permutations (the applier is a representation,
-    ``osc.applier_is_representation``, that every block permutation
-    conjugates onto itself, ``osc.block_permutations_commute``, and the
-    certificate mapped the base vectors onto themselves up to sign), only
-    the rows at the representative weights are read: every relabelling
-    of them then lies in the brute-force level too.  Representatives of
-    the x/y mirror's orbits are read only where the mirror conjugates the
-    applier onto itself as well (``osc.mirror_commutes``); elsewhere those
-    of the transpositions alone are.
+    in the brute-force level.  Where the explicit tower is built at
+    representative weights, only those rows (``built``) are read, and only
+    where the brute-force tower is stable under the same relabellings:
+    the applier is a representation (``osc.applier_is_representation``)
+    that every block permutation conjugates onto itself
+    (``osc.block_permutations_commute``), and, where the x/y mirror is
+    among the orbit generators, that the mirror conjugates onto itself too
+    (``osc.mirror_commutes``); the explicit certificate mapped the base
+    vectors onto themselves up to sign.  Every relabelling of the rows read
+    then lies in the brute-force level too.  Where any of these refuses,
+    the whole levels (``levels``) are read.
 
     An explicit row that level k shares with level k-1 (the same dict,
     shared by ``EchelonBasis.copy``) and that was found in brute-force
@@ -793,16 +774,14 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     brute = build_tower(cfg, kmax, "bruteforce")
     explicit = build_tower(cfg, kmax, "explicit")
-    reps = explicit.representatives
-    if reps is not None and not (
-        applier_is_representation(n, n1, n2) and block_permutations_commute(n, n1, n2)
-    ):
-        reps = None
-    elif reps is not None and reps.weights.mirror and not mirror_commutes(n, n1, n2):
-        explicit = _explicit_tower(cfg, kmax, mirror=False)
-        reps = explicit.representatives
+    weights = explicit.weights
+    certified = weights is None or (
+        applier_is_representation(n, n1, n2)
+        and block_permutations_commute(n, n1, n2)
+        and (not weights.mirror or mirror_commutes(n, n1, n2))
+    )
+    rows = explicit.built if certified else explicit.levels
     dims = explicit.dims
-    rows = explicit.levels if reps is None else reps.levels
     per_level = []
     found: dict = {}  # pivot -> an explicit row of the level below found in the brute level below
     for k in range(kmax + 1):
@@ -966,6 +945,13 @@ def tower_from_dict(data: dict) -> FiltrationTower:
         raise ValueError(f"malformed tower dump: {exc}") from exc
     if "levels" not in data:
         raise ValueError("tower dump has no basis rows")
+    if "dims" not in data:
+        raise ValueError("tower dump has no dimensions")
+    if not isinstance(data["levels"], list) or not all(
+        isinstance(rows, list) and all(isinstance(text, str) for text in rows)
+        for rows in data["levels"]
+    ):
+        raise ValueError("tower dump levels are not lists of polynomial texts")
     levels = []
     for rows in data["levels"]:
         basis = EchelonBasis(cfg.space)

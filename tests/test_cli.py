@@ -188,6 +188,35 @@ def test_annihilator_with_tampered_tower_files(capsys, tmp_path):
             assert "not a g-stable filtration" in err
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc.pop("dims"), "has no dimensions"),
+    (lambda doc: doc["levels"][1].append(7), "levels are not lists of polynomial texts"),
+    (lambda doc: doc["levels"].__setitem__(0, 7), "levels are not lists of polynomial texts"),
+], ids=["no dims", "int row", "int level"])
+def test_annihilator_refuses_a_malformed_tower_file(capsys, tmp_path, tamper, message):
+    cfg = ["--n", "3", "--n1", "1", "--n2", "2", "--l1", "-1", "--l2", "-1"]
+    dump = tmp_path / "tower.json"
+    run_cli(capsys, "filtration", *cfg, "--kmax", "3", "--dump-tower", str(dump))
+    doc = json.loads(dump.read_text())
+    tamper(doc)
+    dump.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "annihilator", *cfg, "--kmax", "4", "--tower-file", str(dump))
+    assert code == 2 and out == ""
+    assert f"invalid input: tower dump {message}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis"],
+    ["filtration", "--kmax", "0"],
+    ["verify-main-theorem", "--kmax", "3"],
+    ["project", "--max-degree", "1"],
+], ids=lambda argv: argv[0])
+def test_monomials_past_the_packed_degree_limit_are_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--l1", "-300")
+    assert code == 2 and out == ""
+    assert "invalid input: degree 301 does not fit the packed monomial" in err
+
+
 @pytest.mark.parametrize("command", ["annihilator", "verify-main-theorem"])
 def test_tower_above_the_closure_of_its_base_passes(capsys, command):
     # (3,2,3,0,1) is reducible: its explicit tower holds a generator above M_0

@@ -1012,12 +1012,11 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
     assert [list(b.rows.items()) for b in tower.levels] == [
         list(b.rows.items()) for b in whole.levels
     ]
-    reps = tower.representatives
-    if reps is not None:
+    weights = tower.weights
+    if weights is not None:
         # every representative row is a weight vector of a representative
         # weight, and no weight of another orbit is built
-        weights = reps.weights
-        for level in reps.levels:
+        for level in tower.built:
             for row in level.rows.values():
                 w = weights.homogeneous(row)
                 assert w is not None and weights.is_representative(w)
@@ -1035,9 +1034,9 @@ def test_admitted_transpositions_are_pinned(params, admitted):
     assert _admitted_transpositions(cfg, 6, _explicit_cache(cfg)) == admitted
     tower = build_tower(cfg, 3, "explicit")
     if admitted:
-        assert tower.representatives.weights.transpositions == tuple(admitted)
+        assert tower.weights.transpositions == tuple(admitted)
     else:
-        assert tower.representatives is None
+        assert tower.weights is None
 
 
 @pytest.mark.parametrize("params, admitted, mirror", [
@@ -1057,8 +1056,8 @@ def test_mirror_verdict_is_pinned(params, admitted, mirror):
     cache = _explicit_cache(cfg)
     assert _admitted_transpositions(cfg, 4, cache) == admitted
     assert _admits_mirror(cfg, 4, cache, admitted) == mirror
-    reps = build_tower(cfg, 3, "explicit").representatives
-    assert (reps is not None and reps.weights.mirror) == mirror
+    weights = build_tower(cfg, 3, "explicit").weights
+    assert (weights is not None and weights.mirror) == mirror
     # every layout with n1 + n2 = n conjugates the applier by the mirror
     assert osc.mirror_commutes(*params[:3]) == (params[1] + params[2] == params[0])
 
@@ -1091,7 +1090,7 @@ def test_a_t_series_form_the_mirror_moves_refuses_the_mirror(monkeypatch):
     cache = _explicit_cache(cfg)
     assert _admitted_transpositions(cfg, 4, cache) == [1, 4]
     assert not _admits_mirror(cfg, 4, cache, [1, 4])
-    assert not build_tower(cfg, 3, "explicit").representatives.weights.mirror
+    assert not build_tower(cfg, 3, "explicit").weights.mirror
 
 
 def _orbit(weights, w, transpositions, mirror):
@@ -1144,9 +1143,8 @@ def test_mirror_weights_match_their_orbits():
 def test_representative_rows_and_weights_are_pinned():
     cfg = Config(4, 2, 2, -1, -1)
     tower = build_tower(cfg, 11, "explicit")
-    reps = tower.representatives
-    weights = reps.weights
-    top = reps.levels[11]
+    weights = tower.weights
+    top = tower.built[11]
     found = {weights.of(piv) for piv in top.rows}
     assert (top.dim, len(found)) == (812, 139)
     # the whole level: 4,459 rows in 818 weights
@@ -1162,7 +1160,7 @@ def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
     monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: real(*a)[:-1])
     assert _admitted_transpositions(cfg, 4, _explicit_cache(cfg)) == []
     tower = build_tower(cfg, 4, "explicit")
-    assert tower.representatives is None
+    assert tower.weights is None
     assert tower.dims == [b.dim for b in build_tower(cfg, 4, whole=True).levels]
 
 
@@ -1204,23 +1202,27 @@ def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
     ]
 
 
-def test_comparison_without_the_mirror_conjugation_reads_the_transpositions(monkeypatch):
-    # where the mirror is not certified to conjugate the applier onto
-    # itself, the comparison reads the representatives of (1 2) and (4 5)
+@pytest.mark.parametrize(
+    "refused", ["applier_is_representation", "block_permutations_commute", "mirror_commutes"]
+)
+def test_comparison_reads_the_whole_levels_where_a_certificate_refuses(monkeypatch, refused):
+    # (5,2,3,-1,-1) has orbits of (1 2), (4 5) and the mirror; where a
+    # certificate of the applier refuses them, the whole levels are read
     cfg = Config(5, 2, 3, -1, -1)
     oracle = _whole_payload(cfg, 4)
-    read = []
-    real = filtration.Representatives
+    whole = []
+    real = filtration.build_tower
 
-    def recording(weights, levels):
-        read.append(weights.mirror)
-        return real(weights, levels)
+    def build(c, k, method="explicit", **kw):
+        tower = real(c, k, method, **kw)
+        if kw.get("whole"):
+            whole.append(tower)
+        return tower
 
-    monkeypatch.setattr(filtration, "Representatives", recording)
-    assert compare_towers(cfg, 4) == oracle and read == [True]
-    monkeypatch.setattr(filtration, "mirror_commutes", lambda *layout: False)
-    read.clear()
-    assert compare_towers(cfg, 4) == oracle and read == [True, False]
+    monkeypatch.setattr(filtration, "build_tower", build)
+    assert compare_towers(cfg, 4) == oracle and whole == []
+    monkeypatch.setattr(filtration, refused, lambda *layout: False)
+    assert compare_towers(cfg, 4) == oracle and len(whole) == 1
 
 
 def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
@@ -1262,7 +1264,7 @@ def test_compare_towers_looks_up_each_explicit_row_once(monkeypatch, params, kma
     assert rep["all_equal"]
     brute = {id(level) for level in towers["bruteforce"].levels}
     explicit = towers["explicit"]
-    rows = explicit.levels if explicit.representatives is None else explicit.representatives.levels
+    rows = explicit.built
     looked_up = [row for level, row in lookups if level in brute]
     distinct = {id(row) for level in rows for row in level.rows.values()}
     assert sorted(looked_up) == sorted(distinct)
