@@ -104,9 +104,10 @@ a certificate fails, and where a transposition maps a row of M_0 to
 anything but plus or minus a row; every weight is then its own
 representative.  The predicted families of every degree, the degree-1
 symbols included, are compared one representative weight at a time
-(:class:`_Family`), and a membership is read from the block of its own
-weight, relabelled by the sigma that sorts it (:class:`_Memberships`), so
-no other block is ever built.
+(:class:`_Family`), and a membership, a minor's included, is read one
+weight component at a time, each moved to the block of its representative
+weight by the sigma that sorts it (``AnnihilatorPiece.holds``), so no
+other block is ever built.
 
 The stabilization flag compares the kernel with that of the kmax-1
 system.  On a tower that is U_k(g) M_0 both are the kernel of M_0, so it
@@ -802,9 +803,8 @@ class _Memberships:
     lemma, and the kernel vectors span exactly the pure symbols that
     annihilate.  Each weight component is read from the block of its
     representative weight, relabelled by the permutation that sorts its
-    weight (``AnnihilatorPiece.holds``).  A minor is relabelled by its
-    rows and columns instead, to a minor of the representative weight,
-    and its pure part is expanded from projected entries
+    weight (``AnnihilatorPiece.holds``).  A minor is read the same way;
+    its pure part is expanded from projected entries
     (:func:`minor_symbol`), so its whole symbol is never built.  The
     permutations inside the blocks map the piece onto itself and a minor
     to plus or minus the minor of the relabelled rows and columns, so
@@ -831,14 +831,7 @@ class _Memberships:
         key = (rows, cols) if weights is None else (len(rows), weights.order_type(rows, cols))
         found = self._minors.get(key)
         if found is None:
-            w = None
-            if weights is not None:
-                w, s = weights.sorter(weights.minor(rows, cols))
-                if s is not None:
-                    rows = tuple(sorted(s[j] for j in rows))
-                    cols = tuple(sorted(s[i] for i in cols))
-            rep = op if (rows, cols) == (op.rows, op.cols) else DeltaOp(op.cfg, rows, cols)
-            found = self._minors[key] = piece.span(w).contains(rep.projected(piece.mask))
+            found = self._minors[key] = piece.holds(op.projected(piece.mask))
         return found
 
     def symbol(self, sym: Poly):

@@ -1,14 +1,17 @@
 """Filtrations of the harmonic module by enveloping-algebra degree.
 
-The base space M_0 depends on the parameter regime:
+The base space M_0 depends on the parameter regime; its monomials come
+from one enumerator, ``osc.enumerate_block_sums``:
 
   * n1 < n2 with l1 <= 0 or l2 <= 0: the T-image of one block-degree cell,
     picked by the sign pattern of (l1, l2);
   * n1 < n2 = n with l1, l2 > 0: the T-images with zero x-degree over J1;
-  * n1 = n2 with l1, l2 <= 0: the monomials X_{J1}^{m1} Y_{J3}^{m2};
+  * n1 = n2 with l1, l2 <= 0: the monomials of the cell the same signs
+    pick, X_{J1}^{-l1} Y_{J3}^{-l2}, not projected;
   * n1 = n2 with l1 <= 0 < l2 (and 1 < n1): products of the quadratics
-    (x_p y_q - x_q y_p) over J1 against X_{J1}^{m1}; the regime with the
-    roles of l1 and l2 swapped is handled through the x/y mirror symmetry.
+    (x_p y_q - x_q y_p) over J1 against X_{J1}^{m1}, the cell
+    (m1, 0, 0, 0, 0, 0); the regime with the roles of l1 and l2 swapped is
+    handled through the x/y mirror symmetry.
 
 Each level M_k = U_k(sl(n))(M_0) is materialized as an echelon basis, two
 independent ways: brute-force closure under all generators, and the
@@ -107,7 +110,6 @@ from .linalg import EchelonBasis, echelon_from
 from .osc import (
     Config,
     Weights,
-    _compositions,
     apply_generator,
     apply_generator_terms,
     applier_is_representation,
@@ -289,7 +291,8 @@ def _mirror_poly(p: Poly, cfg: Config) -> Poly:
 
 def _skew_base(cfg: Config) -> list[Poly]:
     """Base vectors prod (x_p y_q - x_q y_p)^{k_pq} * X_{J1}^{m1} for the
-    n1 = n2, l1 <= 0 < l2 regime."""
+    n1 = n2, l1 <= 0 < l2 regime; the X_{J1}^{m1} factors are the block-sum
+    cell (m1, 0, 0, 0, 0, 0)."""
     if cfg.n1 < 2:
         raise UnsupportedRegimeError(
             f"{cfg.short()}: skew products need at least two J1 indices"
@@ -306,48 +309,29 @@ def _skew_base(cfg: Config) -> list[Poly]:
         t2[sp.x(q)] = 1
         t2[sp.y(p)] = 1
         skews.append(Poly(sp, {sp.pack(t1): 1, sp.pack(t2): -1}))
+    xms = [Poly.monomial(sp, m) for m in enumerate_block_sums(cfg, m1, 0, 0, 0, 0, 0)]
     out = []
     for combo in itertools.combinations_with_replacement(range(len(pairs)), m2):
         prod = Poly.constant(sp, 1)
         for idx in combo:
             prod = prod * skews[idx]
-        for xm in _compositions_over(cfg.J1, m1):
-            mono = [0] * sp.nvars
-            for i, e in xm:
-                mono[sp.x(i)] = e
-            out.append(prod * Poly.monomial(sp, sp.pack(mono)))
-    return out
-
-
-def _compositions_over(indices, total):
-    idx = list(indices)
-    for comp in _compositions(total, len(idx)):
-        yield list(zip(idx, comp))
-
-
-def _product_base(cfg: Config) -> list[Poly]:
-    """Monomials X_{J1}^{m1} Y_{J3}^{m2} for the n1 = n2, l1, l2 <= 0 regime."""
-    sp = cfg.space
-    m1, m2 = -cfg.l1, -cfg.l2
-    out = []
-    for xm in _compositions_over(cfg.J1, m1):
-        for ym in _compositions_over(cfg.J3, m2):
-            mono = [0] * sp.nvars
-            for i, e in xm:
-                mono[sp.x(i)] = e
-            for j, e in ym:
-                mono[sp.y(j)] = e
-            out.append(Poly.monomial(sp, sp.pack(mono)))
+        out.extend(prod * xm for xm in xms)
     return out
 
 
 def base_space_vectors(cfg: Config, tproj=None) -> list[Poly]:
     """Spanning vectors of M_0 for the applicable regime; ``tproj``, a
-    :class:`_TCache` of the layout, serves the T-images where given."""
+    :class:`_TCache` of the layout, serves the T-images where given.
+
+    Where l1 or l2 is nonpositive and the regime is not skew, M_0 is
+    spanned by one block-degree cell (``osc.enumerate_block_sums``), picked
+    by the signs of (l1, l2): its T-images where n1 < n2, its monomials
+    X_{J1}^{-l1} Y_{J3}^{-l2} where n1 = n2.
+    """
     regime = _regime(cfg)
     if regime in ("T-cell", "dprime") and tproj is None:
         tproj = _TCache(cfg)
-    if regime == "T-cell":
+    if regime in ("T-cell", "product"):
         l1, l2 = cfg.l1, cfg.l2
         if l1 <= 0 and l2 <= 0:
             cell = (-l1, 0, 0, 0, 0, -l2)
@@ -355,11 +339,12 @@ def base_space_vectors(cfg: Config, tproj=None) -> list[Poly]:
             cell = (-l1, 0, 0, 0, l2, 0)
         else:  # l1 >= 0 >= l2
             cell = (0, l1, 0, 0, 0, -l2)
-        return [tproj(m) for m in enumerate_block_sums(cfg, *cell)]
+        monomials = enumerate_block_sums(cfg, *cell)
+        if regime == "product":
+            return [Poly.monomial(cfg.space, m) for m in monomials]
+        return [tproj(m) for m in monomials]
     if regime == "dprime":
         return [tproj(m) for m in _dprime_level(cfg, 0)]
-    if regime == "product":
-        return _product_base(cfg)
     if regime == "product-skew":
         return _skew_base(cfg)
     # product-skew-mirror: the skew base of the mirrored layout, whose J1 is
@@ -920,7 +905,19 @@ def operator_chain_identity(
 
 
 def tower_to_dict(tower: FiltrationTower) -> dict:
+    """The tower as JSON data: its layout, method, dimensions and the
+    canonical rows of each whole level as text.  Levels share most of their
+    canonical rows, so each distinct row is rendered once."""
     cfg = tower.cfg
+    texts: dict = {}  # the terms of a canonical row -> its text
+
+    def render(row: dict) -> str:
+        key = frozenset(row.items())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = Poly(cfg.space, row).render()
+        return text
+
     return {
         "config": {
             "n": cfg.n,
@@ -932,7 +929,7 @@ def tower_to_dict(tower: FiltrationTower) -> dict:
         "method": tower.method,
         "dims": tower.dims,
         "levels": [
-            [row.render() for row in basis.sorted_rows()] for basis in tower.levels
+            [render(row) for row in basis.canonical_rows()] for basis in tower.levels
         ],
     }
 

@@ -81,16 +81,6 @@ def _int_terms(terms: dict) -> tuple[dict, int]:
     return {m: int(c * lcm) for m, c in terms.items()}, lcm
 
 
-def primitive_multiple(terms: dict) -> dict:
-    """The positive multiple of a nonzero coefficient dict whose
-    coefficients are coprime integers."""
-    row, _ = _int_terms(terms)
-    g = _content(row)
-    if g != 1:
-        row = {m: v // g for m, v in row.items()}
-    return row
-
-
 def _eliminate(row: dict, pivot_row: dict, mon) -> tuple[int, int]:
     """Kill ``mon`` in the integer ``row`` in place: row = mr*row - mp*pivot_row.
 

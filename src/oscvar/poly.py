@@ -397,20 +397,7 @@ class Poly:
             return Poly(self.space, {})
         return Poly(self.space, {m: c * v for m, v in self.terms.items()})
 
-    # -- calculus and substitution --------------------------------------
-
-    def diff(self, pos: int) -> "Poly":
-        """Exact partial derivative with respect to the variable at ``pos``."""
-        sp = self.space
-        if not 0 <= pos < sp.nvars:
-            raise SpaceMismatchError(f"no variable at position {pos}")
-        s, unit = sp.shift[pos], sp.unit[pos]
-        out = {}
-        for m, c in self.terms.items():
-            e = (m >> s) & FIELD_MASK
-            if e:
-                out[m - unit] = e * c
-        return Poly(sp, out)
+    # -- substitution ---------------------------------------------------
 
     def substitute(self, images: Mapping[int, "Poly"], target: Space) -> "Poly":
         """Simultaneous substitution of variables by polynomials.

@@ -34,10 +34,6 @@ class Report:
     # (its skipped record says why); makes the exit code 2.
     params_too_small: bool = False
 
-    def add(self, record: CheckRecord) -> CheckRecord:
-        self.checks.append(record)
-        return record
-
     @property
     def overall(self) -> str:
         return "fail" if any(c.status == "fail" for c in self.checks) else "pass"

@@ -444,10 +444,10 @@ def test_gkdim_too_shallow_to_decide_is_a_skip(capsys):
 
 def test_failed_check_gives_exit_one():
     report = Report("x", {})
-    report.add(CheckRecord("a", "b", "fail", {}))
+    report.checks.append(CheckRecord("a", "b", "fail", {}))
     assert report.exit_code == 1
     report2 = Report("x", {})
-    report2.add(CheckRecord("a", "b", "skipped", {}, reason="r"))
+    report2.checks.append(CheckRecord("a", "b", "skipped", {}, reason="r"))
     assert report2.exit_code == 0
 
 

@@ -49,7 +49,7 @@ from oscvar.osc import (
     project_T_monomial,
     weight,
 )
-from oscvar.poly import Poly, axpy, monomials, parse_poly
+from oscvar.poly import Poly, axpy, monomials, parse_poly, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -71,6 +71,58 @@ def test_base_space_examples():
     assert b3.dim == 4
     rows = {r.render() for r in b3.sorted_rows()}
     assert rows == {f"x{i}*y{j}" for i in (1, 2) for j in (3, 4)}
+
+
+def _vector(n, *terms):
+    """The term dict of (coefficient, x exponents, y exponents) triples."""
+    return {xy_space(n).pack(x + y): c for c, x, y in terms}
+
+
+# base_space_vectors in order, each as its terms
+_BASE_VECTORS = {
+    # product: X_{J1}^2 Y_{J3}^1
+    (5, 2, 2, -2, -1): [
+        _vector(5, (1, (0, 2, 0, 0, 0), (0, 0, 0, 0, 1))),
+        _vector(5, (1, (0, 2, 0, 0, 0), (0, 0, 0, 1, 0))),
+        _vector(5, (1, (0, 2, 0, 0, 0), (0, 0, 1, 0, 0))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 0, 0, 0, 1))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 0, 0, 1, 0))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+        _vector(5, (1, (2, 0, 0, 0, 0), (0, 0, 0, 0, 1))),
+        _vector(5, (1, (2, 0, 0, 0, 0), (0, 0, 0, 1, 0))),
+        _vector(5, (1, (2, 0, 0, 0, 0), (0, 0, 1, 0, 0))),
+    ],
+    # product-skew: (x_p y_q - x_q y_p) for p < q in J1, times x3, x2, x1
+    (5, 3, 3, -2, 1): [
+        _vector(5, (1, (1, 0, 1, 0, 0), (0, 1, 0, 0, 0)), (-1, (0, 1, 1, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 1, 0, 0, 0)), (-1, (0, 2, 0, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (2, 0, 0, 0, 0), (0, 1, 0, 0, 0)), (-1, (1, 1, 0, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (1, 0, 1, 0, 0), (0, 0, 1, 0, 0)), (-1, (0, 0, 2, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0)), (-1, (0, 1, 1, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (2, 0, 0, 0, 0), (0, 0, 1, 0, 0)), (-1, (1, 0, 1, 0, 0), (1, 0, 0, 0, 0))),
+        _vector(5, (1, (0, 1, 1, 0, 0), (0, 0, 1, 0, 0)), (-1, (0, 0, 2, 0, 0), (0, 1, 0, 0, 0))),
+        _vector(5, (1, (0, 2, 0, 0, 0), (0, 0, 1, 0, 0)), (-1, (0, 1, 1, 0, 0), (0, 1, 0, 0, 0))),
+        _vector(5, (1, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0)), (-1, (1, 0, 1, 0, 0), (0, 1, 0, 0, 0))),
+    ],
+    # its x/y mirror, x_i <-> y_{6-i}
+    (5, 2, 2, 1, -2): [
+        _vector(5, (1, (0, 0, 0, 1, 0), (0, 0, 1, 0, 1)), (-1, (0, 0, 0, 0, 1), (0, 0, 1, 1, 0))),
+        _vector(5, (1, (0, 0, 0, 1, 0), (0, 0, 0, 1, 1)), (-1, (0, 0, 0, 0, 1), (0, 0, 0, 2, 0))),
+        _vector(5, (1, (0, 0, 0, 1, 0), (0, 0, 0, 0, 2)), (-1, (0, 0, 0, 0, 1), (0, 0, 0, 1, 1))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 1, 0, 1)), (-1, (0, 0, 0, 0, 1), (0, 0, 2, 0, 0))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)), (-1, (0, 0, 0, 0, 1), (0, 0, 1, 1, 0))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 0, 0, 2)), (-1, (0, 0, 0, 0, 1), (0, 0, 1, 0, 1))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 1, 1, 0)), (-1, (0, 0, 0, 1, 0), (0, 0, 2, 0, 0))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 0, 2, 0)), (-1, (0, 0, 0, 1, 0), (0, 0, 1, 1, 0))),
+        _vector(5, (1, (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)), (-1, (0, 0, 0, 1, 0), (0, 0, 1, 0, 1))),
+    ],
+}
+
+
+@pytest.mark.parametrize("params", sorted(_BASE_VECTORS), ids=str)
+def test_base_space_vectors_are_pinned(params):
+    cfg = Config(*params)
+    assert [v.terms for v in base_space_vectors(cfg)] == _BASE_VECTORS[params]
 
 
 def test_base_space_unsupported_regime():
@@ -251,6 +303,14 @@ def test_tower_dump_roundtrip(tmp_path):
     data_bad["dims"][0] = 99
     with pytest.raises(ValueError):
         tower_from_dict(data_bad)
+
+
+@pytest.mark.parametrize("params, kmax", [((4, 2, 2, -1, -1), 7), ((5, 2, 3, -1, -1), 3)], ids=str)
+def test_tower_dump_renders_every_canonical_row(params, kmax):
+    # each distinct row is rendered once; the text is that of every row
+    tower = build_tower(Config(*params), kmax)
+    per_row = [[row.render() for row in basis.sorted_rows()] for basis in tower.levels]
+    assert tower_to_dict(tower)["levels"] == per_row
 
 
 def test_deep_tower_agreement():

@@ -3,8 +3,6 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
-from math import gcd
 
 import pytest
 import sympy
@@ -16,7 +14,6 @@ from oscvar.linalg import (
     _int_terms,
     echelon_from,
     kernel_of_columns,
-    primitive_multiple,
     span_equal,
 )
 from oscvar.poly import Poly, SpaceMismatchError, parse_poly, xy_space, z_space
@@ -270,9 +267,6 @@ def test_int_terms_agree_on_int_and_fraction_coefficients(terms, d):
     assert all(row[m] == c * mult for m, c in fractional.items())
     for result in (as_int, whole, (row, mult)):
         assert all(type(v) is int for v in result[0].values())
-    content = reduce(gcd, terms.values(), 0)
-    prim = {m: c // content for m, c in terms.items()}
-    assert primitive_multiple(terms) == primitive_multiple(fractional) == prim
 
 
 # x_i y_j, packed in SP, for i, j in 1..3
