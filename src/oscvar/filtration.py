@@ -97,6 +97,33 @@ towers are built to check:
     -pi(E_{n+1-b,n+1-a}) (``osc.mirror_commutes``), so that it maps
     pi(U_k(g)) M_0, the brute-force level, onto itself; where that
     refuses, it reads the whole levels.
+  * Brute-force route by weight (``_bruteforce_tower``): where
+    ``compare_towers`` reads the representative rows, it builds each
+    brute-force level k only at a set N_k of weights, and the rows there
+    are the whole level's, row for row.  Every brute-force row is a weight
+    vector of its pivot's weight: the rows of M_0 are (``_spanning_sets``
+    checked the base vectors), every term of a root's applier table moves
+    the weight by one shift (``_generator_shifts`` checks it per layout;
+    h_r moves none), and elimination combines only rows whose leads share
+    a weight.  So the rows of level k+1 at weight nu come only from the
+    rows of level k at nu and at nu - shift(g).  Where N_{k+1} <= N_k and
+    N_{k+1} - shifts <= N_k, a build that forms only the images landing in
+    N_{k+1} (``bruteforce_level`` with a ``cone``) inserts at each kept
+    weight the same images in the same order as the whole build, so it
+    stores the same rows, with the same pivots, dicts and tags.  N_kmax is
+    the representative weights (``Weights.is_representative``, the mirror
+    among the orbit generators where the explicit tower has it); below it
+    N_k is the weights of ``Weights.descent`` at most kmax - k.  The
+    descent is 0 on the weights ascending in every run, the representative
+    ones among them, and a shift whose entries add up to at most 2 in
+    absolute value (eps_a - eps_b for E_ab, which ``_generator_shifts``
+    checks) moves it by at most 1: both inclusions follow.  The brute-force
+    level is stable under the orbit generators (the certificates
+    ``compare_towers`` requires), so its dimension is the sum over orbits
+    of |orbit| times its rows at the representative weight, and an
+    explicit row of that weight reduces only against them.  At
+    (6,3,3,-1,-1) to depth 6 the top level keeps 7,857 of 27,027 rows.
+    Where a certificate or a shift fails, the whole levels are built.
 """
 
 from __future__ import annotations
@@ -125,9 +152,10 @@ from .osc import (
     project_T,
     project_T_numerator,
     projection_forms,
+    root_terms,
     transposer,
 )
-from .poly import Poly, parse_poly
+from .poly import Poly, parse_poly, render_terms
 
 
 class UnsupportedRegimeError(ValueError):
@@ -137,19 +165,30 @@ class UnsupportedRegimeError(ValueError):
 class FiltrationTower:
     """Nested spans M_0 <= M_1 <= ... <= M_kmax with their dimensions.
 
-    ``built`` holds the levels as built: whole, or, where ``build_tower``
-    finds orbits of weights on an explicit tower, only at the representative
-    weights of ``weights`` (None for whole levels).  ``dims`` and
-    ``check_nested`` read ``built``; ``levels`` are the whole levels, built
-    at every weight when first read, as where a certificate refuses the
-    orbits (``compare_towers``).
+    ``built`` holds the levels as built: whole, or with orbits of weights
+    (``weights``, None for whole levels) only at some weights: an explicit
+    tower at the representative ones (``build_tower``), a brute-force tower
+    at the weights that reach them (:func:`_bruteforce_tower`), which
+    carries the weight of each row's pivot in ``row_weights``.  ``dims``
+    counts the rows of ``built`` at representative weights, and
+    ``check_nested`` reads ``built``; ``levels`` are the whole levels of
+    the same method, built at every weight when first read, as where a
+    certificate refuses the orbits (``compare_towers``).
     """
 
-    def __init__(self, cfg: Config, method: str, levels: list[EchelonBasis], weights=None):
+    def __init__(
+        self,
+        cfg: Config,
+        method: str,
+        levels: list[EchelonBasis],
+        weights=None,
+        row_weights: dict | None = None,
+    ):
         self.cfg = cfg
         self.method = method  # "bruteforce" | "explicit" | "explicit-dprime" | "product-span"
         self.built = levels
         self.weights = weights
+        self.row_weights = row_weights
         self._levels = levels if weights is None else None
         # Facts other modules derive from the levels, such as the
         # annihilator's system rows.  They assume the levels do not change
@@ -159,7 +198,10 @@ class FiltrationTower:
     @property
     def levels(self) -> list[EchelonBasis]:
         if self._levels is None:
-            self._levels = build_tower(self.cfg, self.depth, whole=True).built
+            if self.method == "bruteforce":
+                self._levels = _bruteforce_tower(self.cfg, self.depth).built
+            else:
+                self._levels = build_tower(self.cfg, self.depth, whole=True).built
         return self._levels
 
     @property
@@ -170,20 +212,24 @@ class FiltrationTower:
 
     @cached_property
     def _orbit_dims(self) -> list[int]:
-        """The dimensions of levels built at representative weights: the
-        sum over orbits of |orbit| times the rows of the representative
-        weight (every row is a weight vector, of the weight of its pivot)."""
+        """The dimensions of levels built with orbits: the sum over orbits
+        of |orbit| times the rows of the representative weight (every row
+        is a weight vector, of the weight of its pivot, read from
+        ``row_weights`` where the build carried it); rows of other weights
+        count nothing."""
         weights = self.weights
-        sizes: dict = {}  # pivot -> orbit size of its weight
-        orbits: dict = {}  # weight -> orbit size
+        of = weights.of if self.row_weights is None else self.row_weights.__getitem__
+        sizes: dict = {}  # pivot -> orbit size of its weight, 0 off the representatives
+        orbits: dict = {}  # weight -> the same
 
         def size(piv):
             found = sizes.get(piv)
             if found is None:
-                w = weights.of(piv)
+                w = of(piv)
                 found = orbits.get(w)
                 if found is None:
-                    found = orbits[w] = weights.orbit_size(w)
+                    kept = weights.is_representative(w)
+                    found = orbits[w] = weights.orbit_size(w) if kept else 0
                 sizes[piv] = found
             return found
 
@@ -375,8 +421,10 @@ def bruteforce_level(
     prev: EchelonBasis,
     fresh: dict | None = None,
     tags: dict | None = None,
+    cone: tuple | None = None,
 ) -> EchelonBasis:
-    """span(prev) + the images of its rows under all n^2 - 1 generators.
+    """span(prev) + the images of its rows under all n^2 - 1 generators,
+    at the weights ``cone`` keeps, or at every weight where it is None.
 
     ``fresh`` maps the pivot of each row new at prev's level to the row's
     tag: the index, in ``generators`` order, of the generator whose image
@@ -400,24 +448,103 @@ def bruteforce_level(
     not hold, no accepted row is tagged, and the call is the plain
     semi-naive closure: every generator on every row new at prev's level
     (prev's other rows have their images in prev already).
+
+    ``cone`` is (keeps, shifts, of): the test of the weights the level
+    keeps, the weight each generator moves a weight vector by (in
+    ``generators`` order) and a dict of the weight of the pivot of every
+    row built so far.  The image g_b r is then formed only where the
+    weight of r moved by the shift of g_b is one ``keeps`` accepts, and each
+    accepted row's weight is entered in ``of``.  Every other step is the
+    same, so at a kept weight the level inserts what the whole level
+    inserts there, in the same order, wherever prev agrees with the whole
+    level at the weights the images come from (:func:`_bruteforce_tower`).
     """
     nxt = prev.copy()
     ordered = applier_is_representation(cfg.n, cfg.n1, cfg.n2)
     if fresh is None:
         fresh = dict.fromkeys(prev.rows)
+    keeps, shifts, of = (None, None, None) if cone is None else cone
     todo = sorted(
-        ((-1 if tag is None else tag, prev.rows[piv]) for piv, tag in fresh.items()),
+        (
+            (-1 if tag is None else tag, prev.rows[piv], None if of is None else of[piv])
+            for piv, tag in fresh.items()
+        ),
         key=lambda item: item[0],
     )
     for b, g in enumerate(generators(cfg.n)):
-        for tag, row in todo:
+        shift = 0 if shifts is None else shifts[b]
+        for tag, row, w in todo:
             if tag > b:
                 break
+            if keeps is not None:
+                w += shift
+                if not keeps(w):
+                    continue
             img = apply_generator_terms(cfg, g, row)
             # an accepted row's pivot is the last key of nxt.rows
-            if img and nxt.insert(img) and tags is not None:
-                tags[next(reversed(nxt.rows))] = b if ordered else None
+            if img and nxt.insert(img):
+                piv = next(reversed(nxt.rows))
+                if tags is not None:
+                    tags[piv] = b if ordered else None
+                if of is not None:
+                    of[piv] = w
     return nxt
+
+
+def _generator_shifts(cfg: Config, weights: Weights) -> list | None:
+    """The weight each generator moves a weight vector by, in
+    ``generators`` order: 0 for h_r, which acts diagonally, and for a root
+    the weight of v less that of d over the terms c v d of its applier
+    table (``osc.root_terms``).  None where a root has a term that is no
+    Weyl monomial, two terms of different shifts, or a shift whose entries
+    add up to more than 2 in absolute value (the bound
+    ``Weights.descent`` rests on)."""
+    decoded = root_terms(cfg.n, cfg.n1, cfg.n2)
+    out = []
+    for g in generators(cfg.n):
+        if g[0] == "h":
+            out.append(0)
+            continue
+        terms = decoded[g]
+        if terms is None:
+            return None
+        found = {weights.of(v) - weights.of(d) for _c, v, d in terms}
+        if len(found) > 1:
+            return None
+        shift = found.pop() if found else 0
+        if sum(map(abs, weights.entries(shift))) > 2:
+            return None
+        out.append(shift)
+    return out
+
+
+def _cone_keeps(weights: Weights, kmax: int, k: int):
+    """The test of N_k, the weights brute-force level k of a tower to depth
+    kmax is built at: the representative weights at the top, below it the
+    weights of descent at most kmax - k (``Weights.descent``)."""
+    if k == kmax:
+        return weights.is_representative
+    descent, bound = weights.descent, kmax - k
+    return lambda w: descent(w) <= bound
+
+
+def _bruteforce_tower(cfg: Config, kmax: int, weights: Weights | None = None) -> FiltrationTower:
+    """The brute-force tower M_0 .. M_kmax, each level closing only the
+    rows new at the level below (:func:`bruteforce_level`): whole, or with
+    the orbits ``weights`` of a certified explicit tower, each level k only
+    at the weights N_k of :func:`_cone_keeps` (the module docstring says
+    why the rows there are the whole level's).  Whole where a root of the
+    applier moves no weight by one shift (:func:`_generator_shifts`)."""
+    levels = [build_M0(cfg)]
+    shifts = None if weights is None else _generator_shifts(cfg, weights)
+    of = None if shifts is None else {piv: weights.of(piv) for piv in levels[0].rows}
+    fresh = None
+    for k in range(kmax):
+        tags: dict = {}
+        cone = None if of is None else (_cone_keeps(weights, kmax, k + 1), shifts, of)
+        levels.append(bruteforce_level(cfg, levels[k], fresh, tags, cone))
+        fresh = tags
+    return FiltrationTower(cfg, "bruteforce", levels, None if of is None else weights, of)
 
 
 def _pset_product(cfg: Config, combo: tuple, cache: dict) -> Poly:
@@ -708,13 +835,7 @@ def build_tower(
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if method == "bruteforce":
-        levels = [build_M0(cfg)]
-        fresh = None
-        for k in range(kmax):
-            tags: dict = {}
-            levels.append(bruteforce_level(cfg, levels[k], fresh, tags))
-            fresh = tags
-        return FiltrationTower(cfg, "bruteforce", levels)
+        return _bruteforce_tower(cfg, kmax)
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
     cache = _explicit_cache(cfg)
@@ -748,8 +869,12 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     among the orbit generators, that the mirror conjugates onto itself too
     (``osc.mirror_commutes``); the explicit certificate mapped the base
     vectors onto themselves up to sign.  Every relabelling of the rows read
-    then lies in the brute-force level too.  Where any of these refuses,
-    the whole levels (``levels``) are read.
+    then lies in the brute-force level too.  The brute-force levels are
+    then built only at the weights that reach a representative weight
+    (:func:`_bruteforce_tower`), where their rows are the whole levels',
+    and their dimensions are sums over orbits.  Where any of these
+    refuses, the whole explicit levels (``levels``) are read and the whole
+    brute-force levels built.
 
     An explicit row that level k shares with level k-1 (the same dict,
     shared by ``EchelonBasis.copy``) and that was found in brute-force
@@ -757,7 +882,6 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     of level k-1, so it holds the row too.
     """
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    brute = build_tower(cfg, kmax, "bruteforce")
     explicit = build_tower(cfg, kmax, "explicit")
     weights = explicit.weights
     certified = weights is None or (
@@ -765,13 +889,16 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         and block_permutations_commute(n, n1, n2)
         and (not weights.mirror or mirror_commutes(n, n1, n2))
     )
-    rows = explicit.built if certified else explicit.levels
-    dims = explicit.dims
+    if certified:
+        rows, brute = explicit.built, _bruteforce_tower(cfg, kmax, weights)
+    else:
+        rows, brute = explicit.levels, _bruteforce_tower(cfg, kmax)
+    dims, brute_dims = explicit.dims, brute.dims
     per_level = []
     found: dict = {}  # pivot -> an explicit row of the level below found in the brute level below
     for k in range(kmax + 1):
-        level = brute.levels[k]
-        eq = level.dim == dims[k]
+        level = brute.built[k]
+        eq = brute_dims[k] == dims[k]
         held = {}
         if eq:
             for piv, row in rows[k].rows.items():
@@ -783,7 +910,7 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         per_level.append(
             {
                 "k": k,
-                "dim_bruteforce": level.dim,
+                "dim_bruteforce": brute_dims[k],
                 "dim_explicit": dims[k],
                 "equal": eq,
             }
@@ -906,16 +1033,18 @@ def operator_chain_identity(
 
 def tower_to_dict(tower: FiltrationTower) -> dict:
     """The tower as JSON data: its layout, method, dimensions and the
-    canonical rows of each whole level as text.  Levels share most of their
-    canonical rows, so each distinct row is rendered once."""
+    canonical rows of each whole level as text (``poly.render_terms``).
+    Levels share most of their canonical rows, and rows their monomials, so
+    each distinct row and each monomial is rendered once."""
     cfg = tower.cfg
     texts: dict = {}  # the terms of a canonical row -> its text
+    monomial_texts: dict = {}
 
     def render(row: dict) -> str:
         key = frozenset(row.items())
         text = texts.get(key)
         if text is None:
-            text = texts[key] = Poly(cfg.space, row).render()
+            text = texts[key] = render_terms(cfg.space, row, monomial_texts)
         return text
 
     return {

@@ -814,6 +814,16 @@ def _weyl_monomials(sp: Space, ops: tuple):
     return sorted(out)
 
 
+@cache
+def root_terms(n: int, n1: int, n2: int) -> dict:
+    """``_weyl_monomials`` of the applier table of every root, by root:
+    decoded once per layout for the certificates (``_agreement_monomials``,
+    ``_relabellings_hold``) and the weight shifts of ``filtration``.  A
+    test that patches the tables clears it with them."""
+    sp = xy_space(n)
+    return {g: _weyl_monomials(sp, ops) for g, ops in _weyl_tables(n, n1, n2)[0].items()}
+
+
 def _agreement_monomials(cfg: Config, g: Generator, form: dict, full: list) -> list:
     """The monomials on which the applier of g is compared with its Weyl
     form ``form``: those of degree <= 2 on the positions P that the form's
@@ -830,7 +840,7 @@ def _agreement_monomials(cfg: Config, g: Generator, form: dict, full: list) -> l
         for s, _k in cfg.cartan_tables[g[1]][1]:
             keys.append(((1 << s) | dunit,) * 2)
     else:
-        terms = _weyl_monomials(sp, cfg.weyl_tables[0][g])
+        terms = root_terms(cfg.n, cfg.n1, cfg.n2)[g]
         if terms is None:
             return full
         keys += [(v, d) for _c, v, d in terms]
@@ -1129,7 +1139,8 @@ def _relabellings_hold(cfg: Config, forms: dict, relabellings=None) -> bool:
         relabellings = _block_relabellings(cfg)
     if not relabellings:
         return True
-    tables = {g: (ops[0], _weyl_monomials(sp, ops)) for g, ops in cfg.weyl_tables[0].items()}
+    decoded = root_terms(n, cfg.n1, cfg.n2)
+    tables = {g: (ops[0], decoded[g]) for g, ops in cfg.weyl_tables[0].items()}
     if any(terms is None for _ceiling, terms in tables.values()):
         return False
     reads = {}  # g -> (the indices of its matrix, the positions its data touch)
@@ -1281,6 +1292,8 @@ class Weights:
         ]
         self._sorted: dict = {}
         self._kept: dict = {}  # w -> is_representative(w)
+        self._descents: dict = {}  # w -> descent(w)
+        self._sizes: dict = {}  # w -> orbit_size(w)
 
     def _fields(self, w: int):
         """mu_a + 2^(B-1) for a = 1..n, a bytes object where B = 8."""
@@ -1389,18 +1402,43 @@ class Weights:
             self._kept[w] = found
         return found
 
+    def descent(self, w: int) -> int:
+        """max(max_i ceil(g_i / 2), ceil(sum_i g_i / 4)), where g_i =
+        max(0, mu_i - mu_{i+1}) over the transpositions (i i+1): 0 exactly
+        on the weights ascending in every run, the representatives of the
+        transpositions' orbits.  Memoized per weight.
+
+        A shift by +-eps_a +-eps_b, whose entries add up to at most 2 in
+        absolute value, moves each mu_i - mu_{i+1} by at most 2 and their
+        sum over the transpositions by at most 4, so each g_i and the sum of
+        them alike (the positive part moves no more than its argument): the
+        descent moves by at most 1.  ``filtration`` builds the brute-force
+        levels by it."""
+        found = self._descents.get(w)
+        if found is None:
+            t = w + self._offset
+            mask = (1 << self.bits) - 1
+            gaps = [max(0, ((t >> lo) & mask) - ((t >> hi) & mask)) for lo, hi in self._adjacent]
+            found = max([(g + 1) // 2 for g in gaps] + [(sum(gaps) + 3) // 4])
+            self._descents[w] = found
+        return found
+
     def orbit_size(self, w: int) -> int:
         """The number of weights in w's orbit: per run, the number of
         distinct arrangements of its entries; twice that where the mirror
-        takes w to another orbit of the transpositions."""
+        takes w to another orbit of the transpositions.  Memoized per
+        weight, for the towers that share the instance."""
         if not self.orbits:
             return 1
-        f = self._fields(w)
-        size = 1
-        for lo, hi in self.cuts:
-            size *= factorial(hi - lo)
-            for count in Counter(f[lo:hi]).values():
-                size //= factorial(count)
-        if self.mirror and self._ascending(w) != self._ascending(self.mirrored(w)):
-            size *= 2
+        size = self._sizes.get(w)
+        if size is None:
+            f = self._fields(w)
+            size = 1
+            for lo, hi in self.cuts:
+                size *= factorial(hi - lo)
+                for count in Counter(f[lo:hi]).values():
+                    size //= factorial(count)
+            if self.mirror and self._ascending(w) != self._ascending(self.mirrored(w)):
+                size *= 2
+            self._sizes[w] = size
         return size

@@ -443,35 +443,42 @@ class Poly:
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in decreasing monomial order (the canonical order)."""
-        return sorted(self.terms.items(), reverse=True)
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            frac = Fraction(c)
-            mono = render_monomial(self.space, m)
-            mag = abs(frac)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if frac > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if frac > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(self.space, self.terms)
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def render_terms(space: Space, terms: Mapping, texts: dict | None = None) -> str:
+    """The canonical text of a term dict (``Poly.render``): its terms in
+    decreasing monomial order, each coefficient as ``str`` gives it (an int
+    and a Fraction of the same value print alike).  ``texts``, a dict the
+    caller keeps across calls, memoizes the text of each monomial."""
+    if not terms:
+        return "0"
+    if texts is None:
+        texts = {}
+    parts = []
+    for m, c in sorted(terms.items(), reverse=True):
+        mono = texts.get(m)
+        if mono is None:
+            mono = texts[m] = render_monomial(space, m)
+        mag = abs(c)
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
 
 
 def render_monomial(space: Space, m: Monomial) -> str:

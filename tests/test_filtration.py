@@ -553,17 +553,20 @@ def test_closures_match_the_every_row_oracle(cfg_kmax):
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the per-layout applier tables and certificates around a test
-    that patches the tables they are read from."""
-    _weyl_tables.cache_clear()
-    applier_is_representation.cache_clear()
-    osc.block_permutations_commute.cache_clear()
-    osc.mirror_commutes.cache_clear()
+    """Clear the per-layout applier tables, their decoded terms and the
+    certificates around a test that patches the tables they are read from."""
+    caches = [
+        _weyl_tables,
+        osc.root_terms,
+        applier_is_representation,
+        osc.block_permutations_commute,
+        osc.mirror_commutes,
+    ]
+    for cached in caches:
+        cached.cache_clear()
     yield
-    _weyl_tables.cache_clear()
-    applier_is_representation.cache_clear()
-    osc.block_permutations_commute.cache_clear()
-    osc.mirror_commutes.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("cell", sorted(osc._BLOCK), ids=str)
@@ -863,9 +866,11 @@ def test_mirror_conjugation_matches_the_oracle_on_corrupted_tables(
 
 
 def _extra_root_term(cfg, g, term):
-    """Append a packed term to the applier of the root g."""
+    """Append a packed term to the applier of the root g; the terms decoded
+    from the tables before are dropped."""
     ceiling, packed = cfg.weyl_tables[0][g]
     cfg.weyl_tables[0][g] = ceiling, packed + (term,)
+    osc.root_terms.cache_clear()
 
 
 def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
@@ -1002,10 +1007,12 @@ def test_check_nested_reads_a_row_missing_from_the_level_above():
     assert FiltrationTower(CFG, "explicit", [low, high]).check_nested()
 
 
-def _whole_payload(cfg, kmax):
+def _whole_payload(cfg, kmax, brute=None):
     """``compare_towers`` from the whole levels, each pair by
-    ``span_equal`` and nesting by ``contains_span``: the oracle."""
-    brute = build_tower(cfg, kmax, "bruteforce")
+    ``span_equal`` and nesting by ``contains_span``: the oracle.  ``brute``
+    is the whole brute-force tower, where the caller built it."""
+    if brute is None:
+        brute = build_tower(cfg, kmax, "bruteforce")
     whole = build_tower(cfg, kmax, whole=True)
     levels = [
         {"k": k, "dim_bruteforce": b.dim, "dim_explicit": e.dim, "equal": span_equal(b, e)}
@@ -1057,11 +1064,14 @@ def orbit_layouts(draw):
 @example((Config(6, 3, 3, -1, -1), 3))
 @example((Config(7, 3, 4, -1, -1), 3))  # T-cell with the mirror
 @example((Config(4, 1, 3, -1, -1), 4))  # self-mirror, refused: |J2| = 2
+@example((Config(5, 2, 3, -1, -1), 6))
+@example((Config(7, 3, 4, -1, -1), 4))
 def test_representative_weights_match_the_whole_build(cfg_kmax):
     cfg, kmax = cfg_kmax
     tower = build_tower(cfg, kmax, "explicit")
     whole = build_tower(cfg, kmax, whole=True)
-    oracle = _whole_payload(cfg, kmax)
+    brute = build_tower(cfg, kmax, "bruteforce")
+    oracle = _whole_payload(cfg, kmax, brute)
     assert tower.dims == [b.dim for b in whole.levels]
     assert tower.check_nested() == all(
         whole.levels[k + 1].contains_span(whole.levels[k]) for k in range(kmax)
@@ -1080,6 +1090,23 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
             for row in level.rows.values():
                 w = weights.homogeneous(row)
                 assert w is not None and weights.is_representative(w)
+        # the brute-force levels at the weights that reach a representative
+        # one: at every level, the rows at each kept weight are the whole
+        # build's, pivot for pivot and dict for dict, in order
+        cone = filtration._bruteforce_tower(cfg, kmax, weights)
+        assert cone.weights is weights
+        assert all(weights.of(piv) == w for piv, w in cone.row_weights.items())
+        for k in range(kmax + 1):
+            keeps = filtration._cone_keeps(weights, kmax, k)
+
+            def kept(level):
+                return [(piv, row) for piv, row in level.rows.items() if keeps(weights.of(piv))]
+
+            assert kept(cone.built[k]) == kept(brute.levels[k])
+        # and the levels read from it are the whole brute-force levels
+        assert [list(b.rows.items()) for b in cone.levels] == [
+            list(b.rows.items()) for b in brute.levels
+        ]
 
 
 @pytest.mark.parametrize("params, admitted", [
@@ -1212,6 +1239,32 @@ def test_representative_rows_and_weights_are_pinned():
     assert sum(weights.orbit_size(w) for w in found) == 818
 
 
+def test_brute_force_rows_at_the_weights_that_reach_a_representative_are_pinned():
+    cfg = Config(5, 2, 3, -1, -1)
+    tower = build_tower(cfg, 6, "explicit")
+    cone = filtration._bruteforce_tower(cfg, 6, tower.weights)
+    assert [level.dim for level in cone.built] == [4, 31, 136, 444, 1141, 2184, 2699]
+    # the whole top level has 6,072 rows
+    assert cone.dims == tower.dims and cone.dims[6] == 6072
+
+
+def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
+    # E_ab by eps_a - eps_b, h_r by nothing; a term of another shift on one
+    # root leaves no shifts, and the brute-force tower is built whole
+    cfg = Config(5, 2, 3, -1, -1)
+    weights = build_tower(cfg, 4, "explicit").weights
+    for g, shift in zip(generators(5), filtration._generator_shifts(cfg, weights)):
+        want = [0] * 5
+        if g[0] == "e":
+            want[g[1] - 1] += 1
+            want[g[2] - 1] -= 1
+        assert weights.entries(shift) == want, g
+    sp = cfg.space
+    _extra_root_term(cfg, ("e", 1, 3), (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
+    assert filtration._generator_shifts(cfg, weights) is None
+    assert filtration._bruteforce_tower(cfg, 4, weights).weights is None
+
+
 def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
     # dropping x2*y4 from M_0 of (4,2,2,-1,-1): both transpositions map a
     # kept base vector onto it, so neither is admitted
@@ -1267,11 +1320,12 @@ def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
 )
 def test_comparison_reads_the_whole_levels_where_a_certificate_refuses(monkeypatch, refused):
     # (5,2,3,-1,-1) has orbits of (1 2), (4 5) and the mirror; where a
-    # certificate of the applier refuses them, the whole levels are read
+    # certificate of the applier refuses them, the whole levels are read,
+    # and the brute-force levels are built whole
     cfg = Config(5, 2, 3, -1, -1)
     oracle = _whole_payload(cfg, 4)
-    whole = []
-    real = filtration.build_tower
+    whole, cones = [], []
+    real, real_brute = filtration.build_tower, filtration._bruteforce_tower
 
     def build(c, k, method="explicit", **kw):
         tower = real(c, k, method, **kw)
@@ -1279,10 +1333,15 @@ def test_comparison_reads_the_whole_levels_where_a_certificate_refuses(monkeypat
             whole.append(tower)
         return tower
 
+    def brute(c, k, weights=None):
+        cones.append(weights is not None)
+        return real_brute(c, k, weights)
+
     monkeypatch.setattr(filtration, "build_tower", build)
-    assert compare_towers(cfg, 4) == oracle and whole == []
+    monkeypatch.setattr(filtration, "_bruteforce_tower", brute)
+    assert compare_towers(cfg, 4) == oracle and whole == [] and cones == [True]
     monkeypatch.setattr(filtration, refused, lambda *layout: False)
-    assert compare_towers(cfg, 4) == oracle and len(whole) == 1
+    assert compare_towers(cfg, 4) == oracle and len(whole) == 1 and cones == [True, False]
 
 
 def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
@@ -1309,20 +1368,26 @@ def test_compare_towers_looks_up_each_explicit_row_once(monkeypatch, params, kma
     cfg = Config(*params)
     towers, lookups = {}, []
     real_build, real_contains = filtration.build_tower, EchelonBasis.contains
+    real_brute = filtration._bruteforce_tower
 
     def build(c, k, method="explicit", **kw):
         towers[method] = real_build(c, k, method, **kw)
         return towers[method]
+
+    def brute_build(c, k, weights=None):
+        towers["bruteforce"] = real_brute(c, k, weights)
+        return towers["bruteforce"]
 
     def contains(self, row):
         lookups.append((id(self), id(row)))
         return real_contains(self, row)
 
     monkeypatch.setattr(filtration, "build_tower", build)
+    monkeypatch.setattr(filtration, "_bruteforce_tower", brute_build)
     monkeypatch.setattr(EchelonBasis, "contains", contains)
     rep = compare_towers(cfg, kmax)
     assert rep["all_equal"]
-    brute = {id(level) for level in towers["bruteforce"].levels}
+    brute = {id(level) for level in towers["bruteforce"].built}
     explicit = towers["explicit"]
     rows = explicit.built
     looked_up = [row for level, row in lookups if level in brute]
