@@ -66,15 +66,44 @@ towers are built to check:
     and its dimension is the sum over orbits of |orbit| times the rows
     at the representative; nesting at the representatives is nesting of
     the whole levels.  The transpositions that generate these
-    permutations are certified per layout and depth
-    (``_admitted_transpositions``); the whole levels are the same build
-    with every weight kept.  ``compare_towers`` reads the representative
-    rows inside the brute-force level, which sigma maps onto itself too
-    (M_0 by the certificate, pi(U_k(g)) by
-    ``osc.applier_is_representation`` and
-    ``osc.block_permutations_commute``), so every relabelling of them lies
-    there; with equal dimensions the spans are equal.  Where either
-    certificate refuses, it reads the whole levels.
+    permutations are certified per layout (``_admitted_transpositions``);
+    the whole levels are the same build with every weight kept.
+  * The monomial levels are certified cell by cell, never enumerated for
+    it.  A TN or dprime level is a union of cells of
+    ``osc.enumerate_block_sums`` (``osc.tn_cells``, ``_dprime_cells``): a
+    cell is the monomials with six given block sums (a1, a2, a3, b1, b2,
+    b3) in which x_{n1+1} and y_{n1+1} are not both present.  A
+    transposition inside a block that fixes n1+1 keeps every block sum and
+    that exclusion, so it maps each cell onto itself (``_fixes_cells``).
+    The mirror below maps the cell (a1, a2, a3, b1, b2, b3) onto (b3, b2,
+    b1, a3, a2, a1) and the exclusion at n1+1 onto one at n2, so it maps a
+    level onto itself where n1 + 1 = n2 and the level's cells are closed
+    under that map (``_mirrors_cells``).
+  * Each monomial level is enumerated only where the build reads it, and
+    weighed as it is enumerated (``_level_groups``).  An alternating
+    quadratic has a root weight eps_{i3} - eps_{i1}, which moves
+    ``Weights.descent`` by at most 1 (``_spanning_sets`` checks that its
+    entries add up to at most 2 in absolute value), and the representative
+    weights have descent 0.  So a product T(TN level j) * P^i of a level
+    k <= kmax at a representative weight takes its monomial at a weight of
+    descent at most i <= kmax - j, and the T-images of a level are read at
+    the representative weights only: TN level j is enumerated at the
+    weights of descent at most kmax - j, a dprime level at descent 0
+    (``osc.enumerate_cells`` with a ``cone``).  That enumeration lists
+    each monomial with its weight, in the order of the whole level, so its
+    groups by weight are those of the whole level at the weights kept, in
+    the same order, and the build inserts the same products in the same
+    order as one that weighs the whole level.  The build knows the weight
+    of each product it inserts, and enters it for each accepted row's
+    pivot in ``row_weights``, from which the dimensions are counted.
+  * ``compare_towers`` reads the brute-force level's rows of
+    representative weights inside the explicit level; sigma maps the
+    brute-force level onto itself too (M_0 by the certificate, pi(U_k(g))
+    by ``osc.applier_is_representation`` and
+    ``osc.block_permutations_commute``), so containment at the
+    representatives is containment, and with equal dimensions the spans
+    are equal.  Where either certificate refuses, it reads the whole
+    levels.
   * The x/y mirror M: x_a <-> y_{n+1-a} (``osc.mirrorer``) is a second
     orbit generator.  It is a relabelling of the variables, so an algebra
     automorphism, and where it maps each variable's weight mu to
@@ -92,11 +121,12 @@ towers are built to check:
     with M, so M must fix the lift x_{n1+1} y_{n1+1} and the reduced
     Laplacian, which omits the d_x d_y summand of n1+1; M takes n1+1 to
     n2, so a T-cell with |J2| > 1 is refused (``_admits_mirror``), as is
-    every dprime layout.  ``compare_towers`` reads the mirror's
-    representatives only where M also conjugates every pi(E_ab) to
-    -pi(E_{n+1-b,n+1-a}) (``osc.mirror_commutes``), so that it maps
-    pi(U_k(g)) M_0, the brute-force level, onto itself; where that
-    refuses, it reads the whole levels.
+    every dprime layout (n2 = n leaves J3 empty, so no block mirrors J1).
+    ``compare_towers`` reads the mirror's representatives only where M
+    also conjugates every pi(E_ab) to -pi(E_{n+1-b,n+1-a})
+    (``osc.mirror_commutes``), so that it maps pi(U_k(g)) M_0, the
+    brute-force level, onto itself; where that refuses, it reads the
+    whole levels.
   * Brute-force route by weight (``_bruteforce_tower``): where
     ``compare_towers`` reads the representative rows, it builds each
     brute-force level k only at a set N_k of weights, and the rows there
@@ -120,17 +150,17 @@ towers are built to check:
     checks) moves it by at most 1: both inclusions follow.  The brute-force
     level is stable under the orbit generators (the certificates
     ``compare_towers`` requires), so its dimension is the sum over orbits
-    of |orbit| times its rows at the representative weight, and an
-    explicit row of that weight reduces only against them.  At
-    (6,3,3,-1,-1) to depth 6 the top level keeps 7,857 of 27,027 rows.
-    Where a certificate or a shift fails, the whole levels are built.
+    of |orbit| times its rows at the representative weight, and only its
+    rows of a representative weight are read.  At (6,3,3,-1,-1) to depth
+    6 the top level keeps 7,857 of 27,027 rows.  Where a certificate or a
+    shift fails, the whole levels are built.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, gcd
 
 from .linalg import EchelonBasis, echelon_from
@@ -144,7 +174,7 @@ from .osc import (
     block_transpositions,
     classify_irreducible,
     enumerate_block_sums,
-    enumerate_TN_level,
+    enumerate_cells,
     generators,
     mirror_commutes,
     mirrorer,
@@ -153,6 +183,7 @@ from .osc import (
     project_T_numerator,
     projection_forms,
     root_terms,
+    tn_cells,
     transposer,
 )
 from .poly import Poly, parse_poly, render_terms
@@ -168,7 +199,7 @@ class FiltrationTower:
     ``built`` holds the levels as built: whole, or with orbits of weights
     (``weights``, None for whole levels) only at some weights: an explicit
     tower at the representative ones (``build_tower``), a brute-force tower
-    at the weights that reach them (:func:`_bruteforce_tower`), which
+    at the weights that reach them (:func:`_bruteforce_tower`).  Either
     carries the weight of each row's pivot in ``row_weights``.  ``dims``
     counts the rows of ``built`` at representative weights, and
     ``check_nested`` reads ``built``; ``levels`` are the whole levels of
@@ -214,26 +245,15 @@ class FiltrationTower:
     def _orbit_dims(self) -> list[int]:
         """The dimensions of levels built with orbits: the sum over orbits
         of |orbit| times the rows of the representative weight (every row
-        is a weight vector, of the weight of its pivot, read from
-        ``row_weights`` where the build carried it); rows of other weights
-        count nothing."""
+        is a weight vector, of the weight its build carried in
+        ``row_weights``); rows of other weights count nothing."""
         weights = self.weights
-        of = weights.of if self.row_weights is None else self.row_weights.__getitem__
-        sizes: dict = {}  # pivot -> orbit size of its weight, 0 off the representatives
-        orbits: dict = {}  # weight -> the same
-
-        def size(piv):
-            found = sizes.get(piv)
-            if found is None:
-                w = of(piv)
-                found = orbits.get(w)
-                if found is None:
-                    kept = weights.is_representative(w)
-                    found = orbits[w] = weights.orbit_size(w) if kept else 0
-                sizes[piv] = found
-            return found
-
-        return [sum(map(size, level.rows)) for level in self.built]
+        orbits = {
+            w: weights.orbit_size(w) if weights.is_representative(w) else 0
+            for w in set(self.row_weights.values())
+        }
+        size = {piv: orbits[w] for piv, w in self.row_weights.items()}
+        return [sum(map(size.__getitem__, level.rows)) for level in self.built]
 
     @property
     def depth(self) -> int:
@@ -318,14 +338,15 @@ class _TCache:
         return img
 
 
+def _dprime_cells(cfg: Config, t: int) -> list[tuple]:
+    """The cells of ``osc.enumerate_block_sums`` whose union is the graded
+    piece with J1 x-degree exactly t (n2 = n)."""
+    return [(t, cfg.l1 + t, 0, b1, cfg.l2 - b1, 0) for b1 in range(cfg.l2 + 1)]
+
+
 def _dprime_level(cfg: Config, t: int) -> list[int]:
     """Monomials of the graded piece with J1 x-degree exactly t (n2 = n)."""
-    out = []
-    for b1 in range(cfg.l2 + 1):
-        out.extend(
-            enumerate_block_sums(cfg, t, cfg.l1 + t, 0, b1, cfg.l2 - b1, 0)
-        )
-    return out
+    return enumerate_cells(cfg, _dprime_cells(cfg, t))
 
 
 def _mirror_poly(p: Poly, cfg: Config) -> Poly:
@@ -491,17 +512,21 @@ def bruteforce_level(
     return nxt
 
 
-def _generator_shifts(cfg: Config, weights: Weights) -> list | None:
+@cache
+def _generator_shifts(n: int, n1: int, n2: int) -> tuple | None:
     """The weight each generator moves a weight vector by, in
     ``generators`` order: 0 for h_r, which acts diagonally, and for a root
     the weight of v less that of d over the terms c v d of its applier
     table (``osc.root_terms``).  None where a root has a term that is no
     Weyl monomial, two terms of different shifts, or a shift whose entries
     add up to more than 2 in absolute value (the bound
-    ``Weights.descent`` rests on)."""
-    decoded = root_terms(cfg.n, cfg.n1, cfg.n2)
+    ``Weights.descent`` rests on).  Cached per layout: the weights of the
+    monomials depend on neither (l1, l2) nor the orbits."""
+    cfg = Config(n, n1, n2)
+    weights = Weights(cfg, cfg.space)
+    decoded = root_terms(n, n1, n2)
     out = []
-    for g in generators(cfg.n):
+    for g in generators(n):
         if g[0] == "h":
             out.append(0)
             continue
@@ -515,7 +540,7 @@ def _generator_shifts(cfg: Config, weights: Weights) -> list | None:
         if sum(map(abs, weights.entries(shift))) > 2:
             return None
         out.append(shift)
-    return out
+    return tuple(out)
 
 
 def _cone_keeps(weights: Weights, kmax: int, k: int):
@@ -536,7 +561,7 @@ def _bruteforce_tower(cfg: Config, kmax: int, weights: Weights | None = None) ->
     why the rows there are the whole level's).  Whole where a root of the
     applier moves no weight by one shift (:func:`_generator_shifts`)."""
     levels = [build_M0(cfg)]
-    shifts = None if weights is None else _generator_shifts(cfg, weights)
+    shifts = None if weights is None else _generator_shifts(cfg.n, cfg.n1, cfg.n2)
     of = None if shifts is None else {piv: weights.of(piv) for piv in levels[0].rows}
     fresh = None
     for k in range(kmax):
@@ -594,33 +619,54 @@ def _keeps(cache: dict, w) -> bool:
 
 
 def _kept_products(cache: dict, left: list, right: list):
-    """(a, b) for each group a of ``left`` and b of ``right``
-    (:func:`_by_weight`) whose products have a weight the build keeps."""
-    for wa, a in left:
-        for wb, b in right:
-            if _keeps(cache, None if wa is None else wa + wb):
-                yield a, b
+    """(w, a, b) for each group a of ``left`` and b of ``right``
+    (:func:`_by_weight`) whose products have a weight w the build keeps
+    (None where it keeps every weight, ``Weights.representative_sums``
+    where it has orbits)."""
+    weights = cache["weights"]
+    if weights is None:
+        return [(None, a, b) for _wa, a in left for _wb, b in right]
+    return weights.representative_sums(left, right)
 
 
-def _monomial_level(cfg: Config, j: int, cache: dict) -> list[int]:
-    """TN level j (dprime level j in the dprime regime), enumerated once.
-    A build with orbits reads only the levels its certificate enumerated."""
-    levels = cache["tn"]
-    while len(levels) <= j:
-        if cache["weights"] is not None:
-            raise ValueError(f"monomial level {len(levels)} lies above the certified depth")
-        enumerate_level = _dprime_level if cache["regime"] == "dprime" else enumerate_TN_level
-        levels.append(enumerate_level(cfg, len(levels)))
-    return levels[j]
+def _insert(basis: EchelonBasis, vector, w, cache: dict):
+    """Insert ``vector``, a weight vector of weight w, into ``basis``; with
+    orbits, enter w as the weight of an accepted row's pivot (the last key
+    of ``basis.rows``) in ``cache["row-weights"]``."""
+    if basis.insert(vector) and w is not None:
+        cache["row-weights"][next(reversed(basis.rows))] = w
+
+
+def _level_cells(cfg: Config, j: int, regime: str) -> list[tuple]:
+    """The cells of ``osc.enumerate_block_sums`` whose union is monomial
+    level j: TN level j, or dprime level j in the dprime regime."""
+    return _dprime_cells(cfg, j) if regime == "dprime" else tn_cells(cfg, j)
 
 
 def _level_groups(cfg: Config, j: int, cache: dict) -> list[tuple]:
-    """:func:`_monomial_level` j by weight (:func:`_by_weight`), grouped once."""
+    """Monomial level j by weight (:func:`_by_weight`), enumerated and
+    grouped once: the whole level as one group where the build keeps every
+    weight; with orbits, only the weights of ``Weights.descent`` at most
+    the depth less j in the T-cell regime and 0 in the dprime regime, each
+    weighed as it is enumerated (``osc.enumerate_cells``).  Each group then
+    keeps the order of the whole level, and the groups come in the order of
+    their first monomials there.  A build with orbits reads no level above
+    the depth its certificate covered."""
     groups = cache["tn-groups"]
     if j not in groups:
+        cells = _level_cells(cfg, j, cache["regime"])
         weights = cache["weights"]
-        level = _monomial_level(cfg, j, cache)
-        groups[j] = _by_weight(level, None if weights is None else map(weights.of, level))
+        if weights is None:
+            groups[j] = [(None, enumerate_cells(cfg, cells))]
+        else:
+            depth = cache["depth"]
+            if j > depth:
+                raise ValueError(f"monomial level {j} lies above the certified depth")
+            bound = 0 if cache["regime"] == "dprime" else depth - j
+            found: dict = {}
+            for w, m in enumerate_cells(cfg, cells, (weights, bound)):
+                found.setdefault(w, []).append(m)
+            groups[j] = list(found.items())
     return groups[j]
 
 
@@ -656,7 +702,7 @@ def _tspan(cfg: Config, k: int, cache: dict) -> EchelonBasis:
         for w, level in _level_groups(cfg, j, cache):
             if _keeps(cache, w):
                 for m in level:
-                    span.insert(tproj(m))
+                    _insert(span, tproj(m), w, cache)
         spans.append(span)
     return spans[k]
 
@@ -666,12 +712,12 @@ def _insert_tproducts(cfg: Config, basis: EchelonBasis, k: int, i: int, cache: d
     factors, at the weights the build keeps."""
     tproj = cache["tproj"]
     groups = _kept_products(cache, _level_groups(cfg, k - i, cache), _pset_groups(cfg, i, cache))
-    for level, combos in groups:
+    for w, level, combos in groups:
         prods = [_pset_product(cfg, combo, cache) for combo in combos]
         for m in level:
             tm = tproj(m)
             for p in prods:
-                basis.insert(tm * p)
+                _insert(basis, tm * p, w, cache)
 
 
 def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBasis:
@@ -706,11 +752,11 @@ def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBas
                 base = cache["base"]
                 cache["base-groups"] = _by_weight(base, _vector_weights(cache, base))
             groups = _kept_products(cache, cache["base-groups"], _pset_groups(cfg, j, cache))
-            for vectors, combos in groups:
+            for w, vectors, combos in groups:
                 prods = [_pset_product(cfg, combo, cache) for combo in combos]
                 for b in vectors:
                     for p in prods:
-                        basis.insert(b * p)
+                        _insert(basis, b * p, w, cache)
             # size j-1 served level j-1 and the prefixes of size j; no level reads it again
             cache["products"].pop(j - 1, None)
         built.append(basis)
@@ -722,10 +768,10 @@ def _explicit_cache(cfg: Config) -> dict:
     cache: dict = {
         "regime": regime,
         "weights": None,  # every weight kept
+        "row-weights": None,  # pivot -> weight, filled where the build has orbits
         "pset": alternating_set(cfg),
         "pset-groups": {},
         "products": {},
-        "tn": [],
         "tn-groups": {},
         "tspans": [],
         "levels": [],
@@ -743,16 +789,21 @@ def _spanning_sets(cfg: Config, cache: dict):
     regimes (else none), and the term dicts of the base vectors and of the
     alternating quadratics; or None where one of those vectors, or a term
     of a form, is no weight vector (the terms of weight 0, so T(m) has the
-    weight of m).  Decided once per cache; the base vectors read its
-    T-images."""
+    weight of m), or where a quadratic's weight has entries adding up to
+    more than 2 in absolute value, so that a factor could move
+    ``Weights.descent`` by more than 1 (:func:`_level_groups` rests on
+    it).  Decided once per cache; the base vectors read its T-images."""
     if "spanning" not in cache:
         weights = Weights(cfg, cfg.space)
         forms = projection_forms(cfg) if cache["regime"] in ("T-cell", "dprime") else ()
         base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
         base = [v.terms for v in base]
         pset = [v.terms for v in cache["pset"]]
-        if any(weights.homogeneous(v) is None for v in base + pset) or any(
-            weights.of(v) != weights.of(d) for form in forms for v, d in form
+        found = [weights.homogeneous(v) for v in base + pset]
+        if (
+            None in found
+            or any(sum(map(abs, weights.entries(w))) > 2 for w in found[len(base):])
+            or any(weights.of(v) != weights.of(d) for form in forms for v, d in form)
         ):
             cache["spanning"] = None
         else:
@@ -760,41 +811,64 @@ def _spanning_sets(cfg: Config, cache: dict):
     return cache["spanning"]
 
 
-def _maps_spanning_sets(cfg: Config, kmax: int, cache: dict, swap) -> bool:
-    """Whether relabelling by ``swap`` maps every explicit spanning set
-    S_0..S_kmax onto itself up to sign: it fixes the T-series forms, maps
+def _maps_spanning_sets(cache: dict, swap) -> bool:
+    """Whether relabelling by ``swap`` fixes the T-series forms and maps
     the base vectors and the alternating set each onto plus or minus
-    themselves, and, in the T-cell and dprime regimes, maps each monomial
-    level 0..kmax onto itself (T then commutes with it).  Needs
-    ``_spanning_sets``; the level sets are built into ``cache`` once."""
+    themselves.  Needs ``_spanning_sets``; the monomial levels are the
+    callers' to certify, cell by cell."""
     forms, base, pset = cache["spanning"]
-    if not (
+    return (
         all({(swap(v), swap(d)): c for (v, d), c in form.items()} == form for form in forms)
         and permutes_up_to_sign(base, swap)
         and permutes_up_to_sign(pset, swap)
-    ):
+    )
+
+
+def _fixes_cells(cfg: Config, i: int) -> bool:
+    """Whether the transposition (i i+1) maps every cell of
+    ``osc.enumerate_block_sums`` onto itself, and so every monomial level:
+    it does where i and i+1 lie in one block, so every block sum stays, and
+    neither is n1+1, so the exclusion at n1+1 stays."""
+    n1, n2 = cfg.n1, cfg.n2
+    return 1 <= i < cfg.n and i not in (n1, n2) and n1 + 1 not in (i, i + 1)
+
+
+def _mirrors_cells(cfg: Config, kmax: int, regime: str) -> bool:
+    """Whether the x/y mirror maps each monomial level 0..kmax onto itself.
+    Where it maps the blocks onto the blocks (n1 + n2 = n, which the
+    weights of the variables show), it maps the cell (a1, a2, a3, b1, b2,
+    b3) onto (b3, b2, b1, a3, a2, a1) and the exclusion at n1+1 onto one at
+    n2: so it needs n1 + 1 = n2 and the cells of each level closed under
+    that map."""
+    if cfg.n1 + 1 != cfg.n2:
         return False
-    if not forms:  # the product regimes: no monomial levels
-        return True
-    if "level-sets" not in cache:
-        cache["level-sets"] = [set(_monomial_level(cfg, j, cache)) for j in range(kmax + 1)]
-    return all(set(map(swap, level)) == level for level in cache["level-sets"])
+    for j in range(kmax + 1):
+        cells = set(_level_cells(cfg, j, regime))
+        if {cell[::-1] for cell in cells} != cells:
+            return False
+    return True
 
 
-def _admitted_transpositions(cfg: Config, kmax: int, cache: dict) -> list[int]:
+def _admitted_transpositions(cfg: Config, cache: dict) -> list[int]:
     """The block transpositions (i i+1) (``osc.block_transpositions``) that
-    map every explicit spanning set S_0..S_kmax onto itself up to sign
+    map every explicit spanning set onto itself up to sign
     (``_maps_spanning_sets``), where every generating vector is a weight
     vector (``_spanning_sets``); none where one is not (see the module
-    docstring).  A transposition that moves n1+1 moves the forms of the
-    T-series, so it is never admitted in the T-cell and dprime regimes.
-    The monomial levels are enumerated into ``cache``.
+    docstring).  In the T-cell and dprime regimes each must also map every
+    monomial level onto itself (``_fixes_cells``): a transposition that
+    moves n1+1 is refused there, and it moves the forms of the T-series
+    too.
     """
     candidates = block_transpositions(cfg.n, cfg.n1, cfg.n2)
     if not candidates or _spanning_sets(cfg, cache) is None:
         return []
     sp = cfg.space
-    return [i for i in candidates if _maps_spanning_sets(cfg, kmax, cache, transposer(sp, i))]
+    levels = cache["regime"] in ("T-cell", "dprime")
+    return [
+        i
+        for i in candidates
+        if (not levels or _fixes_cells(cfg, i)) and _maps_spanning_sets(cache, transposer(sp, i))
+    ]
 
 
 def _admits_mirror(cfg: Config, kmax: int, cache: dict, admitted) -> bool:
@@ -802,9 +876,11 @@ def _admits_mirror(cfg: Config, kmax: int, cache: dict, admitted) -> bool:
     transpositions as an orbit generator of the explicit tower: they are
     closed under i -> n - i (M conjugates (i i+1) to (n-i n+1-i), so the
     group is G x| <M>), every generating vector is a weight vector, M maps
-    each variable's weight mu to -reverse(mu) (``Weights.mirrored``), and M
-    maps every spanning set S_0..S_kmax onto itself up to sign
-    (``_maps_spanning_sets``; see the module docstring)."""
+    each variable's weight mu to -reverse(mu) (``Weights.mirrored``), M
+    maps every spanning set onto itself up to sign
+    (``_maps_spanning_sets``) and, in the T-cell and dprime regimes, each
+    monomial level 0..kmax onto itself (``_mirrors_cells``; see the module
+    docstring)."""
     n, sp = cfg.n, cfg.space
     if {n - i for i in admitted} != set(admitted) or _spanning_sets(cfg, cache) is None:
         return False
@@ -812,7 +888,10 @@ def _admits_mirror(cfg: Config, kmax: int, cache: dict, admitted) -> bool:
     swap = mirrorer(sp)
     if any(weights.of(swap(u)) != weights.mirrored(weights.of(u)) for u in sp.unit):
         return False
-    return _maps_spanning_sets(cfg, kmax, cache, swap)
+    regime = cache["regime"]
+    if regime in ("T-cell", "dprime") and not _mirrors_cells(cfg, kmax, regime):
+        return False
+    return _maps_spanning_sets(cache, swap)
 
 
 def build_tower(
@@ -827,10 +906,13 @@ def build_tower(
     the representative weights of the orbits of the transpositions its
     certificate admits (:func:`_admitted_transpositions`) and of the x/y
     mirror where it admits that too (:func:`_admits_mirror`), and whole
-    where it admits none.  ``whole`` builds every weight at once, with no
-    certificate, for a caller that reads the rows: the annihilator, a tower
-    dump, and the ``levels`` of a tower with orbits, read where a
-    certificate of the applier refuses the orbits (``compare_towers``).
+    where it admits none; it then enumerates each monomial level only at
+    the weights it reads (:func:`_level_groups`) and carries the weight of
+    each row's pivot in ``row_weights``.  ``whole`` builds every weight at
+    once, with no certificate, for a caller that reads the rows: the
+    annihilator, a tower dump, and the ``levels`` of a tower with orbits,
+    read where a certificate of the applier refuses the orbits
+    (``compare_towers``).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -840,15 +922,17 @@ def build_tower(
         raise ValueError(f"unknown tower method {method!r}")
     cache = _explicit_cache(cfg)
     if not whole:
-        admitted = _admitted_transpositions(cfg, kmax, cache)
+        admitted = _admitted_transpositions(cfg, cache)
         mirror = _admits_mirror(cfg, kmax, cache, admitted)
         if admitted or mirror:
             cache["weights"] = Weights(cfg, cfg.space, admitted, mirror)
+            cache["depth"] = kmax
+            cache["row-weights"] = {}
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"
     )
-    return FiltrationTower(cfg, name, levels, cache["weights"])
+    return FiltrationTower(cfg, name, levels, cache["weights"], cache["row-weights"])
 
 
 def compare_towers(cfg: Config, kmax: int) -> dict:
@@ -859,8 +943,8 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     applier of ``osc`` (the generators on one side, T on the other); the
     operators themselves are checked against sympy in the tests.
 
-    A level is equal when the dimensions agree and the explicit rows lie
-    in the brute-force level.  Where the explicit tower is built at
+    A level is equal when the dimensions agree and the brute-force rows
+    lie in the explicit level.  Where the explicit tower is built at
     representative weights, only those rows (``built``) are read, and only
     where the brute-force tower is stable under the same relabellings:
     the applier is a representation (``osc.applier_is_representation``)
@@ -868,18 +952,24 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     (``osc.block_permutations_commute``), and, where the x/y mirror is
     among the orbit generators, that the mirror conjugates onto itself too
     (``osc.mirror_commutes``); the explicit certificate mapped the base
-    vectors onto themselves up to sign.  Every relabelling of the rows read
-    then lies in the brute-force level too.  The brute-force levels are
-    then built only at the weights that reach a representative weight
+    vectors onto themselves up to sign.  The brute-force levels are then
+    built only at the weights that reach a representative weight
     (:func:`_bruteforce_tower`), where their rows are the whole levels',
-    and their dimensions are sums over orbits.  Where any of these
-    refuses, the whole explicit levels (``levels``) are read and the whole
-    brute-force levels built.
+    their dimensions are sums over orbits, and only their rows at
+    representative weights are looked up in the explicit level: with both
+    levels stable under every relabelling, containment at each
+    representative weight and equal dimensions give equality at every
+    weight.  The weight of a row is the one the cone carried
+    (``row_weights``), or its pivot's where a root of the applier moves no
+    weight by one shift and the brute-force levels are whole.  Where any
+    certificate refuses, the whole explicit levels (``levels``) are read
+    and the whole brute-force levels built, and every row is looked up.
 
-    An explicit row that level k shares with level k-1 (the same dict,
-    shared by ``EchelonBasis.copy``) and that was found in brute-force
-    level k-1 is not looked up again: brute-force level k starts as a copy
-    of level k-1, so it holds the row too.
+    Where level k-1 was equal and both towers nest, a brute-force row that
+    level k shares with level k-1 (the same dict, shared by
+    ``EchelonBasis.copy``) lies in explicit level k-1, so in level k: only
+    the rows new at level k are looked up.  Below an unequal level, or
+    where a tower does not nest, every row is.
     """
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     explicit = build_tower(cfg, kmax, "explicit")
@@ -893,20 +983,28 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         rows, brute = explicit.built, _bruteforce_tower(cfg, kmax, weights)
     else:
         rows, brute = explicit.levels, _bruteforce_tower(cfg, kmax)
+    skips = None  # pivot -> whether its row's weight represents no orbit
+    if certified and weights is not None:
+        of = weights.of if brute.row_weights is None else brute.row_weights.__getitem__
+
+        def skips(piv):
+            return not weights.is_representative(of(piv))
+
+    nested = explicit.check_nested() and brute.check_nested()
     dims, brute_dims = explicit.dims, brute.dims
     per_level = []
-    found: dict = {}  # pivot -> an explicit row of the level below found in the brute level below
+    below: dict = {}  # the rows of brute-force level k-1 that lie in explicit level k
     for k in range(kmax + 1):
         level = brute.built[k]
         eq = brute_dims[k] == dims[k]
-        held = {}
         if eq:
-            for piv, row in rows[k].rows.items():
-                if found.get(piv) is not row and not level.contains(row):
+            for piv, row in level.rows.items():
+                if below.get(piv) is row or (skips is not None and skips(piv)):
+                    continue
+                if not rows[k].contains(row):
                     eq = False
                     break
-                held[piv] = row
-        found = held
+        below = level.rows if eq and nested else {}
         per_level.append(
             {
                 "k": k,
@@ -920,7 +1018,7 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         "explicit_method": explicit.method,
         "levels": per_level,
         "all_equal": all(r["equal"] for r in per_level),
-        "nested": explicit.check_nested() and brute.check_nested(),
+        "nested": nested,
     }
 
 

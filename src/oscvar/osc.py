@@ -91,6 +91,7 @@ analogue for the all-positive regime with n2 = n (the "dprime" levels of
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -620,45 +621,200 @@ def _compositions(total: int, k: int):
             yield (first,) + rest
 
 
-def enumerate_block_sums(
-    cfg: Config, a1: int, a2: int, a3: int, b1: int, b2: int, b3: int
-) -> list[int]:
-    """Monomials with prescribed per-block degree sums and a*b = 0 at n1+1.
+class _Cells:
+    """The walk of ``enumerate_cells`` over the cells of one layout: the
+    bit offsets of the variables' fields, the weights and gaps a ``cone``
+    prunes by, and each block's splits, memoized by block and sums."""
 
-    Sums (a1, a2, a3) constrain the x exponents over J1, J2, J3 and
-    (b1, b2, b3) the y exponents; monomials where both n1+1 exponents are
-    positive are excluded.  Deterministic order.
-    """
-    if min(a1, a2, a3, b1, b2, b3) < 0:
-        return []
-    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    s1, s2, s3 = n1, n2 - n1, n - n2
-    mid = 0  # position of x_{n1+1} within the J2 block
-    pack = cfg.space.pack
-    out = []
-    for xa in _compositions(a1, s1):
-        for xb in _compositions(a2, s2):
-            for xc in _compositions(a3, s3):
-                for ya in _compositions(b1, s1):
-                    for yb in _compositions(b2, s2):
-                        if s2 and xb[mid] and yb[mid]:
+    def __init__(self, cfg: Config, cone):
+        sp = cfg.space
+        n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+        self.space = sp
+        self.blocks = ((0, n1), (n1, n2), (n2, n))
+        # the start of J2, whose first index n1+1 never has both x and y;
+        # None where J2 is empty
+        self.exclusive = n1 if n1 < n2 else None
+        self.xshift = [sp.shift[sp.x(i)] for i in range(1, n + 1)]
+        self.yshift = [sp.shift[sp.y(i)] for i in range(1, n + 1)]
+        self.memo: dict = {}
+        self.bound = None
+        if cone is not None:
+            weights, self.bound = cone
+            if any(i in (n1, n2) for i in weights.transpositions):
+                raise ValueError("a transposition joins two blocks")
+            # per index i: the entries at i of the weights of x_i and y_i,
+            # the only ones they have, and the weights themselves
+            self.steps = []
+            for i in range(1, n + 1):
+                pair = [weights.position[sp.x(i)], weights.position[sp.y(i)]]
+                entries = []
+                for w in pair:
+                    mu = weights.entries(w)
+                    if any(mu[: i - 1]) or any(mu[i:]):
+                        raise ValueError(f"a weight of index {i} has entries off index {i}")
+                    entries.append(mu[i - 1])
+                self.steps.append((*entries, *pair))
+            # whether (i-1 i) is a transposition: a gap between entries i-1 and i
+            self.joined = [i - 1 in weights.transpositions for i in range(1, n + 1)]
+
+    def splits(self, lo: int, hi: int, a: int, b: int) -> dict:
+        """The monomials of x degree a and y degree b in the variables of
+        the indices lo+1..hi, one block: a dict mapping each x part (the
+        packed exponents of its x variables, no degree field) to the list of
+        the y parts it goes with, both in increasing lexicographic order of
+        their exponents; in the middle block, none with both exponents of
+        index n1+1 positive.
+
+        Without a cone a y part is a packed int.  With one it is (y part,
+        w, g), w the weight of the block's monomial and g the sum of its
+        gaps max(0, mu_i - mu_{i+1}) over the transpositions (i i+1), and a
+        monomial with a gap above 2 bound or a gap sum above 4 bound is
+        dropped while its exponents are chosen, index by index: the weights
+        of x_i and y_i lie in entry i, so the exponents up to i fix the
+        entries up to i."""
+        key = lo, hi, a, b
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._splits(lo, hi, a, b)
+        return found
+
+    def _splits(self, lo: int, hi: int, a: int, b: int) -> dict:
+        size = hi - lo
+        exclusive = lo == self.exclusive
+        bound = self.bound
+        # one split at most, and no gap, in a block of one index or none
+        if size == 0:
+            return {} if a or b else {0: [0 if bound is None else (0, 0, 0)]}
+        if size == 1:
+            if exclusive and a and b:
+                return {}
+            px, py = a << self.xshift[lo], b << self.yshift[lo]
+            if bound is None:
+                return {px: [py]}
+            _ex, _ey, wx, wy = self.steps[lo]
+            return {px: [(py, a * wx + b * wy, 0)]}
+        xshift, yshift = self.xshift[lo:hi], self.yshift[lo:hi]
+        if bound is None:
+            ys = [(c[0], sum(e << s for e, s in zip(c, yshift))) for c in _compositions(b, size)]
+            every = [py for _first, py in ys]
+            unlike = [py for first, py in ys if not first]
+            return {
+                sum(e << s for e, s in zip(c, xshift)): unlike if exclusive and c[0] else every
+                for c in _compositions(a, size)
+            }
+        steps, joined = self.steps[lo:hi], self.joined[lo:hi]
+        found = []
+
+        def walk(i, ra, rb, px, py, w, prev, gaps):
+            if i == size:
+                found.append((px, py, w, gaps))
+                return
+            ex, ey, wx, wy = steps[i]
+            last = i == size - 1
+            for x in (ra,) if last else range(ra + 1):
+                for y in (rb,) if last else range(rb + 1):
+                    if exclusive and not i and x and y:
+                        continue
+                    mu = ex * x + ey * y
+                    g = gaps
+                    if joined[i] and prev > mu:
+                        g += prev - mu
+                        if prev - mu > 2 * bound or g > 4 * bound:
                             continue
-                        for yc in _compositions(b3, s3):
-                            out.append(pack(xa + xb + xc + ya + yb + yc))
+                    walk(
+                        i + 1, ra - x, rb - y, px + (x << xshift[i]), py + (y << yshift[i]),
+                        w + x * wx + y * wy, mu, g,
+                    )
+
+        walk(0, a, b, 0, 0, 0, 0, 0)
+        out: dict = {}
+        for px, py, w, g in sorted(found):
+            out.setdefault(px, []).append((py, w, g))
+        return out
+
+    def cell(self, cell: tuple) -> list:
+        """The monomials of one cell, as ``enumerate_cells`` lists them."""
+        if min(cell) < 0:
+            return []
+        top = sum(cell) << self.space.dshift
+        self.space.check_degree(top)
+        (lo1, hi1), (lo2, hi2), (lo3, hi3) = self.blocks
+        a1, a2, a3, b1, b2, b3 = cell
+        out: list = []
+        first = self.splits(lo1, hi1, a1, b1)
+        middle = first and self.splits(lo2, hi2, a2, b2)
+        last = middle and self.splits(lo3, hi3, a3, b3)
+        if not last:
+            return out
+        if self.bound is None:
+            for xa, ya_list in first.items():
+                for xb, yb_list in middle.items():
+                    for xc, yc_list in last.items():
+                        x = top + xa + xb + xc
+                        for ya in ya_list:
+                            for yb in yb_list:
+                                base = x + ya + yb
+                                out.extend([base + yc for yc in yc_list])
+            return out
+        cap = 4 * self.bound
+        for xa, ya_list in first.items():
+            for xb, yb_list in middle.items():
+                for xc, yc_list in last.items():
+                    x = top + xa + xb + xc
+                    for ya, wa, ga in ya_list:
+                        for yb, wb, gb in yb_list:
+                            g = ga + gb
+                            if g <= cap:
+                                base, w = x + ya + yb, wa + wb
+                                out.extend(
+                                    [(w + wc, base + yc) for yc, wc, gc in yc_list if g + gc <= cap]
+                                )
+        return out
+
+
+def enumerate_cells(cfg: Config, cells, cone=None) -> list:
+    """The monomials of each block-sum cell of ``cells`` in turn, each cell
+    as ``enumerate_block_sums`` lists it.
+
+    With ``cone`` = (weights, bound), a ``Weights`` of the xy space and an
+    int, the list holds (w, m) instead, w the weight of m, for the m whose
+    weight has ``Weights.descent`` at most ``bound`` only, in the same
+    order.  No transposition of ``weights`` may join two blocks, so that is
+    where every gap is at most 2 bound and the gaps of the three blocks add
+    up to at most 4 bound: each block is pruned by its own gaps
+    (``_Cells.splits``), and their sum is checked as the blocks combine.
+    """
+    walk = _Cells(cfg, cone)
+    out: list = []
+    for cell in cells:
+        out.extend(walk.cell(cell))
     return out
 
 
-def enumerate_TN_level(cfg: Config, k: int) -> list[int]:
-    """All monomials of the <l1, l2> piece with dfun = k and a*b = 0 at n1+1.
+def enumerate_block_sums(
+    cfg: Config, a1: int, a2: int, a3: int, b1: int, b2: int, b3: int
+) -> list[int]:
+    """Monomials with prescribed per-block degree sums and a*b = 0 at n1+1:
+    one cell.
+
+    Sums (a1, a2, a3) constrain the x exponents over J1, J2, J3 and
+    (b1, b2, b3) the y exponents; monomials where both n1+1 exponents are
+    positive are excluded.  They come in increasing order, the
+    lexicographic order of their exponents in variable order.
+    """
+    return enumerate_cells(cfg, [(a1, a2, a3, b1, b2, b3)])
+
+
+def tn_cells(cfg: Config, k: int) -> list[tuple]:
+    """The cells (a1, a2, a3, b1, b2, b3) of ``enumerate_block_sums`` whose
+    union is TN level k, in the order ``enumerate_TN_level`` lists them.
 
     The four weighted budgets 2*a3 + a2 + 2*b1 + b2 = k + offset are
-    enumerated exhaustively; the bidegree then pins a1 and b3.
+    walked exhaustively; the bidegree then pins a1 and b3.
     """
     if cfg.n1 >= cfg.n2:
         raise ValueError("TN levels require n1 < n2")
     target = k + _dfun_offset(cfg)
-    if target < 0:
-        return []
     out = []
     for a3 in range(target // 2 + 1):
         for b1 in range((target - 2 * a3) // 2 + 1):
@@ -667,10 +823,15 @@ def enumerate_TN_level(cfg: Config, k: int) -> list[int]:
                 b2 = rem - a2
                 a1 = a2 + a3 - cfg.l1
                 b3 = b1 + b2 - cfg.l2
-                if a1 < 0 or b3 < 0:
-                    continue
-                out.extend(enumerate_block_sums(cfg, a1, a2, a3, b1, b2, b3))
+                if a1 >= 0 and b3 >= 0:
+                    out.append((a1, a2, a3, b1, b2, b3))
     return out
+
+
+def enumerate_TN_level(cfg: Config, k: int) -> list[int]:
+    """All monomials of the <l1, l2> piece with dfun = k and a*b = 0 at n1+1:
+    the cells of ``tn_cells`` (``enumerate_cells``)."""
+    return enumerate_cells(cfg, tn_cells(cfg, k))
 
 
 # ---------------------------------------------------------------------------
@@ -1284,6 +1445,8 @@ class Weights:
         self.cuts = list(zip([0] + ends[:-1], ends))
         self._half = 1 << (bits - 1)
         self._offset = sum(self._half << bits * a for a in range(n))
+        # the fields as little-endian unsigned bytes or shorts
+        self._format, self._size = f"<{n}{'B' if bits == 8 else 'H'}", n * bits // 8
         # the bit offsets of the fields of mu_i and mu_{i+1}, per (i i+1)
         self._adjacent = [(bits * (i - 1), bits * i) for i in self.transpositions]
         # index a -> 2^(8 r) for a in the r-th run (entry 0 unused), for order_type
@@ -1294,19 +1457,15 @@ class Weights:
         self._kept: dict = {}  # w -> is_representative(w)
         self._descents: dict = {}  # w -> descent(w)
         self._sizes: dict = {}  # w -> orbit_size(w)
+        self._keys: dict = {}  # w -> its key in representative_sums
 
-    def _fields(self, w: int):
-        """mu_a + 2^(B-1) for a = 1..n, a bytes object where B = 8."""
-        raw = (w + self._offset).to_bytes(self.n * self.bits // 8, "little")
-        if self.bits == 8:
-            return raw
-        return [int.from_bytes(raw[i : i + 2], "little") for i in range(0, len(raw), 2)]
+    def _fields(self, w: int) -> tuple:
+        """mu_a + 2^(B-1) for a = 1..n."""
+        return struct.unpack(self._format, (w + self._offset).to_bytes(self._size, "little"))
 
     def _packed(self, fields) -> int:
         """The weight whose ``_fields`` are ``fields``."""
-        if self.bits == 8:
-            return int.from_bytes(bytes(fields), "little") - self._offset
-        return sum(v << self.bits * a for a, v in enumerate(fields)) - self._offset
+        return int.from_bytes(struct.pack(self._format, *fields), "little") - self._offset
 
     def entries(self, w: int) -> list[int]:
         """mu_1, ..., mu_n of a packed weight, as a 0-based list."""
@@ -1402,6 +1561,40 @@ class Weights:
             self._kept[w] = found
         return found
 
+    def representative_sums(self, left: list, right: list):
+        """(wa + wb, a, b) for each (wa, a) of ``left`` and (wb, b) of
+        ``right`` whose weights add up to a representative weight, in the
+        order of ``left``, then of ``right``.
+
+        Each weight gets a key linear in it, its gap mu_{i+1} - mu_i at the
+        k-th transposition (i i+1) in the 16-bit field k, so the key of a
+        sum is the sum of the keys.  A gap of a sum of two weights of
+        monomials lies in (-2^15, 2^15), so offsetting every field by 2^15
+        sets its top bit exactly where the gap is nonnegative: one addition
+        and one mask test per pair decide whether the sum ascends in every
+        run, and ``is_representative`` decides the mirror on those that do.
+        """
+        top = sum(1 << 16 * k + 15 for k in range(len(self._adjacent)))
+        keys, mask, offset = self._keys, (1 << self.bits) - 1, self._offset
+
+        def key(w):
+            found = keys.get(w)
+            if found is None:
+                t = w + offset
+                found = keys[w] = sum(
+                    (((t >> hi) & mask) - ((t >> lo) & mask)) << 16 * k
+                    for k, (lo, hi) in enumerate(self._adjacent)
+                )
+            return found
+
+        keyed = [(key(wb) + top, wb, b) for wb, b in right]
+        keeps = self.is_representative
+        for wa, a in left:
+            ka = key(wa)
+            for kb, wb, b in keyed:
+                if (ka + kb) & top == top and keeps(wa + wb):
+                    yield wa + wb, a, b
+
     def descent(self, w: int) -> int:
         """max(max_i ceil(g_i / 2), ceil(sum_i g_i / 4)), where g_i =
         max(0, mu_i - mu_{i+1}) over the transpositions (i i+1): 0 exactly
@@ -1435,9 +1628,10 @@ class Weights:
             f = self._fields(w)
             size = 1
             for lo, hi in self.cuts:
-                size *= factorial(hi - lo)
-                for count in Counter(f[lo:hi]).values():
-                    size //= factorial(count)
+                if hi - lo > 1:
+                    size *= factorial(hi - lo)
+                    for count in Counter(f[lo:hi]).values():
+                        size //= factorial(count)
             if self.mirror and self._ascending(w) != self._ascending(self.mirrored(w)):
                 size *= 2
             self._sizes[w] = size

@@ -561,6 +561,7 @@ def fresh_caches():
         applier_is_representation,
         osc.block_permutations_commute,
         osc.mirror_commutes,
+        filtration._generator_shifts,
     ]
     for cached in caches:
         cached.cache_clear()
@@ -871,6 +872,7 @@ def _extra_root_term(cfg, g, term):
     ceiling, packed = cfg.weyl_tables[0][g]
     cfg.weyl_tables[0][g] = ceiling, packed + (term,)
     osc.root_terms.cache_clear()
+    filtration._generator_shifts.cache_clear()
 
 
 def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
@@ -1007,13 +1009,15 @@ def test_check_nested_reads_a_row_missing_from_the_level_above():
     assert FiltrationTower(CFG, "explicit", [low, high]).check_nested()
 
 
-def _whole_payload(cfg, kmax, brute=None):
+def _whole_payload(cfg, kmax, brute=None, whole=None):
     """``compare_towers`` from the whole levels, each pair by
     ``span_equal`` and nesting by ``contains_span``: the oracle.  ``brute``
-    is the whole brute-force tower, where the caller built it."""
+    is the whole brute-force tower and ``whole`` the whole explicit one,
+    where the caller built them."""
     if brute is None:
         brute = build_tower(cfg, kmax, "bruteforce")
-    whole = build_tower(cfg, kmax, whole=True)
+    if whole is None:
+        whole = build_tower(cfg, kmax, whole=True)
     levels = [
         {"k": k, "dim_bruteforce": b.dim, "dim_explicit": e.dim, "equal": span_equal(b, e)}
         for k, (b, e) in enumerate(zip(brute.levels, whole.levels))
@@ -1069,21 +1073,26 @@ def orbit_layouts(draw):
 def test_representative_weights_match_the_whole_build(cfg_kmax):
     cfg, kmax = cfg_kmax
     tower = build_tower(cfg, kmax, "explicit")
-    whole = build_tower(cfg, kmax, whole=True)
+    # the levels read from a tower, the whole build: the one whole explicit
+    # tower this test builds
+    whole = FiltrationTower(cfg, tower.method, tower.levels)
     brute = build_tower(cfg, kmax, "bruteforce")
-    oracle = _whole_payload(cfg, kmax, brute)
+    oracle = _whole_payload(cfg, kmax, brute, whole)
     assert tower.dims == [b.dim for b in whole.levels]
     assert tower.check_nested() == all(
         whole.levels[k + 1].contains_span(whole.levels[k]) for k in range(kmax)
     )
     assert compare_towers(cfg, kmax) == oracle
-    # the levels read from a tower with orbits are the whole build's, row
-    # for row
-    assert [list(b.rows.items()) for b in tower.levels] == [
-        list(b.rows.items()) for b in whole.levels
-    ]
     weights = tower.weights
     if weights is not None:
+        # the levels read from the tower are whole: at the representative
+        # weights they span what the representative rows span.  Each of
+        # those rows carries its pivot's weight
+        for level, full in zip(tower.built, whole.levels):
+            keeps = weights.is_representative
+            kept = [row for piv, row in full.rows.items() if keeps(weights.of(piv))]
+            assert span_equal(level, echelon_from(cfg.space, kept))
+        assert all(weights.of(piv) == w for piv, w in tower.row_weights.items())
         # every representative row is a weight vector of a representative
         # weight, and no weight of another orbit is built
         for level in tower.built:
@@ -1118,7 +1127,7 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
 ], ids=str)
 def test_admitted_transpositions_are_pinned(params, admitted):
     cfg = Config(*params)
-    assert _admitted_transpositions(cfg, 6, _explicit_cache(cfg)) == admitted
+    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == admitted
     tower = build_tower(cfg, 3, "explicit")
     if admitted:
         assert tower.weights.transpositions == tuple(admitted)
@@ -1141,7 +1150,7 @@ def test_admitted_transpositions_are_pinned(params, admitted):
 def test_mirror_verdict_is_pinned(params, admitted, mirror):
     cfg = Config(*params)
     cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, 4, cache) == admitted
+    assert _admitted_transpositions(cfg, cache) == admitted
     assert _admits_mirror(cfg, 4, cache, admitted) == mirror
     weights = build_tower(cfg, 3, "explicit").weights
     assert (weights is not None and weights.mirror) == mirror
@@ -1175,7 +1184,7 @@ def test_a_t_series_form_the_mirror_moves_refuses_the_mirror(monkeypatch):
 
     monkeypatch.setattr(filtration, "projection_forms", perturbed)
     cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, 4, cache) == [1, 4]
+    assert _admitted_transpositions(cfg, cache) == [1, 4]
     assert not _admits_mirror(cfg, 4, cache, [1, 4])
     assert not build_tower(cfg, 3, "explicit").weights.mirror
 
@@ -1227,6 +1236,32 @@ def test_mirror_weights_match_their_orbits():
         mirrored.order_type([1], [2])
 
 
+def test_representative_sums_match_the_pairwise_test():
+    # sums of the weights of the monomials of degree <= 2, and of some of
+    # degree 200 with gaps up to 400, under the transpositions with and
+    # without the mirror
+    for cfg, transpositions in (
+        (Config(6, 3, 3), [1, 2, 4, 5]),
+        (Config(7, 3, 4), [1, 2, 5, 6]),
+        (Config(5, 2, 3), [1]),
+    ):
+        sp = cfg.space
+        plain = Weights(cfg, sp)
+        ws = sorted({plain.of(m) for m in monomials(sp, range(3))})
+        far = [sp.pack([200 if p == q else 0 for p in range(sp.nvars)]) for q in range(sp.nvars)]
+        left = [(w, i) for i, w in enumerate(ws + [plain.of(m) for m in far])]
+        right = [(w, -i) for i, w in enumerate(ws[::3] + [plain.of(m) for m in far[::2]])]
+        for mirror in (False, True):
+            weights = Weights(cfg, sp, transpositions, mirror)
+            want = [
+                (wa + wb, a, b)
+                for wa, a in left
+                for wb, b in right
+                if weights.is_representative(wa + wb)
+            ]
+            assert want and list(weights.representative_sums(left, right)) == want
+
+
 def test_representative_rows_and_weights_are_pinned():
     cfg = Config(4, 2, 2, -1, -1)
     tower = build_tower(cfg, 11, "explicit")
@@ -1253,7 +1288,7 @@ def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
     # root leaves no shifts, and the brute-force tower is built whole
     cfg = Config(5, 2, 3, -1, -1)
     weights = build_tower(cfg, 4, "explicit").weights
-    for g, shift in zip(generators(5), filtration._generator_shifts(cfg, weights)):
+    for g, shift in zip(generators(5), filtration._generator_shifts(5, 2, 3)):
         want = [0] * 5
         if g[0] == "e":
             want[g[1] - 1] += 1
@@ -1261,7 +1296,7 @@ def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
         assert weights.entries(shift) == want, g
     sp = cfg.space
     _extra_root_term(cfg, ("e", 1, 3), (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
-    assert filtration._generator_shifts(cfg, weights) is None
+    assert filtration._generator_shifts(5, 2, 3) is None
     assert filtration._bruteforce_tower(cfg, 4, weights).weights is None
 
 
@@ -1271,7 +1306,7 @@ def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
     cfg = Config(4, 2, 2, -1, -1)
     real = filtration.base_space_vectors
     monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: real(*a)[:-1])
-    assert _admitted_transpositions(cfg, 4, _explicit_cache(cfg)) == []
+    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == []
     tower = build_tower(cfg, 4, "explicit")
     assert tower.weights is None
     assert tower.dims == [b.dim for b in build_tower(cfg, 4, whole=True).levels]
@@ -1288,31 +1323,136 @@ def test_a_generating_vector_of_no_weight_gets_no_orbits(monkeypatch):
         return pset + [sum(pset[1:], pset[0])]
 
     monkeypatch.setattr(filtration, "alternating_set", with_sum)
-    assert _admitted_transpositions(cfg, 4, _explicit_cache(cfg)) == []
+    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == []
     assert build_tower(cfg, 4, "explicit").dims == [
         b.dim for b in build_tower(cfg, 4, whole=True).levels
     ]
 
 
 def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
-    # dropping one monomial of TN level 2 of (5,2,3,-1,-1) that (1 2) moves
-    # off the level, and (4 5) too
+    # dropping a cell of TN level 2 of (5,2,3,-1,-1) whose mirror image is
+    # another cell: the transpositions still map every cell onto itself,
+    # the mirror no longer maps level 2 onto itself
     cfg = Config(5, 2, 3, -1, -1)
-    real = filtration.enumerate_TN_level
-    sp = cfg.space
+    real = filtration.tn_cells
 
     def dropped(c, k):
-        level = real(c, k)
+        cells = real(c, k)
         if k == 2:
-            level = [m for m in level if not (sp.exp(m, sp.x(1)) and sp.exp(m, sp.y(4)))][:-1]
-        return level
+            cells.remove([cell for cell in cells if cell != cell[::-1]][-1])
+        return cells
 
-    monkeypatch.setattr(filtration, "enumerate_TN_level", dropped)
-    assert _admitted_transpositions(cfg, 1, _explicit_cache(cfg)) == [1, 4]
-    assert _admitted_transpositions(cfg, 2, _explicit_cache(cfg)) == []
-    assert build_tower(cfg, 3, "explicit").dims == [
-        b.dim for b in build_tower(cfg, 3, whole=True).levels
-    ]
+    monkeypatch.setattr(filtration, "tn_cells", dropped)
+    cache = _explicit_cache(cfg)
+    assert _admitted_transpositions(cfg, cache) == [1, 4]
+    assert _admits_mirror(cfg, 1, cache, [1, 4])
+    assert not _admits_mirror(cfg, 2, cache, [1, 4])
+    tower = build_tower(cfg, 3, "explicit")
+    assert not tower.weights.mirror
+    assert tower.dims == [b.dim for b in build_tower(cfg, 3, whole=True).levels]
+
+
+def _cell_monomials(cfg, cells):
+    return [set(osc.enumerate_block_sums(cfg, *cell)) for cell in cells]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cell_certificate_admits_only_what_maps_each_level_onto_itself(n):
+    # a transposition passes only where it maps every cell of the TN and
+    # dprime levels 0..3 onto itself, and the mirror only where it maps
+    # each level onto itself, on the layouts whose blocks it maps onto
+    # blocks, n1 + n2 = n.  Neither is necessary: a level can be empty, or
+    # mirrored while its cells are not, where it lies in cells with no
+    # exclusion to move
+    fixing, mirrored_layouts = set(), set()
+    for n1 in range(1, n):
+        for n2 in range(n1 + 1, n + 1):
+            for l1, l2 in itertools.product(range(-2, 3), repeat=2):
+                cfg = Config(n, n1, n2, l1, l2)
+                regimes = ["T-cell"] + (["dprime"] if n2 == n and l1 > 0 and l2 > 0 else [])
+                for regime in regimes:
+                    levels = [
+                        _cell_monomials(cfg, filtration._level_cells(cfg, j, regime))
+                        for j in range(4)
+                    ]
+                    for i in range(1, n):
+                        if filtration._fixes_cells(cfg, i):
+                            swap = osc.transposer(cfg.space, i)
+                            assert all(
+                                {swap(m) for m in cell} == cell for level in levels for cell in level
+                            ), (cfg, regime, i)
+                            fixing.add(i)
+                    if n1 + n2 != n:
+                        continue
+                    swap = osc.mirrorer(cfg.space)
+                    for kmax in range(4):
+                        if filtration._mirrors_cells(cfg, kmax, regime):
+                            whole = [set().union(*level) for level in levels[: kmax + 1]]
+                            mirrored = all({swap(m) for m in level} == level for level in whole)
+                            assert mirrored, (cfg, kmax)
+                            mirrored_layouts.add(cfg)
+    assert fixing >= set(range(1, n - 1))
+    if n % 2:
+        assert Config(n, n // 2, n // 2 + 1, -1, -1) in mirrored_layouts
+
+
+def test_a_transposition_that_moves_n1_plus_1_is_refused_by_the_cells(monkeypatch):
+    # with T-series forms that every relabelling fixes, (2 3) on
+    # (5,1,4,-1,-1) maps the base vector and the quadratic onto themselves:
+    # only the cells refuse it, as x3*y3 goes to the excluded x2*y2
+    cfg = Config(5, 1, 4, -1, -1)
+    monkeypatch.setattr(filtration, "projection_forms", lambda c: ({}, {}))
+    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == [3]
+    assert not filtration._fixes_cells(cfg, 2) and filtration._fixes_cells(cfg, 3)
+
+
+def test_the_mirror_of_unequal_bidegrees_is_refused_by_the_cells(monkeypatch):
+    # (5,2,3,-1,-2) with an empty base: the forms, the quadratics and the
+    # weights admit the mirror, the cells of a level with l1 != l2 do not
+    cfg = Config(5, 2, 3, -1, -2)
+    monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: [])
+    cache = _explicit_cache(cfg)
+    assert _admitted_transpositions(cfg, cache) == [1, 4]
+    assert not _admits_mirror(cfg, 0, cache, [1, 4])
+    equal = Config(5, 2, 3, -2, -2)
+    assert _admits_mirror(equal, 3, _explicit_cache(equal), [1, 4])
+
+
+def _cone_example(params, j, transpositions, mirror, bound):
+    cfg = Config(*params)
+    weights = Weights(cfg, cfg.space, transpositions, mirror)
+    return cfg, osc.tn_cells(cfg, j), weights, bound
+
+
+@st.composite
+def cone_inputs(draw):
+    """(cfg, cells, weights, bound): the cells of a TN or dprime level of a
+    layout with n <= 7, weights of a set of block transpositions, with or
+    without the mirror, and a bound on the descent."""
+    n = draw(st.integers(2, 7))
+    n1 = draw(st.integers(1, n - 1))
+    n2 = draw(st.integers(n1 + 1, n))
+    l1, l2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    cfg = Config(n, n1, n2, l1, l2)
+    regime = "dprime" if n2 == n and l1 > 0 and l2 > 0 and draw(st.booleans()) else "T-cell"
+    cells = filtration._level_cells(cfg, draw(st.integers(0, 3)), regime)
+    candidates = osc.block_transpositions(n, n1, n2)
+    transpositions = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    weights = Weights(cfg, cfg.space, sorted(transpositions), draw(st.booleans()))
+    return cfg, cells, weights, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cone_inputs())
+@example(_cone_example((7, 3, 4, -1, -1), 3, [1, 2, 5, 6], True, 0))  # the mirror
+@example(_cone_example((6, 2, 4, -1, -1), 2, [1, 3, 5], False, 1))
+def test_the_cone_is_the_whole_level_filtered_by_descent(cone):
+    # the same monomials, each with its weight, in the order of the whole
+    # level: so each weight's monomials keep their order too
+    cfg, cells, weights, bound = cone
+    whole = osc.enumerate_cells(cfg, cells)
+    want = [(weights.of(m), m) for m in whole if weights.descent(weights.of(m)) <= bound]
+    assert osc.enumerate_cells(cfg, cells, (weights, bound)) == want
 
 
 @pytest.mark.parametrize(
@@ -1361,11 +1501,24 @@ def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
     assert not rep["all_equal"]
 
 
-@pytest.mark.parametrize("params, kmax", [((4, 1, 3, -1, 1), 5), ((5, 2, 3, -1, -1), 4)], ids=str)
-def test_compare_towers_looks_up_each_explicit_row_once(monkeypatch, params, kmax):
-    # a row that level k shares with level k-1 was found in brute-force
-    # level k-1, which brute-force level k holds: it is not looked up again
-    cfg = Config(*params)
+def _new_rows(brute, weights=None, of=None):
+    """The rows of each brute-force level that the level below does not
+    share, at representative weights where ``weights`` is given (``of``
+    weighs a pivot)."""
+    out, below = [], {}
+    for level in brute.built:
+        for piv, row in level.rows.items():
+            if below.get(piv) is row:
+                continue
+            if weights is None or weights.is_representative(of(piv)):
+                out.append(row)
+        below = level.rows
+    return out
+
+
+def _recording(monkeypatch):
+    """The towers ``compare_towers`` builds, by method, and the (basis,
+    row) ids of every ``EchelonBasis.contains`` call."""
     towers, lookups = {}, []
     real_build, real_contains = filtration.build_tower, EchelonBasis.contains
     real_brute = filtration._bruteforce_tower
@@ -1385,16 +1538,88 @@ def test_compare_towers_looks_up_each_explicit_row_once(monkeypatch, params, kma
     monkeypatch.setattr(filtration, "build_tower", build)
     monkeypatch.setattr(filtration, "_bruteforce_tower", brute_build)
     monkeypatch.setattr(EchelonBasis, "contains", contains)
+    return towers, lookups
+
+
+def _looked_up(towers, lookups):
+    """The brute-force rows looked up in an explicit level, by id."""
+    explicit = {id(level) for level in towers["explicit"].built}
+    brute = {id(row) for level in towers["bruteforce"].built for row in level.rows.values()}
+    return sorted(row for level, row in lookups if level in explicit and row in brute)
+
+
+@pytest.mark.parametrize("params, kmax", [((4, 1, 3, -1, 1), 5), ((5, 2, 3, -1, -1), 4)], ids=str)
+def test_compare_towers_looks_up_each_new_brute_force_row_once(monkeypatch, params, kmax):
+    # a brute-force row that level k shares with level k-1 lies in explicit
+    # level k-1, so in level k: only the new rows are looked up, and with
+    # orbits only those of a representative weight
+    cfg = Config(*params)
+    towers, lookups = _recording(monkeypatch)
     rep = compare_towers(cfg, kmax)
-    assert rep["all_equal"]
-    brute = {id(level) for level in towers["bruteforce"].built}
-    explicit = towers["explicit"]
-    rows = explicit.built
-    looked_up = [row for level, row in lookups if level in brute]
-    distinct = {id(row) for level in rows for row in level.rows.values()}
-    assert sorted(looked_up) == sorted(distinct)
+    assert rep["all_equal"] and rep["nested"]
+    brute, weights = towers["bruteforce"], towers["explicit"].weights
+    of = None if weights is None else brute.row_weights.__getitem__
+    new = _new_rows(brute, weights, of)
+    assert _looked_up(towers, lookups) == sorted(map(id, new))
     # each level shares rows with the one below
-    assert len(distinct) < sum(level.dim for level in rows)
+    assert len(new) < sum(level.dim for level in brute.built)
+
+
+def _crafted_payload(monkeypatch, explicit, brute):
+    """``compare_towers`` on CFG with the towers built from ``explicit``
+    and ``brute``, lists of polynomial texts per level, each brute-force
+    level a copy of the one below plus its new rows."""
+    levels = []
+    for texts in brute:
+        level = levels[-1].copy() if levels else EchelonBasis(SP)
+        for text in texts:
+            level.insert(P(text))
+        levels.append(level)
+    rows = [echelon_from(SP, [P(text) for text in texts]) for texts in explicit]
+    explicit_tower = FiltrationTower(CFG, "explicit", rows)
+    brute_tower = FiltrationTower(CFG, "bruteforce", levels)
+    monkeypatch.setattr(filtration, "build_tower", lambda *a, **kw: explicit_tower)
+    monkeypatch.setattr(filtration, "_bruteforce_tower", lambda *a: brute_tower)
+    rep = compare_towers(CFG, len(levels) - 1)
+    return [r["equal"] for r in rep["levels"]], rep["nested"]
+
+
+def test_comparison_looks_up_shared_rows_below_an_unequal_level(monkeypatch):
+    # x1 is not in explicit level 0, nor in level 1: level 1 is unequal
+    # although its new row y1 is there
+    assert _crafted_payload(monkeypatch, [["y1"], ["y1", "y3"]], [["x1"], ["y1"]]) == (
+        [False, False],
+        True,
+    )
+
+
+def test_comparison_looks_up_shared_rows_where_a_tower_does_not_nest(monkeypatch):
+    # level 0 is equal, but explicit level 1 lost x1
+    assert _crafted_payload(monkeypatch, [["x1"], ["y1", "y3"]], [["x1"], ["y1"]]) == (
+        [True, False],
+        False,
+    )
+    # with x1 kept the towers nest and level 1 is equal
+    assert _crafted_payload(monkeypatch, [["x1"], ["x1", "y1"]], [["x1"], ["y1"]]) == (
+        [True, True],
+        True,
+    )
+
+
+def test_comparison_weighs_the_pivots_of_a_whole_brute_force_tower(monkeypatch, fresh_caches):
+    # with no shifts the brute-force tower is whole while the explicit rows
+    # are read at representative weights: only the new rows of those
+    # weights are looked up, each weighed by its pivot
+    cfg = Config(5, 2, 3, -1, -1)
+    oracle = _whole_payload(cfg, 4)
+    monkeypatch.setattr(filtration, "_generator_shifts", lambda *layout: None)
+    towers, lookups = _recording(monkeypatch)
+    assert compare_towers(cfg, 4) == oracle
+    brute, weights = towers["bruteforce"], towers["explicit"].weights
+    assert brute.weights is None and weights is not None
+    new = _new_rows(brute, weights, weights.of)
+    assert _looked_up(towers, lookups) == sorted(map(id, new))
+    assert len(new) < len(_new_rows(brute))
 
 
 def test_xy_weights_are_the_cartan_eigenvalues_less_their_constants():

@@ -20,6 +20,7 @@ from oscvar.osc import (
     commutator_in_basis,
     dfun_monomial,
     enumerate_TN_level,
+    enumerate_block_sums,
     generators,
     highest_weight_formula,
     laplace,
@@ -123,6 +124,28 @@ def test_enumerate_level_examples():
     lvl1 = {Poly.monomial(SP, m).render() for m in enumerate_TN_level(CFG, 1)}
     assert lvl1 == {"x1^2*x2*y3", "x1*y2*y3^2"}
     assert enumerate_TN_level(CFG, -1) == []
+
+
+def test_block_sum_cells_match_a_filter_of_every_monomial():
+    # every cell with block sums 0 or 1 on the layouts with n <= 4, n1 = n2
+    # among them: the monomials of those sums without both x and y at n1+1
+    # where J2 is not empty, in increasing order
+    for n in range(2, 5):
+        for n1 in range(1, n + 1):
+            for n2 in range(n1, n + 1):
+                cfg = Config(n, n1, n2)
+                sp = cfg.space
+                blocks = [range(0, n1), range(n1, n2), range(n2, n)]
+                cells: dict = {}
+                for m in monomials(sp, range(7)):
+                    e = sp.unpack(m)
+                    if not (n1 < n2 and e[n1] and e[n + n1]):
+                        sums = [sum(e[i] for i in B) for B in blocks]
+                        sums += [sum(e[n + i] for i in B) for B in blocks]
+                        cells.setdefault(tuple(sums), []).append(m)
+                for cell in itertools.product(range(2), repeat=6):
+                    want = sorted(cells.get(cell, []))
+                    assert enumerate_block_sums(cfg, *cell) == want, (cfg, cell)
 
 
 def test_weight_examples():
