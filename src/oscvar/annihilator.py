@@ -91,10 +91,15 @@ built from block templates, so a permutation sigma of the indices inside
 J1, J2 and J3, relabelling x_i and y_i, conjugates pi(E_ab) to
 pi(E_{sigma(a), sigma(b)}) (``osc.block_permutations_commute``, with
 ``osc.applier_is_representation``).  Where sigma also maps the rows of M_0
-to plus or minus rows of M_0 (:func:`_permutes_base`), it maps each
-M_k = U_k(g) M_0 onto itself, and t annihilates exactly when sigma(t)
-does.  Where the unknowns are closed under sigma too, the kernel block of
-weight sigma(mu) is sigma of the block of weight mu: only the
+to plus or minus rows of M_0, it maps each M_k = U_k(g) M_0 onto itself,
+and t annihilates exactly when sigma(t) does.  Where the unknowns are
+closed under sigma too, the kernel block of weight sigma(mu) is sigma of
+the block of weight mu.  Both are checked by the one certificate of
+relabellings, ``osc.admitted``, on every block transposition: the rows of
+M_0 as a vector set (:func:`_tower_relabellings`), the unknowns as a
+table keyed by their generators (:func:`_grading`).  Unlike the explicit
+tower, which refuses a transposition that moves n1+1, the annihilator
+keeps every block transposition or none, a larger group.  Only the
 representative weights, their entries ascending inside each block, are
 walked, against every row of M_0 (:func:`_words_by_weight`), and each
 dimension is the sum over orbits of |orbit| times dim(block).  Weight
@@ -131,14 +136,15 @@ from .filtration import FiltrationTower, bruteforce_level, build_tower
 from .linalg import EchelonBasis, echelon_from, kernel_of_columns, span_equal
 from .osc import (
     Config,
+    Table,
     Weights,
+    admitted,
     applier_is_representation,
     apply_generator_terms,
     block_permutations_commute,
     block_transpositions,
     generators,
-    permutes_up_to_sign,
-    transposer,
+    relabellings,
     weyl_forms,
     weyl_mul,
 )
@@ -445,32 +451,32 @@ def _system_rows(tower: FiltrationTower) -> tuple[list, frozenset]:
     return fresh, preservers
 
 
-def _permutes_base(tower: FiltrationTower) -> bool:
-    """Whether every permutation inside J1, J2 and J3 maps each level of the
-    tower onto itself.  Checked once per tower and cached in
-    ``tower.derived``.
+def _tower_relabellings(tower: FiltrationTower) -> list:
+    """The block transpositions (``osc.relabellings``) that map each level
+    of the tower onto itself: all of them or none.  Checked once per tower
+    and cached in ``tower.derived``.
 
-    That holds where the tower is U_k(g) M_0 through its depth (no N_j above
-    M_0), both certificates of the layout hold
+    All of them where the tower is U_k(g) M_0 through its depth (no N_j
+    above M_0), both certificates of the layout hold
     (``osc.applier_is_representation``, ``osc.block_permutations_commute``)
-    and each ``osc.block_transpositions`` maps each row of M_0 to plus or
-    minus a row of M_0.  Then sigma M_0 = M_0, and sigma conjugates
-    pi(U_k(g)) onto itself, so sigma M_k = M_k for every level.
+    and ``osc.admitted`` keeps every transposition on the rows of M_0,
+    each mapped to plus or minus a row of M_0.  Then sigma M_0 = M_0, and
+    sigma conjugates pi(U_k(g)) onto itself, so sigma M_k = M_k for every
+    level.
     """
     derived = tower.derived
-    if "permutes-base" not in derived:
+    if "relabellings" not in derived:
         cfg = tower.cfg
         n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-        derived["permutes-base"] = (
+        candidates = relabellings(n, block_transpositions(n, n1, n2))
+        whole = (
             _generated_by_base(tower)
             and applier_is_representation(n, n1, n2)
             and block_permutations_commute(n, n1, n2)
-            and all(
-                permutes_up_to_sign(system_rows(tower)[0][0], transposer(cfg.space, i))
-                for i in block_transpositions(n, n1, n2)
-            )
+            and admitted(candidates, [(cfg.space, system_rows(tower)[0][0])]) == candidates
         )
-    return derived["permutes-base"]
+        derived["relabellings"] = candidates if whole else []
+    return derived["relabellings"]
 
 
 def _grading(tower: FiltrationTower, alphabet) -> Weights | None:
@@ -478,35 +484,27 @@ def _grading(tower: FiltrationTower, alphabet) -> Weights | None:
     unknowns ``alphabet``, or None where the system is one block.
 
     Weights need the applier to be a representation and every Cartan symbol
-    among the preservers of :func:`system_rows`; orbits need, besides, that
-    the permutations inside the blocks map every level onto itself
-    (:func:`_permutes_base`) and the alphabet into itself.
+    among the preservers of :func:`system_rows`; orbits need, besides, the
+    transpositions that map every level onto itself
+    (:func:`_tower_relabellings`), all of them, to map the alphabet onto
+    itself: ``osc.admitted`` on the alphabet as a table keyed by its
+    generators, with nothing to carry but the keys.  An alphabet with a
+    Cartan symbol, which they do not map to a symbol, gets no orbits.
     """
     cfg = tower.cfg
-    cartan = range(cfg.n - 1)  # h_1..h_{n-1} lead the generator enumeration
+    gens = generators(cfg.n)
     if not (
         applier_is_representation(cfg.n, cfg.n1, cfg.n2)
-        and system_rows(tower)[1].issuperset(cartan)
+        and system_rows(tower)[1].issuperset(range(cfg.n - 1))  # h_1..h_{n-1} lead gens
     ):
         return None
-    orbits = _closed(cfg, alphabet) and _permutes_base(tower)
-    transpositions = block_transpositions(cfg.n, cfg.n1, cfg.n2) if orbits else ()
-    return Weights(cfg, symbol_space(cfg.n), transpositions)
-
-
-def _closed(cfg: Config, alphabet) -> bool:
-    """Whether each block transposition maps the symbols of ``alphabet``
-    into it (a Cartan symbol, which it does not map to a symbol, never)."""
-    gens = generators(cfg.n)
-    gmap = gen_index_map(cfg.n)
-    letters = set(alphabet)
-    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
-        swap = {i: i + 1, i + 1: i}
-        for g in alphabet:
-            kind, *ends = gens[g]
-            if kind != "e" or gmap["e", *(swap.get(a, a) for a in ends)] not in letters:
-                return False
-    return True
+    found = []
+    if all(gens[g][0] == "e" for g in alphabet):
+        found = _tower_relabellings(tower)
+        letters = Table("generators", cfg.space, {gens[g]: {} for g in alphabet})
+        if admitted(found, tables=[letters]) != found:
+            found = []
+    return Weights(cfg, symbol_space(cfg.n), found)
 
 
 def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
@@ -1111,7 +1109,7 @@ def sym_form(cfg: Config, sym: Poly) -> dict:
     product F_{i_p} ... F_{i_1} of the generators' forms."""
     sp = cfg.space
     gens = generators(cfg.n)
-    forms = weyl_forms(cfg)
+    forms = weyl_forms(cfg.n, cfg.n1, cfg.n2)
     out: dict = {}
     for key, c in sym_words(sym):
         word = {(0, 0): 1}

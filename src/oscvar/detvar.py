@@ -29,17 +29,21 @@ minus minors, so they map the block of weight mu onto that of sigma(mu):
 one block is solved per orbit, at the weight with ascending entries
 inside J1 and J3, and each dimension is the sum of |orbit| times the
 representative's.  ``_grading`` certifies this on every call: each
-variable's image and each minor is homogeneous of its weight, and each
-adjacent transposition inside J1 or J3 maps each variable's image to the
-image of the relabelled variable and the minor list onto itself up to
-sign.  Where the transpositions fail every weight is its own block; where
-homogeneity fails the degree is one block.  ``_monomials_by_weight``
-groups each degree's monomials by weight in one walk that carries both;
-it keeps every weight only at the degrees <= top - t that complete the
-t x t minors, and the representative weights above them.
-``_ideal_piece`` multiplies a minor only by the monomials that complete it
-to a representative weight.  A degree whose images would not fit the
-packed monomial (above ``MAX_DEGREE``) is refused before any work.
+variable's image and each minor is homogeneous of its weight, and the
+one certificate of relabellings, ``osc.admitted``, keeps every adjacent
+transposition inside J1 or J3 on the minor list (onto itself up to sign)
+and on the table of the variables' images (each onto the image of the
+relabelled variable).  Where a transposition fails every weight is its
+own block; where homogeneity fails the degree is one block.  The phi_y
+kernel is read off the phi_x kernel where ``osc.admitted`` keeps the
+x/y swap x_a <-> y_a on their image tables (``_mirrors``).
+``_monomials_by_weight`` groups each degree's monomials by weight in one
+walk that carries both; it keeps every weight only at the degrees
+<= top - t that complete the t x t minors, and the representative
+weights above them.  ``_ideal_piece`` multiplies a minor only by the
+monomials that complete it to a representative weight.  A degree whose
+images would not fit the packed monomial (above ``MAX_DEGREE``) is
+refused before any work.
 
 z monomials, like xy ones, are packed ints (see ``poly``).  The
 evaluations are ring homomorphisms, so an ``Evaluation`` computes the
@@ -71,19 +75,18 @@ that moves the distinct values of I1 and of I3, in order, onto the first
 values of J1 and of J3 (``_canonical``) is a bijection between the two
 G-sets that keeps the rank of their images, and each tuple reads the rank
 of its canonical tuple.  The certificate is ``_grading`` on phi's image
-table, the one the ranks' ``Evaluation`` reads: each adjacent
-transposition inside J1 or J3 must map each variable's image to the image
-of the relabelled variable.  The certified transpositions join the
-indices into runs (``_run_starts``), and the relabelling moves values only
-inside a run; where the certificate refuses, each index is its own run,
-every tuple is its own canonical tuple, and the same walk ranks every
-G-set.  ``_gset_buckets`` builds the canonical G-sets of every degree in
-one depth-first walk, in the (row asc, col desc) order the chain test
-reads: it carries the patience state of the chain test and cuts a branch
-at a 3-chain or at a row that leaves a gap in its run, and keeps a node
-when its column multiset is canonical too.  ``enumerate_gset``, which
-builds one G-set from its index multisets, is the reference the buckets
-are tested against.
+table, the one the ranks' ``Evaluation`` reads: ``osc.admitted`` must keep
+each adjacent transposition inside J1 or J3 on it.  The certified
+transpositions join the indices into runs (``_run_starts``), and the
+relabelling moves values only inside a run; where the certificate refuses,
+each index is its own run, every tuple is its own canonical tuple, and the
+same walk ranks every G-set.  ``_gset_buckets`` builds the canonical G-sets
+of every degree in one depth-first walk, in the (row asc, col desc) order
+the chain test reads: it carries the patience state of the chain test and
+cuts a branch at a 3-chain or at a row that leaves a gap in its run, and
+keeps a node when its column multiset is canonical too.  ``enumerate_gset``,
+which builds one G-set from its index multisets, is the reference the
+buckets are tested against.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from functools import lru_cache
 from math import comb, inf
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
-from .osc import Config, Weights, permutes_up_to_sign, swapper, transposer
+from .osc import Config, Relabelling, Table, Weights, admitted, relabellings
 from .poly import (
     DEGREE_LIMIT, FIELD_BITS, Poly, Space, add_term, axpy, determinant, xy_space, z_space,
 )
@@ -382,9 +385,10 @@ def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weig
     Weights need every variable's image under each evaluation homogeneous
     of the variable's weight (the index content of an xy monomial: x_a and
     y_a each add eps_a), and every minor homogeneous.  Orbits need, besides,
-    that each adjacent transposition inside J1 or J3 maps each variable's
-    image (relabelled by ``osc.transposer`` on the xy side) to the image of
-    the relabelled variable, and the minor list onto itself up to sign.
+    that ``osc.admitted`` keeps every adjacent transposition inside J1 or
+    J3 (all of them, or none is used): each maps each variable's image to
+    the image of the relabelled variable, and the minor list onto itself up
+    to sign.
     """
     weights = Weights(cfg, space)
     n = cfg.n
@@ -398,18 +402,13 @@ def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weig
         for m in img[pos].terms
     ) or any(weights.homogeneous(g.terms) is None for g in minors):
         return None
-    at = {u: pos for pos, u in enumerate(space.unit)}
-    vectors = [g.terms for g in minors]
-    transpositions = [*range(1, cfg.n1), *range(cfg.n2 + 1, n)]  # inside J1, inside J3
-    for i in transpositions:
-        zswap, xyswap = transposer(space, i), transposer(target, i)
-        if not permutes_up_to_sign(vectors, zswap) or any(
-            {xyswap(m): c for m, c in img[pos].terms.items()} != img[at[zswap(u)]].terms
-            for img in images
-            for pos, u in enumerate(space.unit)
-        ):
-            return Weights(cfg, space)
-    return Weights(cfg, space, transpositions)
+    candidates = relabellings(n, [*range(1, cfg.n1), *range(cfg.n2 + 1, n)])  # in J1, J3
+    tables = [
+        Table(space, target, {u: img[pos].terms for pos, u in enumerate(space.unit)})
+        for img in images
+    ]
+    found = admitted(candidates, [(space, [g.terms for g in minors])], tables)
+    return Weights(cfg, space, found if found == candidates else ())
 
 
 def _monomials_by_weight(space: Space, position, top: int, kept):
@@ -483,17 +482,15 @@ def _kernel_basis(space: Space, domain: list, evaluate: Evaluation) -> EchelonBa
 
 def _mirrors(n: int, space: Space, a: str, b: str) -> bool:
     """Whether each variable's image under the evaluation ``b`` is its image
-    under ``a`` with x_i and y_i swapped for every i.  That swap is a ring
-    automorphism of the xy ring, so the evaluation b is a followed by it,
-    and the two have one kernel: its dimension and its equality with any
-    span are read off a's."""
-    target = xy_space(n)
-    swap = swapper(target, [(target.x(i), target.y(i)) for i in range(1, n + 1)])
-    images_a, images_b = _z_images(n, space, a), _z_images(n, space, b)
-    return all(
-        {swap(m): c for m, c in images_a[pos].terms.items()} == images_b[pos].terms
-        for pos in range(space.nvars)
+    under ``a`` with x_i and y_i swapped for every i (``osc.admitted`` on
+    the x/y swap).  That swap is a ring automorphism of the xy ring, so the
+    evaluation b is a followed by it, and the two have one kernel: its
+    dimension and its equality with any span are read off a's."""
+    images_a, images_b = (
+        {pos: img.terms for pos, img in _z_images(n, space, e).items()} for e in (a, b)
     )
+    swap = Relabelling(n, {}, flip=True)
+    return bool(admitted([swap], tables=[Table(None, xy_space(n), images_a, images_b)]))
 
 
 def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):

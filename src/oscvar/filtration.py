@@ -66,8 +66,10 @@ towers are built to check:
     and its dimension is the sum over orbits of |orbit| times the rows
     at the representative; nesting at the representatives is nesting of
     the whole levels.  The transpositions that generate these
-    permutations are certified per layout (``_admitted_transpositions``);
-    the whole levels are the same build with every weight kept.
+    permutations are certified per layout by the one certificate of
+    relabellings, ``osc.admitted``, on the spanning sets and the T-series
+    forms (``_orbit_generators``), and the tower keeps the subset it
+    admits; the whole levels are the same build with every weight kept.
   * The monomial levels are certified cell by cell, never enumerated for
     it.  A TN or dprime level is a union of cells of
     ``osc.enumerate_block_sums`` (``osc.tn_cells``, ``_dprime_cells``): a
@@ -82,7 +84,7 @@ towers are built to check:
   * Each monomial level is enumerated only where the build reads it, and
     weighed as it is enumerated (``_level_groups``).  An alternating
     quadratic has a root weight eps_{i3} - eps_{i1}, which moves
-    ``Weights.descent`` by at most 1 (``_spanning_sets`` checks that its
+    ``Weights.descent`` by at most 1 (``_orbit_generators`` checks that its
     entries add up to at most 2 in absolute value), and the representative
     weights have descent 0.  So a product T(TN level j) * P^i of a level
     k <= kmax at a representative weight takes its monomial at a weight of
@@ -104,26 +106,26 @@ towers are built to check:
     representatives is containment, and with equal dimensions the spans
     are equal.  Where either certificate refuses, it reads the whole
     levels.
-  * The x/y mirror M: x_a <-> y_{n+1-a} (``osc.mirrorer``) is a second
-    orbit generator.  It is a relabelling of the variables, so an algebra
-    automorphism, and where it maps each variable's weight mu to
-    -reverse(mu) it maps the weight vectors of weight mu to those of
-    -reverse(mu).  Where it also maps every spanning set onto itself up to
-    sign, as the transpositions must, it maps the component of weight mu
-    onto that of -reverse(mu), and the dimensions of the two agree.  M
-    conjugates (i i+1) to (n-i n+1-i), so where the admitted
-    transpositions are closed under i -> n - i, M normalizes the group G
-    they generate: an orbit of G x| <M> is one orbit of G or two of one
-    size, and each is built at one representative weight
-    (``osc.Weights`` with ``mirror``).  On a self-mirror layout
-    (n1 + n2 = n, l1 = l2) that builds about half the rows the
-    transpositions alone build.  In the T-cell regime T must commute
-    with M, so M must fix the lift x_{n1+1} y_{n1+1} and the reduced
-    Laplacian, which omits the d_x d_y summand of n1+1; M takes n1+1 to
-    n2, so a T-cell with |J2| > 1 is refused (``_admits_mirror``), as is
-    every dprime layout (n2 = n leaves J3 empty, so no block mirrors J1).
-    ``compare_towers`` reads the mirror's representatives only where M
-    also conjugates every pi(E_ab) to -pi(E_{n+1-b,n+1-a})
+  * The x/y mirror M: x_a <-> y_{n+1-a} (``osc.relabellings``) is a
+    second orbit generator, a candidate of the same ``osc.admitted``.  It is a
+    relabelling of the variables, so an algebra automorphism, and where it
+    maps each variable's weight mu to -reverse(mu) it maps the weight
+    vectors of weight mu to those of -reverse(mu).  Where it also maps every
+    spanning set onto itself up to sign, as the transpositions must, it maps
+    the component of weight mu onto that of -reverse(mu), and the dimensions
+    of the two agree.  M conjugates (i i+1) to (n-i n+1-i), so where the
+    admitted transpositions are closed under i -> n - i, which
+    ``osc.admitted`` checks, M normalizes the group G they generate: an
+    orbit of G x| <M> is one orbit of G or two of one size, and each is
+    built at one representative weight (``osc.Weights`` with ``mirror``).
+    On a self-mirror layout (n1 + n2 = n, l1 = l2) that builds about half
+    the rows the transpositions alone build.  In the T-cell regime T must
+    commute with M, so M must fix the lift x_{n1+1} y_{n1+1} and the reduced
+    Laplacian, which omits the d_x d_y summand of n1+1; M takes n1+1 to n2,
+    so a T-cell with |J2| > 1 is refused (``_mirrors_cells``), as is every
+    dprime layout (n2 = n leaves J3 empty, so no block mirrors J1).
+    ``compare_towers`` reads the mirror's representatives only where M also
+    conjugates every pi(E_ab) to -pi(E_{n+1-b,n+1-a})
     (``osc.mirror_commutes``), so that it maps pi(U_k(g)) M_0, the
     brute-force level, onto itself; where that refuses, it reads the
     whole levels.
@@ -131,7 +133,7 @@ towers are built to check:
     ``compare_towers`` reads the representative rows, it builds each
     brute-force level k only at a set N_k of weights, and the rows there
     are the whole level's, row for row.  Every brute-force row is a weight
-    vector of its pivot's weight: the rows of M_0 are (``_spanning_sets``
+    vector of its pivot's weight: the rows of M_0 are (``_orbit_generators``
     checked the base vectors), every term of a root's applier table moves
     the weight by one shift (``_generator_shifts`` checks it per layout;
     h_r moves none), and elimination combines only rows whose leads share
@@ -166,7 +168,9 @@ from math import factorial, gcd
 from .linalg import EchelonBasis, echelon_from
 from .osc import (
     Config,
+    Table,
     Weights,
+    admitted,
     apply_generator,
     apply_generator_terms,
     applier_is_representation,
@@ -177,14 +181,12 @@ from .osc import (
     enumerate_cells,
     generators,
     mirror_commutes,
-    mirrorer,
-    permutes_up_to_sign,
     project_T,
     project_T_numerator,
     projection_forms,
+    relabellings,
     root_terms,
     tn_cells,
-    transposer,
 )
 from .poly import Poly, parse_poly, render_terms
 
@@ -352,8 +354,8 @@ def _dprime_level(cfg: Config, t: int) -> list[int]:
 def _mirror_poly(p: Poly, cfg: Config) -> Poly:
     """The x/y mirror x_i <-> y_{n+1-i}: an algebra isomorphism that maps the
     setup with (n1, l1, l2) to the one with (n - n1, l2, l1)."""
-    swap = mirrorer(cfg.space)
-    return Poly(cfg.space, {swap(m): c for m, c in p.terms.items()})
+    (mirror,) = relabellings(cfg.n, mirror=True)
+    return Poly(cfg.space, mirror.image(cfg.space, p.terms))
 
 
 def _skew_base(cfg: Config) -> list[Poly]:
@@ -533,7 +535,7 @@ def _generator_shifts(n: int, n1: int, n2: int) -> tuple | None:
         terms = decoded[g]
         if terms is None:
             return None
-        found = {weights.of(v) - weights.of(d) for _c, v, d in terms}
+        found = {weights.of(v) - weights.of(d) for v, d in terms}
         if len(found) > 1:
             return None
         shift = found.pop() if found else 0
@@ -783,47 +785,6 @@ def _explicit_cache(cfg: Config) -> dict:
     return cache
 
 
-def _spanning_sets(cfg: Config, cache: dict):
-    """(forms, base, pset), what a relabelling must map onto itself: the
-    Weyl forms of the two T-series operators in the T-cell and dprime
-    regimes (else none), and the term dicts of the base vectors and of the
-    alternating quadratics; or None where one of those vectors, or a term
-    of a form, is no weight vector (the terms of weight 0, so T(m) has the
-    weight of m), or where a quadratic's weight has entries adding up to
-    more than 2 in absolute value, so that a factor could move
-    ``Weights.descent`` by more than 1 (:func:`_level_groups` rests on
-    it).  Decided once per cache; the base vectors read its T-images."""
-    if "spanning" not in cache:
-        weights = Weights(cfg, cfg.space)
-        forms = projection_forms(cfg) if cache["regime"] in ("T-cell", "dprime") else ()
-        base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
-        base = [v.terms for v in base]
-        pset = [v.terms for v in cache["pset"]]
-        found = [weights.homogeneous(v) for v in base + pset]
-        if (
-            None in found
-            or any(sum(map(abs, weights.entries(w))) > 2 for w in found[len(base):])
-            or any(weights.of(v) != weights.of(d) for form in forms for v, d in form)
-        ):
-            cache["spanning"] = None
-        else:
-            cache["spanning"] = forms, base, pset
-    return cache["spanning"]
-
-
-def _maps_spanning_sets(cache: dict, swap) -> bool:
-    """Whether relabelling by ``swap`` fixes the T-series forms and maps
-    the base vectors and the alternating set each onto plus or minus
-    themselves.  Needs ``_spanning_sets``; the monomial levels are the
-    callers' to certify, cell by cell."""
-    forms, base, pset = cache["spanning"]
-    return (
-        all({(swap(v), swap(d)): c for (v, d), c in form.items()} == form for form in forms)
-        and permutes_up_to_sign(base, swap)
-        and permutes_up_to_sign(pset, swap)
-    )
-
-
 def _fixes_cells(cfg: Config, i: int) -> bool:
     """Whether the transposition (i i+1) maps every cell of
     ``osc.enumerate_block_sums`` onto itself, and so every monomial level:
@@ -849,49 +810,52 @@ def _mirrors_cells(cfg: Config, kmax: int, regime: str) -> bool:
     return True
 
 
-def _admitted_transpositions(cfg: Config, cache: dict) -> list[int]:
-    """The block transpositions (i i+1) (``osc.block_transpositions``) that
-    map every explicit spanning set onto itself up to sign
-    (``_maps_spanning_sets``), where every generating vector is a weight
-    vector (``_spanning_sets``); none where one is not (see the module
-    docstring).  In the T-cell and dprime regimes each must also map every
-    monomial level onto itself (``_fixes_cells``): a transposition that
-    moves n1+1 is refused there, and it moves the forms of the T-series
-    too.
-    """
-    candidates = block_transpositions(cfg.n, cfg.n1, cfg.n2)
-    if not candidates or _spanning_sets(cfg, cache) is None:
-        return []
-    sp = cfg.space
-    levels = cache["regime"] in ("T-cell", "dprime")
-    return [
-        i
-        for i in candidates
-        if (not levels or _fixes_cells(cfg, i)) and _maps_spanning_sets(cache, transposer(sp, i))
-    ]
+def _orbit_generators(cfg: Config, kmax: int, cache: dict) -> list:
+    """The relabellings a tower to depth kmax is built with: the block
+    transpositions and the x/y mirror that ``osc.admitted`` keeps on the
+    base vectors and the alternating quadratics (each set onto itself up to
+    sign) and on the Weyl forms of the two T-series operators in the T-cell
+    and dprime regimes (each onto itself).  None where one of those
+    vectors, or a term of a form, is no weight vector (the terms of weight
+    0, so T(m) has the weight of m), or where a quadratic's weight has
+    entries adding up to more than 2 in absolute value, so that a factor
+    could move ``Weights.descent`` by more than 1 (:func:`_level_groups`
+    rests on it); see the module docstring.
 
-
-def _admits_mirror(cfg: Config, kmax: int, cache: dict, admitted) -> bool:
-    """Whether the x/y mirror M (``osc.mirrorer``) joins the ``admitted``
-    transpositions as an orbit generator of the explicit tower: they are
-    closed under i -> n - i (M conjugates (i i+1) to (n-i n+1-i), so the
-    group is G x| <M>), every generating vector is a weight vector, M maps
-    each variable's weight mu to -reverse(mu) (``Weights.mirrored``), M
-    maps every spanning set onto itself up to sign
-    (``_maps_spanning_sets``) and, in the T-cell and dprime regimes, each
-    monomial level 0..kmax onto itself (``_mirrors_cells``; see the module
-    docstring)."""
-    n, sp = cfg.n, cfg.space
-    if {n - i for i in admitted} != set(admitted) or _spanning_sets(cfg, cache) is None:
-        return False
+    A candidate must also map each monomial level 0..kmax of the T-cell
+    and dprime regimes onto itself, a transposition every cell
+    (``_fixes_cells``: one that moves n1+1 is refused there, and it moves
+    the forms of the T-series too), the mirror every level
+    (``_mirrors_cells``); and the mirror must map each variable's weight mu
+    to -reverse(mu) (``Weights.mirrored``).  The base vectors read the
+    cache's T-images."""
+    sp, regime = cfg.space, cache["regime"]
+    levels = regime in ("T-cell", "dprime")
     weights = Weights(cfg, sp)
-    swap = mirrorer(sp)
-    if any(weights.of(swap(u)) != weights.mirrored(weights.of(u)) for u in sp.unit):
-        return False
-    regime = cache["regime"]
-    if regime in ("T-cell", "dprime") and not _mirrors_cells(cfg, kmax, regime):
-        return False
-    return _maps_spanning_sets(cache, swap)
+    forms = projection_forms(cfg) if levels else ()
+    base = cache["base"] if "base" in cache else base_space_vectors(cfg, cache["tproj"])
+    base = [v.terms for v in base]
+    pset = [v.terms for v in cache["pset"]]
+    found = [weights.homogeneous(v) for v in base + pset]
+    if (
+        None in found
+        or any(sum(map(abs, weights.entries(w))) > 2 for w in found[len(base):])
+        or any(weights.of(v) != weights.of(d) for form in forms for v, d in form)
+    ):
+        return []
+    candidates = []
+    for sigma in relabellings(cfg.n, block_transpositions(cfg.n, cfg.n1, cfg.n2), mirror=True):
+        if sigma.mirror:
+            swap = sigma.swap(sp)
+            if any(weights.of(swap(u)) != weights.mirrored(weights.of(u)) for u in sp.unit):
+                continue
+            if levels and not _mirrors_cells(cfg, kmax, regime):
+                continue
+        elif levels and not _fixes_cells(cfg, sigma.transposition):
+            continue
+        candidates.append(sigma)
+    fixed = Table(None, sp, dict(enumerate(forms)))
+    return admitted(candidates, [(sp, base), (sp, pset)], [fixed])
 
 
 def build_tower(
@@ -902,17 +866,16 @@ def build_tower(
     Each level is built on top of the one below: the explicit route extends
     the levels of one cache, the brute-force route closes only the rows new
     since the level below, each under the generators its tag allows (see
-    the module docstring).  The explicit route builds each level only at
-    the representative weights of the orbits of the transpositions its
-    certificate admits (:func:`_admitted_transpositions`) and of the x/y
-    mirror where it admits that too (:func:`_admits_mirror`), and whole
-    where it admits none; it then enumerates each monomial level only at
-    the weights it reads (:func:`_level_groups`) and carries the weight of
-    each row's pivot in ``row_weights``.  ``whole`` builds every weight at
-    once, with no certificate, for a caller that reads the rows: the
-    annihilator, a tower dump, and the ``levels`` of a tower with orbits,
-    read where a certificate of the applier refuses the orbits
-    (``compare_towers``).
+    the module docstring).  The explicit route builds each level only at the
+    representative weights of the orbits of the relabellings its certificate
+    admits (:func:`_orbit_generators`: block transpositions and the x/y
+    mirror), and whole where it admits none; it then enumerates each
+    monomial level only at the weights it reads (:func:`_level_groups`) and
+    carries the weight of each row's pivot in ``row_weights``.  ``whole``
+    builds every weight at once, with no certificate, for a caller that
+    reads the rows: the annihilator, a tower dump, and the ``levels`` of a
+    tower with orbits, read where a certificate of the applier refuses the
+    orbits (``compare_towers``).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -921,13 +884,11 @@ def build_tower(
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
     cache = _explicit_cache(cfg)
-    if not whole:
-        admitted = _admitted_transpositions(cfg, cache)
-        mirror = _admits_mirror(cfg, kmax, cache, admitted)
-        if admitted or mirror:
-            cache["weights"] = Weights(cfg, cfg.space, admitted, mirror)
-            cache["depth"] = kmax
-            cache["row-weights"] = {}
+    found = [] if whole else _orbit_generators(cfg, kmax, cache)
+    if found:
+        cache["weights"] = Weights(cfg, cfg.space, found)
+        cache["depth"] = kmax
+        cache["row-weights"] = {}
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"

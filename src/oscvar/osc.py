@@ -63,6 +63,11 @@ checked once per orbit of those permutations.  ``mirror_commutes`` checks
 the same way that conjugating by the x/y mirror x_a <-> y_{n+1-a} takes
 each pi(E_ab) to -pi(E_{n+1-b,n+1-a}).
 
+Every layer that uses a relabelling of the indices (a block transposition
+or the x/y mirror, ``Relabelling``) asks one certificate for it,
+``admitted``, listing only what the relabelling must respect there, and
+``Weights`` takes the relabellings it admits.
+
 The twisted Laplacian is
 
     L = sum_{i in J1} x_i d_{y_i} - sum_{r in J2} d_{x_r} d_{y_r}
@@ -97,6 +102,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, perm, prod
+from typing import NamedTuple
 
 from .poly import (
     DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, monomials, xy_space,
@@ -297,33 +303,31 @@ def _weyl_form(sp: Space, weyl_terms, constant: int = 0) -> dict:
     return out
 
 
-def weyl_forms(cfg: Config) -> dict:
+@cache
+def weyl_forms(n: int, n1: int, n2: int) -> dict:
     """The Weyl form of pi(g) for every generator g, read off ``_BLOCK``.
 
     A root vector takes the two cells ``_weyl_tables`` packs for its
     applier; h_r is pi(E_rr) - pi(E_{r+1,r+1}), each from the diagonal
     cells plus the ``_DIAGONAL`` constants, independently of
-    ``diagonal_value``.
+    ``diagonal_value``.  Built once per layout, for every certificate that
+    reads it; callers must not modify it, and a test that patches the
+    tables clears it with them.
     """
-    sp, n1, n2 = cfg.space, cfg.n1, cfg.n2
+    sp = xy_space(n)
 
     def pi(i, j):
         const = _DIAGONAL[i <= n1] - _DIAGONAL[i > n2] if i == j else 0
         return _weyl_form(sp, _pi_terms(sp, n1, n2, i, j), const)
 
     forms = {}
-    for g in generators(cfg.n):
+    for g in generators(n):
         if g[0] == "e":
             forms[g] = pi(g[1], g[2])
         else:
             r = g[1]
             forms[g] = axpy(pi(r, r), -1, pi(r + 1, r + 1))
     return forms
-
-
-def laplacian_form(cfg: Config) -> dict:
-    """The Weyl form of the twisted Laplacian."""
-    return _weyl_form(cfg.space, _laplacian_terms(cfg.space, cfg.n1, cfg.n2))
 
 
 def projection_forms(cfg: Config) -> tuple[dict, dict]:
@@ -952,8 +956,8 @@ def commutator_in_basis(g: Generator, h: Generator, n: int) -> list[tuple]:
 
 
 def _weyl_monomials(sp: Space, ops: tuple):
-    """The packed terms of an applier table ``ops`` (``_packed_ops``) as
-    sorted triples (c, v, d), each term acting as c v d, or None where a
+    """The packed terms of an applier table ``ops`` (``_packed_ops``) as a
+    Weyl form, {(v, d): c} for the terms acting as c v d, or None where a
     term is no Weyl monomial.
 
     A packed term (c, fp, fq, delta) acts as c v d, with d the product of
@@ -962,7 +966,7 @@ def _weyl_monomials(sp: Space, ops: tuple):
     e(e - 1)) and v has no negative exponent (the shift would borrow).
     """
     dunit = 1 << sp.dshift
-    out = []
+    out: dict = {}
     for c, fp, fq, delta in ops[1]:
         if fp >= 0 and fp == fq:
             return None
@@ -971,15 +975,15 @@ def _weyl_monomials(sp: Space, ops: tuple):
         # a borrowed field leaves the degree field short of the exponents' sum
         if v < 0 or sum(sp.unpack(v)) != v >> sp.dshift:
             return None
-        out.append((c, v, d))
-    return sorted(out)
+        add_term(out, (v, d), c)
+    return out
 
 
 @cache
 def root_terms(n: int, n1: int, n2: int) -> dict:
     """``_weyl_monomials`` of the applier table of every root, by root:
     decoded once per layout for the certificates (``_agreement_monomials``,
-    ``_relabellings_hold``) and the weight shifts of ``filtration``.  A
+    ``_applier_admits``) and the weight shifts of ``filtration``.  A
     test that patches the tables clears it with them."""
     sp = xy_space(n)
     return {g: _weyl_monomials(sp, ops) for g, ops in _weyl_tables(n, n1, n2)[0].items()}
@@ -1004,11 +1008,8 @@ def _agreement_monomials(cfg: Config, g: Generator, form: dict, full: list) -> l
         terms = root_terms(cfg.n, cfg.n1, cfg.n2)[g]
         if terms is None:
             return full
-        keys += [(v, d) for _c, v, d in terms]
-    ones = (dunit - 1) // FIELD_MASK
-    touched = 0
-    for v, d in keys:
-        touched |= _support(v, ones) | _support(d, ones)
+        keys += terms
+    touched = _form_support(sp, keys)
     units = [u for u, s in zip(sp.unit, sp.shift) if touched >> s & 1]
     return [
         sum(combo) for k in range(3) for combo in itertools.combinations_with_replacement(units, k)
@@ -1035,11 +1036,11 @@ def _forms_act_as_applier(cfg: Config, forms: dict, gens) -> bool:
 def _form_support(sp: Space, form) -> int:
     """The positions a Weyl form's terms touch, as a packed monomial with
     exponent 1 at each (see ``_support``); ``form`` may be any iterable of
-    its keys (v, d)."""
+    its keys (v, d), or of packed monomials."""
     ones = ((1 << sp.dshift) - 1) // FIELD_MASK
     out = 0
-    for v, d in form:
-        out |= _support(v | d, ones)
+    for key in form:
+        out |= _support(key[0] | key[1] if type(key) is tuple else key, ones)
     return out
 
 
@@ -1126,13 +1127,13 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
     that entry point.
     """
     cfg = Config(n, n1, n2)
-    return _certified(cfg, weyl_forms(cfg), block_permutations_commute(n, n1, n2))
+    return _certified(cfg, weyl_forms(n, n1, n2), block_permutations_commute(n, n1, n2))
 
 
 def _certified(cfg: Config, forms: dict, orbits: bool) -> bool:
     """The verdict of ``applier_is_representation`` on ``forms``, once per
     orbit of the permutations inside the blocks where ``orbits`` (sound
-    only where ``_relabellings_hold``), else with every index a block of
+    only where ``block_permutations_commute``), else with every index a block of
     its own: every generator compared, every pair of a Chevalley generator
     and another basis element checked."""
     blocks = _blocks(cfg) if orbits else [(a,) for a in range(1, cfg.n + 1)]
@@ -1142,7 +1143,7 @@ def _certified(cfg: Config, forms: dict, orbits: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# permutations inside the blocks
+# relabellings of the indices, and the one certificate of their symmetry
 # ---------------------------------------------------------------------------
 
 
@@ -1153,56 +1154,188 @@ def block_transpositions(n: int, n1: int, n2: int) -> list[int]:
     return [i for i in range(1, n) if i not in (n1, n2)]
 
 
-def transposer(sp: Space, i: int):
-    """The relabelling of packed monomials of the xy or z space ``sp`` by
-    the transposition (i i+1) of indices: in the xy space the exponents of
-    x_i and x_{i+1} swap, and those of y_i and y_{i+1}; in a z space those
-    of z_{j,i} and z_{j,i+1} in every row j, or of z_{i,c} and z_{i+1,c} in
-    every column c (``swapper``)."""
-    if sp.kind == "xy":
-        pairs = [(sp.x(i), sp.x(i + 1)), (sp.y(i), sp.y(i + 1))]
-    else:
-        pairs = [(sp.z(j, i), sp.z(j, i + 1)) for j in sp.rows if i in sp.cols]
-        pairs += [(sp.z(i, c), sp.z(i + 1, c)) for c in sp.cols if i in sp.rows]
-    return swapper(sp, pairs)
+class Relabelling:
+    """An involution sigma of the indices 1..n (``index`` maps each index it
+    moves), with or without the x/y ``flip``: a block transposition (i i+1)
+    (``transposition`` is i), the x/y mirror x_a <-> y_{n+1-a}
+    (``mirror``), or the x/y swap x_a <-> y_a.  The one place that knows
+    what such a relabelling does to a packed monomial (``swap``), a term
+    dict (``image``) and a generator (``generator``)."""
+
+    def __init__(self, n: int, index: dict, flip: bool = False):
+        self.n, self.index, self.flip = n, index, flip
+        i = min(index, default=0)
+        self.transposition = i if not flip and index == {i: i + 1, i + 1: i} else None
+        self.mirror = flip and all(self.of(a) == n + 1 - a for a in range(1, n + 1))
+        self._swaps: dict = {}  # space -> (swap, the positions it moves as a mask)
+
+    def of(self, a: int) -> int:
+        return self.index.get(a, a)
+
+    def swap(self, sp: Space):
+        """sigma on the packed monomials of the xy or z space ``sp``, built
+        once per space: x_a to x_sigma(a) and y_a to y_sigma(a), or with the
+        flip x_a to y_sigma(a) and y_a to x_sigma(a); z_{j,i} to
+        z_{sigma(j), sigma(i)}.  Each pair of swapped positions is one
+        addition: with the fields at hi and lo holding a and b, adding
+        (b - a) * (2^hi - 2^lo) makes them b and a, and the degree field is
+        untouched."""
+        return self._swap(sp)[0]
+
+    def _swap(self, sp: Space) -> tuple:
+        """(``swap``, the positions it moves as a mask of their shifts)."""
+        found = self._swaps.get(sp)
+        if found is None:
+            of = self.of
+            if sp.kind == "xy":
+                x, y = (sp.y, sp.x) if self.flip else (sp.x, sp.y)
+                to = {sp.x(a): x(of(a)) for a in range(1, sp.n + 1)}
+                to.update({sp.y(a): y(of(a)) for a in range(1, sp.n + 1)})
+            else:  # a z space, which no flip relabels
+                pairs = [(j, i) for j in sp.rows for i in sp.cols if (j, i) not in sp.excluded]
+                to = {sp.z(j, i): sp.z(of(j), of(i)) for j, i in pairs}
+            fields = [
+                (sp.shift[p], sp.shift[q], (1 << sp.shift[p]) - (1 << sp.shift[q]))
+                for p, q in to.items()
+                if p < q
+            ]
+
+            def swap(m: int) -> int:
+                for hi, lo, step in fields:
+                    m += (((m >> lo) & FIELD_MASK) - ((m >> hi) & FIELD_MASK)) * step
+                return m
+
+            moved = sum(1 << sp.shift[p] for p, q in to.items() if p != q)
+            found = self._swaps[sp] = swap, moved
+        return found
+
+    def generator(self, g: Generator) -> list[tuple]:
+        """sigma(g) in the basis, as (coeff, generator) pairs: E_ab goes to
+        E_{sigma(a), sigma(b)}, or with the flip to -E_{sigma(b), sigma(a)},
+        the automorphism of sl(n) that conjugation by the x/y mirror
+        gives."""
+        sign = -1 if self.flip else 1
+        if g[0] == "e":
+            a, b = map(self.of, g[1:])
+            return [(sign, ("e", b, a) if self.flip else ("e", a, b))]
+        a, b = self.of(g[1]), self.of(g[1] + 1)
+        return matrix_to_generators({(a, a): sign, (b, b): -sign}, self.n)
+
+    def image(self, sp: Space, terms: dict) -> dict:
+        """sigma of a term dict of ``sp``, whose keys are packed monomials or
+        pairs of them (the (v, d) of a Weyl form)."""
+        return _relabelled(self.swap(sp), terms)
 
 
-def swapper(sp: Space, pairs):
-    """The map of packed monomials of ``sp`` that swaps the exponents of
-    the variable positions p and q for each (p, q) of ``pairs`` (disjoint).
-    Each swap is one addition: with the fields at hi and lo holding a and
-    b, adding (b - a) * (2^hi - 2^lo) makes them b and a, and the degree
-    field is untouched."""
-    fields = [
-        (sp.shift[p], sp.shift[q], (1 << sp.shift[p]) - (1 << sp.shift[q])) for p, q in pairs
-    ]
-
-    def swap(m: int) -> int:
-        for hi, lo, step in fields:
-            m += (((m >> lo) & FIELD_MASK) - ((m >> hi) & FIELD_MASK)) * step
-        return m
-
-    return swap
+def _relabelled(swap, terms: dict) -> dict:
+    """``terms`` with each key relabelled by ``swap``, each of a pair
+    alike."""
+    return {
+        ((swap(m[0]), swap(m[1])) if type(m) is tuple else swap(m)): c for m, c in terms.items()
+    }
 
 
-def mirrorer(sp: Space):
-    """The x/y mirror x_a <-> y_{n+1-a} on packed monomials of the xy
-    space ``sp`` (``swapper``)."""
-    n = sp.n
-    return swapper(sp, [(sp.x(a), sp.y(n + 1 - a)) for a in range(1, n + 1)])
+def relabellings(n: int, transpositions=(), mirror: bool = False) -> list[Relabelling]:
+    """The transpositions (i i+1) for i in ``transpositions``, then, with
+    ``mirror``, the x/y mirror: candidates for ``admitted``."""
+    out = [Relabelling(n, {i: i + 1, i + 1: i}) for i in transpositions]
+    if mirror:
+        out.append(Relabelling(n, {a: n + 1 - a for a in range(1, n + 1) if 2 * a != n + 1}, True))
+    return out
 
 
-def permutes_up_to_sign(vectors: list[dict], swap) -> bool:
-    """Whether relabelling by ``swap`` (a ``transposer``) maps each of
-    ``vectors``, term dicts, to plus or minus one of them."""
-    keys = {frozenset(v.items()) for v in vectors}
-    for v in vectors:
-        image = {swap(m): c for m, c in v.items()}
-        if frozenset(image.items()) not in keys and (
-            frozenset((m, -c) for m, c in image.items()) not in keys
-        ):
+class Table(NamedTuple):
+    """Data a relabelling sigma must carry onto itself: the entry of each
+    key k of ``entries``, a term dict of ``space``, onto the sum over
+    sigma(k) = sum_j c_j k_j of c_j times the entry of k_j in ``target``
+    (``entries`` where None).  ``keys`` says what a key is: "generators"
+    (``Relabelling.generator``), a space whose packed monomials the keys
+    are (``Relabelling.swap``), or None for keys that sigma fixes."""
+
+    keys: object
+    space: Space
+    entries: dict
+    target: dict | None = None
+
+
+def _reach(table: Table) -> dict | None:
+    """For a table keyed by generators that is its own target: per
+    generator g, the positions of the xy space its entry touches and x_a,
+    y_a for each index a of g, as a mask (``_form_support``).  A
+    relabelling that moves none of them fixes g and its entry.  None for
+    any other table."""
+    sp = table.space
+    if table.keys != "generators" or table.target is not None:
+        return None
+    index = [0] + [1 << sp.shift[sp.x(a)] | 1 << sp.shift[sp.y(a)] for a in range(1, sp.n + 1)]
+    out = {}
+    for g, entry in table.entries.items():
+        ends = g[1:] if g[0] == "e" else (g[1], g[1] + 1)
+        out[g] = _form_support(sp, entry) | index[ends[0]] | index[ends[1]]
+    return out
+
+
+def _carries(sigma: Relabelling, table: Table, reach: dict | None) -> bool:
+    """Whether sigma carries ``table`` onto its target, passing over the
+    keys whose ``reach`` it does not move."""
+    keys, target = table.keys, table.entries if table.target is None else table.target
+    swap, moved = sigma._swap(table.space)
+    key_swap = sigma.swap(keys) if isinstance(keys, Space) else None
+    by_generator = keys == "generators"
+    for key, entry in table.entries.items():
+        if reach is not None and not reach[key] & moved:
+            continue
+        if by_generator:
+            images = sigma.generator(key)
+        else:
+            images = [(1, key if key_swap is None else key_swap(key))]
+        want: dict = {}
+        for c, k in images:
+            if k not in target:
+                return False
+            axpy(want, c, target[k])
+        if _relabelled(swap, entry) != want:
             return False
     return True
+
+
+def admitted(candidates, vectors=(), tables=()) -> list[Relabelling]:
+    """The one certificate of the relabellings every layer uses: the
+    ``candidates`` that map each of ``vectors``, (space, [term dict])
+    pairs, onto plus or minus itself, and carry each of ``tables``
+    (``Table``) onto its target; and of the candidates that are no
+    transposition (the mirror), only those under whose conjugation the
+    transpositions kept are closed, so that each normalizes the group they
+    generate (``Weights``).  Each layer lists what a relabelling must
+    respect there and keeps its own policy on the result."""
+    sets = [(sp, {frozenset(v.items()) for v in vecs}, vecs) for sp, vecs in vectors]
+    reach = [_reach(table) for table in tables]
+    out = [
+        sigma
+        for sigma in candidates
+        if all(
+            frozenset(img.items()) in keys or frozenset((m, -c) for m, c in img.items()) in keys
+            for sp, keys, vecs in sets
+            for img in map(_relabelled, itertools.repeat(sigma.swap(sp)), vecs)
+        )
+        and all(map(_carries, itertools.repeat(sigma), tables, reach))
+    ]
+    kept = {(s.transposition, s.transposition + 1) for s in out if s.transposition}
+    return [
+        s for s in out if s.transposition or {tuple(sorted(map(s.of, p))) for p in kept} <= kept
+    ]
+
+
+def _applier_admits(n: int, n1: int, n2: int, candidates) -> bool:
+    """Whether ``admitted`` keeps every one of ``candidates`` on the Weyl
+    forms and on the applier tables of the roots, read as Weyl forms
+    (``root_terms``): sigma pi(g) sigma^-1 = pi(sigma(g)) on both.  A table
+    with a term that is no Weyl monomial refuses every candidate."""
+    tables = root_terms(n, n1, n2)
+    if None in tables.values():
+        return not candidates
+    forms = [Table("generators", xy_space(n), t) for t in (weyl_forms(n, n1, n2), tables)]
+    return len(admitted(candidates, tables=forms)) == len(candidates)
 
 
 def _blocks(cfg: Config) -> list[tuple]:
@@ -1246,95 +1379,11 @@ def _orbit_pairs(n: int, blocks):
                     yield x, y
 
 
-def _relabelled(g: Generator, relabel: dict, n: int, mirror: bool = False) -> list[tuple]:
-    """sigma(g) in the basis, as (coeff, generator) pairs, where sigma
-    relabels the indices by ``relabel`` (a dict; other indices stay): E_ab
-    goes to E_{sigma(a), sigma(b)}, or with ``mirror`` to
-    -E_{sigma(b), sigma(a)}, the automorphism of sl(n) that conjugation by
-    the x/y mirror gives (sigma(a) = n+1-a)."""
-    sign = -1 if mirror else 1
-    if g[0] == "e":
-        a, b = (relabel.get(r, r) for r in g[1:])
-        return [(sign, ("e", b, a) if mirror else ("e", a, b))]
-    a, b = (relabel.get(r, r) for r in (g[1], g[1] + 1))
-    return matrix_to_generators({(a, a): sign, (b, b): -sign}, n)
-
-
-def _block_relabellings(cfg: Config) -> list[tuple]:
-    """The ``block_transpositions`` as relabellings for ``_relabellings_hold``:
-    (the ``transposer``, the index relabelling, False, the positions it
-    moves, as a mask of their shifts)."""
-    sp = cfg.space
-    out = []
-    for i in block_transpositions(cfg.n, cfg.n1, cfg.n2):
-        moved = sum(1 << sp.shift[p] for p in (sp.x(i), sp.x(i + 1), sp.y(i), sp.y(i + 1)))
-        out.append((transposer(sp, i), {i: i + 1, i + 1: i}, False, moved))
-    return out
-
-
-def _mirror_relabelling(cfg: Config) -> tuple:
-    """The x/y mirror as a relabelling for ``_relabellings_hold``: it moves
-    every position."""
-    sp, n = cfg.space, cfg.n
-    moved = sum(1 << s for s in sp.shift)
-    return mirrorer(sp), {a: n + 1 - a for a in range(1, n + 1)}, True, moved
-
-
-def _relabellings_hold(cfg: Config, forms: dict, relabellings=None) -> bool:
-    """Whether each of ``relabellings`` (the ``block_transpositions`` by
-    default, ``_block_relabellings``), an index relabelling sigma with the
-    map of packed monomials that conjugates by it, relabels the Weyl form of
-    every generator g to the form of sigma(g) (``_relabelled``; for h_r,
-    sigma(h_r) written in the h basis) and the applier table of every root,
-    its terms as ``_weyl_monomials`` with the ceiling, to the table of
-    sigma(g).
-
-    Conjugating v d by sigma relabels v and d, so each side is compared
-    with its keys relabelled; a root whose image is -E_cd compares its
-    table negated.  A table with a term that is no Weyl monomial fails
-    wherever there is a relabelling.  A generator whose matrix has neither
-    index sigma moves, and whose form and table touch none of the variables
-    sigma moves, is fixed by sigma on both sides, and is passed over."""
-    sp, n = cfg.space, cfg.n
-    if relabellings is None:
-        relabellings = _block_relabellings(cfg)
-    if not relabellings:
-        return True
-    decoded = root_terms(n, cfg.n1, cfg.n2)
-    tables = {g: (ops[0], decoded[g]) for g, ops in cfg.weyl_tables[0].items()}
-    if any(terms is None for _ceiling, terms in tables.values()):
-        return False
-    reads = {}  # g -> (the indices of its matrix, the positions its data touch)
-    for g, form in forms.items():
-        touched = _form_support(sp, form)
-        if g[0] == "e":
-            touched |= _form_support(sp, [(v, d) for _c, v, d in tables[g][1]])
-        reads[g] = ({a for key in generator_matrix(g, n) for a in key}, touched)
-    for swap, relabel, mirror, moved in relabellings:
-        for g, form in forms.items():
-            indices, touched = reads[g]
-            if indices.isdisjoint(relabel) and not touched & moved:
-                continue
-            image = _relabelled(g, relabel, n, mirror)
-            want: dict = {}
-            for c, h in image:
-                axpy(want, c, forms[h])
-            if {(swap(v), swap(d)): c for (v, d), c in form.items()} != want:
-                return False
-            if g[0] == "e":
-                ceiling, terms = tables[g]
-                (sign, h), = image
-                relabelled = sorted((sign * c, swap(v), swap(d)) for c, v, d in terms)
-                if tables[h] != (ceiling, relabelled):
-                    return False
-    return True
-
-
 @cache
 def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
     """Whether relabelling the variables by each ``block_transpositions``
     sigma maps every generator's Weyl form, and every root's applier
-    table, to those of the relabelled generator (``_relabellings_hold``):
+    table, to those of the relabelled generator (``_applier_admits``):
     sigma pi(E_ab) sigma^-1 = pi(E_{sigma(a), sigma(b)}).
 
     Together with ``applier_is_representation`` (the forms act as the
@@ -1343,15 +1392,14 @@ def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
     conjugates pi(U_k(g)) onto itself, and the applier of each root onto
     that of the relabelled root.  Checked once per layout.
     """
-    cfg = Config(n, n1, n2)
-    return _relabellings_hold(cfg, weyl_forms(cfg))
+    return _applier_admits(n, n1, n2, relabellings(n, block_transpositions(n, n1, n2)))
 
 
 @cache
 def mirror_commutes(n: int, n1: int, n2: int) -> bool:
-    """Whether conjugating by the x/y mirror M (``mirrorer``) maps every
-    generator's Weyl form, and every root's applier table, to those of its
-    image under E_ab -> -E_{n+1-b, n+1-a} (``_relabellings_hold``):
+    """Whether conjugating by the x/y mirror M maps every generator's Weyl
+    form, and every root's applier table, to those of its image under
+    E_ab -> -E_{n+1-b, n+1-a} (``_applier_admits``):
     M pi(E_ab) M^-1 = -pi(E_{n+1-b, n+1-a}) and M pi(h_r) M^-1 = pi(h_{n-r}).
 
     That map is an automorphism of sl(n) (minus the transpose, followed by
@@ -1359,8 +1407,7 @@ def mirror_commutes(n: int, n1: int, n2: int) -> bool:
     pi(U_k(g)) onto itself.  Checked once per layout, apart from
     ``block_permutations_commute``, which the annihilator reads alone.
     """
-    cfg = Config(n, n1, n2)
-    return _relabellings_hold(cfg, weyl_forms(cfg), [_mirror_relabelling(cfg)])
+    return _applier_admits(n, n1, n2, relabellings(n, mirror=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1395,26 +1442,27 @@ class Weights:
     the symbols (degree < 128) and B = 16 for the xy and z monomials
     (degree < ``DEGREE_LIMIT``).
 
-    The ``transpositions`` (i i+1) join the indices into runs (``cuts``,
-    0-based ranges).  A permutation sigma inside the runs moves the entries,
-    sigma(mu)_{sigma(a)} = mu_a, and each orbit is represented by its weight
-    with ascending entries inside each run.  With no transposition every
-    weight is its own orbit.
+    The ``relabellings`` (``Relabelling``, certified by ``admitted``) are
+    transpositions and possibly the x/y mirror.  The transpositions (i i+1)
+    join the indices into runs (``cuts``, 0-based ranges).  A permutation
+    sigma inside the runs moves the entries, sigma(mu)_{sigma(a)} = mu_a,
+    and each orbit is represented by its weight with ascending entries
+    inside each run.  With no transposition every weight is its own orbit.
 
-    With ``mirror``, the orbits are those of the group G x| <M> that the
+    With the mirror, the orbits are those of the group G x| <M> that the
     transpositions' group G and the x/y mirror M generate, where M maps mu
     to -reverse(mu) (``mirrored``), the weight of the mirror image of a
-    monomial.  That is sound only where a certificate has checked it (the
-    mirror maps each variable's weight so, and the transpositions are
-    closed under i -> n - i, so M normalizes G); only
-    ``filtration._admits_mirror`` grants it.  An orbit is then G mu
+    monomial.  That is sound only where the mirror maps each variable's
+    weight so, which ``filtration`` checks, and the transpositions are
+    closed under i -> n - i, so that M normalizes G, which ``admitted``
+    checks.  An orbit is then G mu
     together with G M(mu), two orbits of G of one size, equal or disjoint:
     it is represented by the smaller of the two ascending weights, and its
     size doubles where they differ.  ``sorter`` and ``order_type``, which
     relabel by permutations alone, refuse such an instance.
     """
 
-    def __init__(self, cfg: Config, space: Space, transpositions=(), mirror: bool = False):
+    def __init__(self, cfg: Config, space: Space, relabellings=()):
         n = self.n = cfg.n
         self.space = space
         bits = self.bits = 8 if space.kind == "sym" else 16
@@ -1438,9 +1486,9 @@ class Weights:
                 )
                 for unit in space.unit
             )
-        self.transpositions = tuple(transpositions)
-        self.mirror = mirror
-        self.orbits = bool(self.transpositions) or mirror
+        self.transpositions = tuple(s.transposition for s in relabellings if not s.mirror)
+        self.mirror = any(s.mirror for s in relabellings)
+        self.orbits = bool(relabellings)
         ends = [a for a in range(1, n) if a not in self.transpositions] + [n]
         self.cuts = list(zip([0] + ends[:-1], ends))
         self._half = 1 << (bits - 1)

@@ -315,16 +315,6 @@ class Poly:
             raise SpaceMismatchError(f"no variable at position {pos}")
         return cls(space, {space.unit[pos]: 1})
 
-    @classmethod
-    def from_exponents(cls, space: Space, terms: Mapping) -> "Poly":
-        """The polynomial with terms {exponent tuple: coefficient}, zero
-        coefficients dropped: the constructor for callers that hold
-        exponent tuples rather than packed monomials."""
-        out: dict = {}
-        for exps, c in terms.items():
-            add_term(out, space.pack(exps), c)
-        return cls(space, out)
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:

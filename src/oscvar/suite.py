@@ -116,7 +116,7 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
         cfg = Config(*params)
         sp = cfg.space
         gens = generators(cfg.n)
-        forms = weyl_forms(cfg)
+        forms = weyl_forms(cfg.n, cfg.n1, cfg.n2)
         comm = {
             (a, b): commutator_in_basis(gens[a], gens[b], cfg.n)
             for a in range(len(gens))

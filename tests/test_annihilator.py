@@ -4,7 +4,6 @@ import contextlib
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 from math import comb
 from unittest import mock
 
@@ -20,7 +19,7 @@ from oscvar.annihilator import (
     _compare_with_prediction,
     _generated_by_base,
     _level_rows,
-    _permutes_base,
+    _tower_relabellings,
     _stacked_columns,
     apply_sym,
     apply_sym_monomial,
@@ -59,6 +58,13 @@ from oscvar.osc import (
     weyl_action,
 )
 from oscvar.poly import Poly, Space, axpy, monomials, parse_poly, symbol_space
+
+
+def from_exponents(space, terms):
+    """The polynomial with terms {exponent tuple: coefficient}, zero
+    coefficients dropped."""
+    return Poly(space, {space.pack(e): c for e, c in terms.items() if c})
+
 
 CFG = Config(3, 1, 2, -1, -1)
 
@@ -346,7 +352,7 @@ def symbol_operators(draw, max_n=5):
         st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
     )
     terms = draw(st.dictionaries(word, coeff, min_size=1, max_size=3))
-    return cfg, Poly.from_exponents(sp, terms)
+    return cfg, from_exponents(sp, terms)
 
 
 @settings(max_examples=60, **_PROPERTY)
@@ -1079,7 +1085,7 @@ def _pieces(tower, kmax):
 def _pieces_of_every_weight(cfg, kmax):
     with _no_permutation_certificate():
         tower = presentation_tower(cfg, kmax)
-        assert not _permutes_base(tower)
+        assert not _tower_relabellings(tower)
         return _pieces(tower, kmax)
 
 
@@ -1163,7 +1169,7 @@ def test_blockwise_piece_has_the_span_and_dimensions_of_the_full_solve(cfg_kmax)
         assert piece.stabilized == stabilized
         weights = piece.weights
         assert weights is not None
-        if p == 1 or not _permutes_base(tower):
+        if p == 1 or not _tower_relabellings(tower):
             # the Cartan symbols are unknowns at degree 1: no orbit but a point
             assert all(piece.orbit_size(w) == 1 for w in piece.blocks)
         # every weight's block has the dimension of its representative's,
@@ -1236,7 +1242,8 @@ def test_symbol_weights_are_the_weight_shifts_of_the_applier():
 
 def test_weight_orbits_and_their_relabellings():
     cfg = Config(7, 2, 5)
-    weights = Weights(cfg, symbol_space(cfg.n), osc.block_transpositions(7, 2, 5))
+    transpositions = osc.relabellings(7, osc.block_transpositions(7, 2, 5))
+    weights = Weights(cfg, symbol_space(cfg.n), transpositions)
     pack = lambda mu: sum(v << 8 * a for a, v in enumerate(mu))  # noqa: E731
     w = pack([0, -2, 1, 0, 1, 3, -3])
     rep, s = weights.sorter(w)
@@ -1331,11 +1338,36 @@ def test_rows_fall_into_orbits_of_the_block_permutations(params, kmax, orbits):
         seen |= orbit
         sizes.append(len(orbit))
     assert sizes == orbits
-    assert _permutes_base(tower)
+    assert _tower_relabellings(tower)
     # degree 1: the Cartan symbols are unknowns, so every weight is solved
     claimed = predicted_level_preservers(cfg)
     assert not compute_annihilator_piece(tower, 1, kmax, claimed).weights.orbits
     assert compute_annihilator_piece(tower, 2, kmax, claimed).weights.orbits
+
+
+@pytest.mark.parametrize("params, admitted", [
+    ((3, 1, 2, -1, -1), []),  # every block a singleton
+    ((4, 1, 3, -1, -1), [2]),  # (2 3) inside J2, which the tower refuses
+    ((4, 2, 2, -1, -1), [1, 3]),  # product, self-mirror
+    ((5, 2, 3, -1, -1), [1, 4]),  # T-cell, self-mirror
+    ((6, 2, 4, -1, -1), [1, 3, 5]),
+    ((6, 3, 3, -1, -1), [1, 2, 4, 5]),  # product, self-mirror
+    ((7, 3, 4, -1, -1), [1, 2, 5, 6]),  # T-cell, self-mirror
+    ((8, 2, 6, -1, -1), [1, 3, 4, 5, 7]),
+    ((8, 3, 3, -1, -2), [1, 2, 4, 5, 6, 7]),  # product
+    ((8, 4, 4, -1, -1), [1, 2, 3, 5, 6, 7]),  # product, self-mirror
+    ((4, 1, 3, -1, 1), [2]),
+    ((4, 1, 2, 0, 1), [3]),
+    ((5, 3, 3, -1, 1), [1, 2, 4]),  # product-skew
+    ((4, 1, 2, 1, 0), []),  # rows above M_0
+], ids=str)
+def test_grading_transpositions_are_pinned(params, admitted):
+    # the orbits of the systems at kmax 3: none at degree 1, whose Cartan
+    # symbols are unknowns, and every block transposition or none at
+    # degrees 2 and 3
+    tower = presentation_tower(Config(*params), 3)
+    found = [annihilator._solve(tower, p, 3).weights.transpositions for p in (1, 2, 3)]
+    assert found == [(), tuple(admitted), tuple(admitted)]
 
 
 def test_rows_not_closed_under_the_transpositions_fall_back():
@@ -1346,11 +1378,11 @@ def test_rows_not_closed_under_the_transpositions_fall_back():
     assert _generated_by_base(tower)
     assert osc.applier_is_representation(4, 4, 4) and osc.block_permutations_commute(4, 4, 4)
     rows = system_rows(tower)[0][0]
-    assert not _permutes_base(tower) and len(rows) == 20
+    assert not _tower_relabellings(tower) and len(rows) == 20
     signed = [r for row in rows for r in (row, {m: -c for m, c in row.items()})]
     assert any(
-        {swap(m): c for m, c in row.items()} not in signed
-        for swap in map(partial(osc.transposer, cfg.space), osc.block_transpositions(4, 4, 4))
+        sigma.image(cfg.space, row) not in signed
+        for sigma in osc.relabellings(4, osc.block_transpositions(4, 4, 4))
         for row in rows
     )
     assert _same_kernels(_pieces(tower, 3), _pieces_of_every_weight(cfg, 3))
@@ -1362,7 +1394,7 @@ def test_tower_with_rows_above_its_base_walks_every_row():
     full = build_tower(cfg, 3, "explicit")
     skipped = FiltrationTower(cfg, "explicit", [full.levels[0], full.levels[2], full.levels[3]])
     assert not _generated_by_base(skipped)
-    assert _permutes_base(full) and not _permutes_base(skipped)
+    assert _tower_relabellings(full) and not _tower_relabellings(skipped)
     with _no_permutation_certificate():
         unpatched = FiltrationTower(cfg, "explicit", list(skipped.levels))
         want = _pieces(unpatched, 3)
@@ -1371,11 +1403,12 @@ def test_tower_with_rows_above_its_base_walks_every_row():
 
 @pytest.fixture
 def fresh_certificates():
-    osc.applier_is_representation.cache_clear()
-    osc.block_permutations_commute.cache_clear()
+    caches = [osc.weyl_forms, osc.applier_is_representation, osc.block_permutations_commute]
+    for cached in caches:
+        cached.cache_clear()
     yield
-    osc.applier_is_representation.cache_clear()
-    osc.block_permutations_commute.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certificates):
@@ -1385,9 +1418,9 @@ def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certifica
     osc.block_permutations_commute.cache_clear()
     weyl_forms = osc.weyl_forms
 
-    def perturbed(cfg):
+    def perturbed(*layout):
         # E_13 doubled: the transposition (1 2) takes it to twice E_23
-        forms = weyl_forms(cfg)
+        forms = dict(weyl_forms(*layout))
         forms["e", 1, 3] = {key: 2 * c for key, c in forms["e", 1, 3].items()}
         return forms
 
@@ -1396,5 +1429,5 @@ def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certifica
     # the cached verdict stands; the applier certificate reads the true forms
     assert osc.applier_is_representation(6, 2, 4)
     tower = presentation_tower(cfg, 4)
-    assert not _permutes_base(tower)
+    assert not _tower_relabellings(tower)
     assert _same_kernels(_pieces(tower, 4), want)

@@ -34,6 +34,13 @@ from oscvar.linalg import EchelonBasis, kernel_of_columns
 from oscvar.osc import Config, Weights
 from oscvar.poly import Poly, monomials, parse_poly, xy_space, z_space
 
+
+def from_exponents(space, terms):
+    """The polynomial with terms {exponent tuple: coefficient}, zero
+    coefficients dropped."""
+    return Poly(space, {space.pack(e): c for e, c in terms.items() if c})
+
+
 CFG = Config(5, 2, 3)  # J1 = {1,2}, J3 = {4,5}
 ZR = restricted_ring(CFG)
 EXT = extended_ring(CFG)
@@ -71,7 +78,7 @@ def test_phi_multiplicative_random():
         for _ in range(rng.randint(1, 4)):
             m = tuple(rng.randint(0, 2) for _ in range(space.nvars))
             terms[m] = rng.randint(-5, 5)
-        return Poly.from_exponents(space, terms)
+        return from_exponents(space, terms)
 
     for _ in range(15):
         a, b = rand_zpoly(ZR), rand_zpoly(ZR)
@@ -358,7 +365,7 @@ def _zpolys(ring):
 @given(st.sampled_from(_CASES).flatmap(lambda c: st.tuples(st.just(c), _zpolys(c[1]))))
 def test_evaluations_agree_with_sympy(case):
     (evaluation, ring), terms = case
-    got = _evaluate(evaluation, Poly.from_exponents(ring, terms))
+    got = _evaluate(evaluation, from_exponents(ring, terms))
     assert _matches(evaluation, ring, got, terms)
 
 
@@ -376,7 +383,7 @@ def test_shared_evaluation_agrees_in_any_order(case, rng):
     calls = polys * 2
     rng.shuffle(calls)
     for terms in calls:
-        assert _matches(evaluation, ring, ev.apply(Poly.from_exponents(ring, terms)), terms)
+        assert _matches(evaluation, ring, ev.apply(from_exponents(ring, terms)), terms)
 
 
 @pytest.mark.parametrize("evaluation, ring", _CASES, ids=["phi_x", "phi_y", "phi"])
@@ -635,6 +642,46 @@ def _patched_images(image):
 
 def _xx(target, i, j):
     return {target.unit[target.x(i)] + target.unit[target.x(j)]: 1}
+
+
+# the runs of every layout with n <= 7: start[a] for a = 0..n+1, one digit each
+_RUN_STARTS = {
+    (2, 1, 1): '0123', (2, 1, 2): '0123', (2, 2, 2): '0113',
+    (3, 1, 1): '01224', (3, 1, 2): '01234', (3, 1, 3): '01234', (3, 2, 2): '01134',
+    (3, 2, 3): '01134', (3, 3, 3): '01114',
+    (4, 1, 1): '012225', (4, 1, 2): '012335', (4, 1, 3): '012345', (4, 1, 4): '012345',
+    (4, 2, 2): '011335', (4, 2, 3): '011345', (4, 2, 4): '011345', (4, 3, 3): '011145',
+    (4, 3, 4): '011145', (4, 4, 4): '011115',
+    (5, 1, 1): '0122226', (5, 1, 2): '0123336', (5, 1, 3): '0123446', (5, 1, 4): '0123456',
+    (5, 1, 5): '0123456', (5, 2, 2): '0113336', (5, 2, 3): '0113446', (5, 2, 4): '0113456',
+    (5, 2, 5): '0113456', (5, 3, 3): '0111446', (5, 3, 4): '0111456', (5, 3, 5): '0111456',
+    (5, 4, 4): '0111156', (5, 4, 5): '0111156', (5, 5, 5): '0111116',
+    (6, 1, 1): '01222227', (6, 1, 2): '01233337', (6, 1, 3): '01234447', (6, 1, 4): '01234557',
+    (6, 1, 5): '01234567', (6, 1, 6): '01234567', (6, 2, 2): '01133337', (6, 2, 3): '01134447',
+    (6, 2, 4): '01134557', (6, 2, 5): '01134567', (6, 2, 6): '01134567', (6, 3, 3): '01114447',
+    (6, 3, 4): '01114557', (6, 3, 5): '01114567', (6, 3, 6): '01114567', (6, 4, 4): '01111557',
+    (6, 4, 5): '01111567', (6, 4, 6): '01111567', (6, 5, 5): '01111167', (6, 5, 6): '01111167',
+    (6, 6, 6): '01111117',
+    (7, 1, 1): '012222228', (7, 1, 2): '012333338', (7, 1, 3): '012344448',
+    (7, 1, 4): '012345558', (7, 1, 5): '012345668', (7, 1, 6): '012345678',
+    (7, 1, 7): '012345678', (7, 2, 2): '011333338', (7, 2, 3): '011344448',
+    (7, 2, 4): '011345558', (7, 2, 5): '011345668', (7, 2, 6): '011345678',
+    (7, 2, 7): '011345678', (7, 3, 3): '011144448', (7, 3, 4): '011145558',
+    (7, 3, 5): '011145668', (7, 3, 6): '011145678', (7, 3, 7): '011145678',
+    (7, 4, 4): '011115558', (7, 4, 5): '011115668', (7, 4, 6): '011115678',
+    (7, 4, 7): '011115678', (7, 5, 5): '011111668', (7, 5, 6): '011111678',
+    (7, 5, 7): '011111678', (7, 6, 6): '011111178', (7, 6, 7): '011111178',
+    (7, 7, 7): '011111118',
+}
+
+
+def test_run_starts_are_pinned():
+    # every transposition inside J1 and inside J3 is certified, so each of
+    # J1 and J3 is one run; J2, column 0 and row n+1 are runs of their own
+    assert len(_RUN_STARTS) == 83
+    for layout, starts in _RUN_STARTS.items():
+        cfg = Config(*layout)
+        assert detvar._run_starts(cfg, extended_ring(cfg)) == [int(c) for c in starts], layout
 
 
 def test_an_equivariant_table_with_failures_reads_them_per_order_type(monkeypatch):

@@ -16,11 +16,10 @@ from oscvar.annihilator import _level_rows, system_rows
 from oscvar.filtration import (
     FiltrationTower,
     UnsupportedRegimeError,
-    _admits_mirror,
-    _admitted_transpositions,
     _dprime_level,
     _explicit_cache,
     _insert_tproducts,
+    _orbit_generators,
     _regime,
     _tspan,
     alternating_set,
@@ -553,10 +552,12 @@ def test_closures_match_the_every_row_oracle(cfg_kmax):
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the per-layout applier tables, their decoded terms and the
-    certificates around a test that patches the tables they are read from."""
+    """Clear the per-layout applier tables, their Weyl forms and decoded
+    terms and the certificates around a test that patches the tables they
+    are read from."""
     caches = [
         _weyl_tables,
+        osc.weyl_forms,
         osc.root_terms,
         applier_is_representation,
         osc.block_permutations_commute,
@@ -595,7 +596,7 @@ def _all_pairs_certificate(n, n1, n2):
     cfg = Config(n, n1, n2)
     sp = cfg.space
     gens = generators(n)
-    forms = osc.weyl_forms(cfg)
+    forms = osc.weyl_forms(n, n1, n2)
     for g in gens:
         action = osc.weyl_action(sp, forms[g])
         for m in monomials(sp, range(3)):
@@ -658,19 +659,20 @@ def test_certificate_matches_the_oracle_on_corrupted_tables(monkeypatch, fresh_c
     verdicts, by_orbit = set(), set()
     for layout in _layouts(4):
         _weyl_tables.cache_clear()
+        osc.weyl_forms.cache_clear()
+        osc.root_terms.cache_clear()
         applier_is_representation.cache_clear()
         osc.block_permutations_commute.cache_clear()  # read by the certificate
         verdict = applier_is_representation(*layout)
         assert verdict == _all_pairs_certificate(*layout), layout
         verdicts.add(verdict)
-        cfg = Config(*layout)
-        if osc.block_transpositions(*layout) and osc._relabellings_hold(cfg, osc.weyl_forms(cfg)):
+        if osc.block_transpositions(*layout) and osc.block_permutations_commute(*layout):
             by_orbit.add(verdict)  # decided once per orbit
     assert False in verdicts and False in by_orbit
 
 
 @pytest.mark.parametrize("cell", [None] + sorted(osc._BLOCK), ids=str)
-def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
+def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, fresh_caches, cell):
     # a pair that commutes in sl(n) and whose forms touch disjoint positions
     # is skipped; every skipped defect is zero and the verdict is that of
     # every pair, n <= 8, and n <= 6 with a flipped cell
@@ -680,7 +682,7 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
     verdicts = set()
     for layout in _layouts(8 if cell is None else 6):
         cfg = Config(*layout)
-        forms = osc.weyl_forms(cfg)
+        forms = osc.weyl_forms(*layout)
         pairs = _chevalley_pairs(cfg.n)
         checked = {(a, b) for a, b, _bracket in osc._checked_pairs(cfg, forms, pairs)}
         every_pair_holds = True  # the loop without the skip
@@ -696,7 +698,7 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, cell):
         # the counts the certificate's docstring quotes, at n = 8
         cfg = Config(8, 2, 6)
         assert sum(1 for _ in _chevalley_pairs(8)) == 777
-        forms = osc.weyl_forms(cfg)
+        forms = osc.weyl_forms(8, 2, 6)
         assert sum(1 for _ in osc._checked_pairs(cfg, forms, _chevalley_pairs(8))) == 357
 
 
@@ -705,8 +707,8 @@ def test_orbit_certificate_matches_the_full_path():
     # verdict once per orbit is that of every generator and Chevalley pair
     for layout in _layouts(8):
         cfg = Config(*layout)
-        forms = osc.weyl_forms(cfg)
-        assert osc._relabellings_hold(cfg, forms), layout
+        forms = osc.weyl_forms(*layout)
+        assert osc.block_permutations_commute(*layout), layout
         full = _chevalley_certificate(cfg, forms)
         assert osc._certified(cfg, forms, True) == osc._certified(cfg, forms, False) == full, layout
     # with every index a block of its own, the orbit pairs are the
@@ -723,7 +725,7 @@ def test_orbit_certificate_matches_the_full_path():
         ((18, 6, 12), 26, 111, 2308),
     ]:
         cfg = Config(*layout)
-        forms = osc.weyl_forms(cfg)
+        forms = osc.weyl_forms(*layout)
         assert len(osc._orbit_roots(osc._blocks(cfg))) + layout[0] - 1 == gens
         pairs = osc._orbit_pairs(cfg.n, osc._blocks(cfg))
         assert sum(1 for _ in osc._checked_pairs(cfg, forms, pairs)) == formed
@@ -738,8 +740,7 @@ def _symmetry_broken(layout):
     certificate and the all-pairs oracle both reject it; return the verdict
     the orbit path alone would give."""
     cfg = Config(*layout)
-    forms = osc.weyl_forms(cfg)
-    assert not osc._relabellings_hold(cfg, forms)
+    forms = osc.weyl_forms(*layout)
     assert not osc.block_permutations_commute(*layout)
     assert not applier_is_representation(*layout)
     assert not _all_pairs_certificate(*layout)
@@ -774,10 +775,10 @@ def test_relabelling_check_sees_a_negated_non_representative_root(monkeypatch, f
 def test_relabelling_check_sees_a_perturbed_cartan_form(monkeypatch, fresh_caches):
     # a constant added to h_1 in its form and its table alike: form and
     # applier agree, but (1 2) takes h_1 to -h_1, and the constant to itself
-    weyl_forms, table = osc.weyl_forms, osc._cartan_table
+    weyl_forms, table = osc.weyl_forms.__wrapped__, osc._cartan_table
 
-    def shifted_forms(cfg):
-        forms = weyl_forms(cfg)
+    def shifted_forms(*layout):
+        forms = weyl_forms(*layout)
         forms["h", 1][0, 0] = forms["h", 1].get((0, 0), 0) + 1
         return forms
 
@@ -788,8 +789,8 @@ def test_relabelling_check_sees_a_perturbed_cartan_form(monkeypatch, fresh_cache
     monkeypatch.setattr(osc, "weyl_forms", shifted_forms)
     monkeypatch.setattr(osc, "_cartan_table", shifted_table)
     cfg = Config(5, 2, 3)
-    assert osc.weyl_forms(cfg)["h", 1][0, 0] == 1
-    assert osc._forms_act_as_applier(cfg, osc.weyl_forms(cfg), [("h", 1)])
+    assert osc.weyl_forms(5, 2, 3)["h", 1][0, 0] == 1
+    assert osc._forms_act_as_applier(cfg, osc.weyl_forms(5, 2, 3), [("h", 1)])
     _symmetry_broken((5, 2, 3))
 
 
@@ -802,8 +803,8 @@ def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
     for g in (("e", 1, 2), ("e", 2, 1)):
         ceiling, packed = roots[g]
         roots[g] = ceiling, tuple((-c, *rest) for c, *rest in packed)
-    forms = osc.weyl_forms(cfg)
-    assert osc._relabellings_hold(cfg, forms)
+    forms = osc.weyl_forms(5, 2, 3)
+    assert osc.block_permutations_commute(5, 2, 3)
     assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg.n, osc._blocks(cfg)))
     assert not applier_is_representation(5, 2, 3)
     assert not _all_pairs_certificate(5, 2, 3)
@@ -815,7 +816,7 @@ def _mirror_conjugates_every_generator(n, n1, n2):
     theta(g) read off g's matrix, E_ab -> -E_{n+1-b, n+1-a}."""
     cfg = Config(n, n1, n2)
     sp = cfg.space
-    swap = osc.mirrorer(sp)
+    swap = osc.relabellings(n, mirror=True)[0].swap(sp)
     for g in generators(n):
         matrix = {(n + 1 - b, n + 1 - a): -c for (a, b), c in osc.generator_matrix(g, n).items()}
         theta = osc.matrix_to_generators(matrix, n)
@@ -860,6 +861,8 @@ def test_mirror_conjugation_matches_the_oracle_on_corrupted_tables(
     layouts = [(n, n1, n - n1) for n in range(2, 6) for n1 in range(1, n // 2 + 1)]
     for layout in layouts:
         _weyl_tables.cache_clear()
+        osc.weyl_forms.cache_clear()
+        osc.root_terms.cache_clear()
         osc.mirror_commutes.cache_clear()
         assert osc.mirror_commutes(*layout) == _mirror_conjugates_every_generator(*layout), layout
     if table == "root":
@@ -879,7 +882,7 @@ def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
     # d_{x4} times x2 on E_13: zero on every monomial in x1, x3, y1, y3
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("e", 1, 3)
-    forms = osc.weyl_forms(cfg)
+    forms = osc.weyl_forms(4, 2, 2)
     full = list(monomials(sp, range(3)))
     own = osc._agreement_monomials(cfg, g, forms[g], full)
     assert len(own) == 15 and sp.unit[sp.x(4)] not in own
@@ -894,7 +897,7 @@ def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_
     # h_2 reads x2, y2, x3, y3 off its table, and its form touches no other
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("h", 2)
-    forms = osc.weyl_forms(cfg)
+    forms = osc.weyl_forms(4, 2, 2)
     full = list(monomials(sp, range(3)))
     const, reads = cfg.cartan_tables[2]
     assert sorted(s for s, _k in reads) == sorted(
@@ -930,7 +933,7 @@ def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_ca
 
     monkeypatch.setattr(osc, "_pi_terms", negated)
     cfg = Config(4, 1, 3)
-    forms = osc.weyl_forms(cfg)
+    forms = osc.weyl_forms(4, 1, 3)
     assert osc._forms_act_as_applier(cfg, forms, forms)
     assert not osc._brackets_hold(cfg, forms, _chevalley_pairs(4))
     assert not applier_is_representation(4, 1, 3)
@@ -942,7 +945,7 @@ def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_cac
     # a constant added to pi(E_ij), in its table and its form alike,
     # commutes with every operator: only the brackets whose result holds
     # E_ij see it, such as [E_21, h_1] at n = 2, or [E_21, E_32] = -E_31
-    weyl_forms = osc.weyl_forms
+    weyl_forms = osc.weyl_forms.__wrapped__
     for g in generators(layout[0]):
         if g[0] == "h":
             continue
@@ -950,8 +953,8 @@ def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_cac
         applier_is_representation.cache_clear()
         osc.block_permutations_commute.cache_clear()  # read by the certificate
 
-        def shifted(cfg, g=g):
-            forms = weyl_forms(cfg)
+        def shifted(*layout, g=g):
+            forms = weyl_forms(*layout)
             forms[g][0, 0] = forms[g].get((0, 0), 0) + 1
             return forms
 
@@ -971,7 +974,7 @@ def test_agreement_tests_every_monomial_past_a_non_weyl_term(fresh_caches, kind)
     term = (1, s, s, -2 * unit) if kind == "repeated derivative" else (1, -1, -1, -unit)
     _extra_root_term(cfg, g, term)
     full = list(monomials(sp, range(3)))
-    assert osc._agreement_monomials(cfg, g, osc.weyl_forms(cfg)[g], full) is full
+    assert osc._agreement_monomials(cfg, g, osc.weyl_forms(4, 2, 2)[g], full) is full
     assert not applier_is_representation(4, 2, 2)
 
 
@@ -1118,6 +1121,14 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
         ]
 
 
+def _orbits(cfg, kmax, cache=None):
+    """The transpositions and the mirror verdict of the relabellings the
+    explicit tower to depth kmax is built with."""
+    found = _orbit_generators(cfg, kmax, _explicit_cache(cfg) if cache is None else cache)
+    weights = Weights(cfg, cfg.space, found)
+    return list(weights.transpositions), weights.mirror
+
+
 @pytest.mark.parametrize("params, admitted", [
     ((4, 1, 3, -1, 1), []),  # J1, J3 singletons; (2 3) moves n1+1
     ((5, 1, 4, -1, -1), [3]),
@@ -1127,7 +1138,7 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
 ], ids=str)
 def test_admitted_transpositions_are_pinned(params, admitted):
     cfg = Config(*params)
-    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == admitted
+    assert _orbits(cfg, 3)[0] == admitted
     tower = build_tower(cfg, 3, "explicit")
     if admitted:
         assert tower.weights.transpositions == tuple(admitted)
@@ -1149,9 +1160,7 @@ def test_admitted_transpositions_are_pinned(params, admitted):
 ], ids=str)
 def test_mirror_verdict_is_pinned(params, admitted, mirror):
     cfg = Config(*params)
-    cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, cache) == admitted
-    assert _admits_mirror(cfg, 4, cache, admitted) == mirror
+    assert _orbits(cfg, 4) == (admitted, mirror)
     weights = build_tower(cfg, 3, "explicit").weights
     assert (weights is not None and weights.mirror) == mirror
     # every layout with n1 + n2 = n conjugates the applier by the mirror
@@ -1159,12 +1168,16 @@ def test_mirror_verdict_is_pinned(params, admitted, mirror):
 
 
 def test_mirror_needs_transpositions_closed_under_reflection():
-    # (5,2,3,-1,-1) with (1 2) alone: the mirror conjugates it to (4 5)
-    cfg = Config(5, 2, 3, -1, -1)
-    cache = _explicit_cache(cfg)
-    assert _admits_mirror(cfg, 4, cache, [1, 4])
-    assert not _admits_mirror(cfg, 4, cache, [1])
-    assert not _admits_mirror(cfg, 4, cache, [4])
+    # at n = 5 the mirror conjugates (1 2) to (4 5): with one of them
+    # alone, or with (2 3) and not (3 4), the mirror is refused
+    for kept, mirror in [([1, 4], True), ([1], False), ([4], False), ([2], False), ([2, 3], True)]:
+        candidates = osc.relabellings(5, kept, mirror=True)
+        found = osc.admitted(candidates)
+        assert [s.transposition for s in found if not s.mirror] == kept
+        assert any(s.mirror for s in found) == mirror, kept
+    # the x/y swap, which fixes the indices, is kept with any of them
+    swap = osc.Relabelling(5, {}, flip=True)
+    assert osc.admitted(osc.relabellings(5, [1]) + [swap])[-1] is swap
 
 
 def test_a_t_series_form_the_mirror_moves_refuses_the_mirror(monkeypatch):
@@ -1183,9 +1196,7 @@ def test_a_t_series_form_the_mirror_moves_refuses_the_mirror(monkeypatch):
         return reduced, lift
 
     monkeypatch.setattr(filtration, "projection_forms", perturbed)
-    cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, cache) == [1, 4]
-    assert not _admits_mirror(cfg, 4, cache, [1, 4])
+    assert _orbits(cfg, 4) == ([1, 4], False)
     assert not build_tower(cfg, 3, "explicit").weights.mirror
 
 
@@ -1212,8 +1223,8 @@ def test_mirror_weights_match_their_orbits():
     cfg = Config(6, 3, 3, -1, -1)
     sp = cfg.space
     plain = Weights(cfg, sp)
-    mirrored = Weights(cfg, sp, [1, 2, 4, 5], mirror=True)
-    alone = Weights(cfg, sp, (), mirror=True)
+    mirrored = Weights(cfg, sp, osc.relabellings(6, [1, 2, 4, 5], mirror=True))
+    alone = Weights(cfg, sp, osc.relabellings(6, mirror=True))
     for weights in (mirrored, alone):
         seen = set()
         for m in monomials(sp, range(3)):
@@ -1226,7 +1237,7 @@ def test_mirror_weights_match_their_orbits():
             seen.add(weights.representative(w))
         assert seen
     # the mirror of a variable's weight is the weight of its mirror image
-    swap = osc.mirrorer(sp)
+    swap = osc.relabellings(6, mirror=True)[0].swap(sp)
     for u in sp.unit:
         assert mirrored.mirrored(plain.of(u)) == plain.of(swap(u)) != plain.of(u)
     # relabellings by permutations alone are refused
@@ -1252,7 +1263,7 @@ def test_representative_sums_match_the_pairwise_test():
         left = [(w, i) for i, w in enumerate(ws + [plain.of(m) for m in far])]
         right = [(w, -i) for i, w in enumerate(ws[::3] + [plain.of(m) for m in far[::2]])]
         for mirror in (False, True):
-            weights = Weights(cfg, sp, transpositions, mirror)
+            weights = Weights(cfg, sp, osc.relabellings(cfg.n, transpositions, mirror))
             want = [
                 (wa + wb, a, b)
                 for wa, a in left
@@ -1306,7 +1317,7 @@ def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
     cfg = Config(4, 2, 2, -1, -1)
     real = filtration.base_space_vectors
     monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: real(*a)[:-1])
-    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == []
+    assert _orbits(cfg, 4) == ([], False)
     tower = build_tower(cfg, 4, "explicit")
     assert tower.weights is None
     assert tower.dims == [b.dim for b in build_tower(cfg, 4, whole=True).levels]
@@ -1323,7 +1334,7 @@ def test_a_generating_vector_of_no_weight_gets_no_orbits(monkeypatch):
         return pset + [sum(pset[1:], pset[0])]
 
     monkeypatch.setattr(filtration, "alternating_set", with_sum)
-    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == []
+    assert _orbits(cfg, 4) == ([], False)
     assert build_tower(cfg, 4, "explicit").dims == [
         b.dim for b in build_tower(cfg, 4, whole=True).levels
     ]
@@ -1344,9 +1355,8 @@ def test_a_monomial_level_that_is_not_permuted_gets_no_orbit(monkeypatch):
 
     monkeypatch.setattr(filtration, "tn_cells", dropped)
     cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, cache) == [1, 4]
-    assert _admits_mirror(cfg, 1, cache, [1, 4])
-    assert not _admits_mirror(cfg, 2, cache, [1, 4])
+    assert _orbits(cfg, 1, cache) == ([1, 4], True)
+    assert _orbits(cfg, 2, cache) == ([1, 4], False)
     tower = build_tower(cfg, 3, "explicit")
     assert not tower.weights.mirror
     assert tower.dims == [b.dim for b in build_tower(cfg, 3, whole=True).levels]
@@ -1377,14 +1387,14 @@ def test_cell_certificate_admits_only_what_maps_each_level_onto_itself(n):
                     ]
                     for i in range(1, n):
                         if filtration._fixes_cells(cfg, i):
-                            swap = osc.transposer(cfg.space, i)
+                            swap = osc.relabellings(n, [i])[0].swap(cfg.space)
                             assert all(
                                 {swap(m) for m in cell} == cell for level in levels for cell in level
                             ), (cfg, regime, i)
                             fixing.add(i)
                     if n1 + n2 != n:
                         continue
-                    swap = osc.mirrorer(cfg.space)
+                    swap = osc.relabellings(n, mirror=True)[0].swap(cfg.space)
                     for kmax in range(4):
                         if filtration._mirrors_cells(cfg, kmax, regime):
                             whole = [set().union(*level) for level in levels[: kmax + 1]]
@@ -1402,7 +1412,7 @@ def test_a_transposition_that_moves_n1_plus_1_is_refused_by_the_cells(monkeypatc
     # only the cells refuse it, as x3*y3 goes to the excluded x2*y2
     cfg = Config(5, 1, 4, -1, -1)
     monkeypatch.setattr(filtration, "projection_forms", lambda c: ({}, {}))
-    assert _admitted_transpositions(cfg, _explicit_cache(cfg)) == [3]
+    assert _orbits(cfg, 3)[0] == [3]
     assert not filtration._fixes_cells(cfg, 2) and filtration._fixes_cells(cfg, 3)
 
 
@@ -1411,16 +1421,14 @@ def test_the_mirror_of_unequal_bidegrees_is_refused_by_the_cells(monkeypatch):
     # weights admit the mirror, the cells of a level with l1 != l2 do not
     cfg = Config(5, 2, 3, -1, -2)
     monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: [])
-    cache = _explicit_cache(cfg)
-    assert _admitted_transpositions(cfg, cache) == [1, 4]
-    assert not _admits_mirror(cfg, 0, cache, [1, 4])
+    assert _orbits(cfg, 0) == ([1, 4], False)
     equal = Config(5, 2, 3, -2, -2)
-    assert _admits_mirror(equal, 3, _explicit_cache(equal), [1, 4])
+    assert _orbits(equal, 3) == ([1, 4], True)
 
 
 def _cone_example(params, j, transpositions, mirror, bound):
     cfg = Config(*params)
-    weights = Weights(cfg, cfg.space, transpositions, mirror)
+    weights = Weights(cfg, cfg.space, osc.relabellings(cfg.n, transpositions, mirror))
     return cfg, osc.tn_cells(cfg, j), weights, bound
 
 
@@ -1438,7 +1446,8 @@ def cone_inputs(draw):
     cells = filtration._level_cells(cfg, draw(st.integers(0, 3)), regime)
     candidates = osc.block_transpositions(n, n1, n2)
     transpositions = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-    weights = Weights(cfg, cfg.space, sorted(transpositions), draw(st.booleans()))
+    found = osc.relabellings(n, sorted(transpositions), draw(st.booleans()))
+    weights = Weights(cfg, cfg.space, found)
     return cfg, cells, weights, draw(st.integers(0, 3))
 
 

@@ -18,6 +18,13 @@ from oscvar.linalg import (
 )
 from oscvar.poly import Poly, SpaceMismatchError, parse_poly, xy_space, z_space
 
+
+def from_exponents(space, terms):
+    """The polynomial with terms {exponent tuple: coefficient}, zero
+    coefficients dropped."""
+    return Poly(space, {space.pack(e): c for e, c in terms.items() if c})
+
+
 SP = xy_space(3)
 
 
@@ -47,7 +54,7 @@ def test_echelon_insertion_order_invariance():
             tuple(rng.randint(0, 2) for _ in range(SP.nvars)): rng.randint(-6, 6)
             for _ in range(3)
         }
-        polys.append(Poly.from_exponents(SP, terms))
+        polys.append(from_exponents(SP, terms))
     canon = None
     for _ in range(10):
         rng.shuffle(polys)
@@ -94,9 +101,9 @@ def test_membership_matches_dense_rank():
         vectors = []
         for _ in range(rng.randint(2, 6)):
             terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, 3)}
-            vectors.append(Poly.from_exponents(SP, terms))
+            vectors.append(from_exponents(SP, terms))
         probe_terms = {m: rng.randint(-4, 4) for m in rng.sample(mons, 3)}
-        probe = Poly.from_exponents(SP, probe_terms)
+        probe = from_exponents(SP, probe_terms)
         basis = echelon_from(SP, vectors)
         member = basis.contains(probe)
         packed = [SP.pack(m) for m in mons]

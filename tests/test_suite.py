@@ -46,11 +46,14 @@ def test_bracket_fidelity_payload():
 
 @pytest.fixture
 def fresh_tables():
-    """Clear the cached applier tables around a test that patches them;
-    every ``Config`` the record builds is new, so none holds stale ones."""
+    """Clear the cached applier tables and Weyl forms around a test that
+    patches them; every ``Config`` the record builds is new, so none holds
+    stale ones."""
     _weyl_tables.cache_clear()
+    osc.weyl_forms.cache_clear()
     yield
     _weyl_tables.cache_clear()
+    osc.weyl_forms.cache_clear()
 
 
 @pytest.mark.parametrize("cell", sorted(osc._BLOCK), ids=str)
@@ -81,7 +84,7 @@ def test_bracket_fidelity_fails_on_a_wrong_cartan_constant(monkeypatch, block):
     assert "nonzero_identities" not in rec.payload
 
 
-def test_bracket_fidelity_fails_on_forms_the_applier_does_not_follow(monkeypatch):
+def test_bracket_fidelity_fails_on_forms_the_applier_does_not_follow(monkeypatch, fresh_tables):
     # a wrong diagonal constant in the Weyl forms alone: the applier still
     # satisfies every relation, but the identities certify other operators
     # and the ones with h_1 on their right side fail
