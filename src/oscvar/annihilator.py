@@ -84,7 +84,10 @@ level, h(t v) - t(h v) = wt(t)(h) t v.  It is then the sum of its weight
 components, and the kernel of any set of columns that is a union of
 weights is the sum of its blocks: solving those columns at once gives
 each kernel vector inside one block, the vector one solve of every
-column gives.  Otherwise the system is one block, keyed None.
+column gives.  Otherwise the system is one block: its grading is
+``osc.Weights.ungraded``, every symbol at weight 0, so every word lies in
+the one block of weight 0, an orbit of size 1.  The grading is decided
+once per tower and alphabet (:func:`_grading`).
 
 On a tower that is U_k(g) M_0 only one weight per orbit is solved.  pi is
 built from block templates, so a permutation sigma of the indices inside
@@ -289,16 +292,16 @@ class AnnihilatorPiece:
     ``split_symbols``, as a sized view that lists them when iterated; each
     annihilates by the module lemma, because its split symbol was checked
     to preserve every level.  The rest of the kernel, over the remaining
-    "pure" monomials, is the sum of its weight blocks (``weights``; None
-    when the system is not graded, and then one block keyed None).
-    ``blocks`` maps each representative weight to the kernel vectors of its
-    block; the block of another weight of its orbit is never built.
+    "pure" monomials, is the sum of its weight blocks (``weights``;
+    ``Weights.ungraded`` when the system is not graded, one block of weight
+    0).  ``blocks`` maps each representative weight to the kernel vectors
+    of its block; the block of another weight of its orbit is never built.
     """
 
     degree: int
     coordinate_members: _SplitMonomials
+    weights: Weights
     blocks: dict = field(default_factory=dict)
-    weights: Weights | None = None
     stabilized: bool = False
     unknown_count: int = 0
     split_symbols: list = field(default_factory=list)
@@ -313,14 +316,12 @@ class AnnihilatorPiece:
         """The :func:`_split_mask` of the split symbols."""
         return _split_mask(self.space, self.split_symbols)
 
-    def orbit_size(self, w) -> int:
-        return 1 if self.weights is None else self.weights.orbit_size(w)
-
     @property
     def pure_dim(self) -> int:
         """The dimension of the kernel over the pure monomials: the sum over
         orbits of |orbit| times dim(block)."""
-        return sum(self.orbit_size(w) * len(vectors) for w, vectors in self.blocks.items())
+        size = self.weights.orbit_size
+        return sum(size(w) * len(vectors) for w, vectors in self.blocks.items())
 
     @property
     def dim(self) -> int:
@@ -341,8 +342,6 @@ class AnnihilatorPiece:
         The kernel is the sum of its blocks, so a symbol lies in it exactly
         when each weight component does."""
         pure = project_pure(sym, self.mask).terms
-        if self.weights is None:
-            return self.span(None).contains(pure)
         parts: dict = {}
         for m, c in pure.items():
             parts.setdefault(self.weights.of(m), {})[m] = c
@@ -479,9 +478,12 @@ def _tower_relabellings(tower: FiltrationTower) -> list:
     return derived["relabellings"]
 
 
-def _grading(tower: FiltrationTower, alphabet) -> Weights | None:
+def _grading(tower: FiltrationTower, alphabet) -> Weights:
     """The ``osc.Weights`` that split the systems of ``tower`` on the
-    unknowns ``alphabet``, or None where the system is one block.
+    unknowns ``alphabet``: ``Weights.ungraded``, one block, where the
+    system is not graded.  Decided once per alphabet and cached in
+    ``tower.derived``, so the pieces of one alphabet share one instance and
+    its memo of orbits.
 
     Weights need the applier to be a representation and every Cartan symbol
     among the preservers of :func:`system_rows`; orbits need, besides, the
@@ -491,28 +493,35 @@ def _grading(tower: FiltrationTower, alphabet) -> Weights | None:
     generators, with nothing to carry but the keys.  An alphabet with a
     Cartan symbol, which they do not map to a symbol, gets no orbits.
     """
+    gradings = tower.derived.setdefault("gradings", {})
+    key = tuple(alphabet)
+    if key in gradings:
+        return gradings[key]
     cfg = tower.cfg
-    gens = generators(cfg.n)
+    gens, space = generators(cfg.n), symbol_space(cfg.n)
     if not (
         applier_is_representation(cfg.n, cfg.n1, cfg.n2)
         and system_rows(tower)[1].issuperset(range(cfg.n - 1))  # h_1..h_{n-1} lead gens
     ):
-        return None
-    found = []
-    if all(gens[g][0] == "e" for g in alphabet):
-        found = _tower_relabellings(tower)
-        letters = Table("generators", cfg.space, {gens[g]: {} for g in alphabet})
-        if admitted(found, tables=[letters]) != found:
-            found = []
-    return Weights(cfg, symbol_space(cfg.n), found)
+        weights = Weights.ungraded(cfg, space)
+    else:
+        found = []
+        if all(gens[g][0] == "e" for g in alphabet):
+            found = _tower_relabellings(tower)
+            letters = Table("generators", cfg.space, {gens[g]: {} for g in alphabet})
+            if admitted(found, tables=[letters]) != found:
+                found = []
+        weights = Weights(cfg, space, found)
+    gradings[key] = weights
+    return weights
 
 
-def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
+def _words_by_weight(weights: Weights, alphabet, p: int) -> dict:
     """The degree-p words on ``alphabet`` (ascending generator indices, in
-    ``combinations_with_replacement`` order) by weight: all of them under
-    the key None where ``weights`` is None, and otherwise the words of each
+    ``combinations_with_replacement`` order) by weight: the words of each
     representative weight, in ascending weight order (with no orbits every
-    weight is its own representative).
+    weight is its own representative; in one block, all of them at weight
+    0).
 
     The representative weights of degree d are those of r + wt(g), for r a
     representative of degree d - 1 and g in the alphabet: sigma(r) + wt(g)
@@ -520,8 +529,6 @@ def _words_by_weight(weights: Weights | None, alphabet, p: int) -> dict:
     The words of one weight are their first p - 2 letters followed by a
     word of degree min(p, 2) read off a table by weight.
     """
-    if weights is None:
-        return {None: list(itertools.combinations_with_replacement(alphabet, p))}
     root = weights.position
     reps = {0}
     for _ in range(p):
@@ -712,19 +719,19 @@ class _Family(NamedTuple):
         solved = piece.blocks
         out: dict = {}
         for g in self.symbols:
-            w = None if weights is None else weights.position[g]
+            w = weights.position[g]
             if w in solved:
                 out.setdefault(w, []).append(project_pure(Poly.variable(sp, g), mask))
         for op in self.ops:
-            w = None if weights is None else weights.minor(op.rows, op.cols)
+            w = weights.minor(op.rows, op.cols)
             if w in solved:
                 out.setdefault(w, []).append(op.projected(mask))
         pure = [g for g in range(sp.nvars) if not sp.unit[g] & mask]
         for op in self.multiplied:
-            w = None if weights is None else weights.minor(op.rows, op.cols)
+            w = weights.minor(op.rows, op.cols)
             proj = None
             for g in pure:
-                wg = None if weights is None else w + weights.position[g]
+                wg = w + weights.position[g]
                 if wg in solved:
                     if proj is None:
                         proj = op.projected(mask)
@@ -753,7 +760,7 @@ def _compare_with_prediction(
     weight, and each dimension is the sum over orbits of |orbit| times the
     dimension at the representative.  At degree 1 there are no orbits, and
     every predicted symbol is compared at its own weight, or in the one
-    block keyed None.
+    block of weight 0 where the system is not graded.
     """
     sp = piece.space
     pred = predicted.members(piece)
@@ -764,7 +771,7 @@ def _compare_with_prediction(
             continue  # both spans are empty
         computed = echelon_from(sp, itertools.chain(low.get(w, ()), vectors))
         expected = echelon_from(sp, itertools.chain(pred.get(w, ()), low.get(w, ())))
-        dim_predicted += piece.orbit_size(w) * expected.dim
+        dim_predicted += piece.weights.orbit_size(w) * expected.dim
         equal = equal and span_equal(computed, expected)
     return piece.pure_dim, dim_predicted, equal
 
@@ -825,8 +832,7 @@ class _Memberships:
         piece = self.spans.get(len(op.rows))
         if piece is None:
             return sym_membership(op.sym, self.tower)
-        rows, cols, weights = op.rows, op.cols, piece.weights
-        key = (rows, cols) if weights is None else (len(rows), weights.order_type(rows, cols))
+        key = len(op.rows), piece.weights.order_type(op.rows, op.cols)
         found = self._minors.get(key)
         if found is None:
             found = self._minors[key] = piece.holds(op.projected(piece.mask))

@@ -34,7 +34,9 @@ one certificate of relabellings, ``osc.admitted``, keeps every adjacent
 transposition inside J1 or J3 on the minor list (onto itself up to sign)
 and on the table of the variables' images (each onto the image of the
 relabelled variable).  Where a transposition fails every weight is its
-own block; where homogeneity fails the degree is one block.  The phi_y
+own block; where homogeneity fails the grading is the one-block
+``osc.Weights.ungraded``, every variable at weight 0, and each degree is
+solved whole, as its one block of weight 0.  The phi_y
 kernel is read off the phi_x kernel where ``osc.admitted`` keeps the
 x/y swap x_a <-> y_a on their image tables (``_mirrors``).
 ``_monomials_by_weight`` groups each degree's monomials by weight in one
@@ -377,10 +379,10 @@ def enumerate_gset(
 # ---------------------------------------------------------------------------
 
 
-def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weights | None:
+def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weights:
     """The ``osc.Weights`` that split the kernel checks of ``evaluations``
-    and ``minors`` on ``space`` into blocks, or None where the check is one
-    block.
+    and ``minors`` on ``space`` into blocks: ``Weights.ungraded``, one
+    block, where they are not graded.
 
     Weights need every variable's image under each evaluation homogeneous
     of the variable's weight (the index content of an xy monomial: x_a and
@@ -401,7 +403,7 @@ def _grading(cfg: Config, space: Space, evaluations, minors: list[Poly]) -> Weig
         for pos in range(space.nvars)
         for m in img[pos].terms
     ) or any(weights.homogeneous(g.terms) is None for g in minors):
-        return None
+        return Weights.ungraded(cfg, space)
     candidates = relabellings(n, [*range(1, cfg.n1), *range(cfg.n2 + 1, n)])  # in J1, J3
     tables = [
         Table(space, target, {u: img[pos].terms for pos, u in enumerate(space.unit)})
@@ -504,20 +506,15 @@ def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
     _check_bound(top)
     minors = minor_generators(space, t)
     weights = _grading(cfg, space, evaluations, minors)
-    if weights is None:  # one block: every monomial at weight 0
-        position, is_rep, orbit_size = [0] * space.nvars, lambda w: True, lambda w: 1
-    else:
-        position, is_rep, orbit_size = (
-            weights.position, weights.is_representative, weights.orbit_size
-        )
+    is_rep = weights.is_representative
     evs = [Evaluation(cfg.n, space, e) for e in evaluations]
     # the evaluations whose kernel is that of the first one (_mirrors)
     mirrored = [k and _mirrors(cfg.n, space, evaluations[0], e) for k, e in enumerate(evaluations)]
-    gens = [(g, weights.of(max(g.terms)) if weights else 0) for g in minors]
+    gens = [(g, weights.of(max(g.terms))) for g in minors]
     # the complements of the ideal pieces: degrees <= top - t, every weight
     complements: list = []
     by_degree = _monomials_by_weight(
-        space, position, top, lambda d, w: d <= top - t or is_rep(w)
+        space, weights.position, top, lambda d, w: d <= top - t or is_rep(w)
     )
     for d, by_weight in enumerate(by_degree):
         if d <= top - t:
@@ -526,7 +523,7 @@ def _graded_kernels(cfg: Config, space: Space, t: int, evaluations, top: int):
         for w, domain in by_weight.items():
             if d <= top - t and not is_rep(w):  # above, only representatives come
                 continue
-            size = orbit_size(w)
+            size = weights.orbit_size(w)
             ideal = _ideal_piece(space, gens, complements[d - t] if d >= t else {}, w)
             dim_ideal += size * ideal.dim
             kernels = []
@@ -593,9 +590,8 @@ def _run_starts(cfg: Config, space: Space) -> list[int]:
     ``_grading`` certifies for phi on the extended ring ``space``; every
     other index (column 0, row n+1, J2, and every index where the
     certificate refuses) is its own run."""
-    weights = _grading(cfg, space, ("phi",), [])
     start = list(range(cfg.n + 2))
-    for a in weights.transpositions if weights else ():
+    for a in _grading(cfg, space, ("phi",), []).transpositions:
         start[a + 1] = start[a]  # ascending, so a's start is already set
     return start
 

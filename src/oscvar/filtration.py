@@ -69,7 +69,11 @@ towers are built to check:
     permutations are certified per layout by the one certificate of
     relabellings, ``osc.admitted``, on the spanning sets and the T-series
     forms (``_orbit_generators``), and the tower keeps the subset it
-    admits; the whole levels are the same build with every weight kept.
+    admits.  The whole levels are the same build by the one-block
+    ``osc.Weights.ungraded``: every monomial at weight 0 and no
+    relabellings, so each group by weight is the whole list in its order,
+    every weight is kept, and the build inserts what a build that never
+    weighs inserts, in the same order.
   * The monomial levels are certified cell by cell, never enumerated for
     it.  A TN or dprime level is a union of cells of
     ``osc.enumerate_block_sums`` (``osc.tn_cells``, ``_dprime_cells``): a
@@ -155,7 +159,7 @@ towers are built to check:
     of |orbit| times its rows at the representative weight, and only its
     rows of a representative weight are read.  At (6,3,3,-1,-1) to depth
     6 the top level keeps 7,857 of 27,027 rows.  Where a certificate or a
-    shift fails, the whole levels are built.
+    shift fails, the whole levels are built, as one block.
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, gcd
+from math import factorial, gcd, inf
 
 from .linalg import EchelonBasis, echelon_from
 from .osc import (
@@ -198,15 +202,17 @@ class UnsupportedRegimeError(ValueError):
 class FiltrationTower:
     """Nested spans M_0 <= M_1 <= ... <= M_kmax with their dimensions.
 
-    ``built`` holds the levels as built: whole, or with orbits of weights
-    (``weights``, None for whole levels) only at some weights: an explicit
-    tower at the representative ones (``build_tower``), a brute-force tower
-    at the weights that reach them (:func:`_bruteforce_tower`).  Either
-    carries the weight of each row's pivot in ``row_weights``.  ``dims``
-    counts the rows of ``built`` at representative weights, and
-    ``check_nested`` reads ``built``; ``levels`` are the whole levels of
-    the same method, built at every weight when first read, as where a
-    certificate refuses the orbits (``compare_towers``).
+    ``built`` holds the levels as built, by the weights ``weights``: whole
+    where they have no orbits (``Weights.ungraded`` for a whole build or a
+    tower loaded from a dump), and otherwise only at some weights: an
+    explicit tower at the representative ones (``build_tower``), a
+    brute-force tower at the weights that reach them
+    (:func:`_bruteforce_tower`).  A build carries the weight of each row's
+    pivot in ``row_weights``.  ``dims`` counts the rows of ``built`` at
+    representative weights, and ``check_nested`` reads ``built``;
+    ``levels`` are the whole levels of the same method, built at every
+    weight when first read, as where a certificate refuses the orbits
+    (``compare_towers``).
     """
 
     def __init__(
@@ -214,7 +220,7 @@ class FiltrationTower:
         cfg: Config,
         method: str,
         levels: list[EchelonBasis],
-        weights=None,
+        weights: Weights,
         row_weights: dict | None = None,
     ):
         self.cfg = cfg
@@ -222,7 +228,7 @@ class FiltrationTower:
         self.built = levels
         self.weights = weights
         self.row_weights = row_weights
-        self._levels = levels if weights is None else None
+        self._levels = None if weights.orbits else levels
         # Facts other modules derive from the levels, such as the
         # annihilator's system rows.  They assume the levels do not change
         # after they are derived.
@@ -232,16 +238,17 @@ class FiltrationTower:
     def levels(self) -> list[EchelonBasis]:
         if self._levels is None:
             if self.method == "bruteforce":
-                self._levels = _bruteforce_tower(self.cfg, self.depth).built
+                whole = Weights.ungraded(self.cfg, self.cfg.space)
+                self._levels = _bruteforce_tower(self.cfg, self.depth, whole).built
             else:
                 self._levels = build_tower(self.cfg, self.depth, whole=True).built
         return self._levels
 
     @property
     def dims(self) -> list[int]:
-        if self.weights is None:
-            return [b.dim for b in self.built]
-        return self._orbit_dims
+        if self.weights.orbits:
+            return self._orbit_dims
+        return [b.dim for b in self.built]
 
     @cached_property
     def _orbit_dims(self) -> list[int]:
@@ -447,7 +454,9 @@ def bruteforce_level(
     cone: tuple | None = None,
 ) -> EchelonBasis:
     """span(prev) + the images of its rows under all n^2 - 1 generators,
-    at the weights ``cone`` keeps, or at every weight where it is None.
+    at the weights ``cone`` keeps: by default the one-block cone of
+    ``osc.Weights.ungraded``, every row at weight 0, no generator moving it
+    and every weight kept.
 
     ``fresh`` maps the pivot of each row new at prev's level to the row's
     tag: the index, in ``generators`` order, of the generator whose image
@@ -475,42 +484,44 @@ def bruteforce_level(
     ``cone`` is (keeps, shifts, of): the test of the weights the level
     keeps, the weight each generator moves a weight vector by (in
     ``generators`` order) and a dict of the weight of the pivot of every
-    row built so far.  The image g_b r is then formed only where the
-    weight of r moved by the shift of g_b is one ``keeps`` accepts, and each
-    accepted row's weight is entered in ``of``.  Every other step is the
-    same, so at a kept weight the level inserts what the whole level
-    inserts there, in the same order, wherever prev agrees with the whole
-    level at the weights the images come from (:func:`_bruteforce_tower`).
+    row built so far.  The image g_b r is formed only where the weight of
+    r moved by the shift of g_b is one ``keeps`` accepts, and each accepted
+    row's weight is entered in ``of``.  So at a kept weight the level
+    inserts what the whole level inserts there, in the same order, wherever
+    prev agrees with the whole level at the weights the images come from
+    (:func:`_bruteforce_tower`).
     """
     nxt = prev.copy()
     ordered = applier_is_representation(cfg.n, cfg.n1, cfg.n2)
     if fresh is None:
         fresh = dict.fromkeys(prev.rows)
-    keeps, shifts, of = (None, None, None) if cone is None else cone
+    if cone is None:
+        whole = Weights.ungraded(cfg, cfg.space)
+        cone = whole.is_representative, (0,) * len(generators(cfg.n)), dict.fromkeys(prev.rows, 0)
+    keeps, shifts, of = cone
     todo = sorted(
-        (
-            (-1 if tag is None else tag, prev.rows[piv], None if of is None else of[piv])
-            for piv, tag in fresh.items()
-        ),
+        ((-1 if tag is None else tag, prev.rows[piv], of[piv]) for piv, tag in fresh.items()),
         key=lambda item: item[0],
     )
+    verdicts: dict = {}  # weight -> keeps(weight)
     for b, g in enumerate(generators(cfg.n)):
-        shift = 0 if shifts is None else shifts[b]
+        shift = shifts[b]
         for tag, row, w in todo:
             if tag > b:
                 break
-            if keeps is not None:
-                w += shift
-                if not keeps(w):
-                    continue
+            w += shift
+            kept = verdicts.get(w)
+            if kept is None:
+                kept = verdicts[w] = keeps(w)
+            if not kept:
+                continue
             img = apply_generator_terms(cfg, g, row)
             # an accepted row's pivot is the last key of nxt.rows
             if img and nxt.insert(img):
                 piv = next(reversed(nxt.rows))
                 if tags is not None:
                     tags[piv] = b if ordered else None
-                if of is not None:
-                    of[piv] = w
+                of[piv] = w
     return nxt
 
 
@@ -555,23 +566,27 @@ def _cone_keeps(weights: Weights, kmax: int, k: int):
     return lambda w: descent(w) <= bound
 
 
-def _bruteforce_tower(cfg: Config, kmax: int, weights: Weights | None = None) -> FiltrationTower:
+def _bruteforce_tower(cfg: Config, kmax: int, weights: Weights) -> FiltrationTower:
     """The brute-force tower M_0 .. M_kmax, each level closing only the
-    rows new at the level below (:func:`bruteforce_level`): whole, or with
-    the orbits ``weights`` of a certified explicit tower, each level k only
-    at the weights N_k of :func:`_cone_keeps` (the module docstring says
-    why the rows there are the whole level's).  Whole where a root of the
-    applier moves no weight by one shift (:func:`_generator_shifts`)."""
+    rows new at the level below (:func:`bruteforce_level`), each level k
+    only at the weights N_k of :func:`_cone_keeps`: with the orbits
+    ``weights`` of a certified explicit tower, the weights that reach a
+    representative one (the module docstring says why the rows there are
+    the whole level's).  One block, the whole levels, where ``weights`` has
+    no orbits or a root of the applier moves no weight by one shift
+    (:func:`_generator_shifts`)."""
     levels = [build_M0(cfg)]
-    shifts = None if weights is None else _generator_shifts(cfg.n, cfg.n1, cfg.n2)
-    of = None if shifts is None else {piv: weights.of(piv) for piv in levels[0].rows}
+    shifts = _generator_shifts(cfg.n, cfg.n1, cfg.n2) if weights.orbits else None
+    if shifts is None:
+        weights, shifts = Weights.ungraded(cfg, cfg.space), (0,) * len(generators(cfg.n))
+    of = {piv: weights.of(piv) for piv in levels[0].rows}
     fresh = None
     for k in range(kmax):
         tags: dict = {}
-        cone = None if of is None else (_cone_keeps(weights, kmax, k + 1), shifts, of)
+        cone = _cone_keeps(weights, kmax, k + 1), shifts, of
         levels.append(bruteforce_level(cfg, levels[k], fresh, tags, cone))
         fresh = tags
-    return FiltrationTower(cfg, "bruteforce", levels, None if of is None else weights, of)
+    return FiltrationTower(cfg, "bruteforce", levels, weights, of)
 
 
 def _pset_product(cfg: Config, combo: tuple, cache: dict) -> Poly:
@@ -594,48 +609,29 @@ def _pset_product(cfg: Config, combo: tuple, cache: dict) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _by_weight(items: list, weights=None) -> list[tuple]:
+def _by_weight(items: list, weights) -> list[tuple]:
     """``items`` grouped by their ``weights`` (a parallel iterable), each
-    group in the order of ``items``: a list of (w, [item, ...]).  Without
-    weights, one group [(None, items)]: a build that keeps every weight."""
-    if weights is None:
-        return [(None, items)]
+    group in the order of ``items``: a list of (w, [item, ...]), one group
+    (0, items) in a one-block build."""
     groups: dict = {}
     for item, w in zip(items, weights):
         groups.setdefault(w, []).append(item)
     return list(groups.items())
 
 
-def _vector_weights(cache: dict, vectors: list[Poly]):
+def _vector_weights(cache: dict, vectors: list[Poly]) -> list:
     """The weights of generating vectors, each that of its leading monomial
-    (the certificate checked that each is a weight vector), or None where
-    the build keeps every weight."""
+    (the certificate checked that each is a weight vector)."""
     weights = cache["weights"]
-    return None if weights is None else [weights.of(max(v.terms)) for v in vectors]
-
-
-def _keeps(cache: dict, w) -> bool:
-    """Whether the build keeps the weight w: every weight (w is None) where
-    it has no orbits, else the representative ones."""
-    return w is None or cache["weights"].is_representative(w)
-
-
-def _kept_products(cache: dict, left: list, right: list):
-    """(w, a, b) for each group a of ``left`` and b of ``right``
-    (:func:`_by_weight`) whose products have a weight w the build keeps
-    (None where it keeps every weight, ``Weights.representative_sums``
-    where it has orbits)."""
-    weights = cache["weights"]
-    if weights is None:
-        return [(None, a, b) for _wa, a in left for _wb, b in right]
-    return weights.representative_sums(left, right)
+    return [weights.of(max(v.terms)) for v in vectors]
 
 
 def _insert(basis: EchelonBasis, vector, w, cache: dict):
     """Insert ``vector``, a weight vector of weight w, into ``basis``; with
     orbits, enter w as the weight of an accepted row's pivot (the last key
-    of ``basis.rows``) in ``cache["row-weights"]``."""
-    if basis.insert(vector) and w is not None:
+    of ``basis.rows``) in ``cache["row-weights"]``, which a one-block build,
+    whose rows are all at weight 0, leaves empty."""
+    if basis.insert(vector) and cache["weights"].orbits:
         cache["row-weights"][next(reversed(basis.rows))] = w
 
 
@@ -647,28 +643,25 @@ def _level_cells(cfg: Config, j: int, regime: str) -> list[tuple]:
 
 def _level_groups(cfg: Config, j: int, cache: dict) -> list[tuple]:
     """Monomial level j by weight (:func:`_by_weight`), enumerated and
-    grouped once: the whole level as one group where the build keeps every
-    weight; with orbits, only the weights of ``Weights.descent`` at most
-    the depth less j in the T-cell regime and 0 in the dprime regime, each
-    weighed as it is enumerated (``osc.enumerate_cells``).  Each group then
+    grouped once: only the weights of ``Weights.descent`` at most the depth
+    less j in the T-cell regime and 0 in the dprime regime, each weighed as
+    it is enumerated (``osc.enumerate_cells``); the whole level as one group
+    in a one-block build, whose every weight has descent 0.  Each group
     keeps the order of the whole level, and the groups come in the order of
     their first monomials there.  A build with orbits reads no level above
-    the depth its certificate covered."""
+    the depth its certificate covered; a one-block build has no such
+    depth."""
     groups = cache["tn-groups"]
     if j not in groups:
         cells = _level_cells(cfg, j, cache["regime"])
-        weights = cache["weights"]
-        if weights is None:
-            groups[j] = [(None, enumerate_cells(cfg, cells))]
-        else:
-            depth = cache["depth"]
-            if j > depth:
-                raise ValueError(f"monomial level {j} lies above the certified depth")
-            bound = 0 if cache["regime"] == "dprime" else depth - j
-            found: dict = {}
-            for w, m in enumerate_cells(cfg, cells, (weights, bound)):
-                found.setdefault(w, []).append(m)
-            groups[j] = list(found.items())
+        depth = cache["depth"]
+        if j > depth:
+            raise ValueError(f"monomial level {j} lies above the certified depth")
+        bound = 0 if cache["regime"] == "dprime" else depth - j
+        found: dict = {}
+        for w, m in enumerate_cells(cfg, cells, (cache["weights"], bound)):
+            found.setdefault(w, []).append(m)
+        groups[j] = list(found.items())
     return groups[j]
 
 
@@ -682,9 +675,7 @@ def _pset_groups(cfg: Config, size: int, cache: dict) -> list[tuple]:
     if size not in groups:
         combos = list(itertools.combinations_with_replacement(range(len(cache["pset"])), size))
         factor = _vector_weights(cache, cache["pset"])
-        groups[size] = _by_weight(
-            combos, None if factor is None else (sum(factor[c] for c in combo) for combo in combos)
-        )
+        groups[size] = _by_weight(combos, (sum(factor[c] for c in combo) for combo in combos))
     return groups[size]
 
 
@@ -702,7 +693,7 @@ def _tspan(cfg: Config, k: int, cache: dict) -> EchelonBasis:
         j = len(spans)
         span = spans[-1].copy() if spans else EchelonBasis(cfg.space)
         for w, level in _level_groups(cfg, j, cache):
-            if _keeps(cache, w):
+            if cache["weights"].is_representative(w):
                 for m in level:
                     _insert(span, tproj(m), w, cache)
         spans.append(span)
@@ -713,7 +704,8 @@ def _insert_tproducts(cfg: Config, basis: EchelonBasis, k: int, i: int, cache: d
     """Insert T(TN level k-i) * P^i, the part of S_k with i quadratic
     factors, at the weights the build keeps."""
     tproj = cache["tproj"]
-    groups = _kept_products(cache, _level_groups(cfg, k - i, cache), _pset_groups(cfg, i, cache))
+    levels, psets = _level_groups(cfg, k - i, cache), _pset_groups(cfg, i, cache)
+    groups = cache["weights"].representative_sums(levels, psets)
     for w, level, combos in groups:
         prods = [_pset_product(cfg, combo, cache) for combo in combos]
         for m in level:
@@ -753,7 +745,8 @@ def explicit_level(cfg: Config, k: int, cache: dict | None = None) -> EchelonBas
             if "base-groups" not in cache:
                 base = cache["base"]
                 cache["base-groups"] = _by_weight(base, _vector_weights(cache, base))
-            groups = _kept_products(cache, cache["base-groups"], _pset_groups(cfg, j, cache))
+            psets = _pset_groups(cfg, j, cache)
+            groups = cache["weights"].representative_sums(cache["base-groups"], psets)
             for w, vectors, combos in groups:
                 prods = [_pset_product(cfg, combo, cache) for combo in combos]
                 for b in vectors:
@@ -769,8 +762,9 @@ def _explicit_cache(cfg: Config) -> dict:
     regime = _regime(cfg)
     cache: dict = {
         "regime": regime,
-        "weights": None,  # every weight kept
-        "row-weights": None,  # pivot -> weight, filled where the build has orbits
+        "weights": Weights.ungraded(cfg, cfg.space),  # one block: every weight kept
+        "depth": inf,  # a one-block build reads every level
+        "row-weights": {},  # pivot -> weight
         "pset": alternating_set(cfg),
         "pset-groups": {},
         "products": {},
@@ -869,9 +863,10 @@ def build_tower(
     the module docstring).  The explicit route builds each level only at the
     representative weights of the orbits of the relabellings its certificate
     admits (:func:`_orbit_generators`: block transpositions and the x/y
-    mirror), and whole where it admits none; it then enumerates each
-    monomial level only at the weights it reads (:func:`_level_groups`) and
-    carries the weight of each row's pivot in ``row_weights``.  ``whole``
+    mirror), and whole, as one block (``Weights.ungraded``), where it
+    admits none; it then enumerates each monomial level only at the
+    weights it reads (:func:`_level_groups`) and carries the weight of each
+    row's pivot in ``row_weights``.  ``whole``
     builds every weight at once, with no certificate, for a caller that
     reads the rows: the annihilator, a tower dump, and the ``levels`` of a
     tower with orbits, read where a certificate of the applier refuses the
@@ -880,7 +875,7 @@ def build_tower(
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if method == "bruteforce":
-        return _bruteforce_tower(cfg, kmax)
+        return _bruteforce_tower(cfg, kmax, Weights.ungraded(cfg, cfg.space))
     if method != "explicit":
         raise ValueError(f"unknown tower method {method!r}")
     cache = _explicit_cache(cfg)
@@ -888,7 +883,6 @@ def build_tower(
     if found:
         cache["weights"] = Weights(cfg, cfg.space, found)
         cache["depth"] = kmax
-        cache["row-weights"] = {}
     levels = [explicit_level(cfg, k, cache) for k in range(kmax + 1)]
     name = {"T-cell": "explicit", "dprime": "explicit-dprime"}.get(
         cache["regime"], "product-span"
@@ -923,8 +917,9 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     weight.  The weight of a row is the one the cone carried
     (``row_weights``), or its pivot's where a root of the applier moves no
     weight by one shift and the brute-force levels are whole.  Where any
-    certificate refuses, the whole explicit levels (``levels``) are read
-    and the whole brute-force levels built, and every row is looked up.
+    certificate refuses, both sides are one block (``Weights.ungraded``):
+    the whole explicit levels (``levels``) are read and the whole
+    brute-force levels built, and every row is looked up.
 
     Where level k-1 was equal and both towers nest, a brute-force row that
     level k shares with level k-1 (the same dict, shared by
@@ -935,22 +930,18 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     explicit = build_tower(cfg, kmax, "explicit")
     weights = explicit.weights
-    certified = weights is None or (
+    if weights.orbits and not (
         applier_is_representation(n, n1, n2)
         and block_permutations_commute(n, n1, n2)
         and (not weights.mirror or mirror_commutes(n, n1, n2))
-    )
-    if certified:
-        rows, brute = explicit.built, _bruteforce_tower(cfg, kmax, weights)
-    else:
-        rows, brute = explicit.levels, _bruteforce_tower(cfg, kmax)
-    skips = None  # pivot -> whether its row's weight represents no orbit
-    if certified and weights is not None:
-        of = weights.of if brute.row_weights is None else brute.row_weights.__getitem__
-
-        def skips(piv):
-            return not weights.is_representative(of(piv))
-
+    ):
+        weights = Weights.ungraded(cfg, cfg.space)
+    rows = explicit.built if weights.orbits else explicit.levels
+    brute = _bruteforce_tower(cfg, kmax, weights)
+    # the weight of a brute-force row: the one its build carried, or its
+    # pivot's where the brute-force tower is one block and the explicit not
+    of = brute.row_weights.__getitem__ if brute.weights.orbits == weights.orbits else weights.of
+    keeps = weights.is_representative
     nested = explicit.check_nested() and brute.check_nested()
     dims, brute_dims = explicit.dims, brute.dims
     per_level = []
@@ -960,7 +951,7 @@ def compare_towers(cfg: Config, kmax: int) -> dict:
         eq = brute_dims[k] == dims[k]
         if eq:
             for piv, row in level.rows.items():
-                if below.get(piv) is row or (skips is not None and skips(piv)):
+                if below.get(piv) is row or not keeps(of(piv)):
                     continue
                 if not rows[k].contains(row):
                     eq = False
@@ -1143,7 +1134,8 @@ def tower_from_dict(data: dict) -> FiltrationTower:
         for text in rows:
             basis.insert(parse_poly(cfg.space, text))
         levels.append(basis)
-    tower = FiltrationTower(cfg, data.get("method", "loaded"), levels)
+    whole = Weights.ungraded(cfg, cfg.space)
+    tower = FiltrationTower(cfg, data.get("method", "loaded"), levels, whole)
     if tower.dims != data["dims"]:
         raise ValueError("tower dump dimensions do not match its rows")
     return tower

@@ -128,10 +128,10 @@ class EchelonBasis:
         rows = self.rows
         while row:
             lead = max(row)
-            prow = rows.get(lead)
-            if prow is None:
+            pivot = rows.get(lead)
+            if pivot is None:
                 return row
-            _eliminate(row, prow, lead)
+            _eliminate(row, pivot, lead)
         return row
 
     def _terms(self, p) -> dict:

@@ -611,26 +611,13 @@ def dfun_monomial(cfg: Config, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, k: int):
-    """All k-tuples of nonnegative integers summing to total."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
 class _Cells:
     """The walk of ``enumerate_cells`` over the cells of one layout: the
-    bit offsets of the variables' fields, the weights and gaps a ``cone``
-    prunes by, and each block's splits, memoized by block and sums."""
+    bit offsets of the variables' fields, the weights and gaps the cone
+    (``weights``, ``bound``) prunes by, and each block's splits, memoized
+    by block and sums."""
 
-    def __init__(self, cfg: Config, cone):
+    def __init__(self, cfg: Config, weights: Weights, bound: int):
         sp = cfg.space
         n, n1, n2 = cfg.n, cfg.n1, cfg.n2
         self.space = sp
@@ -641,41 +628,36 @@ class _Cells:
         self.xshift = [sp.shift[sp.x(i)] for i in range(1, n + 1)]
         self.yshift = [sp.shift[sp.y(i)] for i in range(1, n + 1)]
         self.memo: dict = {}
-        self.bound = None
-        if cone is not None:
-            weights, self.bound = cone
-            if any(i in (n1, n2) for i in weights.transpositions):
-                raise ValueError("a transposition joins two blocks")
-            # per index i: the entries at i of the weights of x_i and y_i,
-            # the only ones they have, and the weights themselves
-            self.steps = []
-            for i in range(1, n + 1):
-                pair = [weights.position[sp.x(i)], weights.position[sp.y(i)]]
-                entries = []
-                for w in pair:
-                    mu = weights.entries(w)
-                    if any(mu[: i - 1]) or any(mu[i:]):
-                        raise ValueError(f"a weight of index {i} has entries off index {i}")
-                    entries.append(mu[i - 1])
-                self.steps.append((*entries, *pair))
-            # whether (i-1 i) is a transposition: a gap between entries i-1 and i
-            self.joined = [i - 1 in weights.transpositions for i in range(1, n + 1)]
+        self.bound = bound
+        if any(i in (n1, n2) for i in weights.transpositions):
+            raise ValueError("a transposition joins two blocks")
+        # per index i: the entries at i of the weights of x_i and y_i, the
+        # only ones they have, and the weights themselves
+        self.steps = []
+        for i in range(1, n + 1):
+            pair = [weights.position[sp.x(i)], weights.position[sp.y(i)]]
+            entries = []
+            for w in pair:
+                mu = weights.entries(w)
+                if any(mu[: i - 1]) or any(mu[i:]):
+                    raise ValueError(f"a weight of index {i} has entries off index {i}")
+                entries.append(mu[i - 1])
+            self.steps.append((*entries, *pair))
+        # whether (i-1 i) is a transposition: a gap between entries i-1 and i
+        self.joined = [i - 1 in weights.transpositions for i in range(1, n + 1)]
 
     def splits(self, lo: int, hi: int, a: int, b: int) -> dict:
         """The monomials of x degree a and y degree b in the variables of
         the indices lo+1..hi, one block: a dict mapping each x part (the
         packed exponents of its x variables, no degree field) to the list of
-        the y parts it goes with, both in increasing lexicographic order of
-        their exponents; in the middle block, none with both exponents of
-        index n1+1 positive.
-
-        Without a cone a y part is a packed int.  With one it is (y part,
-        w, g), w the weight of the block's monomial and g the sum of its
-        gaps max(0, mu_i - mu_{i+1}) over the transpositions (i i+1), and a
-        monomial with a gap above 2 bound or a gap sum above 4 bound is
-        dropped while its exponents are chosen, index by index: the weights
-        of x_i and y_i lie in entry i, so the exponents up to i fix the
-        entries up to i."""
+        the (y part, w, g) it goes with, both parts in increasing
+        lexicographic order of their exponents; in the middle block, none
+        with both exponents of index n1+1 positive.  w is the weight of the
+        block's monomial and g the sum of its gaps max(0, mu_i - mu_{i+1})
+        over the transpositions (i i+1), and a monomial with a gap above 2
+        bound or a gap sum above 4 bound is dropped while its exponents are
+        chosen, index by index: the weights of x_i and y_i lie in entry i,
+        so the exponents up to i fix the entries up to i."""
         key = lo, hi, a, b
         found = self.memo.get(key)
         if found is None:
@@ -688,24 +670,13 @@ class _Cells:
         bound = self.bound
         # one split at most, and no gap, in a block of one index or none
         if size == 0:
-            return {} if a or b else {0: [0 if bound is None else (0, 0, 0)]}
+            return {} if a or b else {0: [(0, 0, 0)]}
         if size == 1:
             if exclusive and a and b:
                 return {}
-            px, py = a << self.xshift[lo], b << self.yshift[lo]
-            if bound is None:
-                return {px: [py]}
             _ex, _ey, wx, wy = self.steps[lo]
-            return {px: [(py, a * wx + b * wy, 0)]}
+            return {a << self.xshift[lo]: [(b << self.yshift[lo], a * wx + b * wy, 0)]}
         xshift, yshift = self.xshift[lo:hi], self.yshift[lo:hi]
-        if bound is None:
-            ys = [(c[0], sum(e << s for e, s in zip(c, yshift))) for c in _compositions(b, size)]
-            every = [py for _first, py in ys]
-            unlike = [py for first, py in ys if not first]
-            return {
-                sum(e << s for e, s in zip(c, xshift)): unlike if exclusive and c[0] else every
-                for c in _compositions(a, size)
-            }
         steps, joined = self.steps[lo:hi], self.joined[lo:hi]
         found = []
 
@@ -737,7 +708,7 @@ class _Cells:
         return out
 
     def cell(self, cell: tuple) -> list:
-        """The monomials of one cell, as ``enumerate_cells`` lists them."""
+        """The (w, m) of one cell, as ``enumerate_cells`` lists them."""
         if min(cell) < 0:
             return []
         top = sum(cell) << self.space.dshift
@@ -749,16 +720,6 @@ class _Cells:
         middle = first and self.splits(lo2, hi2, a2, b2)
         last = middle and self.splits(lo3, hi3, a3, b3)
         if not last:
-            return out
-        if self.bound is None:
-            for xa, ya_list in first.items():
-                for xb, yb_list in middle.items():
-                    for xc, yc_list in last.items():
-                        x = top + xa + xb + xc
-                        for ya in ya_list:
-                            for yb in yb_list:
-                                base = x + ya + yb
-                                out.extend([base + yc for yc in yc_list])
             return out
         cap = 4 * self.bound
         for xa, ya_list in first.items():
@@ -787,12 +748,15 @@ def enumerate_cells(cfg: Config, cells, cone=None) -> list:
     where every gap is at most 2 bound and the gaps of the three blocks add
     up to at most 4 bound: each block is pruned by its own gaps
     (``_Cells.splits``), and their sum is checked as the blocks combine.
+    Without a cone the walk is that of the one-block ``Weights.ungraded``,
+    which keeps every monomial, at weight 0, and the weights are dropped.
     """
-    walk = _Cells(cfg, cone)
+    weights, bound = cone or (Weights.ungraded(cfg, cfg.space), 0)
+    walk = _Cells(cfg, weights, bound)
     out: list = []
     for cell in cells:
         out.extend(walk.cell(cell))
-    return out
+    return out if cone else [m for _w, m in out]
 
 
 def enumerate_block_sums(
@@ -1460,6 +1424,12 @@ class Weights:
     it is represented by the smaller of the two ascending weights, and its
     size doubles where they differ.  ``sorter`` and ``order_type``, which
     relabel by permutations alone, refuse such an instance.
+
+    ``Weights.ungraded`` is the one-block grading: every position has
+    weight 0 and there are no relabellings, so every monomial lies in the
+    one block of weight 0, its own orbit of size 1, and a build by weight
+    runs as a whole build, in the same order.  Whether a build has orbits
+    (``orbits``) is the only switch a caller reads.
     """
 
     def __init__(self, cfg: Config, space: Space, relabellings=()):
@@ -1507,6 +1477,16 @@ class Weights:
         self._sizes: dict = {}  # w -> orbit_size(w)
         self._keys: dict = {}  # w -> its key in representative_sums
 
+    @classmethod
+    @cache
+    def ungraded(cls, cfg: Config, space: Space) -> Weights:
+        """The one-block grading of ``space``: every position at weight 0,
+        no relabellings.  One instance per layout and space, as its answers
+        never change."""
+        weights = cls(cfg, space)
+        weights.position = (0,) * len(weights.position)
+        return weights
+
     def _fields(self, w: int) -> tuple:
         """mu_a + 2^(B-1) for a = 1..n."""
         return struct.unpack(self._format, (w + self._offset).to_bytes(self._size, "little"))
@@ -1532,10 +1512,13 @@ class Weights:
     def minor(self, rows, cols) -> int:
         """The weight of the symbol minor on ``rows`` and ``cols``: each of
         its terms is a product of entries e_{j,i}, j in rows and i in cols,
-        one per row and per column (a diagonal entry, a Cartan combination,
-        has weight 0 = eps_j - eps_j)."""
-        bits = self.bits
-        return sum(1 << bits * (j - 1) for j in rows) - sum(1 << bits * (i - 1) for i in cols)
+        one per row and per column, so it has the weight of the product of
+        the entries e_{rows[k], cols[k]}, read off ``position`` (a diagonal
+        entry, a Cartan combination, has weight 0 = eps_j - eps_j).  The
+        root e_{j,i} sits at n - 1 + (j - 1)(n - 1) + i - 1 - [i > j] in
+        ``generators`` order."""
+        n, position = self.n, self.position
+        return sum(position[j * (n - 1) + i - 1 - (i > j)] for j, i in zip(rows, cols) if i != j)
 
     def order_type(self, rows, cols) -> int:
         """A key that two pairs of index sets (rows, cols) share exactly

@@ -1040,7 +1040,9 @@ def test_piece_reads_the_tower_only_to_its_target(tower_kmax, p):
         full = compute_annihilator_piece(tower, p, kmax, claimed)
         piece = compute_annihilator_piece(short, p, kmax, claimed)
         assert piece.blocks == full.blocks
-        assert list(map(piece.orbit_size, piece.blocks)) == list(map(full.orbit_size, full.blocks))
+        assert list(map(piece.weights.orbit_size, piece.blocks)) == list(
+            map(full.weights.orbit_size, full.blocks)
+        )
         assert piece.split_symbols == full.split_symbols
         assert piece.stabilized == full.stabilized == (kmax > p)
     elif not _generated_by_base(short) and short.depth < kmax - 1:
@@ -1097,7 +1099,7 @@ def _same_kernels(pieces, every_weight) -> bool:
     return len(pieces) == len(every_weight) and all(
         (got.stabilized, got.unknown_count, list(got.coordinate_members))
         == (want.stabilized, want.unknown_count, list(want.coordinate_members))
-        and all(want.orbit_size(w) == 1 for w in want.blocks)
+        and all(want.weights.orbit_size(w) == 1 for w in want.blocks)
         and _spans_kernel(got, [v for block in want.blocks.values() for v in block], pure=True)
         for got, want in zip(pieces, every_weight)
     )
@@ -1168,10 +1170,10 @@ def test_blockwise_piece_has_the_span_and_dimensions_of_the_full_solve(cfg_kmax)
         assert piece.dim == len(piece.coordinate_members) + len(full)
         assert piece.stabilized == stabilized
         weights = piece.weights
-        assert weights is not None
+        assert any(weights.position)  # graded
         if p == 1 or not _tower_relabellings(tower):
             # the Cartan symbols are unknowns at degree 1: no orbit but a point
-            assert all(piece.orbit_size(w) == 1 for w in piece.blocks)
+            assert all(weights.orbit_size(w) == 1 for w in piece.blocks)
         # every weight's block has the dimension of its representative's,
         # and every weight of an orbit is counted by its size
         found = _by_weight(sp, weights, full)
@@ -1277,14 +1279,15 @@ def test_base_that_is_not_h_stable_is_one_block():
     axpy(mixed, 1, rows[0])
     axpy(mixed, 1, rows[1])
     assert osc.weight(cfg, Poly(cfg.space, mixed)) is None
-    skewed = FiltrationTower(cfg, "explicit", [echelon_from(cfg.space, [mixed])] + tower.levels[1:])
+    levels = [echelon_from(cfg.space, [mixed])] + tower.levels[1:]
+    skewed = FiltrationTower(cfg, "explicit", levels, Weights.ungraded(cfg, cfg.space))
     _, preservers = system_rows(skewed)
     assert not preservers.issuperset(range(cfg.n - 1))
     sp = symbol_space(cfg.n)
     for p in (1, 2, 3):
         piece = compute_annihilator_piece(skewed, p, 4, predicted_level_preservers(cfg))
         full, _stabilized = _full_solve(skewed, p, 4, piece.split_symbols)
-        assert piece.weights is None and piece.blocks == {None: full}
+        assert not any(piece.weights.position) and piece.blocks == {0: full}
         assert all(piece.holds(Poly(sp, v)) for v in full)
 
 
@@ -1370,6 +1373,28 @@ def test_grading_transpositions_are_pinned(params, admitted):
     assert found == [(), tuple(admitted), tuple(admitted)]
 
 
+@pytest.mark.parametrize("kmax", [3, 4])
+def test_one_presentation_runs_the_relabelling_certificate_twice(monkeypatch, kmax):
+    # once on the rows of M_0 (the tower's relabellings) and once on the
+    # alphabet, which the degree-2 and degree-3 pieces share: they read one
+    # grading, with its memo of orbits
+    cfg = Config(6, 2, 4, -1, -1)
+    calls = []
+    real = annihilator.admitted
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(annihilator, "admitted", counting)
+    verify_variety_presentation(cfg, kmax)
+    assert len(calls) == 2
+    tower = presentation_tower(cfg, kmax)
+    d2, d3 = (annihilator._solve(tower, p, kmax) for p in (2, 3))
+    assert d2.weights is d3.weights and d2.weights.orbits
+    assert list(tower.derived["gradings"].values()) == [d2.weights]
+
+
 def test_rows_not_closed_under_the_transpositions_fall_back():
     # (4,4,4,-2,1): both certificates hold and the tower is U_k(g) M_0,
     # but a transposition inside J1 takes a row of M_0 off the rows
@@ -1392,11 +1417,14 @@ def test_tower_with_rows_above_its_base_walks_every_row():
     # (6,2,4,-1,-1) without level 1: M_2 has rows beyond the closure of M_0
     cfg = Config(6, 2, 4, -1, -1)
     full = build_tower(cfg, 3, "explicit")
-    skipped = FiltrationTower(cfg, "explicit", [full.levels[0], full.levels[2], full.levels[3]])
+    whole = Weights.ungraded(cfg, cfg.space)
+    skipped = FiltrationTower(
+        cfg, "explicit", [full.levels[0], full.levels[2], full.levels[3]], whole
+    )
     assert not _generated_by_base(skipped)
     assert _tower_relabellings(full) and not _tower_relabellings(skipped)
     with _no_permutation_certificate():
-        unpatched = FiltrationTower(cfg, "explicit", list(skipped.levels))
+        unpatched = FiltrationTower(cfg, "explicit", list(skipped.levels), whole)
         want = _pieces(unpatched, 3)
     assert _same_kernels(_pieces(skipped, 3), want)
 

@@ -419,8 +419,12 @@ def test_kernel_over_the_sized_view_equals_the_list(case, degree, rng):
 
 def _one_block(check, cfg, degree):
     """The report of ``check`` with the grading certificate refused: every
-    monomial of a degree in one block, the solve of the whole degree."""
-    with mock.patch.object(detvar, "_grading", lambda *args: None):
+    monomial of a degree in one block (``Weights.ungraded``), the solve of
+    the whole degree."""
+    def ungraded(cfg, space, *args):
+        return Weights.ungraded(cfg, space)
+
+    with mock.patch.object(detvar, "_grading", ungraded):
         return check(cfg, degree)
 
 
@@ -554,7 +558,8 @@ def test_a_weight_on_column_zero_is_refused(monkeypatch):
             )
 
     monkeypatch.setattr(detvar, "Weights", ColumnZeroWeighted)
-    assert detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3)) is None
+    weights = detvar._grading(cfg, EXT7, ("phi",), minor_generators(EXT7, 3))
+    assert not weights.orbits and not any(weights.position)  # one block
     assert verify_minor3_kernel(cfg, 4) == _one_block(verify_minor3_kernel, cfg, 4)
 
 

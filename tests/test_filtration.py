@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -52,6 +54,13 @@ from oscvar.poly import Poly, axpy, monomials, parse_poly, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
+WHOLE = Weights.ungraded(CFG, SP)
+
+
+def _one_block(weights) -> bool:
+    """Whether ``weights`` is the one-block grading: no orbits, and every
+    position at weight 0."""
+    return not weights.orbits and not any(weights.position)
 
 
 def P(text):
@@ -194,7 +203,7 @@ def test_hilbert_sequence():
     assert seq[0] == tower.dims[0] == 1
     assert seq[:2] == [1, 3]
     assert all(d >= 0 for d in seq)
-    single = FiltrationTower(CFG, "explicit", [tower.levels[0]])
+    single = FiltrationTower(CFG, "explicit", [tower.levels[0]], WHOLE)
     assert hilbert_sequence(single) == [1]
 
 
@@ -519,7 +528,8 @@ def _assert_closures_match_oracles(cfg, kmax):
     # has rows outside the closure of M_0 (generators above it, untagged)
     towers = [explicit]
     if kmax >= 2:
-        towers.append(FiltrationTower(cfg, "explicit", explicit.levels[:1] + explicit.levels[2:]))
+        skipped = explicit.levels[:1] + explicit.levels[2:]
+        towers.append(FiltrationTower(cfg, "explicit", skipped, Weights.ungraded(cfg, cfg.space)))
     for tower in towers:
         fresh, failed = _system_rows_oracle(tower)
         if failed is None:
@@ -1005,11 +1015,11 @@ def test_check_nested_reads_a_row_missing_from_the_level_above():
     missing = max(P("y3").terms)
     del high.rows[missing]
     high.insert(P("x1^2"))
-    assert not FiltrationTower(CFG, "explicit", [low, high]).check_nested()
+    assert not FiltrationTower(CFG, "explicit", [low, high], WHOLE).check_nested()
     # the same row as a fresh dict is found by reduction
     high.insert(P("y3"))
     assert high.rows[missing] is not low.rows[missing]
-    assert FiltrationTower(CFG, "explicit", [low, high]).check_nested()
+    assert FiltrationTower(CFG, "explicit", [low, high], WHOLE).check_nested()
 
 
 def _whole_payload(cfg, kmax, brute=None, whole=None):
@@ -1077,8 +1087,8 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
     cfg, kmax = cfg_kmax
     tower = build_tower(cfg, kmax, "explicit")
     # the levels read from a tower, the whole build: the one whole explicit
-    # tower this test builds
-    whole = FiltrationTower(cfg, tower.method, tower.levels)
+    # tower this test builds, and the one whole brute-force tower
+    whole = FiltrationTower(cfg, tower.method, tower.levels, Weights.ungraded(cfg, cfg.space))
     brute = build_tower(cfg, kmax, "bruteforce")
     oracle = _whole_payload(cfg, kmax, brute, whole)
     assert tower.dims == [b.dim for b in whole.levels]
@@ -1087,7 +1097,7 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
     )
     assert compare_towers(cfg, kmax) == oracle
     weights = tower.weights
-    if weights is not None:
+    if weights.orbits:
         # the levels read from the tower are whole: at the representative
         # weights they span what the representative rows span.  Each of
         # those rows carries its pivot's weight
@@ -1115,10 +1125,18 @@ def test_representative_weights_match_the_whole_build(cfg_kmax):
                 return [(piv, row) for piv, row in level.rows.items() if keeps(weights.of(piv))]
 
             assert kept(cone.built[k]) == kept(brute.levels[k])
-        # and the levels read from it are the whole brute-force levels
-        assert [list(b.rows.items()) for b in cone.levels] == [
-            list(b.rows.items()) for b in brute.levels
-        ]
+        # and the levels read from it are the whole brute-force levels: the
+        # one-block build of its depth, which ``build_tower`` made as brute
+        assert _one_block(brute.weights)
+        calls = []
+
+        def whole_build(c, k, w):
+            calls.append((c, k, _one_block(w)))
+            return brute
+
+        with mock.patch.object(filtration, "_bruteforce_tower", whole_build):
+            assert cone.levels is brute.levels
+        assert calls == [(cfg, kmax, True)]
 
 
 def _orbits(cfg, kmax, cache=None):
@@ -1143,7 +1161,7 @@ def test_admitted_transpositions_are_pinned(params, admitted):
     if admitted:
         assert tower.weights.transpositions == tuple(admitted)
     else:
-        assert tower.weights is None
+        assert _one_block(tower.weights)
 
 
 @pytest.mark.parametrize("params, admitted, mirror", [
@@ -1308,7 +1326,7 @@ def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
     sp = cfg.space
     _extra_root_term(cfg, ("e", 1, 3), (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
     assert filtration._generator_shifts(5, 2, 3) is None
-    assert filtration._bruteforce_tower(cfg, 4, weights).weights is None
+    assert _one_block(filtration._bruteforce_tower(cfg, 4, weights).weights)
 
 
 def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
@@ -1319,7 +1337,7 @@ def test_a_base_that_loses_a_vector_gets_no_orbits(monkeypatch):
     monkeypatch.setattr(filtration, "base_space_vectors", lambda *a: real(*a)[:-1])
     assert _orbits(cfg, 4) == ([], False)
     tower = build_tower(cfg, 4, "explicit")
-    assert tower.weights is None
+    assert _one_block(tower.weights)
     assert tower.dims == [b.dim for b in build_tower(cfg, 4, whole=True).levels]
 
 
@@ -1432,6 +1450,29 @@ def _cone_example(params, j, transpositions, mirror, bound):
     return cfg, osc.tn_cells(cfg, j), weights, bound
 
 
+def _cell_oracle(cfg, cell) -> list:
+    """The monomials of one cell of ``osc.enumerate_block_sums``, in
+    increasing order: the products of one monomial of each block's x and y
+    variables, of the cell's block sums (``poly.monomials`` of those
+    variables), less those with both x and y at n1+1 where J2 is not
+    empty."""
+    if min(cell) < 0:
+        return []
+    sp, n, n1, n2 = cfg.space, cfg.n, cfg.n1, cfg.n2
+    blocks = [range(1, n1 + 1), range(n1 + 1, n2 + 1), range(n2 + 1, n + 1)]
+    parts = [
+        list(monomials(SimpleNamespace(unit=[sp.unit[var(i)] for i in block]), (d,)))
+        for var, block, d in zip([sp.x] * 3 + [sp.y] * 3, blocks * 2, cell)
+    ]
+    out = []
+    for combo in itertools.product(*parts):
+        m = sum(combo)
+        e = sp.unpack(m)
+        if not (n1 < n2 and e[sp.x(n1 + 1)] and e[sp.y(n1 + 1)]):
+            out.append(m)
+    return sorted(out)
+
+
 @st.composite
 def cone_inputs(draw):
     """(cfg, cells, weights, bound): the cells of a TN or dprime level of a
@@ -1459,7 +1500,8 @@ def test_the_cone_is_the_whole_level_filtered_by_descent(cone):
     # the same monomials, each with its weight, in the order of the whole
     # level: so each weight's monomials keep their order too
     cfg, cells, weights, bound = cone
-    whole = osc.enumerate_cells(cfg, cells)
+    whole = [m for cell in cells for m in _cell_oracle(cfg, cell)]
+    assert osc.enumerate_cells(cfg, cells) == whole
     want = [(weights.of(m), m) for m in whole if weights.descent(weights.of(m)) <= bound]
     assert osc.enumerate_cells(cfg, cells, (weights, bound)) == want
 
@@ -1482,8 +1524,8 @@ def test_comparison_reads_the_whole_levels_where_a_certificate_refuses(monkeypat
             whole.append(tower)
         return tower
 
-    def brute(c, k, weights=None):
-        cones.append(weights is not None)
+    def brute(c, k, weights):
+        cones.append(weights.orbits)
         return real_brute(c, k, weights)
 
     monkeypatch.setattr(filtration, "build_tower", build)
@@ -1510,16 +1552,16 @@ def test_a_representative_level_missing_a_row_fails_the_comparison(monkeypatch):
     assert not rep["all_equal"]
 
 
-def _new_rows(brute, weights=None, of=None):
+def _new_rows(brute, weights, of):
     """The rows of each brute-force level that the level below does not
-    share, at representative weights where ``weights`` is given (``of``
-    weighs a pivot)."""
+    share, at the representative weights of ``weights`` (``of`` weighs a
+    pivot)."""
     out, below = [], {}
     for level in brute.built:
         for piv, row in level.rows.items():
             if below.get(piv) is row:
                 continue
-            if weights is None or weights.is_representative(of(piv)):
+            if weights.is_representative(of(piv)):
                 out.append(row)
         below = level.rows
     return out
@@ -1536,7 +1578,7 @@ def _recording(monkeypatch):
         towers[method] = real_build(c, k, method, **kw)
         return towers[method]
 
-    def brute_build(c, k, weights=None):
+    def brute_build(c, k, weights):
         towers["bruteforce"] = real_brute(c, k, weights)
         return towers["bruteforce"]
 
@@ -1567,8 +1609,7 @@ def test_compare_towers_looks_up_each_new_brute_force_row_once(monkeypatch, para
     rep = compare_towers(cfg, kmax)
     assert rep["all_equal"] and rep["nested"]
     brute, weights = towers["bruteforce"], towers["explicit"].weights
-    of = None if weights is None else brute.row_weights.__getitem__
-    new = _new_rows(brute, weights, of)
+    new = _new_rows(brute, weights, brute.row_weights.__getitem__)
     assert _looked_up(towers, lookups) == sorted(map(id, new))
     # each level shares rows with the one below
     assert len(new) < sum(level.dim for level in brute.built)
@@ -1585,8 +1626,10 @@ def _crafted_payload(monkeypatch, explicit, brute):
             level.insert(P(text))
         levels.append(level)
     rows = [echelon_from(SP, [P(text) for text in texts]) for texts in explicit]
-    explicit_tower = FiltrationTower(CFG, "explicit", rows)
-    brute_tower = FiltrationTower(CFG, "bruteforce", levels)
+    explicit_tower = FiltrationTower(CFG, "explicit", rows, WHOLE)
+    # one block, as ``_bruteforce_tower`` builds it: every row at weight 0
+    zeros = {piv: 0 for level in levels for piv in level.rows}
+    brute_tower = FiltrationTower(CFG, "bruteforce", levels, WHOLE, zeros)
     monkeypatch.setattr(filtration, "build_tower", lambda *a, **kw: explicit_tower)
     monkeypatch.setattr(filtration, "_bruteforce_tower", lambda *a: brute_tower)
     rep = compare_towers(CFG, len(levels) - 1)
@@ -1625,10 +1668,10 @@ def test_comparison_weighs_the_pivots_of_a_whole_brute_force_tower(monkeypatch, 
     towers, lookups = _recording(monkeypatch)
     assert compare_towers(cfg, 4) == oracle
     brute, weights = towers["bruteforce"], towers["explicit"].weights
-    assert brute.weights is None and weights is not None
+    assert _one_block(brute.weights) and weights.orbits
     new = _new_rows(brute, weights, weights.of)
     assert _looked_up(towers, lookups) == sorted(map(id, new))
-    assert len(new) < len(_new_rows(brute))
+    assert len(new) < len(_new_rows(brute, brute.weights, brute.row_weights.__getitem__))
 
 
 def test_xy_weights_are_the_cartan_eigenvalues_less_their_constants():

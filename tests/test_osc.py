@@ -13,6 +13,7 @@ from oscvar import osc
 from oscvar.detvar import extended_ring, restricted_ring
 from oscvar.osc import (
     Config,
+    Weights,
     apply_generator,
     apply_generator_terms,
     apply_weyl,
@@ -35,7 +36,7 @@ from oscvar.osc import (
     weyl_forms,
     weyl_mul,
 )
-from oscvar.poly import Poly, axpy, monomials, parse_poly, xy_space
+from oscvar.poly import Poly, axpy, monomials, parse_poly, symbol_space, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -540,3 +541,40 @@ def test_block_transpositions_stay_inside_the_blocks():
         assert block_transpositions(n, n1, n2) == [
             i for i in range(1, n) if any(i in b and i + 1 in b for b in blocks)
         ]
+
+
+def _spaces(cfg):
+    """The xy, symbol and z spaces of a layout; a restricted z ring only
+    where J1 and J3 are not empty."""
+    out = [cfg.space, symbol_space(cfg.n), extended_ring(cfg)]
+    return out + ([restricted_ring(cfg)] if cfg.J3 else [])
+
+
+def test_the_ungraded_weights_are_one_block_of_size_one():
+    # every monomial at weight 0, every weight its own orbit of size 1, and
+    # a symbol minor at weight 0: the graded weights of the same space give
+    # the weights to ask about
+    for n in range(2, 7):
+        for n1 in range(1, n + 1):
+            for n2 in range(n1, n + 1):
+                cfg = Config(n, n1, n2)
+                for space in _spaces(cfg):
+                    one, graded = Weights.ungraded(cfg, space), Weights(cfg, space)
+                    assert not one.orbits and not any(one.position)
+                    ms = list(monomials(space, range(3)))
+                    assert {one.of(m) for m in ms} == {0}
+                    assert one.homogeneous(ms) == 0
+                    for w in {graded.of(m) for m in ms}:
+                        assert one.is_representative(w) and one.representative(w) == w
+                        assert one.sorter(w) == (w, None)
+                        assert (one.orbit_size(w), one.descent(w)) == (1, 0)
+                    assert list(one.representative_sums([(0, "a")], [(0, "b")])) == [(0, "a", "b")]
+                    keys = []
+                    for t in range(1, min(n, 3) + 1):
+                        for rows in itertools.combinations(range(1, n + 1), t):
+                            for cols in itertools.combinations(range(1, n + 1), t):
+                                if space.kind == "sym":
+                                    assert one.minor(rows, cols) == 0
+                                keys.append((t, one.order_type(rows, cols)))
+                    assert len(set(keys)) == len(keys)
+
