@@ -169,7 +169,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, gcd, inf
 
-from .linalg import EchelonBasis, echelon_from
+from .linalg import EchelonBasis, canonical_levels, echelon_from
 from .osc import (
     Config,
     Table,
@@ -484,12 +484,13 @@ def bruteforce_level(
     ``cone`` is (keeps, shifts, of): the test of the weights the level
     keeps, the weight each generator moves a weight vector by (in
     ``generators`` order) and a dict of the weight of the pivot of every
-    row built so far.  The image g_b r is formed only where the weight of
-    r moved by the shift of g_b is one ``keeps`` accepts, and each accepted
-    row's weight is entered in ``of``.  So at a kept weight the level
-    inserts what the whole level inserts there, in the same order, wherever
-    prev agrees with the whole level at the weights the images come from
-    (:func:`_bruteforce_tower`).
+    row built so far, or None where every weight is 0 (the default, whose
+    weights no caller reads).  The image g_b r is formed only where the
+    weight of r moved by the shift of g_b is one ``keeps`` accepts, and
+    each accepted row's weight is entered in ``of``.  So at a kept weight
+    the level inserts what the whole level inserts there, in the same
+    order, wherever prev agrees with the whole level at the weights the
+    images come from (:func:`_bruteforce_tower`).
     """
     nxt = prev.copy()
     ordered = applier_is_representation(cfg.n, cfg.n1, cfg.n2)
@@ -497,10 +498,11 @@ def bruteforce_level(
         fresh = dict.fromkeys(prev.rows)
     if cone is None:
         whole = Weights.ungraded(cfg, cfg.space)
-        cone = whole.is_representative, (0,) * len(generators(cfg.n)), dict.fromkeys(prev.rows, 0)
+        cone = whole.is_representative, (0,) * len(generators(cfg.n)), None
     keeps, shifts, of = cone
+    weight = (lambda piv: 0) if of is None else of.__getitem__
     todo = sorted(
-        ((-1 if tag is None else tag, prev.rows[piv], of[piv]) for piv, tag in fresh.items()),
+        ((-1 if tag is None else tag, prev.rows[piv], weight(piv)) for piv, tag in fresh.items()),
         key=lambda item: item[0],
     )
     verdicts: dict = {}  # weight -> keeps(weight)
@@ -521,7 +523,8 @@ def bruteforce_level(
                 piv = next(reversed(nxt.rows))
                 if tags is not None:
                     tags[piv] = b if ordered else None
-                of[piv] = w
+                if of is not None:
+                    of[piv] = w
     return nxt
 
 
@@ -1107,9 +1110,7 @@ def tower_to_dict(tower: FiltrationTower) -> dict:
         },
         "method": tower.method,
         "dims": tower.dims,
-        "levels": [
-            [render(row) for row in basis.canonical_rows()] for basis in tower.levels
-        ],
+        "levels": [[render(row) for row in rows] for rows in canonical_levels(tower.levels)],
     }
 
 

@@ -205,19 +205,7 @@ class EchelonBasis:
         This reduced form depends only on the span, not on insertion
         order, and is the form used in dumps and golden comparisons.
         """
-        pivots = sorted(self.rows)  # ascending
-        reduced: dict = {}
-        for piv in pivots:
-            row = dict(self.rows[piv])
-            while True:
-                hits = [m for m in row if m != piv and m in reduced]
-                if not hits:
-                    break
-                for mon in sorted(hits, reverse=True):
-                    if mon in row:
-                        _eliminate(row, reduced[mon], mon)
-            reduced[piv] = _primitive(row, piv)
-        return [reduced[piv] for piv in reversed(pivots)]
+        return canonical_levels([self])[0]
 
     def sorted_rows(self) -> list:
         """Canonical rows as Polys, in decreasing pivot order."""
@@ -228,6 +216,31 @@ class EchelonBasis:
 
     def __repr__(self):
         return f"EchelonBasis(dim={self.dim})"
+
+
+def canonical_levels(levels) -> list[list[dict]]:
+    """``EchelonBasis.canonical_rows`` of each basis of ``levels`` in turn.
+    The canonical row at a pivot is the one primitive row of the span with
+    a positive lead there and no other pivot monomial, whatever row of the
+    span leading there it is reduced from.  A basis that stores every row
+    of the one before, the same dicts (as ``copy`` shares them), contains
+    its span, so it reduces each pivot they share from the canonical row
+    below, which lacks every pivot below already."""
+    out, below, prev = [], {}, {}  # below: pivot -> canonical row before
+    for basis in levels:
+        rows = basis.rows
+        start = below if all(rows.get(piv) is row for piv, row in prev.items()) else {}
+        reduced: dict = {}
+        for piv in sorted(rows):
+            row = dict(start.get(piv) or rows[piv])
+            while hits := sorted((m for m in row if m != piv and m in reduced), reverse=True):
+                for mon in hits:
+                    if mon in row:
+                        _eliminate(row, reduced[mon], mon)
+            reduced[piv] = _primitive(row, piv)
+        out.append([reduced[piv] for piv in reversed(reduced)])
+        below, prev = reduced, rows
+    return out
 
 
 def span_equal(a: EchelonBasis, b: EchelonBasis) -> bool:

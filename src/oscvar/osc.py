@@ -56,12 +56,14 @@ as identities rather than on finitely many monomials.
 ``applier_is_representation`` certifies a layout for the ordered closure
 of ``filtration``: the relations of the pairs of a Chevalley generator and
 a basis element, which imply all the others, and each generator's form
-against its applier on the monomials of degree <= 2 in the variables the
-two touch.  Where every permutation inside the blocks relabels the forms
-and the applier tables onto those of the relabelled generators, both are
-checked once per orbit of those permutations.  ``mirror_commutes`` checks
-the same way that conjugating by the x/y mirror x_a <-> y_{n+1-a} takes
-each pi(E_ab) to -pi(E_{n+1-b,n+1-a}).
+against its applier as exact normal forms: a root's table read as the
+Weyl element it applies (``root_terms``), h_r's ``_cartan_table`` as
+constant + sum k v_p d_p.  Where every root's table is its form and each
+permutation inside the blocks relabels the forms onto those of the
+relabelled generators, the relations are checked once per orbit of those
+permutations.  ``mirror_commutes`` checks the same way that conjugating
+by the x/y mirror x_a <-> y_{n+1-a} takes each pi(E_ab) to
+-pi(E_{n+1-b,n+1-a}).
 
 Every layer that uses a relabelling of the indices (a block transposition
 or the x/y mirror, ``Relabelling``) asks one certificate for it,
@@ -105,7 +107,7 @@ from math import comb, factorial, perm, prod
 from typing import NamedTuple
 
 from .poly import (
-    DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, monomials, xy_space,
+    DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, xy_space,
 )
 
 # Generators are small tagged tuples:
@@ -353,19 +355,25 @@ def _support(m: int, ones: int) -> int:
     return s & ones
 
 
-def _add_product(sp: Space, out: dict, sign: int, f: dict, g: dict, contracted: bool):
-    """Add sign * fg to ``out`` (the formula in the module docstring); with
-    ``contracted``, only the terms with k != 0.
+def _supported(sp: Space, form: dict) -> list:
+    """The terms of a Weyl form as (v, d, c, the support of v, the support
+    of d) (``_support``): what ``_add_product`` reads of a factor, formed
+    once per form."""
+    ones = ((1 << sp.dshift) - 1) // FIELD_MASK
+    return [(v, d, c, _support(v, ones), _support(d, ones)) for (v, d), c in form.items()]
+
+
+def _add_product(sp: Space, out: dict, sign: int, f: list, g: list, contracted: bool):
+    """Add sign * fg to ``out`` (the formula in the module docstring), f
+    and g as ``_supported`` lists; with ``contracted``, only the terms with
+    k != 0.
 
     The degree limit is checked on the factors v^{a+c} and d^{b+e} of each
     pair of terms that forms a term.
     """
     dunit = 1 << sp.dshift
-    ones = (dunit - 1) // FIELD_MASK
-    right = [(c, e, cg, _support(c, ones)) for (c, e), cg in g.items()]
-    for (a, b), cf in f.items():
-        bsup = _support(b, ones)
-        for c, e, cg, csup in right:
+    for a, b, cf, _asup, bsup in f:
+        for c, e, cg, csup, _esup in g:
             # the positions where a derivative of f meets a variable of g
             shared = bsup & csup
             if contracted and not shared:
@@ -398,16 +406,7 @@ def weyl_mul(sp: Space, f: dict, g: dict) -> dict:
     """The normal-ordered product fg of two Weyl forms of the space sp
     (the formula in the module docstring)."""
     out: dict = {}
-    _add_product(sp, out, 1, f, g, False)
-    return out
-
-
-def weyl_bracket(sp: Space, f: dict, g: dict) -> dict:
-    """The commutator fg - gf of two Weyl forms, from the contracted terms
-    (k != 0) of both products alone: their k = 0 terms are equal."""
-    out: dict = {}
-    _add_product(sp, out, 1, f, g, True)
-    _add_product(sp, out, -1, g, f, True)
+    _add_product(sp, out, 1, _supported(sp, f), _supported(sp, g), False)
     return out
 
 
@@ -415,7 +414,19 @@ def bracket_defect(sp: Space, forms: dict, a: Generator, b: Generator, bracket) 
     """[pi(a), pi(b)] - pi([a, b]) as a Weyl form, where ``forms`` maps each
     generator to the Weyl form of pi and ``bracket`` is [a, b] as
     ``commutator_in_basis`` gives it."""
-    out = weyl_bracket(sp, forms[a], forms[b])
+    return _defect(sp, forms, a, b, bracket, {})
+
+
+def _defect(sp: Space, forms: dict, a: Generator, b: Generator, bracket, terms: dict) -> dict:
+    """``bracket_defect``, reading the ``_supported`` terms of each form
+    from ``terms``, by generator, where they are formed on first use."""
+    for g in (a, b):
+        if g not in terms:
+            terms[g] = _supported(sp, forms[g])
+    # the contracted terms (k != 0) of both products: their k = 0 terms are equal
+    out: dict = {}
+    _add_product(sp, out, 1, terms[a], terms[b], True)
+    _add_product(sp, out, -1, terms[b], terms[a], True)
     for coeff, g in bracket:
         axpy(out, -coeff, forms[g])
     return out
@@ -749,14 +760,22 @@ def enumerate_cells(cfg: Config, cells, cone=None) -> list:
     up to at most 4 bound: each block is pruned by its own gaps
     (``_Cells.splits``), and their sum is checked as the blocks combine.
     Without a cone the walk is that of the one-block ``Weights.ungraded``,
-    which keeps every monomial, at weight 0, and the weights are dropped.
+    which keeps every monomial, at weight 0, and the weights are dropped;
+    that walk is shared per layout (``_whole_cells``).
     """
-    weights, bound = cone or (Weights.ungraded(cfg, cfg.space), 0)
-    walk = _Cells(cfg, weights, bound)
+    walk = _Cells(cfg, *cone) if cone else _whole_cells(cfg.n, cfg.n1, cfg.n2)
     out: list = []
     for cell in cells:
         out.extend(walk.cell(cell))
     return out if cone else [m for _w, m in out]
+
+
+@cache
+def _whole_cells(n: int, n1: int, n2: int) -> _Cells:
+    """The ``_Cells`` walk of a layout's one-block cone, built once: its
+    steps and memoized splits serve every enumeration without a cone."""
+    cfg = Config(n, n1, n2)
+    return _Cells(cfg, Weights.ungraded(cfg, cfg.space), 0)
 
 
 def enumerate_block_sums(
@@ -927,17 +946,18 @@ def _weyl_monomials(sp: Space, ops: tuple):
     A packed term (c, fp, fq, delta) acts as c v d, with d the product of
     its differentiated positions and v = delta + d, exactly when no
     position is differentiated twice (the term reads e^2 where d^2 reads
-    e(e - 1)) and v has no negative exponent (the shift would borrow).
+    e(e - 1)) and v has no negative exponent (the shift would borrow).  A
+    borrow leaves the degree field of v other than the sum of its exponent
+    fields, which are its low bytes (``FIELD_BITS`` = 8).
     """
-    dunit = 1 << sp.dshift
+    dunit, fields = 1 << sp.dshift, sp.nvars
     out: dict = {}
     for c, fp, fq, delta in ops[1]:
         if fp >= 0 and fp == fq:
             return None
         d = sum((1 << s) | dunit for s in (fp, fq) if s >= 0)
         v = delta + d
-        # a borrowed field leaves the degree field short of the exponents' sum
-        if v < 0 or sum(sp.unpack(v)) != v >> sp.dshift:
+        if v < 0 or sum((v & (dunit - 1)).to_bytes(fields, "little")) != v >> sp.dshift:
             return None
         add_term(out, (v, d), c)
     return out
@@ -946,65 +966,40 @@ def _weyl_monomials(sp: Space, ops: tuple):
 @cache
 def root_terms(n: int, n1: int, n2: int) -> dict:
     """``_weyl_monomials`` of the applier table of every root, by root:
-    decoded once per layout for the certificates (``_agreement_monomials``,
-    ``_applier_admits``) and the weight shifts of ``filtration``.  A
-    test that patches the tables clears it with them."""
+    decoded once per layout for the certificates
+    (``_forms_act_as_applier``) and the weight shifts of ``filtration``.
+    A test that patches the tables clears it with them."""
     sp = xy_space(n)
     return {g: _weyl_monomials(sp, ops) for g, ops in _weyl_tables(n, n1, n2)[0].items()}
 
 
-def _agreement_monomials(cfg: Config, g: Generator, form: dict, full: list) -> list:
-    """The monomials on which the applier of g is compared with its Weyl
-    form ``form``: those of degree <= 2 on the positions P that the form's
-    terms and g's packed terms touch.  A root with a packed term that is
-    no Weyl monomial gets ``full``, every monomial of degree <= 2.
-
-    A Cartan generator h_r acts by its ``_cartan_table``, each read
-    position p a term v_p d_p.
-    """
+def _cartan_form(cfg: Config, r: int) -> dict:
+    """The Weyl element h_r's ``_cartan_table`` acts as: the constant plus
+    k v_p d_p, which multiplies x^e by k e_p, for each read (shift of p, k)."""
+    const, reads = cfg.cartan_tables[r]
     sp = cfg.space
-    dunit = 1 << sp.dshift
-    keys = list(form)
-    if g[0] == "h":
-        for s, _k in cfg.cartan_tables[g[1]][1]:
-            keys.append(((1 << s) | dunit,) * 2)
-    else:
-        terms = root_terms(cfg.n, cfg.n1, cfg.n2)[g]
-        if terms is None:
-            return full
-        keys += terms
-    touched = _form_support(sp, keys)
-    units = [u for u, s in zip(sp.unit, sp.shift) if touched >> s & 1]
-    return [
-        sum(combo) for k in range(3) for combo in itertools.combinations_with_replacement(units, k)
-    ]
+    return _weyl_form(sp, [(k, p, 1, p, -1) for s, k in reads for p in [sp.shift.index(s)]], const)
 
 
 def _forms_act_as_applier(cfg: Config, forms: dict, gens) -> bool:
-    """Whether the Weyl form of each of ``gens`` acts as the applier below
-    ``apply_generator_terms`` on its ``_agreement_monomials``."""
-    sp = cfg.space
-    roots = cfg.weyl_tables[0]
-    full = list(monomials(sp, range(3)))
-    for g in gens:
-        form = forms[g]
-        action = weyl_action(sp, form)
-        for m in _agreement_monomials(cfg, g, form, full):
-            base = {m: 1}
-            img = _cartan_terms(cfg, g[1], base) if g[0] == "h" else _apply_ops(roots[g], base)
-            if img != apply_weyl(action, base):
-                return False
-    return True
+    """Whether the Weyl form of each of ``gens`` is the operator the
+    applier below ``apply_generator_terms`` applies: one comparison of
+    normal forms per generator, with ``root_terms`` for a root (a table
+    that does not decode refuses) and ``_cartan_form`` for h_r.  Both are
+    normal forms with no zero coefficient, and the Weyl algebra acts
+    faithfully, so the dicts are equal exactly when the operators are."""
+    roots = root_terms(cfg.n, cfg.n1, cfg.n2)
+    return all(forms[g] == (_cartan_form(cfg, g[1]) if g[0] == "h" else roots[g]) for g in gens)
 
 
 def _form_support(sp: Space, form) -> int:
     """The positions a Weyl form's terms touch, as a packed monomial with
     exponent 1 at each (see ``_support``); ``form`` may be any iterable of
-    its keys (v, d), or of packed monomials."""
+    its keys (v, d)."""
     ones = ((1 << sp.dshift) - 1) // FIELD_MASK
     out = 0
-    for key in form:
-        out |= _support(key[0] | key[1] if type(key) is tuple else key, ones)
+    for v, d in form:
+        out |= _support(v | d, ones)
     return out
 
 
@@ -1026,9 +1021,11 @@ def _checked_pairs(cfg: Config, forms: dict, pairs):
 
 def _brackets_hold(cfg: Config, forms: dict, pairs) -> bool:
     """Whether ``bracket_defect`` is zero on every one of ``pairs``,
-    forming it only on the ``_checked_pairs``."""
+    forming it only on the ``_checked_pairs``, each form's ``_supported``
+    terms once."""
+    terms: dict = {}  # generator -> its form's _supported terms
     return not any(
-        bracket_defect(cfg.space, forms, a, b, bracket)
+        _defect(cfg.space, forms, a, b, bracket, terms)
         for a, b, bracket in _checked_pairs(cfg, forms, pairs)
     )
 
@@ -1054,41 +1051,29 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
     commute in sl(n) and touch disjoint positions, so their defect is zero
     unformed.
 
-    The forms must act as the applier, and that agreement is a proof, not
-    a sample.  Where every packed term of a root is a Weyl monomial
-    (``_weyl_monomials``), form and applier are Weyl elements of
-    derivative order <= 2, and their difference is supported on the
-    positions P that either touches, read from the data.  If it is
-    nonzero, it is nonzero on x^b for a minimal derivative d^b among its
-    terms, a monomial of degree <= 2 on P.  So a root is compared on those
-    monomials only (15 where P is its four variables).  A Cartan generator
-    acts by its ``_cartan_table``, a Weyl element of derivative order 1 on
-    the positions it reads, and gets the same cut.  A root with any other
-    packed term is compared on every monomial of degree <= 2.  Either way
-    the verdict is that of all pairs and all monomials of degree <= 2.
+    The forms must act as the applier, and that is proved, not sampled:
+    each generator's normal form is compared with the Weyl element its
+    applier acts as (``_forms_act_as_applier``), which the Weyl algebra's
+    faithful action makes an exact test of the operators.
 
-    Both checks run once per orbit of the permutations inside J1, J2 and
-    J3 where the data are symmetric under them
-    (``block_permutations_commute``, which is cached per layout too): each
-    block transposition sigma relabels the form of every generator g, and
-    the applier table of every root, to those of sigma(g).  Then
-    sigma pi(g) sigma^-1 = pi(sigma(g)) for form and applier alike, so a
-    form acts as its applier exactly when the relabelled ones do, and one
-    root per orbit is compared (``_orbit_roots``) with every h_r.  The
-    sl(n) bracket is equivariant too, so D(sigma x, sigma y) =
-    sigma D(x, y) sigma^-1, and V is sigma-stable: a Chevalley generator
-    lies in V when one of its orbit does, and x lies in V when D(x, y) = 0
-    for every h_r and one root y per orbit of the permutations fixing x
-    (``_orbit_pairs``).  Where a relabelling fails, the same code runs
-    with every index a block of its own: every generator is compared, and
+    The relations are formed once per orbit of the permutations inside
+    J1, J2 and J3 where every root's applier table is its form and each
+    block transposition sigma relabels the form of every generator g to
+    that of sigma(g) (``block_permutations_commute``, cached per layout
+    too), so sigma pi(g) sigma^-1 = pi(sigma(g)).  The sl(n) bracket is
+    equivariant too, so D(sigma x, sigma y) = sigma D(x, y) sigma^-1, and V
+    is sigma-stable: a Chevalley generator lies in V when one of its orbit
+    does, and x lies in V when D(x, y) = 0 for every h_r and one root y per
+    orbit of the permutations fixing x (``_orbit_pairs``).  Where that
+    fails, the same code runs with every index a block of its own, and
     every Chevalley generator is paired with every other basis element (a
-    pair of two Chevalley generators in both orders).  At n = 8 the orbits
-    compare 16 generators instead of 63 and form 102 identities instead of
-    388 (357 unordered pairs; of 777 Chevalley pairs and all 1,953).
+    pair of two Chevalley generators in both orders).  Here every h_r and
+    one root per orbit (``_orbit_roots``) are compared with their forms.
+    At n = 8 the orbits form 102 identities instead of 388 (357 unordered
+    pairs; of 777 Chevalley pairs and all 1,953).
 
-    Checked once per layout; it calls the appliers below
-    ``apply_generator_terms`` directly, so it adds nothing to the counts of
-    that entry point.
+    Checked once per layout; it applies no operator, so it adds nothing
+    to the counts of ``apply_generator_terms``.
     """
     cfg = Config(n, n1, n2)
     return _certified(cfg, weyl_forms(n, n1, n2), block_permutations_commute(n, n1, n2))
@@ -1097,9 +1082,10 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
 def _certified(cfg: Config, forms: dict, orbits: bool) -> bool:
     """The verdict of ``applier_is_representation`` on ``forms``, once per
     orbit of the permutations inside the blocks where ``orbits`` (sound
-    only where ``block_permutations_commute``), else with every index a block of
-    its own: every generator compared, every pair of a Chevalley generator
-    and another basis element checked."""
+    only where ``block_permutations_commute``, which compares every root),
+    else with every index a block of its own: every generator compared,
+    every pair of a Chevalley generator and another basis element
+    checked."""
     blocks = _blocks(cfg) if orbits else [(a,) for a in range(1, cfg.n + 1)]
     gens = [("h", r) for r in range(1, cfg.n)] + _orbit_roots(blocks)
     pairs = _orbit_pairs(cfg.n, blocks)
@@ -1291,15 +1277,13 @@ def admitted(candidates, vectors=(), tables=()) -> list[Relabelling]:
 
 
 def _applier_admits(n: int, n1: int, n2: int, candidates) -> bool:
-    """Whether ``admitted`` keeps every one of ``candidates`` on the Weyl
-    forms and on the applier tables of the roots, read as Weyl forms
-    (``root_terms``): sigma pi(g) sigma^-1 = pi(sigma(g)) on both.  A table
-    with a term that is no Weyl monomial refuses every candidate."""
-    tables = root_terms(n, n1, n2)
-    if None in tables.values():
-        return not candidates
-    forms = [Table("generators", xy_space(n), t) for t in (weyl_forms(n, n1, n2), tables)]
-    return len(admitted(candidates, tables=forms)) == len(candidates)
+    """Whether the applier table of every root is its Weyl form
+    (``_forms_act_as_applier``) and ``admitted`` keeps every one of
+    ``candidates`` on the forms: sigma pi(g) sigma^-1 = pi(sigma(g)) on the
+    forms is then the same identity on the tables."""
+    cfg, forms = Config(n, n1, n2), weyl_forms(n, n1, n2)
+    admits = admitted(candidates, tables=[Table("generators", cfg.space, forms)])
+    return _forms_act_as_applier(cfg, forms, root_terms(n, n1, n2)) and admits == candidates
 
 
 def _blocks(cfg: Config) -> list[tuple]:
@@ -1345,10 +1329,11 @@ def _orbit_pairs(n: int, blocks):
 
 @cache
 def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
-    """Whether relabelling the variables by each ``block_transpositions``
-    sigma maps every generator's Weyl form, and every root's applier
-    table, to those of the relabelled generator (``_applier_admits``):
-    sigma pi(E_ab) sigma^-1 = pi(E_{sigma(a), sigma(b)}).
+    """Whether every root's applier table is its Weyl form and relabelling
+    the variables by each ``block_transpositions`` sigma maps every
+    generator's form to that of the relabelled generator
+    (``_applier_admits``): sigma pi(E_ab) sigma^-1 = pi(E_{sigma(a),
+    sigma(b)}).
 
     Together with ``applier_is_representation`` (the forms act as the
     applier, and every bracket, so every Cartan element, is pi of the
@@ -1361,9 +1346,9 @@ def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
 
 @cache
 def mirror_commutes(n: int, n1: int, n2: int) -> bool:
-    """Whether conjugating by the x/y mirror M maps every generator's Weyl
-    form, and every root's applier table, to those of its image under
-    E_ab -> -E_{n+1-b, n+1-a} (``_applier_admits``):
+    """Whether every root's applier table is its Weyl form and conjugating
+    by the x/y mirror M maps every generator's form to that of its image
+    under E_ab -> -E_{n+1-b, n+1-a} (``_applier_admits``):
     M pi(E_ab) M^-1 = -pi(E_{n+1-b, n+1-a}) and M pi(h_r) M^-1 = pi(h_{n-r}).
 
     That map is an automorphism of sl(n) (minus the transpose, followed by

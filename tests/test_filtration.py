@@ -806,16 +806,23 @@ def test_relabelling_check_sees_a_perturbed_cartan_form(monkeypatch, fresh_cache
 
 def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
     # E_12 and E_21 negated in their tables alone: (1 2) maps one onto the
-    # other, so the relabelling holds, and so do the brackets of the forms;
-    # only the comparison of E_12, the representative inside J1, sees it
+    # other, so the relabelled tables match, and so do the brackets of the
+    # forms; the relabelling check refuses tables that are not their forms,
+    # and on the orbit path alone the comparison of E_12, the representative
+    # inside J1, sees it
     cfg = Config(5, 2, 3)
     roots = cfg.weyl_tables[0]
     for g in (("e", 1, 2), ("e", 2, 1)):
         ceiling, packed = roots[g]
         roots[g] = ceiling, tuple((-c, *rest) for c, *rest in packed)
     forms = osc.weyl_forms(5, 2, 3)
-    assert osc.block_permutations_commute(5, 2, 3)
+    sp, candidates = cfg.space, osc.relabellings(5, osc.block_transpositions(5, 2, 3))
+    tables = osc.Table("generators", sp, osc.root_terms(5, 2, 3))
+    assert osc.admitted(candidates, tables=[tables]) == candidates
+    assert not osc.block_permutations_commute(5, 2, 3)
     assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg.n, osc._blocks(cfg)))
+    assert ("e", 1, 2) in osc._orbit_roots(osc._blocks(cfg))
+    assert not osc._certified(cfg, forms, True)
     assert not applier_is_representation(5, 2, 3)
     assert not _all_pairs_certificate(5, 2, 3)
 
@@ -888,17 +895,65 @@ def _extra_root_term(cfg, g, term):
     filtration._generator_shifts.cache_clear()
 
 
+def _touched_monomials(cfg, g, form, full):
+    """The monomials of degree <= 2 on the positions P that the form's
+    terms and g's applier table touch (a root's table read by
+    ``osc.root_terms``, h_r's reads each a term v_p d_p); ``full``, every
+    monomial of degree <= 2, for a root whose table does not decode.  Where
+    both are Weyl elements of derivative order <= 2, their difference is
+    supported on P and, if nonzero, nonzero on x^b for a minimal derivative
+    d^b among its terms: a monomial of this list."""
+    sp = cfg.space
+    unit = 1 << sp.dshift
+    keys = list(form)
+    if g[0] == "h":
+        keys += [((1 << s) | unit,) * 2 for s, _k in cfg.cartan_tables[g[1]][1]]
+    else:
+        terms = osc.root_terms(cfg.n, cfg.n1, cfg.n2)[g]
+        if terms is None:
+            return full
+        keys += terms
+    touched = osc._form_support(sp, keys)
+    units = [u for u, s in zip(sp.unit, sp.shift) if touched >> s & 1]
+    return [
+        sum(combo) for k in range(3) for combo in itertools.combinations_with_replacement(units, k)
+    ]
+
+
+def _sampled_agreement(cfg, forms, gens):
+    """The sampled check of form against applier: each of ``gens`` applied
+    by its table (``osc._apply_ops``, ``osc._cartan_terms``) and by
+    ``osc.apply_weyl`` of its form to every ``_touched_monomials``."""
+    sp = cfg.space
+    full = list(monomials(sp, range(3)))
+    for g in gens:
+        action = osc.weyl_action(sp, forms[g])
+        for m in _touched_monomials(cfg, g, forms[g], full):
+            base = {m: 1}
+            if g[0] == "h":
+                img = osc._cartan_terms(cfg, g[1], base)
+            else:
+                img = osc._apply_ops(cfg.weyl_tables[0][g], base)
+            if img != osc.apply_weyl(action, base):
+                return False
+    return True
+
+
 def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
-    # d_{x4} times x2 on E_13: zero on every monomial in x1, x3, y1, y3
+    # d_{x4} times x2 on E_13: zero on every monomial in x1, x3, y1, y3,
+    # and a term of the decoded table that the form lacks
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("e", 1, 3)
     forms = osc.weyl_forms(4, 2, 2)
     full = list(monomials(sp, range(3)))
-    own = osc._agreement_monomials(cfg, g, forms[g], full)
+    own = _touched_monomials(cfg, g, forms[g], full)
     assert len(own) == 15 and sp.unit[sp.x(4)] not in own
+    assert osc.root_terms(4, 2, 2)[g] == forms[g]
     _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
-    assert sp.unit[sp.x(4)] in osc._agreement_monomials(cfg, g, forms[g], full)
-    assert not osc._forms_act_as_applier(cfg, forms, forms)
+    assert osc.root_terms(4, 2, 2)[g] == {**forms[g], (sp.unit[sp.x(2)], sp.unit[sp.x(4)]): 1}
+    assert sp.unit[sp.x(4)] in _touched_monomials(cfg, g, forms[g], full)
+    assert not _sampled_agreement(cfg, forms, forms)
+    assert not osc._forms_act_as_applier(cfg, forms, [g])
     assert not applier_is_representation(4, 2, 2)
     assert not _all_pairs_certificate(4, 2, 2)
 
@@ -913,8 +968,9 @@ def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_
     assert sorted(s for s, _k in reads) == sorted(
         sp.shift[p] for p in (sp.x(2), sp.y(2), sp.x(3), sp.y(3))
     )
-    own = osc._agreement_monomials(cfg, g, forms[g], full)
+    own = _touched_monomials(cfg, g, forms[g], full)
     assert len(own) == 15 and sp.unit[sp.x(1)] not in own
+    assert osc._cartan_form(cfg, 2) == forms[g]
     # a read of x1 in the table, which the form lacks, brings x1 into the cut
     table = osc._cartan_table
 
@@ -924,8 +980,11 @@ def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_
 
     monkeypatch.setattr(osc, "_cartan_table", misread)
     wrong = Config(4, 2, 2)
-    assert sp.unit[sp.x(1)] in osc._agreement_monomials(wrong, g, forms[g], full)
-    assert not osc._forms_act_as_applier(wrong, forms, forms)
+    x1 = sp.unit[sp.x(1)]
+    assert osc._cartan_form(wrong, 2) == {**forms[g], (x1, x1): 1}
+    assert x1 in _touched_monomials(wrong, g, forms[g], full)
+    assert not _sampled_agreement(wrong, forms, forms)
+    assert not osc._forms_act_as_applier(wrong, forms, [g])
     assert not applier_is_representation(4, 2, 2)
     assert not _all_pairs_certificate(4, 2, 2)
 
@@ -974,18 +1033,126 @@ def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_cac
         assert not _all_pairs_certificate(*layout), g
 
 
-@pytest.mark.parametrize("kind", ["repeated derivative", "borrowing shift"])
+@pytest.mark.parametrize("kind", ["repeated derivative", "borrowing shift", "borrowed field"])
 def test_agreement_tests_every_monomial_past_a_non_weyl_term(fresh_caches, kind):
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("e", 1, 3)
     s, unit = sp.shift[sp.x(1)], sp.unit[sp.x(1)]
-    # e^2 x^{e-2} is no Weyl monomial, nor is a division by x_1 that
-    # does not differentiate
-    term = (1, s, s, -2 * unit) if kind == "repeated derivative" else (1, -1, -1, -unit)
+    # e^2 x^{e-2} is no Weyl monomial, nor is a division by x_1 or by x_2
+    # that does not differentiate (v = x_1 / x_2 is a positive int whose
+    # x_2 field borrows from x_1's): the table does not decode, and refuses
+    term = {
+        "repeated derivative": (1, s, s, -2 * unit),
+        "borrowing shift": (1, -1, -1, -unit),
+        "borrowed field": (1, -1, -1, unit - sp.unit[sp.x(2)]),
+    }[kind]
     _extra_root_term(cfg, g, term)
+    forms = osc.weyl_forms(4, 2, 2)
     full = list(monomials(sp, range(3)))
-    assert osc._agreement_monomials(cfg, g, osc.weyl_forms(4, 2, 2)[g], full) is full
+    assert _touched_monomials(cfg, g, forms[g], full) is full
+    assert osc.root_terms(4, 2, 2)[g] is None
+    assert not _sampled_agreement(cfg, forms, [g])
+    assert not osc._forms_act_as_applier(cfg, forms, [g])
     assert not applier_is_representation(4, 2, 2)
+
+
+def test_applier_certificate_matches_the_sampled_oracle():
+    # the exact comparison gives the sampled check's verdict, generator by
+    # generator, on every layout with n <= 8
+    for layout in _layouts(8):
+        cfg = Config(*layout)
+        forms = osc.weyl_forms(*layout)
+        for g in generators(cfg.n):
+            assert osc._forms_act_as_applier(cfg, forms, [g]), (layout, g)
+            assert _sampled_agreement(cfg, forms, [g]), (layout, g)
+
+
+@pytest.mark.parametrize("table, key", _CORRUPTIONS, ids=str)
+def test_applier_certificate_matches_the_sampled_oracle_on_corrupted_tables(
+    monkeypatch, fresh_caches, table, key
+):
+    cells = getattr(osc, table)
+    if table == "_BLOCK":
+        c, da, db = cells[key]
+        monkeypatch.setitem(cells, key, (-c, da, db))
+    else:
+        monkeypatch.setitem(cells, key, 1 + cells[key])
+    verdicts = set()
+    for layout in _layouts(5):
+        cfg = Config(*layout)
+        forms = osc.weyl_forms(*layout)
+        for g in generators(cfg.n):
+            verdict = osc._forms_act_as_applier(cfg, forms, [g])
+            assert verdict == _sampled_agreement(cfg, forms, [g]), (layout, g)
+            verdicts.add(verdict)
+    # a cell read off the diagonal alone flips a table and its form alike;
+    # the diagonal cells and constants reach only the forms of the Cartan
+    # generators, whose tables are read off ``diagonal_value``
+    assert verdicts == ({True} if key in [(True, False), (False, True)] else {True, False})
+
+
+def test_applier_certificate_verdicts_are_pinned():
+    layouts = _layouts(8)
+    assert len(layouts) == 119
+    verdicts = {
+        layout: (
+            applier_is_representation(*layout),
+            osc.block_permutations_commute(*layout),
+            osc.mirror_commutes(*layout),
+        )
+        for layout in layouts + [(18, 6, 12)]
+    }
+    assert sum(v[0] for layout, v in verdicts.items() if layout in layouts) == 119
+    assert sum(v[1] for layout, v in verdicts.items() if layout in layouts) == 119
+    assert {layout for layout in layouts if verdicts[layout][2]} == {
+        (n, n1, n2) for n, n1, n2 in layouts if n1 + n2 == n
+    }
+    assert sum(v[2] for layout, v in verdicts.items() if layout in layouts) == 16
+    assert verdicts[18, 6, 12] == (True, True, True)
+
+
+def _mutate(cfg, kind, monkeypatch):
+    """Corrupt one applier table of ``cfg``'s layout, its forms untouched."""
+    sp, roots = cfg.space, cfg.weyl_tables[0]
+    if kind == "root coefficient":
+        ceiling, packed = roots["e", 1, 3]
+        (c, *rest), *others = packed
+        roots["e", 1, 3] = ceiling, ((2 * c, *rest), *others)
+    elif kind == "cartan constant":
+        table = osc._cartan_table
+
+        def shifted(cfg, r):
+            const, reads = table(cfg, r)
+            return (const + 1, reads) if r == 1 else (const, reads)
+
+        monkeypatch.setattr(osc, "_cartan_table", shifted)
+    elif kind == "repeated derivative":
+        # x_1 d_{x_1} d_{x_1} read as e^2 x^{e-1}: no Weyl monomial
+        s, unit = sp.shift[sp.x(1)], sp.unit[sp.x(1)]
+        ceiling, packed = roots["e", 1, 3]
+        roots["e", 1, 3] = ceiling, packed + ((1, s, s, -unit),)
+    else:  # swapped roots: E_12 and E_21 trade tables
+        roots["e", 1, 2], roots["e", 2, 1] = roots["e", 2, 1], roots["e", 1, 2]
+    osc.root_terms.cache_clear()
+    filtration._generator_shifts.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "kind", ["root coefficient", "cartan constant", "repeated derivative", "swapped roots"]
+)
+def test_applier_certificate_refuses_each_mutation(monkeypatch, fresh_caches, kind):
+    # (5,2,3) has the block transpositions (1 2), (4 5) and the mirror
+    layout = (5, 2, 3)
+    _mutate(Config(*layout), kind, monkeypatch)
+    cfg, forms = Config(*layout), osc.weyl_forms(*layout)
+    assert osc._brackets_hold(cfg, forms, _chevalley_pairs(cfg.n))
+    assert not _sampled_agreement(cfg, forms, forms)
+    assert not _all_pairs_certificate(*layout)
+    assert not applier_is_representation(*layout)
+    # the relabelling certificates compare the roots' tables, not h_r's
+    roots_refuse = kind != "cartan constant"
+    assert osc.block_permutations_commute(*layout) is not roots_refuse
+    assert osc.mirror_commutes(*layout) is not roots_refuse
 
 
 def test_tcache_images_are_primitive_integer_multiples():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oscvar.linalg import (
     EchelonBasis,
     _int_terms,
+    canonical_levels,
     echelon_from,
     kernel_of_columns,
     span_equal,
@@ -314,3 +315,23 @@ def test_stored_rows_and_inputs_are_never_mutated(stored, queries):
         basis.insert(q)
     assert _items(basis.rows)[: len(before)] == before
     assert _items(stored + queries) == inputs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_ROW, max_size=4), min_size=1, max_size=4), st.booleans())
+def test_canonical_levels_match_each_level_reduced_alone(batches, nested):
+    # each level a copy of the one below plus a batch (sharing its row
+    # dicts), or, not nested, the span of its batch alone
+    levels = []
+    for batch in batches:
+        if nested:
+            level = levels[-1].copy() if levels else EchelonBasis(SP)
+            level.extend(batch)
+        else:
+            level = echelon_from(SP, batch)
+        levels.append(level)
+    snapshot = [_items(level.rows) for level in levels]
+    # the canonical rows do not depend on the order of insertion
+    alone = [echelon_from(SP, reversed(level.rows.values())).canonical_rows() for level in levels]
+    assert canonical_levels(levels) == alone
+    assert [_items(level.rows) for level in levels] == snapshot

@@ -32,7 +32,6 @@ from oscvar.osc import (
     relabellings,
     weight,
     weyl_action,
-    weyl_bracket,
     weyl_forms,
     weyl_mul,
 )
@@ -51,6 +50,12 @@ def from_exponents(space, terms):
 def laplacian_form(cfg):
     """The Weyl form of the twisted Laplacian."""
     return osc._weyl_form(cfg.space, osc._laplacian_terms(cfg.space, cfg.n1, cfg.n2))
+
+
+def weyl_bracket(sp, f, g):
+    """The commutator fg - gf of two Weyl forms: the bracket defect of the
+    pair with nothing to subtract."""
+    return osc.bracket_defect(sp, {0: f, 1: g}, 0, 1, ())
 
 
 def P(text):
