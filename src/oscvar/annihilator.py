@@ -129,7 +129,6 @@ it; or a degree-1 system with no kmax-1 system to compare against) raises
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -284,7 +283,6 @@ def _relabelled(space: Space, terms: dict, s) -> dict:
     return {sum(unit[image[g]] for g in space.positions(m)): c for m, c in terms.items()}
 
 
-@dataclass
 class AnnihilatorPiece:
     """Exact kernel of the degree-p graded action, certified up to kmax.
 
@@ -298,14 +296,19 @@ class AnnihilatorPiece:
     of its block; the block of another weight of its orbit is never built.
     """
 
-    degree: int
-    coordinate_members: _SplitMonomials
-    weights: Weights
-    blocks: dict = field(default_factory=dict)
-    stabilized: bool = False
-    unknown_count: int = 0
-    split_symbols: list = field(default_factory=list)
-    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        degree: int,
+        coordinate_members: _SplitMonomials,
+        weights: Weights,
+        blocks: dict,
+        unknown_count: int,
+        split_symbols: list,
+    ):
+        self.degree, self.coordinate_members, self.weights = degree, coordinate_members, weights
+        self.blocks, self.unknown_count, self.split_symbols = blocks, unknown_count, split_symbols
+        self.stabilized = False
+        self._spans: dict = {}
 
     @property
     def space(self) -> Space:
@@ -930,15 +933,13 @@ def minor_symbol(cfg: Config, rows, cols, mask: int = 0) -> Poly:
     return _divided(determinant(symbol_space(cfg.n), sub), cfg.n ** len(rows))
 
 
-@dataclass(frozen=True)
 class DeltaOp:
     """A 2x2 or 3x3 minor operator; its symbol polynomial, whole or
     projected, is expanded when first read."""
 
-    cfg: Config
-    rows: tuple
-    cols: tuple
-    _projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, cfg: Config, rows: tuple, cols: tuple):
+        self.cfg, self.rows, self.cols = cfg, rows, cols
+        self._projected: dict = {}
 
     @property
     def sym(self) -> Poly:

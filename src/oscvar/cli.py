@@ -17,9 +17,8 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import annihilator, suite
 from .annihilator import OutOfTheoremError, ShallowSystemError, degree1_report, verify_degree2
@@ -38,8 +37,7 @@ from .osc import Config, classify_irreducible
 from .reports import CheckRecord, FormatError, Report, serialize
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One record of a command.
 
     ``compute(ctx)`` is timed, and may leave values on ``ctx`` for the
@@ -64,8 +62,7 @@ class Check:
         return [CheckRecord(self.name, self.anchor, status, self.payload(result), elapsed)]
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     checks: tuple
     needs: Callable | None = None  # cfg -> why the input cannot be checked, or ""
     options: tuple = ()  # (flag, argparse keyword arguments) pairs

@@ -94,9 +94,9 @@ buckets are tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
+from typing import NamedTuple
 
 from .linalg import EchelonBasis, kernel_of_columns, span_equal
 from .osc import Config, Relabelling, Table, Weights, admitted, relabellings
@@ -281,8 +281,7 @@ def has_3chain(pairs) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GMonomial:
+class GMonomial(NamedTuple):
     """A monomial of the extended ring in canonical sorted-factor form.
 
     ``x_part`` and ``y_part`` are sorted index multisets (columns resp.
@@ -370,7 +369,7 @@ def enumerate_gset(
                 g = GMonomial(x_part, y_part, z_part)
                 if not has_3chain(g.index_pairs(cfg.n)):
                     out.append(g)
-    out.sort(key=lambda g: (g.x_part, g.y_part, g.z_part))
+    out.sort()
     return out
 
 

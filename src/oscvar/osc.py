@@ -100,7 +100,6 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, perm, prod
@@ -116,21 +115,37 @@ from .poly import (
 Generator = tuple
 
 
-@dataclass(frozen=True)
 class Config:
-    """Block parameters (n, n1, n2) and the signed bidegree (l1, l2)."""
+    """Block parameters (n, n1, n2) and the signed bidegree (l1, l2).
 
-    n: int
-    n1: int
-    n2: int
-    l1: int = 0
-    l2: int = 0
+    Immutable, and equal and hashed by its five fields.  The cached
+    properties below are written to the instance dict directly, which the
+    refusing ``__setattr__`` does not guard.
+    """
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, n1: int, n2: int, l1: int = 0, l2: int = 0):
+        if n < 2:
             raise ValueError("need n >= 2")
-        if not 1 <= self.n1 <= self.n2 <= self.n:
+        if not 1 <= n1 <= n2 <= n:
             raise ValueError("need 1 <= n1 <= n2 <= n")
+        self.__dict__.update(n=n, n1=n1, n2=n2, l1=l1, l2=l2, _key=(n, n1, n2, l1, l2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "Config(n={!r}, n1={!r}, n2={!r}, l1={!r}, l2={!r})".format(*self._key)
 
     @cached_property
     def space(self) -> Space:

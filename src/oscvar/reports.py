@@ -10,29 +10,32 @@ byte-identical.  Timing lives in the text rendering only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    anchor: str
-    status: str  # "pass" | "fail" | "skipped"
-    payload: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    reason: str = ""
+    def __init__(
+        self,
+        name: str,
+        anchor: str,
+        status: str,  # "pass" | "fail" | "skipped"
+        payload: dict | None = None,
+        elapsed: float = 0.0,
+        reason: str = "",
+    ):
+        self.name, self.anchor, self.status = name, anchor, status
+        self.payload = {} if payload is None else payload
+        self.elapsed, self.reason = elapsed, reason
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    checks: list = field(default_factory=list)
-    # Set when the run parameters were too small for a check to decide
-    # (its skipped record says why); makes the exit code 2.
-    params_too_small: bool = False
+    def __init__(self, command: str, params: dict):
+        self.command, self.params = command, params
+        self.checks: list = []
+        # Set when the run parameters were too small for a check to decide
+        # (its skipped record says why); makes the exit code 2.
+        self.params_too_small = False
 
     @property
     def overall(self) -> str:

@@ -11,10 +11,11 @@ arithmetic, never approximately.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .annihilator import (
     classify_minor3,
@@ -466,8 +467,7 @@ def check_highest_weight(params=(5, 1, 3), m1=1, m2=1) -> CheckRecord:
 # -- the full matrix -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     """A standing criterion: the checks that certify it, run in order, and
     the wall-clock budget in seconds the acceptance gate holds it to."""
 
@@ -571,3 +571,12 @@ def run_suite(budget_seconds: float | None = None, progress=None) -> list[CheckR
             if progress is not None:
                 progress(rec)
     return records
+
+
+# Every layer is loaded by now, and its module-level objects (functions,
+# tables, constants) live as long as the process.  Freezing them keeps the
+# collector's young generations from rescanning a few thousand of them in
+# the middle of the first verdict, and restarts its counters here, so a
+# collection falls at the same point of a verdict however much the imports
+# allocated.
+gc.freeze()
