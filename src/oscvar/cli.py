@@ -97,9 +97,9 @@ def run(name: str, args) -> Report:
     checks = list(command.checks)
     try:
         while checks and not reason:
-            t0 = time.time()
+            t0 = time.perf_counter()
             result = checks[0].compute(ctx)
-            report.checks.extend(checks.pop(0).emit(result, time.time() - t0))
+            report.checks.extend(checks.pop(0).emit(result, time.perf_counter() - t0))
     except SKIPS as exc:
         reason = str(exc)
         report.params_too_small = isinstance(exc, ShallowSystemError)

@@ -552,6 +552,24 @@ def apply_generator_terms(cfg: Config, g: Generator, terms: dict) -> dict:
     return _apply_ops(cfg.weyl_tables[0][g], terms)
 
 
+def applier_reads(cfg: Config, g: Generator) -> set:
+    """The positions whose exponents ``apply_generator_terms`` reads for g:
+    the ``fp``/``fq`` shifts of a root's ``_apply_ops`` table, the shifts of
+    h_r's ``_cartan_terms`` table.  A shift that is not one variable's field
+    stands for every position.  The image of any other exponent is only
+    moved by ``m + delta``; if either loop ever reads another field of its
+    table, this must read it too."""
+    sp = cfg.space
+    if g[0] == "h":
+        shifts = [s for s, _k in cfg.cartan_tables[g[1]][1]]
+    else:
+        shifts = [s for _c, fp, fq, _d in cfg.weyl_tables[0][g][1] for s in (fp, fq) if s >= 0]
+    where = {s: p for p, s in enumerate(sp.shift)}
+    if all(s in where for s in shifts):
+        return {where[s] for s in shifts}
+    return set(range(sp.nvars))
+
+
 # ---------------------------------------------------------------------------
 # Laplacian and the projection T
 # ---------------------------------------------------------------------------

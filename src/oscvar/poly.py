@@ -248,10 +248,11 @@ def axpy(out: dict, c, terms: Mapping) -> dict:
     return out
 
 
-def monomials(space: Space, degrees: Iterable[int]):
+def monomials(space: Space, degrees: Iterable[int], positions=None):
     """Packed monomials of ``space`` for each degree in ``degrees`` in turn,
-    each degree in ``combinations_with_replacement`` order of positions."""
-    unit = space.unit
+    each degree in ``combinations_with_replacement`` order of positions;
+    with ``positions``, only those supported on them."""
+    unit = space.unit if positions is None else [space.unit[p] for p in sorted(positions)]
     for d in degrees:
         if d >= DEGREE_LIMIT:
             raise OverflowError(f"degree {d} does not fit the packed monomial")

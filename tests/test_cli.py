@@ -1,16 +1,18 @@
 """CLI contract: exit codes, determinism, formats, command dispatch."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import oscvar
 from oscvar import detvar, suite
-from oscvar.cli import main
+from oscvar.cli import build_parser, main, run
 from oscvar.reports import CheckRecord, Report, serialize, FormatError
 
 
@@ -29,6 +31,18 @@ def test_classify_command(capsys):
     doc = json.loads(out)
     assert doc["overall"] == "pass"
     assert doc["checks"][0]["payload"]["irreducible"] is True
+
+
+def test_check_times_ignore_a_wall_clock_step(monkeypatch):
+    # a wall clock that steps back an hour at every reading: each check is
+    # timed on a monotonic clock, so no time is negative
+    real, steps = time.time, itertools.count()
+    monkeypatch.setattr(time, "time", lambda: real() - 3600 * next(steps))
+    args = build_parser().parse_args(
+        ["classify", "--n", "3", "--n1", "1", "--n2", "2", "--l1", "-1", "--l2", "-1"]
+    )
+    report = run(args.command, args)
+    assert report.checks and all(c.elapsed >= 0 for c in report.checks)
 
 
 def test_filtration_dims_and_csv(capsys):
