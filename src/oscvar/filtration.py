@@ -44,9 +44,9 @@ towers are built to check:
     (``bruteforce_level``).  That rests on the bracket relations of the
     applier, certified once per layout
     (``osc.applier_is_representation``: the relations of the Chevalley
-    generators with every basis element, which imply the rest, and each
-    form against the applier on the variables it touches); where they
-    fail, no row is tagged and every new row meets every generator.
+    generators with every basis element, which imply the rest, decided on
+    the Weyl forms every applier table is packed from); where they fail,
+    no row is tagged and every new row meets every generator.
   * T-images are kept as primitive integer multiples: a span does not
     change under scaling, and the products with them then run in integer
     arithmetic.
@@ -138,11 +138,12 @@ towers are built to check:
     brute-force level k only at a set N_k of weights, and the rows there
     are the whole level's, row for row.  Every brute-force row is a weight
     vector of its pivot's weight: the rows of M_0 are (``_orbit_generators``
-    checked the base vectors), every term of a root's applier table moves
-    the weight by one shift (``_generator_shifts`` checks it per layout;
-    h_r moves none), and elimination combines only rows whose leads share
-    a weight.  So the rows of level k+1 at weight nu come only from the
-    rows of level k at nu and at nu - shift(g).  Where N_{k+1} <= N_k and
+    checked the base vectors), every term of a root's Weyl form, and so of
+    the table packed from it, moves the weight by one shift
+    (``_generator_shifts`` checks it per layout; h_r moves none), and
+    elimination combines only rows whose leads share a weight.  So the
+    rows of level k+1 at weight nu come only from the rows of level k at
+    nu and at nu - shift(g).  Where N_{k+1} <= N_k and
     N_{k+1} - shifts <= N_k, a build that forms only the images landing in
     N_{k+1} (``bruteforce_level`` with a ``cone``) inserts at each kept
     weight the same images in the same order as the whole build, so it
@@ -189,8 +190,8 @@ from .osc import (
     project_T_numerator,
     projection_forms,
     relabellings,
-    root_terms,
     tn_cells,
+    weyl_forms,
 )
 from .poly import Poly, parse_poly, render_terms
 
@@ -532,24 +533,21 @@ def bruteforce_level(
 def _generator_shifts(n: int, n1: int, n2: int) -> tuple | None:
     """The weight each generator moves a weight vector by, in
     ``generators`` order: 0 for h_r, which acts diagonally, and for a root
-    the weight of v less that of d over the terms c v d of its applier
-    table (``osc.root_terms``).  None where a root has a term that is no
-    Weyl monomial, two terms of different shifts, or a shift whose entries
-    add up to more than 2 in absolute value (the bound
-    ``Weights.descent`` rests on).  Cached per layout: the weights of the
-    monomials depend on neither (l1, l2) nor the orbits."""
+    the weight of v less that of d over the terms c v d of its Weyl form
+    (``osc.weyl_forms``), which its applier is packed from.  None where a
+    root has two terms of different shifts, or a shift whose entries add
+    up to more than 2 in absolute value (the bound ``Weights.descent``
+    rests on).  Cached per layout: the weights of the monomials depend on
+    neither (l1, l2) nor the orbits."""
     cfg = Config(n, n1, n2)
     weights = Weights(cfg, cfg.space)
-    decoded = root_terms(n, n1, n2)
+    forms = weyl_forms(n, n1, n2)
     out = []
     for g in generators(n):
         if g[0] == "h":
             out.append(0)
             continue
-        terms = decoded[g]
-        if terms is None:
-            return None
-        found = {weights.of(v) - weights.of(d) for v, d in terms}
+        found = {weights.of(v) - weights.of(d) for v, d in forms[g]}
         if len(found) > 1:
             return None
         shift = found.pop() if found else 0
@@ -812,7 +810,8 @@ def _orbit_generators(cfg: Config, kmax: int, cache: dict) -> list:
     transpositions and the x/y mirror that ``osc.admitted`` keeps on the
     base vectors and the alternating quadratics (each set onto itself up to
     sign) and on the Weyl forms of the two T-series operators in the T-cell
-    and dprime regimes (each onto itself).  None where one of those
+    and dprime regimes (each onto itself), the forms T's tables are packed
+    from (``osc.projection_forms``).  None where one of those
     vectors, or a term of a form, is no weight vector (the terms of weight
     0, so T(m) has the weight of m), or where a quadratic's weight has
     entries adding up to more than 2 in absolute value, so that a factor

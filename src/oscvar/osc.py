@@ -23,26 +23,13 @@ and on the y side symmetrically with the split at n2:
 These two tables are the code's single source (``_BLOCK``; the first block
 is J1 for X, J3 for Y).  Each side of pi(E_ij), i != j, and each summand of
 the Laplacian below is one Weyl term (c, p, dp, q, dq): c times v_p or d_p
-(dp = +1 or -1) times v_q or d_q, p != q, derivatives acting first.
+(dp = +1 or -1) times v_q or d_q, derivatives acting first.
 
-Monomials are packed ints (see ``poly``), so a table stores each Weyl term
-as (c, shift of d_p or -1, shift of d_q or -1, packed delta): the applier
-reads a differentiated exponent as ``(m >> shift) & FIELD_MASK``, skips the
-term when that factor is zero (so no field ever borrows), and shifts the
-monomial by ``m + delta``.  A table with a raising term v_p v_q also holds
-the smallest key whose image would overflow the degree field, checked
-once per call against the largest key.
-
-The Cartan generators h_r = E_rr - E_{r+1,r+1} act diagonally on monomials
-(the constant shifts included), by an eigenvalue affine in the exponents
-of x_r, y_r, x_{r+1}, y_{r+1}: a per-position table (``_cartan_table``)
-that the applier and the weights read.
-
-The same tables also give every pi(g) as an element of the Weyl algebra
-(``weyl_forms``), in normal order: a dict mapping (v, d), the packed
-monomials of the multiplication and the derivative factors, to the
-coefficient of v d (derivatives acting first).  Normal-ordered products
-follow from
+Every operator has one encoding, its element of the Weyl algebra
+(``weyl_forms``, ``projection_forms``) in normal order: a dict mapping
+(v, d), the packed monomials of the multiplication and the derivative
+factors, to the coefficient of v d (derivatives acting first).
+Normal-ordered products follow from
 
     (v^a d^b)(v^c d^e) = sum_k prod_i C(b_i, k_i) C(c_i, k_i) k_i!
                                  v^{a+c-k} d^{b+e-k},
@@ -53,17 +40,34 @@ zero normal-ordered form is the zero operator at every degree; this is
 how the bracket relations and the invariance of the Laplacian are checked
 as identities rather than on finitely many monomials.
 
+The appliers read tables packed from the forms.  Monomials are packed ints
+(see ``poly``), so the table of a root, a Laplacian or the lift
+(``_packed``) stores each term c v d as (c, shift of a position d
+differentiates or -1, the same for a second one, packed v - d): the
+applier reads a differentiated exponent as ``(m >> shift) & FIELD_MASK``,
+skips the term when that factor is zero (so no field ever borrows), and
+shifts the monomial by ``m + delta``.  That is the operator c v d while
+no position is differentiated twice and at most two are, which
+``_packed`` checks.  A table with a raising term also holds the smallest
+key whose image would overflow the degree field, checked once per call
+against the largest key.  The Cartan generators h_r = E_rr - E_{r+1,r+1}
+act diagonally on monomials: h_r's form is a constant plus k v_p d_p at
+each of x_r, y_r, x_{r+1}, y_{r+1}, stored as the per-position table of
+its eigenvalue (``_cartan_table``) that the applier and ``weight`` read.
+
 ``applier_is_representation`` certifies a layout for the ordered closure
 of ``filtration``: the relations of the pairs of a Chevalley generator and
-a basis element, which imply all the others, and each generator's form
-against its applier as exact normal forms: a root's table read as the
-Weyl element it applies (``root_terms``), h_r's ``_cartan_table`` as
-constant + sum k v_p d_p.  Where every root's table is its form and each
-permutation inside the blocks relabels the forms onto those of the
-relabelled generators, the relations are checked once per orbit of those
-permutations.  ``mirror_commutes`` checks the same way that conjugating
-by the x/y mirror x_a <-> y_{n+1-a} takes each pi(E_ab) to
--pi(E_{n+1-b,n+1-a}).
+a basis element, which imply all the others, decided on the forms the
+tables are packed from.  Where each permutation inside the blocks
+relabels the forms onto those of the relabelled generators, the relations
+are checked once per orbit of those permutations.  ``mirror_commutes``
+checks the same way that conjugating by the x/y mirror x_a <-> y_{n+1-a}
+takes each pi(E_ab) to -pi(E_{n+1-b,n+1-a}).  The run time trusts the
+packing (``_packed``, ``_cartan_table``) and the loops that apply a table
+(``_apply_ops``, ``_cartan_terms``); the tests sweep every table of every
+layout with n <= 8 against ``apply_weyl`` of its form, an interpreter of
+its own, and the ``suite`` record ``bracket-fidelity`` sweeps the tables
+of its layouts the same way.
 
 Every layer that uses a relabelling of the indices (a block transposition
 or the x/y mirror, ``Relabelling``) asks one certificate for it,
@@ -106,7 +110,7 @@ from math import comb, factorial, perm, prod
 from typing import NamedTuple
 
 from .poly import (
-    DEGREE_LIMIT, FIELD_MASK, Poly, Space, add_term, axpy, xy_space,
+    DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, Space, add_term, axpy, xy_space,
 )
 
 # Generators are small tagged tuples:
@@ -227,52 +231,41 @@ def _laplacian_terms(sp: Space, n1: int, n2: int, skip=None) -> list:
     )
 
 
-def _packed_ops(sp: Space, *weyl_terms) -> tuple:
-    """(ceiling, packed terms) of a sum of Weyl terms (c, p, dp, q, dq).
-
-    The ceiling is the smallest packed key whose image would leave the
-    degree limit, or None when no term raises the degree.
-    """
-    packed = tuple(
-        (
-            c,
-            sp.shift[p] if dp < 0 else -1,
-            sp.shift[q] if dq < 0 else -1,
-            dp * sp.unit[p] + dq * sp.unit[q],
-        )
-        for c, p, dp, q, dq in weyl_terms
-    )
-    rise = max((dp + dq for _c, _p, dp, _q, dq in weyl_terms), default=0)
-    ceiling = (DEGREE_LIMIT - rise) << sp.dshift if rise > 0 else None
-    return ceiling, packed
+def _packed(sp: Space, form: dict) -> tuple:
+    """The applier table of a Weyl form, for ``_apply_ops``: (ceiling,
+    packed terms), each term c v d as (c, fp, fq, v - d), fp and fq the
+    shifts of the positions d differentiates (-1 for each one short of
+    two), and the ``_ceiling``.  Raises ValueError on a term the format
+    cannot hold: a position differentiated twice (the applier would read
+    e^2 where d^2 reads e(e - 1)), or more than two."""
+    fields = (1 << sp.dshift) - 1
+    packed = []
+    for (v, d), c in form.items():
+        reads = []
+        rest = d & fields
+        while rest:
+            # the shift of the highest field left, and its exponent
+            s = rest.bit_length() - 1
+            s -= s % FIELD_BITS
+            if rest >> s != 1 or len(reads) == 2:
+                raise ValueError("a Weyl term differentiates a position twice or three positions")
+            rest ^= 1 << s
+            reads.append(s)
+        reads += [-1] * (2 - len(reads))
+        packed.append((c, *reads, v - d))
+    return _ceiling(sp, form), tuple(packed)
 
 
 @cache
 def _weyl_tables(n: int, n1: int, n2: int) -> tuple:
-    """Weyl terms of pi(E_ij) by generator, of the Laplacian by the middle
-    index its T-series omits (None for the full Laplacian), and of the
-    T-series lift x_{n1+1} y_{n1+1} (None for n1 = n2), each packed by
-    ``_packed_ops``."""
+    """The applier tables (``_packed``) of pi(E_ij) by root, from
+    ``weyl_forms``, and of the Laplacian by the middle index its T-series
+    omits and of the T-series lift, from ``_laplacian_forms``."""
     sp = xy_space(n)
-    roots = {
-        ("e", i, j): _packed_ops(sp, *_pi_terms(sp, n1, n2, i, j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    }
-    laplacians = {
-        skip: _packed_ops(sp, *_laplacian_terms(sp, n1, n2, skip))
-        for skip in (None, n1 + 1)
-    }
-    lift = None
-    if n1 < n2:
-        lift = _packed_ops(sp, _lift_term(sp, n1))
-    return roots, laplacians, lift
-
-
-def _lift_term(sp: Space, n1: int) -> tuple:
-    """The Weyl term of the T-series lift x_{n1+1} y_{n1+1}."""
-    return (1, sp.x(n1 + 1), 1, sp.y(n1 + 1), 1)
+    roots = {g: _packed(sp, form) for g, form in weyl_forms(n, n1, n2).items() if g[0] == "e"}
+    laplacians, lift = _laplacian_forms(n, n1, n2)
+    laplacians = {skip: _packed(sp, form) for skip, form in laplacians.items()}
+    return roots, laplacians, None if lift is None else _packed(sp, lift)
 
 
 def _apply_ops(ops: tuple, terms: dict) -> dict:
@@ -322,14 +315,16 @@ def _weyl_form(sp: Space, weyl_terms, constant: int = 0) -> dict:
 
 @cache
 def weyl_forms(n: int, n1: int, n2: int) -> dict:
-    """The Weyl form of pi(g) for every generator g, read off ``_BLOCK``.
+    """The Weyl form of pi(g) for every generator g, read off ``_BLOCK``:
+    the one encoding of the representation, which the certificates decide
+    and the appliers are packed from (``_weyl_tables``,
+    ``_cartan_table``).
 
-    A root vector takes the two cells ``_weyl_tables`` packs for its
-    applier; h_r is pi(E_rr) - pi(E_{r+1,r+1}), each from the diagonal
-    cells plus the ``_DIAGONAL`` constants, independently of
-    ``diagonal_value``.  Built once per layout, for every certificate that
-    reads it; callers must not modify it, and a test that patches the
-    tables clears it with them.
+    A root vector takes its two cells; h_r is pi(E_rr) - pi(E_{r+1,r+1}),
+    each from the diagonal cells plus the ``_DIAGONAL`` constants,
+    independently of ``diagonal_value``.  Built once per layout; callers
+    must not modify it, and a test that patches what it is read from
+    clears it with the tables.
     """
     sp = xy_space(n)
 
@@ -347,16 +342,28 @@ def weyl_forms(n: int, n1: int, n2: int) -> dict:
     return forms
 
 
+@cache
+def _laplacian_forms(n: int, n1: int, n2: int) -> tuple:
+    """The Weyl forms of the Laplacian by the middle index its T-series
+    omits (None for the full Laplacian), and of the T-series lift
+    x_{n1+1} y_{n1+1} (None for n1 = n2).  Built once per layout, so the
+    certificate of the T-series (``projection_forms``) reads the objects
+    its tables are packed from; callers must not modify them."""
+    sp = xy_space(n)
+    laplacians = {
+        skip: _weyl_form(sp, _laplacian_terms(sp, n1, n2, skip)) for skip in (None, n1 + 1)
+    }
+    lift = _weyl_form(sp, [(1, sp.x(n1 + 1), 1, sp.y(n1 + 1), 1)]) if n1 < n2 else None
+    return laplacians, lift
+
+
 def projection_forms(cfg: Config) -> tuple[dict, dict]:
     """The Weyl forms of the two operators of the T-series
     (``project_T_monomial``, n1 < n2): the reduced Laplacian, without the
     d_x d_y summand of the middle index n1+1, and the lift
-    x_{n1+1} y_{n1+1}, from the Weyl terms ``_weyl_tables`` packs."""
-    sp, n1 = cfg.space, cfg.n1
-    return (
-        _weyl_form(sp, _laplacian_terms(sp, n1, cfg.n2, n1 + 1)),
-        _weyl_form(sp, [_lift_term(sp, n1)]),
-    )
+    x_{n1+1} y_{n1+1}, the forms their tables are packed from."""
+    laplacians, lift = _laplacian_forms(cfg.n, cfg.n1, cfg.n2)
+    return laplacians[cfg.n1 + 1], lift
 
 
 def _support(m: int, ones: int) -> int:
@@ -451,15 +458,20 @@ def weyl_action(sp: Space, form: dict) -> tuple:
     """(ceiling, packed terms) of a Weyl form, for ``apply_weyl``.
 
     A packed term is (c, the (shift, order) of each derivative factor,
-    packed delta v - d); the ceiling is as in ``_packed_ops``.
+    packed delta v - d); the ceiling is ``_ceiling``.
     """
     packed = tuple(
         (c, tuple((sp.shift[pos], k) for pos, k in enumerate(sp.unpack(d)) if k), v - d)
         for (v, d), c in form.items()
     )
+    return _ceiling(sp, form), packed
+
+
+def _ceiling(sp: Space, form: dict):
+    """The smallest packed key whose image under a Weyl form would leave
+    the degree limit, or None when no term raises the degree."""
     rise = max(((v >> sp.dshift) - (d >> sp.dshift) for v, d in form), default=0)
-    ceiling = (DEGREE_LIMIT - rise) << sp.dshift if rise > 0 else None
-    return ceiling, packed
+    return (DEGREE_LIMIT - rise) << sp.dshift if rise > 0 else None
 
 
 def apply_weyl(action: tuple, terms: dict) -> dict:
@@ -496,20 +508,19 @@ def _cartan_table(cfg: Config, r: int) -> tuple:
     """The eigenvalue of h_r as per-position data: (constant, ((shift,
     coefficient), ...)), the eigenvalue on a monomial being the constant
     plus each coefficient times the exponent read at its shift.  Read off
-    ``diagonal_value`` at the monomial 1 and at each variable, so h_r acts
-    as the Weyl element constant + sum coefficient * v_p d_p, supported on
-    the positions it reads (x_r, y_r, x_{r+1}, y_{r+1})."""
+    h_r's Weyl form, constant + sum coefficient * v_p d_p, which multiplies
+    each monomial by that eigenvalue; raises ValueError on any other
+    term."""
     sp = cfg.space
-
-    def value(m):
-        return diagonal_value(cfg, r, m) - diagonal_value(cfg, r + 1, m)
-
-    const = value(0)
-    reads = []
-    for unit, shift in zip(sp.unit, sp.shift):
-        k = value(unit) - const
-        if k:
-            reads.append((shift, k))
+    shifts = dict(zip(sp.unit, sp.shift))
+    const, reads = 0, []
+    for (v, d), c in weyl_forms(cfg.n, cfg.n1, cfg.n2)["h", r].items():
+        if v == d == 0:
+            const = c
+        elif v == d and d in shifts:
+            reads.append((shifts[d], c))
+        else:
+            raise ValueError(f"h_{r} has a term other than a constant or k v_p d_p")
     return const, tuple(reads)
 
 
@@ -971,60 +982,6 @@ def commutator_in_basis(g: Generator, h: Generator, n: int) -> list[tuple]:
     )
 
 
-def _weyl_monomials(sp: Space, ops: tuple):
-    """The packed terms of an applier table ``ops`` (``_packed_ops``) as a
-    Weyl form, {(v, d): c} for the terms acting as c v d, or None where a
-    term is no Weyl monomial.
-
-    A packed term (c, fp, fq, delta) acts as c v d, with d the product of
-    its differentiated positions and v = delta + d, exactly when no
-    position is differentiated twice (the term reads e^2 where d^2 reads
-    e(e - 1)) and v has no negative exponent (the shift would borrow).  A
-    borrow leaves the degree field of v other than the sum of its exponent
-    fields, which are its low bytes (``FIELD_BITS`` = 8).
-    """
-    dunit, fields = 1 << sp.dshift, sp.nvars
-    out: dict = {}
-    for c, fp, fq, delta in ops[1]:
-        if fp >= 0 and fp == fq:
-            return None
-        d = sum((1 << s) | dunit for s in (fp, fq) if s >= 0)
-        v = delta + d
-        if v < 0 or sum((v & (dunit - 1)).to_bytes(fields, "little")) != v >> sp.dshift:
-            return None
-        add_term(out, (v, d), c)
-    return out
-
-
-@cache
-def root_terms(n: int, n1: int, n2: int) -> dict:
-    """``_weyl_monomials`` of the applier table of every root, by root:
-    decoded once per layout for the certificates
-    (``_forms_act_as_applier``) and the weight shifts of ``filtration``.
-    A test that patches the tables clears it with them."""
-    sp = xy_space(n)
-    return {g: _weyl_monomials(sp, ops) for g, ops in _weyl_tables(n, n1, n2)[0].items()}
-
-
-def _cartan_form(cfg: Config, r: int) -> dict:
-    """The Weyl element h_r's ``_cartan_table`` acts as: the constant plus
-    k v_p d_p, which multiplies x^e by k e_p, for each read (shift of p, k)."""
-    const, reads = cfg.cartan_tables[r]
-    sp = cfg.space
-    return _weyl_form(sp, [(k, p, 1, p, -1) for s, k in reads for p in [sp.shift.index(s)]], const)
-
-
-def _forms_act_as_applier(cfg: Config, forms: dict, gens) -> bool:
-    """Whether the Weyl form of each of ``gens`` is the operator the
-    applier below ``apply_generator_terms`` applies: one comparison of
-    normal forms per generator, with ``root_terms`` for a root (a table
-    that does not decode refuses) and ``_cartan_form`` for h_r.  Both are
-    normal forms with no zero coefficient, and the Weyl algebra acts
-    faithfully, so the dicts are equal exactly when the operators are."""
-    roots = root_terms(cfg.n, cfg.n1, cfg.n2)
-    return all(forms[g] == (_cartan_form(cfg, g[1]) if g[0] == "h" else roots[g]) for g in gens)
-
-
 def _form_support(sp: Space, form) -> int:
     """The positions a Weyl form's terms touch, as a packed monomial with
     exponent 1 at each (see ``_support``); ``form`` may be any iterable of
@@ -1084,26 +1041,23 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
     commute in sl(n) and touch disjoint positions, so their defect is zero
     unformed.
 
-    The forms must act as the applier, and that is proved, not sampled:
-    each generator's normal form is compared with the Weyl element its
-    applier acts as (``_forms_act_as_applier``), which the Weyl algebra's
-    faithful action makes an exact test of the operators.
+    The forms are the operators the applier applies: every table is
+    packed from its form (``_weyl_tables``, ``_cartan_table``), so no
+    second encoding is compared at run time.
 
     The relations are formed once per orbit of the permutations inside
-    J1, J2 and J3 where every root's applier table is its form and each
-    block transposition sigma relabels the form of every generator g to
-    that of sigma(g) (``block_permutations_commute``, cached per layout
-    too), so sigma pi(g) sigma^-1 = pi(sigma(g)).  The sl(n) bracket is
-    equivariant too, so D(sigma x, sigma y) = sigma D(x, y) sigma^-1, and V
-    is sigma-stable: a Chevalley generator lies in V when one of its orbit
-    does, and x lies in V when D(x, y) = 0 for every h_r and one root y per
-    orbit of the permutations fixing x (``_orbit_pairs``).  Where that
-    fails, the same code runs with every index a block of its own, and
-    every Chevalley generator is paired with every other basis element (a
-    pair of two Chevalley generators in both orders).  Here every h_r and
-    one root per orbit (``_orbit_roots``) are compared with their forms.
-    At n = 8 the orbits form 102 identities instead of 388 (357 unordered
-    pairs; of 777 Chevalley pairs and all 1,953).
+    J1, J2 and J3 where each block transposition sigma relabels the form
+    of every generator g to that of sigma(g) (``block_permutations_commute``,
+    cached per layout too), so sigma pi(g) sigma^-1 = pi(sigma(g)).  The
+    sl(n) bracket is equivariant too, so D(sigma x, sigma y) =
+    sigma D(x, y) sigma^-1, and V is sigma-stable: a Chevalley generator
+    lies in V when one of its orbit does, and x lies in V when D(x, y) = 0
+    for every h_r and one root y per orbit of the permutations fixing x
+    (``_orbit_pairs``).  Where that fails, the same code runs with every
+    index a block of its own, and every Chevalley generator is paired with
+    every other basis element (a pair of two Chevalley generators in both
+    orders).  At n = 8 the orbits form 102 identities instead of 388 (357
+    unordered pairs; of 777 Chevalley pairs and all 1,953).
 
     Checked once per layout; it applies no operator, so it adds nothing
     to the counts of ``apply_generator_terms``.
@@ -1115,14 +1069,11 @@ def applier_is_representation(n: int, n1: int, n2: int) -> bool:
 def _certified(cfg: Config, forms: dict, orbits: bool) -> bool:
     """The verdict of ``applier_is_representation`` on ``forms``, once per
     orbit of the permutations inside the blocks where ``orbits`` (sound
-    only where ``block_permutations_commute``, which compares every root),
-    else with every index a block of its own: every generator compared,
-    every pair of a Chevalley generator and another basis element
-    checked."""
+    only where ``block_permutations_commute``), else with every index a
+    block of its own: every pair of a Chevalley generator and another
+    basis element checked."""
     blocks = _blocks(cfg) if orbits else [(a,) for a in range(1, cfg.n + 1)]
-    gens = [("h", r) for r in range(1, cfg.n)] + _orbit_roots(blocks)
-    pairs = _orbit_pairs(cfg.n, blocks)
-    return _forms_act_as_applier(cfg, forms, gens) and _brackets_hold(cfg, forms, pairs)
+    return _brackets_hold(cfg, forms, _orbit_pairs(cfg.n, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -1310,13 +1261,11 @@ def admitted(candidates, vectors=(), tables=()) -> list[Relabelling]:
 
 
 def _applier_admits(n: int, n1: int, n2: int, candidates) -> bool:
-    """Whether the applier table of every root is its Weyl form
-    (``_forms_act_as_applier``) and ``admitted`` keeps every one of
-    ``candidates`` on the forms: sigma pi(g) sigma^-1 = pi(sigma(g)) on the
-    forms is then the same identity on the tables."""
-    cfg, forms = Config(n, n1, n2), weyl_forms(n, n1, n2)
-    admits = admitted(candidates, tables=[Table("generators", cfg.space, forms)])
-    return _forms_act_as_applier(cfg, forms, root_terms(n, n1, n2)) and admits == candidates
+    """Whether ``admitted`` keeps every one of ``candidates`` on the Weyl
+    forms: sigma pi(g) sigma^-1 = pi(sigma(g)) on the forms, and so on the
+    tables packed from them."""
+    table = Table("generators", xy_space(n), weyl_forms(n, n1, n2))
+    return admitted(candidates, tables=[table]) == candidates
 
 
 def _blocks(cfg: Config) -> list[tuple]:
@@ -1362,27 +1311,27 @@ def _orbit_pairs(n: int, blocks):
 
 @cache
 def block_permutations_commute(n: int, n1: int, n2: int) -> bool:
-    """Whether every root's applier table is its Weyl form and relabelling
-    the variables by each ``block_transpositions`` sigma maps every
-    generator's form to that of the relabelled generator
-    (``_applier_admits``): sigma pi(E_ab) sigma^-1 = pi(E_{sigma(a),
-    sigma(b)}).
+    """Whether relabelling the variables by each ``block_transpositions``
+    sigma maps every generator's Weyl form to that of the relabelled
+    generator (``_applier_admits``): sigma pi(E_ab) sigma^-1 =
+    pi(E_{sigma(a), sigma(b)}), on the forms the appliers are packed from.
 
-    Together with ``applier_is_representation`` (the forms act as the
-    applier, and every bracket, so every Cartan element, is pi of the
-    sl(n) bracket) each permutation sigma inside the blocks then
-    conjugates pi(U_k(g)) onto itself, and the applier of each root onto
-    that of the relabelled root.  Checked once per layout.
+    Together with ``applier_is_representation`` (every bracket, so every
+    Cartan element, is pi of the sl(n) bracket) each permutation sigma
+    inside the blocks then conjugates pi(U_k(g)) onto itself, and the
+    applier of each root onto that of the relabelled root.  Checked once
+    per layout.
     """
     return _applier_admits(n, n1, n2, relabellings(n, block_transpositions(n, n1, n2)))
 
 
 @cache
 def mirror_commutes(n: int, n1: int, n2: int) -> bool:
-    """Whether every root's applier table is its Weyl form and conjugating
-    by the x/y mirror M maps every generator's form to that of its image
-    under E_ab -> -E_{n+1-b, n+1-a} (``_applier_admits``):
-    M pi(E_ab) M^-1 = -pi(E_{n+1-b, n+1-a}) and M pi(h_r) M^-1 = pi(h_{n-r}).
+    """Whether conjugating by the x/y mirror M maps every generator's Weyl
+    form to that of its image under E_ab -> -E_{n+1-b, n+1-a}
+    (``_applier_admits``): M pi(E_ab) M^-1 = -pi(E_{n+1-b, n+1-a}) and
+    M pi(h_r) M^-1 = pi(h_{n-r}), on the forms the appliers are packed
+    from.
 
     That map is an automorphism of sl(n) (minus the transpose, followed by
     the index reversal), so with ``applier_is_representation`` M conjugates

@@ -1,5 +1,6 @@
 """Filtration towers: base spaces, dual-route equality, orders, ladders."""
 
+import functools
 import itertools
 import json
 import random
@@ -50,7 +51,7 @@ from oscvar.osc import (
     project_T_monomial,
     weight,
 )
-from oscvar.poly import Poly, axpy, monomials, parse_poly, xy_space
+from oscvar.poly import DEGREE_LIMIT, Poly, add_term, axpy, monomials, parse_poly, xy_space
 
 CFG = Config(3, 1, 2, -1, -1)
 SP = CFG.space
@@ -562,13 +563,13 @@ def test_closures_match_the_every_row_oracle(cfg_kmax):
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the per-layout applier tables, their Weyl forms and decoded
-    terms and the certificates around a test that patches the tables they
-    are read from."""
+    """Clear the per-layout Weyl forms, the applier tables packed from them
+    and the certificates around a test that patches what they are read
+    from."""
     caches = [
         _weyl_tables,
         osc.weyl_forms,
-        osc.root_terms,
+        osc._laplacian_forms,
         applier_is_representation,
         osc.block_permutations_commute,
         osc.mirror_commutes,
@@ -593,7 +594,9 @@ def test_certificate_rejects_a_flipped_cell(monkeypatch, fresh_caches, cell):
 
 @pytest.mark.parametrize("first, wrong", [(True, 0), (False, 1)])
 def test_certificate_rejects_a_wrong_diagonal_constant(monkeypatch, fresh_caches, first, wrong):
-    # the Weyl forms of the Cartan generators no longer act as the applier
+    # the Weyl forms of the Cartan generators, and the tables packed from
+    # them, carry the wrong constant: the brackets whose result holds h_r
+    # refuse it
     monkeypatch.setitem(osc._DIAGONAL, first, wrong)
     assert not applier_is_representation(4, 1, 3)
     _assert_closures_match_oracles(Config(4, 1, 3, -1, -1), 2)
@@ -631,13 +634,6 @@ def _chevalley_pairs(n):
                     yield s, y
 
 
-def _chevalley_certificate(cfg, forms):
-    """The certificate on every generator and every ``_chevalley_pairs``."""
-    return osc._forms_act_as_applier(cfg, forms, forms) and osc._brackets_hold(
-        cfg, forms, _chevalley_pairs(cfg.n)
-    )
-
-
 def _layouts(nmax):
     return [
         (n, n1, n2)
@@ -670,7 +666,6 @@ def test_certificate_matches_the_oracle_on_corrupted_tables(monkeypatch, fresh_c
     for layout in _layouts(4):
         _weyl_tables.cache_clear()
         osc.weyl_forms.cache_clear()
-        osc.root_terms.cache_clear()
         applier_is_representation.cache_clear()
         osc.block_permutations_commute.cache_clear()  # read by the certificate
         verdict = applier_is_representation(*layout)
@@ -714,12 +709,12 @@ def test_skipped_chevalley_pairs_have_zero_defect(monkeypatch, fresh_caches, cel
 
 def test_orbit_certificate_matches_the_full_path():
     # every layout with n <= 8 passes the relabelling check, and the
-    # verdict once per orbit is that of every generator and Chevalley pair
+    # verdict once per orbit is that of every Chevalley pair
     for layout in _layouts(8):
         cfg = Config(*layout)
         forms = osc.weyl_forms(*layout)
         assert osc.block_permutations_commute(*layout), layout
-        full = _chevalley_certificate(cfg, forms)
+        full = osc._brackets_hold(cfg, forms, _chevalley_pairs(cfg.n))
         assert osc._certified(cfg, forms, True) == osc._certified(cfg, forms, False) == full, layout
     # with every index a block of its own, the orbit pairs are the
     # Chevalley pairs, each pair of two Chevalley generators in both orders
@@ -757,20 +752,27 @@ def _symmetry_broken(layout):
     return osc._certified(cfg, forms, True)
 
 
+def _extra_form_term(layout, g, key):
+    """Add the Weyl monomial ``key`` = (v, d) to the cached form of g; the
+    tables and certificates built after it read the changed form
+    (``fresh_caches`` clears them around the test)."""
+    add_term(osc.weyl_forms(*layout)[g], key, 1)
+
+
 def test_relabelling_check_sees_an_extra_term_on_a_non_representative_root(fresh_caches):
-    # x2 d_{x4} added to E_21 only: no orbit representative reads it, so
-    # the orbit path alone would pass; the relabelling (1 2) refuses it
+    # x2 d_{x4} added to the form of E_21, no orbit representative: the
+    # relabelling (1 2) refuses it, and so do the brackets of E_21 with
+    # the representatives that fix 1 and 2
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("e", 2, 1)
     assert g not in osc._orbit_roots(osc._blocks(cfg))
-    _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
-    assert _symmetry_broken((4, 2, 2))
+    _extra_form_term((4, 2, 2), g, (sp.unit[sp.x(2)], sp.unit[sp.x(4)]))
+    assert not _symmetry_broken((4, 2, 2))
 
 
 def test_relabelling_check_sees_a_negated_non_representative_root(monkeypatch, fresh_caches):
-    # E_24 negated in its table and its form alike: they agree, the
-    # relabelling (1 2) takes E_14 to E_24 and the table and form to minus
-    # theirs
+    # E_24 negated in its form, and so in its table: the relabelling (1 2)
+    # takes E_14 to E_24 and its form to minus E_24's
     pi_terms = osc._pi_terms
 
     def negated(sp, n1, n2, i, j):
@@ -782,49 +784,13 @@ def test_relabelling_check_sees_a_negated_non_representative_root(monkeypatch, f
     _symmetry_broken((5, 2, 3))
 
 
-def test_relabelling_check_sees_a_perturbed_cartan_form(monkeypatch, fresh_caches):
-    # a constant added to h_1 in its form and its table alike: form and
-    # applier agree, but (1 2) takes h_1 to -h_1, and the constant to itself
-    weyl_forms, table = osc.weyl_forms.__wrapped__, osc._cartan_table
-
-    def shifted_forms(*layout):
-        forms = weyl_forms(*layout)
-        forms["h", 1][0, 0] = forms["h", 1].get((0, 0), 0) + 1
-        return forms
-
-    def shifted_table(cfg, r):
-        const, reads = table(cfg, r)
-        return (const + 1, reads) if r == 1 else (const, reads)
-
-    monkeypatch.setattr(osc, "weyl_forms", shifted_forms)
-    monkeypatch.setattr(osc, "_cartan_table", shifted_table)
-    cfg = Config(5, 2, 3)
+def test_relabelling_check_sees_a_perturbed_cartan_form(fresh_caches):
+    # a constant added to h_1's form, and so to its table: (1 2) takes h_1
+    # to -h_1, and the constant to itself
+    _extra_form_term((5, 2, 3), ("h", 1), (0, 0))
     assert osc.weyl_forms(5, 2, 3)["h", 1][0, 0] == 1
-    assert osc._forms_act_as_applier(cfg, osc.weyl_forms(5, 2, 3), [("h", 1)])
+    assert Config(5, 2, 3).cartan_tables[1][0] == 1
     _symmetry_broken((5, 2, 3))
-
-
-def test_orbit_agreement_reads_a_root_inside_each_block(fresh_caches):
-    # E_12 and E_21 negated in their tables alone: (1 2) maps one onto the
-    # other, so the relabelled tables match, and so do the brackets of the
-    # forms; the relabelling check refuses tables that are not their forms,
-    # and on the orbit path alone the comparison of E_12, the representative
-    # inside J1, sees it
-    cfg = Config(5, 2, 3)
-    roots = cfg.weyl_tables[0]
-    for g in (("e", 1, 2), ("e", 2, 1)):
-        ceiling, packed = roots[g]
-        roots[g] = ceiling, tuple((-c, *rest) for c, *rest in packed)
-    forms = osc.weyl_forms(5, 2, 3)
-    sp, candidates = cfg.space, osc.relabellings(5, osc.block_transpositions(5, 2, 3))
-    tables = osc.Table("generators", sp, osc.root_terms(5, 2, 3))
-    assert osc.admitted(candidates, tables=[tables]) == candidates
-    assert not osc.block_permutations_commute(5, 2, 3)
-    assert osc._brackets_hold(cfg, forms, osc._orbit_pairs(cfg.n, osc._blocks(cfg)))
-    assert ("e", 1, 2) in osc._orbit_roots(osc._blocks(cfg))
-    assert not osc._certified(cfg, forms, True)
-    assert not applier_is_representation(5, 2, 3)
-    assert not _all_pairs_certificate(5, 2, 3)
 
 
 def _mirror_conjugates_every_generator(n, n1, n2):
@@ -861,8 +827,8 @@ def test_mirror_conjugation_matches_the_oracle_on_corrupted_tables(
     monkeypatch, fresh_caches, table, key
 ):
     if table == "root":
-        # E_14 negated in its table and its form alike: M takes it to
-        # -E_25 (at n = 5), whose table and form are not negated
+        # E_14 negated in its form, and so in its table: M takes it to
+        # -E_25 (at n = 5), whose form is not negated
         pi_terms = osc._pi_terms
 
         def negated(sp, n1, n2, i, j):
@@ -879,99 +845,97 @@ def test_mirror_conjugation_matches_the_oracle_on_corrupted_tables(
     for layout in layouts:
         _weyl_tables.cache_clear()
         osc.weyl_forms.cache_clear()
-        osc.root_terms.cache_clear()
         osc.mirror_commutes.cache_clear()
         assert osc.mirror_commutes(*layout) == _mirror_conjugates_every_generator(*layout), layout
     if table == "root":
         assert not osc.mirror_commutes(5, 2, 3)
 
 
-def _extra_root_term(cfg, g, term):
-    """Append a packed term to the applier of the root g; the terms decoded
-    from the tables before are dropped."""
-    ceiling, packed = cfg.weyl_tables[0][g]
-    cfg.weyl_tables[0][g] = ceiling, packed + (term,)
-    osc.root_terms.cache_clear()
-    filtration._generator_shifts.cache_clear()
+def _reads(ops):
+    """The shifts an ``osc._apply_ops`` table reads."""
+    return [s for _c, fp, fq, _d in ops[1] for s in (fp, fq) if s >= 0]
 
 
-def _touched_monomials(cfg, g, form, full):
+def _tables(cfg):
+    """Every applier table of ``cfg``'s layout, by name, as (the Weyl form
+    it is packed from, the shifts it reads, a function applying it to a
+    term dict): each root and h_r by generator, each Laplacian by the
+    middle index its T-series omits, and the lift."""
+    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    roots, laplacians, lift = cfg.weyl_tables
+    out = {}
+    for g, form in osc.weyl_forms(n, n1, n2).items():
+        if g[0] == "h":
+            reads = [s for s, _k in cfg.cartan_tables[g[1]][1]]
+            out[g] = form, reads, functools.partial(osc._cartan_terms, cfg, g[1])
+        else:
+            out[g] = form, _reads(roots[g]), functools.partial(osc._apply_ops, roots[g])
+    laplacian_forms, lift_form = osc._laplacian_forms(n, n1, n2)
+    for skip, form in laplacian_forms.items():
+        ops = laplacians[skip]
+        out["laplacian", skip] = form, _reads(ops), functools.partial(osc._apply_ops, ops)
+    if lift is not None:
+        out["lift"] = lift_form, _reads(lift), functools.partial(osc._apply_ops, lift)
+    return out
+
+
+def _touched_monomials(sp, form, reads):
     """The monomials of degree <= 2 on the positions P that the form's
-    terms and g's applier table touch (a root's table read by
-    ``osc.root_terms``, h_r's reads each a term v_p d_p); ``full``, every
-    monomial of degree <= 2, for a root whose table does not decode.  Where
-    both are Weyl elements of derivative order <= 2, their difference is
-    supported on P and, if nonzero, nonzero on x^b for a minimal derivative
-    d^b among its terms: a monomial of this list."""
-    sp = cfg.space
+    terms touch or its table ``reads``.  Where the table applies a Weyl
+    element of derivative order <= 2, its difference with the form is
+    supported on P and, if nonzero, nonzero on x^b for a minimal
+    derivative d^b among its terms: a monomial of this list."""
     unit = 1 << sp.dshift
-    keys = list(form)
-    if g[0] == "h":
-        keys += [((1 << s) | unit,) * 2 for s, _k in cfg.cartan_tables[g[1]][1]]
-    else:
-        terms = osc.root_terms(cfg.n, cfg.n1, cfg.n2)[g]
-        if terms is None:
-            return full
-        keys += terms
-    touched = osc._form_support(sp, keys)
+    touched = osc._form_support(sp, list(form) + [((1 << s) | unit,) * 2 for s in reads])
     units = [u for u, s in zip(sp.unit, sp.shift) if touched >> s & 1]
     return [
         sum(combo) for k in range(3) for combo in itertools.combinations_with_replacement(units, k)
     ]
 
 
-def _sampled_agreement(cfg, forms, gens):
-    """The sampled check of form against applier: each of ``gens`` applied
-    by its table (``osc._apply_ops``, ``osc._cartan_terms``) and by
-    ``osc.apply_weyl`` of its form to every ``_touched_monomials``."""
+def _sampled_agreement(cfg):
+    """The names of the ``_tables`` that do not act as their forms: each
+    applied by its table and by ``osc.apply_weyl`` of its form, an
+    interpreter of its own, to every ``_touched_monomials``."""
     sp = cfg.space
-    full = list(monomials(sp, range(3)))
-    for g in gens:
-        action = osc.weyl_action(sp, forms[g])
-        for m in _touched_monomials(cfg, g, forms[g], full):
-            base = {m: 1}
-            if g[0] == "h":
-                img = osc._cartan_terms(cfg, g[1], base)
-            else:
-                img = osc._apply_ops(cfg.weyl_tables[0][g], base)
-            if img != osc.apply_weyl(action, base):
-                return False
-    return True
+    out = []
+    for name, (form, reads, apply) in _tables(cfg).items():
+        action = osc.weyl_action(sp, form)
+        for m in _touched_monomials(sp, form, reads):
+            if apply({m: 1}) != osc.apply_weyl(action, {m: 1}):
+                out.append(name)
+                break
+    return out
 
 
 def test_agreement_reads_the_positions_from_the_packed_terms(fresh_caches):
-    # d_{x4} times x2 on E_13: zero on every monomial in x1, x3, y1, y3,
-    # and a term of the decoded table that the form lacks
+    # d_{x4} times x2 on E_13's table, behind its form: zero on every
+    # monomial in x1, x3, y1, y3, but the read of x4 brings x4 into the
+    # sampled monomials
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("e", 1, 3)
-    forms = osc.weyl_forms(4, 2, 2)
-    full = list(monomials(sp, range(3)))
-    own = _touched_monomials(cfg, g, forms[g], full)
+    form, reads, _apply = _tables(cfg)[g]
+    own = _touched_monomials(sp, form, reads)
     assert len(own) == 15 and sp.unit[sp.x(4)] not in own
-    assert osc.root_terms(4, 2, 2)[g] == forms[g]
-    _extra_root_term(cfg, g, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
-    assert osc.root_terms(4, 2, 2)[g] == {**forms[g], (sp.unit[sp.x(2)], sp.unit[sp.x(4)]): 1}
-    assert sp.unit[sp.x(4)] in _touched_monomials(cfg, g, forms[g], full)
-    assert not _sampled_agreement(cfg, forms, forms)
-    assert not osc._forms_act_as_applier(cfg, forms, [g])
-    assert not applier_is_representation(4, 2, 2)
-    assert not _all_pairs_certificate(4, 2, 2)
+    assert _sampled_agreement(cfg) == []
+    roots = cfg.weyl_tables[0]
+    ceiling, packed = roots[g]
+    roots[g] = ceiling, (*packed, (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
+    form, reads, _apply = _tables(cfg)[g]
+    assert sp.unit[sp.x(4)] in _touched_monomials(sp, form, reads)
+    assert _sampled_agreement(cfg) == [g]
 
 
-def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_caches):
-    # h_2 reads x2, y2, x3, y3 off its table, and its form touches no other
+def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch):
+    # h_2 reads x2, y2, x3, y3 off its table, and its form touches no other;
+    # a read of x1 in the table, which the form lacks, brings x1 into the
+    # sampled monomials
     cfg = Config(4, 2, 2)
     sp, g = cfg.space, ("h", 2)
-    forms = osc.weyl_forms(4, 2, 2)
-    full = list(monomials(sp, range(3)))
-    const, reads = cfg.cartan_tables[2]
-    assert sorted(s for s, _k in reads) == sorted(
-        sp.shift[p] for p in (sp.x(2), sp.y(2), sp.x(3), sp.y(3))
-    )
-    own = _touched_monomials(cfg, g, forms[g], full)
+    form, reads, _apply = _tables(cfg)[g]
+    assert sorted(reads) == sorted(sp.shift[p] for p in (sp.x(2), sp.y(2), sp.x(3), sp.y(3)))
+    own = _touched_monomials(sp, form, reads)
     assert len(own) == 15 and sp.unit[sp.x(1)] not in own
-    assert osc._cartan_form(cfg, 2) == forms[g]
-    # a read of x1 in the table, which the form lacks, brings x1 into the cut
     table = osc._cartan_table
 
     def misread(cfg, r):
@@ -980,18 +944,14 @@ def test_agreement_reads_the_cartan_positions_from_its_table(monkeypatch, fresh_
 
     monkeypatch.setattr(osc, "_cartan_table", misread)
     wrong = Config(4, 2, 2)
-    x1 = sp.unit[sp.x(1)]
-    assert osc._cartan_form(wrong, 2) == {**forms[g], (x1, x1): 1}
-    assert x1 in _touched_monomials(wrong, g, forms[g], full)
-    assert not _sampled_agreement(wrong, forms, forms)
-    assert not osc._forms_act_as_applier(wrong, forms, [g])
-    assert not applier_is_representation(4, 2, 2)
-    assert not _all_pairs_certificate(4, 2, 2)
+    form, reads, _apply = _tables(wrong)[g]
+    assert sp.unit[sp.x(1)] in _touched_monomials(sp, form, reads)
+    assert _sampled_agreement(wrong) == [g]
 
 
 def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_caches):
-    # E_13 negated in its table and its form alike: they agree, the
-    # relation [E_12, E_23] = E_13 does not
+    # E_13 negated in its form, and so in its table: the relation
+    # [E_12, E_23] = E_13 does not hold
     pi_terms = osc._pi_terms
 
     def negated(sp, n1, n2, i, j):
@@ -1003,74 +963,45 @@ def test_chevalley_brackets_reject_a_wrong_non_simple_root(monkeypatch, fresh_ca
     monkeypatch.setattr(osc, "_pi_terms", negated)
     cfg = Config(4, 1, 3)
     forms = osc.weyl_forms(4, 1, 3)
-    assert osc._forms_act_as_applier(cfg, forms, forms)
     assert not osc._brackets_hold(cfg, forms, _chevalley_pairs(4))
     assert not applier_is_representation(4, 1, 3)
     assert not _all_pairs_certificate(4, 1, 3)
 
 
 @pytest.mark.parametrize("layout", [(2, 1, 1), (3, 1, 2)], ids=str)
-def test_chevalley_brackets_reject_a_constant_on_any_root(monkeypatch, fresh_caches, layout):
-    # a constant added to pi(E_ij), in its table and its form alike,
+def test_chevalley_brackets_reject_a_constant_on_any_root(fresh_caches, layout):
+    # a constant added to the form of pi(E_ij), and so to its table,
     # commutes with every operator: only the brackets whose result holds
     # E_ij see it, such as [E_21, h_1] at n = 2, or [E_21, E_32] = -E_31
-    weyl_forms = osc.weyl_forms.__wrapped__
     for g in generators(layout[0]):
         if g[0] == "h":
             continue
-        _weyl_tables.cache_clear()
-        applier_is_representation.cache_clear()
-        osc.block_permutations_commute.cache_clear()  # read by the certificate
-
-        def shifted(*layout, g=g):
-            forms = weyl_forms(*layout)
-            forms[g][0, 0] = forms[g].get((0, 0), 0) + 1
-            return forms
-
-        monkeypatch.setattr(osc, "weyl_forms", shifted)
-        _extra_root_term(Config(*layout), g, (1, -1, -1, 0))
+        for cached in (osc.weyl_forms, _weyl_tables, applier_is_representation,
+                       osc.block_permutations_commute):  # the last read by the certificate
+            cached.cache_clear()
+        _extra_form_term(layout, g, (0, 0))
         assert not applier_is_representation(*layout), g
         assert not _all_pairs_certificate(*layout), g
 
 
-@pytest.mark.parametrize("kind", ["repeated derivative", "borrowing shift", "borrowed field"])
-def test_agreement_tests_every_monomial_past_a_non_weyl_term(fresh_caches, kind):
-    cfg = Config(4, 2, 2)
-    sp, g = cfg.space, ("e", 1, 3)
-    s, unit = sp.shift[sp.x(1)], sp.unit[sp.x(1)]
-    # e^2 x^{e-2} is no Weyl monomial, nor is a division by x_1 or by x_2
-    # that does not differentiate (v = x_1 / x_2 is a positive int whose
-    # x_2 field borrows from x_1's): the table does not decode, and refuses
-    term = {
-        "repeated derivative": (1, s, s, -2 * unit),
-        "borrowing shift": (1, -1, -1, -unit),
-        "borrowed field": (1, -1, -1, unit - sp.unit[sp.x(2)]),
-    }[kind]
-    _extra_root_term(cfg, g, term)
-    forms = osc.weyl_forms(4, 2, 2)
-    full = list(monomials(sp, range(3)))
-    assert _touched_monomials(cfg, g, forms[g], full) is full
-    assert osc.root_terms(4, 2, 2)[g] is None
-    assert not _sampled_agreement(cfg, forms, [g])
-    assert not osc._forms_act_as_applier(cfg, forms, [g])
-    assert not applier_is_representation(4, 2, 2)
-
-
 def test_applier_certificate_matches_the_sampled_oracle():
-    # the exact comparison gives the sampled check's verdict, generator by
-    # generator, on every layout with n <= 8
+    # the certificate decides the Weyl forms, and every table is packed
+    # from its form: on every layout with n <= 8, every root, h_r, both
+    # Laplacians and the lift act as ``apply_weyl`` of the form, so the
+    # verdict is the applier's
     for layout in _layouts(8):
         cfg = Config(*layout)
-        forms = osc.weyl_forms(*layout)
-        for g in generators(cfg.n):
-            assert osc._forms_act_as_applier(cfg, forms, [g]), (layout, g)
-            assert _sampled_agreement(cfg, forms, [g]), (layout, g)
+        assert applier_is_representation(*layout), layout
+        assert _sampled_agreement(cfg) == [], layout
 
 
 @pytest.mark.parametrize("table, key", _CORRUPTIONS, ids=str)
 def test_applier_certificate_matches_the_sampled_oracle_on_corrupted_tables(
     monkeypatch, fresh_caches, table, key
 ):
+    # a corrupted cell or constant reaches the forms, and the tables packed
+    # from them follow it: each still acts as its form, so the refusals of
+    # the certificate, decided on the forms, are the applier's
     cells = getattr(osc, table)
     if table == "_BLOCK":
         c, da, db = cells[key]
@@ -1079,16 +1010,73 @@ def test_applier_certificate_matches_the_sampled_oracle_on_corrupted_tables(
         monkeypatch.setitem(cells, key, 1 + cells[key])
     verdicts = set()
     for layout in _layouts(5):
-        cfg = Config(*layout)
-        forms = osc.weyl_forms(*layout)
-        for g in generators(cfg.n):
-            verdict = osc._forms_act_as_applier(cfg, forms, [g])
-            assert verdict == _sampled_agreement(cfg, forms, [g]), (layout, g)
-            verdicts.add(verdict)
-    # a cell read off the diagonal alone flips a table and its form alike;
-    # the diagonal cells and constants reach only the forms of the Cartan
-    # generators, whose tables are read off ``diagonal_value``
-    assert verdicts == ({True} if key in [(True, False), (False, True)] else {True, False})
+        assert _sampled_agreement(Config(*layout)) == [], layout
+        verdicts.add(applier_is_representation(*layout))
+    assert False in verdicts
+
+
+def test_packer_refuses_a_term_its_table_cannot_hold(fresh_caches):
+    sp = xy_space(3)
+    x1, x2, x3 = (sp.unit[sp.x(i)] for i in (1, 2, 3))
+    s1, s2 = sp.shift[sp.x(1)], sp.shift[sp.x(2)]
+    assert osc._packed(sp, {(x3, x1 + x2): 2}) == (None, ((2, s1, s2, x3 - x1 - x2),))
+    ceiling = (DEGREE_LIMIT - 2) << sp.dshift
+    assert osc._packed(sp, {(x1 + x2, 0): -1, (0, 0): 3}) == (
+        ceiling, ((-1, -1, -1, x1 + x2), (3, -1, -1, 0))
+    )
+    # d_p^2 would be read as e^2, not e(e - 1), and a table term reads two
+    # positions at most
+    for d in (2 * x1, x1 + x2 + x3, 2 * x1 + x2):
+        with pytest.raises(ValueError, match="differentiates"):
+            osc._packed(sp, {(x3, d): 1})
+    # A table term that shifts a position it does not read (a "borrowing
+    # shift") or moves one field into another (a "borrowed field") cannot
+    # come from a form: v and d are packed monomials, nonnegative in every
+    # field, and the delta v - d lowers only the positions d differentiates,
+    # which the term reads.
+    # h_r's table holds a constant and k v_p d_p terms alone
+    _extra_form_term((3, 1, 2), ("h", 1), (x1, x2))
+    with pytest.raises(ValueError, match="h_1 has a term"):
+        Config(3, 1, 2).cartan_tables
+
+
+def test_t_series_tables_are_the_packed_projection_forms():
+    # T applies the tables packed from the very forms the tower's
+    # relabellings are certified on (``filtration._orbit_generators``)
+    layouts = [(n, n1, n2) for n, n1, n2 in _layouts(8) if n1 < n2]
+    for n, n1, n2 in layouts:
+        cfg = Config(n, n1, n2)
+        reduced, lift = filtration.projection_forms(cfg)
+        assert reduced is osc._laplacian_forms(n, n1, n2)[0][n1 + 1]
+        _roots, laplacians, lift_table = cfg.weyl_tables
+        assert laplacians[n1 + 1] == osc._packed(cfg.space, reduced)
+        assert lift_table == osc._packed(cfg.space, lift)
+    assert len(layouts) == 84
+
+
+def test_a_perturbed_reduced_laplacian_form_moves_the_t_series_and_its_certificate(
+    monkeypatch, fresh_caches
+):
+    # x1 d_{y1} doubled in the reduced Laplacian's form: T(y1) lifts twice
+    # the x1, and the transposition (1 2) and the mirror no longer fix the
+    # form
+    cfg = Config(5, 2, 3, -1, -1)
+    sp = cfg.space
+    y1, lifted = sp.unit[sp.y(1)], sp.unit[sp.x(1)] + sp.unit[sp.x(3)] + sp.unit[sp.y(3)]
+    assert project_T_monomial(cfg, y1).terms == {y1: 1, lifted: 1}
+    assert _orbits(cfg, 4) == ([1, 4], True)
+    laplacian_terms = osc._laplacian_terms
+
+    def doubled(sp, n1, n2, skip=None):
+        (c, *first), *rest = laplacian_terms(sp, n1, n2, skip)
+        return [(2 * c if skip else c, *first), *rest]
+
+    monkeypatch.setattr(osc, "_laplacian_terms", doubled)
+    osc._laplacian_forms.cache_clear()
+    _weyl_tables.cache_clear()
+    cfg = Config(5, 2, 3, -1, -1)
+    assert project_T_monomial(cfg, y1).terms == {y1: 1, lifted: 2}
+    assert _orbits(cfg, 4) == ([4], False)
 
 
 def test_applier_certificate_verdicts_are_pinned():
@@ -1111,48 +1099,47 @@ def test_applier_certificate_verdicts_are_pinned():
     assert verdicts[18, 6, 12] == (True, True, True)
 
 
-def _mutate(cfg, kind, monkeypatch):
-    """Corrupt one applier table of ``cfg``'s layout, its forms untouched."""
-    sp, roots = cfg.space, cfg.weyl_tables[0]
+def _mutate(layout, kind):
+    """Corrupt one cached Weyl form of ``layout``; the tables are packed
+    from it when they are first built after."""
+    forms = osc.weyl_forms(*layout)
+    sp = xy_space(layout[0])
     if kind == "root coefficient":
-        ceiling, packed = roots["e", 1, 3]
-        (c, *rest), *others = packed
-        roots["e", 1, 3] = ceiling, ((2 * c, *rest), *others)
+        form = forms["e", 1, 3]
+        key = next(iter(form))
+        form[key] *= 2
     elif kind == "cartan constant":
-        table = osc._cartan_table
-
-        def shifted(cfg, r):
-            const, reads = table(cfg, r)
-            return (const + 1, reads) if r == 1 else (const, reads)
-
-        monkeypatch.setattr(osc, "_cartan_table", shifted)
+        _extra_form_term(layout, ("h", 1), (0, 0))
     elif kind == "repeated derivative":
-        # x_1 d_{x_1} d_{x_1} read as e^2 x^{e-1}: no Weyl monomial
-        s, unit = sp.shift[sp.x(1)], sp.unit[sp.x(1)]
-        ceiling, packed = roots["e", 1, 3]
-        roots["e", 1, 3] = ceiling, packed + ((1, s, s, -unit),)
-    else:  # swapped roots: E_12 and E_21 trade tables
-        roots["e", 1, 2], roots["e", 2, 1] = roots["e", 2, 1], roots["e", 1, 2]
-    osc.root_terms.cache_clear()
-    filtration._generator_shifts.cache_clear()
+        # x_1 d_{x_1}^2, which no table can hold
+        unit = sp.unit[sp.x(1)]
+        _extra_form_term(layout, ("e", 1, 3), (unit, 2 * unit))
+    else:  # swapped roots: E_12 and E_21 trade forms
+        forms["e", 1, 2], forms["e", 2, 1] = forms["e", 2, 1], forms["e", 1, 2]
 
 
 @pytest.mark.parametrize(
     "kind", ["root coefficient", "cartan constant", "repeated derivative", "swapped roots"]
 )
-def test_applier_certificate_refuses_each_mutation(monkeypatch, fresh_caches, kind):
-    # (5,2,3) has the block transpositions (1 2), (4 5) and the mirror
+def test_applier_certificate_refuses_each_mutation(fresh_caches, kind):
+    # (5,2,3) has the block transpositions (1 2), (4 5) and the mirror; a
+    # mutated form reaches the table packed from it, and the brackets
+    # refuse it
     layout = (5, 2, 3)
-    _mutate(Config(*layout), kind, monkeypatch)
+    _mutate(layout, kind)
     cfg, forms = Config(*layout), osc.weyl_forms(*layout)
-    assert osc._brackets_hold(cfg, forms, _chevalley_pairs(cfg.n))
-    assert not _sampled_agreement(cfg, forms, forms)
-    assert not _all_pairs_certificate(*layout)
+    assert not osc._brackets_hold(cfg, forms, _chevalley_pairs(cfg.n))
     assert not applier_is_representation(*layout)
-    # the relabelling certificates compare the roots' tables, not h_r's
-    roots_refuse = kind != "cartan constant"
-    assert osc.block_permutations_commute(*layout) is not roots_refuse
-    assert osc.mirror_commutes(*layout) is not roots_refuse
+    assert not osc.mirror_commutes(*layout)
+    # (1 2) carries the swap of E_12 and E_21 onto itself, and no other
+    # mutation
+    assert osc.block_permutations_commute(*layout) is (kind == "swapped roots")
+    if kind == "repeated derivative":
+        with pytest.raises(ValueError, match="differentiates a position twice"):
+            cfg.weyl_tables
+        return
+    assert _sampled_agreement(cfg) == []
+    assert not _all_pairs_certificate(*layout)
 
 
 def test_tcache_images_are_primitive_integer_multiples():
@@ -1480,8 +1467,9 @@ def test_brute_force_rows_at_the_weights_that_reach_a_representative_are_pinned(
 
 
 def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
-    # E_ab by eps_a - eps_b, h_r by nothing; a term of another shift on one
-    # root leaves no shifts, and the brute-force tower is built whole
+    # E_ab by eps_a - eps_b, h_r by nothing; a term of another shift in the
+    # form of one root leaves no shifts, and the brute-force tower is built
+    # whole
     cfg = Config(5, 2, 3, -1, -1)
     weights = build_tower(cfg, 4, "explicit").weights
     for g, shift in zip(generators(5), filtration._generator_shifts(5, 2, 3)):
@@ -1491,7 +1479,8 @@ def test_each_root_moves_the_weight_by_its_own_root(fresh_caches):
             want[g[2] - 1] -= 1
         assert weights.entries(shift) == want, g
     sp = cfg.space
-    _extra_root_term(cfg, ("e", 1, 3), (1, sp.shift[sp.x(4)], -1, sp.unit[sp.x(2)] - sp.unit[sp.x(4)]))
+    _extra_form_term((5, 2, 3), ("e", 1, 3), (sp.unit[sp.x(2)], sp.unit[sp.x(4)]))
+    filtration._generator_shifts.cache_clear()
     assert filtration._generator_shifts(5, 2, 3) is None
     assert _one_block(filtration._bruteforce_tower(cfg, 4, weights).weights)
 

@@ -48,8 +48,9 @@ def from_exponents(space, terms):
 
 
 def laplacian_form(cfg):
-    """The Weyl form of the twisted Laplacian."""
-    return osc._weyl_form(cfg.space, osc._laplacian_terms(cfg.space, cfg.n1, cfg.n2))
+    """The Weyl form of the twisted Laplacian, which ``laplace`` applies
+    packed."""
+    return osc._laplacian_forms(cfg.n, cfg.n1, cfg.n2)[0][None]
 
 
 def weyl_bracket(sp, f, g):
@@ -187,6 +188,25 @@ def test_classify_examples():
     assert classify_irreducible(Config(3, 1, 3, 2, 1)) is True
     assert classify_irreducible(Config(4, 2, 2, -1, -1)) is True
     assert classify_irreducible(Config(5, 1, 3, -1, 1)) is False
+
+
+def test_cartan_tables_give_the_differences_of_the_diagonal_values():
+    # h_r's table is read off its Weyl form, E_rr's eigenvalue off
+    # ``diagonal_value``, which the xy weights read too: they agree on every
+    # layout with n <= 8 and every monomial of degree <= 2
+    layouts = 0
+    for n in range(2, 9):
+        sp = xy_space(n)
+        mons = list(monomials(sp, range(3)))
+        for n1 in range(1, n + 1):
+            for n2 in range(n1, n + 1):
+                cfg = Config(n, n1, n2)
+                layouts += 1
+                for r in range(1, n):
+                    for m in mons:
+                        want = osc.diagonal_value(cfg, r, m) - osc.diagonal_value(cfg, r + 1, m)
+                        assert osc.cartan_eigenvalue(cfg, r, m) == want, (cfg, r, m)
+    assert layouts == 119
 
 
 def test_bracket_fidelity_small():

@@ -87,13 +87,17 @@ def test_bracket_fidelity_fails_on_a_flipped_cell(monkeypatch, fresh_tables, cel
 
 @pytest.mark.parametrize("block", ["first", "last"])
 def test_bracket_fidelity_fails_on_a_wrong_cartan_constant(monkeypatch, block):
-    exact = osc.diagonal_value
+    # the constant of h_1's built table, or of h_3's, off by one behind its
+    # form: the shift of the constants of pi(E_rr) over J1, or over J3, that
+    # a wrong diagonal constant gives
+    table = osc._cartan_table
+    r, step = (1, 1) if block == "first" else (3, -1)
 
-    def shifted(cfg, r, m):
-        moved = r <= cfg.n1 if block == "first" else r > cfg.n2
-        return exact(cfg, r, m) + moved
+    def shifted(cfg, s):
+        const, reads = table(cfg, s)
+        return (const + step, reads) if s == r else (const, reads)
 
-    monkeypatch.setattr(osc, "diagonal_value", shifted)
+    monkeypatch.setattr(osc, "_cartan_table", shifted)
     rec = check_bracket_fidelity([(4, 1, 3)], 4)
     assert rec.status == "fail"
     assert rec.payload["violations"] > 0
@@ -102,14 +106,14 @@ def test_bracket_fidelity_fails_on_a_wrong_cartan_constant(monkeypatch, block):
 
 
 def test_bracket_fidelity_fails_on_forms_the_applier_does_not_follow(monkeypatch, fresh_tables):
-    # a wrong diagonal constant in the Weyl forms alone: the applier still
-    # satisfies every relation, but the identities certify other operators
-    # and the ones with h_1 on their right side fail
+    # a wrong diagonal constant in the Weyl forms: the applier, packed from
+    # them, follows, so no form disagrees with it, and the identities with
+    # h_1 on their right side fail
     monkeypatch.setitem(osc._DIAGONAL, True, 0)
     rec = check_bracket_fidelity([(4, 1, 3)], 4)
     assert rec.status == "fail"
     assert rec.payload["nonzero_identities"] > 0
-    assert rec.payload["forms_disagreeing_with_applier"] > 0
+    assert "forms_disagreeing_with_applier" not in rec.payload
 
 
 def test_bracket_fidelity_at_the_degree_limit_raises():
