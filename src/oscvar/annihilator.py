@@ -73,6 +73,9 @@ a tower, and a tower dump, must reach kmax - 1, the highest target of a
 system at kmax.  :func:`degree2_tower` goes to depth kmax instead, on
 those layouts and where a power of degree 2e of ``degree2_families``
 reads M_{2e-1}.  Both are :func:`explicit_tower` at their levels.
+Inside :func:`shared_towers` (one ``oscvar suite`` run) each such tower is
+built once, with the facts derived from it and the pieces solved on it;
+outside it every call builds its own.
 
 Each kernel is solved as a direct sum of weight blocks (``osc.Weights``).
 The weight of a symbol monomial is the sum of its symbols': e_ab adds
@@ -129,6 +132,7 @@ it; or a degree-1 system with no kmax-1 system to compare against) raises
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -389,17 +393,54 @@ def _generated_by_base(tower: FiltrationTower) -> bool:
     return not any(system_rows(tower)[0][1:])
 
 
+# (cfg, depth) -> the whole explicit tower, while a shared_towers() scope
+# is open; None outside every scope.
+_shared: dict | None = None
+
+
+@contextmanager
+def shared_towers():
+    """A scope inside which :func:`explicit_tower` builds the whole tower of
+    each ``(cfg, depth)`` once and hands every later call the same object,
+    with its ``derived`` facts (:func:`system_rows`, the relabellings, the
+    gradings) and its solved pieces (:func:`_solve`).  A scope opened
+    inside another shares the outer one's towers.  The towers are dropped
+    when the outermost scope closes; outside every scope each call builds
+    afresh."""
+    global _shared
+    outer = _shared
+    if outer is None:
+        _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _whole_tower(cfg: Config, depth: int) -> FiltrationTower:
+    """``build_tower(cfg, depth, whole=True)``, taken from the open
+    :func:`shared_towers` scope where there is one."""
+    if _shared is None:
+        return build_tower(cfg, depth, whole=True)
+    tower = _shared.get((cfg, depth))
+    if tower is None:
+        tower = _shared[cfg, depth] = build_tower(cfg, depth, whole=True)
+    return tower
+
+
 def explicit_tower(cfg: Config, top: int, base_top: int) -> FiltrationTower:
     """The explicit tower through the highest level its checks read:
     ``base_top`` where the tower is U_k(g) M_0, on which a degree-p system
     reads only M_{p-1}, and ``top`` >= base_top on any other.
 
     Built to depth base_top, and rebuilt to depth top where
-    :func:`system_rows` finds rows above M_0.
+    :func:`system_rows` finds rows above M_0.  Inside
+    :func:`shared_towers` each depth of a layout is built once and every
+    call gets the same object; outside it each call builds its own.
     """
-    tower = build_tower(cfg, base_top, whole=True)
+    tower = _whole_tower(cfg, base_top)
     if base_top < top and not _generated_by_base(tower):
-        tower = build_tower(cfg, top, whole=True)
+        tower = _whole_tower(cfg, top)
     return tower
 
 
@@ -781,8 +822,21 @@ def _compare_with_prediction(
 
 def _solve(tower: FiltrationTower, p: int, kmax: int) -> AnnihilatorPiece:
     """The degree-p piece at kmax, with the Cartan and off-L root symbols
-    claimed as preservers."""
-    return compute_annihilator_piece(tower, p, kmax, predicted_level_preservers(tower.cfg))
+    claimed as preservers.
+
+    Solved once per tower and ``(p, kmax)``, and cached in
+    ``tower.derived["pieces"]``: the preservers depend only on the layout,
+    and a piece is not changed after it is solved, so every check that
+    reads it (the suite's degree-1, degree-2, degree-3 and presentation
+    checks on one shared tower, :func:`shared_towers`) reads the same
+    kernel."""
+    pieces = tower.derived.setdefault("pieces", {})
+    piece = pieces.get((p, kmax))
+    if piece is None:
+        piece = pieces[p, kmax] = compute_annihilator_piece(
+            tower, p, kmax, predicted_level_preservers(tower.cfg)
+        )
+    return piece
 
 
 def _reads_same_rows(tower: FiltrationTower, p: int, kmax: int) -> bool:

@@ -166,9 +166,8 @@ towers are built to check:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, gcd, inf
+from math import factorial, gcd, inf, lcm
 
 from .linalg import EchelonBasis, canonical_levels, echelon_from
 from .osc import (
@@ -186,14 +185,13 @@ from .osc import (
     enumerate_cells,
     generators,
     mirror_commutes,
-    project_T,
     project_T_numerator,
     projection_forms,
     relabellings,
     tn_cells,
     weyl_forms,
 )
-from .poly import Poly, parse_poly, render_terms
+from .poly import Poly, axpy, parse_poly, render_terms
 
 
 class UnsupportedRegimeError(ValueError):
@@ -1048,6 +1046,13 @@ def operator_chain_identity(
     On the x side it lists the raisings reversed, then the lowerings; on
     the y side the lowerings, then the raisings.  Index and regime
     preconditions are enforced.
+
+    Decided in integers.  v0 is scaled by the lcm L of its coefficients'
+    denominators, and T(L v0 m) = N / d, N the sum of the numerators of
+    its terms (``osc.project_T_numerator``) over their common denominator
+    d > 0.  Both sides are linear in v0, so the identity
+    sign k!/c! T(v0 m) = chain(v0 m') holds exactly when
+    sign k! N = c! d chain(L v0 m').
     """
     if cfg.n1 >= cfg.n2:
         raise UnsupportedRegimeError("ladder identities require n1 < n2")
@@ -1069,13 +1074,24 @@ def operator_chain_identity(
     def mono(indices) -> Poly:
         return Poly.monomial(sp, sum(sp.unit[var(i)] for i in indices))
 
-    lhs = project_T(cfg, v0 * mono([*i1_idx, *i3_idx] + [mid] * c)).scale(
-        Fraction((-1) ** n_i1 * factorial(k), factorial(c))
-    )
+    scale = lcm(*(coeff.denominator for coeff in v0.terms.values()))
+    scaled = Poly(sp, {m: int(coeff * scale) for m, coeff in v0.terms.items()})
+    parts = [
+        (coeff, *project_T_numerator(cfg, m))
+        for m, coeff in (scaled * mono([*i1_idx, *i3_idx] + [mid] * c)).terms.items()
+    ]
+    d = lcm(*(denom for _coeff, _num, denom in parts))
+    numerator: dict = {}
+    for coeff, num, denom in parts:
+        axpy(numerator, coeff * (d // denom), num)
     lowerings = [(mid, i) for i in i1_idx]
     raisings = [(j, mid) for j in i3_idx]
     ops = raisings[::-1] + lowerings if side == "x" else lowerings + raisings
-    return lhs == _apply_chain(cfg, ops, v0 * mono([mid] * s))
+    chain = _apply_chain(cfg, ops, scaled * mono([mid] * s))
+    left, right = (-1) ** n_i1 * factorial(k), factorial(c) * d
+    return {m: left * v for m, v in numerator.items()} == {
+        m: right * v for m, v in chain.terms.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
+from contextlib import nullcontext
 from functools import partial
 from math import comb
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from .annihilator import (
     gkdim_estimate,
     operator_identically_zero,
     presentation_tower,
+    shared_towers,
     sym_membership,
     verify_degree2,
     verify_degree3,
@@ -56,6 +58,7 @@ from .osc import (
     highest_weight_formula,
     laplace,
     project_T_monomial,
+    project_T_numerator,
     weight,
     weyl_action,
     weyl_forms,
@@ -171,7 +174,11 @@ def check_bracket_fidelity(params_list, maxdeg) -> CheckRecord:
 def projection_report(cfg: Config, dmax: int, keep: int = 0) -> dict:
     """Project every constrained monomial up to degree ``dmax`` and count
     the images the Laplacian does not kill; the first ``keep`` images are
-    rendered."""
+    rendered.
+
+    T(m) = N / d with d > 0 (``osc.project_T_numerator``), so the Laplacian
+    kills T(m) exactly when it kills the integer numerator N, which is what
+    is tested: only the rendered images are taken over d."""
     sizes = []
     failures = 0
     images = []
@@ -179,11 +186,11 @@ def projection_report(cfg: Config, dmax: int, keep: int = 0) -> dict:
         mons = enumerate_TN_level(cfg, k)
         sizes.append(len(mons))
         for m in mons:
-            img = project_T_monomial(cfg, m)
-            if laplace(cfg, img):
+            numerator, _d = project_T_numerator(cfg, m)
+            if laplace(cfg, Poly(cfg.space, numerator)):
                 failures += 1
             if len(images) < keep:
-                images.append(img.render())
+                images.append(project_T_monomial(cfg, m).render())
     return {"level_sizes": sizes, "failures": failures, "projections": images}
 
 
@@ -558,32 +565,51 @@ CRITERIA = (
 )
 
 
+# The criteria that read whole explicit towers (``annihilator.explicit_tower``),
+# consecutive in ``CRITERIA``: one run shares each layout's tower among them.
+SHARED_TOWERS = frozenset(
+    {"degree1_kernels", "degree2_kernels", "degree3", "variety_presentations"}
+)
+
+
 def run_suite(budget_seconds: float | None = None, progress=None) -> list[CheckRecord]:
     """The complete verification matrix, criterion by criterion.
 
     A budget is checked between criteria: the first always runs, and no
     later one starts once ``budget_seconds`` have passed.  A skipped
     ``suite-budget`` record marks the cut.
+
+    The criteria of ``SHARED_TOWERS`` run inside one
+    ``annihilator.shared_towers`` scope, so each layout's whole explicit
+    tower is built once and each of its pieces solved once among them.
+    The scope closes when they end, however they end (a budget cut or an
+    exception included), which frees the towers before ``gk_growth``.
     """
     records: list[CheckRecord] = []
     start = time.perf_counter()
-    for criterion in CRITERIA:
-        if records and budget_seconds is not None and time.perf_counter() - start > budget_seconds:
-            records.append(
-                CheckRecord(
-                    "suite-budget",
-                    "time-budget",
-                    "skipped",
-                    {},
-                    0.0,
-                    "time budget exhausted before this stage",
-                )
-            )
-            break
-        for rec in criterion.run():
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
+    for shared, group in itertools.groupby(CRITERIA, lambda c: c.name in SHARED_TOWERS):
+        with shared_towers() if shared else nullcontext():
+            for criterion in group:
+                if (
+                    records
+                    and budget_seconds is not None
+                    and time.perf_counter() - start > budget_seconds
+                ):
+                    records.append(
+                        CheckRecord(
+                            "suite-budget",
+                            "time-budget",
+                            "skipped",
+                            {},
+                            0.0,
+                            "time budget exhausted before this stage",
+                        )
+                    )
+                    return records
+                for rec in criterion.run():
+                    records.append(rec)
+                    if progress is not None:
+                        progress(rec)
     return records
 
 

@@ -19,6 +19,7 @@ from oscvar.annihilator import (
     _compare_with_prediction,
     _generated_by_base,
     _level_rows,
+    _solve,
     _tower_relabellings,
     _stacked_columns,
     apply_sym,
@@ -38,6 +39,7 @@ from oscvar.annihilator import (
     predicted_level_preservers,
     presentation_tower,
     scaled_entries,
+    shared_towers,
     sym_form,
     sym_membership,
     sym_words,
@@ -58,6 +60,7 @@ from oscvar.osc import (
     weyl_action,
 )
 from oscvar.poly import Poly, Space, axpy, monomials, parse_poly, symbol_space
+from oscvar.reports import CheckRecord
 
 
 def from_exponents(space, terms):
@@ -1459,3 +1462,108 @@ def test_a_perturbed_root_form_fails_the_permutation_certificate(fresh_certifica
     tower = presentation_tower(cfg, 4)
     assert not _tower_relabellings(tower)
     assert _same_kernels(_pieces(tower, 4), want)
+
+
+# -- towers and pieces shared inside one suite run ----------------------------
+
+SHARED_CFG = Config(6, 2, 4, -1, -1)
+
+
+def _counting(monkeypatch, name):
+    """Patch ``annihilator.<name>`` to count its calls; returns the count."""
+    real, calls = getattr(annihilator, name), []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(annihilator, name, counted)
+    return calls
+
+
+def test_shared_towers_hand_every_check_one_tower(monkeypatch):
+    builds = _counting(monkeypatch, "build_tower")
+    with shared_towers():
+        # presentation_tower at kmax 4 and degree2_tower at kmax 3 both read
+        # the tower of depth 2, which is U_k(g) M_0
+        tower = presentation_tower(SHARED_CFG, 4)
+        assert degree2_tower(SHARED_CFG, 3) is tower
+        with shared_towers():  # an inner scope shares the outer one's towers
+            assert presentation_tower(SHARED_CFG, 3) is tower
+        assert presentation_tower(SHARED_CFG, 4) is tower
+    assert len(builds) == 1 and tower.depth == 2
+    assert annihilator._shared is None
+
+
+def test_shared_towers_share_nothing_outside_the_scope(monkeypatch):
+    assert presentation_tower(SHARED_CFG, 4) is not presentation_tower(SHARED_CFG, 4)
+    with shared_towers():
+        inside = presentation_tower(SHARED_CFG, 4)
+    assert presentation_tower(SHARED_CFG, 4) is not inside
+    builds = _counting(monkeypatch, "build_tower")
+    verify_variety_presentation(SHARED_CFG, 3)
+    verify_variety_presentation(SHARED_CFG, 3)
+    assert len(builds) == 2
+
+
+def test_shared_towers_scope_closes_after_the_suite():
+    assert suite.run_suite()
+    assert annihilator._shared is None
+    assert suite.run_suite(budget_seconds=1e-6)[-1].name == "suite-budget"
+    assert annihilator._shared is None
+
+
+def _shared_criterion(name, check):
+    return suite.Criterion(0, name, name, 1, (check,))
+
+
+def test_shared_towers_scope_closes_on_a_budget_cut_inside_it(monkeypatch):
+    seen = []
+
+    def check():
+        seen.append(annihilator._shared is not None)
+        return CheckRecord("probe", "probe", "pass", {}, 1.0)
+
+    monkeypatch.setattr(suite, "CRITERIA", (
+        _shared_criterion("degree1_kernels", check),
+        _shared_criterion("degree2_kernels", check),
+    ))
+    records = suite.run_suite(budget_seconds=1e-6)
+    assert [r.name for r in records] == ["probe", "suite-budget"]
+    assert seen == [True]
+    assert annihilator._shared is None
+
+
+def test_shared_towers_scope_closes_when_a_criterion_raises(monkeypatch):
+    def check():
+        presentation_tower(SHARED_CFG, 3)
+        raise RuntimeError("criterion failed")
+
+    monkeypatch.setattr(suite, "CRITERIA", (_shared_criterion("degree3", check),))
+    with pytest.raises(RuntimeError, match="criterion failed"):
+        suite.run_suite()
+    assert annihilator._shared is None
+
+
+def test_shared_towers_criteria_are_consecutive():
+    names = [c.name for c in suite.CRITERIA]
+    shared = [i for i, name in enumerate(names) if name in suite.SHARED_TOWERS]
+    assert len(shared) == len(suite.SHARED_TOWERS)
+    assert shared == list(range(shared[0], shared[0] + len(shared)))
+    # the towers are dropped before the growth check, the largest allocation
+    assert names.index("gk_growth") > shared[-1]
+
+
+def test_solve_memoizes_each_piece_on_its_tower(monkeypatch):
+    solves = _counting(monkeypatch, "compute_annihilator_piece")
+    tower = presentation_tower(SHARED_CFG, 3)
+    piece = _solve(tower, 2, 3)
+    assert _solve(tower, 2, 3) is piece
+    assert len(solves) == 1
+    # another kmax, another degree or a fresh tower is solved again
+    assert _solve(tower, 2, 4) is not piece
+    assert _solve(tower, 1, 3) is not piece
+    fresh = presentation_tower(SHARED_CFG, 3)
+    again = _solve(fresh, 2, 3)
+    assert again is not piece and len(solves) == 4
+    assert again.blocks == piece.blocks and again.stabilized == piece.stabilized

@@ -6,7 +6,7 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import factorial, gcd
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscvar import filtration, osc
+from oscvar import filtration, osc, suite
 from oscvar.annihilator import _level_rows, system_rows
 from oscvar.filtration import (
+    LADDER_VARIANTS,
     FiltrationTower,
     UnsupportedRegimeError,
     _dprime_level,
@@ -48,6 +49,7 @@ from oscvar.osc import (
     diagonal_value,
     enumerate_TN_level,
     generators,
+    project_T,
     project_T_monomial,
     weight,
 )
@@ -298,6 +300,76 @@ def test_ladder_identity_rejects_bad_input():
         operator_chain_identity(
             Config(3, 2, 2), "x", 1, 0, [1], [], Poly.constant(xy := Config(3, 2, 2).space, 1)
         )
+
+
+def _fraction_chain_identity(cfg, variant, k, aux, i1_idx, i3_idx, v0):
+    """The ladder identity in Fractions, the oracle of the integer route:
+    sign k!/c! T(v0 m) against the chain applied to v0 m'."""
+    side, n_i1, _n_i3, c, s = LADDER_VARIANTS[variant](k, aux)
+    sp, mid = cfg.space, cfg.n1 + 1
+    var = sp.x if side == "x" else sp.y
+
+    def mono(indices):
+        return Poly.monomial(sp, sum(sp.unit[var(i)] for i in indices))
+
+    lhs = project_T(cfg, v0 * mono([*i1_idx, *i3_idx] + [mid] * c)).scale(
+        Fraction((-1) ** n_i1 * factorial(k), factorial(c))
+    )
+    lowerings = [(mid, i) for i in i1_idx]
+    raisings = [(j, mid) for j in i3_idx]
+    ops = raisings[::-1] + lowerings if side == "x" else lowerings + raisings
+    return lhs == filtration._apply_chain(cfg, ops, v0 * mono([mid] * s))
+
+
+def _ladder_cases(cfg, kmax, v0s):
+    """Every case ``suite.check_ladder_identities`` checks, for these v0s."""
+    for k in range(kmax + 1):
+        for aux in range(k + 1):
+            for v0 in v0s:
+                for variant, shape in LADDER_VARIANTS.items():
+                    _, n1len, n3len, _, _ = shape(k, aux)
+                    for i1s in itertools.product(cfg.J1, repeat=n1len):
+                        for i3s in itertools.product(cfg.J3, repeat=n3len):
+                            yield variant, k, aux, list(i1s), list(i3s), v0
+
+
+def test_ladder_integer_route_agrees_with_fractions_on_the_suite_cases():
+    cfg = Config(4, 1, 3)
+    cases = list(_ladder_cases(cfg, 3, suite._ladder_v0_choices(cfg)))
+    assert len(cases) == 560
+    assert suite.check_ladder_identities((4, 1, 3), 3).payload["checked"] == 560
+    for case in cases:
+        assert operator_chain_identity(cfg, *case) == _fraction_chain_identity(cfg, *case)
+        assert operator_chain_identity(cfg, *case)
+
+
+def test_ladder_integer_route_clears_the_denominators_of_v0():
+    cfg = Config(4, 1, 3)
+    sp = cfg.space
+    a, b = parse_poly(sp, "x1*y4"), parse_poly(sp, "y3")
+    v0s = [a.scale(3), a.scale(3) + b.scale(Fraction(2, 3)), b.scale(Fraction(-5, 4))]
+    checked = 0
+    for case in _ladder_cases(cfg, 2, v0s):
+        assert operator_chain_identity(cfg, *case)
+        assert _fraction_chain_identity(cfg, *case)
+        checked += 1
+    assert checked == 3 * 24
+
+
+def test_ladder_integer_route_refuses_a_flipped_sign(monkeypatch):
+    cfg = Config(4, 1, 3)
+    sp = cfg.space
+    v0 = parse_poly(sp, "y3").scale(Fraction(2, 3)) + parse_poly(sp, "x1")
+    case = ("x", 2, 1, [1, 1], [4], v0)
+    assert operator_chain_identity(cfg, *case)
+    apply_chain = filtration._apply_chain
+    monkeypatch.setattr(
+        filtration, "_apply_chain", lambda cfg, ops, v: -apply_chain(cfg, ops, v)
+    )
+    # both sides are nonzero: the chain E_42 E_21 E_21 of the case moves v0
+    assert not filtration._apply_chain(cfg, [(4, 2), (2, 1), (2, 1)], v0).is_zero()
+    assert not operator_chain_identity(cfg, *case)
+    assert not _fraction_chain_identity(cfg, *case)
 
 
 def test_tower_dump_roundtrip(tmp_path):
@@ -1077,6 +1149,27 @@ def test_a_perturbed_reduced_laplacian_form_moves_the_t_series_and_its_certifica
     cfg = Config(5, 2, 3, -1, -1)
     assert project_T_monomial(cfg, y1).terms == {y1: 1, lifted: 2}
     assert _orbits(cfg, 4) == ([4], False)
+
+
+def test_a_doubled_reduced_laplacian_term_fails_the_harmonicity_check(
+    monkeypatch, fresh_caches
+):
+    # the first term of each reduced Laplacian table doubled: T no longer
+    # lands in the kernel of the Laplacian, and the integer numerators the
+    # check reads show it
+    layouts = [(3, 1, 2, -1, -1), (4, 1, 3, -1, -1), (4, 1, 3, -1, 1)]
+    assert suite.check_harmonicity(layouts, 6).status == "pass"
+    laplacian_terms = osc._laplacian_terms
+
+    def doubled(sp, n1, n2, skip=None):
+        (c, *first), *rest = laplacian_terms(sp, n1, n2, skip)
+        return [(2 * c if skip else c, *first), *rest]
+
+    monkeypatch.setattr(osc, "_laplacian_terms", doubled)
+    osc._laplacian_forms.cache_clear()
+    _weyl_tables.cache_clear()
+    rec = suite.check_harmonicity(layouts, 6)
+    assert rec.status == "fail" and rec.payload["failures"] > 0
 
 
 def test_applier_certificate_verdicts_are_pinned():

@@ -36,3 +36,9 @@ def test_basis_golden(capsys):
         "--l1", "-1", "--l2", "-1",
     )
     assert out == (GOLDEN / "basis_4222.json").read_text()
+
+
+def test_suite_golden(capsys):
+    # the whole standing matrix, with its shared towers and solved pieces
+    out = _capture(capsys, "suite", "--out", "json")
+    assert out == (GOLDEN / "suite.json").read_text()

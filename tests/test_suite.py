@@ -8,8 +8,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oscvar import osc, suite
-from oscvar.osc import Config, _weyl_tables, commutator_in_basis, generators
-from oscvar.poly import DEGREE_LIMIT, monomials
+from oscvar.osc import (
+    Config,
+    _weyl_tables,
+    commutator_in_basis,
+    enumerate_TN_level,
+    generators,
+    laplace,
+    project_T_monomial,
+    project_T_numerator,
+)
+from oscvar.poly import DEGREE_LIMIT, Poly, monomials
 from oscvar.suite import check_bracket_fidelity, check_highest_weight, run_suite
 
 
@@ -39,6 +48,33 @@ def test_records_carry_anchor_and_payload():
     assert rec.status == "pass"
     assert rec.anchor == "weight-of-corner-vector"
     assert rec.payload["weight"] == [-2, 0, -2, 1]
+
+
+# -- harmonicity -------------------------------------------------------------
+
+HARMONICITY_LAYOUTS = [(3, 1, 2, -1, -1), (4, 1, 3, -1, -1), (4, 1, 3, -1, 1)]
+
+
+def test_harmonicity_numerator_verdict_is_the_fraction_verdict():
+    # T(m) = N / d with d > 0: the Laplacian of the image in Fractions is
+    # that of the integer numerator over d, on every monomial the suite
+    # projects
+    rec = suite.check_harmonicity(HARMONICITY_LAYOUTS, 6)
+    checked = 0
+    for params in HARMONICITY_LAYOUTS:
+        cfg = Config(*params)
+        for k in range(7):
+            for m in enumerate_TN_level(cfg, k):
+                numerator, d = project_T_numerator(cfg, m)
+                assert d > 0
+                image = laplace(cfg, project_T_monomial(cfg, m))
+                assert laplace(cfg, Poly(cfg.space, numerator)) == image.scale(d)
+                assert image.is_zero()
+                checked += 1
+    assert rec.status == "pass" and rec.payload["failures"] == 0
+    assert checked == 772 == sum(
+        sum(rec.payload[Config(*params).short()]["level_sizes"]) for params in HARMONICITY_LAYOUTS
+    )
 
 
 # -- bracket fidelity --------------------------------------------------------
